@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <thread>
 
+#include "mql/parser.h"
 #include "net/server.h"
 
 namespace prima::core {
@@ -158,11 +159,7 @@ Result<std::unique_ptr<Prima>> Prima::Open(PrimaOptions options) {
     // look-ahead machinery can only cost (see the knob resolution above).
     assembly = std::thread::hardware_concurrency() > 1 ? workers : 1;
   }
-  if (assembly > 1) {
-    db->data_->executor().SetAssemblyPool(db->pool_.get(), assembly);
-  }
-  db->parallel_ = std::make_unique<ParallelQueryProcessor>(db->data_.get(),
-                                                           db->pool_.get());
+  db->data_->executor().SetAssemblyPool(db->pool_.get(), assembly);
   db->object_buffer_ = std::make_unique<ObjectBuffer>(db->data_.get());
   db->default_session_ = db->OpenSession();
 
@@ -269,7 +266,23 @@ Result<mql::MoleculeSet> Prima::Query(const std::string& mql) {
 
 Result<mql::MoleculeSet> Prima::QueryParallel(const std::string& mql,
                                               size_t max_units) {
-  return parallel_->Run(mql, max_units);
+  PRIMA_ASSIGN_OR_RETURN(mql::Statement stmt, mql::ParseStatement(mql));
+  if (stmt.kind != mql::Statement::Kind::kQuery) {
+    return Status::InvalidArgument("parallel execution expects a SELECT");
+  }
+  if (!stmt.params.empty()) {
+    // Same refusal as the serial entry points: an unbound placeholder
+    // would compare as null and silently qualify nothing.
+    return Status::InvalidArgument(
+        "statement has placeholders - prepare it and bind values first");
+  }
+  const size_t width = max_units == 0 ? pool_->num_threads() : max_units;
+  PRIMA_ASSIGN_OR_RETURN(
+      mql::MoleculeCursor cursor,
+      data_->executor().OpenCursor(std::move(stmt.query), width));
+  data_->stats().queries++;
+  data_->stats().cursors_opened++;
+  return cursor.Drain();
 }
 
 Result<std::string> Prima::ExecuteLdl(const std::string& ldl) {
@@ -342,9 +355,9 @@ void Prima::RegisterKernelMetrics() {
                     "commit LSN the oldest pinned snapshot holds retirement at (0 = none)");
   // Data system.
   mql::DataStats& data = data_->stats();
-  reg.RegisterCounter("prima_queries", &data.queries, "cursors opened (all query paths)");
+  reg.RegisterCounter("prima_queries", &data.queries, "user queries (session, prepared, wire, QueryParallel, sessionless)");
   reg.RegisterCounter("prima_molecules_built", &data.molecules_built);
-  reg.RegisterCounter("prima_cursor_molecules", &data.cursor_molecules, "molecules streamed via Next()");
+  reg.RegisterCounter("prima_cursor_molecules", &data.cursor_molecules, "molecules returned by cursor Next(), DML target qualification included");
   reg.RegisterCounter("prima_statements_prepared", &data.statements_prepared);
   reg.RegisterCounter("prima_prepared_executions", &data.prepared_executions);
   reg.RegisterGauge("prima_stmt_cache_hits",

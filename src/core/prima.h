@@ -6,7 +6,6 @@
 
 #include "access/access_system.h"
 #include "core/app_layer.h"
-#include "core/semantic_parallel.h"
 #include "core/session.h"
 #include "core/transaction.h"
 #include "ldl/ldl.h"
@@ -159,7 +158,9 @@ struct PrimaOptions {
   /// MoleculeCursor::Next() assembles a small bounded look-ahead of
   /// molecules on the shared pool while the consumer drains, with results
   /// delivered in root order — byte-identical to serial execution.
-  /// 0 = match the pool's worker count; 1 = serial assembly.
+  /// 0 = match the pool's worker count; 1 = serial assembly. This is the
+  /// width of query cursors; QueryParallel passes its own `max_units`, and
+  /// MODIFY/DELETE qualify their targets serially.
   size_t cursor_assembly_threads = 0;
 
   /// NETWORK SERVER: when >= 0, Open() also starts a TCP server speaking
@@ -191,8 +192,9 @@ struct PrimaOptions {
 };
 
 /// PRIMA — the kernel facade. Wires the three layers of Fig. 3.1 together
-/// with the load definition language, nested transactions, the semantic-
-/// parallelism processor, and the application-layer object buffer.
+/// with the load definition language, nested transactions, semantic
+/// parallelism over a shared worker pool, and the application-layer object
+/// buffer.
 ///
 /// Quickstart — the session API is the primary client surface. A session
 /// scopes transactions (`BEGIN WORK` … `COMMIT WORK` / `ABORT WORK`, with
@@ -337,7 +339,17 @@ class Prima {
   util::Result<mql::ExecResult> Execute(const std::string& mql);
   /// Execute a SELECT and return its molecule set (drains a cursor).
   util::Result<mql::MoleculeSet> Query(const std::string& mql);
-  /// Execute a SELECT with semantic parallelism (decomposed units of work).
+  /// Execute a SELECT with semantic parallelism (paper §4): "units of
+  /// work decomposed from a single user operation are said to allow for
+  /// inherent semantic parallelism when they do not conflict with each
+  /// other at the level of decomposition." Molecule-set retrieval
+  /// decomposes by root atom: each unit assembles and qualifies one
+  /// candidate molecule. Units are read-only and target disjoint roots, so
+  /// they are conflict-free by construction; up to `max_units` of them
+  /// (0 = one per pool thread) run at once on the worker pool — the
+  /// shared-memory stand-in for multi-processor PRIMA. This is a cursor
+  /// opened with assembly width `max_units` and drained, so molecule order
+  /// and content match Query() exactly.
   util::Result<mql::MoleculeSet> QueryParallel(const std::string& mql,
                                                size_t max_units = 0);
   /// Execute one LDL statement (access paths, sort orders, partitions,
@@ -427,7 +439,6 @@ class Prima {
   std::unique_ptr<ldl::LoadDefinition> ldl_;
   std::unique_ptr<TransactionManager> txns_;
   std::unique_ptr<util::ThreadPool> pool_;
-  std::unique_ptr<ParallelQueryProcessor> parallel_;
   std::unique_ptr<ObjectBuffer> object_buffer_;
   /// Backs the one-shot Execute/Query facade. Never holds an explicit
   /// transaction open (BEGIN WORK arrives only via Execute, which a

@@ -309,14 +309,19 @@ Result<MoleculeCursor> Session::OpenCursor(mql::Query query,
     std::lock_guard<std::mutex> lock(epoch_mu_);
     token = cursor_epoch_;
   }
-  if (plan != nullptr) {
-    return data_->executor().OpenCursorWithPlan(std::move(query), *plan,
-                                                std::move(token),
-                                                active_trace_,
-                                                std::move(snapshot));
-  }
-  return data_->executor().OpenCursor(std::move(query), std::move(token),
-                                      active_trace_, std::move(snapshot));
+  mql::Executor& exec = data_->executor();
+  const size_t width = exec.assembly_threads();
+  PRIMA_ASSIGN_OR_RETURN(
+      MoleculeCursor cursor,
+      plan != nullptr
+          ? exec.OpenCursorWithPlan(std::move(query), *plan, width,
+                                    std::move(token), active_trace_,
+                                    std::move(snapshot))
+          : exec.OpenCursor(std::move(query), width, std::move(token),
+                            active_trace_, std::move(snapshot)));
+  data_->stats().queries++;
+  data_->stats().cursors_opened++;
+  return cursor;
 }
 
 Result<std::shared_ptr<const mql::CachedStatement>> Session::CompileOneShot(

@@ -1,8 +1,10 @@
 #include "mql/data_system.h"
 
+#include <memory>
 #include <set>
 
 #include "mql/parser.h"
+#include "obs/trace.h"
 
 namespace prima::mql {
 
@@ -93,15 +95,40 @@ std::string DataSystem::Format(const ExecResult& result) const {
 
 Result<ExecResult> DataSystem::RunQuery(const struct Query& q,
                                         const QueryPlan* plan) {
+  const size_t width = executor_.assembly_threads();
+  PRIMA_ASSIGN_OR_RETURN(
+      MoleculeCursor cursor,
+      plan != nullptr
+          ? executor_.OpenCursorWithPlan(CloneQuery(q), *plan, width)
+          : executor_.OpenCursor(CloneQuery(q), width));
+  stats().queries++;
+  stats().cursors_opened++;
   ExecResult r;
   r.kind = ExecResult::Kind::kMolecules;
-  if (plan != nullptr) {
-    PRIMA_ASSIGN_OR_RETURN(r.molecules, executor_.RunWithPlan(q, *plan));
-    executor_.stats().queries++;
-  } else {
-    PRIMA_ASSIGN_OR_RETURN(r.molecules, executor_.Run(q));
-  }
+  PRIMA_ASSIGN_OR_RETURN(r.molecules, cursor.Drain());
   return r;
+}
+
+Result<MoleculeSet> DataSystem::QualifyTargets(const FromClause& from,
+                                               const Expr* where,
+                                               const QueryPlan* plan) {
+  Query q;
+  q.select.emplace_back().kind = ProjItem::Kind::kAll;
+  q.from = from;
+  q.where = CloneExpr(where);
+  // Width 1: the targets are qualified serially on this thread, and the
+  // whole set is drained before the caller's first mutation, so no update
+  // can move an atom into the part of the scan still ahead. The cursor
+  // reads the latest state (no snapshot pin) and, being serial, may borrow
+  // the statement's trace without owning it.
+  std::shared_ptr<obs::StatementTrace> trace(
+      std::shared_ptr<obs::StatementTrace>(), obs::CurrentTrace());
+  PRIMA_ASSIGN_OR_RETURN(
+      MoleculeCursor cursor,
+      plan != nullptr ? executor_.OpenCursorWithPlan(std::move(q), *plan, 1,
+                                                     nullptr, trace)
+                      : executor_.OpenCursor(std::move(q), 1, nullptr, trace));
+  return cursor.Drain();
 }
 
 Result<ExecResult> DataSystem::RunCreateAtomType(
@@ -172,14 +199,8 @@ Result<ExecResult> DataSystem::RunInsert(const InsertStmt& stmt,
 Result<ExecResult> DataSystem::RunDelete(const DeleteStmt& stmt,
                                          ExecContext* ctx,
                                          const QueryPlan* plan) {
-  QueryPlan local;
-  if (plan == nullptr) {
-    PRIMA_ASSIGN_OR_RETURN(local, executor_.Prepare(stmt.from,
-                                                    stmt.where.get()));
-    plan = &local;
-  }
   PRIMA_ASSIGN_OR_RETURN(MoleculeSet set,
-                         executor_.Qualify(*plan, stmt.where.get()));
+                         QualifyTargets(stmt.from, stmt.where.get(), plan));
   // Components to delete: named ones, or every component (whole molecules).
   std::set<std::string> which(stmt.components.begin(), stmt.components.end());
   std::set<uint64_t> victims;
@@ -204,14 +225,8 @@ Result<ExecResult> DataSystem::RunDelete(const DeleteStmt& stmt,
 Result<ExecResult> DataSystem::RunModify(const ModifyStmt& stmt,
                                          ExecContext* ctx,
                                          const QueryPlan* plan) {
-  QueryPlan local;
-  if (plan == nullptr) {
-    PRIMA_ASSIGN_OR_RETURN(local, executor_.Prepare(stmt.from,
-                                                    stmt.where.get()));
-    plan = &local;
-  }
   PRIMA_ASSIGN_OR_RETURN(MoleculeSet set,
-                         executor_.Qualify(*plan, stmt.where.get()));
+                         QualifyTargets(stmt.from, stmt.where.get(), plan));
   const AtomTypeDef* target_def = nullptr;
   ExecResult r;
   r.kind = ExecResult::Kind::kCount;

@@ -87,13 +87,15 @@ class DataSystem {
 
   /// Execute an already-parsed (and, for prepared statements, already
   /// parameter-substituted) statement. `plan` optionally supplies a cached
-  /// query plan for SELECT / DELETE / MODIFY — the prepared-statement plan
-  /// reuse path (§3.1 separates preparation from execution).
+  /// query plan for SELECT / DELETE / MODIFY; the statement's cursor opens
+  /// on it instead of planning again — the prepared-statement plan reuse
+  /// path (§3.1 separates preparation from execution).
   util::Result<ExecResult> ExecuteStatement(const Statement& stmt,
                                             ExecContext* ctx = nullptr,
                                             const QueryPlan* plan = nullptr);
 
-  /// Convenience: Execute a SELECT and return its molecule set.
+  /// Convenience: Execute a SELECT (open a cursor, drain it) and return
+  /// its molecule set.
   util::Result<MoleculeSet> ExecuteQuery(const std::string& text);
 
   /// Render a result for interactive display.
@@ -118,6 +120,11 @@ class DataSystem {
  private:
   util::Result<ExecResult> RunQuery(const struct Query& q,
                                     const QueryPlan* plan);
+  /// The whole molecules a DELETE / MODIFY acts on, drained from a serial
+  /// cursor before the statement mutates anything.
+  util::Result<MoleculeSet> QualifyTargets(const FromClause& from,
+                                           const Expr* where,
+                                           const QueryPlan* plan);
   util::Result<ExecResult> RunCreateAtomType(const CreateAtomTypeStmt& stmt);
   util::Result<ExecResult> RunDefineMolecule(const DefineMoleculeTypeStmt& stmt);
   util::Result<ExecResult> RunDrop(const DropStmt& stmt);

@@ -446,20 +446,6 @@ Result<std::optional<Atom>> RootSource::Next() {
   return NextSnapshot();
 }
 
-Result<std::vector<Atom>> Executor::RootCandidates(const QueryPlan& plan) {
-  // The materializing paths (Qualify, semantic parallelism) drain the same
-  // incremental source cursors pull from.
-  PRIMA_ASSIGN_OR_RETURN(std::unique_ptr<RootSource> source,
-                         OpenRootSource(plan));
-  std::vector<Atom> out;
-  for (;;) {
-    PRIMA_ASSIGN_OR_RETURN(auto atom, source->Next());
-    if (!atom) break;
-    out.push_back(std::move(*atom));
-  }
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // Assembly
 // ---------------------------------------------------------------------------
@@ -866,85 +852,26 @@ Result<Molecule> Executor::Project(const Query& query, const QueryPlan& plan,
 }
 
 // ---------------------------------------------------------------------------
-// Top level
-// ---------------------------------------------------------------------------
-
-Result<MoleculeSet> Executor::Qualify(const QueryPlan& plan,
-                                      const Expr* where) {
-  // Materializing path (Run / DML): phase timings attach to the statement
-  // trace installed on this thread, if any — untraced statements pay one
-  // thread-local load and nothing else.
-  obs::StatementTrace* trace = obs::CurrentTrace();
-  MoleculeSet set;
-  uint64_t t0 = trace ? obs::NowNs() : 0;
-  PRIMA_ASSIGN_OR_RETURN(std::vector<Atom> roots, RootCandidates(plan));
-  if (trace != nullptr) {
-    trace->AddPhaseNs("execute", "roots", obs::NowNs() - t0);
-    trace->GetPhase("execute", "roots")->AddCounter("roots", roots.size());
-    t0 = obs::NowNs();
-  }
-  for (const Atom& root : roots) {
-    PRIMA_ASSIGN_OR_RETURN(Molecule molecule, Assemble(plan, root));
-    if (where != nullptr) {
-      PRIMA_ASSIGN_OR_RETURN(const bool ok, Eval(molecule, *where, {}));
-      if (!ok) continue;
-    }
-    set.molecules.push_back(std::move(molecule));
-  }
-  if (trace != nullptr) {
-    trace->AddPhaseNs("execute", "assembly", obs::NowNs() - t0);
-    trace->GetPhase("execute", "assembly")
-        ->AddCounter("molecules", set.molecules.size());
-  }
-  return set;
-}
-
-Result<MoleculeSet> Executor::Run(const Query& query) {
-  stats_.queries++;
-  PRIMA_ASSIGN_OR_RETURN(QueryPlan plan,
-                         Prepare(query.from, query.where.get()));
-  return RunWithPlan(query, plan);
-}
-
-Result<MoleculeSet> Executor::RunWithPlan(const Query& query,
-                                          const QueryPlan& plan) {
-  PRIMA_ASSIGN_OR_RETURN(MoleculeSet set, Qualify(plan, query.where.get()));
-  obs::StatementTrace* trace = obs::CurrentTrace();
-  const uint64_t t0 = trace ? obs::NowNs() : 0;
-  MoleculeSet projected;
-  projected.molecules.reserve(set.molecules.size());
-  for (Molecule& m : set.molecules) {
-    PRIMA_ASSIGN_OR_RETURN(Molecule p, Project(query, plan, std::move(m)));
-    projected.molecules.push_back(std::move(p));
-  }
-  if (trace != nullptr) {
-    trace->AddPhaseNs("execute", "project", obs::NowNs() - t0);
-  }
-  return projected;
-}
-
-// ---------------------------------------------------------------------------
 // Streaming cursors
 // ---------------------------------------------------------------------------
 
 Result<MoleculeCursor> Executor::OpenCursor(
-    Query query, std::shared_ptr<const std::atomic<bool>> invalidated,
+    Query query, size_t assembly_width,
+    std::shared_ptr<const std::atomic<bool>> invalidated,
     std::shared_ptr<obs::StatementTrace> trace,
     std::shared_ptr<access::VersionStore::Pin> snapshot) {
   PRIMA_ASSIGN_OR_RETURN(QueryPlan plan,
                          Prepare(query.from, query.where.get()));
-  return OpenCursorWithPlan(std::move(query), std::move(plan),
+  return OpenCursorWithPlan(std::move(query), std::move(plan), assembly_width,
                             std::move(invalidated), std::move(trace),
                             std::move(snapshot));
 }
 
 Result<MoleculeCursor> Executor::OpenCursorWithPlan(
-    Query query, QueryPlan plan,
+    Query query, QueryPlan plan, size_t assembly_width,
     std::shared_ptr<const std::atomic<bool>> invalidated,
     std::shared_ptr<obs::StatementTrace> trace,
     std::shared_ptr<access::VersionStore::Pin> snapshot) {
-  stats_.queries.fetch_add(1, std::memory_order_relaxed);  // every cursor
-                                                           // open is one query
   MoleculeCursor cursor;
   cursor.shared_ = std::make_shared<MoleculeCursor::Shared>();
   cursor.shared_->exec = this;
@@ -959,14 +886,13 @@ Result<MoleculeCursor> Executor::OpenCursorWithPlan(
   if (cursor.shared_->snapshot != nullptr) {
     cursor.source_->view_ = &cursor.shared_->snapshot->view();
   }
-  if (assembly_pool_ != nullptr && assembly_threads_ > 1) {
+  if (assembly_pool_ != nullptr && assembly_width > 1) {
     cursor.pool_ = assembly_pool_;
-    // A couple of slots beyond the worker count keeps the pipeline fed
-    // while the consumer projects, without assembling far past what the
-    // consumer asked for.
-    cursor.lookahead_ = std::min<size_t>(assembly_threads_ * 2, 64);
+    // A couple of slots beyond the width keeps the pipeline fed while the
+    // consumer projects, without assembling far past what the consumer
+    // asked for.
+    cursor.lookahead_ = std::min<size_t>(assembly_width * 2, 64);
   }
-  stats_.cursors_opened++;
   return cursor;
 }
 
@@ -1070,9 +996,9 @@ Result<std::optional<Molecule>> MoleculeCursor::Next() {
     if (!slot->qualified) continue;
     t0 = trace ? obs::NowNs() : 0;
     PRIMA_ASSIGN_OR_RETURN(Molecule projected,
-                           shared_->exec->ProjectMolecule(
-                               shared_->query, shared_->plan,
-                               std::move(slot->molecule)));
+                           shared_->exec->Project(shared_->query,
+                                                  shared_->plan,
+                                                  std::move(slot->molecule)));
     if (trace != nullptr) {
       trace->AddPhaseNs("execute", "project", obs::NowNs() - t0);
       trace->GetPhase("execute", "assembly")->AddCounter("molecules", 1);
@@ -1112,9 +1038,9 @@ Result<std::optional<Molecule>> MoleculeCursor::NextSerial() {
     if (!qualified) continue;
     t0 = trace ? obs::NowNs() : 0;
     PRIMA_ASSIGN_OR_RETURN(Molecule projected,
-                           shared_->exec->ProjectMolecule(
-                               shared_->query, shared_->plan,
-                               std::move(molecule)));
+                           shared_->exec->Project(shared_->query,
+                                                  shared_->plan,
+                                                  std::move(molecule)));
     if (trace != nullptr) {
       trace->AddPhaseNs("execute", "project", obs::NowNs() - t0);
       trace->GetPhase("execute", "assembly")->AddCounter("molecules", 1);

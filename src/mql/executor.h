@@ -25,7 +25,7 @@ namespace prima::mql {
 
 /// Counters of the data system (top of the Fig. 3.1 layer pyramid).
 struct DataStats {
-  std::atomic<uint64_t> queries{0};
+  std::atomic<uint64_t> queries{0};  ///< user queries; DML qualification is not one
   std::atomic<uint64_t> molecules_built{0};
   std::atomic<uint64_t> cluster_assemblies{0};  ///< served from atom clusters
   std::atomic<uint64_t> bfs_assemblies{0};      ///< assembled by association chasing
@@ -39,7 +39,7 @@ struct DataStats {
   std::atomic<uint64_t> prepared_executions{0};   ///< PreparedStatement runs
   std::atomic<uint64_t> prepared_plans{0};        ///< plans computed for them
   std::atomic<uint64_t> cursors_opened{0};
-  std::atomic<uint64_t> cursor_molecules{0};      ///< streamed via Next()
+  std::atomic<uint64_t> cursor_molecules{0};      ///< Next() results, DML's too
 
   void Reset() {
     queries = molecules_built = cluster_assemblies = bfs_assemblies = 0;
@@ -117,8 +117,8 @@ class Executor;
 
 /// An incremental root-candidate stream: wraps whichever access method the
 /// plan chose (atom-type scan, B*-tree access path, grid, key lookup) and
-/// yields root atoms one at a time in scan order. Cursors pull from this
-/// instead of materializing the full root set at open, so open-latency and
+/// yields root atoms one at a time in scan order. It is where every cursor
+/// gets its roots; the root set is never materialized, so open-latency and
 /// memory stay bounded for huge root sets. Not thread-safe — the cursor
 /// pulls roots only on the consumer thread.
 ///
@@ -171,15 +171,17 @@ class RootSource {
 /// from the scan layer (never materialized), and each Next() returns the
 /// next qualifying molecule — first-row latency is one assembly, not the
 /// whole set, and a consumer that stops early never pays for the molecules
-/// it skipped. Draining a cursor yields element-for-element the same
-/// molecules as the materializing Run() path.
+/// it skipped. It is the data system's one molecule-derivation loop:
+/// session and prepared queries, the wire, Prima::QueryParallel and
+/// sessionless DataSystem queries drain it for their results, and
+/// MODIFY/DELETE drain one for their targets.
 ///
-/// When the executor has an assembly pool (Executor::SetAssemblyPool with
-/// more than one thread), Next() pipelines: a small bounded look-ahead of
-/// upcoming roots is assembled and qualified on pool workers while the
-/// consumer drains, and projection happens on the consumer thread in
-/// submission order — so drain order and results stay byte-identical to
-/// serial at every thread count, only the wall-clock changes.
+/// When opened with an assembly width above 1 on an executor with an
+/// assembly pool (Executor::SetAssemblyPool), Next() pipelines: a small
+/// bounded look-ahead of upcoming roots is assembled and qualified on pool
+/// workers while the consumer drains, and projection happens on the
+/// consumer thread in submission order — so drain order and results stay
+/// byte-identical to serial at every width, only the wall-clock changes.
 ///
 /// A cursor owns its query (cloned at open), so the statement or session
 /// that spawned it may be re-bound, re-executed, or closed while the cursor
@@ -220,8 +222,9 @@ class MoleculeCursor {
   /// The next qualifying molecule, or nullopt when the set is drained.
   util::Result<std::optional<Molecule>> Next();
 
-  /// Drain the remaining molecules into a set (the old materializing
-  /// behavior; the legacy Prima::Query facade is exactly Open + Drain).
+  /// Drain the remaining molecules into a set. Every caller that wants a
+  /// whole set — Prima::Query, QueryParallel, sessionless DataSystem
+  /// queries, DML target qualification — is exactly Open + Drain.
   util::Result<MoleculeSet> Drain();
 
   /// Drop the remaining molecules; Next() then reports drained. Any
@@ -294,55 +297,35 @@ class Executor {
   /// Plan a query (exposed so tests and benches can inspect decisions).
   util::Result<QueryPlan> Prepare(const FromClause& from, const Expr* where);
 
-  /// Run a full query.
-  util::Result<MoleculeSet> Run(const Query& query);
-
-  /// Run a query whose plan was already prepared (prepared statements).
-  util::Result<MoleculeSet> RunWithPlan(const Query& query,
-                                        const QueryPlan& plan);
-
   /// Open a streaming cursor over the query (plans it first). The cursor
-  /// takes ownership of `query`. `trace`, when set, receives the cursor's
-  /// phase timings (roots / assembly / project) — pass it only when the
-  /// cursor drains within the traced statement's scope. `snapshot`, when
-  /// set, makes this a snapshot cursor: every read resolves against the
-  /// pinned view, without acquiring a single lock.
+  /// takes ownership of `query`. `assembly_width` bounds how many
+  /// molecules it assembles at once on the assembly pool: <= 1 keeps the
+  /// cursor serial on the calling thread (DML qualification), callers
+  /// without an opinion pass assembly_threads(). `trace`, when set,
+  /// receives the cursor's phase timings (roots / assembly / project) —
+  /// pass it only when the cursor drains within the traced statement's
+  /// scope. `snapshot`, when set, makes this a snapshot cursor: every read
+  /// resolves against the pinned view, without acquiring a single lock.
+  /// Opening a cursor counts nothing in stats(): callers serving a user
+  /// query count it there (DataStats::queries / cursors_opened).
   util::Result<MoleculeCursor> OpenCursor(
-      Query query,
+      Query query, size_t assembly_width,
       std::shared_ptr<const std::atomic<bool>> invalidated = nullptr,
       std::shared_ptr<obs::StatementTrace> trace = nullptr,
       std::shared_ptr<access::VersionStore::Pin> snapshot = nullptr);
 
   /// Open a streaming cursor reusing a prepared plan.
   util::Result<MoleculeCursor> OpenCursorWithPlan(
-      Query query, QueryPlan plan,
+      Query query, QueryPlan plan, size_t assembly_width,
       std::shared_ptr<const std::atomic<bool>> invalidated = nullptr,
       std::shared_ptr<obs::StatementTrace> trace = nullptr,
       std::shared_ptr<access::VersionStore::Pin> snapshot = nullptr);
 
-  /// Qualification only: resolve + scan + assemble + WHERE filter.
-  util::Result<MoleculeSet> Qualify(const QueryPlan& plan, const Expr* where);
-
-  /// Assemble the molecule rooted at `root` (public: used by DML and the
-  /// semantic-parallelism processor).
-  util::Result<Molecule> Assemble(const QueryPlan& plan,
-                                  const access::Atom& root);
-
-  /// Enumerate root-atom candidates via the plan's chosen access method
-  /// (public: the semantic-parallelism processor decomposes on these).
-  util::Result<std::vector<access::Atom>> Roots(const QueryPlan& plan) {
-    return RootCandidates(plan);
-  }
-
-  /// Open an incremental root-candidate stream for the plan (what cursors
-  /// pull from instead of materializing Roots()).
-  util::Result<std::unique_ptr<RootSource>> OpenRootSource(
-      const QueryPlan& plan);
-
-  /// Attach the worker pool cursors pipeline molecule assembly over.
-  /// `threads` bounds how many assemblies may be in flight per cursor;
-  /// <= 1 (or a null pool) keeps cursors strictly serial. Results are
-  /// byte-identical to serial either way.
+  /// Attach the worker pool cursors pipeline molecule assembly over, and
+  /// the default assembly width (`threads`) for cursors opened on behalf
+  /// of sessions. A cursor opened with width <= 1 (or with a null pool)
+  /// stays strictly serial. Results are byte-identical to serial either
+  /// way.
   void SetAssemblyPool(util::ThreadPool* pool, size_t threads) {
     assembly_pool_ = pool;
     assembly_threads_ = threads;
@@ -350,13 +333,21 @@ class Executor {
   util::ThreadPool* assembly_pool() const { return assembly_pool_; }
   size_t assembly_threads() const { return assembly_threads_; }
 
-  /// Apply the SELECT clause to one qualified molecule (public: used by the
-  /// semantic-parallelism processor).
-  util::Result<Molecule> ProjectMolecule(const Query& query,
-                                         const QueryPlan& plan,
-                                         Molecule molecule) {
-    return Project(query, plan, std::move(molecule));
-  }
+  DataStats& stats() { return stats_; }
+  access::AccessSystem* access() { return access_; }
+
+ private:
+  // The cursor's steps, in order: pull roots, assemble, qualify, project.
+  // Private so MoleculeCursor stays the one loop that runs them.
+  friend class MoleculeCursor;
+
+  /// Open the incremental root-candidate stream for the plan.
+  util::Result<std::unique_ptr<RootSource>> OpenRootSource(
+      const QueryPlan& plan);
+
+  /// Assemble the molecule rooted at `root`.
+  util::Result<Molecule> Assemble(const QueryPlan& plan,
+                                  const access::Atom& root);
 
   /// Evaluate a WHERE expression on a molecule. `default_component`
   /// rebinds bare attribute names (empty = the root component); qualified
@@ -367,10 +358,10 @@ class Executor {
                               bindings,
                           const std::string& default_component = "") const;
 
-  DataStats& stats() { return stats_; }
-  access::AccessSystem* access() { return access_; }
+  /// Apply the SELECT clause to one qualified molecule.
+  util::Result<Molecule> Project(const Query& query, const QueryPlan& plan,
+                                 Molecule molecule);
 
- private:
   struct PathRef {
     const MoleculeGroup* group = nullptr;
     uint16_t attr = 0;
@@ -397,17 +388,12 @@ class Executor {
                                 const ResolvedStructure& structure,
                                 std::vector<RootPred>* out) const;
 
-  util::Result<std::vector<access::Atom>> RootCandidates(const QueryPlan& plan);
-
   util::Result<Molecule> AssembleBfs(const ResolvedStructure& structure,
                                      const access::Atom& root);
   util::Result<Molecule> AssembleRecursive(const ResolvedStructure& structure,
                                            const access::Atom& root);
   util::Result<Molecule> AssembleFromCluster(const QueryPlan& plan,
                                              const access::Atom& root);
-
-  util::Result<Molecule> Project(const Query& query, const QueryPlan& plan,
-                                 Molecule molecule);
 
   access::AccessSystem* access_;
   SemanticAnalyzer analyzer_;

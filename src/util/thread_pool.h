@@ -11,9 +11,10 @@
 namespace prima::util {
 
 /// Fixed-size worker pool. Substrate for PRIMA's "semantic parallelism":
-/// decomposed units of work (DUs) from a single user operation are
-/// scheduled here and executed concurrently (paper §4, multi-processor
-/// PRIMA emulated with shared-memory threads; see DESIGN.md substitutions).
+/// decomposed units of work (DUs) from a single user operation — the
+/// per-root assemblies of a cursor's look-ahead — are scheduled here and
+/// executed concurrently (paper §4, multi-processor PRIMA emulated with
+/// shared-memory threads; see DESIGN.md substitutions).
 /// Restart recovery reuses it to fan per-page redo chains out over the
 /// cores (RecoveryManager parallel apply phase).
 class ThreadPool {

@@ -264,6 +264,45 @@ TEST_F(MqlExecutorTest, ModifyComponentsOfMolecule) {
   }
 }
 
+TEST_F(MqlExecutorTest, ModifyQualifiesAllTargetsBeforeTheFirstUpdate) {
+  // The targets come through an access path on a non-key attribute, and
+  // the SET moves every one of them further along the scanned range. The
+  // statement must finish qualifying before it updates anything, or the
+  // scan would run into its own writes.
+  ASSERT_TRUE(db_->Execute("CREATE ATOM_TYPE gauge (gauge_id: IDENTIFIER, "
+                           "num: INTEGER, reading: INTEGER) KEYS_ARE (num)")
+                  .ok());
+  auto ldl =
+      db_->ExecuteLdl("CREATE ACCESS PATH gauge_reading ON gauge (reading)");
+  ASSERT_TRUE(ldl.ok()) << ldl.status().ToString();
+  // Enough atoms for the access path to span several B*-tree leaves, so
+  // an updated entry lands in a leaf the scan has not reached yet.
+  for (int i = 1; i <= 400; ++i) {
+    const std::string n = std::to_string(i);
+    ASSERT_TRUE(
+        db_->Execute("INSERT gauge (num = " + n + ", reading = " + n + ")")
+            .ok());
+  }
+  const size_t qualifying =
+      Q("SELECT ALL FROM gauge WHERE reading >= 10").size();
+  ASSERT_EQ(qualifying, 391u);
+
+  db_->data().stats().Reset();
+  auto r = db_->Execute("MODIFY gauge SET reading = 1000 WHERE reading >= 10");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(db_->data().stats().access_path_scans.load(), 1u)
+      << "the targets must be read through the access path";
+  EXPECT_EQ(db_->data().stats().molecules_built.load(), qualifying)
+      << "no target may be met again after its own update";
+  EXPECT_EQ(r->count, qualifying);
+
+  MoleculeSet moved = Q("SELECT ALL FROM gauge WHERE reading >= 10");
+  ASSERT_EQ(moved.size(), qualifying);
+  for (const Molecule& m : moved.molecules) {
+    EXPECT_EQ(m.groups[0].atoms[0].attrs[2].AsInt(), 1000);
+  }
+}
+
 TEST_F(MqlExecutorTest, DeleteWholeMolecule) {
   auto r = db_->Execute("DELETE ALL FROM brep-face-edge-point WHERE brep_no = 1711");
   ASSERT_TRUE(r.ok()) << r.status().ToString();

@@ -332,6 +332,19 @@ TEST(ExplainAnalyzeTest, NeverCachedAndRefusedWhereItCannotTrace) {
   ASSERT_TRUE(ins.ok()) << ins.status().ToString();
   EXPECT_NE(ins->text.find("commit"), std::string::npos) << ins->text;
   EXPECT_NE(ins->text.find("inserted"), std::string::npos) << ins->text;
+
+  // A qualified MODIFY traces the qualification of its targets: items 1..5
+  // fail `num >= 10`, item 99 is the one atom affected.
+  auto mod = session->Execute(
+      "EXPLAIN ANALYZE MODIFY item SET name = 'y' WHERE num >= 10");
+  ASSERT_TRUE(mod.ok()) << mod.status().ToString();
+  const std::vector<std::string> paths = PhasePaths(mod->text);
+  const std::set<std::string> set(paths.begin(), paths.end());
+  EXPECT_TRUE(set.count("execute/roots")) << mod->text;
+  EXPECT_TRUE(set.count("execute/assembly")) << mod->text;
+  EXPECT_NE(mod->text.find("EXPLAIN ANALYZE: 1 atom(s) affected"),
+            std::string::npos)
+      << mod->text;
 }
 
 // ---------------------------------------------------------------------------

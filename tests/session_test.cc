@@ -385,7 +385,8 @@ TEST_F(SessionTest, CursorDrainEqualsMaterializedQuery) {
   const std::string query =
       "SELECT ALL FROM brep-face-edge-point WHERE brep_no >= 500";
 
-  // Reference: the materializing executor path (no cursor involved).
+  // Reference: the sessionless data-system entry point, which drains its
+  // own cursor outside any session.
   auto materialized = db_->data().ExecuteQuery(query);
   ASSERT_TRUE(materialized.ok()) << materialized.status().ToString();
   ASSERT_GT(materialized->size(), 0u);
@@ -403,6 +404,24 @@ TEST_F(SessionTest, CursorDrainEqualsMaterializedQuery) {
   // Element-for-element identical, including order and projections.
   EXPECT_EQ(streamed.ToString(db_->access().catalog()),
             materialized->ToString(db_->access().catalog()));
+
+  // Independent of both paths: BuildMany(500, 6) numbers its breps
+  // 500..505, the key scan returns them in ascending order, and every
+  // molecule is a whole tetrahedron.
+  const access::AtomTypeDef* brep_def =
+      db_->access().catalog().FindAtomType("brep");
+  ASSERT_NE(brep_def, nullptr);
+  const uint16_t brep_no = brep_def->FindAttr("brep_no")->id;
+  ASSERT_EQ(streamed.size(), 6u);
+  for (size_t i = 0; i < streamed.size(); ++i) {
+    const mql::Molecule& m = streamed.molecules[i];
+    ASSERT_EQ(m.FindGroup("brep")->atoms.size(), 1u);
+    EXPECT_EQ(m.FindGroup("brep")->atoms[0].attrs[brep_no].AsInt(),
+              500 + static_cast<int64_t>(i));
+    EXPECT_EQ(m.FindGroup("face")->atoms.size(), 4u);
+    EXPECT_EQ(m.FindGroup("edge")->atoms.size(), 6u);
+    EXPECT_EQ(m.FindGroup("point")->atoms.size(), 4u);
+  }
 }
 
 TEST_F(SessionTest, CursorStreamsIncrementally) {
