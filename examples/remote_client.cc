@@ -137,19 +137,22 @@ int main() {
   // The server stats message carries the WAL wedged-ring gauge and the
   // version-store gauges, so a remote operator can spot a long transaction
   // pinning the undo floor — or a long snapshot pinning old versions.
-  auto stats_or = client->Stats();
-  Check(stats_or.status(), "stats");
+  auto stats = client->Stats();
+  Check(stats.status(), "stats");
+  const auto stat = [&stats](const char* name) {
+    const auto it = stats->find(name);
+    return static_cast<unsigned long long>(it == stats->end() ? 0
+                                                              : it->second);
+  };
   std::printf("server: %llu statements over %llu connections, "
               "%llu active txns, wal live bytes %llu\n",
-              static_cast<unsigned long long>(stats_or->statements_executed),
-              static_cast<unsigned long long>(stats_or->connections_accepted),
-              static_cast<unsigned long long>(stats_or->active_txns),
-              static_cast<unsigned long long>(stats_or->wal_live_bytes));
+              stat("prima_net_statements_executed"),
+              stat("prima_net_connections_accepted"),
+              stat("prima_wal_active_txns"), stat("prima_wal_live_bytes"));
   std::printf("version store: %llu retained, %llu resolved, "
               "%llu snapshots active\n",
-              static_cast<unsigned long long>(stats_or->versions_retained),
-              static_cast<unsigned long long>(stats_or->versions_resolved),
-              static_cast<unsigned long long>(stats_or->snapshots_active));
+              stat("prima_versions_retained"), stat("prima_versions_resolved"),
+              stat("prima_snapshots_active"));
 
   Check(client->Close(), "goodbye");
   return 0;

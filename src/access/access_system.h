@@ -21,6 +21,7 @@
 #include "access/tid.h"
 #include "access/value.h"
 #include "access/version_store.h"
+#include "obs/counter.h"
 #include "storage/storage_system.h"
 
 namespace prima::recovery {
@@ -33,51 +34,30 @@ namespace prima::access {
 /// Operation counters of the access system (experiment E8 reads the layer
 /// pyramid off these plus the storage/buffer stats).
 struct AccessStats {
-  std::atomic<uint64_t> atoms_inserted{0};
-  std::atomic<uint64_t> atoms_read{0};
-  std::atomic<uint64_t> atoms_modified{0};
-  std::atomic<uint64_t> atoms_deleted{0};
-  std::atomic<uint64_t> backref_maintenance{0};  ///< implicit inverse updates
-  std::atomic<uint64_t> partition_reads{0};      ///< projections served by partition
-  std::atomic<uint64_t> cluster_reads{0};        ///< whole-cluster materializations
-  std::atomic<uint64_t> deferred_enqueued{0};
-  std::atomic<uint64_t> deferred_applied{0};
+  obs::Counter atoms_inserted;
+  obs::Counter atoms_read;
+  obs::Counter atoms_modified;
+  obs::Counter atoms_deleted;
+  obs::Counter backref_maintenance;  ///< implicit inverse updates
+  obs::Counter partition_reads;      ///< projections served by partition
+  obs::Counter cluster_reads;        ///< whole-cluster materializations
+  obs::Counter deferred_enqueued;
+  obs::Counter deferred_applied;
 
-  void Reset() {
-    atoms_inserted = atoms_read = atoms_modified = atoms_deleted = 0;
-    backref_maintenance = partition_reads = cluster_reads = 0;
-    deferred_enqueued = deferred_applied = 0;
-  }
+  void Reset() { *this = AccessStats(); }
 };
 
-/// Plain-data copy of AccessStats — one leg of the coherent Prima::stats()
-/// snapshot.
-struct AccessStatsSnapshot {
-  uint64_t atoms_inserted = 0;
-  uint64_t atoms_read = 0;
-  uint64_t atoms_modified = 0;
-  uint64_t atoms_deleted = 0;
-  uint64_t backref_maintenance = 0;
-  uint64_t partition_reads = 0;
-  uint64_t cluster_reads = 0;
-  uint64_t deferred_enqueued = 0;
-  uint64_t deferred_applied = 0;
+inline constexpr obs::CounterDef<AccessStats> kAccessCounters[] = {
+    {&AccessStats::atoms_inserted, "prima_atoms_inserted", "atoms inserted"},
+    {&AccessStats::atoms_read, "prima_atoms_read", "atoms read"},
+    {&AccessStats::atoms_modified, "prima_atoms_modified", "atoms modified"},
+    {&AccessStats::atoms_deleted, "prima_atoms_deleted", "atoms deleted"},
+    {&AccessStats::backref_maintenance, "prima_access_backref_maintenance", "implicit inverse-reference updates"},
+    {&AccessStats::partition_reads, "prima_access_partition_reads", "projections served by a partition"},
+    {&AccessStats::cluster_reads, "prima_access_cluster_reads", "whole atom-cluster materializations"},
+    {&AccessStats::deferred_enqueued, "prima_deferred_enqueued", "deferred redundancy updates queued"},
+    {&AccessStats::deferred_applied, "prima_deferred_applied", "deferred redundancy updates drained"},
 };
-
-inline AccessStatsSnapshot SnapshotStats(const AccessStats& s) {
-  AccessStatsSnapshot out;
-  out.atoms_inserted = s.atoms_inserted.load(std::memory_order_relaxed);
-  out.atoms_read = s.atoms_read.load(std::memory_order_relaxed);
-  out.atoms_modified = s.atoms_modified.load(std::memory_order_relaxed);
-  out.atoms_deleted = s.atoms_deleted.load(std::memory_order_relaxed);
-  out.backref_maintenance =
-      s.backref_maintenance.load(std::memory_order_relaxed);
-  out.partition_reads = s.partition_reads.load(std::memory_order_relaxed);
-  out.cluster_reads = s.cluster_reads.load(std::memory_order_relaxed);
-  out.deferred_enqueued = s.deferred_enqueued.load(std::memory_order_relaxed);
-  out.deferred_applied = s.deferred_applied.load(std::memory_order_relaxed);
-  return out;
-}
 
 struct AccessOptions {
   storage::PageSize base_page_size = storage::PageSize::k4K;

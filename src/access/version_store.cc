@@ -43,7 +43,7 @@ void VersionStore::Install(uint64_t txn, const Tid& tid, const Atom* before) {
     std::lock_guard<std::mutex> lock(txns_mu_);
     pending_by_txn_[txn].push_back(packed);
   }
-  stats_.versions_installed.fetch_add(1, std::memory_order_relaxed);
+  stats_.versions_installed++;
   retained_.fetch_add(1, std::memory_order_release);
 }
 
@@ -120,7 +120,7 @@ void VersionStore::Drop(uint64_t txn) {
     if (chain.empty()) shard.chains.erase(it);
   }
   if (dropped > 0) {
-    stats_.versions_retired.fetch_add(dropped, std::memory_order_relaxed);
+    stats_.versions_retired += dropped;
     retained_.fetch_sub(static_cast<int64_t>(dropped),
                         std::memory_order_release);
   }
@@ -144,7 +144,7 @@ std::shared_ptr<VersionStore::Pin> VersionStore::OpenSnapshot(
       info.lsn = last_lsn_.load(std::memory_order_relaxed);
     }
   }
-  stats_.snapshots_opened.fetch_add(1, std::memory_order_relaxed);
+  stats_.snapshots_opened++;
   return pin;
 }
 
@@ -191,7 +191,7 @@ void VersionStore::Retire() {
     if (chain.empty()) shard.chains.erase(it);
   }
   if (retired > 0) {
-    stats_.versions_retired.fetch_add(retired, std::memory_order_relaxed);
+    stats_.versions_retired += retired;
     retained_.fetch_sub(static_cast<int64_t>(retired),
                         std::memory_order_release);
   }
@@ -225,25 +225,25 @@ VersionStore::Resolution VersionStore::Resolve(const Tid& tid,
       break;
     }
   }
-  stats_.chain_walks.fetch_add(1, std::memory_order_relaxed);
+  stats_.chain_walks++;
   switch (depth) {
     case 0:
     case 1:
-      stats_.chain_depth_1.fetch_add(1, std::memory_order_relaxed);
+      stats_.chain_depth_1++;
       break;
     case 2:
-      stats_.chain_depth_2.fetch_add(1, std::memory_order_relaxed);
+      stats_.chain_depth_2++;
       break;
     case 3:
-      stats_.chain_depth_3.fetch_add(1, std::memory_order_relaxed);
+      stats_.chain_depth_3++;
       break;
     default:
-      stats_.chain_depth_4plus.fetch_add(1, std::memory_order_relaxed);
+      stats_.chain_depth_4plus++;
       break;
   }
   const bool resolved = r.outcome != Outcome::kCurrent;
   if (resolved) {
-    stats_.versions_resolved.fetch_add(1, std::memory_order_relaxed);
+    stats_.versions_resolved++;
   }
   if (trace != nullptr) {
     trace->version_chain_walks.fetch_add(1, std::memory_order_relaxed);
@@ -272,22 +272,9 @@ std::vector<uint64_t> VersionStore::ChainedTids(AtomTypeId type) const {
 }
 
 VersionStoreStatsSnapshot VersionStore::StatsSnapshot() const {
-  VersionStoreStatsSnapshot s;
-  s.versions_installed =
-      stats_.versions_installed.load(std::memory_order_relaxed);
-  s.versions_retired = stats_.versions_retired.load(std::memory_order_relaxed);
+  VersionStoreStatsSnapshot s{stats_};
   const int64_t retained = retained_.load(std::memory_order_acquire);
   s.versions_retained = retained > 0 ? static_cast<uint64_t>(retained) : 0;
-  s.versions_resolved =
-      stats_.versions_resolved.load(std::memory_order_relaxed);
-  s.chain_walks = stats_.chain_walks.load(std::memory_order_relaxed);
-  s.chain_depth_1 = stats_.chain_depth_1.load(std::memory_order_relaxed);
-  s.chain_depth_2 = stats_.chain_depth_2.load(std::memory_order_relaxed);
-  s.chain_depth_3 = stats_.chain_depth_3.load(std::memory_order_relaxed);
-  s.chain_depth_4plus =
-      stats_.chain_depth_4plus.load(std::memory_order_relaxed);
-  s.snapshots_opened =
-      stats_.snapshots_opened.load(std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(pins_mu_);
     for (const auto& [seq, info] : pins_) s.snapshots_active += info.count;

@@ -13,6 +13,7 @@
 
 #include "access/tid.h"
 #include "access/value.h"
+#include "obs/counter.h"
 
 namespace prima::access {
 
@@ -27,36 +28,39 @@ struct ReadView {
   uint64_t own_txn = 0;
 };
 
-/// Version-store health counters. Plain atomics so the metrics registry can
-/// read them by address, like every other kernel stats block.
+/// Version-store health counters.
 struct VersionStoreStats {
-  std::atomic<uint64_t> versions_installed{0};
-  std::atomic<uint64_t> versions_retired{0};
-  std::atomic<uint64_t> versions_resolved{0};  ///< reads served off-chain
-  std::atomic<uint64_t> chain_walks{0};        ///< Resolve calls that found a chain
+  obs::Counter versions_installed;
+  obs::Counter versions_retired;
+  obs::Counter versions_resolved;  ///< reads served off-chain
+  obs::Counter chain_walks;        ///< Resolve calls that found a chain
   /// Chain-walk depth histogram: walks that visited 1 / 2 / 3 / >=4 entries.
-  std::atomic<uint64_t> chain_depth_1{0};
-  std::atomic<uint64_t> chain_depth_2{0};
-  std::atomic<uint64_t> chain_depth_3{0};
-  std::atomic<uint64_t> chain_depth_4plus{0};
-  std::atomic<uint64_t> snapshots_opened{0};
+  obs::Counter chain_depth_1;
+  obs::Counter chain_depth_2;
+  obs::Counter chain_depth_3;
+  obs::Counter chain_depth_4plus;
+  obs::Counter snapshots_opened;
 };
 
-/// Plain-data copy — one leg of the coherent Prima::stats() snapshot.
-struct VersionStoreStatsSnapshot {
-  uint64_t versions_installed = 0;
-  uint64_t versions_retired = 0;
-  uint64_t versions_retained = 0;  ///< live entries right now (gauge)
-  uint64_t versions_resolved = 0;
-  uint64_t chain_walks = 0;
-  uint64_t chain_depth_1 = 0;
-  uint64_t chain_depth_2 = 0;
-  uint64_t chain_depth_3 = 0;
-  uint64_t chain_depth_4plus = 0;
-  uint64_t snapshots_opened = 0;
-  uint64_t snapshots_active = 0;      ///< pinned read views (gauge)
-  uint64_t oldest_snapshot_lsn = 0;   ///< WAL LSN the oldest pin holds back
-  uint64_t commit_seq = 0;            ///< logical commit clock
+inline constexpr obs::CounterDef<VersionStoreStats> kVersionStoreCounters[] = {
+    {&VersionStoreStats::versions_installed, "prima_versions_installed", "before-images chained by writers"},
+    {&VersionStoreStats::versions_retired, "prima_versions_retired", "chain entries trimmed by the watermark"},
+    {&VersionStoreStats::versions_resolved, "prima_versions_resolved", "snapshot reads served off-chain"},
+    {&VersionStoreStats::chain_walks, "prima_version_chain_walks", "Resolve calls that found a chain"},
+    {&VersionStoreStats::chain_depth_1, "prima_version_chain_depth_1", "chain walks visiting 1 entry"},
+    {&VersionStoreStats::chain_depth_2, "prima_version_chain_depth_2", "chain walks visiting 2 entries"},
+    {&VersionStoreStats::chain_depth_3, "prima_version_chain_depth_3", "chain walks visiting 3 entries"},
+    {&VersionStoreStats::chain_depth_4plus, "prima_version_chain_depth_4plus", "chain walks visiting >= 4 entries"},
+    {&VersionStoreStats::snapshots_opened, "prima_snapshots_opened", "read views pinned, ever"},
+};
+
+/// The counters plus the store's gauges — one leg of the coherent
+/// Prima::stats() snapshot.
+struct VersionStoreStatsSnapshot : VersionStoreStats {
+  uint64_t versions_retained = 0;    ///< live entries right now
+  uint64_t snapshots_active = 0;     ///< pinned read views
+  uint64_t oldest_snapshot_lsn = 0;  ///< WAL LSN the oldest pin holds back
+  uint64_t commit_seq = 0;           ///< logical commit clock
 };
 
 /// In-memory version chains for snapshot reads (ROADMAP open item 2): the

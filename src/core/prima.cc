@@ -281,7 +281,6 @@ Result<mql::MoleculeSet> Prima::QueryParallel(const std::string& mql,
       mql::MoleculeCursor cursor,
       data_->executor().OpenCursor(std::move(stmt.query), width));
   data_->stats().queries++;
-  data_->stats().cursors_opened++;
   return cursor.Drain();
 }
 
@@ -315,35 +314,23 @@ Result<recovery::BackupInfo> Prima::Backup() {
 
 void Prima::RegisterKernelMetrics() {
   obs::MetricsRegistry& reg = telemetry_->registry();
-  // Buffer pool.
-  storage::BufferStats& buf = storage_->buffer().stats();
-  reg.RegisterCounter("prima_buffer_hits", &buf.hits, "page fixes served from the pool");
-  reg.RegisterCounter("prima_buffer_misses", &buf.misses, "page fixes that read the device");
-  reg.RegisterCounter("prima_buffer_evictions", &buf.evictions, "clock-sweep evictions");
-  reg.RegisterCounter("prima_buffer_writebacks", &buf.writebacks, "dirty pages written back");
-  reg.RegisterCounter("prima_buffer_prefetched_pages", &buf.prefetched_pages, "pages loaded by read-ahead");
+  // Counters: each layer's whole table, so every field stats() copies is
+  // on the page.
+  reg.RegisterCounters(storage_->buffer().stats(), storage::kBufferCounters);
+  reg.RegisterCounters(access_->stats(), access::kAccessCounters);
+  reg.RegisterCounters(access_->versions().stats(),
+                       access::kVersionStoreCounters);
+  reg.RegisterCounters(data_->stats(), mql::kDataCounters);
+  reg.RegisterCounters(txns_->stats(), kTransactionCounters);
+  if (wal_ != nullptr) {
+    reg.RegisterCounters(wal_->stats(), recovery::kWalCounters);
+  }
+  if (net_ != nullptr) reg.RegisterCounters(net_->stats(), net::kNetCounters);
+
+  // Gauges: values the code computes rather than counts.
   reg.RegisterGauge("prima_buffer_resident_bytes",
                     [this] { return storage_->buffer().resident_bytes(); },
                     "bytes resident in the pool");
-  // Access system.
-  access::AccessStats& acc = access_->stats();
-  reg.RegisterCounter("prima_atoms_inserted", &acc.atoms_inserted);
-  reg.RegisterCounter("prima_atoms_read", &acc.atoms_read);
-  reg.RegisterCounter("prima_atoms_modified", &acc.atoms_modified);
-  reg.RegisterCounter("prima_atoms_deleted", &acc.atoms_deleted);
-  reg.RegisterCounter("prima_deferred_enqueued", &acc.deferred_enqueued, "deferred redundancy updates queued");
-  reg.RegisterCounter("prima_deferred_applied", &acc.deferred_applied, "deferred redundancy updates drained");
-  // Version store (MVCC snapshot reads).
-  access::VersionStoreStats& ver = access_->versions().stats();
-  reg.RegisterCounter("prima_versions_installed", &ver.versions_installed, "before-images chained by writers");
-  reg.RegisterCounter("prima_versions_retired", &ver.versions_retired, "chain entries trimmed by the watermark");
-  reg.RegisterCounter("prima_versions_resolved", &ver.versions_resolved, "snapshot reads served off-chain");
-  reg.RegisterCounter("prima_version_chain_walks", &ver.chain_walks, "Resolve calls that found a chain");
-  reg.RegisterCounter("prima_version_chain_depth_1", &ver.chain_depth_1, "chain walks visiting 1 entry");
-  reg.RegisterCounter("prima_version_chain_depth_2", &ver.chain_depth_2, "chain walks visiting 2 entries");
-  reg.RegisterCounter("prima_version_chain_depth_3", &ver.chain_depth_3, "chain walks visiting 3 entries");
-  reg.RegisterCounter("prima_version_chain_depth_4plus", &ver.chain_depth_4plus, "chain walks visiting >= 4 entries");
-  reg.RegisterCounter("prima_snapshots_opened", &ver.snapshots_opened, "read views pinned, ever");
   reg.RegisterGauge("prima_versions_retained",
                     [this] { return access_->versions().StatsSnapshot().versions_retained; },
                     "chain entries live right now");
@@ -353,72 +340,45 @@ void Prima::RegisterKernelMetrics() {
   reg.RegisterGauge("prima_versions_oldest_snapshot_lsn",
                     [this] { return access_->versions().StatsSnapshot().oldest_snapshot_lsn; },
                     "commit LSN the oldest pinned snapshot holds retirement at (0 = none)");
-  // Data system.
-  mql::DataStats& data = data_->stats();
-  reg.RegisterCounter("prima_queries", &data.queries, "user queries (session, prepared, wire, QueryParallel, sessionless)");
-  reg.RegisterCounter("prima_molecules_built", &data.molecules_built);
-  reg.RegisterCounter("prima_cursor_molecules", &data.cursor_molecules, "molecules returned by cursor Next(), DML target qualification included");
-  reg.RegisterCounter("prima_statements_prepared", &data.statements_prepared);
-  reg.RegisterCounter("prima_prepared_executions", &data.prepared_executions);
   reg.RegisterGauge("prima_stmt_cache_hits",
                     [this] { return data_->statement_cache().hits(); },
                     "shared statement-cache hits");
   reg.RegisterGauge("prima_stmt_cache_misses",
                     [this] { return data_->statement_cache().misses(); },
                     "shared statement-cache misses");
-  // Transaction manager (non-blocking 2PL): conflict and retry rates per
-  // workload tier come from diffing these around a run.
-  TransactionStats& txn = txns_->stats();
-  reg.RegisterCounter("prima_txns_begun", &txn.begun);
-  reg.RegisterCounter("prima_txns_committed", &txn.committed);
-  reg.RegisterCounter("prima_txns_aborted", &txn.aborted);
-  reg.RegisterCounter("prima_txn_lock_conflicts", &txn.lock_conflicts,
-                      "lock requests refused (non-blocking 2PL)");
-  reg.RegisterCounter("prima_txn_retries", &txn.txn_retries,
-                      "transactions re-run after a transient failure");
-  reg.RegisterCounter("prima_txn_undo_applied", &txn.undo_applied,
-                      "undo records compensated by aborts");
-  // WAL (absent without options.wal).
   if (wal_ != nullptr) {
-    recovery::WalStats& wal = wal_->stats();
-    reg.RegisterCounter("prima_wal_records_appended", &wal.records_appended);
-    reg.RegisterCounter("prima_wal_bytes_appended", &wal.bytes_appended);
-    reg.RegisterCounter("prima_wal_forces", &wal.forces, "log device write batches");
-    reg.RegisterCounter("prima_wal_commits_forced", &wal.commits_forced);
-    reg.RegisterCounter("prima_wal_auto_checkpoints", &wal.auto_checkpoints);
+    // The wedged-ring view: active_txns > 0 with a far-behind
+    // oldest_active_lsn while live_bytes approaches capacity_bytes is a
+    // long-running transaction pinning the undo floor.
     reg.RegisterGauge("prima_wal_live_bytes",
-                      [this] { return wal_stats().live_bytes; },
+                      [this] { return wal_->StatsSnapshot().live_bytes; },
                       "log bytes between the truncation floor and the append point");
+    reg.RegisterGauge("prima_wal_capacity_bytes",
+                      [this] { return wal_->StatsSnapshot().capacity_bytes; },
+                      "log ring capacity (0 = unbounded)");
+    reg.RegisterGauge("prima_wal_active_txns",
+                      [this] { return wal_->StatsSnapshot().active_txns; },
+                      "transactions with a begin but no end in the log");
+    reg.RegisterGauge("prima_wal_oldest_active_lsn",
+                      [this] { return wal_->StatsSnapshot().oldest_active_lsn; },
+                      "begin LSN of the oldest active transaction");
   }
-  // Network server (absent without listen_port); the counters live in the
-  // server object, so pull them as gauges.
   if (net_ != nullptr) {
     reg.RegisterGauge("prima_net_connections_active",
-                      [this] { return net_->Stats().connections_active; });
-    reg.RegisterGauge("prima_net_statements_executed",
-                      [this] { return net_->Stats().statements_executed; });
-    reg.RegisterGauge("prima_net_molecules_streamed",
-                      [this] { return net_->Stats().molecules_streamed; });
+                      [this] { return net_->connections_active(); },
+                      "connections being served");
   }
 }
 
 PrimaStatsSnapshot Prima::stats() const {
   PrimaStatsSnapshot s;
   s.buffer = storage_->buffer().SnapshotStats();
-  s.data = mql::SnapshotStats(data_->stats());
-  s.access = access::SnapshotStats(access_->stats());
+  s.data = data_->stats();
+  s.access = access_->stats();
   s.wal = wal_stats();
   s.versions = access_->versions().StatsSnapshot();
-  {
-    const TransactionStats& txn = txns_->stats();
-    s.txn.begun = txn.begun.load(std::memory_order_relaxed);
-    s.txn.committed = txn.committed.load(std::memory_order_relaxed);
-    s.txn.aborted = txn.aborted.load(std::memory_order_relaxed);
-    s.txn.lock_conflicts = txn.lock_conflicts.load(std::memory_order_relaxed);
-    s.txn.undo_applied = txn.undo_applied.load(std::memory_order_relaxed);
-    s.txn.txn_retries = txn.txn_retries.load(std::memory_order_relaxed);
-  }
-  if (net_ != nullptr) s.net = net_->Stats();
+  s.txn = txns_->stats();
+  if (net_ != nullptr) s.net = net_->stats();
   s.statement_us = telemetry_->statement_us()->Snapshot();
   s.traced_statements = telemetry_->traced();
   s.slow_statements = telemetry_->slow_log().captured();

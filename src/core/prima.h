@@ -10,7 +10,7 @@
 #include "core/transaction.h"
 #include "ldl/ldl.h"
 #include "mql/data_system.h"
-#include "net/protocol.h"
+#include "net/server.h"
 #include "obs/telemetry.h"
 #include "recovery/backup.h"
 #include "recovery/checkpoint_daemon.h"
@@ -19,25 +19,23 @@
 #include "storage/storage_system.h"
 #include "util/thread_pool.h"
 
-namespace prima::net {
-class Server;
-}
-
 namespace prima::core {
 
 /// Kernel-wide counter snapshot (Prima::stats()): one coherent, plain-data
-/// picture of every layer, taken in one call — buffer pool, access system,
-/// data system, WAL, network server, and the statement-latency digest. Each
-/// leg is independently copyable/diffable; a layer that is not running
-/// (no WAL, no server) reads as zeros.
+/// picture of every layer, taken in one call. Each leg is the layer's own
+/// stats struct copied (a relaxed load per counter), plus the gauges that
+/// layer computes. Every counter here is also on MetricsText() and the
+/// wire's stats reply, under the name its layer's counter table gives it;
+/// a layer that is not running (no WAL, no server) reads as zeros here and
+/// is absent there.
 struct PrimaStatsSnapshot {
   /// Buffer pool totals plus per-shard hit/miss/eviction breakdowns.
   storage::BufferStatsSnapshot buffer;
   /// Query/assembly counters of the data system (molecules built, cursor
   /// traffic, prepared-statement reuse).
-  mql::DataStatsSnapshot data;
+  mql::DataStats data;
   /// Atom-level operation counters of the access system.
-  access::AccessStatsSnapshot access;
+  access::AccessStats access;
   /// Log counters + footprint; all zero when the database runs without WAL.
   recovery::WalStatsSnapshot wal;
   /// Version-store health (MVCC snapshot reads): chains installed/retired,
@@ -46,9 +44,9 @@ struct PrimaStatsSnapshot {
   access::VersionStoreStatsSnapshot versions;
   /// Transaction-manager counters: begun/committed/aborted, lock conflicts
   /// (non-blocking 2PL refusals), driver-reported retries, undo applied.
-  TransactionStatsSnapshot txn;
-  /// Network front-door gauge; all zero without a server.
-  net::ServerStats net;
+  TransactionStats txn;
+  /// Network server counters; all zero without a server.
+  net::NetStats net;
   /// Statement latency distribution (microseconds) across every session.
   obs::HistogramSnapshot statement_us;
   /// Statements that carried a span tree (EXPLAIN ANALYZE, sampling, or
@@ -297,12 +295,17 @@ struct PrimaOptions {
 /// Observability — the kernel telemeters itself at three granularities:
 ///
 ///   stats()        one coherent plain-data snapshot of every layer's
-///                  counters (buffer, access, data, WAL, server) plus the
-///                  statement-latency histogram — diff before/after a
-///                  workload.
-///   MetricsText()  the same data as a Prometheus-style text page (also
-///                  served remotely via net::Client::MetricsText). Every
+///                  counters (buffer, access, data, WAL, versions, txn,
+///                  server) plus the statement-latency histogram — diff
+///                  before/after a workload.
+///   MetricsText()  the same counters as a Prometheus-style text page, plus
+///                  computed gauges and latency summaries (also served
+///                  remotely: net::Client::MetricsText, and
+///                  net::Client::Stats as name -> value pairs). Every
 ///                  metric is named prima_<subsystem>_<what>[_<unit>].
+///                  Both read one declaration: each layer's stats struct
+///                  and its counter table (obs::CounterDef), so a counter
+///                  is never on one surface and missing from another.
 ///   EXPLAIN ANALYZE <stmt>   per-statement span tree through MQL: parse,
 ///                  plan (statement-cache hit/miss), root enumeration,
 ///                  molecule assembly (worker busy time when pipelined),
@@ -415,8 +418,9 @@ class Prima {
  private:
   Prima() = default;
 
-  /// Register every subsystem's counters and gauges with the telemetry
-  /// registry (called once from Open, after the stack is assembled).
+  /// Register every layer's counter table and the computed gauges with
+  /// the telemetry registry (called once from Open, after the stack is
+  /// assembled).
   void RegisterKernelMetrics();
 
   /// Set once Open() fully succeeded. A half-open instance (recovery

@@ -320,7 +320,6 @@ Result<MoleculeCursor> Session::OpenCursor(mql::Query query,
           : exec.OpenCursor(std::move(query), width, std::move(token),
                             active_trace_, std::move(snapshot)));
   data_->stats().queries++;
-  data_->stats().cursors_opened++;
   return cursor;
 }
 

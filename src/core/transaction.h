@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "access/access_system.h"
+#include "obs/counter.h"
 
 namespace prima::recovery {
 class CheckpointDaemon;
@@ -88,28 +89,25 @@ class Transaction {
 };
 
 struct TransactionStats {
-  std::atomic<uint64_t> begun{0};
-  std::atomic<uint64_t> committed{0};
-  std::atomic<uint64_t> aborted{0};
-  std::atomic<uint64_t> lock_conflicts{0};
-  std::atomic<uint64_t> undo_applied{0};
+  obs::Counter begun;
+  obs::Counter committed;
+  obs::Counter aborted;
+  obs::Counter lock_conflicts;
+  obs::Counter undo_applied;
   /// Transactions re-run after a transient (kConflict) failure. The kernel
-  /// cannot see a client's retry decision, so this is fed by the retry
-  /// helper (util::RetryPolicy::retry_counter) — in-process drivers point
-  /// it here; remote clients retry on their own side of the wire and this
-  /// stays 0 for them.
-  std::atomic<uint64_t> txn_retries{0};
+  /// cannot see a client's retry decision, so drivers add the retries
+  /// their util::RetryPolicy::retry_counter collected; remote clients
+  /// retry on their own side of the wire and this stays 0 for them.
+  obs::Counter txn_retries;
 };
 
-/// Plain-data copy of TransactionStats (Prima::stats() leg): conflict and
-/// retry rates per bench tier come from diffing two of these.
-struct TransactionStatsSnapshot {
-  uint64_t begun = 0;
-  uint64_t committed = 0;
-  uint64_t aborted = 0;
-  uint64_t lock_conflicts = 0;
-  uint64_t undo_applied = 0;
-  uint64_t txn_retries = 0;
+inline constexpr obs::CounterDef<TransactionStats> kTransactionCounters[] = {
+    {&TransactionStats::begun, "prima_txns_begun", "transactions begun"},
+    {&TransactionStats::committed, "prima_txns_committed", "transactions committed"},
+    {&TransactionStats::aborted, "prima_txns_aborted", "transactions aborted"},
+    {&TransactionStats::lock_conflicts, "prima_txn_lock_conflicts", "lock requests refused (non-blocking 2PL)"},
+    {&TransactionStats::undo_applied, "prima_txn_undo_applied", "undo records compensated by aborts"},
+    {&TransactionStats::txn_retries, "prima_txn_retries", "transactions re-run after a transient failure"},
 };
 
 /// Owns the transaction trees and the atom lock table.

@@ -102,7 +102,6 @@ Result<ExecResult> DataSystem::RunQuery(const struct Query& q,
           ? executor_.OpenCursorWithPlan(CloneQuery(q), *plan, width)
           : executor_.OpenCursor(CloneQuery(q), width));
   stats().queries++;
-  stats().cursors_opened++;
   ExecResult r;
   r.kind = ExecResult::Kind::kMolecules;
   PRIMA_ASSIGN_OR_RETURN(r.molecules, cursor.Drain());

@@ -1003,8 +1003,7 @@ Result<std::optional<Molecule>> MoleculeCursor::Next() {
       trace->AddPhaseNs("execute", "project", obs::NowNs() - t0);
       trace->GetPhase("execute", "assembly")->AddCounter("molecules", 1);
     }
-    shared_->exec->stats().cursor_molecules.fetch_add(
-        1, std::memory_order_relaxed);
+    shared_->exec->stats().cursor_molecules++;
     return std::optional<Molecule>(std::move(projected));
   }
 }
@@ -1045,8 +1044,7 @@ Result<std::optional<Molecule>> MoleculeCursor::NextSerial() {
       trace->AddPhaseNs("execute", "project", obs::NowNs() - t0);
       trace->GetPhase("execute", "assembly")->AddCounter("molecules", 1);
     }
-    shared_->exec->stats().cursor_molecules.fetch_add(
-        1, std::memory_order_relaxed);
+    shared_->exec->stats().cursor_molecules++;
     return std::optional<Molecule>(std::move(projected));
   }
   Close();

@@ -18,6 +18,7 @@
 #include "mql/ast.h"
 #include "mql/molecule.h"
 #include "mql/semantics.h"
+#include "obs/counter.h"
 #include "obs/trace.h"
 #include "util/thread_pool.h"
 
@@ -25,68 +26,39 @@ namespace prima::mql {
 
 /// Counters of the data system (top of the Fig. 3.1 layer pyramid).
 struct DataStats {
-  std::atomic<uint64_t> queries{0};  ///< user queries; DML qualification is not one
-  std::atomic<uint64_t> molecules_built{0};
-  std::atomic<uint64_t> cluster_assemblies{0};  ///< served from atom clusters
-  std::atomic<uint64_t> bfs_assemblies{0};      ///< assembled by association chasing
-  std::atomic<uint64_t> recursion_levels{0};
-  std::atomic<uint64_t> key_lookups{0};
-  std::atomic<uint64_t> access_path_scans{0};
-  std::atomic<uint64_t> grid_scans{0};
-  std::atomic<uint64_t> atom_type_scans{0};
+  obs::Counter queries;  ///< user queries; DML qualification is not one
+  obs::Counter molecules_built;
+  obs::Counter cluster_assemblies;  ///< served from atom clusters
+  obs::Counter bfs_assemblies;      ///< assembled by association chasing
+  obs::Counter recursion_levels;
+  obs::Counter key_lookups;
+  obs::Counter access_path_scans;
+  obs::Counter grid_scans;
+  obs::Counter atom_type_scans;
   // Session / prepared-statement surface.
-  std::atomic<uint64_t> statements_prepared{0};   ///< Session::Prepare calls
-  std::atomic<uint64_t> prepared_executions{0};   ///< PreparedStatement runs
-  std::atomic<uint64_t> prepared_plans{0};        ///< plans computed for them
-  std::atomic<uint64_t> cursors_opened{0};
-  std::atomic<uint64_t> cursor_molecules{0};      ///< Next() results, DML's too
+  obs::Counter statements_prepared;  ///< Session::Prepare calls
+  obs::Counter prepared_executions;  ///< PreparedStatement runs
+  obs::Counter prepared_plans;       ///< plans computed for them
+  obs::Counter cursor_molecules;     ///< Next() results, DML's too
 
-  void Reset() {
-    queries = molecules_built = cluster_assemblies = bfs_assemblies = 0;
-    recursion_levels = key_lookups = access_path_scans = 0;
-    grid_scans = atom_type_scans = 0;
-    statements_prepared = prepared_executions = prepared_plans = 0;
-    cursors_opened = cursor_molecules = 0;
-  }
+  void Reset() { *this = DataStats(); }
 };
 
-/// Plain-data copy of DataStats (relaxed loads), safe to copy and diff —
-/// one leg of the coherent Prima::stats() snapshot.
-struct DataStatsSnapshot {
-  uint64_t queries = 0;
-  uint64_t molecules_built = 0;
-  uint64_t cluster_assemblies = 0;
-  uint64_t bfs_assemblies = 0;
-  uint64_t recursion_levels = 0;
-  uint64_t key_lookups = 0;
-  uint64_t access_path_scans = 0;
-  uint64_t grid_scans = 0;
-  uint64_t atom_type_scans = 0;
-  uint64_t statements_prepared = 0;
-  uint64_t prepared_executions = 0;
-  uint64_t prepared_plans = 0;
-  uint64_t cursors_opened = 0;
-  uint64_t cursor_molecules = 0;
+inline constexpr obs::CounterDef<DataStats> kDataCounters[] = {
+    {&DataStats::queries, "prima_queries", "user queries (session, prepared, wire, QueryParallel, sessionless)"},
+    {&DataStats::molecules_built, "prima_molecules_built", "molecules assembled"},
+    {&DataStats::cluster_assemblies, "prima_cluster_assemblies", "molecules served from atom clusters"},
+    {&DataStats::bfs_assemblies, "prima_bfs_assemblies", "molecules assembled by association chasing"},
+    {&DataStats::recursion_levels, "prima_recursion_levels", "recursive molecule levels expanded"},
+    {&DataStats::key_lookups, "prima_key_lookups", "root sets reached by key lookup"},
+    {&DataStats::access_path_scans, "prima_access_path_scans", "root sets reached by an access-path scan"},
+    {&DataStats::grid_scans, "prima_grid_scans", "root sets reached by a grid-file scan"},
+    {&DataStats::atom_type_scans, "prima_atom_type_scans", "root sets reached by an atom-type scan"},
+    {&DataStats::statements_prepared, "prima_statements_prepared", "Session::Prepare calls"},
+    {&DataStats::prepared_executions, "prima_prepared_executions", "prepared-statement executions"},
+    {&DataStats::prepared_plans, "prima_prepared_plans", "plans computed for prepared executions"},
+    {&DataStats::cursor_molecules, "prima_cursor_molecules", "molecules returned by cursor Next(), DML target qualification included"},
 };
-
-inline DataStatsSnapshot SnapshotStats(const DataStats& s) {
-  DataStatsSnapshot out;
-  out.queries = s.queries.load(std::memory_order_relaxed);
-  out.molecules_built = s.molecules_built.load(std::memory_order_relaxed);
-  out.cluster_assemblies = s.cluster_assemblies.load(std::memory_order_relaxed);
-  out.bfs_assemblies = s.bfs_assemblies.load(std::memory_order_relaxed);
-  out.recursion_levels = s.recursion_levels.load(std::memory_order_relaxed);
-  out.key_lookups = s.key_lookups.load(std::memory_order_relaxed);
-  out.access_path_scans = s.access_path_scans.load(std::memory_order_relaxed);
-  out.grid_scans = s.grid_scans.load(std::memory_order_relaxed);
-  out.atom_type_scans = s.atom_type_scans.load(std::memory_order_relaxed);
-  out.statements_prepared = s.statements_prepared.load(std::memory_order_relaxed);
-  out.prepared_executions = s.prepared_executions.load(std::memory_order_relaxed);
-  out.prepared_plans = s.prepared_plans.load(std::memory_order_relaxed);
-  out.cursors_opened = s.cursors_opened.load(std::memory_order_relaxed);
-  out.cursor_molecules = s.cursor_molecules.load(std::memory_order_relaxed);
-  return out;
-}
 
 /// How the executor reaches the root atoms of the molecule set.
 enum class RootAccess { kKeyLookup, kAccessPath, kGrid, kAtomTypeScan };
@@ -307,7 +279,7 @@ class Executor {
   /// scope. `snapshot`, when set, makes this a snapshot cursor: every read
   /// resolves against the pinned view, without acquiring a single lock.
   /// Opening a cursor counts nothing in stats(): callers serving a user
-  /// query count it there (DataStats::queries / cursors_opened).
+  /// query count it there (DataStats::queries).
   util::Result<MoleculeCursor> OpenCursor(
       Query query, size_t assembly_width,
       std::shared_ptr<const std::atomic<bool>> invalidated = nullptr,

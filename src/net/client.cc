@@ -178,11 +178,11 @@ Result<RemoteCursor> Client::OpenCursor(const std::string& mql,
   return RemoteCursor(this, id, batch_size == 0 ? 1 : batch_size);
 }
 
-Result<ServerStats> Client::Stats() {
+Result<StatsMap> Client::Stats() {
   Result<Frame> reply = RoundTrip(MsgKind::kStats, {}, MsgKind::kStatsReply);
   if (!reply.ok()) return reply.status();
   Slice in(reply->payload);
-  return DecodeServerStats(&in);
+  return DecodeStats(&in);
 }
 
 Result<std::string> Client::MetricsText() {

@@ -74,8 +74,10 @@ class Client {
       const std::string& mql, uint32_t batch_size = 128,
       std::optional<Isolation> isolation = std::nullopt);
 
-  /// Server + WAL gauge snapshot (the wedged-ring view on the wire).
-  util::Result<ServerStats> Stats();
+  /// Every metric of the server database by name (see EncodeStats), e.g.
+  /// "prima_net_connections_active", "prima_wal_active_txns" or
+  /// "prima_statement_us_p99".
+  util::Result<StatsMap> Stats();
 
   /// The server's full metrics page (Prima::MetricsText — Prometheus-style
   /// text exposition), for remote scraping.

@@ -300,85 +300,58 @@ Result<mql::ExecResult> DecodeExecResult(Slice* in) {
 }
 
 // ---------------------------------------------------------------------------
-// Server stats
+// Stats
 // ---------------------------------------------------------------------------
 
 namespace {
-constexpr size_t kStatsFields = 31;
-
-/// Stats fields in wire order. Appending a field (and bumping kStatsFields)
-/// stays compatible both ways: the leading count lets an older peer skip
-/// what it does not know and a newer peer zero-fill what it did not get.
-std::vector<uint64_t> StatsFieldList(const ServerStats& s) {
-  return {s.connections_accepted, s.connections_active, s.connections_refused,
-          s.idle_closes,          s.statements_executed, s.statements_prepared,
-          s.cursors_opened,       s.molecules_streamed,  s.stmt_cache_hits,
-          s.stmt_cache_misses,    s.wal_live_bytes,      s.wal_capacity_bytes,
-          s.wal_archived_bytes,   s.commits_forced,      s.auto_checkpoints,
-          s.active_txns,          s.oldest_active_lsn,   s.stmt_latency_p50_us,
-          s.stmt_latency_p95_us,  s.stmt_latency_p99_us, s.slow_statements,
-          s.traced_statements,    s.net_request_p99_us,  s.versions_retained,
-          s.versions_resolved,    s.snapshots_active,    s.oldest_snapshot_lsn,
-          s.lock_conflicts,       s.txns_committed,      s.txns_aborted,
-          s.txn_retries};
-}
+// Caps for decoding an untrusted reply: a plausible registry has ~100
+// metrics with short names.
+constexpr uint64_t kMaxStatsPairs = 1024;
+constexpr size_t kMaxStatsName = 256;
 }  // namespace
 
-void EncodeServerStats(const ServerStats& s, std::string* out) {
-  const std::vector<uint64_t> fields = StatsFieldList(s);
-  util::PutVarint64(out, fields.size());
-  for (const uint64_t f : fields) util::PutVarint64(out, f);
+void EncodeStats(const std::vector<obs::MetricSample>& samples,
+                 std::string* out) {
+  std::vector<std::pair<std::string, uint64_t>> pairs;
+  for (const obs::MetricSample& s : samples) {
+    if (s.type != obs::MetricSample::Type::kHistogram) {
+      pairs.emplace_back(s.name, s.value);
+      continue;
+    }
+    pairs.emplace_back(s.name + "_count", s.histogram.count);
+    pairs.emplace_back(s.name + "_p50", s.histogram.p50());
+    pairs.emplace_back(s.name + "_p95", s.histogram.p95());
+    pairs.emplace_back(s.name + "_p99", s.histogram.p99());
+  }
+  util::PutVarint64(out, pairs.size());
+  for (const auto& [name, value] : pairs) {
+    util::PutLengthPrefixed(out, name);
+    util::PutVarint64(out, value);
+  }
 }
 
-Result<ServerStats> DecodeServerStats(Slice* in) {
+Result<StatsMap> DecodeStats(Slice* in) {
   uint64_t count;
   if (!util::GetVarint64(in, &count)) {
-    return Status::Corruption("stats field count truncated");
+    return Status::Corruption("stats pair count truncated");
   }
-  if (count > 1024) return Status::Corruption("implausible stats field count");
-  uint64_t fields[kStatsFields] = {};
+  if (count > kMaxStatsPairs) {
+    return Status::Corruption("implausible stats pair count");
+  }
+  StatsMap stats;
   for (uint64_t i = 0; i < count; ++i) {
-    uint64_t v;
-    if (!util::GetVarint64(in, &v)) {
-      return Status::Corruption("stats field truncated");
+    Slice name;
+    uint64_t value;
+    if (!util::GetLengthPrefixed(in, &name) ||
+        !util::GetVarint64(in, &value)) {
+      return Status::Corruption("stats pair truncated");
     }
-    // A newer server may append fields; decode the ones this build knows.
-    if (i < kStatsFields) fields[i] = v;
+    if (name.size() > kMaxStatsName) {
+      return Status::Corruption("implausible stats name length");
+    }
+    stats[std::string(name.data(), name.size())] = value;
   }
-  ServerStats s;
-  size_t i = 0;
-  s.connections_accepted = fields[i++];
-  s.connections_active = fields[i++];
-  s.connections_refused = fields[i++];
-  s.idle_closes = fields[i++];
-  s.statements_executed = fields[i++];
-  s.statements_prepared = fields[i++];
-  s.cursors_opened = fields[i++];
-  s.molecules_streamed = fields[i++];
-  s.stmt_cache_hits = fields[i++];
-  s.stmt_cache_misses = fields[i++];
-  s.wal_live_bytes = fields[i++];
-  s.wal_capacity_bytes = fields[i++];
-  s.wal_archived_bytes = fields[i++];
-  s.commits_forced = fields[i++];
-  s.auto_checkpoints = fields[i++];
-  s.active_txns = fields[i++];
-  s.oldest_active_lsn = fields[i++];
-  s.stmt_latency_p50_us = fields[i++];
-  s.stmt_latency_p95_us = fields[i++];
-  s.stmt_latency_p99_us = fields[i++];
-  s.slow_statements = fields[i++];
-  s.traced_statements = fields[i++];
-  s.net_request_p99_us = fields[i++];
-  s.versions_retained = fields[i++];
-  s.versions_resolved = fields[i++];
-  s.snapshots_active = fields[i++];
-  s.oldest_snapshot_lsn = fields[i++];
-  s.lock_conflicts = fields[i++];
-  s.txns_committed = fields[i++];
-  s.txns_aborted = fields[i++];
-  s.txn_retries = fields[i++];
-  return s;
+  return stats;
 }
 
 }  // namespace prima::net

@@ -2,10 +2,13 @@
 #define PRIMA_NET_PROTOCOL_H_
 
 #include <cstdint>
+#include <map>
 #include <string>
+#include <vector>
 
 #include "mql/data_system.h"
 #include "mql/molecule.h"
+#include "obs/metrics.h"
 #include "util/result.h"
 #include "util/slice.h"
 #include "util/status.h"
@@ -31,7 +34,9 @@ namespace prima::net {
 /// catalog in hand).
 
 inline constexpr uint32_t kHandshakeMagic = 0x50524D4Eu;  ///< "PRMN"
-inline constexpr uint32_t kProtocolVersion = 1;
+/// Version 2: the kStats reply became name-keyed (see EncodeStats); a
+/// version-1 peer is refused at the handshake instead of misreading it.
+inline constexpr uint32_t kProtocolVersion = 2;
 
 /// Wire form of core::Isolation — how a remote session's queries read.
 /// Sent as one u8 (kSetIsolation, and the per-cursor override field of
@@ -79,7 +84,7 @@ enum class MsgKind : uint8_t {
   kPrepared = 68,       ///< u32 stmt id + u32 param count
   kCursorOpened = 69,   ///< u32 cursor id
   kMolecules = 70,      ///< u8 done + varint n + n molecules
-  kStatsReply = 71,     ///< ServerStats
+  kStatsReply = 71,     ///< varint n + n x (string name, varint value)
   kMetricsReply = 72,   ///< string (Prima::MetricsText output)
 };
 
@@ -122,59 +127,17 @@ util::Result<mql::MoleculeSet> DecodeMoleculeSet(util::Slice* in);
 void EncodeExecResult(const mql::ExecResult& r, std::string* out);
 util::Result<mql::ExecResult> DecodeExecResult(util::Slice* in);
 
-/// Server gauge snapshot, served by the kStats message. The WAL block is
-/// the remote operator's wedged-ring view: a long-running transaction
-/// pinning the undo floor shows up as active_txns > 0 with a far-behind
-/// oldest_active_lsn while wal_live_bytes climbs toward wal_capacity_bytes.
-struct ServerStats {
-  // Connection front door.
-  uint64_t connections_accepted = 0;
-  uint64_t connections_active = 0;
-  uint64_t connections_refused = 0;  ///< over max_connections
-  uint64_t idle_closes = 0;
-  // Session traffic through this server.
-  uint64_t statements_executed = 0;
-  uint64_t statements_prepared = 0;
-  uint64_t cursors_opened = 0;
-  uint64_t molecules_streamed = 0;
-  // Shared statement cache (one-shot Execute's transparent prepared path).
-  uint64_t stmt_cache_hits = 0;
-  uint64_t stmt_cache_misses = 0;
-  // WAL / wedged-ring gauge (Prima::wal_stats()).
-  uint64_t wal_live_bytes = 0;
-  uint64_t wal_capacity_bytes = 0;
-  uint64_t wal_archived_bytes = 0;
-  uint64_t commits_forced = 0;
-  uint64_t auto_checkpoints = 0;
-  uint64_t active_txns = 0;
-  uint64_t oldest_active_lsn = 0;
-  // Telemetry digest (appended fields 18-23: a pre-telemetry peer skips or
-  // zero-fills them per the count-prefixed field-list evolution rule).
-  uint64_t stmt_latency_p50_us = 0;
-  uint64_t stmt_latency_p95_us = 0;
-  uint64_t stmt_latency_p99_us = 0;
-  uint64_t slow_statements = 0;    ///< slow-query log captures
-  uint64_t traced_statements = 0;  ///< statements that carried a trace
-  uint64_t net_request_p99_us = 0; ///< server-side request handling p99
-  // Version-store health (appended fields 24-27, same evolution rule):
-  // MVCC chains retained / snapshot reads resolved / pinned views / the WAL
-  // LSN the oldest pin holds retirement at.
-  uint64_t versions_retained = 0;
-  uint64_t versions_resolved = 0;
-  uint64_t snapshots_active = 0;
-  uint64_t oldest_snapshot_lsn = 0;
-  // Contention digest (appended fields 28-31, same evolution rule): lock
-  // requests refused by the non-blocking 2PL, transaction outcomes, and
-  // in-process driver retries — the per-tier conflict-rate view bench_mmo
-  // reports for remote runs.
-  uint64_t lock_conflicts = 0;
-  uint64_t txns_committed = 0;
-  uint64_t txns_aborted = 0;
-  uint64_t txn_retries = 0;
-};
+/// The kStats reply: the server database's metrics registry flattened to a
+/// count-prefixed list of (name, value) pairs — every counter and gauge
+/// under its metric name, and each histogram as <name>_count, _p50, _p95
+/// and _p99. A reader looks the names it knows up and ignores the rest, so
+/// adding a metric needs no protocol change; a name the server does not
+/// publish is simply absent from the map.
+using StatsMap = std::map<std::string, uint64_t>;
 
-void EncodeServerStats(const ServerStats& s, std::string* out);
-util::Result<ServerStats> DecodeServerStats(util::Slice* in);
+void EncodeStats(const std::vector<obs::MetricSample>& samples,
+                 std::string* out);
+util::Result<StatsMap> DecodeStats(util::Slice* in);
 
 }  // namespace prima::net
 

@@ -173,12 +173,12 @@ void Server::AcceptLoop() {
       }
       return;  // listener gone (shutdown) or unrecoverable
     }
-    connections_accepted_.fetch_add(1, std::memory_order_relaxed);
+    stats_.connections_accepted++;
     std::lock_guard<std::mutex> lock(conns_mu_);
     ReapFinishedLocked();
     if (options_.max_connections != 0 &&
         conns_.size() >= options_.max_connections) {
-      connections_refused_.fetch_add(1, std::memory_order_relaxed);
+      stats_.connections_refused++;
       (void)SendError(fd, Status::NoSpace(
                               "server connection limit (" +
                               std::to_string(options_.max_connections) +
@@ -227,8 +227,7 @@ void Server::ServeConnection(Conn* conn) {
     }
     std::string reply;
     util::PutFixed32(&reply, kProtocolVersion);
-    util::PutFixed64(&reply,
-                     connections_accepted_.load(std::memory_order_relaxed));
+    util::PutFixed64(&reply, stats_.connections_accepted);
     if (!WriteFrame(fd, MsgKind::kHelloOk, reply).ok()) break;
     ok = true;
   } while (false);
@@ -252,7 +251,7 @@ void Server::ServeConnection(Conn* conn) {
       const Status waited = WaitReadable(fd, options_.idle_timeout_ms);
       if (!waited.ok()) {
         if (waited.IsNotFound()) {
-          idle_closes_.fetch_add(1, std::memory_order_relaxed);
+          stats_.idle_closes++;
           (void)SendError(fd, Status::Aborted("idle timeout - closing"));
         }
         break;
@@ -274,7 +273,7 @@ void Server::ServeConnection(Conn* conn) {
 
       switch (req.kind) {
         case MsgKind::kExecute: {
-          statements_executed_.fetch_add(1, std::memory_order_relaxed);
+          stats_.statements_executed++;
           Result<mql::ExecResult> result =
               session->Execute(std::string(in.data(), in.size()));
           if (!result.ok()) {
@@ -282,8 +281,7 @@ void Server::ServeConnection(Conn* conn) {
             break;
           }
           if (result->kind == mql::ExecResult::Kind::kMolecules) {
-            molecules_streamed_.fetch_add(result->molecules.size(),
-                                          std::memory_order_relaxed);
+            stats_.molecules_streamed += result->molecules.size();
           }
           const uint64_t enc_t0 = tel != nullptr ? obs::NowNs() : 0;
           std::string payload;
@@ -309,7 +307,7 @@ void Server::ServeConnection(Conn* conn) {
             close_conn = !SendError(fd, stmt.status()).ok();
             break;
           }
-          statements_prepared_.fetch_add(1, std::memory_order_relaxed);
+          stats_.statements_prepared++;
           const uint32_t id = next_stmt_id++;
           const uint32_t params =
               static_cast<uint32_t>(stmt->param_count());
@@ -385,15 +383,14 @@ void Server::ServeConnection(Conn* conn) {
                               .ok();
             break;
           }
-          statements_executed_.fetch_add(1, std::memory_order_relaxed);
+          stats_.statements_executed++;
           Result<mql::ExecResult> result = it->second.Execute();
           if (!result.ok()) {
             close_conn = !SendError(fd, result.status()).ok();
             break;
           }
           if (result->kind == mql::ExecResult::Kind::kMolecules) {
-            molecules_streamed_.fetch_add(result->molecules.size(),
-                                          std::memory_order_relaxed);
+            stats_.molecules_streamed += result->molecules.size();
           }
           const uint64_t enc_t0 = tel != nullptr ? obs::NowNs() : 0;
           std::string payload;
@@ -469,7 +466,7 @@ void Server::ServeConnection(Conn* conn) {
             close_conn = !SendError(fd, cursor.status()).ok();
             break;
           }
-          cursors_opened_.fetch_add(1, std::memory_order_relaxed);
+          stats_.cursors_opened++;
           const uint32_t id = next_cursor_id++;
           cursors.emplace(id, std::move(*cursor));
           std::string payload;
@@ -518,7 +515,7 @@ void Server::ServeConnection(Conn* conn) {
             close_conn = !SendError(fd, fetch).ok();
             break;
           }
-          molecules_streamed_.fetch_add(count, std::memory_order_relaxed);
+          stats_.molecules_streamed += count;
           std::string payload;
           payload.push_back(done ? 1 : 0);
           util::PutVarint64(&payload, count);
@@ -603,7 +600,7 @@ void Server::ServeConnection(Conn* conn) {
 
         case MsgKind::kStats: {
           std::string payload;
-          EncodeServerStats(Stats(), &payload);
+          EncodeStats(db_->telemetry()->registry().Snapshot(), &payload);
           close_conn = !WriteFrame(fd, MsgKind::kStatsReply, payload).ok();
           break;
         }
@@ -639,59 +636,6 @@ void Server::ServeConnection(Conn* conn) {
   ::shutdown(fd, SHUT_RDWR);  // close() happens after join, by the server
   connections_active_.fetch_sub(1, std::memory_order_relaxed);
   conn->done.store(true, std::memory_order_release);
-}
-
-ServerStats Server::Stats() const {
-  ServerStats s;
-  s.connections_accepted =
-      connections_accepted_.load(std::memory_order_relaxed);
-  s.connections_active = connections_active_.load(std::memory_order_relaxed);
-  s.connections_refused =
-      connections_refused_.load(std::memory_order_relaxed);
-  s.idle_closes = idle_closes_.load(std::memory_order_relaxed);
-  s.statements_executed =
-      statements_executed_.load(std::memory_order_relaxed);
-  s.statements_prepared =
-      statements_prepared_.load(std::memory_order_relaxed);
-  s.cursors_opened = cursors_opened_.load(std::memory_order_relaxed);
-  s.molecules_streamed =
-      molecules_streamed_.load(std::memory_order_relaxed);
-  const mql::StatementCache& cache = db_->data().statement_cache();
-  s.stmt_cache_hits = cache.hits();
-  s.stmt_cache_misses = cache.misses();
-  // The wedged-ring gauge, on the wire: a remote operator watching
-  // active_txns > 0 with a far-behind oldest_active_lsn while live_bytes
-  // approaches capacity_bytes is looking at a long-running transaction
-  // pinning the undo floor.
-  const recovery::WalStatsSnapshot wal = db_->wal_stats();
-  s.wal_live_bytes = wal.live_bytes;
-  s.wal_capacity_bytes = wal.capacity_bytes;
-  s.wal_archived_bytes = wal.archived_bytes;
-  s.commits_forced = wal.commits_forced;
-  s.auto_checkpoints = wal.auto_checkpoints;
-  s.active_txns = wal.active_txns;
-  s.oldest_active_lsn = wal.oldest_active_lsn;
-  if (obs::Telemetry* tel = db_->telemetry()) {
-    const obs::HistogramSnapshot stmt = tel->statement_us()->Snapshot();
-    s.stmt_latency_p50_us = stmt.p50();
-    s.stmt_latency_p95_us = stmt.p95();
-    s.stmt_latency_p99_us = stmt.p99();
-    s.slow_statements = tel->slow_log().captured();
-    s.traced_statements = tel->traced();
-    s.net_request_p99_us = tel->net_request_us()->Snapshot().p99();
-  }
-  const access::VersionStoreStatsSnapshot ver =
-      db_->access().versions().StatsSnapshot();
-  s.versions_retained = ver.versions_retained;
-  s.versions_resolved = ver.versions_resolved;
-  s.snapshots_active = ver.snapshots_active;
-  s.oldest_snapshot_lsn = ver.oldest_snapshot_lsn;
-  const core::TransactionStats& txn = db_->transactions().stats();
-  s.lock_conflicts = txn.lock_conflicts.load(std::memory_order_relaxed);
-  s.txns_committed = txn.committed.load(std::memory_order_relaxed);
-  s.txns_aborted = txn.aborted.load(std::memory_order_relaxed);
-  s.txn_retries = txn.txn_retries.load(std::memory_order_relaxed);
-  return s;
 }
 
 }  // namespace prima::net

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "net/protocol.h"
+#include "obs/counter.h"
 #include "util/status.h"
 
 namespace prima::core {
@@ -33,6 +34,27 @@ struct ServerOptions {
   /// growing the server without bound.
   uint32_t max_statements = 1024;
   uint32_t max_cursors = 1024;
+};
+
+/// The server's own counters (PrimaStatsSnapshot::net).
+struct NetStats {
+  obs::Counter connections_accepted;
+  obs::Counter connections_refused;  ///< over max_connections
+  obs::Counter idle_closes;
+  obs::Counter statements_executed;
+  obs::Counter statements_prepared;
+  obs::Counter cursors_opened;
+  obs::Counter molecules_streamed;
+};
+
+inline constexpr obs::CounterDef<NetStats> kNetCounters[] = {
+    {&NetStats::connections_accepted, "prima_net_connections_accepted", "connections accepted"},
+    {&NetStats::connections_refused, "prima_net_connections_refused", "connections refused over the connection cap"},
+    {&NetStats::idle_closes, "prima_net_idle_closes", "connections closed for idling"},
+    {&NetStats::statements_executed, "prima_net_statements_executed", "statements executed for remote sessions"},
+    {&NetStats::statements_prepared, "prima_net_statements_prepared", "statements prepared for remote sessions"},
+    {&NetStats::cursors_opened, "prima_net_cursors_opened", "remote cursors opened"},
+    {&NetStats::molecules_streamed, "prima_net_molecules_streamed", "molecules sent to remote clients"},
 };
 
 /// The TCP front door: accepts connections and speaks the framed protocol
@@ -66,9 +88,11 @@ class Server {
   uint16_t port() const { return port_; }
   bool running() const { return running_.load(std::memory_order_acquire); }
 
-  /// Snapshot of the server-side counters + the database's WAL gauge (the
-  /// same payload the kStats message serves).
-  ServerStats Stats() const;
+  const NetStats& stats() const { return stats_; }
+  /// Connections being served right now.
+  uint64_t connections_active() const {
+    return connections_active_.load(std::memory_order_relaxed);
+  }
 
  private:
   struct Conn;
@@ -91,15 +115,8 @@ class Server {
   mutable std::mutex conns_mu_;
   std::vector<std::unique_ptr<Conn>> conns_;
 
-  // Counters behind Stats().
-  std::atomic<uint64_t> connections_accepted_{0};
+  NetStats stats_;
   std::atomic<uint64_t> connections_active_{0};
-  std::atomic<uint64_t> connections_refused_{0};
-  std::atomic<uint64_t> idle_closes_{0};
-  std::atomic<uint64_t> statements_executed_{0};
-  std::atomic<uint64_t> statements_prepared_{0};
-  std::atomic<uint64_t> cursors_opened_{0};
-  std::atomic<uint64_t> molecules_streamed_{0};
 };
 
 }  // namespace prima::net

@@ -83,27 +83,15 @@ HistogramSnapshot Histogram::Snapshot() const {
 // MetricsRegistry
 // ---------------------------------------------------------------------------
 
-void MetricsRegistry::RegisterCounter(std::string name,
-                                      const std::atomic<uint64_t>* counter,
-                                      std::string help) {
+void MetricsRegistry::Register(MetricSample::Type type, std::string name,
+                               std::string help,
+                               std::function<uint64_t()> read) {
   std::lock_guard<std::mutex> lock(mu_);
   Entry e;
-  e.type = MetricSample::Type::kCounter;
+  e.type = type;
   e.name = std::move(name);
   e.help = std::move(help);
-  e.counter = counter;
-  entries_.push_back(std::move(e));
-}
-
-void MetricsRegistry::RegisterGauge(std::string name,
-                                    std::function<uint64_t()> fn,
-                                    std::string help) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Entry e;
-  e.type = MetricSample::Type::kGauge;
-  e.name = std::move(name);
-  e.help = std::move(help);
-  e.gauge = std::move(fn);
+  e.read = std::move(read);
   entries_.push_back(std::move(e));
 }
 
@@ -133,16 +121,10 @@ std::vector<MetricSample> MetricsRegistry::Snapshot() const {
     s.name = e.name;
     s.help = e.help;
     s.type = e.type;
-    switch (e.type) {
-      case MetricSample::Type::kCounter:
-        s.value = e.counter->load(std::memory_order_relaxed);
-        break;
-      case MetricSample::Type::kGauge:
-        s.value = e.gauge();
-        break;
-      case MetricSample::Type::kHistogram:
-        s.histogram = e.histogram->Snapshot();
-        break;
+    if (e.type == MetricSample::Type::kHistogram) {
+      s.histogram = e.histogram->Snapshot();
+    } else {
+      s.value = e.read();
     }
     out.push_back(std::move(s));
   }

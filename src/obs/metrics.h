@@ -11,6 +11,8 @@
 #include <thread>
 #include <vector>
 
+#include "obs/counter.h"
+
 namespace prima::obs {
 
 // ---------------------------------------------------------------------------
@@ -128,11 +130,15 @@ struct MetricSample {
   HistogramSnapshot histogram;      // histograms only
 };
 
-/// Central name -> metric directory. The hot path never touches it: counters
-/// are the kernel's existing std::atomic fields registered by address,
-/// gauges are pull-callbacks evaluated at snapshot time, and histograms are
-/// owned here but recorded into directly via the pointer RegisterHistogram
-/// returns. The mutex guards registration and snapshot iteration only.
+/// Central name -> metric directory. The hot path never touches it:
+/// counters stay in their layer's stats struct and are registered by
+/// address, table by table (RegisterCounters over the struct's CounterDef
+/// table, see obs/counter.h); gauges are pull-callbacks evaluated at
+/// snapshot time, for values the code computes rather than counts; and
+/// histograms are owned here but recorded into directly via the pointer
+/// RegisterHistogram returns. The mutex guards registration and snapshot
+/// iteration only. Snapshot() is the one read path: MetricsText() renders
+/// it and the wire's kStats reply flattens it into (name, value) pairs.
 ///
 /// Naming scheme: prima_<subsystem>_<what>[_<unit>], e.g.
 /// `prima_buffer_hits`, `prima_statement_us`. Counters are cumulative since
@@ -143,15 +149,32 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  /// Register an existing atomic counter by address. The atomic must
-  /// outlive the registry (kernel stats structs do: Prima's teardown order
-  /// destroys the registry last).
-  void RegisterCounter(std::string name, const std::atomic<uint64_t>* counter,
-                       std::string help = "");
+  /// Register an existing counter by address — an obs::Counter, or
+  /// anything else that reads as uint64_t. The counter must outlive the
+  /// registry (kernel stats structs do: Prima's teardown order destroys the
+  /// registry last).
+  template <typename C>
+  void RegisterCounter(std::string name, const C* counter,
+                       std::string help = "") {
+    Register(MetricSample::Type::kCounter, std::move(name), std::move(help),
+             [counter] { return static_cast<uint64_t>(*counter); });
+  }
+
+  /// Register every counter of `stats` named in its layer's table.
+  template <typename Stats, size_t N>
+  void RegisterCounters(const Stats& stats,
+                        const CounterDef<Stats> (&table)[N]) {
+    for (const CounterDef<Stats>& def : table) {
+      RegisterCounter(def.name, &(stats.*def.field), def.help);
+    }
+  }
 
   /// Register a pull-gauge; `fn` runs on every snapshot/render.
   void RegisterGauge(std::string name, std::function<uint64_t()> fn,
-                     std::string help = "");
+                     std::string help = "") {
+    Register(MetricSample::Type::kGauge, std::move(name), std::move(help),
+             std::move(fn));
+  }
 
   /// Create (or fetch, if the name exists) a registry-owned histogram.
   /// The returned pointer is stable for the registry's lifetime.
@@ -169,10 +192,12 @@ class MetricsRegistry {
     MetricSample::Type type;
     std::string name;
     std::string help;
-    const std::atomic<uint64_t>* counter = nullptr;
-    std::function<uint64_t()> gauge;
+    std::function<uint64_t()> read;  // counters and gauges
     std::unique_ptr<Histogram> histogram;
   };
+
+  void Register(MetricSample::Type type, std::string name, std::string help,
+                std::function<uint64_t()> read);
 
   mutable std::mutex mu_;
   std::vector<Entry> entries_;

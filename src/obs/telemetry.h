@@ -80,8 +80,8 @@ class Telemetry {
     return sample_clock_.fetch_add(1, std::memory_order_relaxed) % n == 0;
   }
 
-  void CountTraced() { traced_.fetch_add(1, std::memory_order_relaxed); }
-  uint64_t traced() const { return traced_.load(std::memory_order_relaxed); }
+  void CountTraced() { traced_++; }
+  uint64_t traced() const { return traced_; }
 
   /// Record a finished statement's latency; captures into the slow log when
   /// the statement crossed the threshold and carried a trace.
@@ -100,7 +100,7 @@ class Telemetry {
   MetricsRegistry registry_;
   SlowQueryLog slow_log_;
   std::atomic<uint64_t> sample_clock_{0};
-  std::atomic<uint64_t> traced_{0};
+  Counter traced_;
 
   Histogram* statement_us_;
   Histogram* parse_us_;

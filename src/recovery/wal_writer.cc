@@ -500,17 +500,7 @@ std::vector<std::pair<uint64_t, uint64_t>> WalWriter::ActiveTxns() const {
 }
 
 WalStatsSnapshot WalWriter::StatsSnapshot() const {
-  WalStatsSnapshot s;
-  s.records_appended = stats_.records_appended;
-  s.bytes_appended = stats_.bytes_appended;
-  s.forces = stats_.forces;
-  s.blocks_forced = stats_.blocks_forced;
-  s.records_forced = stats_.records_forced;
-  s.commits_forced = stats_.commits_forced;
-  s.commit_delay_waits = stats_.commit_delay_waits;
-  s.auto_checkpoints = stats_.auto_checkpoints;
-  s.archived_bytes = stats_.archived_bytes;
-  s.full_page_image_bytes = stats_.full_page_image_bytes;
+  WalStatsSnapshot s{stats_};
   s.records_per_force = stats_.GroupCommitFactor();
   s.commits_per_force = stats_.CommitsPerForce();
   std::lock_guard<std::mutex> lock(mu_);

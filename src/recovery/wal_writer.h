@@ -14,6 +14,7 @@
 
 #include <memory>
 
+#include "obs/counter.h"
 #include "recovery/log_archiver.h"
 #include "recovery/log_record.h"
 #include "storage/block_device.h"
@@ -28,24 +29,23 @@ class Histogram;
 namespace prima::recovery {
 
 struct WalStats {
-  std::atomic<uint64_t> records_appended{0};
-  std::atomic<uint64_t> bytes_appended{0};
-  std::atomic<uint64_t> forces{0};        ///< device write batches
-  std::atomic<uint64_t> blocks_forced{0};
-  std::atomic<uint64_t> records_forced{0};  ///< records made durable by forces
-  std::atomic<uint64_t> commits_forced{0};  ///< kCommit records among them
-  std::atomic<uint64_t> commit_delay_waits{0};  ///< committers that opened a
-                                                ///< delay window
-  std::atomic<uint64_t> auto_checkpoints{0};  ///< checkpoints the daemon took
-                                              ///< on its ring-fraction trigger
-  std::atomic<uint64_t> archived_bytes{0};  ///< WAL bytes copied to the archive
-                                            ///< before truncation recycled them
+  obs::Counter records_appended;
+  obs::Counter bytes_appended;
+  obs::Counter forces;              ///< device write batches
+  obs::Counter blocks_forced;
+  obs::Counter records_forced;      ///< records made durable by forces
+  obs::Counter commits_forced;      ///< kCommit records among them
+  obs::Counter commit_delay_waits;  ///< committers that opened a delay window
+  obs::Counter auto_checkpoints;    ///< checkpoints the daemon took on its
+                                    ///< ring-fraction trigger
+  obs::Counter archived_bytes;      ///< WAL bytes copied to the archive
+                                    ///< before truncation recycled them
   /// Payload bytes of full-page-image records (torn-page protection logs a
   /// complete image on each page's first change per checkpoint epoch). The
   /// FPI share of bytes_appended is the log-volume inflation frequent
   /// checkpoints cause on hot pages — the gauge the batching/compression
   /// follow-on needs.
-  std::atomic<uint64_t> full_page_image_bytes{0};
+  obs::Counter full_page_image_bytes;
 
   /// Records per force > 1 means group commit is batching.
   double GroupCommitFactor() const {
@@ -59,20 +59,22 @@ struct WalStats {
   }
 };
 
-/// Plain-value copy of the log's counters plus the derived footprint
-/// numbers — what Prima::wal_stats() hands to benchmarks and monitoring
-/// (WalStats itself holds atomics and cannot be copied).
-struct WalStatsSnapshot {
-  uint64_t records_appended = 0;
-  uint64_t bytes_appended = 0;
-  uint64_t forces = 0;
-  uint64_t blocks_forced = 0;
-  uint64_t records_forced = 0;
-  uint64_t commits_forced = 0;
-  uint64_t commit_delay_waits = 0;
-  uint64_t auto_checkpoints = 0;
-  uint64_t archived_bytes = 0;
-  uint64_t full_page_image_bytes = 0;
+inline constexpr obs::CounterDef<WalStats> kWalCounters[] = {
+    {&WalStats::records_appended, "prima_wal_records_appended", "log records appended"},
+    {&WalStats::bytes_appended, "prima_wal_bytes_appended", "log payload bytes appended"},
+    {&WalStats::forces, "prima_wal_forces", "log device write batches"},
+    {&WalStats::blocks_forced, "prima_wal_blocks_forced", "log blocks written by forces"},
+    {&WalStats::records_forced, "prima_wal_records_forced", "records made durable by forces"},
+    {&WalStats::commits_forced, "prima_wal_commits_forced", "commit records made durable by forces"},
+    {&WalStats::commit_delay_waits, "prima_wal_commit_delay_waits", "committers that opened a group-commit delay window"},
+    {&WalStats::auto_checkpoints, "prima_wal_auto_checkpoints", "checkpoints the daemon took"},
+    {&WalStats::archived_bytes, "prima_wal_archived_bytes", "log bytes copied to the archive"},
+    {&WalStats::full_page_image_bytes, "prima_wal_full_page_image_bytes", "payload bytes of full-page-image records"},
+};
+
+/// The log's counters plus the derived footprint numbers — what
+/// Prima::wal_stats() hands to benchmarks and monitoring.
+struct WalStatsSnapshot : WalStats {
   /// Restart-recovery shape of the LAST recovery this database ran (zero
   /// on a clean open): page redo records installed, and the worker count
   /// the parallel apply phase used (1 = serial replay). Filled by

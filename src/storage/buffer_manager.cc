@@ -68,7 +68,7 @@ Status BufferManager::WriteBack(Frame* frame) {
   PRIMA_RETURN_IF_ERROR(
       device_->Write(frame->id.segment, frame->id.page, frame->data.get()));
   frame->dirty = false;
-  ShardOf(frame->id).writebacks++;
+  ShardOf(frame->id).stats.writebacks++;
   stats_.writebacks++;
   return Status::Ok();
 }
@@ -109,7 +109,7 @@ Status BufferManager::MakeRoom(Shard& shard, int size_class, uint32_t bytes) {
     shard.used[chain] -= victim->size;
     ring.pop_front();
     shard.frames.erase(victim->id);
-    shard.evictions++;
+    shard.stats.evictions++;
     stats_.evictions++;
   }
   return Status::Ok();
@@ -130,15 +130,15 @@ Result<Frame*> BufferManager::Fix(PageId id, uint32_t page_size,
     f->pins++;
     assert(f->id == id);
     f->referenced = true;  // clock: survives the next sweep pass
-    shard.hits.fetch_add(1, std::memory_order_relaxed);
-    stats_.hits.fetch_add(1, std::memory_order_relaxed);
+    shard.stats.hits++;
+    stats_.hits++;
     if (obs::StatementTrace* trace = obs::CurrentTrace()) {
       trace->buffer_hits.fetch_add(1, std::memory_order_relaxed);
     }
     return f;
   }
-  shard.misses.fetch_add(1, std::memory_order_relaxed);
-  stats_.misses.fetch_add(1, std::memory_order_relaxed);
+  shard.stats.misses++;
+  stats_.misses++;
   // Traced statements attribute the miss — and the device-read time below —
   // to their span tree. One thread-local load when untraced.
   obs::StatementTrace* trace = obs::CurrentTrace();
@@ -241,7 +241,7 @@ Status BufferManager::Prefetch(SegmentId segment,
     raw->ring_pos = shard.ring[chain].insert(shard.ring[chain].end(), raw);
     shard.used[chain] += page_size;
     shard.frames[id] = std::move(frame);
-    shard.prefetched++;
+    shard.stats.prefetched_pages++;
     stats_.prefetched_pages++;
   }
   return Status::Ok();
@@ -311,22 +311,10 @@ size_t BufferManager::resident_bytes() const {
 }
 
 BufferStatsSnapshot BufferManager::SnapshotStats() const {
-  BufferStatsSnapshot snap;
-  snap.hits = stats_.hits;
-  snap.misses = stats_.misses;
-  snap.evictions = stats_.evictions;
-  snap.writebacks = stats_.writebacks;
-  snap.prefetched_pages = stats_.prefetched_pages;
-  snap.readahead_batches = stats_.readahead_batches;
-  snap.readahead_dropped = stats_.readahead_dropped;
+  BufferStatsSnapshot snap{stats_, {}};
   snap.shards.reserve(shards_.size());
   for (const auto& shard : shards_) {
-    BufferStatsSnapshot::Shard s;
-    s.hits = shard->hits;
-    s.misses = shard->misses;
-    s.evictions = shard->evictions;
-    s.writebacks = shard->writebacks;
-    s.prefetched_pages = shard->prefetched;
+    BufferStatsSnapshot::Shard s{shard->stats, 0};
     std::lock_guard<std::mutex> lock(shard->mu);
     for (int c = 0; c < 5; ++c) s.resident_bytes += shard->used[c];
     snap.shards.push_back(s);

@@ -10,6 +10,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "obs/counter.h"
 #include "storage/block_device.h"
 #include "storage/page.h"
 #include "storage/wal.h"
@@ -48,55 +49,46 @@ enum class BufferPolicy {
   kStaticPartitioned,  ///< one classic pool per page size, fixed budgets
 };
 
-struct BufferStats {
-  std::atomic<uint64_t> hits{0};
-  std::atomic<uint64_t> misses{0};
-  std::atomic<uint64_t> evictions{0};
-  std::atomic<uint64_t> writebacks{0};
-  std::atomic<uint64_t> prefetched_pages{0};
-  /// Async read-ahead accounting (StorageSystem::ReadAhead): batches that
-  /// reached the prefetcher vs. hints dropped because the in-flight window
-  /// was full.
-  std::atomic<uint64_t> readahead_batches{0};
-  std::atomic<uint64_t> readahead_dropped{0};
+/// Page traffic of the pool, counted both per shard and pool-wide.
+struct BufferShardStats {
+  obs::Counter hits;
+  obs::Counter misses;
+  obs::Counter evictions;
+  obs::Counter writebacks;
+  obs::Counter prefetched_pages;
+};
+
+/// Pool-wide counters: the shard traffic totals plus the async read-ahead
+/// accounting (StorageSystem::ReadAhead): batches that reached the
+/// prefetcher vs. hints dropped because the in-flight window was full.
+struct BufferStats : BufferShardStats {
+  obs::Counter readahead_batches;
+  obs::Counter readahead_dropped;
 
   double HitRatio() const {
     const uint64_t h = hits, m = misses;
     return (h + m) == 0 ? 0.0 : static_cast<double>(h) / (h + m);
   }
-  void Reset() {
-    hits = misses = evictions = writebacks = prefetched_pages = 0;
-    readahead_batches = readahead_dropped = 0;
-  }
+  void Reset() { *this = BufferStats(); }
 };
 
-/// Point-in-time copy of the pool's counters, whole-pool and per shard
-/// (surfaced on Prima::stats()). Unlike BufferStats this is plain data:
-/// safe to copy around, print, or diff before/after a workload.
-struct BufferStatsSnapshot {
-  struct Shard {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t evictions = 0;
-    uint64_t writebacks = 0;
-    uint64_t prefetched_pages = 0;
+inline constexpr obs::CounterDef<BufferStats> kBufferCounters[] = {
+    {&BufferStats::hits, "prima_buffer_hits", "page fixes served from the pool"},
+    {&BufferStats::misses, "prima_buffer_misses", "page fixes that read the device"},
+    {&BufferStats::evictions, "prima_buffer_evictions", "clock-sweep evictions"},
+    {&BufferStats::writebacks, "prima_buffer_writebacks", "dirty pages written back"},
+    {&BufferStats::prefetched_pages, "prima_buffer_prefetched_pages", "pages loaded by read-ahead"},
+    {&BufferStats::readahead_batches, "prima_buffer_readahead_batches", "read-ahead batches handed to the prefetcher"},
+    {&BufferStats::readahead_dropped, "prima_buffer_readahead_dropped", "read-ahead hints dropped, window full"},
+};
+
+/// Point-in-time copy of the pool's counters plus each shard's share and
+/// resident bytes (surfaced on Prima::stats()).
+struct BufferStatsSnapshot : BufferStats {
+  struct Shard : BufferShardStats {
     uint64_t resident_bytes = 0;
   };
-
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t evictions = 0;
-  uint64_t writebacks = 0;
-  uint64_t prefetched_pages = 0;
-  uint64_t readahead_batches = 0;
-  uint64_t readahead_dropped = 0;
   std::vector<Shard> shards;
-
-  double HitRatio() const {
-    return (hits + misses) == 0
-               ? 0.0
-               : static_cast<double>(hits) / (hits + misses);
-  }
 };
 
 /// One buffered page. Callers access frames only through PageGuard
@@ -205,7 +197,7 @@ class BufferManager {
 
  private:
   /// One partition of the pool: its own lock, frame table, clock ring(s)
-  /// and budget slice. The per-shard counters are atomics because
+  /// and budget slice. The per-shard counters are atomic because
   /// write-backs (FlushAll) run outside the shard mutex.
   struct Shard {
     mutable std::mutex mu;
@@ -215,11 +207,7 @@ class BufferManager {
     std::list<Frame*> ring[5];
     size_t budget[5] = {0, 0, 0, 0, 0};
     size_t used[5] = {0, 0, 0, 0, 0};
-    std::atomic<uint64_t> hits{0};
-    std::atomic<uint64_t> misses{0};
-    std::atomic<uint64_t> evictions{0};
-    std::atomic<uint64_t> writebacks{0};
-    std::atomic<uint64_t> prefetched{0};
+    BufferShardStats stats;
   };
 
   Shard& ShardOf(PageId id) {

@@ -29,9 +29,10 @@ struct RetryPolicy {
   uint64_t backoff_cap_us = 5000;
   /// Seed for the jitter stream (deterministic runs stay deterministic).
   uint64_t jitter_seed = 0x7265747279u;  // "retry"
-  /// Incremented once per retry (not per attempt). Point it at
-  /// TransactionManager::stats().txn_retries to surface driver retries
-  /// through Prima::stats() / MetricsText() / ServerStats.
+  /// Incremented once per retry (not per attempt). A driver that wants its
+  /// retries on the kernel's books adds the total to
+  /// TransactionManager::stats().txn_retries, which Prima::stats(),
+  /// MetricsText() and the wire's stats reply all report.
   std::atomic<uint64_t>* retry_counter = nullptr;
 };
 

@@ -747,11 +747,11 @@ Result<MmoRunResult> MmoDriver::Run() {
   for (int k = 0; k < kOpKinds; ++k) result.latency_us[k] = hist[k].Snapshot();
   if (db_ != nullptr) {
     // Surface the driver's retry decisions through the kernel's counter, so
-    // Prima::stats(), MetricsText(), and ServerStats report them. (A wire
-    // driver retries on its own side of the connection; the server cannot
-    // see those, so remote runs report retries from MmoRunResult instead.)
-    db_->transactions().stats().txn_retries.fetch_add(
-        result.retries, std::memory_order_relaxed);
+    // Prima::stats(), MetricsText() and the wire's stats reply (as
+    // prima_txn_retries) report them. (A wire driver retries on its own
+    // side of the connection; the server cannot see those, so remote runs
+    // report retries from MmoRunResult instead.)
+    db_->transactions().stats().txn_retries += result.retries;
   }
   return result;
 }

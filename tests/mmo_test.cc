@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/prima.h"
+#include "net/client.h"
 #include "net/server.h"
 #include "recovery/checkpoint_daemon.h"
 #include "recovery/crash_device.h"
@@ -287,8 +288,12 @@ TEST(MmoDriverTest, WireStormPassesOracleAudit) {
   EXPECT_TRUE(audit.ok()) << audit.ToString();
 
   // The contention digest rides the stats message for remote operators.
-  const auto server_stats = (*db)->net_server()->Stats();
-  EXPECT_GT(server_stats.txns_committed, 0u);
+  auto client = net::Client::Connect("127.0.0.1", (*db)->net_server()->port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  auto server_stats = (*client)->Stats();
+  ASSERT_TRUE(server_stats.ok()) << server_stats.status().ToString();
+  ASSERT_EQ(server_stats->count("prima_txns_committed"), 1u);
+  EXPECT_GT(server_stats->at("prima_txns_committed"), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -52,6 +52,16 @@ std::unique_ptr<Client> ConnectTo(const Prima& db) {
   return client.ok() ? std::move(*client) : nullptr;
 }
 
+/// One metric of a stats reply, by name; an absent name fails the test.
+uint64_t Stat(const StatsMap& stats, const std::string& name) {
+  const auto it = stats.find(name);
+  if (it == stats.end()) {
+    ADD_FAILURE() << name << " missing from the stats reply";
+    return 0;
+  }
+  return it->second;
+}
+
 void CreateItemType(Client* client) {
   auto r = client->Execute(
       "CREATE ATOM_TYPE item (item_id: IDENTIFIER, num: INTEGER, "
@@ -145,89 +155,86 @@ TEST(NetProtocolTest, StatusRoundTrip) {
   EXPECT_TRUE(DecodeStatus(&in).IsIoError());
 }
 
-TEST(NetProtocolTest, ServerStatsRoundTripAndEvolution) {
-  ServerStats s;
-  s.connections_accepted = 7;
-  s.statements_executed = 1234;
-  s.molecules_streamed = 99;
-  s.stmt_cache_hits = 5;
-  s.wal_live_bytes = 1 << 20;
-  s.wal_capacity_bytes = 4 << 20;
-  s.active_txns = 3;
-  s.oldest_active_lsn = 0xDEADBEEF;
-  s.stmt_latency_p50_us = 120;
-  s.stmt_latency_p95_us = 800;
-  s.stmt_latency_p99_us = 2500;
-  s.slow_statements = 4;
-  s.traced_statements = 17;
-  s.net_request_p99_us = 3100;
+void PutStatsPair(std::string* wire, const std::string& name,
+                  uint64_t value) {
+  util::PutLengthPrefixed(wire, name);
+  util::PutVarint64(wire, value);
+}
+
+TEST(NetProtocolTest, StatsReplyRoundTripsByName) {
+  std::vector<obs::MetricSample> samples(3);
+  samples[0].name = "prima_net_connections_accepted";
+  samples[0].value = 7;
+  samples[1].name = "prima_wal_oldest_active_lsn";
+  samples[1].type = obs::MetricSample::Type::kGauge;
+  samples[1].value = 0xDEADBEEF;
+  samples[2].name = "prima_statement_us";
+  samples[2].type = obs::MetricSample::Type::kHistogram;
+  obs::Histogram latency;
+  for (uint64_t v : {120u, 130u, 800u, 2500u}) latency.Record(v);
+  samples[2].histogram = latency.Snapshot();
+
   std::string wire;
-  EncodeServerStats(s, &wire);
-  {
+  EncodeStats(samples, &wire);
+  Slice in(wire);
+  auto back = DecodeStats(&in);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_TRUE(in.empty());
+  // Counters and gauges one pair each; a histogram four.
+  EXPECT_EQ(back->size(), 6u);
+  EXPECT_EQ(back->at("prima_net_connections_accepted"), 7u);
+  EXPECT_EQ(back->at("prima_wal_oldest_active_lsn"), 0xDEADBEEFu);
+  const obs::HistogramSnapshot& h = samples[2].histogram;
+  EXPECT_EQ(back->at("prima_statement_us_count"), 4u);
+  EXPECT_EQ(back->at("prima_statement_us_p50"), h.p50());
+  EXPECT_EQ(back->at("prima_statement_us_p95"), h.p95());
+  EXPECT_EQ(back->at("prima_statement_us_p99"), h.p99());
+  // A name the server did not send reads as absent, not as zero.
+  EXPECT_EQ(back->count("prima_net_connections_active"), 0u);
+}
+
+TEST(NetProtocolTest, StatsReplySkipsUnknownNames) {
+  // A newer server publishes a metric this build has never heard of; the
+  // names this build reads keep their values around it.
+  std::string wire;
+  util::PutVarint64(&wire, 3);
+  PutStatsPair(&wire, "prima_txns_committed", 11);
+  PutStatsPair(&wire, "prima_from_a_newer_server", 99);
+  PutStatsPair(&wire, "prima_txns_aborted", 22);
+  Slice in(wire);
+  auto back = DecodeStats(&in);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(back->at("prima_txns_committed"), 11u);
+  EXPECT_EQ(back->at("prima_txns_aborted"), 22u);
+}
+
+TEST(NetProtocolTest, StatsReplyRejectsMalformedInput) {
+  const auto decode = [](const std::string& wire) {
     Slice in(wire);
-    auto back = DecodeServerStats(&in);
-    ASSERT_TRUE(back.ok());
-    EXPECT_EQ(back->connections_accepted, 7u);
-    EXPECT_EQ(back->statements_executed, 1234u);
-    EXPECT_EQ(back->active_txns, 3u);
-    EXPECT_EQ(back->oldest_active_lsn, 0xDEADBEEFu);
-    EXPECT_EQ(back->stmt_latency_p50_us, 120u);
-    EXPECT_EQ(back->stmt_latency_p95_us, 800u);
-    EXPECT_EQ(back->stmt_latency_p99_us, 2500u);
-    EXPECT_EQ(back->slow_statements, 4u);
-    EXPECT_EQ(back->traced_statements, 17u);
-    EXPECT_EQ(back->net_request_p99_us, 3100u);
-  }
-  // A payload from an older peer (fewer fields) zero-fills the tail; a
-  // newer peer's extra fields are skipped.
-  std::string old_wire;
-  util::PutVarint64(&old_wire, 2);
-  util::PutVarint64(&old_wire, 11);
-  util::PutVarint64(&old_wire, 22);
-  Slice in(old_wire);
-  auto back = DecodeServerStats(&in);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->connections_accepted, 11u);
-  EXPECT_EQ(back->connections_active, 22u);
-  EXPECT_EQ(back->oldest_active_lsn, 0u);
-}
-
-TEST(NetProtocolTest, ServerStatsFromPreTelemetryPeerZeroFillsDigest) {
-  // A 17-field payload is exactly what a peer built before the telemetry
-  // digest (fields 18-23) shipped: every pre-existing field decodes, every
-  // telemetry field zero-fills.
-  std::string old_wire;
-  util::PutVarint64(&old_wire, 17);
-  for (uint64_t f = 1; f <= 17; ++f) util::PutVarint64(&old_wire, f * 100);
-  Slice in(old_wire);
-  auto back = DecodeServerStats(&in);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->connections_accepted, 100u);
-  EXPECT_EQ(back->oldest_active_lsn, 1700u);  // field 17, the old tail
-  EXPECT_EQ(back->stmt_latency_p50_us, 0u);
-  EXPECT_EQ(back->stmt_latency_p95_us, 0u);
-  EXPECT_EQ(back->stmt_latency_p99_us, 0u);
-  EXPECT_EQ(back->slow_statements, 0u);
-  EXPECT_EQ(back->traced_statements, 0u);
-  EXPECT_EQ(back->net_request_p99_us, 0u);
-}
-
-TEST(NetProtocolTest, ServerStatsFromPreContentionPeerZeroFillsDigest) {
-  // A 27-field payload is what a peer built before the contention digest
-  // (fields 28-31) shipped: everything through the version-store block
-  // decodes, the contention counters zero-fill.
-  std::string old_wire;
-  util::PutVarint64(&old_wire, 27);
-  for (uint64_t f = 1; f <= 27; ++f) util::PutVarint64(&old_wire, f * 100);
-  Slice in(old_wire);
-  auto back = DecodeServerStats(&in);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->connections_accepted, 100u);
-  EXPECT_EQ(back->oldest_snapshot_lsn, 2700u);  // field 27, the old tail
-  EXPECT_EQ(back->lock_conflicts, 0u);
-  EXPECT_EQ(back->txns_committed, 0u);
-  EXPECT_EQ(back->txns_aborted, 0u);
-  EXPECT_EQ(back->txn_retries, 0u);
+    return DecodeStats(&in).status();
+  };
+  // The count promises two pairs, the payload holds one.
+  std::string truncated;
+  util::PutVarint64(&truncated, 2);
+  PutStatsPair(&truncated, "prima_txns_committed", 11);
+  EXPECT_TRUE(decode(truncated).IsCorruption());
+  // Cut inside a pair's value.
+  std::string mid_pair;
+  util::PutVarint64(&mid_pair, 1);
+  PutStatsPair(&mid_pair, "prima_wal_live_bytes", 1ull << 40);
+  mid_pair.pop_back();
+  EXPECT_TRUE(decode(mid_pair).IsCorruption());
+  // No count at all.
+  EXPECT_TRUE(decode("").IsCorruption());
+  // An implausible count is refused before any pair is read.
+  std::string bomb;
+  util::PutVarint64(&bomb, 1ull << 40);
+  EXPECT_TRUE(decode(bomb).IsCorruption());
+  // So is an implausibly long name.
+  std::string long_name;
+  util::PutVarint64(&long_name, 1);
+  PutStatsPair(&long_name, std::string(4096, 'x'), 1);
+  EXPECT_TRUE(decode(long_name).IsCorruption());
 }
 
 TEST(NetProtocolTest, TextExecResultRoundTrip) {
@@ -384,7 +391,7 @@ TEST(NetServerTest, MalformedFramesDoNotKillTheServer) {
   ASSERT_TRUE(InsertItem(client.get(), 1).ok());
   auto stats = client->Stats();
   ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->connections_active, 1u);
+  EXPECT_EQ(Stat(*stats, "prima_net_connections_active"), 1u);
 }
 
 TEST(NetServerTest, DoubleCloseRejectedCleanly) {
@@ -424,7 +431,7 @@ TEST(NetServerTest, ConnectionLimitRefusesTheOverflow) {
   // third tries its luck.
   auto stats = c1->Stats();
   ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->connections_active, 2u);
+  EXPECT_EQ(Stat(*stats, "prima_net_connections_active"), 2u);
 
   auto c3 = Client::Connect("127.0.0.1", db->net_server()->port());
   EXPECT_FALSE(c3.ok());
@@ -451,7 +458,11 @@ TEST(NetServerTest, IdleConnectionsAreClosed) {
   // The server told us (or simply closed); either way the next call fails
   // and the server counted an idle close.
   EXPECT_FALSE(idle->Execute("SELECT ALL FROM item").ok());
-  EXPECT_GE(db->net_server()->Stats().idle_closes, 1u);
+  auto observer = ConnectTo(*db);
+  ASSERT_NE(observer, nullptr);
+  auto stats = observer->Stats();
+  ASSERT_TRUE(stats.ok());
+  EXPECT_GE(Stat(*stats, "prima_net_idle_closes"), 1u);
 }
 
 // --- transactions & cursors over the wire ---------------------------------
@@ -585,21 +596,21 @@ TEST(NetServerTest, StatsServeTheWedgedRingGauge) {
 
   auto stats = client->Stats();
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_GE(stats->connections_accepted, 2u);
-  EXPECT_EQ(stats->connections_active, 2u);
-  EXPECT_GE(stats->statements_executed, 2u);
+  EXPECT_GE(Stat(*stats, "prima_net_connections_accepted"), 2u);
+  EXPECT_EQ(Stat(*stats, "prima_net_connections_active"), 2u);
+  EXPECT_GE(Stat(*stats, "prima_net_statements_executed"), 2u);
   // The ring's usable capacity (master record & alignment come off the
   // configured cap).
-  EXPECT_GT(stats->wal_capacity_bytes, 0u);
-  EXPECT_LE(stats->wal_capacity_bytes, 256u << 10);
-  EXPECT_GT(stats->wal_live_bytes, 0u);
-  EXPECT_GE(stats->active_txns, 1u);
-  EXPECT_GT(stats->oldest_active_lsn, 0u);
+  EXPECT_GT(Stat(*stats, "prima_wal_capacity_bytes"), 0u);
+  EXPECT_LE(Stat(*stats, "prima_wal_capacity_bytes"), 256u << 10);
+  EXPECT_GT(Stat(*stats, "prima_wal_live_bytes"), 0u);
+  EXPECT_GE(Stat(*stats, "prima_wal_active_txns"), 1u);
+  EXPECT_GT(Stat(*stats, "prima_wal_oldest_active_lsn"), 0u);
   ASSERT_TRUE(pinner->Commit().ok());
 
   auto after = client->Stats();
   ASSERT_TRUE(after.ok());
-  EXPECT_EQ(after->active_txns, 0u);
+  EXPECT_EQ(Stat(*after, "prima_wal_active_txns"), 0u);
 }
 
 TEST(NetServerTest, SharedStatementCacheServesRepeatedExecutes) {
@@ -626,7 +637,8 @@ TEST(NetServerTest, SharedStatementCacheServesRepeatedExecutes) {
   }
   auto after = client->Stats();
   ASSERT_TRUE(after.ok());
-  EXPECT_GE(after->stmt_cache_hits, before->stmt_cache_hits + 5);
+  EXPECT_GE(Stat(*after, "prima_stmt_cache_hits"),
+            Stat(*before, "prima_stmt_cache_hits") + 5);
 
   // DDL bumps the schema version; the stale entry must recompile, not
   // serve a plan over a dropped world.
@@ -639,7 +651,8 @@ TEST(NetServerTest, SharedStatementCacheServesRepeatedExecutes) {
   EXPECT_EQ(post_ddl->molecules.size(), 1u);
   auto final_stats = client->Stats();
   ASSERT_TRUE(final_stats.ok());
-  EXPECT_GT(final_stats->stmt_cache_misses, before->stmt_cache_misses);
+  EXPECT_GT(Stat(*final_stats, "prima_stmt_cache_misses"),
+            Stat(*before, "prima_stmt_cache_misses"));
 }
 
 TEST(NetServerTest, ExplainAnalyzeAndMetricsOverTheWire) {
@@ -672,13 +685,14 @@ TEST(NetServerTest, ExplainAnalyzeAndMetricsOverTheWire) {
   EXPECT_NE(page->find("prima_buffer_hits"), std::string::npos);
   EXPECT_NE(page->find("prima_net_connections_active"), std::string::npos);
 
-  // The stats digest carries the statement-latency summary to old-style
-  // Stats() consumers too.
+  // The stats reply carries the statement-latency summary by name too.
   auto stats = client->Stats();
   ASSERT_TRUE(stats.ok());
-  EXPECT_GT(stats->stmt_latency_p99_us, 0u);
-  EXPECT_GE(stats->stmt_latency_p99_us, stats->stmt_latency_p50_us);
-  EXPECT_GE(stats->traced_statements, 1u);  // the EXPLAIN ANALYZE above
+  EXPECT_GT(Stat(*stats, "prima_statement_us_p99"), 0u);
+  EXPECT_GE(Stat(*stats, "prima_statement_us_p99"),
+            Stat(*stats, "prima_statement_us_p50"));
+  // The EXPLAIN ANALYZE above.
+  EXPECT_GE(Stat(*stats, "prima_statements_traced"), 1u);
 }
 
 // --- concurrency (the *Concurrent* filter runs under TSan in CI) ----------
@@ -1091,8 +1105,8 @@ TEST(NetServerTest, StatsServeVersionStoreGauges) {
 
   auto pinned = client->Stats();
   ASSERT_TRUE(pinned.ok());
-  EXPECT_EQ(pinned->snapshots_active, 1u);
-  EXPECT_GT(pinned->versions_retained, 0u);
+  EXPECT_EQ(Stat(*pinned, "prima_snapshots_active"), 1u);
+  EXPECT_GT(Stat(*pinned, "prima_versions_retained"), 0u);
 
   ASSERT_EQ(DrainNames(&*snap).size(), 4u);
   ASSERT_TRUE(snap->Close().ok());
@@ -1100,8 +1114,9 @@ TEST(NetServerTest, StatsServeVersionStoreGauges) {
   for (int i = 0; i < 1000; ++i) {
     auto s = client->Stats();
     ASSERT_TRUE(s.ok());
-    if (s->snapshots_active == 0 && s->versions_retained == 0) {
-      EXPECT_GT(s->versions_resolved, 0u);
+    if (Stat(*s, "prima_snapshots_active") == 0 &&
+        Stat(*s, "prima_versions_retained") == 0) {
+      EXPECT_GT(Stat(*s, "prima_versions_resolved"), 0u);
       return;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(1));

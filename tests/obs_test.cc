@@ -1,12 +1,16 @@
 // Kernel telemetry tests: histogram bucket math and percentile accuracy,
 // the 8-thread merge storm, registry rendering, EXPLAIN ANALYZE span trees
 // (golden phase set: serial == pipelined), slow-query ring capture and
-// eviction, statement sampling, and the concurrent cursors-vs-snapshots
-// storm the TSan CI job runs against the lock-free stats paths.
+// eviction, statement sampling, the one-counter-source contract (every
+// counter of every layer's table is on the metrics page exactly once, with
+// its stats() value), and the concurrent storms the TSan CI job runs
+// against the lock-free stats paths.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <map>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -16,6 +20,7 @@
 
 #include "core/prima.h"
 #include "core/session.h"
+#include "net/client.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
@@ -25,6 +30,7 @@ namespace {
 
 using core::Prima;
 using core::PrimaOptions;
+using core::PrimaStatsSnapshot;
 using core::Session;
 using mql::ExecResult;
 
@@ -415,6 +421,137 @@ TEST(TelemetryTest, StatsSnapshotIsCoherentAcrossLayers) {
 }
 
 // ---------------------------------------------------------------------------
+// One counter source: stats(), MetricsText() and the wire read the same
+// per-layer counter tables
+// ---------------------------------------------------------------------------
+
+/// Every counter of a stats() snapshot, layer table by layer table, as
+/// (metric name, stats() value).
+std::vector<std::pair<std::string, uint64_t>> TableCounters(
+    const PrimaStatsSnapshot& s) {
+  std::vector<std::pair<std::string, uint64_t>> out;
+  const auto add = [&out](const auto& stats, const auto& table) {
+    for (const auto& def : table) out.emplace_back(def.name, stats.*def.field);
+  };
+  add(s.buffer, storage::kBufferCounters);
+  add(s.access, access::kAccessCounters);
+  add(s.versions, access::kVersionStoreCounters);
+  add(s.data, mql::kDataCounters);
+  add(s.txn, core::kTransactionCounters);
+  add(s.wal, recovery::kWalCounters);
+  add(s.net, net::kNetCounters);
+  return out;
+}
+
+/// The `name value` lines of a metrics page (comments skipped), by name.
+std::map<std::string, std::vector<uint64_t>> PageLines(
+    const std::string& page) {
+  std::map<std::string, std::vector<uint64_t>> lines;
+  std::istringstream in(page);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    const size_t space = line.rfind(' ');
+    lines[line.substr(0, space)].push_back(
+        std::stoull(line.substr(space + 1)));
+  }
+  return lines;
+}
+
+/// Inserts, a query, a prepared execute and a commit, locally and over the
+/// wire, so every layer's counters move.
+void RunFixedWorkload(Prima* db) {
+  auto session = db->OpenSession();
+  ASSERT_TRUE(session->Execute("BEGIN WORK").ok());
+  LoadItems(session.get(), 20);
+  ASSERT_TRUE(session->Execute("COMMIT WORK").ok());
+  auto query = session->Execute("SELECT ALL FROM item WHERE num >= 5");
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  auto stmt = session->Prepare("SELECT ALL FROM item WHERE num = ?");
+  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+  ASSERT_TRUE(stmt->Bind(0, access::Value::Int(7)).ok());
+  auto executed = stmt->Execute();
+  ASSERT_TRUE(executed.ok()) << executed.status().ToString();
+  ASSERT_EQ(executed->molecules.size(), 1u);
+  auto client = net::Client::Connect("127.0.0.1", db->net_server()->port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  auto remote = (*client)->Execute("SELECT ALL FROM item WHERE num = 3");
+  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+}
+
+TEST(ObsTest, EveryCounterIsOnThePageOnceWithItsStatsValue) {
+  PrimaOptions options;
+  options.listen_port = 0;
+  auto db = OpenDb(options);
+  ASSERT_NE(db, nullptr);
+  RunFixedWorkload(db.get());
+
+  // Background read-ahead may still land a page; compare against a page
+  // rendered between two identical stats() snapshots.
+  std::vector<std::pair<std::string, uint64_t>> counters;
+  std::string page;
+  for (int attempt = 0; attempt < 100; ++attempt) {
+    counters = TableCounters(db->stats());
+    page = db->MetricsText();
+    if (TableCounters(db->stats()) == counters) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  const auto lines = PageLines(page);
+  for (const auto& [name, value] : counters) {
+    const auto it = lines.find(name);
+    if (it == lines.end()) {
+      ADD_FAILURE() << name << " is in stats() but not on the page";
+      continue;
+    }
+    ASSERT_EQ(it->second.size(), 1u) << name << " is on the page twice";
+    EXPECT_EQ(it->second.front(), value) << name;
+  }
+
+  std::set<std::string> names;
+  const std::vector<MetricSample> samples =
+      db->telemetry()->registry().Snapshot();
+  for (const MetricSample& sample : samples) {
+    EXPECT_TRUE(names.insert(sample.name).second)
+        << sample.name << " is registered twice";
+  }
+  // The names published before the counter tables existed keep them.
+  for (const char* legacy :
+       {"prima_buffer_hits", "prima_buffer_misses", "prima_buffer_evictions",
+        "prima_buffer_writebacks", "prima_buffer_prefetched_pages",
+        "prima_buffer_resident_bytes", "prima_atoms_inserted",
+        "prima_atoms_read", "prima_atoms_modified", "prima_atoms_deleted",
+        "prima_deferred_enqueued", "prima_deferred_applied",
+        "prima_versions_installed", "prima_versions_retired",
+        "prima_versions_resolved", "prima_version_chain_walks",
+        "prima_version_chain_depth_1", "prima_version_chain_depth_2",
+        "prima_version_chain_depth_3", "prima_version_chain_depth_4plus",
+        "prima_snapshots_opened", "prima_versions_retained",
+        "prima_snapshots_active", "prima_versions_oldest_snapshot_lsn",
+        "prima_queries", "prima_molecules_built", "prima_cursor_molecules",
+        "prima_statements_prepared", "prima_prepared_executions",
+        "prima_stmt_cache_hits", "prima_stmt_cache_misses",
+        "prima_txns_begun", "prima_txns_committed", "prima_txns_aborted",
+        "prima_txn_lock_conflicts", "prima_txn_retries",
+        "prima_txn_undo_applied", "prima_wal_records_appended",
+        "prima_wal_bytes_appended", "prima_wal_forces",
+        "prima_wal_commits_forced", "prima_wal_auto_checkpoints",
+        "prima_wal_live_bytes", "prima_net_connections_active",
+        "prima_net_statements_executed", "prima_net_molecules_streamed"}) {
+    EXPECT_EQ(names.count(legacy), 1u) << legacy;
+  }
+
+  // The wire's stats reply is the same registry, by name.
+  auto client = net::Client::Connect("127.0.0.1", db->net_server()->port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  auto wire = (*client)->Stats();
+  ASSERT_TRUE(wire.ok()) << wire.status().ToString();
+  for (const auto& [name, value] : counters) {
+    EXPECT_EQ(wire->count(name), 1u) << name << " is not on the wire";
+  }
+  EXPECT_EQ(wire->count("prima_statement_us_p99"), 1u);
+}
+
+// ---------------------------------------------------------------------------
 // Concurrency storm (the TSan CI filter: ObsTest.Concurrent*)
 // ---------------------------------------------------------------------------
 
@@ -471,6 +608,58 @@ TEST(ObsTest, ConcurrentCursorsVersusSnapshots) {
   // recorded on top of the workers' count).
   EXPECT_GE(snap.statement_us.count, kThreads * kIterations * 2u);
   EXPECT_GE(snap.traced_statements, kThreads * kIterations * 2u);
+}
+
+TEST(ObsTest, ConcurrentCounterTablesStayOnThePage) {
+  PrimaOptions options;
+  options.cursor_assembly_threads = 4;  // pipelined: workers bump counters
+  options.listen_port = 0;              // the server's table is listed too
+  auto db = OpenDb(options);
+  ASSERT_NE(db, nullptr);
+  {
+    auto setup = db->OpenSession();
+    LoadItems(setup.get(), 60);
+  }
+
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < 3; ++t) {
+    workers.emplace_back([&db, &stop] {
+      auto session = db->OpenSession();
+      while (!stop.load()) {
+        auto cursor = session->Query("SELECT ALL FROM item");
+        ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
+        while (true) {
+          auto m = cursor->Next();
+          ASSERT_TRUE(m.ok()) << m.status().ToString();
+          if (!m->has_value()) break;
+        }
+      }
+    });
+  }
+
+  // Counters only grow: a page rendered between two snapshots reads each
+  // counter inside their bounds, exactly once.
+  const auto observe = [&db] {
+    for (int round = 0; round < 50; ++round) {
+      const auto before = TableCounters(db->stats());
+      const auto lines = PageLines(db->MetricsText());
+      const auto after = TableCounters(db->stats());
+      ASSERT_EQ(before.size(), after.size());
+      for (size_t i = 0; i < before.size(); ++i) {
+        const std::string& name = before[i].first;
+        const auto it = lines.find(name);
+        ASSERT_TRUE(it != lines.end()) << name << " missing from the page";
+        ASSERT_EQ(it->second.size(), 1u) << name;
+        EXPECT_LE(before[i].second, it->second.front()) << name;
+        EXPECT_LE(it->second.front(), after[i].second) << name;
+      }
+    }
+  };
+  observe();
+  stop.store(true);
+  for (auto& th : workers) th.join();
+  EXPECT_GT(db->stats().data.queries, 0u);
 }
 
 }  // namespace
