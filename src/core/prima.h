@@ -80,12 +80,13 @@ struct PrimaOptions {
 
   /// Cap on the WAL file size (0 = unbounded, the log only grows). With a
   /// cap the log becomes circular: each checkpoint (Flush()) retires the
-  /// blocks below its undo floor and appends wrap onto them. Recorded in
-  /// the log's master record at creation — reopening an existing log keeps
-  /// its original geometry. The checkpoint daemon (below) keeps a
-  /// well-behaved workload from ever hitting the ring's NoSpace point;
-  /// with the daemon disabled, commits fail with NoSpace until the next
-  /// Flush() truncates.
+  /// blocks below its undo floor and appends wrap onto them. The ring
+  /// holds at least 64 KiB (WalWriter::kMinRingBytes): smaller caps are
+  /// raised to that floor. Recorded in the log's master record at
+  /// creation — reopening an existing log keeps its original geometry.
+  /// The checkpoint daemon (below) keeps a well-behaved workload from ever
+  /// hitting the ring's NoSpace point; with the daemon disabled, commits
+  /// fail with NoSpace until the next Flush() truncates.
   uint64_t wal_max_bytes = 0;
 
   /// Background checkpoint daemon (active when wal && wal_max_bytes > 0

@@ -36,6 +36,15 @@ Status LogArchiver::Open(uint64_t base_if_created, uint64_t end_hint) {
   if (!device_->Exists(file_)) {
     return CreateLocked(base_if_created);
   }
+  auto block_size = device_->BlockSizeOf(file_);
+  if (!block_size.ok()) return block_size.status();
+  if (*block_size != kBlockSize) {
+    return Status::NotSupported(
+        "log archive has " + std::to_string(*block_size) +
+        "-byte blocks, not " + std::to_string(kBlockSize) +
+        ": it belongs to an older log format (format 2 used 4096-byte "
+        "blocks)");
+  }
   char block[kBlockSize];
   PRIMA_RETURN_IF_ERROR(device_->Read(file_, 0, block));
   if (util::DecodeFixed32(block) != kHeaderMagic ||

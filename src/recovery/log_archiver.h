@@ -17,8 +17,9 @@ namespace prima::recovery {
 /// the replay source for media recovery (rebuild a destroyed data device
 /// from a fuzzy backup + the archived history).
 ///
-/// On-disk layout (block-device file kArchiveSegmentId, 4096-byte blocks)
-/// ---------------------------------------------------------------------
+/// On-disk layout (block-device file kArchiveSegmentId, blocks of
+/// kWalBlockSize = 512 bytes, the WAL's own block size)
+/// ------------------------------------------------------------------
 /// Block 0 — archive header, written once at creation:
 ///
 ///   [0,4)   magic "PARH"
@@ -47,7 +48,7 @@ namespace prima::recovery {
 /// `end_hint`.
 class LogArchiver {
  public:
-  static constexpr uint32_t kWalBlockSize = 4096;
+  static constexpr uint32_t kWalBlockSize = 512;
 
   explicit LogArchiver(storage::BlockDevice* device,
                        storage::SegmentId file = storage::kArchiveSegmentId);
@@ -55,7 +56,9 @@ class LogArchiver {
   /// Create the archive (base = `base_if_created`, block-aligned) or open
   /// an existing one. `end_hint` is the caller's bound on the committed
   /// end (the WAL truncation floor's block start); the archive resumes
-  /// appending there.
+  /// appending there. An archive with another block size (one written
+  /// next to a 4096-byte-block log of an older format) is refused with
+  /// NotSupported before any block is read.
   util::Status Open(uint64_t base_if_created, uint64_t end_hint);
 
   /// First archived stream byte.

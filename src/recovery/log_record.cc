@@ -20,6 +20,7 @@ void LogRecord::EncodeInto(std::string* out) const {
     case LogRecordType::kCheckpointEnd:
       break;
     case LogRecordType::kPageRedo:
+    case LogRecordType::kPageImage:
       util::PutVarint64(out, segment);
       util::PutVarint64(out, page);
       util::PutVarint64(out, page_size);
@@ -71,7 +72,7 @@ Result<LogRecord> LogRecord::Decode(Slice in) {
   if (in.empty()) return Truncated();
   const uint8_t raw_type = static_cast<uint8_t>(in[0]);
   if (raw_type < static_cast<uint8_t>(LogRecordType::kBegin) ||
-      raw_type > static_cast<uint8_t>(LogRecordType::kStructRoot)) {
+      raw_type > static_cast<uint8_t>(LogRecordType::kPageImage)) {
     return Status::Corruption("unknown log record type " +
                               std::to_string(raw_type));
   }
@@ -86,7 +87,8 @@ Result<LogRecord> LogRecord::Decode(Slice in) {
     case LogRecordType::kAbort:
     case LogRecordType::kCheckpointEnd:
       break;
-    case LogRecordType::kPageRedo: {
+    case LogRecordType::kPageRedo:
+    case LogRecordType::kPageImage: {
       if (!util::GetVarint64(&in, &v)) return Truncated();
       rec.segment = static_cast<uint32_t>(v);
       if (!util::GetVarint64(&in, &v)) return Truncated();

@@ -28,6 +28,11 @@ enum class LogRecordType : uint8_t {
   kCheckpointBegin = 8,  ///< fuzzy checkpoint start: active txns, undo floor
   kCheckpointEnd = 9,    ///< fuzzy checkpoint completed
   kStructRoot = 10,      ///< access structure's root/meta page moved
+  /// Full page image: kPageRedo's encoding, but the ranges are the page's
+  /// non-zero runs and redo zeroes the page before installing them, so
+  /// the record rebuilds the page whatever the device holds (torn-page
+  /// repair) without logging the page's free space.
+  kPageImage = 11,
 };
 
 /// Atom operation kinds mirrored from access::AccessSystem::UndoRecord.
@@ -43,7 +48,7 @@ struct LogRecord {
   uint64_t lsn = 0;
   uint64_t txn_id = 0;  ///< top-level transaction, 0 = system/auto-commit
 
-  // --- kPageRedo -----------------------------------------------------------
+  // --- kPageRedo / kPageImage ----------------------------------------------
   struct ByteRange {
     uint32_t offset = 0;
     std::string bytes;

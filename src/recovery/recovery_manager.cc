@@ -94,7 +94,8 @@ Status RecoveryManager::AnalyzeAndRedoFrom(uint64_t ckpt_lsn) {
       case LogRecordType::kAbort:
         txns_[rec.txn_id].finished = true;
         break;
-      case LogRecordType::kPageRedo: {
+      case LogRecordType::kPageRedo:
+      case LogRecordType::kPageImage: {
         PageChain& chain = chains[{rec.segment, rec.page}];
         chain.page_size = rec.page_size;
         chain.recs.push_back(rec);
@@ -224,6 +225,7 @@ Status RecoveryManager::ApplyRedoChains(
     for (const LogRecord& rec : task->chain->recs) {
       storage::StorageSystem::RedoEntry e;
       e.lsn = rec.lsn;
+      e.full_image = rec.type == LogRecordType::kPageImage;
       e.ranges.reserve(rec.ranges.size());
       for (const auto& r : rec.ranges) {
         e.ranges.emplace_back(r.offset, Slice(r.bytes));

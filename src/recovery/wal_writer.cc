@@ -16,16 +16,6 @@ using util::Result;
 using util::Slice;
 using util::Status;
 
-namespace {
-uint32_t RingBlocksFor(uint64_t max_bytes, uint32_t block_size,
-                       uint32_t master_slots, uint32_t min_blocks) {
-  if (max_bytes == 0) return 0;
-  const uint64_t total = max_bytes / block_size;
-  const uint64_t data_blocks = total > master_slots ? total - master_slots : 0;
-  return static_cast<uint32_t>(std::max<uint64_t>(min_blocks, data_blocks));
-}
-}  // namespace
-
 WalWriter::WalWriter(storage::BlockDevice* device, storage::SegmentId file)
     : WalWriter(device, WalOptions{}, file) {}
 
@@ -47,8 +37,13 @@ uint32_t WalWriter::FragCrc(uint64_t frag_lsn, uint8_t kind,
 
 Status WalWriter::Open() {
   std::lock_guard<std::mutex> lock(mu_);
-  ring_blocks_ = RingBlocksFor(options_.max_bytes, kBlockSize, kMasterSlots,
-                               kMinRingBlocks);
+  ring_blocks_ = 0;
+  if (options_.max_bytes != 0) {
+    const uint64_t total = options_.max_bytes / kBlockSize;
+    ring_blocks_ = static_cast<uint32_t>(
+        std::max<uint64_t>(kMinRingBytes / kBlockSize,
+                           total > kMasterSlots ? total - kMasterSlots : 0));
+  }
   if (!device_->Exists(file_)) {
     if (device_->Exists(storage::kArchiveSegmentId)) {
       // An archive with no log to go with it means the WAL file was lost
@@ -75,6 +70,17 @@ Status WalWriter::Open() {
       PRIMA_RETURN_IF_ERROR(archiver_->Open(0, 0));
     }
     return Status::Ok();
+  }
+
+  // Check the geometry before reading any block into a kBlockSize buffer.
+  auto block_size = device_->BlockSizeOf(file_);
+  if (!block_size.ok()) return block_size.status();
+  if (*block_size != kBlockSize) {
+    return Status::NotSupported(
+        "log file has " + std::to_string(*block_size) + "-byte blocks, not " +
+        std::to_string(kBlockSize) +
+        ": an older log format (format 2 used 4096-byte blocks); this build "
+        "reads only format-3 logs");
   }
 
   // Read both master slots and adopt the valid one with the higher seq:
@@ -219,22 +225,34 @@ uint64_t WalWriter::LogPageDelta(storage::SegmentId segment, uint32_t page,
 
 uint64_t WalWriter::LogFullPage(storage::SegmentId segment, uint32_t page,
                                uint32_t page_size, const char* after) {
+  // The header minus the checksum and page-LSN fields, then the body's
+  // non-zero 64-byte chunks, runs merged: redo zeroes the page before
+  // installing them, so the record rebuilds the whole page, whatever it
+  // held before, without logging the page's free space.
+  constexpr uint32_t kChunk = 64;
+  static const char kZeros[kChunk] = {};
   LogRecord rec;
-  rec.type = LogRecordType::kPageRedo;
+  rec.type = LogRecordType::kPageImage;
   rec.segment = segment;
   rec.page = page;
   rec.page_size = page_size;
-  // Full image minus the excluded header fields ([0,4) checksum, [24,32)
-  // page-LSN): redo overwrites the whole page, whatever it held before.
-  LogRecord::ByteRange head;
-  head.offset = 4;
-  head.bytes.assign(after + 4, 20);
-  LogRecord::ByteRange body;
-  body.offset = 32;
-  body.bytes.assign(after + 32, page_size - 32);
-  stats_.full_page_image_bytes += head.bytes.size() + body.bytes.size();
-  rec.ranges.push_back(std::move(head));
-  rec.ranges.push_back(std::move(body));
+  rec.ranges.push_back({4, std::string(after + 4, 20)});
+  uint32_t run = 0;  // start of the open run of non-zero chunks, or 0
+  for (uint32_t off = 32; off < page_size; off += kChunk) {
+    const bool zero = std::memcmp(after + off, kZeros,
+                                  std::min(kChunk, page_size - off)) == 0;
+    if (!zero && run == 0) run = off;
+    if (zero && run != 0) {
+      rec.ranges.push_back({run, std::string(after + run, off - run)});
+      run = 0;
+    }
+  }
+  if (run != 0) {
+    rec.ranges.push_back({run, std::string(after + run, page_size - run)});
+  }
+  for (const LogRecord::ByteRange& r : rec.ranges) {
+    stats_.full_page_image_bytes += r.bytes.size();
+  }
   return Append(rec);
 }
 
@@ -252,6 +270,7 @@ void WalWriter::SealTailLocked() {
   // next force starts on a fresh block: durable bytes are write-once, and
   // a torn write can only ever hit bytes that were never acknowledged.
   const uint32_t room = kBlockSize - tail;
+  stats_.pad_bytes += room;
   if (room >= kFragHeader) {
     const uint32_t len = room - kFragHeader;
     std::string zeros(len, '\0');
@@ -292,7 +311,9 @@ Status WalWriter::FlushAsLeaderLocked(std::unique_lock<std::mutex>& lk) {
     const uint64_t needed = last - first_live + 1;
     const uint64_t reserve = std::this_thread::get_id() == ckpt_thread_
                                  ? 0
-                                 : std::max<uint64_t>(8, ring_blocks_ / 4);
+                                 : std::max<uint64_t>(
+                                       kForceReserveBytes / kBlockSize,
+                                       ring_blocks_ / 4);
     if (needed + reserve > ring_blocks_) {
       return Status::NoSpace(
           "WAL ring full (" + std::to_string(needed) + " of " +

@@ -46,6 +46,10 @@ struct WalStats {
   /// checkpoints cause on hot pages — the gauge the batching/compression
   /// follow-on needs.
   obs::Counter full_page_image_bytes;
+  /// Bytes forces spent sealing their tail block (pad fragments and the
+  /// zero tails too short for one): the price of write-once durable
+  /// blocks, below kBlockSize per force.
+  obs::Counter pad_bytes;
 
   /// Records per force > 1 means group commit is batching.
   double GroupCommitFactor() const {
@@ -70,6 +74,7 @@ inline constexpr obs::CounterDef<WalStats> kWalCounters[] = {
     {&WalStats::auto_checkpoints, "prima_wal_auto_checkpoints", "checkpoints the daemon took"},
     {&WalStats::archived_bytes, "prima_wal_archived_bytes", "log bytes copied to the archive"},
     {&WalStats::full_page_image_bytes, "prima_wal_full_page_image_bytes", "payload bytes of full-page-image records"},
+    {&WalStats::pad_bytes, "prima_wal_pad_bytes", "bytes of pad fragments and zero tails written by forces"},
 };
 
 /// The log's counters plus the derived footprint numbers — what
@@ -108,8 +113,8 @@ struct WalOptions {
   uint64_t commit_delay_us = 0;
 
   /// Cap on the WAL file size. 0 = unbounded append-only log (the log file
-  /// only grows, as in PR 1). Non-zero turns the segment into a circular
-  /// log of max_bytes/kBlockSize - 2 data blocks (minimum 16): after a
+  /// only grows). Non-zero turns the segment into a circular log of
+  /// max_bytes/kBlockSize - 2 data blocks (at least 64 KiB): after a
   /// checkpoint commits via the master record, blocks below the
   /// checkpoint's undo floor are recycled and appends wrap around onto
   /// them. When the live window (append_lsn - truncate_lsn) would overflow
@@ -138,7 +143,8 @@ struct WalOptions {
 /// Blocks 0 and 1 are two alternating master-record slots. Each slot:
 ///
 ///   [0,4)   magic "PWAL"
-///   [4,8)   format version (2)
+///   [4,8)   format version (3: 512-byte blocks; earlier formats used
+///           4096-byte blocks and are refused on open)
 ///   [8,16)  checkpoint_lsn — LSN of the last completed checkpoint's
 ///           kCheckpointBegin record (0 = never checkpointed); restart
 ///           recovery scans forward from here
@@ -159,6 +165,10 @@ struct WalOptions {
 /// checkpoint's slot survives intact. (With a single in-place slot, a
 /// torn master write on a WRAPPED circular log would silently discard the
 /// whole database: checkpoint 0 + stale-CRC early blocks = empty log.)
+///
+/// Every block is kBlockSize = 512 bytes, PRIMA's smallest page size
+/// (storage/page.h): a force seals its tail block, so the block is the
+/// padding unit, and a lone commit writes ~1 KiB of log, not 4 KiB.
 ///
 /// Blocks 2.. hold the log stream. An LSN is a byte offset into that
 /// stream and NEVER wraps — only the physical mapping does:
@@ -185,7 +195,15 @@ struct WalOptions {
 /// behind an in-flight force are absorbed into the next batch.
 class WalWriter : public storage::WriteAheadLog {
  public:
-  static constexpr uint32_t kBlockSize = 4096;
+  static constexpr uint32_t kBlockSize = 512;
+  /// Floor on the circular capacity: the ring must hold at least one
+  /// maximum-size record (an 8K full-page image spans 17 blocks) plus
+  /// checkpoint brackets plus the checkpoint reserve.
+  static constexpr uint64_t kMinRingBytes = 64u << 10;
+  /// Headroom non-checkpoint forces leave free in a ring:
+  /// max(kForceReserveBytes, capacity/4), so the checkpoint that will
+  /// truncate can always log and force its way through.
+  static constexpr uint64_t kForceReserveBytes = 32u << 10;
 
   explicit WalWriter(storage::BlockDevice* device,
                      storage::SegmentId file = storage::kWalSegmentId);
@@ -312,12 +330,8 @@ class WalWriter : public storage::WriteAheadLog {
                             kPad = 5 };
   static constexpr uint32_t kFragHeader = 7;  // crc32 + len:u16 + kind:u8
   static constexpr uint32_t kMasterMagic = 0x5057414Cu;  // "PWAL"
-  static constexpr uint32_t kFormatVersion = 2;
+  static constexpr uint32_t kFormatVersion = 3;
   static constexpr uint32_t kMasterSlots = 2;  // alternating master blocks
-  // Floor on the circular capacity: the ring must hold at least one
-  // maximum-size record (an 8K full-page image spans three blocks) plus
-  // checkpoint brackets plus the checkpoint reserve.
-  static constexpr uint32_t kMinRingBlocks = 16;
 
   // Stream offset -> device block (wraparound-aware) / in-block offset.
   uint64_t BlockOf(uint64_t lsn) const { return BlockAt(lsn / kBlockSize); }

@@ -502,38 +502,60 @@ Status StorageSystem::RewriteSequence(SegmentId seg, uint32_t header_page,
     return Status::Corruption("page " + std::to_string(header_page) +
                               " is not a sequence header");
   }
-  char* hp = header.mutable_data() + PageHeader::kSize;
-  const uint32_t old_n = util::DecodeFixed32(hp + 4);
+  const char* old_hp = header.data() + PageHeader::kSize;
+  const uint32_t old_n = util::DecodeFixed32(old_hp + 4);
   std::vector<uint32_t> old_pages(old_n);
   for (uint32_t i = 0; i < old_n; ++i) {
-    old_pages[i] = util::DecodeFixed32(hp + kSeqHeaderFixed + 4 * i);
+    old_pages[i] = util::DecodeFixed32(old_hp + kSeqHeaderFixed + 4 * i);
   }
 
-  util::EncodeFixed32(hp, static_cast<uint32_t>(payload.size()));
+  // Build the new header payload. A resident component whose bytes are
+  // unchanged keeps its page: only changed pages are written (and logged
+  // — a fresh page is a full image), so persisting a large metadata blob
+  // after a small change costs a few pages, not the whole blob. Evicted
+  // components are rewritten without being read. The header switch stays
+  // the last change, so a log cut before it still finds the old sequence
+  // intact: kept pages are never modified, replaced ones are freed after.
+  std::string head;
+  util::PutFixed32(&head, static_cast<uint32_t>(payload.size()));
+  std::vector<bool> kept(old_n, false);
   if (payload.size() <= inline_capacity) {
-    util::EncodeFixed32(hp + 4, 0);
-    std::memcpy(hp + kSeqHeaderFixed, payload.data(), payload.size());
+    util::PutFixed32(&head, 0);
+    head.append(payload.data(), payload.size());
   } else {
     const uint32_t n_pages = static_cast<uint32_t>(
         (payload.size() + comp_capacity - 1) / comp_capacity);
     if (n_pages > MaxComponents(bs)) {
       return Status::NoSpace("page sequence too long for header page");
     }
-    util::EncodeFixed32(hp + 4, n_pages);
+    util::PutFixed32(&head, n_pages);
     size_t off = 0;
     for (uint32_t i = 0; i < n_pages; ++i) {
-      PRIMA_ASSIGN_OR_RETURN(PageGuard comp,
-                             NewPage(seg, PageType::kSeqComponent));
       const size_t chunk = std::min<size_t>(comp_capacity, payload.size() - off);
-      std::memcpy(comp.mutable_data() + PageHeader::kSize, payload.data() + off,
-                  chunk);
-      util::EncodeFixed32(hp + kSeqHeaderFixed + 4 * i, comp.page_no());
+      if (i < old_n) {
+        if (Frame* frame = buffer_->TryFix(PageId{seg, old_pages[i]})) {
+          PageGuard old(buffer_.get(), frame, LatchMode::kShared);
+          kept[i] = std::memcmp(old.data() + PageHeader::kSize,
+                                payload.data() + off, chunk) == 0;
+        }
+      }
+      uint32_t page_no = i < old_n ? old_pages[i] : 0;
+      if (i >= old_n || !kept[i]) {
+        PRIMA_ASSIGN_OR_RETURN(PageGuard comp,
+                               NewPage(seg, PageType::kSeqComponent));
+        std::memcpy(comp.mutable_data() + PageHeader::kSize,
+                    payload.data() + off, chunk);
+        page_no = comp.page_no();
+      }
+      util::PutFixed32(&head, page_no);
       off += chunk;
     }
   }
+  std::memcpy(header.mutable_data() + PageHeader::kSize, head.data(),
+              head.size());
   header.Release();
-  for (uint32_t p : old_pages) {
-    PRIMA_RETURN_IF_ERROR(FreePage(seg, p));
+  for (uint32_t i = 0; i < old_n; ++i) {
+    if (!kept[i]) PRIMA_RETURN_IF_ERROR(FreePage(seg, old_pages[i]));
   }
   return Status::Ok();
 }
@@ -579,15 +601,17 @@ Status StorageSystem::Flush() {
 
 namespace {
 
-// A record carrying the complete page contents (LogFullPage's shape: the
-// header minus checksum and page-LSN, then everything past the header).
-// Only such a record can rebuild a page whose device image is torn — a
-// delta onto a zeroed base would silently destroy the rest of the page.
-bool IsFullImage(const StorageSystem::RedoEntry& e, uint32_t page_size) {
-  return e.ranges.size() == 2 && e.ranges[0].first == 4 &&
-         e.ranges[0].second.size() == PageHeader::kSize - 12 &&
-         e.ranges[1].first == PageHeader::kSize &&
-         e.ranges[1].second.size() == page_size - PageHeader::kSize;
+// Install one redo entry's bytes. A full image (LogFullPage) carries the
+// page's non-zero bytes and rebuilds the whole page from zeros; only such a
+// record can repair a page whose device image is torn — a delta onto a
+// zeroed base would silently destroy the rest of the page.
+void ApplyRedoEntry(const StorageSystem::RedoEntry& e, char* data,
+                    uint32_t page_size) {
+  if (e.full_image) std::memset(data, 0, page_size);
+  for (const auto& [offset, bytes] : e.ranges) {
+    std::memcpy(data + offset, bytes.data(), bytes.size());
+  }
+  PageHeader::set_lsn(data, e.lsn);
 }
 
 }  // namespace
@@ -634,10 +658,7 @@ Result<StorageSystem::RedoChainResult> StorageSystem::RecoverApplyPageRedoChain(
           result.skipped++;
           continue;
         }
-        for (const auto& [offset, bytes] : e.ranges) {
-          std::memcpy(data + offset, bytes.data(), bytes.size());
-        }
-        PageHeader::set_lsn(data, e.lsn);
+        ApplyRedoEntry(e, data, page_size);
         dirtied = true;
         result.applied++;
       }
@@ -661,21 +682,16 @@ Result<StorageSystem::RedoChainResult> StorageSystem::RecoverApplyPageRedoChain(
       !PageHeader::Verify(data, page_size) && !PageIsAllZero(data, page_size);
   bool dirtied = false;
   for (const RedoEntry& e : entries) {
-    bool healed = false;
     if (torn) {
-      if (!IsFullImage(e, page_size)) continue;  // held back, may stay torn
-      std::memset(data, 0, page_size);
+      // A torn page's LSN is meaningless: the first full image heals it,
+      // deltas ahead of it are held back (and the page may stay torn).
+      if (!e.full_image) continue;
       torn = false;
-      healed = true;
-    }
-    if (!healed && PageHeader::lsn(data) >= e.lsn) {
+    } else if (PageHeader::lsn(data) >= e.lsn) {
       result.skipped++;
       continue;
     }
-    for (const auto& [offset, bytes] : e.ranges) {
-      std::memcpy(data + offset, bytes.data(), bytes.size());
-    }
-    PageHeader::set_lsn(data, e.lsn);
+    ApplyRedoEntry(e, data, page_size);
     dirtied = true;
     result.applied++;
   }

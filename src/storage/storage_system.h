@@ -167,10 +167,13 @@ class StorageSystem {
   // --- restart recovery (RecoveryManager only) -------------------------------
 
   /// One physiological redo record of a page's chain: the record LSN and
-  /// the changed byte ranges (offset, bytes). The views borrow the caller's
-  /// record storage and must outlive the apply call.
+  /// the changed byte ranges (offset, bytes). A full image's ranges are the
+  /// page's non-zero bytes: redo zeroes the page before installing them.
+  /// The views borrow the caller's record storage and must outlive the
+  /// apply call.
   struct RedoEntry {
     uint64_t lsn = 0;
+    bool full_image = false;
     std::vector<std::pair<uint32_t, util::Slice>> ranges;
   };
 

@@ -3,12 +3,15 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -27,6 +30,8 @@
 #include "storage/block_device.h"
 #include "storage/page.h"
 #include "storage/storage_system.h"
+#include "util/coding.h"
+#include "util/crc32.h"
 #include "workloads/brep.h"
 
 namespace prima::recovery {
@@ -58,6 +63,8 @@ TEST(LogRecordTest, RoundTripAllTypes) {
     r.page_size = 4096;
     r.ranges.push_back({40, "hello"});
     r.ranges.push_back({200, std::string(300, 'x')});
+    records.push_back(r);
+    r.type = LogRecordType::kPageImage;
     records.push_back(r);
   }
   records.push_back(LogRecord::SegMeta(5, 3, 17, 4));
@@ -336,32 +343,41 @@ TEST(WalWriterTest, AppendersNeverBlockOnAnInFlightForce) {
 }
 
 namespace {
-/// ~1000-byte filler record: with the force seal, one append+force cycle
-/// consumes exactly one log block.
+/// Quarter-block filler record: with the force seal, one append+force
+/// cycle consumes exactly one log block.
 LogRecord FillerRecord(uint64_t id) {
   LogRecord r;
   r.type = LogRecordType::kAtomUndo;
   r.txn_id = id;
   r.tid = id;
-  r.before = std::string(1000, 'x');
+  r.before = std::string(WalWriter::kBlockSize / 4, 'x');
   return r;
 }
+
+/// The smallest ring: a cap of the byte floor plus the two master slots.
+constexpr uint64_t kRingBlocks =
+    WalWriter::kMinRingBytes / WalWriter::kBlockSize;
+constexpr uint64_t kMinRingCap =
+    WalWriter::kMinRingBytes + 2 * WalWriter::kBlockSize;
+/// Blocks non-checkpoint forces must leave free in that ring.
+constexpr uint64_t kReserveBlocks = std::max<uint64_t>(
+    WalWriter::kForceReserveBytes / WalWriter::kBlockSize, kRingBlocks / 4);
 }  // namespace
 
 TEST(WalWriterTest, CircularLogWrapsAndScansAfterReopen) {
   auto device = std::make_shared<MemoryBlockDevice>();
   WalOptions opts;
-  opts.max_bytes = 18 * WalWriter::kBlockSize;  // ring of 16 data blocks
+  opts.max_bytes = kMinRingCap;
   WalWriter wal(device.get(), opts);
   ASSERT_TRUE(wal.Open().ok());
-  EXPECT_EQ(wal.capacity_bytes(), 16 * WalWriter::kBlockSize);
+  EXPECT_EQ(wal.capacity_bytes(), WalWriter::kMinRingBytes);
 
   // Append four rings' worth of records, checkpointing (master write +
   // truncation) every few blocks so the wrapped appends always land on
   // recycled blocks.
   uint64_t last_ckpt = 0;
   int records_since_ckpt = 0;
-  for (uint64_t i = 0; i < 64; ++i) {
+  for (uint64_t i = 0; i < 4 * kRingBlocks; ++i) {
     const uint64_t lsn = wal.Append(FillerRecord(i));
     ASSERT_TRUE(wal.ForceAll().ok()) << "i=" << i;
     records_since_ckpt++;
@@ -401,7 +417,7 @@ TEST(WalWriterTest, CircularLogWrapsAndScansAfterReopen) {
 TEST(WalWriterTest, FullRingRefusesForcesUntilCheckpointTruncates) {
   auto device = std::make_shared<MemoryBlockDevice>();
   WalOptions opts;
-  opts.max_bytes = 18 * WalWriter::kBlockSize;  // ring 16, reserve 8
+  opts.max_bytes = kMinRingCap;
   WalWriter wal(device.get(), opts);
   ASSERT_TRUE(wal.Open().ok());
 
@@ -409,14 +425,15 @@ TEST(WalWriterTest, FullRingRefusesForcesUntilCheckpointTruncates) {
   // once the live window reaches ring - reserve blocks.
   uint64_t last_lsn = 0;
   Status st;
-  int i = 0;
-  for (; i < 20; ++i) {
+  uint64_t i = 0;
+  for (; i < kRingBlocks + 4; ++i) {
     last_lsn = wal.Append(FillerRecord(i));
     st = wal.ForceAll();
     if (!st.ok()) break;
   }
   ASSERT_TRUE(st.IsNoSpace()) << st.ToString();
-  EXPECT_LE(i, 9) << "the checkpoint reserve must be held back";
+  EXPECT_LE(i, kRingBlocks - kReserveBlocks + 1)
+      << "the checkpoint reserve must be held back";
 
   // The checkpoint path gets the reserve, truncates, and unblocks commits.
   wal.SetCheckpointWindow(true);
@@ -431,14 +448,14 @@ TEST(WalWriterTest, CrashMidWraparoundWriteTruncatesAtLastRecord) {
   auto base = std::make_shared<MemoryBlockDevice>();
   auto crash = std::make_shared<CrashingBlockDevice>(base);
   WalOptions opts;
-  opts.max_bytes = 18 * WalWriter::kBlockSize;  // ring 16
+  opts.max_bytes = kMinRingCap;
   WalWriter wal(crash.get(), opts);
   ASSERT_TRUE(wal.Open().ok());
 
-  // Fill 14 of the 16 ring blocks, truncating along the way so the wrap
-  // stays legal.
+  // Fill all but the last two ring blocks, truncating along the way so the
+  // wrap stays legal.
   uint64_t ckpt_lsn = 0;
-  for (uint64_t i = 0; i < 14; ++i) {
+  for (uint64_t i = 0; i < kRingBlocks - 2; ++i) {
     const uint64_t lsn = wal.Append(FillerRecord(i));
     ASSERT_TRUE(wal.ForceAll().ok()) << "i=" << i;
     if (i % 4 == 3) {  // keep the live window under ring - reserve
@@ -454,7 +471,8 @@ TEST(WalWriterTest, CrashMidWraparoundWriteTruncatesAtLastRecord) {
   LogRecord big;
   big.type = LogRecordType::kAtomUndo;
   big.txn_id = 50;
-  big.before = std::string(3 * WalWriter::kBlockSize + 2000, 'q');
+  big.before =
+      std::string(3 * WalWriter::kBlockSize + WalWriter::kBlockSize / 2, 'q');
   wal.Append(big);
   crash->SetWriteBudget(2);
   ASSERT_TRUE(wal.ForceAll().ok());  // the device lies, as crashed disks do
@@ -475,7 +493,7 @@ TEST(WalWriterTest, CrashMidWraparoundWriteTruncatesAtLastRecord) {
                           return Status::Ok();
                         })
                   .ok());
-  EXPECT_EQ(count, 3);  // records 11, 12, 13 — the torn one is gone
+  EXPECT_EQ(count, 3);  // the last three fillers — the torn one is gone
 
   // Appending resumes over the torn bytes.
   reader.Append(FillerRecord(60));
@@ -516,6 +534,190 @@ TEST(WalWriterTest, TornMasterWriteFallsBackToPreviousSlot) {
                         })
                   .ok());
   EXPECT_EQ(count, 2) << "both records remain reachable from the fallback";
+}
+
+/// MemoryBlockDevice that records the device blocks of every chained WAL
+/// write (one per force), in order.
+class ForceRecordingDevice : public MemoryBlockDevice {
+ public:
+  util::Status WriteChained(FileId file, const std::vector<uint64_t>& blocks,
+                            const char* src) override {
+    if (file == storage::kWalSegmentId) wal_forces.push_back(blocks);
+    return MemoryBlockDevice::WriteChained(file, blocks, src);
+  }
+  std::vector<std::vector<uint64_t>> wal_forces;
+};
+
+TEST(WalWriterTest, DurableBlocksAreWriteOnce) {
+  // Many one-commit forces of varying size, on an unbounded log and on the
+  // smallest ring (checkpointed so it wraps). Every force must end on a
+  // sealed block boundary, pad less than a block, and never rewrite a
+  // block an earlier force made durable: on a ring a device block comes
+  // back only after a whole lap of later blocks.
+  for (const uint64_t max_bytes : {uint64_t{0}, kMinRingCap}) {
+    SCOPED_TRACE(max_bytes);
+    auto device = std::make_shared<ForceRecordingDevice>();
+    WalOptions opts;
+    opts.max_bytes = max_bytes;
+    WalWriter wal(device.get(), opts);
+    ASSERT_TRUE(wal.Open().ok());
+
+    const uint64_t laps_end = max_bytes == 0 ? 256 * WalWriter::kBlockSize
+                                             : 3 * wal.capacity_bytes();
+    uint64_t forces = 0;
+    for (uint64_t t = 1; wal.append_lsn() < laps_end; ++t) {
+      wal.Append(LogRecord::Begin(t));
+      LogRecord undo = FillerRecord(t);
+      undo.before.assign((t * 37) % (3 * WalWriter::kBlockSize), 'u');
+      wal.Append(undo);
+      const uint64_t commit = wal.Append(LogRecord::Commit(t));
+      const uint64_t pad_before = wal.stats().pad_bytes.load();
+      ASSERT_TRUE(wal.CommitForce(commit).ok()) << "t=" << t;
+      ++forces;
+      EXPECT_LT(wal.stats().pad_bytes.load() - pad_before,
+                WalWriter::kBlockSize);
+      EXPECT_EQ(wal.durable_lsn() % WalWriter::kBlockSize, 0u)
+          << "every force ends on a sealed block boundary";
+      if (max_bytes != 0 && t % 8 == 0) {
+        ASSERT_TRUE(wal.WriteMaster(commit, commit).ok());
+      }
+    }
+    EXPECT_GT(wal.stats().pad_bytes.load(), 0u) << "forces seal their tail";
+    EXPECT_LT(wal.stats().pad_bytes.load(), forces * WalWriter::kBlockSize);
+    ASSERT_EQ(device->wal_forces.size(), forces);
+
+    // Write-once forces cover consecutive stream blocks, so the running
+    // block count is the stream block index. A rewrite of a device block
+    // by a later force must be a whole ring lap later.
+    const uint64_t lap = max_bytes == 0
+                             ? std::numeric_limits<uint64_t>::max()
+                             : wal.capacity_bytes() / WalWriter::kBlockSize;
+    std::map<uint64_t, std::pair<size_t, uint64_t>> last;  // force, index
+    uint64_t index = 0;
+    for (size_t f = 0; f < device->wal_forces.size(); ++f) {
+      for (const uint64_t block : device->wal_forces[f]) {
+        auto it = last.find(block);
+        if (it != last.end()) {
+          EXPECT_NE(it->second.first, f) << "block " << block << " twice";
+          EXPECT_GE(index - it->second.second, lap)
+              << "force " << f << " rewrote durable block " << block
+              << " of force " << it->second.first;
+        }
+        last[block] = {f, index++};
+      }
+    }
+    EXPECT_EQ(index * WalWriter::kBlockSize, wal.durable_lsn());
+  }
+}
+
+TEST(WalWriterTest, TornForceAtEveryBlockBoundaryKeepsAcknowledgedCommits) {
+  constexpr uint64_t kAcked = 5;
+  auto commit_prefix = [](WalWriter& wal) {
+    for (uint64_t t = 1; t <= kAcked; ++t) {
+      wal.Append(LogRecord::Begin(t));
+      ASSERT_TRUE(wal.CommitForce(wal.Append(LogRecord::Commit(t))).ok());
+    }
+  };
+  // One record spanning several blocks: any torn prefix of its force
+  // leaves it incomplete.
+  LogRecord big;
+  big.type = LogRecordType::kAtomUndo;
+  big.txn_id = 99;
+  big.before = std::string(5 * WalWriter::kBlockSize, 'q');
+
+  uint64_t force_blocks = 0;
+  {
+    MemoryBlockDevice device;
+    WalWriter wal(&device);
+    ASSERT_TRUE(wal.Open().ok());
+    commit_prefix(wal);
+    const uint64_t before = wal.stats().blocks_forced.load();
+    wal.Append(big);
+    ASSERT_TRUE(wal.ForceAll().ok());
+    force_blocks = wal.stats().blocks_forced.load() - before;
+  }
+  ASSERT_GE(force_blocks, 6u);
+
+  for (uint64_t tear = 0; tear < force_blocks; ++tear) {
+    SCOPED_TRACE(tear);
+    auto base = std::make_shared<MemoryBlockDevice>();
+    uint64_t durable_end = 0;
+    {
+      auto crash = std::make_shared<CrashingBlockDevice>(base);
+      WalWriter wal(crash.get());
+      ASSERT_TRUE(wal.Open().ok());
+      commit_prefix(wal);
+      durable_end = wal.durable_lsn();
+      wal.Append(big);
+      crash->SetWriteBudget(tear);  // the chained force lands `tear` blocks
+      ASSERT_TRUE(wal.ForceAll().ok());  // the device lies
+      EXPECT_EQ(crash->dropped_blocks(), force_blocks - tear);
+    }
+
+    auto commits = [&] {
+      std::vector<uint64_t> ids;
+      WalWriter reader(base.get());
+      EXPECT_TRUE(reader.Open().ok());
+      EXPECT_TRUE(reader
+                      .Scan(0,
+                            [&](const LogRecord& rec) {
+                              EXPECT_NE(rec.txn_id, 99u) << "torn record";
+                              if (rec.type == LogRecordType::kCommit) {
+                                ids.push_back(rec.txn_id);
+                              }
+                              return Status::Ok();
+                            })
+                      .ok());
+      return ids;
+    };
+    {
+      WalWriter reader(base.get());
+      ASSERT_TRUE(reader.Open().ok());
+      EXPECT_EQ(reader.append_lsn(), durable_end);
+      // Appending resumes over the torn bytes.
+      ASSERT_TRUE(
+          reader.CommitForce(reader.Append(LogRecord::Commit(100))).ok());
+    }
+    EXPECT_EQ(commits(), std::vector<uint64_t>({1, 2, 3, 4, 5, 100}));
+  }
+}
+
+TEST(WalWriterTest, RefusesLogsWithOlderBlockSize) {
+  // A format-2 log: 4096-byte blocks with a valid master in slot 0. Open
+  // must refuse it before reading a block into its 512-byte buffers.
+  auto base = std::make_shared<MemoryBlockDevice>();
+  ASSERT_TRUE(base->Create(storage::kWalSegmentId, 4096).ok());
+  std::string master(4096, '\0');
+  util::EncodeFixed32(master.data(), 0x5057414Cu);  // "PWAL"
+  util::EncodeFixed32(master.data() + 4, 2);
+  util::EncodeFixed64(master.data() + 32, 1);
+  util::EncodeFixed32(master.data() + 40,
+                      util::Crc32(Slice(master.data(), 40)));
+  ASSERT_TRUE(base->Write(storage::kWalSegmentId, 0, master.data()).ok());
+  CrashingBlockDevice counting(base);
+  WalWriter wal(&counting);
+  Status st = wal.Open();
+  EXPECT_TRUE(st.IsNotSupported()) << st.ToString();
+  EXPECT_NE(st.ToString().find("format 2"), std::string::npos)
+      << st.ToString();
+  EXPECT_EQ(counting.stats().blocks_read, 0u) << "nothing read before refusal";
+
+  // The same for an archive left by an older log next to a current one.
+  auto device = std::make_shared<MemoryBlockDevice>();
+  {
+    WalOptions opts;
+    opts.max_bytes = kMinRingCap;
+    opts.archive = true;
+    WalWriter fresh(device.get(), opts);
+    ASSERT_TRUE(fresh.Open().ok());
+  }
+  ASSERT_TRUE(device->Remove(storage::kArchiveSegmentId).ok());
+  ASSERT_TRUE(device->Create(storage::kArchiveSegmentId, 4096).ok());
+  WalWriter reader(device.get());
+  st = reader.Open();
+  EXPECT_TRUE(st.IsNotSupported()) << st.ToString();
+  EXPECT_NE(st.ToString().find("format 2"), std::string::npos)
+      << st.ToString();
 }
 
 // ---------------------------------------------------------------------------
@@ -586,14 +788,15 @@ TEST(LogArchiverTest, UncommittedTailIsRewrittenAfterReopen) {
 TEST(WalWriterTest, ArchiveExtendsScanAcrossRecycledBlocks) {
   auto device = std::make_shared<MemoryBlockDevice>();
   WalOptions opts;
-  opts.max_bytes = 18 * WalWriter::kBlockSize;  // ring of 16 data blocks
+  opts.max_bytes = kMinRingCap;
   opts.archive = true;
   WalWriter wal(device.get(), opts);
   ASSERT_TRUE(wal.Open().ok());
   ASSERT_NE(wal.archiver(), nullptr);
 
+  constexpr uint64_t kRecords = 4 * kRingBlocks;
   uint64_t last_ckpt = 0;
-  for (uint64_t i = 0; i < 64; ++i) {
+  for (uint64_t i = 0; i < kRecords; ++i) {
     const uint64_t lsn = wal.Append(FillerRecord(i));
     ASSERT_TRUE(wal.ForceAll().ok()) << "i=" << i;
     if (i % 4 == 3) {
@@ -616,8 +819,8 @@ TEST(WalWriterTest, ArchiveExtendsScanAcrossRecycledBlocks) {
                          return Status::Ok();
                        })
                   .ok());
-  ASSERT_EQ(ids.size(), 64u);
-  for (uint64_t i = 0; i < 64; ++i) EXPECT_EQ(ids[i], i);
+  ASSERT_EQ(ids.size(), kRecords);
+  for (uint64_t i = 0; i < kRecords; ++i) EXPECT_EQ(ids[i], i);
 
   // Reopen WITHOUT the flag: an existing archive is honored regardless, so
   // later runs cannot silently punch holes in the history.
@@ -626,7 +829,7 @@ TEST(WalWriterTest, ArchiveExtendsScanAcrossRecycledBlocks) {
   WalWriter reader(device.get(), reopen_opts);
   ASSERT_TRUE(reader.Open().ok());
   ASSERT_NE(reader.archiver(), nullptr);
-  int count = 0;
+  uint64_t count = 0;
   ASSERT_TRUE(reader
                   .Scan(0,
                         [&](const LogRecord&) {
@@ -634,7 +837,7 @@ TEST(WalWriterTest, ArchiveExtendsScanAcrossRecycledBlocks) {
                           return Status::Ok();
                         })
                   .ok());
-  EXPECT_EQ(count, 64);
+  EXPECT_EQ(count, kRecords);
 
   // Damage the first archived block: the historical scan ends there (the
   // WAL fragment CRCs reject the junk) without fabricating records, and
@@ -671,7 +874,7 @@ TEST(CheckpointDaemonTest, TriggersOnRingFractionThreshold) {
       std::make_unique<MemoryBlockDevice>(), storage::StorageOptions{});
   ASSERT_TRUE(storage->Open().ok());
   WalOptions wal_opts;
-  wal_opts.max_bytes = 18 * WalWriter::kBlockSize;  // ring 16 = 64KB
+  wal_opts.max_bytes = kMinRingCap;  // 64 KiB ring
   WalWriter wal(&storage->device(), wal_opts);
   ASSERT_TRUE(wal.Open().ok());
   storage->SetWal(&wal);
@@ -690,9 +893,9 @@ TEST(CheckpointDaemonTest, TriggersOnRingFractionThreshold) {
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_EQ(wal.stats().auto_checkpoints.load(), 0u);
 
-  // Cross it: six more one-block records put the live window at 7 blocks
-  // (28KB). The daemon must checkpoint and truncate on its own.
-  for (uint64_t i = 2; i <= 7; ++i) {
+  // Cross it: more one-block records put the live window at 7/16 of the
+  // ring (28KB). The daemon must checkpoint and truncate on its own.
+  for (uint64_t i = 2; i <= 7 * kRingBlocks / 16; ++i) {
     wal.Append(FillerRecord(i));
     ASSERT_TRUE(wal.ForceAll().ok());
   }
@@ -1313,8 +1516,8 @@ TEST_F(CrashRecoveryTest, DaemonKeepsSustainedWorkloadOutOfNoSpace) {
 
 TEST_F(CrashRecoveryTest, CommitNoSpacePokesDaemonAndRetries) {
   core::PrimaOptions options;
-  options.wal_max_bytes = 128 * 4096;  // ring of 126 blocks, reserve 31:
-                                       // commits refused at 95 live blocks,
+  options.wal_max_bytes = 128 * 4096;  // ring of 511 KiB, reserve 1/4:
+                                       // commits refused at ~383 KiB live,
                                        // with ample reserve left for the
                                        // checkpoint's own log traffic
   options.checkpoint_ring_fraction = 0.99;  // threshold above the NoSpace
@@ -1404,9 +1607,10 @@ TEST_F(CrashRecoveryTest, MediaRecoveryRebuildsDestroyedDataDevice) {
   // recovery loudly: silently treating the CRC failure as end-of-log
   // would "recover" an ancient state. (Plain restart never reads the
   // archive and is unaffected — covered above by db3's clean reopen.)
-  char junk[4096];
+  char junk[LogArchiver::kWalBlockSize];
   std::memset(junk, 0xEE, sizeof(junk));
-  const uint64_t bad_block = 1 + info->start_lsn / 4096 + 2;
+  const uint64_t bad_block =
+      1 + info->start_lsn / LogArchiver::kWalBlockSize + 2;
   ASSERT_TRUE(
       base_->Write(storage::kArchiveSegmentId, bad_block, junk).ok());
   for (storage::SegmentId id : base_->ListFiles()) {
@@ -1659,13 +1863,15 @@ TEST_F(CrashRecoveryTest, MediaRecoveryCrossProcessDrive) {
 // Parallel redo: per-page chains over the thread pool
 // ---------------------------------------------------------------------------
 
-// Build a full-image redo entry (LogFullPage's range shape) over `image`.
-// The caller keeps `image` alive for the entry's lifetime.
+// Build a full-image redo entry over `image` (the whole page but the
+// checksum and page-LSN). The caller keeps `image` alive for the entry's
+// lifetime.
 storage::StorageSystem::RedoEntry FullImageEntry(const char* image,
                                                  uint32_t page_size,
                                                  uint64_t lsn) {
   storage::StorageSystem::RedoEntry e;
   e.lsn = lsn;
+  e.full_image = true;
   e.ranges.emplace_back(4, Slice(image + 4, PageHeader::kSize - 12));
   e.ranges.emplace_back(PageHeader::kSize,
                         Slice(image + PageHeader::kSize,
