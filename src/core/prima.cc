@@ -279,7 +279,7 @@ Result<mql::MoleculeSet> Prima::QueryParallel(const std::string& mql,
   const size_t width = max_units == 0 ? pool_->num_threads() : max_units;
   PRIMA_ASSIGN_OR_RETURN(
       mql::MoleculeCursor cursor,
-      data_->executor().OpenCursor(std::move(stmt.query), width));
+      data_->executor().OpenCursor(std::move(stmt.query), {}, width));
   data_->stats().queries++;
   return cursor.Drain();
 }

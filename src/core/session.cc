@@ -15,15 +15,6 @@ using util::Status;
 
 namespace {
 
-bool ExprHasParam(const mql::Expr* e) {
-  if (e == nullptr) return false;
-  if (e->param >= 0) return true;
-  for (const mql::ExprPtr& c : e->children) {
-    if (ExprHasParam(c.get())) return true;
-  }
-  return ExprHasParam(e->quant_body.get());
-}
-
 /// The WHERE clause whose root predicates feed the plan, if the statement
 /// has one.
 const mql::Expr* PlannedWhere(const Statement& stmt) {
@@ -211,8 +202,9 @@ Status Session::AbortWork() {
   return st;
 }
 
-Result<ExecResult> Session::ExecuteStatement(const Statement& stmt,
-                                             const mql::QueryPlan* plan) {
+Result<ExecResult> Session::ExecuteStatement(
+    const Statement& stmt, const mql::QueryPlan* plan,
+    const std::vector<access::Value>& params) {
   if (read_only_pin_ != nullptr) {
     if (IsDml(stmt.kind)) {
       return Status::InvalidArgument(
@@ -230,7 +222,7 @@ Result<ExecResult> Session::ExecuteStatement(const Statement& stmt,
     // changes are not undo-logged — see ROADMAP "log catalog/DDL
     // operations"); transaction control dispatches back into the session.
     Ctx ctx(this, nullptr);
-    return data_->ExecuteStatement(stmt, &ctx, plan);
+    return data_->ExecuteStatement(stmt, &ctx, plan, params);
   }
 
   // DML: every mutation runs inside a transaction. Outside an open
@@ -249,7 +241,8 @@ Result<ExecResult> Session::ExecuteStatement(const Statement& stmt,
   }
 
   Ctx ctx(this, stmt_txn);
-  Result<ExecResult> result = data_->ExecuteStatement(stmt, &ctx, plan);
+  Result<ExecResult> result =
+      data_->ExecuteStatement(stmt, &ctx, plan, params);
   Status outcome;
   if (result.ok()) {
     outcome = stmt_txn->Commit();
@@ -297,6 +290,7 @@ std::shared_ptr<access::VersionStore::Pin> Session::PinForQuery(
 
 Result<MoleculeCursor> Session::OpenCursor(mql::Query query,
                                            const mql::QueryPlan* plan,
+                                           std::vector<access::Value> params,
                                            std::optional<Isolation> isolation) {
   std::shared_ptr<access::VersionStore::Pin> snapshot = PinForQuery(isolation);
   std::shared_ptr<const std::atomic<bool>> token;
@@ -314,16 +308,17 @@ Result<MoleculeCursor> Session::OpenCursor(mql::Query query,
   PRIMA_ASSIGN_OR_RETURN(
       MoleculeCursor cursor,
       plan != nullptr
-          ? exec.OpenCursorWithPlan(std::move(query), *plan, width,
-                                    std::move(token), active_trace_,
+          ? exec.OpenCursorWithPlan(std::move(query), *plan, std::move(params),
+                                    width, std::move(token), active_trace_,
                                     std::move(snapshot))
-          : exec.OpenCursor(std::move(query), width, std::move(token),
-                            active_trace_, std::move(snapshot)));
+          : exec.OpenCursor(std::move(query), std::move(params), width,
+                            std::move(token), active_trace_,
+                            std::move(snapshot)));
   data_->stats().queries++;
   return cursor;
 }
 
-Result<std::shared_ptr<const mql::CachedStatement>> Session::CompileOneShot(
+Result<std::shared_ptr<const mql::CachedStatement>> Session::Compile(
     const std::string& mql) {
   // The version is read BEFORE parsing/planning: racing DDL can only make
   // the stamp conservatively old, so the entry reads as stale and is
@@ -347,13 +342,9 @@ Result<std::shared_ptr<const mql::CachedStatement>> Session::CompileOneShot(
     if (trace != nullptr) trace->AddPhaseNs("parse", ns);
     if (tel != nullptr) tel->parse_us()->Record(ns / 1000);
   }
-  if (!entry->stmt.params.empty()) {
-    return Status::InvalidArgument(
-        "statement has placeholders - use Session::Prepare and bind them");
-  }
-  // Plan FROM-bearing statements now (no placeholders can be present, so
-  // every literal the plan embeds is fixed by the text — exactly what a
-  // text-keyed cache may reuse).
+  // Plan FROM-bearing statements now. The plan holds literals and
+  // parameter slots, never bound values, so a text-keyed cache may share it
+  // among every session and binding.
   if (const mql::FromClause* from = PlannedFrom(entry->stmt)) {
     const uint64_t t0 = (trace || tel) ? obs::NowNs() : 0;
     PRIMA_ASSIGN_OR_RETURN(
@@ -416,28 +407,47 @@ Result<ExecResult> Session::RunInstrumented(const std::string& text,
   return r;
 }
 
-Result<ExecResult> Session::ExecuteCompiled(const std::string& mql) {
+Result<std::shared_ptr<const mql::CachedStatement>> Session::CompileOneShot(
+    const std::string& mql) {
   PRIMA_ASSIGN_OR_RETURN(std::shared_ptr<const mql::CachedStatement> compiled,
-                         CompileOneShot(mql));
+                         Compile(mql));
+  if (!compiled->stmt.params.empty()) {
+    return Status::InvalidArgument(
+        "statement has placeholders - use Session::Prepare and bind them");
+  }
+  return compiled;
+}
+
+Result<ExecResult> Session::RunCompiled(
+    const mql::CachedStatement& compiled, std::vector<access::Value> params,
+    std::optional<Isolation> isolation) {
   const mql::QueryPlan* plan =
-      compiled->plan.has_value() ? &*compiled->plan : nullptr;
-  if (compiled->stmt.kind == Statement::Kind::kQuery) {
-    // The materializing facade is exactly "open a cursor, drain it". The
-    // cursor owns a clone — the shared cache entry stays immutable.
+      compiled.plan.has_value() ? &*compiled.plan : nullptr;
+  if (compiled.stmt.kind == Statement::Kind::kQuery) {
+    // The materializing facade is exactly "open a cursor, drain it" — the
+    // cursor path applies the session's isolation (and the statement's
+    // override). The cursor owns a clone; the compiled statement stays
+    // immutable.
     PRIMA_ASSIGN_OR_RETURN(
         MoleculeCursor cursor,
-        OpenCursor(mql::CloneQuery(compiled->stmt.query), plan));
+        OpenCursor(mql::CloneQuery(compiled.stmt.query), plan,
+                   std::move(params), isolation));
     ExecResult r;
     r.kind = ExecResult::Kind::kMolecules;
     PRIMA_ASSIGN_OR_RETURN(r.molecules, cursor.Drain());
     return r;
   }
-  return ExecuteStatement(compiled->stmt, plan);
+  return ExecuteStatement(compiled.stmt, plan, params);
 }
 
 Result<ExecResult> Session::Execute(const std::string& mql) {
-  return RunInstrumented(mql, IsExplainAnalyze(mql),
-                         [&] { return ExecuteCompiled(mql); });
+  return RunInstrumented(
+      mql, IsExplainAnalyze(mql), [&]() -> Result<ExecResult> {
+        PRIMA_ASSIGN_OR_RETURN(
+            std::shared_ptr<const mql::CachedStatement> compiled,
+            CompileOneShot(mql));
+        return RunCompiled(*compiled, {}, std::nullopt);
+      });
 }
 
 Result<MoleculeCursor> Session::Query(const std::string& mql,
@@ -454,41 +464,42 @@ Result<MoleculeCursor> Session::Query(const std::string& mql,
   }
   return OpenCursor(mql::CloneQuery(compiled->stmt.query),
                     compiled->plan.has_value() ? &*compiled->plan : nullptr,
-                    isolation);
+                    {}, isolation);
 }
 
 Result<PreparedStatement> Session::Prepare(const std::string& mql,
                                            std::optional<Isolation> isolation) {
-  PreparedStatement ps(this);
-  ps.isolation_ = isolation;
-  PRIMA_ASSIGN_OR_RETURN(ps.stmt_, mql::ParseStatement(mql));
-  if (ps.stmt_.explain_analyze) {
+  PRIMA_ASSIGN_OR_RETURN(std::shared_ptr<const mql::CachedStatement> compiled,
+                         Compile(mql));
+  if (compiled->stmt.explain_analyze) {
     return Status::InvalidArgument(
         "EXPLAIN ANALYZE cannot be prepared - use Execute");
   }
-  ps.text_ = mql;
-  ps.bound_.resize(ps.stmt_.params.size());
   data_->stats().statements_prepared++;
-  // Plan now when no placeholder can reach the WHERE clause (placeholders
-  // in INSERT/MODIFY SET values never affect access-path choice); plans
-  // with placeholders in the WHERE wait for the first execution's bound
-  // values — planning around unbound slots would embed nulls in the key.
-  if (PlannedFrom(ps.stmt_) != nullptr && !ExprHasParam(PlannedWhere(ps.stmt_))) {
-    ps.plan_schema_version_ = data_->access().catalog().schema_version();
-    PRIMA_ASSIGN_OR_RETURN(
-        mql::QueryPlan plan,
-        data_->executor().Prepare(*PlannedFrom(ps.stmt_),
-                                  PlannedWhere(ps.stmt_)));
-    ps.plan_ = std::move(plan);
-    ps.plans_computed_++;
-    data_->stats().prepared_plans++;
-  }
-  return ps;
+  return PreparedStatement(this, mql, std::move(compiled), isolation);
 }
 
 // ---------------------------------------------------------------------------
 // PreparedStatement
 // ---------------------------------------------------------------------------
+
+PreparedStatement::PreparedStatement(
+    Session* session, std::string text,
+    std::shared_ptr<const mql::CachedStatement> compiled,
+    std::optional<Isolation> isolation)
+    : session_(session), text_(std::move(text)), isolation_(isolation) {
+  Adopt(std::move(compiled));
+  bound_.resize(compiled_->stmt.params.size());
+}
+
+void PreparedStatement::Adopt(
+    std::shared_ptr<const mql::CachedStatement> compiled) {
+  compiled_ = std::move(compiled);
+  if (compiled_->plan.has_value()) {
+    plans_computed_++;
+    session_->data_->stats().prepared_plans++;
+  }
+}
 
 Status PreparedStatement::Bind(size_t index, access::Value value) {
   if (index >= bound_.size()) {
@@ -506,8 +517,9 @@ Status PreparedStatement::Bind(const std::string& name, access::Value value) {
     // silently bind the wrong slot for a caller's empty name variable.
     return Status::InvalidArgument("bind by name needs a non-empty name");
   }
-  for (size_t i = 0; i < stmt_.params.size(); ++i) {
-    if (stmt_.params[i].name == name) return Bind(i, std::move(value));
+  const std::vector<mql::ParamDecl>& params = compiled_->stmt.params;
+  for (size_t i = 0; i < params.size(); ++i) {
+    if (params[i].name == name) return Bind(i, std::move(value));
   }
   return Status::InvalidArgument("no placeholder named :" + name);
 }
@@ -516,101 +528,57 @@ void PreparedStatement::ClearBindings() {
   bound_.assign(bound_.size(), std::nullopt);
 }
 
-Status PreparedStatement::CheckBound() const {
+Result<std::vector<access::Value>> PreparedStatement::Ready() {
+  std::vector<access::Value> values;
+  values.reserve(bound_.size());
   for (size_t i = 0; i < bound_.size(); ++i) {
     if (!bound_[i].has_value()) {
-      const std::string& name = stmt_.params[i].name;
+      const std::string& name = compiled_->stmt.params[i].name;
       return Status::InvalidArgument(
           "parameter " + std::to_string(i) +
           (name.empty() ? "" : " (:" + name + ")") + " is unbound");
     }
+    values.push_back(*bound_[i]);
   }
-  return Status::Ok();
-}
-
-Status PreparedStatement::BindAndPlan() {
-  PRIMA_RETURN_IF_ERROR(CheckBound());
-  std::vector<access::Value> values;
-  values.reserve(bound_.size());
-  for (const auto& v : bound_) values.push_back(*v);
-  mql::SubstituteStatementParams(&stmt_, values);
-
-  if (PlannedFrom(stmt_) == nullptr) {
-    return Status::Ok();  // no FROM clause, nothing to plan
+  // DDL since the compile may have dropped or replaced a structure the
+  // plan (or the resolved AST) names: recompile rather than chase stale
+  // ids. A failed recompile keeps the old compile, so the next execution
+  // tries again.
+  if (compiled_->schema_version !=
+      session_->data_->access().catalog().schema_version()) {
+    PRIMA_ASSIGN_OR_RETURN(std::shared_ptr<const mql::CachedStatement> fresh,
+                           session_->Compile(text_));
+    Adopt(std::move(fresh));
   }
-  const uint64_t schema_version =
-      session_->data_->access().catalog().schema_version();
-  bool need_plan =
-      !plan_.has_value() || plan_schema_version_ != schema_version;
-  if (!need_plan && !plan_->root_param_deps.empty()) {
-    // Re-plan only when a binding the plan EMBEDS changed (eq-key /
-    // range / sarg operands). Everything else reuses the plan verbatim.
-    for (size_t i = 0; i < plan_->root_param_deps.size(); ++i) {
-      const int dep = plan_->root_param_deps[i];
-      if (values[dep].Compare(plan_dep_values_[i]) != 0) {
-        need_plan = true;
-        break;
-      }
-    }
-  }
-  if (need_plan) {
-    plan_schema_version_ = schema_version;
-    PRIMA_ASSIGN_OR_RETURN(
-        mql::QueryPlan plan,
-        session_->data_->executor().Prepare(*PlannedFrom(stmt_),
-                                            PlannedWhere(stmt_)));
-    plan_ = std::move(plan);
-    plan_dep_values_.clear();
-    for (const int dep : plan_->root_param_deps) {
-      plan_dep_values_.push_back(values[dep]);
-    }
-    plans_computed_++;
-    session_->data_->stats().prepared_plans++;
-  }
-  return Status::Ok();
+  return values;
 }
 
 Result<ExecResult> PreparedStatement::Execute() {
-  // The whole bind-plan-execute sequence runs inside the telemetry wrapper,
-  // so a re-plan forced by changed bindings shows up in the statement's
-  // latency (and its trace, when sampled or slow-logged).
+  // Runs inside the telemetry wrapper, so a recompile forced by DDL shows
+  // up in the statement's latency (and its trace, when sampled or
+  // slow-logged).
   return session_->RunInstrumented(
       text_, /*explain=*/false, [&]() -> Result<ExecResult> {
-        PRIMA_RETURN_IF_ERROR(BindAndPlan());
+        PRIMA_ASSIGN_OR_RETURN(std::vector<access::Value> params, Ready());
         executions_++;
         session_->data_->stats().prepared_executions++;
-        if (stmt_.kind == Statement::Kind::kQuery) {
-          // Queries go through the cursor path (same as one-shot Execute)
-          // so the session's isolation — and this statement's override —
-          // applies; the raw executor entry point knows nothing of views.
-          PRIMA_ASSIGN_OR_RETURN(
-              MoleculeCursor cursor,
-              session_->OpenCursor(mql::CloneQuery(stmt_.query),
-                                   plan_.has_value() ? &*plan_ : nullptr,
-                                   isolation_));
-          ExecResult r;
-          r.kind = ExecResult::Kind::kMolecules;
-          PRIMA_ASSIGN_OR_RETURN(r.molecules, cursor.Drain());
-          return r;
-        }
-        return session_->ExecuteStatement(
-            stmt_, plan_.has_value() ? &*plan_ : nullptr);
+        return session_->RunCompiled(*compiled_, std::move(params),
+                                     isolation_);
       });
 }
 
 Result<MoleculeCursor> PreparedStatement::Query(
     std::optional<Isolation> isolation) {
-  if (stmt_.kind != Statement::Kind::kQuery) {
+  if (compiled_->stmt.kind != Statement::Kind::kQuery) {
     return Status::InvalidArgument("prepared statement is not a query");
   }
-  PRIMA_RETURN_IF_ERROR(BindAndPlan());
+  PRIMA_ASSIGN_OR_RETURN(std::vector<access::Value> params, Ready());
   executions_++;
   session_->data_->stats().prepared_executions++;
-  // The cursor owns a clone, so this statement can be re-bound and
-  // re-executed while the cursor drains.
-  return session_->OpenCursor(mql::CloneQuery(stmt_.query),
-                              plan_.has_value() ? &*plan_ : nullptr,
-                              isolation.has_value() ? isolation : isolation_);
+  return session_->OpenCursor(
+      mql::CloneQuery(compiled_->stmt.query),
+      compiled_->plan.has_value() ? &*compiled_->plan : nullptr,
+      std::move(params), isolation.has_value() ? isolation : isolation_);
 }
 
 }  // namespace prima::core

@@ -28,14 +28,16 @@ enum class Isolation : uint8_t {
   kSnapshot = 1,
 };
 
-/// A compiled MQL statement (paper §3.1 separates *preparation* — query
-/// validation & modification, simplification, and access-path selection —
-/// from *execution*): parse + semantic analysis run once in
-/// Session::Prepare, `?` / `:name` placeholders are bound per execution,
-/// and the query plan is cached. The plan is re-computed ONLY when a bound
-/// value it embeds changes (a placeholder feeding the root-access choice,
-/// e.g. an eq-key placeholder); re-binding parameters that live elsewhere
-/// in the WHERE clause reuses the plan verbatim.
+/// A compiled MQL statement bound per execution (paper §3.1 separates
+/// *preparation* — query validation & modification, simplification, and
+/// access-path selection — from *execution*). Session::Prepare compiles
+/// through the same path as one-shot statements: parse, plan, stamp the
+/// schema version, publish to the shared statement cache. The compiled
+/// statement is immutable and value-free — its plan holds parameter slots,
+/// not values — so sessions preparing the same text share one compile, and
+/// `?` / `:name` bindings travel beside it, read only when a cursor opens
+/// or a DML statement runs. Re-binding never re-plans; the statement
+/// recompiles only when DDL has moved the schema since its compile.
 ///
 /// A prepared statement belongs to its session (same threading contract)
 /// and must not outlive it.
@@ -44,7 +46,7 @@ class PreparedStatement {
   PreparedStatement(PreparedStatement&&) = default;
   PreparedStatement& operator=(PreparedStatement&&) = default;
 
-  size_t param_count() const { return stmt_.params.size(); }
+  size_t param_count() const { return bound_.size(); }
 
   /// Bind a value to a placeholder by 0-based position (both `?` and
   /// `:name` slots count, in placeholder order).
@@ -59,8 +61,8 @@ class PreparedStatement {
   /// transaction, exactly like Session::Execute.
   util::Result<mql::ExecResult> Execute();
 
-  /// Open a streaming cursor (SELECT statements only). The cursor clones
-  /// the bound query, so the statement may be re-bound and re-executed
+  /// Open a streaming cursor (SELECT statements only). The cursor copies
+  /// the bound values, so the statement may be re-bound and re-executed
   /// while the cursor drains. `isolation` overrides — for this one open —
   /// the statement's Prepare-time override and the session default.
   util::Result<mql::MoleculeCursor> Query(
@@ -70,34 +72,29 @@ class PreparedStatement {
   uint64_t executions() const { return executions_; }
   /// The original MQL text (slow-query log attribution).
   const std::string& text() const { return text_; }
-  /// Plans computed so far — stays at 1 across any number of executions
-  /// until a root-access-relevant binding changes. The acceptance gauge
-  /// for "prepared once, executed N times".
+  /// Plans this statement has taken (compiled, or found in the shared
+  /// statement cache): 1 until DDL moves the schema, however often the
+  /// bindings change. The acceptance gauge for "prepared once, executed N
+  /// times".
   uint64_t plans_computed() const { return plans_computed_; }
 
  private:
   friend class Session;
-  explicit PreparedStatement(Session* session) : session_(session) {}
+  PreparedStatement(Session* session, std::string text,
+                    std::shared_ptr<const mql::CachedStatement> compiled,
+                    std::optional<Isolation> isolation);
 
-  /// All slots bound? Error names the first unbound one.
-  util::Status CheckBound() const;
-  /// Substitute bindings and (re)plan if needed.
-  util::Status BindAndPlan();
+  /// Take a compiled statement, counting its plan (statements without a
+  /// FROM clause have none).
+  void Adopt(std::shared_ptr<const mql::CachedStatement> compiled);
+  /// The bound values in slot order, after recompiling if DDL moved the
+  /// schema since the last compile. The error names the first unbound slot.
+  util::Result<std::vector<access::Value>> Ready();
 
   Session* session_;
-  mql::Statement stmt_;
   std::string text_;
+  std::shared_ptr<const mql::CachedStatement> compiled_;
   std::vector<std::optional<access::Value>> bound_;
-  /// Cached plan for statements with a FROM clause; absent until first
-  /// needed (planning with unbound placeholders would embed nulls).
-  std::optional<mql::QueryPlan> plan_;
-  /// Values of plan_->root_param_deps at planning time; a mismatch with
-  /// the current bindings forces a re-plan.
-  std::vector<access::Value> plan_dep_values_;
-  /// Catalog::schema_version() at planning time: any DDL since then may
-  /// have dropped or replaced a structure the plan embeds, so the next
-  /// execution re-plans (and re-analyzes) instead of chasing stale ids.
-  uint64_t plan_schema_version_ = 0;
   uint64_t executions_ = 0;
   uint64_t plans_computed_ = 0;
   /// Per-statement isolation override (queries only); nullopt = the
@@ -145,7 +142,8 @@ class Session {
       const std::string& mql,
       std::optional<Isolation> isolation = std::nullopt);
 
-  /// Compile a statement for repeated execution with placeholders.
+  /// Compile a statement for repeated execution with placeholders, through
+  /// the same compile path (and shared cache) as one-shot statements.
   /// `isolation` overrides the session default for every execution of the
   /// returned statement (queries only; DML ignores it).
   util::Result<PreparedStatement> Prepare(
@@ -205,20 +203,28 @@ class Session {
     Transaction* txn_;  ///< null only for statements that never reach DML
   };
 
-  /// Execute a parsed (and substituted) statement under the session's
-  /// transaction scope, with an optional cached plan. Const: shared-cache
-  /// entries are executed concurrently by many sessions.
-  util::Result<mql::ExecResult> ExecuteStatement(const mql::Statement& stmt,
-                                                 const mql::QueryPlan* plan);
-
-  /// One-shot compile path: consult the shared statement cache, else parse
-  /// `mql` (placeholders refused — they must go through Prepare), plan
-  /// FROM-bearing statements, and publish cacheable kinds back to the
-  /// cache. DDL and transaction control compile but are never cached.
-  util::Result<std::shared_ptr<const mql::CachedStatement>> CompileOneShot(
+  /// The one compile path, shared by one-shot statements and Prepare:
+  /// consult the shared statement cache, else parse `mql`, plan
+  /// FROM-bearing statements (placeholders stay slots in the plan), stamp
+  /// the schema version, and publish cacheable kinds back to the cache.
+  /// DDL and transaction control compile but are never cached.
+  util::Result<std::shared_ptr<const mql::CachedStatement>> Compile(
       const std::string& mql);
+
+  /// Run a compiled statement under the session's transaction scope with
+  /// the bound values `params` (empty for one-shot statements): a query
+  /// opens a cursor and drains it, anything else goes to ExecuteStatement.
+  /// The compiled statement is only read — shared-cache entries are
+  /// executed concurrently by many sessions.
+  util::Result<mql::ExecResult> RunCompiled(
+      const mql::CachedStatement& compiled, std::vector<access::Value> params,
+      std::optional<Isolation> isolation);
+  util::Result<mql::ExecResult> ExecuteStatement(
+      const mql::Statement& stmt, const mql::QueryPlan* plan,
+      const std::vector<access::Value>& params);
   util::Result<mql::MoleculeCursor> OpenCursor(
       mql::Query query, const mql::QueryPlan* plan,
+      std::vector<access::Value> params,
       std::optional<Isolation> isolation = std::nullopt);
 
   /// Resolve the view a query reads under: the transaction's pin inside
@@ -227,9 +233,11 @@ class Session {
   std::shared_ptr<access::VersionStore::Pin> PinForQuery(
       std::optional<Isolation> isolation);
 
-  /// Compile + execute one statement (the guts of Execute; runs with the
-  /// statement's trace — if any — installed on this thread).
-  util::Result<mql::ExecResult> ExecuteCompiled(const std::string& mql);
+  /// Compile for a one-shot Execute/Query: statements with placeholders
+  /// compile (and are cached for Prepare) but are refused here — there are
+  /// no bound values to run them with.
+  util::Result<std::shared_ptr<const mql::CachedStatement>> CompileOneShot(
+      const std::string& mql);
 
   /// Telemetry wrapper shared by Execute and PreparedStatement::Execute:
   /// decides tracing (EXPLAIN ANALYZE forces it, the slow-query knob arms

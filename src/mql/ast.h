@@ -36,7 +36,8 @@ struct AttrPath {
 /// One declared placeholder of a statement, in placeholder order. Positional
 /// placeholders (`?`) each get a fresh slot; named placeholders (`:name`)
 /// share one slot per distinct name. The AST stores the slot index at every
-/// site the placeholder occurs; execution substitutes the bound value there.
+/// site the placeholder occurs; execution reads the bound value of that slot
+/// there, so a parsed statement is never rewritten.
 struct ParamDecl {
   std::string name;  ///< empty for positional (`?`) parameters
 };
@@ -252,57 +253,6 @@ inline Query CloneQuery(const Query& q) {
   out.from = q.from;
   out.where = CloneExpr(q.where.get());
   return out;
-}
-
-// --- parameter substitution --------------------------------------------------
-
-/// Write bound parameter values into every placeholder site of an
-/// expression tree. `values` is indexed by parameter slot; the caller
-/// guarantees every referenced slot is bound (Session enforces this before
-/// execution).
-inline void SubstituteExprParams(Expr* e,
-                                 const std::vector<access::Value>& values) {
-  if (e == nullptr) return;
-  if (e->param >= 0 && static_cast<size_t>(e->param) < values.size()) {
-    e->literal = values[e->param];
-  }
-  for (ExprPtr& c : e->children) SubstituteExprParams(c.get(), values);
-  SubstituteExprParams(e->quant_body.get(), values);
-}
-
-/// Substitute bound values into every placeholder site of a statement.
-/// Placeholder sites keep their slot index, so re-binding and
-/// re-substituting for the next execution is idempotent.
-inline void SubstituteStatementParams(
-    Statement* stmt, const std::vector<access::Value>& values) {
-  switch (stmt->kind) {
-    case Statement::Kind::kQuery:
-      SubstituteExprParams(stmt->query.where.get(), values);
-      for (ProjItem& item : stmt->query.select) {
-        SubstituteExprParams(item.qualification.get(), values);
-      }
-      break;
-    case Statement::Kind::kInsert:
-      for (AttrAssign& a : stmt->insert.values) {
-        if (a.param >= 0 && static_cast<size_t>(a.param) < values.size()) {
-          a.value = values[a.param];
-        }
-      }
-      break;
-    case Statement::Kind::kDelete:
-      SubstituteExprParams(stmt->del.where.get(), values);
-      break;
-    case Statement::Kind::kModify:
-      for (AttrAssign& a : stmt->modify.sets) {
-        if (a.param >= 0 && static_cast<size_t>(a.param) < values.size()) {
-          a.value = values[a.param];
-        }
-      }
-      SubstituteExprParams(stmt->modify.where.get(), values);
-      break;
-    default:
-      break;
-  }
 }
 
 }  // namespace prima::mql

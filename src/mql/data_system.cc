@@ -25,12 +25,12 @@ Result<ExecResult> DataSystem::Execute(const std::string& text,
   return ExecuteStatement(stmt, ctx);
 }
 
-Result<ExecResult> DataSystem::ExecuteStatement(const Statement& stmt,
-                                                ExecContext* ctx,
-                                                const QueryPlan* plan) {
+Result<ExecResult> DataSystem::ExecuteStatement(
+    const Statement& stmt, ExecContext* ctx, const QueryPlan* plan,
+    const std::vector<Value>& params) {
   switch (stmt.kind) {
     case Statement::Kind::kQuery:
-      return RunQuery(stmt.query, plan);
+      return RunQuery(stmt.query, plan, params);
     case Statement::Kind::kCreateAtomType:
       return RunCreateAtomType(stmt.create_atom_type);
     case Statement::Kind::kDefineMoleculeType:
@@ -38,11 +38,11 @@ Result<ExecResult> DataSystem::ExecuteStatement(const Statement& stmt,
     case Statement::Kind::kDrop:
       return RunDrop(stmt.drop);
     case Statement::Kind::kInsert:
-      return RunInsert(stmt.insert, ctx);
+      return RunInsert(stmt.insert, ctx, params);
     case Statement::Kind::kDelete:
-      return RunDelete(stmt.del, ctx, plan);
+      return RunDelete(stmt.del, ctx, plan, params);
     case Statement::Kind::kModify:
-      return RunModify(stmt.modify, ctx, plan);
+      return RunModify(stmt.modify, ctx, plan, params);
     case Statement::Kind::kConnect:
       return RunConnect(stmt.connect, ctx);
     case Statement::Kind::kBeginWork:
@@ -94,13 +94,14 @@ std::string DataSystem::Format(const ExecResult& result) const {
 }
 
 Result<ExecResult> DataSystem::RunQuery(const struct Query& q,
-                                        const QueryPlan* plan) {
+                                        const QueryPlan* plan,
+                                        const std::vector<Value>& params) {
   const size_t width = executor_.assembly_threads();
   PRIMA_ASSIGN_OR_RETURN(
       MoleculeCursor cursor,
       plan != nullptr
-          ? executor_.OpenCursorWithPlan(CloneQuery(q), *plan, width)
-          : executor_.OpenCursor(CloneQuery(q), width));
+          ? executor_.OpenCursorWithPlan(CloneQuery(q), *plan, params, width)
+          : executor_.OpenCursor(CloneQuery(q), params, width));
   stats().queries++;
   ExecResult r;
   r.kind = ExecResult::Kind::kMolecules;
@@ -108,9 +109,9 @@ Result<ExecResult> DataSystem::RunQuery(const struct Query& q,
   return r;
 }
 
-Result<MoleculeSet> DataSystem::QualifyTargets(const FromClause& from,
-                                               const Expr* where,
-                                               const QueryPlan* plan) {
+Result<MoleculeSet> DataSystem::QualifyTargets(
+    const FromClause& from, const Expr* where, const QueryPlan* plan,
+    const std::vector<Value>& params) {
   Query q;
   q.select.emplace_back().kind = ProjItem::Kind::kAll;
   q.from = from;
@@ -124,9 +125,10 @@ Result<MoleculeSet> DataSystem::QualifyTargets(const FromClause& from,
       std::shared_ptr<obs::StatementTrace>(), obs::CurrentTrace());
   PRIMA_ASSIGN_OR_RETURN(
       MoleculeCursor cursor,
-      plan != nullptr ? executor_.OpenCursorWithPlan(std::move(q), *plan, 1,
-                                                     nullptr, trace)
-                      : executor_.OpenCursor(std::move(q), 1, nullptr, trace));
+      plan != nullptr
+          ? executor_.OpenCursorWithPlan(std::move(q), *plan, params, 1,
+                                         nullptr, trace)
+          : executor_.OpenCursor(std::move(q), params, 1, nullptr, trace));
   return cursor.Drain();
 }
 
@@ -170,7 +172,8 @@ Result<ExecResult> DataSystem::RunDrop(const DropStmt& stmt) {
 }
 
 Result<ExecResult> DataSystem::RunInsert(const InsertStmt& stmt,
-                                         ExecContext* ctx) {
+                                         ExecContext* ctx,
+                                         const std::vector<Value>& params) {
   const AtomTypeDef* def = access_->catalog().FindAtomType(stmt.type_name);
   if (def == nullptr) {
     return Status::NotFound("atom type " + stmt.type_name);
@@ -182,7 +185,9 @@ Result<ExecResult> DataSystem::RunInsert(const InsertStmt& stmt,
       return Status::InvalidArgument("unknown attribute " + stmt.type_name +
                                      "." + assign.attr);
     }
-    values.push_back(AttrValue{attr->id, assign.value});
+    PRIMA_ASSIGN_OR_RETURN(const Value* v,
+                           SiteValue(assign.param, assign.value, params));
+    values.push_back(AttrValue{attr->id, *v});
   }
   ExecResult r;
   r.kind = ExecResult::Kind::kTid;
@@ -197,9 +202,11 @@ Result<ExecResult> DataSystem::RunInsert(const InsertStmt& stmt,
 
 Result<ExecResult> DataSystem::RunDelete(const DeleteStmt& stmt,
                                          ExecContext* ctx,
-                                         const QueryPlan* plan) {
-  PRIMA_ASSIGN_OR_RETURN(MoleculeSet set,
-                         QualifyTargets(stmt.from, stmt.where.get(), plan));
+                                         const QueryPlan* plan,
+                                         const std::vector<Value>& params) {
+  PRIMA_ASSIGN_OR_RETURN(
+      MoleculeSet set,
+      QualifyTargets(stmt.from, stmt.where.get(), plan, params));
   // Components to delete: named ones, or every component (whole molecules).
   std::set<std::string> which(stmt.components.begin(), stmt.components.end());
   std::set<uint64_t> victims;
@@ -223,9 +230,11 @@ Result<ExecResult> DataSystem::RunDelete(const DeleteStmt& stmt,
 
 Result<ExecResult> DataSystem::RunModify(const ModifyStmt& stmt,
                                          ExecContext* ctx,
-                                         const QueryPlan* plan) {
-  PRIMA_ASSIGN_OR_RETURN(MoleculeSet set,
-                         QualifyTargets(stmt.from, stmt.where.get(), plan));
+                                         const QueryPlan* plan,
+                                         const std::vector<Value>& params) {
+  PRIMA_ASSIGN_OR_RETURN(
+      MoleculeSet set,
+      QualifyTargets(stmt.from, stmt.where.get(), plan, params));
   const AtomTypeDef* target_def = nullptr;
   ExecResult r;
   r.kind = ExecResult::Kind::kCount;
@@ -245,7 +254,9 @@ Result<ExecResult> DataSystem::RunModify(const ModifyStmt& stmt,
       if (attr == nullptr) {
         return Status::InvalidArgument("unknown attribute " + assign.attr);
       }
-      changes.push_back(AttrValue{attr->id, assign.value});
+      PRIMA_ASSIGN_OR_RETURN(const Value* v,
+                             SiteValue(assign.param, assign.value, params));
+      changes.push_back(AttrValue{attr->id, *v});
     }
     for (const access::Atom& a : g->atoms) {
       if (!modified.insert(a.tid.Pack()).second) continue;

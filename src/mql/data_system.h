@@ -80,19 +80,22 @@ class DataSystem {
   /// Parse and execute one statement. With a context, DML runs under the
   /// session's transaction and BEGIN/COMMIT/ABORT WORK are dispatched to
   /// it; without one, DML hits the access system directly and transaction
-  /// statements fail. Statements with placeholders are refused here — they
-  /// must go through Session::Prepare, which binds them first.
+  /// statements fail. Statements with placeholders are refused here — there
+  /// are no bound values to run them with; Session::Prepare binds them.
   util::Result<ExecResult> Execute(const std::string& text,
                                    ExecContext* ctx = nullptr);
 
-  /// Execute an already-parsed (and, for prepared statements, already
-  /// parameter-substituted) statement. `plan` optionally supplies a cached
-  /// query plan for SELECT / DELETE / MODIFY; the statement's cursor opens
-  /// on it instead of planning again — the prepared-statement plan reuse
-  /// path (§3.1 separates preparation from execution).
-  util::Result<ExecResult> ExecuteStatement(const Statement& stmt,
-                                            ExecContext* ctx = nullptr,
-                                            const QueryPlan* plan = nullptr);
+  /// Execute an already-parsed statement. The statement is never rewritten:
+  /// every placeholder site reads its value from `params` (indexed by
+  /// parameter slot, empty for statements without placeholders) — WHERE
+  /// operands when the cursor opens, INSERT values and MODIFY SETs when the
+  /// statement runs. `plan` optionally supplies a compiled query plan for
+  /// SELECT / DELETE / MODIFY; the statement's cursor opens on it instead
+  /// of planning again (§3.1 separates preparation from execution).
+  util::Result<ExecResult> ExecuteStatement(
+      const Statement& stmt, ExecContext* ctx = nullptr,
+      const QueryPlan* plan = nullptr,
+      const std::vector<access::Value>& params = {});
 
   /// Convenience: Execute a SELECT (open a cursor, drain it) and return
   /// its molecule set.
@@ -105,9 +108,9 @@ class DataSystem {
   access::AccessSystem& access() { return *access_; }
   DataStats& stats() { return executor_.stats(); }
   /// Shared, schema-versioned compile cache keyed by MQL text: sessions
-  /// consult it on every one-shot Execute/Query, so repeated statement
-  /// texts — every raw network Execute included — get the prepared
-  /// parse-once-plan-once fast path without calling Prepare.
+  /// compile every one-shot Execute/Query and every Prepare through it, so
+  /// repeated statement texts — every raw network Execute included — get
+  /// the parse-once-plan-once fast path without calling Prepare.
   StatementCache& statement_cache() { return statement_cache_; }
 
   /// Kernel telemetry hub (histograms, slow-query log, tracing knobs).
@@ -119,20 +122,24 @@ class DataSystem {
 
  private:
   util::Result<ExecResult> RunQuery(const struct Query& q,
-                                    const QueryPlan* plan);
+                                    const QueryPlan* plan,
+                                    const std::vector<access::Value>& params);
   /// The whole molecules a DELETE / MODIFY acts on, drained from a serial
   /// cursor before the statement mutates anything.
-  util::Result<MoleculeSet> QualifyTargets(const FromClause& from,
-                                           const Expr* where,
-                                           const QueryPlan* plan);
+  util::Result<MoleculeSet> QualifyTargets(
+      const FromClause& from, const Expr* where, const QueryPlan* plan,
+      const std::vector<access::Value>& params);
   util::Result<ExecResult> RunCreateAtomType(const CreateAtomTypeStmt& stmt);
   util::Result<ExecResult> RunDefineMolecule(const DefineMoleculeTypeStmt& stmt);
   util::Result<ExecResult> RunDrop(const DropStmt& stmt);
-  util::Result<ExecResult> RunInsert(const InsertStmt& stmt, ExecContext* ctx);
+  util::Result<ExecResult> RunInsert(const InsertStmt& stmt, ExecContext* ctx,
+                                     const std::vector<access::Value>& params);
   util::Result<ExecResult> RunDelete(const DeleteStmt& stmt, ExecContext* ctx,
-                                     const QueryPlan* plan);
+                                     const QueryPlan* plan,
+                                     const std::vector<access::Value>& params);
   util::Result<ExecResult> RunModify(const ModifyStmt& stmt, ExecContext* ctx,
-                                     const QueryPlan* plan);
+                                     const QueryPlan* plan,
+                                     const std::vector<access::Value>& params);
   util::Result<ExecResult> RunConnect(const ConnectStmt& stmt,
                                       ExecContext* ctx);
 

@@ -100,7 +100,54 @@ const Value* DescendFields(const Value& v, const std::vector<uint16_t>& fields) 
   return cur;
 }
 
+/// A root predicate's operand for one open: the literal or the bound
+/// value, an INTEGER coerced to REAL when the key attribute is REAL (keys
+/// encode by kind, so 3 and 3.0 would reach different index entries).
+Result<Value> BoundOperand(const RootPred& p,
+                           const std::vector<Value>& params) {
+  PRIMA_ASSIGN_OR_RETURN(const Value* v,
+                         SiteValue(p.param, p.literal, params));
+  if (p.real && v->kind() == Value::Kind::kInt) {
+    return Value::Real(static_cast<double>(v->AsInt()));
+  }
+  return *v;
+}
+
+/// Narrow one scan dimension by a root comparison. Predicates apply in
+/// WHERE order, so the last bound on a side wins.
+void Narrow(CompareOp op, Value v, access::GridDimension* dim) {
+  switch (op) {
+    case CompareOp::kEq:
+      dim->lo = v;
+      dim->hi = std::move(v);
+      dim->lo_inclusive = dim->hi_inclusive = true;
+      break;
+    case CompareOp::kGt:
+    case CompareOp::kGe:
+      dim->lo = std::move(v);
+      dim->lo_inclusive = op == CompareOp::kGe;
+      break;
+    case CompareOp::kLt:
+    case CompareOp::kLe:
+      dim->hi = std::move(v);
+      dim->hi_inclusive = op == CompareOp::kLe;
+      break;
+    default:
+      break;
+  }
+}
+
 }  // namespace
+
+Result<const Value*> SiteValue(int param, const Value& literal,
+                               const std::vector<Value>& params) {
+  if (param < 0) return &literal;
+  if (static_cast<size_t>(param) >= params.size()) {
+    return Status::InvalidArgument("parameter " + std::to_string(param) +
+                                   " is unbound");
+  }
+  return &params[param];
+}
 
 // ---------------------------------------------------------------------------
 // Planning
@@ -141,7 +188,7 @@ Status Executor::ExtractRootPreds(const Expr* where,
   p.attr = resolved->first;
   p.fields = std::move(resolved->second);
   p.op = where->op;
-  p.operand = where->literal;
+  p.literal = where->literal;
   p.param = where->param;
   out->push_back(std::move(p));
   return Status::Ok();
@@ -153,45 +200,40 @@ Result<QueryPlan> Executor::Prepare(const FromClause& from, const Expr* where) {
   const AtomTypeDef* root_def =
       access_->catalog().GetAtomType(plan.structure.root.type);
 
+  // The access-path choice reads only each predicate's attribute and
+  // operator, never its operand: placeholders and literals plan alike.
   std::vector<RootPred> preds;
   PRIMA_RETURN_IF_ERROR(ExtractRootPreds(where, plan.structure, &preds));
-  // Root predicates embed their operand VALUES into the plan (eq_key,
-  // range, grid_dims, root_sarg). Record which statement-parameter slots
-  // those operands came from: re-binding one of them invalidates the plan,
-  // while params elsewhere in the WHERE never do.
-  for (const RootPred& p : preds) {
-    if (p.param >= 0) plan.root_param_deps.push_back(p.param);
-  }
+  const auto is_real = [&](uint16_t attr) {
+    return root_def->attrs[attr].type.kind == access::TypeKind::kReal;
+  };
+  // Comparisons that bound a scan dimension (see Narrow).
+  const auto narrows = [](const RootPred& p) {
+    return p.fields.empty() &&
+           (p.op == CompareOp::kEq || p.op == CompareOp::kGt ||
+            p.op == CompareOp::kGe || p.op == CompareOp::kLt ||
+            p.op == CompareOp::kLe);
+  };
 
   // 1. Key lookup: equality predicates covering KEYS_ARE.
   if (!root_def->key_attrs.empty()) {
-    std::vector<Value> key_values;
-    bool covered = true;
+    std::vector<RootPred> key_preds;
     for (uint16_t k : root_def->key_attrs) {
-      bool found = false;
-      for (const auto& p : preds) {
-        if (p.attr == k && p.fields.empty() && p.op == CompareOp::kEq) {
-          Value v = p.operand;
-          if (root_def->attrs[k].type.kind == access::TypeKind::kReal &&
-              v.kind() == Value::Kind::kInt) {
-            v = Value::Real(static_cast<double>(v.AsInt()));
-          }
-          key_values.push_back(std::move(v));
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
-        covered = false;
-        break;
-      }
+      const auto it =
+          std::find_if(preds.begin(), preds.end(), [&](const RootPred& p) {
+            return p.attr == k && p.fields.empty() && p.op == CompareOp::kEq;
+          });
+      if (it == preds.end()) break;
+      key_preds.push_back(*it);
+      key_preds.back().real = is_real(k);
     }
     const StructureDef* key_index =
         access_->catalog().FindStructure(root_def->name + "_key");
-    if (covered && key_index != nullptr) {
+    if (key_preds.size() == root_def->key_attrs.size() &&
+        key_index != nullptr) {
       plan.root_access = RootAccess::kKeyLookup;
       plan.access_structure_id = key_index->id;
-      plan.eq_key = std::move(key_values);
+      plan.root_preds = std::move(key_preds);
     }
   }
 
@@ -200,119 +242,43 @@ Result<QueryPlan> Executor::Prepare(const FromClause& from, const Expr* where) {
     for (const StructureDef* s :
          access_->catalog().StructuresFor(root_def->id)) {
       if (s->kind == StructureKind::kBTreeAccessPath && !s->attrs.empty()) {
-        const uint16_t first_attr = s->attrs[0];
-        std::optional<Value> lo, hi;
-        bool lo_incl = true, hi_incl = true;
-        for (const auto& p : preds) {
-          if (p.attr != first_attr || !p.fields.empty()) continue;
-          Value v = p.operand;
-          if (root_def->attrs[first_attr].type.kind ==
-                  access::TypeKind::kReal &&
-              v.kind() == Value::Kind::kInt) {
-            v = Value::Real(static_cast<double>(v.AsInt()));
-          }
-          switch (p.op) {
-            case CompareOp::kEq:
-              lo = v;
-              hi = v;
-              lo_incl = hi_incl = true;
-              break;
-            case CompareOp::kGt:
-              lo = v;
-              lo_incl = false;
-              break;
-            case CompareOp::kGe:
-              lo = v;
-              lo_incl = true;
-              break;
-            case CompareOp::kLt:
-              hi = v;
-              hi_incl = false;
-              break;
-            case CompareOp::kLe:
-              hi = v;
-              hi_incl = true;
-              break;
-            default:
-              break;
-          }
+        for (const RootPred& p : preds) {
+          if (p.attr != s->attrs[0] || !narrows(p)) continue;
+          plan.root_preds.push_back(p);
+          plan.root_preds.back().real = is_real(p.attr);
         }
-        if (lo || hi) {
+        if (!plan.root_preds.empty()) {
           plan.root_access = RootAccess::kAccessPath;
           plan.access_structure_id = s->id;
-          if (lo) {
-            plan.range.start = std::vector<Value>{*lo};
-            plan.range.start_inclusive = lo_incl;
-          }
-          if (hi) {
-            plan.range.stop = std::vector<Value>{*hi};
-            plan.range.stop_inclusive = hi_incl;
-          }
           break;
         }
       } else if (s->kind == StructureKind::kGridAccessPath) {
-        std::vector<access::GridDimension> dims(s->attrs.size());
         size_t bounded = 0;
         for (size_t d = 0; d < s->attrs.size(); ++d) {
           bool any = false;
-          for (const auto& p : preds) {
-            if (p.attr != s->attrs[d] || !p.fields.empty()) continue;
-            Value v = p.operand;
-            if (root_def->attrs[s->attrs[d]].type.kind ==
-                    access::TypeKind::kReal &&
-                v.kind() == Value::Kind::kInt) {
-              v = Value::Real(static_cast<double>(v.AsInt()));
-            }
-            switch (p.op) {
-              case CompareOp::kEq:
-                dims[d].lo = v;
-                dims[d].hi = v;
-                any = true;
-                break;
-              case CompareOp::kGt:
-                dims[d].lo = v;
-                dims[d].lo_inclusive = false;
-                any = true;
-                break;
-              case CompareOp::kGe:
-                dims[d].lo = v;
-                any = true;
-                break;
-              case CompareOp::kLt:
-                dims[d].hi = v;
-                dims[d].hi_inclusive = false;
-                any = true;
-                break;
-              case CompareOp::kLe:
-                dims[d].hi = v;
-                any = true;
-                break;
-              default:
-                break;
-            }
+          for (const RootPred& p : preds) {
+            if (p.attr != s->attrs[d] || !narrows(p)) continue;
+            plan.root_preds.push_back(p);
+            plan.root_preds.back().real = is_real(p.attr);
+            plan.root_preds.back().dim = d;
+            any = true;
           }
           if (any) ++bounded;
         }
         if (bounded >= 2 || (bounded == 1 && s->attrs.size() == 1)) {
           plan.root_access = RootAccess::kGrid;
           plan.access_structure_id = s->id;
-          plan.grid_dims = std::move(dims);
+          plan.grid_dims = s->attrs.size();
           break;
         }
+        plan.root_preds.clear();
       }
     }
   }
 
   // 3. Fallback: atom-type scan with the predicates as a search argument.
   if (plan.root_access == RootAccess::kAtomTypeScan) {
-    for (const auto& p : preds) {
-      SimplePredicate sp;
-      sp.attr = p.attr;
-      sp.field_path = p.fields;
-      sp.op = p.op;
-      sp.operand = p.operand;
-      plan.root_sarg.conjuncts.push_back(std::move(sp));
-    }
+    plan.root_preds = std::move(preds);
   }
 
   // Cluster fast path: a cluster whose characteristic type is the root and
@@ -335,7 +301,7 @@ Result<QueryPlan> Executor::Prepare(const FromClause& from, const Expr* where) {
 // ---------------------------------------------------------------------------
 
 Result<std::unique_ptr<RootSource>> Executor::OpenRootSource(
-    const QueryPlan& plan) {
+    const QueryPlan& plan, const std::vector<Value>& params) {
   auto source = std::make_unique<RootSource>();
   source->access_ = access_;
   source->root_type_ = plan.structure.root.type;
@@ -344,7 +310,8 @@ Result<std::unique_ptr<RootSource>> Executor::OpenRootSource(
       stats_.key_lookups++;
       source->use_lookup_ = true;
       std::string key;
-      for (const Value& v : plan.eq_key) {
+      for (const RootPred& p : plan.root_preds) {
+        PRIMA_ASSIGN_OR_RETURN(const Value v, BoundOperand(p, params));
         PRIMA_RETURN_IF_ERROR(v.EncodeKeyInto(&key));
       }
       access::BTree* tree = access_->BTreeFor(plan.access_structure_id);
@@ -367,23 +334,46 @@ Result<std::unique_ptr<RootSource>> Executor::OpenRootSource(
     }
     case RootAccess::kAccessPath: {
       stats_.access_path_scans++;
+      access::GridDimension bound;
+      for (const RootPred& p : plan.root_preds) {
+        PRIMA_ASSIGN_OR_RETURN(Value v, BoundOperand(p, params));
+        Narrow(p.op, std::move(v), &bound);
+      }
+      access::KeyRange range;
+      if (bound.lo) range.start = std::vector<Value>{std::move(*bound.lo)};
+      if (bound.hi) range.stop = std::vector<Value>{std::move(*bound.hi)};
+      range.start_inclusive = bound.lo_inclusive;
+      range.stop_inclusive = bound.hi_inclusive;
       source->path_scan_ = std::make_unique<access::BTreeAccessPathScan>(
-          access_, plan.access_structure_id, plan.range, true, plan.root_sarg);
+          access_, plan.access_structure_id, std::move(range));
       PRIMA_RETURN_IF_ERROR(source->path_scan_->Open());
       return source;
     }
     case RootAccess::kGrid: {
       stats_.grid_scans++;
+      std::vector<access::GridDimension> dims(plan.grid_dims);
+      for (const RootPred& p : plan.root_preds) {
+        PRIMA_ASSIGN_OR_RETURN(Value v, BoundOperand(p, params));
+        Narrow(p.op, std::move(v), &dims[p.dim]);
+      }
       source->grid_scan_ = std::make_unique<access::GridAccessPathScan>(
-          access_, plan.access_structure_id, plan.grid_dims,
-          std::vector<size_t>{}, plan.root_sarg);
+          access_, plan.access_structure_id, std::move(dims));
       PRIMA_RETURN_IF_ERROR(source->grid_scan_->Open());
       return source;
     }
     case RootAccess::kAtomTypeScan: {
       stats_.atom_type_scans++;
+      SearchArgument sarg;
+      for (const RootPred& p : plan.root_preds) {
+        SimplePredicate sp;
+        sp.attr = p.attr;
+        sp.field_path = p.fields;
+        sp.op = p.op;
+        PRIMA_ASSIGN_OR_RETURN(sp.operand, BoundOperand(p, params));
+        sarg.conjuncts.push_back(std::move(sp));
+      }
       source->type_scan_ = std::make_unique<access::AtomTypeScan>(
-          access_, plan.structure.root.type, plan.root_sarg);
+          access_, plan.structure.root.type, std::move(sarg));
       PRIMA_RETURN_IF_ERROR(source->type_scan_->Open());
       return source;
     }
@@ -657,13 +647,14 @@ Result<std::vector<Value>> Executor::PathValues(
 
 Result<bool> Executor::Eval(
     const Molecule& molecule, const Expr& expr,
+    const std::vector<Value>& params,
     const std::map<std::string, const Atom*>& bindings,
     const std::string& default_component) const {
   switch (expr.kind) {
     case Expr::Kind::kAnd: {
       for (const auto& c : expr.children) {
         PRIMA_ASSIGN_OR_RETURN(const bool ok,
-                               Eval(molecule, *c, bindings, default_component));
+                               Eval(molecule, *c, params, bindings, default_component));
         if (!ok) return false;
       }
       return true;
@@ -671,7 +662,7 @@ Result<bool> Executor::Eval(
     case Expr::Kind::kOr: {
       for (const auto& c : expr.children) {
         PRIMA_ASSIGN_OR_RETURN(const bool ok,
-                               Eval(molecule, *c, bindings, default_component));
+                               Eval(molecule, *c, params, bindings, default_component));
         if (ok) return true;
       }
       return false;
@@ -679,7 +670,8 @@ Result<bool> Executor::Eval(
     case Expr::Kind::kNot: {
       PRIMA_ASSIGN_OR_RETURN(
           const bool ok,
-          Eval(molecule, *expr.children[0], bindings, default_component));
+          Eval(molecule, *expr.children[0], params, bindings,
+               default_component));
       return !ok;
     }
     case Expr::Kind::kQuantifier: {
@@ -695,7 +687,8 @@ Result<bool> Executor::Eval(
         scoped[group->component] = &a;
         PRIMA_ASSIGN_OR_RETURN(
             const bool ok,
-            Eval(molecule, *expr.quant_body, scoped, group->component));
+            Eval(molecule, *expr.quant_body, params, scoped,
+                 group->component));
         if (ok) ++satisfied;
       }
       switch (expr.quant) {
@@ -725,8 +718,10 @@ Result<bool> Executor::Eval(
       }
       // EMPTY tests must also hold for attributes that decode to null, and
       // an atom whose repeating group is absent counts as empty.
+      PRIMA_ASSIGN_OR_RETURN(const Value* operand,
+                             SiteValue(expr.param, expr.literal, params));
       for (const Value& l : lhs) {
-        if (CompareSatisfied(expr.op, l, expr.literal)) return true;
+        if (CompareSatisfied(expr.op, l, *operand)) return true;
       }
       if (lhs.empty() && expr.op == CompareOp::kIsEmpty) return true;
       return false;
@@ -740,6 +735,7 @@ Result<bool> Executor::Eval(
 // ---------------------------------------------------------------------------
 
 Result<Molecule> Executor::Project(const Query& query, const QueryPlan& plan,
+                                   const std::vector<Value>& params,
                                    Molecule molecule) {
   if (query.select.size() == 1 &&
       query.select[0].kind == ProjItem::Kind::kAll) {
@@ -818,7 +814,7 @@ Result<Molecule> Executor::Project(const Query& query, const QueryPlan& plan,
           std::map<std::string, const Atom*> binding{{g.component, &a}};
           PRIMA_ASSIGN_OR_RETURN(
               const bool ok, Eval(molecule, *d.qualified->qualification,
-                                  binding, g.component));
+                                  params, binding, g.component));
           if (!ok) continue;
         }
         Atom projected = a;
@@ -856,19 +852,21 @@ Result<Molecule> Executor::Project(const Query& query, const QueryPlan& plan,
 // ---------------------------------------------------------------------------
 
 Result<MoleculeCursor> Executor::OpenCursor(
-    Query query, size_t assembly_width,
+    Query query, std::vector<Value> params, size_t assembly_width,
     std::shared_ptr<const std::atomic<bool>> invalidated,
     std::shared_ptr<obs::StatementTrace> trace,
     std::shared_ptr<access::VersionStore::Pin> snapshot) {
   PRIMA_ASSIGN_OR_RETURN(QueryPlan plan,
                          Prepare(query.from, query.where.get()));
-  return OpenCursorWithPlan(std::move(query), std::move(plan), assembly_width,
+  return OpenCursorWithPlan(std::move(query), std::move(plan),
+                            std::move(params), assembly_width,
                             std::move(invalidated), std::move(trace),
                             std::move(snapshot));
 }
 
 Result<MoleculeCursor> Executor::OpenCursorWithPlan(
-    Query query, QueryPlan plan, size_t assembly_width,
+    Query query, QueryPlan plan, std::vector<Value> params,
+    size_t assembly_width,
     std::shared_ptr<const std::atomic<bool>> invalidated,
     std::shared_ptr<obs::StatementTrace> trace,
     std::shared_ptr<access::VersionStore::Pin> snapshot) {
@@ -877,12 +875,15 @@ Result<MoleculeCursor> Executor::OpenCursorWithPlan(
   cursor.shared_->exec = this;
   cursor.shared_->query = std::move(query);
   cursor.shared_->plan = std::move(plan);
+  cursor.shared_->params = std::move(params);
   cursor.shared_->trace = std::move(trace);
   cursor.shared_->snapshot = std::move(snapshot);
   cursor.invalidated_ = std::move(invalidated);
   // Open only the root source here — roots are pulled incrementally from
   // the scan layer as the cursor drains, never materialized.
-  PRIMA_ASSIGN_OR_RETURN(cursor.source_, OpenRootSource(cursor.shared_->plan));
+  PRIMA_ASSIGN_OR_RETURN(
+      cursor.source_,
+      OpenRootSource(cursor.shared_->plan, cursor.shared_->params));
   if (cursor.shared_->snapshot != nullptr) {
     cursor.source_->view_ = &cursor.shared_->snapshot->view();
   }
@@ -930,7 +931,8 @@ util::Status MoleculeCursor::TopUpWindow() {
         slot->qualified = true;
         if (shared->query.where != nullptr) {
           util::Result<bool> q =
-              shared->exec->Eval(slot->molecule, *shared->query.where, {});
+              shared->exec->Eval(slot->molecule, *shared->query.where,
+                                 shared->params, {});
           if (q.ok()) {
             slot->qualified = *q;
           } else {
@@ -998,6 +1000,7 @@ Result<std::optional<Molecule>> MoleculeCursor::Next() {
     PRIMA_ASSIGN_OR_RETURN(Molecule projected,
                            shared_->exec->Project(shared_->query,
                                                   shared_->plan,
+                                                  shared_->params,
                                                   std::move(slot->molecule)));
     if (trace != nullptr) {
       trace->AddPhaseNs("execute", "project", obs::NowNs() - t0);
@@ -1029,7 +1032,8 @@ Result<std::optional<Molecule>> MoleculeCursor::NextSerial() {
     bool qualified = true;
     if (shared_->query.where != nullptr) {
       PRIMA_ASSIGN_OR_RETURN(
-          qualified, shared_->exec->Eval(molecule, *shared_->query.where, {}));
+          qualified, shared_->exec->Eval(molecule, *shared_->query.where,
+                                         shared_->params, {}));
     }
     if (trace != nullptr) {
       trace->AddPhaseNs("execute", "assembly", obs::NowNs() - t0);
@@ -1039,6 +1043,7 @@ Result<std::optional<Molecule>> MoleculeCursor::NextSerial() {
     PRIMA_ASSIGN_OR_RETURN(Molecule projected,
                            shared_->exec->Project(shared_->query,
                                                   shared_->plan,
+                                                  shared_->params,
                                                   std::move(molecule)));
     if (trace != nullptr) {
       trace->AddPhaseNs("execute", "project", obs::NowNs() - t0);

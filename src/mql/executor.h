@@ -38,7 +38,7 @@ struct DataStats {
   // Session / prepared-statement surface.
   obs::Counter statements_prepared;  ///< Session::Prepare calls
   obs::Counter prepared_executions;  ///< PreparedStatement runs
-  obs::Counter prepared_plans;       ///< plans computed for them
+  obs::Counter prepared_plans;       ///< plans they took: 1 each + DDL recompiles
   obs::Counter cursor_molecules;     ///< Next() results, DML's too
 
   void Reset() { *this = DataStats(); }
@@ -56,33 +56,54 @@ inline constexpr obs::CounterDef<DataStats> kDataCounters[] = {
     {&DataStats::atom_type_scans, "prima_atom_type_scans", "root sets reached by an atom-type scan"},
     {&DataStats::statements_prepared, "prima_statements_prepared", "Session::Prepare calls"},
     {&DataStats::prepared_executions, "prima_prepared_executions", "prepared-statement executions"},
-    {&DataStats::prepared_plans, "prima_prepared_plans", "plans computed for prepared executions"},
+    {&DataStats::prepared_plans, "prima_prepared_plans", "plans prepared statements compiled or took from the statement cache: one per Prepare, plus one per recompile after DDL"},
     {&DataStats::cursor_molecules, "prima_cursor_molecules", "molecules returned by cursor Next(), DML target qualification included"},
 };
+
+/// The value at an operand site of a statement (a WHERE comparison, an
+/// INSERT value, a MODIFY SET): the site's literal, or — when the site is
+/// a placeholder — bound parameter [param]. Statements are never rewritten
+/// with bound values; every site reads them through here.
+util::Result<const access::Value*> SiteValue(
+    int param, const access::Value& literal,
+    const std::vector<access::Value>& params);
 
 /// How the executor reaches the root atoms of the molecule set.
 enum class RootAccess { kKeyLookup, kAccessPath, kGrid, kAtomTypeScan };
 
+/// One root-bound predicate the root access consumes. Its shape (attribute
+/// and operator) is fixed at plan time; its operand is a slot — the literal
+/// of the statement text, or the statement parameter whose bound value is
+/// read when a cursor opens.
+struct RootPred {
+  uint16_t attr = 0;
+  std::vector<uint16_t> fields;
+  access::CompareOp op = access::CompareOp::kEq;
+  access::Value literal;
+  int param = -1;     ///< >= 0: the operand is parameter [param]
+  bool real = false;  ///< REAL key attribute: an INTEGER operand is coerced
+  size_t dim = 0;     ///< grid dimension the predicate bounds (kGrid)
+};
+
 /// The prepared execution plan for one query (paper §3.1 "query
 /// preparation"): root access selection with pushed-down qualifications,
 /// the resolved hierarchical structure, and the cluster fast path decision.
+/// A plan is value-free: access-path choice depends only on the shape of
+/// the root predicates, so one plan serves every binding of a prepared
+/// statement, and OpenRootSource fills the key, range, grid bounds or
+/// search argument from the bound values.
 struct QueryPlan {
   ResolvedStructure structure;
   RootAccess root_access = RootAccess::kAtomTypeScan;
   uint32_t access_structure_id = 0;
-  std::vector<access::Value> eq_key;      ///< key lookup values
-  access::KeyRange range;                 ///< access-path scan bounds
-  std::vector<access::GridDimension> grid_dims;
-  access::SearchArgument root_sarg;       ///< pushdown for scans
+  /// What the root access reads: the key predicates in KEYS_ARE order
+  /// (kKeyLookup), the bounds on the access path's first attribute in WHERE
+  /// order (kAccessPath), the per-dimension bounds (kGrid), or the
+  /// pushed-down search argument (kAtomTypeScan).
+  std::vector<RootPred> root_preds;
+  size_t grid_dims = 0;  ///< dimensions of the grid (kGrid)
   bool use_cluster = false;
   uint32_t cluster_id = 0;
-  /// Statement-parameter slots whose bound values are EMBEDDED in this plan
-  /// (root-bound predicates feed eq_key / range / grid_dims / root_sarg).
-  /// A prepared statement reuses the plan verbatim until one of THESE
-  /// bindings changes — e.g. an eq-key placeholder — and only then
-  /// re-plans; params outside root predicates never force a re-plan since
-  /// the WHERE filter reads them from the (re-substituted) AST.
-  std::vector<int> root_param_deps;
 };
 
 class Executor;
@@ -155,9 +176,9 @@ class RootSource {
 /// consumer thread in submission order — so drain order and results stay
 /// byte-identical to serial at every width, only the wall-clock changes.
 ///
-/// A cursor owns its query (cloned at open), so the statement or session
-/// that spawned it may be re-bound, re-executed, or closed while the cursor
-/// drains. It must not outlive the database, and it reads whatever the
+/// A cursor owns its query (cloned at open) and a copy of its bound values,
+/// so the statement or session that spawned it may be re-bound,
+/// re-executed, or closed while the cursor drains. It must not outlive the database, and it reads whatever the
 /// access system holds at each assembly — with look-ahead, up to
 /// `lookahead` molecules may be assembled ahead of the Next() that returns
 /// them. The session layer invalidates open cursors (via the `invalidated`
@@ -216,6 +237,9 @@ class MoleculeCursor {
     Executor* exec = nullptr;
     Query query;
     QueryPlan plan;
+    /// Bound values, indexed by parameter slot (empty for one-shot
+    /// statements, whose text carries every operand).
+    std::vector<access::Value> params;
     /// Trace of the statement draining this cursor, or null. shared_ptr:
     /// detached look-ahead tasks may outlive the statement, and their late
     /// counter writes must land in owned memory, never a dangling trace.
@@ -267,28 +291,32 @@ class Executor {
       : access_(access), analyzer_(&access->catalog()) {}
 
   /// Plan a query (exposed so tests and benches can inspect decisions).
+  /// Placeholders in `where` stay slots in the plan; no value is read.
   util::Result<QueryPlan> Prepare(const FromClause& from, const Expr* where);
 
   /// Open a streaming cursor over the query (plans it first). The cursor
-  /// takes ownership of `query`. `assembly_width` bounds how many
-  /// molecules it assembles at once on the assembly pool: <= 1 keeps the
-  /// cursor serial on the calling thread (DML qualification), callers
-  /// without an opinion pass assembly_threads(). `trace`, when set,
-  /// receives the cursor's phase timings (roots / assembly / project) —
-  /// pass it only when the cursor drains within the traced statement's
-  /// scope. `snapshot`, when set, makes this a snapshot cursor: every read
-  /// resolves against the pinned view, without acquiring a single lock.
-  /// Opening a cursor counts nothing in stats(): callers serving a user
-  /// query count it there (DataStats::queries).
+  /// takes ownership of `query` and of `params`, the bound values indexed
+  /// by parameter slot (empty when the query has no placeholders).
+  /// `assembly_width` bounds how many molecules it assembles at once on the
+  /// assembly pool: <= 1 keeps the cursor serial on the calling thread
+  /// (DML qualification), callers without an opinion pass
+  /// assembly_threads(). `trace`, when set, receives the cursor's phase
+  /// timings (roots / assembly / project) — pass it only when the cursor
+  /// drains within the traced statement's scope. `snapshot`, when set,
+  /// makes this a snapshot cursor: every read resolves against the pinned
+  /// view, without acquiring a single lock. Opening a cursor counts nothing
+  /// in stats(): callers serving a user query count it there
+  /// (DataStats::queries).
   util::Result<MoleculeCursor> OpenCursor(
-      Query query, size_t assembly_width,
+      Query query, std::vector<access::Value> params, size_t assembly_width,
       std::shared_ptr<const std::atomic<bool>> invalidated = nullptr,
       std::shared_ptr<obs::StatementTrace> trace = nullptr,
       std::shared_ptr<access::VersionStore::Pin> snapshot = nullptr);
 
   /// Open a streaming cursor reusing a prepared plan.
   util::Result<MoleculeCursor> OpenCursorWithPlan(
-      Query query, QueryPlan plan, size_t assembly_width,
+      Query query, QueryPlan plan, std::vector<access::Value> params,
+      size_t assembly_width,
       std::shared_ptr<const std::atomic<bool>> invalidated = nullptr,
       std::shared_ptr<obs::StatementTrace> trace = nullptr,
       std::shared_ptr<access::VersionStore::Pin> snapshot = nullptr);
@@ -313,25 +341,28 @@ class Executor {
   // Private so MoleculeCursor stays the one loop that runs them.
   friend class MoleculeCursor;
 
-  /// Open the incremental root-candidate stream for the plan.
+  /// Open the incremental root-candidate stream for the plan, filling its
+  /// key, range, grid bounds or search argument from `params`.
   util::Result<std::unique_ptr<RootSource>> OpenRootSource(
-      const QueryPlan& plan);
+      const QueryPlan& plan, const std::vector<access::Value>& params);
 
   /// Assemble the molecule rooted at `root`.
   util::Result<Molecule> Assemble(const QueryPlan& plan,
                                   const access::Atom& root);
 
-  /// Evaluate a WHERE expression on a molecule. `default_component`
-  /// rebinds bare attribute names (empty = the root component); qualified
-  /// projections evaluate their conditions in the projected component's
-  /// scope.
+  /// Evaluate a WHERE expression on a molecule; placeholder sites read
+  /// `params`. `default_component` rebinds bare attribute names (empty =
+  /// the root component); qualified projections evaluate their conditions
+  /// in the projected component's scope.
   util::Result<bool> Eval(const Molecule& molecule, const Expr& expr,
+                          const std::vector<access::Value>& params,
                           const std::map<std::string, const access::Atom*>&
                               bindings,
                           const std::string& default_component = "") const;
 
   /// Apply the SELECT clause to one qualified molecule.
   util::Result<Molecule> Project(const Query& query, const QueryPlan& plan,
+                                 const std::vector<access::Value>& params,
                                  Molecule molecule);
 
   struct PathRef {
@@ -349,13 +380,6 @@ class Executor {
       const std::string& default_component) const;
 
   /// Root-bound simple predicates from the top-level conjunction.
-  struct RootPred {
-    uint16_t attr;
-    std::vector<uint16_t> fields;
-    access::CompareOp op;
-    access::Value operand;
-    int param = -1;  ///< statement-parameter slot the operand came from
-  };
   util::Status ExtractRootPreds(const Expr* where,
                                 const ResolvedStructure& structure,
                                 std::vector<RootPred>* out) const;

@@ -14,11 +14,13 @@
 
 namespace prima::mql {
 
-/// A one-shot statement, compiled once and shared: the parsed AST plus (for
-/// statements with a FROM clause) the prepared query plan. Immutable after
-/// insertion — executions across sessions read it concurrently through a
-/// shared_ptr, so an eviction never pulls a statement out from under an
-/// execution in flight.
+/// A statement compiled once and shared: the parsed AST plus (for
+/// statements with a FROM clause) the prepared query plan. Immutable and
+/// value-free after insertion — placeholders stay parameter slots in both
+/// the AST and the plan, and bound values travel beside the entry — so
+/// one-shot executions and prepared statements across sessions read it
+/// concurrently through a shared_ptr, and an eviction never pulls a
+/// statement out from under an execution in flight.
 struct CachedStatement {
   /// Catalog::schema_version() at compile time. A lookup under a different
   /// version is a miss: DDL since then may have dropped or replaced a
@@ -29,13 +31,16 @@ struct CachedStatement {
 };
 
 /// Shared, schema-versioned statement cache keyed by MQL text. Sessions
-/// consult it on every one-shot Execute/Query, so a client that never calls
-/// Prepare — every raw network Execute, for one — still gets the
-/// parse-once-plan-once fast path transparently the second time a statement
-/// text arrives, from ANY session. Bounded LRU; statements with
-/// placeholders and DDL / transaction control are never cached (the former
-/// must go through Prepare, the latter parse trivially or invalidate the
-/// cache themselves).
+/// consult it on every one-shot Execute/Query and every Prepare — they all
+/// compile through Session::Compile — so a client that never calls Prepare
+/// (every raw network Execute, for one) still gets the
+/// parse-once-plan-once fast path the second time a statement text
+/// arrives, from ANY session, and sessions preparing the same text share
+/// one compile. Bounded LRU. Statements with placeholders are cached like
+/// any other; the one-shot Execute/Query callers refuse to run them (there
+/// are no bound values), only a PreparedStatement does. DDL / transaction
+/// control are never cached (they parse trivially or invalidate the cache
+/// themselves).
 class StatementCache {
  public:
   explicit StatementCache(size_t capacity = 256) : capacity_(capacity) {}

@@ -71,8 +71,10 @@ class WriteAheadLog {
   /// commit-delay window (that is the commit path's own entry point).
   virtual util::Status ForceUpTo(uint64_t lsn) = 0;
 
-  /// Highest LSN guaranteed on the device. The WAL rule: a dirty page may
-  /// be written back only once its page-LSN <= durable_lsn().
+  /// End of the durable log: every record starting below it is on the
+  /// device. A page-LSN is the START of its newest record, so the WAL rule
+  /// is: a dirty page may be written back only once its page-LSN <
+  /// durable_lsn().
   virtual uint64_t durable_lsn() const = 0;
 
   /// Next LSN to be assigned (current end of the stream). A checkpoint

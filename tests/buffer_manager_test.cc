@@ -362,7 +362,9 @@ class RecordingWal : public WriteAheadLog {
   util::Status ForceUpTo(uint64_t lsn) override {
     force_calls++;
     forced_up_to = std::max(forced_up_to, lsn);
-    durable = std::max(durable, lsn);
+    // `lsn` is the START of the newest record to force; once it is on the
+    // device the durable end lies past it, as a real log reports.
+    durable = std::max(durable, lsn + 1);
     return util::Status::Ok();
   }
   uint64_t durable_lsn() const override { return durable; }

@@ -409,17 +409,18 @@ TEST(Placeholders, DeleteWhere) {
   EXPECT_EQ(del->del.where->param, 0);
 }
 
-TEST(Placeholders, SubstitutionFillsEverySite) {
+TEST(Placeholders, NamedSitesShareOneSlotAndCarryNoValue) {
   auto stmt = ParseStatement(
       "SELECT ALL FROM face WHERE square_dim > :lo AND square_dim < :lo");
   ASSERT_TRUE(stmt.ok());
-  SubstituteStatementParams(&*stmt, {access::Value::Real(4.5)});
+  ASSERT_EQ(stmt->params.size(), 1u);
+  // Every site of :lo names slot 0; execution reads the bound value of the
+  // slot there, so the parsed statement never holds one.
   const Expr& root = *stmt->query.where;
-  EXPECT_DOUBLE_EQ(root.children[0]->literal.AsReal(), 4.5);
-  EXPECT_DOUBLE_EQ(root.children[1]->literal.AsReal(), 4.5);
-  // Sites keep their slot index: re-substitution overwrites in place.
-  SubstituteStatementParams(&*stmt, {access::Value::Real(9.0)});
-  EXPECT_DOUBLE_EQ(root.children[0]->literal.AsReal(), 9.0);
+  for (const ExprPtr& site : root.children) {
+    EXPECT_EQ(site->param, 0);
+    EXPECT_TRUE(site->literal.is_null());
+  }
 }
 
 TEST(Placeholders, RejectedOutsideQueryAndDml) {
@@ -446,11 +447,9 @@ TEST(Placeholders, CloneQueryPreservesParamSites) {
   ASSERT_EQ(clone.where->kind, Expr::Kind::kAnd);
   EXPECT_EQ(clone.where->children[0]->param, 0);
   EXPECT_EQ(clone.where->children[1]->quant_body->param, 1);
-  // The clone is independent: substituting into the original leaves it
+  // The clone is independent: writing into the original leaves it
   // untouched.
-  SubstituteStatementParams(&*stmt,
-                            {access::Value::Int(1), access::Value::Real(2.0)});
-  EXPECT_EQ(stmt->query.where->children[0]->literal.AsInt(), 1);
+  stmt->query.where->children[0]->literal = access::Value::Int(1);
   EXPECT_TRUE(clone.where->children[0]->literal.is_null());
 }
 

@@ -575,6 +575,37 @@ TEST(NetServerTest, PreparedStatementsOverTheWire) {
   EXPECT_EQ(r->molecules.size(), 1u);
 }
 
+TEST(NetServerTest, RemotePreparedKeyedSelectRebindsWithoutReplanning) {
+  auto db = OpenServerDb();
+  ASSERT_NE(db, nullptr);
+  auto client = ConnectTo(*db);
+  ASSERT_NE(client, nullptr);
+  CreateItemType(client.get());
+  for (int i = 1; i <= 20; ++i) ASSERT_TRUE(InsertItem(client.get(), i).ok());
+  auto local = db->OpenSession();
+
+  auto select = client->Prepare("SELECT ALL FROM item WHERE num = ?");
+  ASSERT_TRUE(select.ok()) << select.status().ToString();
+  uint64_t plans = 0;
+  for (int i = 1; i <= 20; ++i) {
+    // Keys 20, 1, 19, 2, ...: every execution binds a different key.
+    const int key = (i % 2 == 1) ? 21 - (i + 1) / 2 : i / 2;
+    ASSERT_TRUE(select->Bind(0, Value::Int(key)).ok());
+    auto remote = select->Execute();
+    ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+    auto in_process = local->Execute("SELECT ALL FROM item WHERE num = " +
+                                     std::to_string(key));
+    ASSERT_TRUE(in_process.ok()) << in_process.status().ToString();
+    ASSERT_EQ(remote->molecules.size(), 1u);
+    EXPECT_EQ(db->data().Format(*remote), db->data().Format(*in_process));
+    auto stats = client->Stats();
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    if (i == 1) plans = Stat(*stats, "prima_prepared_plans");
+    EXPECT_EQ(Stat(*stats, "prima_prepared_plans"), plans)
+        << "re-binding the key must not re-plan";
+  }
+}
+
 // --- stats & statement cache -----------------------------------------------
 
 TEST(NetServerTest, StatsServeTheWedgedRingGauge) {

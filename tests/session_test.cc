@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "core/prima.h"
 #include "recovery/crash_device.h"
@@ -210,7 +213,7 @@ TEST_F(SessionTest, PreparedSelectPlansOnceAcrossExecutions) {
   EXPECT_EQ(db_->data().stats().prepared_executions.load(), 5u);
 }
 
-TEST_F(SessionTest, EqKeyPlaceholderReplansOnlyOnValueChange) {
+TEST_F(SessionTest, EqKeyPlaceholderRebindsWithoutReplanning) {
   for (int i = 1; i <= 4; ++i) {
     ASSERT_TRUE(InsertPart(session_.get(), i, "p", 1.0).ok());
   }
@@ -221,20 +224,109 @@ TEST_F(SessionTest, EqKeyPlaceholderReplansOnlyOnValueChange) {
   ASSERT_TRUE(r1.ok());
   ASSERT_EQ(r1->molecules.size(), 1u);
   EXPECT_EQ(stmt->plans_computed(), 1u);
-  // part_no is the KEYS_ARE key: the placeholder's value is EMBEDDED in
-  // the key-lookup plan, so the plan notes the dependency.
+  // part_no is the KEYS_ARE key: the key-lookup plan holds the
+  // placeholder's slot, and the lookup reads the bound value at open.
   EXPECT_EQ(r1->molecules.molecules[0].groups[0].atoms[0].attrs[1].AsInt(), 2);
 
   auto again = stmt->Execute();  // same binding: reuse
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(stmt->plans_computed(), 1u);
 
-  ASSERT_TRUE(stmt->Bind(0, Value::Int(3)).ok());  // new key: must re-plan
+  ASSERT_TRUE(stmt->Bind(0, Value::Int(3)).ok());  // new key: same plan
   auto r2 = stmt->Execute();
   ASSERT_TRUE(r2.ok());
   ASSERT_EQ(r2->molecules.size(), 1u);
   EXPECT_EQ(r2->molecules.molecules[0].groups[0].atoms[0].attrs[1].AsInt(), 3);
-  EXPECT_EQ(stmt->plans_computed(), 2u);
+  EXPECT_EQ(stmt->plans_computed(), 1u);
+}
+
+// Each root access shape reads its operands from the bound values when the
+// cursor opens: re-binding three times must give exactly what the same
+// query gives run one-shot with the values written as literals, through the
+// same access path and without a re-plan. The range and grid shapes bind
+// INTEGER values to REAL attributes, which are coerced at open.
+TEST_F(SessionTest, PreparedRootAccessShapesRebindLikeOneShotLiterals) {
+  for (int i = 1; i <= 12; ++i) {
+    ASSERT_TRUE(
+        InsertPart(session_.get(), i, "p" + std::to_string(i), i * 0.5).ok());
+  }
+  ASSERT_TRUE(db_->ExecuteLdl("CREATE ACCESS PATH part_weight ON part (weight)")
+                  .ok());
+  ASSERT_TRUE(session_
+                  ->Execute("CREATE ATOM_TYPE cell (cell_id: IDENTIFIER, "
+                            "x: REAL, y: REAL)")
+                  .ok());
+  for (int i = 0; i < 36; ++i) {
+    ASSERT_TRUE(session_
+                    ->Execute("INSERT cell (x = " + std::to_string(i % 6) +
+                              ".0, y = " + std::to_string(i / 6) + ".0)")
+                    .ok());
+  }
+  ASSERT_TRUE(
+      db_->ExecuteLdl("CREATE ACCESS PATH cell_xy ON cell (x, y) USING GRID")
+          .ok());
+
+  struct Shape {
+    std::string text;
+    obs::Counter mql::DataStats::*access;
+    std::vector<std::vector<Value>> bindings;
+    std::vector<size_t> sizes;
+  };
+  const std::vector<Shape> shapes = {
+      {"SELECT ALL FROM part WHERE part_no = ?",
+       &mql::DataStats::key_lookups,
+       {{Value::Int(2)}, {Value::Int(5)}, {Value::Int(13)}},
+       {1, 1, 0}},
+      {"SELECT ALL FROM part WHERE weight > ? AND weight <= ?",
+       &mql::DataStats::access_path_scans,
+       {{Value::Real(0.75), Value::Real(2.0)},
+        {Value::Int(2), Value::Int(5)},
+        {Value::Int(5), Value::Real(5.5)}},
+       {3, 6, 1}},
+      {"SELECT ALL FROM cell WHERE x >= ? AND y < ?",
+       &mql::DataStats::grid_scans,
+       {{Value::Real(4.0), Value::Real(2.0)},
+        {Value::Int(1), Value::Int(1)},
+        {Value::Real(0.5), Value::Int(6)}},
+       {4, 5, 30}},
+  };
+  const auto literal = [](const Value& v) {
+    if (v.kind() == Value::Kind::kInt) return std::to_string(v.AsInt());
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.2f", v.AsReal());
+    return std::string(buf);
+  };
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE(shape.text);
+    auto stmt = session_->Prepare(shape.text);
+    ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+    for (size_t b = 0; b < shape.bindings.size(); ++b) {
+      const std::vector<Value>& values = shape.bindings[b];
+      std::string one_shot;
+      size_t next = 0;
+      for (const char c : shape.text) {
+        if (c == '?') {
+          one_shot += literal(values[next]);
+          ASSERT_TRUE(stmt->Bind(next, values[next]).ok());
+          ++next;
+        } else {
+          one_shot += c;
+        }
+      }
+      SCOPED_TRACE(one_shot);
+      const uint64_t opens = (db_->data().stats().*shape.access).load();
+      auto prepared = stmt->Execute();
+      ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+      EXPECT_EQ((db_->data().stats().*shape.access).load(), opens + 1)
+          << "the prepared execution must use the planned access path";
+      auto expected = session_->Execute(one_shot);
+      ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+      EXPECT_EQ((db_->data().stats().*shape.access).load(), opens + 2);
+      EXPECT_EQ(prepared->molecules.size(), shape.sizes[b]);
+      EXPECT_EQ(db_->data().Format(*prepared), db_->data().Format(*expected));
+    }
+    EXPECT_EQ(stmt->plans_computed(), 1u);
+  }
 }
 
 TEST_F(SessionTest, NonRootPlaceholderNeverReplans) {
@@ -290,6 +382,118 @@ TEST_F(SessionTest, PreparedPlanInvalidatedByDdl) {
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(back->molecules.size(), 1u);
   EXPECT_GE(stmt->plans_computed(), 2u);
+}
+
+// Two sessions preparing the same text share one compiled statement; each
+// one's bindings travel beside it, so interleaved executions never see the
+// other's values, and DDL heals both on their next execution.
+TEST_F(SessionTest, SharedPreparedStatementAcrossSessions) {
+  for (int i = 1; i <= 8; ++i) {
+    ASSERT_TRUE(InsertPart(session_.get(), i, "p" + std::to_string(i), 1.0)
+                    .ok());
+  }
+  const std::string text = "SELECT ALL FROM part WHERE part_no = ?";
+  auto other = db_->OpenSession();
+  mql::StatementCache& cache = db_->data().statement_cache();
+  const size_t entries = cache.size();
+  const uint64_t hits = cache.hits();
+  auto a = session_->Prepare(text);
+  auto b = other->Prepare(text);
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_EQ(cache.size(), entries + 1) << "one compile for both sessions";
+  EXPECT_EQ(cache.hits(), hits + 1);
+  ASSERT_TRUE(a->Bind(0, Value::Int(2)).ok());
+  ASSERT_TRUE(b->Bind(0, Value::Int(7)).ok());
+
+  const auto part_no = [](const mql::Molecule& m) {
+    return m.groups[0].atoms[0].attrs[1].AsInt();
+  };
+  const auto expect_only = [&](PreparedStatement* stmt, int64_t no) {
+    auto executed = stmt->Execute();
+    ASSERT_TRUE(executed.ok()) << executed.status().ToString();
+    ASSERT_EQ(executed->molecules.size(), 1u);
+    EXPECT_EQ(part_no(executed->molecules.molecules[0]), no);
+    auto cursor = stmt->Query();
+    ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
+    auto drained = cursor->Drain();
+    ASSERT_TRUE(drained.ok());
+    ASSERT_EQ(drained->size(), 1u);
+    EXPECT_EQ(part_no(drained->molecules[0]), no);
+  };
+  expect_only(&*a, 2);
+  expect_only(&*b, 7);
+  ASSERT_TRUE(a->Bind(0, Value::Int(4)).ok());
+  expect_only(&*b, 7);
+  expect_only(&*a, 4);
+
+  // DROP + CREATE moves the schema under both statements.
+  ASSERT_TRUE(session_->Execute("DELETE ALL FROM part").ok());
+  ASSERT_TRUE(session_->Execute("DROP ATOM_TYPE part").ok());
+  ASSERT_TRUE(session_
+                  ->Execute("CREATE ATOM_TYPE part (part_id: IDENTIFIER, "
+                            "part_no: INTEGER, name: CHAR_VAR, weight: REAL) "
+                            "KEYS_ARE (part_no)")
+                  .ok());
+  for (int i = 1; i <= 8; ++i) {
+    ASSERT_TRUE(InsertPart(other.get(), i, "q" + std::to_string(i), 2.0).ok());
+  }
+  expect_only(&*b, 7);
+  expect_only(&*a, 4);
+  EXPECT_EQ(a->plans_computed(), 2u);
+  EXPECT_EQ(b->plans_computed(), 2u);
+  EXPECT_EQ(PartName(session_.get(), 4), "q4");
+}
+
+// The threaded form of the above, for TSan: sessions on four threads run
+// one shared compiled statement — queries and a DML statement — with
+// disjoint keys.
+TEST_F(SessionTest, SharedPreparedStatementAcrossSessionsThreaded) {
+  constexpr int kThreads = 4;
+  constexpr int kKeysPerThread = 8;
+  for (int i = 1; i <= kThreads * kKeysPerThread; ++i) {
+    ASSERT_TRUE(InsertPart(session_.get(), i, "p", 1.0).ok());
+  }
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([this, t] {
+      auto session = db_->OpenSession();
+      auto select = session->Prepare("SELECT ALL FROM part WHERE part_no = ?");
+      auto rename =
+          session->Prepare("MODIFY part SET name = ? WHERE part_no = ?");
+      ASSERT_TRUE(select.ok() && rename.ok());
+      for (int round = 0; round < 3; ++round) {
+        for (int k = 1; k <= kKeysPerThread; ++k) {
+          const int64_t no = t * kKeysPerThread + k;
+          const std::string name =
+              "t" + std::to_string(t) + "r" + std::to_string(round);
+          ASSERT_TRUE(rename->Bind(0, Value::String(name)).ok());
+          ASSERT_TRUE(rename->Bind(1, Value::Int(no)).ok());
+          auto renamed = rename->Execute();
+          ASSERT_TRUE(renamed.ok()) << renamed.status().ToString();
+          EXPECT_EQ(renamed->count, 1u);
+          ASSERT_TRUE(select->Bind(0, Value::Int(no)).ok());
+          MoleculeSet got;
+          if (k % 2 == 0) {
+            auto r = select->Execute();
+            ASSERT_TRUE(r.ok()) << r.status().ToString();
+            got = std::move(r->molecules);
+          } else {
+            auto cursor = select->Query();
+            ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
+            auto drained = cursor->Drain();
+            ASSERT_TRUE(drained.ok()) << drained.status().ToString();
+            got = std::move(*drained);
+          }
+          ASSERT_EQ(got.size(), 1u);
+          const auto& atom = got.molecules[0].groups[0].atoms[0];
+          EXPECT_EQ(atom.attrs[1].AsInt(), no);
+          EXPECT_EQ(atom.attrs[2].AsString(), name);
+        }
+      }
+      EXPECT_EQ(select->plans_computed(), 1u);
+    });
+  }
+  for (std::thread& th : threads) th.join();
 }
 
 TEST_F(SessionTest, PreparedBindingErrors) {
