@@ -3,7 +3,8 @@
 // connection server holds up under hundreds of concurrent connections.
 //
 //   - remote vs in-process statement cost: the same one-shot SELECT and
-//     the same prepared INSERT, through net::Client vs core::Session;
+//     the same prepared INSERT, through net::Client vs core::Session (a
+//     remote bind is local; its value travels in the execute request);
 //   - concurrent-connection storm: N connections (up to several hundred)
 //     each running a transactional insert+select mix, reporting p50/p99
 //     statement latency and aggregate throughput per connection count.
@@ -71,7 +72,8 @@ void SetupItemSchema(core::Prima* db) {
 void ReportWireTax() {
   PrintHeader("network server — the wire tax",
               "a remote statement pays one framed round trip over loopback "
-              "on top of the in-process execution it maps onto");
+              "(binds are local and ride with the execute) on top of the "
+              "in-process execution it maps onto");
 
   auto db = OpenNetDb(/*max_connections=*/16);
   SetupItemSchema(db.get());
@@ -209,6 +211,9 @@ void BM_InProcessExecute(benchmark::State& state) {
 }
 BENCHMARK(BM_InProcessExecute);
 
+// Open + drain + close of a remote cursor: the open's reply carries the
+// first 16 molecules, each further batch is one fetch, and the close sends
+// nothing once the last batch has arrived.
 void BM_RemoteCursorStream(benchmark::State& state) {
   auto db = OpenNetDb(/*max_connections=*/8);
   SetupItemSchema(db.get());

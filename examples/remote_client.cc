@@ -60,8 +60,8 @@ int main() {
         "insert");
   Check(client->Commit(), "commit");  // durable once this call returns
 
-  // Prepared remotely: parsed and planned once server-side, bound and
-  // executed per call from here.
+  // Prepared remotely: parsed and planned once server-side. Binding is
+  // local; the values travel with the execute, one request per statement.
   auto stmt_or = client->Prepare("INSERT city (pop = ?, name = :name)");
   Check(stmt_or.status(), "prepare");
   auto stmt = std::move(*stmt_or);
@@ -70,6 +70,8 @@ int main() {
   Check(stmt.Execute().status(), "execute prepared");
 
   // Streaming: molecules cross the wire in batches, assembled on demand.
+  // The open's reply already carries the first batch; Next() fetches only
+  // once it is used up, and a drained cursor closes without a request.
   auto cursor_or = client->OpenCursor("SELECT ALL FROM city WHERE pop > "
                                       "200000",
                                       /*batch_size=*/8);
@@ -89,15 +91,19 @@ int main() {
   Check(cursor.Close(), "close cursor");
 
   // Remote-cursor lifetime contract: a rollback invalidates the
-  // connection's open cursors exactly as it would a local session's.
+  // connection's open cursors exactly as it would a local session's. The
+  // molecule that arrived with the open is still served from the client's
+  // buffer; the next fetch that reaches the server reports the abort.
   Check(client->Begin(), "begin");
   Check(client->Execute("INSERT city (pop = 1, name = 'Phantomstadt')")
             .status(),
         "insert");
-  auto doomed_or = client->OpenCursor("SELECT ALL FROM city");
+  auto doomed_or = client->OpenCursor("SELECT ALL FROM city",
+                                      /*batch_size=*/1);
   Check(doomed_or.status(), "open cursor");
   auto doomed = std::move(*doomed_or);
   Check(client->Abort(), "abort");
+  Check(doomed.Next().status(), "buffered molecule");
   auto after_abort = doomed.Next();
   std::printf("fetch after abort: %s\n",
               after_abort.status().ToString().c_str());  // Aborted: ...

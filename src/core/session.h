@@ -47,6 +47,11 @@ class PreparedStatement {
   PreparedStatement& operator=(PreparedStatement&&) = default;
 
   size_t param_count() const { return bound_.size(); }
+  /// The name of placeholder `index` (< param_count()): `:name` slots
+  /// report their name, `?` slots the empty string.
+  const std::string& param_name(size_t index) const {
+    return compiled_->stmt.params[index].name;
+  }
 
   /// Bind a value to a placeholder by 0-based position (both `?` and
   /// `:name` slots count, in placeholder order).

@@ -77,6 +77,14 @@ Client::~Client() {
 
 Result<Frame> Client::RoundTrip(MsgKind kind, Slice payload, MsgKind expect) {
   if (fd_ < 0) return Status::IoError("client is not connected");
+  if (payload.size() > kMaxRequestFrame) {
+    // The server would refuse the frame and close the connection; refuse it
+    // here instead, before a byte is written, so the connection survives.
+    return Status::InvalidArgument(
+        "request of " + std::to_string(payload.size()) +
+        " bytes exceeds the " + std::to_string(kMaxRequestFrame) +
+        "-byte limit");
+  }
   Status st = WriteFrame(fd_, kind, payload);
   if (st.ok()) {
     Frame reply;
@@ -109,19 +117,6 @@ Result<mql::ExecResult> Client::Execute(const std::string& mql) {
   return DecodeExecResult(&in);
 }
 
-namespace {
-/// Trailing field list of kOpenCursor forms 1 and 2 (count-prefixed
-/// varints; field 0 = isolation override encoded +1, 0 = none).
-void AppendCursorFields(std::optional<Isolation> isolation,
-                        std::string* payload) {
-  util::PutVarint64(payload, 1);
-  util::PutVarint64(
-      payload, isolation.has_value()
-                   ? (*isolation == Isolation::kSnapshot ? 2u : 1u)
-                   : 0u);
-}
-}  // namespace
-
 Status Client::Begin(bool read_only) {
   if (read_only) {
     return Execute("BEGIN WORK READ ONLY").status();
@@ -140,10 +135,19 @@ Result<RemoteStatement> Client::Prepare(const std::string& mql) {
   if (!reply.ok()) return reply.status();
   Slice in(reply->payload);
   uint32_t id = 0, params = 0;
-  if (!util::GetFixed32(&in, &id) || !util::GetFixed32(&in, &params)) {
+  if (!util::GetFixed32(&in, &id) || !util::GetFixed32(&in, &params) ||
+      params > in.size()) {  // every name costs at least its length byte
     return Status::Corruption("malformed prepare reply");
   }
-  return RemoteStatement(this, id, params);
+  std::vector<std::string> names(params);
+  for (std::string& name : names) {
+    Slice s;
+    if (!util::GetLengthPrefixed(&in, &s)) {
+      return Status::Corruption("malformed prepare reply");
+    }
+    name.assign(s.data(), s.size());
+  }
+  return RemoteStatement(this, id, std::move(names));
 }
 
 Status Client::set_default_isolation(Isolation isolation) {
@@ -156,26 +160,23 @@ Result<RemoteCursor> Client::OpenCursor(const std::string& mql,
                                         uint32_t batch_size,
                                         std::optional<Isolation> isolation) {
   std::string payload;
-  if (isolation.has_value()) {
-    // Form 2: length-prefixed text + trailing field list. Only used when
-    // there is something to say — the legacy form 0 (bare text) keeps
-    // working against any server.
-    payload.push_back(2);
-    util::PutLengthPrefixed(&payload, mql);
-    AppendCursorFields(isolation, &payload);
-  } else {
-    payload.push_back(0);  // not prepared: the rest is statement text
-    payload.append(mql);
-  }
+  payload.push_back(2);  // statement text
+  util::PutLengthPrefixed(&payload, mql);
+  return OpenCursorWith(std::move(payload), batch_size, isolation);
+}
+
+Result<RemoteCursor> Client::OpenCursorWith(
+    std::string payload, uint32_t batch_size,
+    std::optional<Isolation> isolation) {
+  if (batch_size == 0) batch_size = 1;
+  util::PutFixed32(&payload, batch_size);
+  // The isolation override, plus one so that 0 means "none".
+  payload.push_back(static_cast<char>(
+      isolation.has_value() ? static_cast<uint8_t>(*isolation) + 1 : 0));
   Result<Frame> reply =
       RoundTrip(MsgKind::kOpenCursor, payload, MsgKind::kCursorOpened);
   if (!reply.ok()) return reply.status();
-  Slice in(reply->payload);
-  uint32_t id = 0;
-  if (!util::GetFixed32(&in, &id)) {
-    return Status::Corruption("malformed cursor reply");
-  }
-  return RemoteCursor(this, id, batch_size == 0 ? 1 : batch_size);
+  return RemoteCursor::Opened(this, batch_size, reply->payload);
 }
 
 Result<StatsMap> Client::Stats() {
@@ -204,30 +205,45 @@ Status Client::Close() {
 
 // --- RemoteStatement -------------------------------------------------------
 
+// The refusals and their messages are core::PreparedStatement::Bind's, so
+// a caller sees the same errors whichever side of the wire it binds on.
 Status RemoteStatement::Bind(uint32_t index, const access::Value& value) {
-  std::string payload;
-  util::PutFixed32(&payload, id_);
-  payload.push_back(0);  // by index
-  util::PutFixed32(&payload, index);
-  value.EncodeInto(&payload);
-  return client_->RoundTrip(MsgKind::kBind, payload, MsgKind::kOk).status();
+  if (index >= bound_.size()) {
+    return Status::InvalidArgument(
+        "parameter index " + std::to_string(index) + " out of range (" +
+        std::to_string(bound_.size()) + " placeholders)");
+  }
+  bound_[index] = value;
+  return Status::Ok();
 }
 
 Status RemoteStatement::Bind(const std::string& name,
                              const access::Value& value) {
+  if (name.empty()) {
+    return Status::InvalidArgument("bind by name needs a non-empty name");
+  }
+  for (size_t i = 0; i < param_names_.size(); ++i) {
+    if (param_names_[i] == name) {
+      return Bind(static_cast<uint32_t>(i), value);
+    }
+  }
+  return Status::InvalidArgument("no placeholder named :" + name);
+}
+
+std::string RemoteStatement::RequestHeader() const {
   std::string payload;
   util::PutFixed32(&payload, id_);
-  payload.push_back(1);  // by name
-  util::PutLengthPrefixed(&payload, name);
-  value.EncodeInto(&payload);
-  return client_->RoundTrip(MsgKind::kBind, payload, MsgKind::kOk).status();
+  util::PutVarint64(&payload, bound_.size());
+  for (const std::optional<access::Value>& value : bound_) {
+    payload.push_back(value.has_value() ? 1 : 0);
+    if (value.has_value()) value->EncodeInto(&payload);
+  }
+  return payload;
 }
 
 Result<mql::ExecResult> RemoteStatement::Execute() {
-  std::string payload;
-  util::PutFixed32(&payload, id_);
-  Result<Frame> reply =
-      client_->RoundTrip(MsgKind::kExecutePrepared, payload, MsgKind::kResult);
+  Result<Frame> reply = client_->RoundTrip(
+      MsgKind::kExecutePrepared, RequestHeader(), MsgKind::kResult);
   if (!reply.ok()) return reply.status();
   Slice in(reply->payload);
   return DecodeExecResult(&in);
@@ -237,19 +253,8 @@ Result<RemoteCursor> RemoteStatement::Query(
     uint32_t batch_size, std::optional<Isolation> isolation) {
   std::string payload;
   payload.push_back(1);  // prepared
-  util::PutFixed32(&payload, id_);
-  // Trailing fields: a pre-snapshot server stops after the statement id
-  // and ignores these (its decode reads exactly what it knows).
-  AppendCursorFields(isolation, &payload);
-  Result<Frame> reply =
-      client_->RoundTrip(MsgKind::kOpenCursor, payload, MsgKind::kCursorOpened);
-  if (!reply.ok()) return reply.status();
-  Slice in(reply->payload);
-  uint32_t id = 0;
-  if (!util::GetFixed32(&in, &id)) {
-    return Status::Corruption("malformed cursor reply");
-  }
-  return RemoteCursor(client_, id, batch_size == 0 ? 1 : batch_size);
+  payload.append(RequestHeader());
+  return client_->OpenCursorWith(std::move(payload), batch_size, isolation);
 }
 
 Status RemoteStatement::Close() {
@@ -261,6 +266,34 @@ Status RemoteStatement::Close() {
 
 // --- RemoteCursor ----------------------------------------------------------
 
+Result<RemoteCursor> RemoteCursor::Opened(Client* client,
+                                          uint32_t batch_size,
+                                          Slice reply) {
+  RemoteCursor cursor(client, batch_size);
+  if (!util::GetFixed32(&reply, &cursor.id_)) {
+    return Status::Corruption("malformed cursor reply");
+  }
+  PRIMA_RETURN_IF_ERROR(cursor.Absorb(&reply));
+  return cursor;
+}
+
+Status RemoteCursor::Absorb(Slice* in) {
+  uint64_t n = 0;
+  if (in->empty()) return Status::Corruption("malformed molecule batch");
+  const bool done = (*in)[0] != 0;
+  in->RemovePrefix(1);
+  if (!util::GetVarint64(in, &n)) {
+    return Status::Corruption("malformed molecule batch");
+  }
+  for (uint64_t i = 0; i < n; ++i) {
+    Result<mql::Molecule> m = DecodeMolecule(in);
+    if (!m.ok()) return m.status();
+    buffer_.push_back(std::move(*m));
+  }
+  server_done_ = done;
+  return Status::Ok();
+}
+
 Result<std::optional<mql::Molecule>> RemoteCursor::Next() {
   if (buffer_.empty() && !server_done_) {
     std::string payload;
@@ -270,18 +303,7 @@ Result<std::optional<mql::Molecule>> RemoteCursor::Next() {
         client_->RoundTrip(MsgKind::kFetch, payload, MsgKind::kMolecules);
     if (!reply.ok()) return reply.status();
     Slice in(reply->payload);
-    if (in.empty()) return Status::Corruption("malformed fetch reply");
-    server_done_ = in[0] != 0;
-    in.RemovePrefix(1);
-    uint64_t n = 0;
-    if (!util::GetVarint64(&in, &n)) {
-      return Status::Corruption("malformed fetch reply");
-    }
-    for (uint64_t i = 0; i < n; ++i) {
-      Result<mql::Molecule> m = DecodeMolecule(&in);
-      if (!m.ok()) return m.status();
-      buffer_.push_back(std::move(*m));
-    }
+    PRIMA_RETURN_IF_ERROR(Absorb(&in));
   }
   if (buffer_.empty()) return std::optional<mql::Molecule>();
   std::optional<mql::Molecule> out(std::move(buffer_.front()));
@@ -290,10 +312,15 @@ Result<std::optional<mql::Molecule>> RemoteCursor::Next() {
 }
 
 Status RemoteCursor::Close() {
+  if (closed_) {
+    return Status::NotFound("no open cursor with id " + std::to_string(id_));
+  }
+  closed_ = true;
+  buffer_.clear();
+  if (server_done_) return Status::Ok();  // released with its last batch
+  server_done_ = true;
   std::string payload;
   util::PutFixed32(&payload, id_);
-  buffer_.clear();
-  server_done_ = true;
   return client_->RoundTrip(MsgKind::kCloseCursor, payload, MsgKind::kOk)
       .status();
 }

@@ -6,6 +6,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "net/protocol.h"
 #include "util/result.h"
@@ -25,14 +26,19 @@ class RemoteCursor;
 /// must not outlive it (they address per-connection server state, so they
 /// are meaningless on any other connection anyway).
 ///
+/// Every statement costs one request: Bind only records the value on the
+/// client, and the bindings travel inside the Execute or Query request; a
+/// cursor's open reply carries its first batch, so a result that fits in
+/// one batch needs no fetch and no close request.
+///
 ///   auto client = *Client::Connect("127.0.0.1", port);
-///   client->Execute("BEGIN WORK");
+///   client->Execute("BEGIN WORK");                    // 1 request
 ///   auto stmt = *client->Prepare("INSERT point (x = ?)");
-///   stmt.Bind(0, access::Value::Real(1.5));
-///   stmt.Execute();
+///   stmt.Bind(0, access::Value::Real(1.5));           // local
+///   stmt.Execute();                                   // 1 request
 ///   client->Execute("COMMIT WORK");
 ///   auto cursor = *client->OpenCursor("SELECT ALL FROM point");
-///   while (auto m = *cursor.Next()) { /* streamed in server-side batches */ }
+///   while (auto m = *cursor.Next()) { /* fetches once the batch is used */ }
 class Client {
  public:
   /// Connect + versioned handshake. `host` is a name or numeric address.
@@ -67,9 +73,10 @@ class Client {
   /// `:name` placeholders.
   util::Result<RemoteStatement> Prepare(const std::string& mql);
 
-  /// Open a server-side streaming cursor over a SELECT; molecules arrive
-  /// in batches of `batch_size` (further bounded server-side by bytes).
-  /// `isolation` overrides the connection default for this one cursor.
+  /// Open a server-side streaming cursor over a SELECT (one request, whose
+  /// reply carries the first batch); molecules arrive in batches of
+  /// `batch_size` (further bounded server-side by bytes). `isolation`
+  /// overrides the connection default for this one cursor.
   util::Result<RemoteCursor> OpenCursor(
       const std::string& mql, uint32_t batch_size = 128,
       std::optional<Isolation> isolation = std::nullopt);
@@ -99,30 +106,48 @@ class Client {
 
   /// Send one request, read one reply. A kError reply decodes into the
   /// returned status; a reply of any kind other than `expect` is a
-  /// protocol violation and poisons the connection.
+  /// protocol violation and poisons the connection. A payload over
+  /// kMaxRequestFrame is refused with InvalidArgument before anything is
+  /// written, so the connection stays usable.
   util::Result<Frame> RoundTrip(MsgKind kind, util::Slice payload,
                                 MsgKind expect);
+  /// Finish a kOpenCursor payload (`payload` holds the form and statement)
+  /// with the batch size and isolation fields, send it, and decode the
+  /// cursor with its first batch.
+  util::Result<RemoteCursor> OpenCursorWith(
+      std::string payload, uint32_t batch_size,
+      std::optional<Isolation> isolation);
 
   int fd_ = -1;
   uint64_t connection_id_ = 0;
 };
 
-/// Client handle to a server-side prepared statement.
+/// Client handle to a server-side prepared statement. The bindings live on
+/// the client and are sent whole with every Execute and Query, which
+/// replace the server-side statement's bindings before running it.
 class RemoteStatement {
  public:
   RemoteStatement(RemoteStatement&&) = default;
   RemoteStatement& operator=(RemoteStatement&&) = default;
 
-  uint32_t param_count() const { return param_count_; }
+  uint32_t param_count() const {
+    return static_cast<uint32_t>(bound_.size());
+  }
 
-  /// Bind by 0-based placeholder position / by `:name`.
+  /// Bind by 0-based placeholder position / by `:name`. Local — no request
+  /// — and refusing exactly what core::PreparedStatement::Bind refuses,
+  /// with the same messages: an index out of range, an empty name, a name
+  /// no placeholder has.
   util::Status Bind(uint32_t index, const access::Value& value);
   util::Status Bind(const std::string& name, const access::Value& value);
 
-  /// Execute with the current bindings (one round trip).
+  /// Execute with the current bindings (one request). A slot never bound
+  /// fails server-side with InvalidArgument naming it, as a local
+  /// execution does.
   util::Result<mql::ExecResult> Execute();
-  /// Open a streaming cursor over the bound SELECT. `isolation` overrides
-  /// the connection default for this one open.
+  /// Open a streaming cursor over the bound SELECT (one request, whose
+  /// reply carries the first batch). `isolation` overrides the connection
+  /// default for this one open.
   util::Result<RemoteCursor> Query(
       uint32_t batch_size = 128,
       std::optional<Isolation> isolation = std::nullopt);
@@ -133,17 +158,28 @@ class RemoteStatement {
 
  private:
   friend class Client;
-  RemoteStatement(Client* client, uint32_t id, uint32_t param_count)
-      : client_(client), id_(id), param_count_(param_count) {}
+  RemoteStatement(Client* client, uint32_t id,
+                  std::vector<std::string> param_names)
+      : client_(client),
+        id_(id),
+        param_names_(std::move(param_names)),
+        bound_(param_names_.size()) {}
+
+  /// u32 statement id + the bindings field of the request payload.
+  std::string RequestHeader() const;
 
   Client* client_;
   uint32_t id_;
-  uint32_t param_count_;
+  std::vector<std::string> param_names_;  ///< "" for `?` slots
+  std::vector<std::optional<access::Value>> bound_;
 };
 
-/// Client handle to a server-side molecule cursor. Next() refills from the
-/// server in batches; an ABORT WORK (or any rollback) server-side makes the
-/// next fetch fail with Aborted, exactly like a local MoleculeCursor.
+/// Client handle to a server-side molecule cursor. It opens holding its
+/// first batch; Next() serves buffered molecules locally and fetches the
+/// next batch once they run out. An ABORT WORK (or any rollback)
+/// server-side makes the next fetch that reaches the server fail with
+/// Aborted, exactly like a local MoleculeCursor; molecules already
+/// buffered are still served.
 class RemoteCursor {
  public:
   RemoteCursor(RemoteCursor&&) = default;
@@ -152,20 +188,30 @@ class RemoteCursor {
   /// Next molecule, or nullopt when the result set is drained.
   util::Result<std::optional<mql::Molecule>> Next();
 
-  /// Release the server-side cursor. Closing twice reports NotFound.
+  /// Release the server-side cursor. A cursor whose last batch has arrived
+  /// was released by the server already, so this sends nothing. Closing
+  /// twice reports NotFound.
   util::Status Close();
 
  private:
   friend class Client;
   friend class RemoteStatement;
-  RemoteCursor(Client* client, uint32_t id, uint32_t batch_size)
-      : client_(client), id_(id), batch_size_(batch_size) {}
+  RemoteCursor(Client* client, uint32_t batch_size)
+      : client_(client), batch_size_(batch_size) {}
+
+  /// Decode a kCursorOpened reply: the cursor id, then its first batch.
+  static util::Result<RemoteCursor> Opened(Client* client,
+                                           uint32_t batch_size,
+                                           util::Slice reply);
+  /// Decode one batch (u8 done + varint n + n molecules) into the buffer.
+  util::Status Absorb(util::Slice* in);
 
   Client* client_;
-  uint32_t id_;
+  uint32_t id_ = 0;
   uint32_t batch_size_;
   std::deque<mql::Molecule> buffer_;
-  bool server_done_ = false;
+  bool server_done_ = false;  ///< last batch received; server released it
+  bool closed_ = false;
 };
 
 }  // namespace prima::net

@@ -34,37 +34,49 @@ namespace prima::net {
 /// catalog in hand).
 
 inline constexpr uint32_t kHandshakeMagic = 0x50524D4Eu;  ///< "PRMN"
-/// Version 2: the kStats reply became name-keyed (see EncodeStats); a
-/// version-1 peer is refused at the handshake instead of misreading it.
-inline constexpr uint32_t kProtocolVersion = 2;
+/// Version 3: one request per statement. Placeholder values travel inside
+/// kExecutePrepared and the prepared kOpenCursor, and kCursorOpened carries
+/// the cursor's first batch. A peer speaking any other version is refused
+/// at the handshake instead of misread.
+inline constexpr uint32_t kProtocolVersion = 3;
 
 /// Wire form of core::Isolation — how a remote session's queries read.
-/// Sent as one u8 (kSetIsolation, and the per-cursor override field of
-/// kOpenCursor). Values are pinned: they are protocol, not an enum detail.
+/// Sent as one u8 by kSetIsolation; kOpenCursor's per-cursor override is
+/// the same value plus one (0 = no override). Values are pinned: they are
+/// protocol, not an enum detail.
 enum class Isolation : uint8_t {
   kLatestCommitted = 0,  ///< read the newest committed state (default)
   kSnapshot = 1,         ///< pin a consistent read view per cursor
 };
 
-/// Requests are statements and control messages — small. A frame claiming
-/// more is malformed (and must be rejected BEFORE allocating the claimed
-/// length, or a hostile header is a memory bomb).
+/// Requests are statements, their bound values and control messages. A
+/// frame claiming more is malformed (and must be rejected BEFORE allocating
+/// the claimed length, or a hostile header is a memory bomb); the client
+/// refuses to send one.
 inline constexpr uint32_t kMaxRequestFrame = 1u << 20;
-/// Replies carry molecule batches; the server's fetch path additionally
-/// bounds each batch by kFetchByteTarget well below this.
+/// Replies carry molecule batches; the server additionally bounds each
+/// batch by kFetchByteTarget well below this.
 inline constexpr uint32_t kMaxReplyFrame = 64u << 20;
-/// A fetch reply stops adding molecules once it crosses this many payload
-/// bytes, whatever batch size the client asked for.
+/// A batch (a fetch reply, or the first batch of kCursorOpened) stops
+/// adding molecules once it crosses this many payload bytes, whatever batch
+/// size the client asked for.
 inline constexpr uint32_t kFetchByteTarget = 1u << 20;
 
+/// Payload layouts. `text` is the whole rest of the payload; `string` is
+/// varint length + bytes; `bindings` is varint n + n x (u8 present, Value
+/// if present), one entry per placeholder in slot order; `batch` is u8 done
+/// + varint n + n molecules. A cursor whose batch reports done is released
+/// server-side by that reply, so closing it needs no request.
 enum class MsgKind : uint8_t {
   // Requests (client -> server).
   kHello = 1,           ///< u32 magic + u32 version
-  kExecute = 2,         ///< string mql -> kResult
-  kPrepare = 3,         ///< string mql -> kPrepared
-  kBind = 4,            ///< u32 stmt, u8 by_name, index|name, Value -> kOk
-  kExecutePrepared = 5, ///< u32 stmt -> kResult
-  kOpenCursor = 6,      ///< u8 prepared, u32 stmt | string mql -> kCursorOpened
+  kExecute = 2,         ///< text mql -> kResult
+  kPrepare = 3,         ///< text mql -> kPrepared
+  // 4 is retired (version 2's bind request); do not reuse it.
+  kExecutePrepared = 5, ///< u32 stmt + bindings -> kResult
+  kOpenCursor = 6,      ///< u8 form (1: u32 stmt + bindings | 2: string
+                        ///< mql) + u32 batch size + u8 isolation override
+                        ///< -> kCursorOpened
   kFetch = 7,           ///< u32 cursor, u32 max_n -> kMolecules
   kCloseCursor = 8,     ///< u32 cursor -> kOk
   kCloseStatement = 9,  ///< u32 stmt -> kOk
@@ -81,11 +93,12 @@ enum class MsgKind : uint8_t {
   kOk = 65,             ///< empty
   kError = 66,          ///< u8 status code + string message
   kResult = 67,         ///< ExecResult
-  kPrepared = 68,       ///< u32 stmt id + u32 param count
-  kCursorOpened = 69,   ///< u32 cursor id
-  kMolecules = 70,      ///< u8 done + varint n + n molecules
+  kPrepared = 68,       ///< u32 stmt id + u32 param count + one string
+                        ///< name per placeholder ("" for `?`)
+  kCursorOpened = 69,   ///< u32 cursor id + the first batch
+  kMolecules = 70,      ///< batch
   kStatsReply = 71,     ///< varint n + n x (string name, varint value)
-  kMetricsReply = 72,   ///< string (Prima::MetricsText output)
+  kMetricsReply = 72,   ///< text (Prima::MetricsText output)
 };
 
 /// One decoded frame.

@@ -53,6 +53,56 @@ Status SendError(int fd, const Status& st) {
   return WriteFrame(fd, MsgKind::kError, payload);
 }
 
+/// Replace `stmt`'s bindings with a request's bindings field: varint n +
+/// n x (u8 present, Value if present), one entry per placeholder. A slot
+/// the client left unbound stays unbound, so running the statement reports
+/// it exactly as a local execution would.
+Status ApplyBindings(Slice* in, core::PreparedStatement* stmt) {
+  uint64_t n = 0;
+  if (!util::GetVarint64(in, &n)) {
+    return Status::InvalidArgument("malformed bindings");
+  }
+  if (n != stmt->param_count()) {
+    return Status::InvalidArgument(
+        "request carries " + std::to_string(n) + " bindings for " +
+        std::to_string(stmt->param_count()) + " placeholders");
+  }
+  stmt->ClearBindings();
+  for (size_t i = 0; i < n; ++i) {
+    if (in->empty()) return Status::InvalidArgument("malformed bindings");
+    const bool present = (*in)[0] != 0;
+    in->RemovePrefix(1);
+    if (!present) continue;
+    PRIMA_ASSIGN_OR_RETURN(access::Value value, access::Value::Decode(in));
+    PRIMA_RETURN_IF_ERROR(stmt->Bind(i, std::move(value)));
+  }
+  return Status::Ok();
+}
+
+/// Append one molecule batch — u8 done + varint n + n molecules — pulled
+/// from `cursor`: at most `max_n` molecules, and no more once the batch
+/// crosses kFetchByteTarget bytes, so one greedy request cannot blow the
+/// reply frame. kCursorOpened and kFetch both carry it. Returns n.
+Result<uint64_t> AppendBatch(mql::MoleculeCursor* cursor, uint32_t max_n,
+                             bool* done, std::string* out) {
+  std::string body;
+  uint64_t count = 0;
+  *done = false;
+  while (count < max_n && body.size() < kFetchByteTarget) {
+    PRIMA_ASSIGN_OR_RETURN(std::optional<mql::Molecule> next, cursor->Next());
+    if (!next.has_value()) {
+      *done = true;
+      break;
+    }
+    EncodeMolecule(*next, &body);
+    ++count;
+  }
+  out->push_back(*done ? 1 : 0);
+  util::PutVarint64(out, count);
+  out->append(body);
+  return count;
+}
+
 }  // namespace
 
 /// Per-connection state. The socket fd is owned by the SERVER: the serving
@@ -270,26 +320,27 @@ void Server::ServeConnection(Conn* conn) {
       // Request-handling latency: decode + execute + encode + write, i.e.
       // what the client waits for beyond the network itself.
       const uint64_t req_t0 = tel != nullptr ? obs::NowNs() : 0;
+      // Reply to a statement execution; false when the write failed.
+      auto send_result = [&](const Result<mql::ExecResult>& result) {
+        if (!result.ok()) return SendError(fd, result.status()).ok();
+        if (result->kind == mql::ExecResult::Kind::kMolecules) {
+          stats_.molecules_streamed += result->molecules.size();
+        }
+        const uint64_t enc_t0 = tel != nullptr ? obs::NowNs() : 0;
+        std::string payload;
+        EncodeExecResult(*result, &payload);
+        const bool sent = WriteFrame(fd, MsgKind::kResult, payload).ok();
+        if (tel != nullptr) {
+          tel->net_encode_us()->Record((obs::NowNs() - enc_t0) / 1000);
+        }
+        return sent;
+      };
 
       switch (req.kind) {
         case MsgKind::kExecute: {
           stats_.statements_executed++;
-          Result<mql::ExecResult> result =
-              session->Execute(std::string(in.data(), in.size()));
-          if (!result.ok()) {
-            close_conn = !SendError(fd, result.status()).ok();
-            break;
-          }
-          if (result->kind == mql::ExecResult::Kind::kMolecules) {
-            stats_.molecules_streamed += result->molecules.size();
-          }
-          const uint64_t enc_t0 = tel != nullptr ? obs::NowNs() : 0;
-          std::string payload;
-          EncodeExecResult(*result, &payload);
-          close_conn = !WriteFrame(fd, MsgKind::kResult, payload).ok();
-          if (tel != nullptr) {
-            tel->net_encode_us()->Record((obs::NowNs() - enc_t0) / 1000);
-          }
+          close_conn = !send_result(
+              session->Execute(std::string(in.data(), in.size())));
           break;
         }
 
@@ -309,60 +360,15 @@ void Server::ServeConnection(Conn* conn) {
           }
           stats_.statements_prepared++;
           const uint32_t id = next_stmt_id++;
-          const uint32_t params =
-              static_cast<uint32_t>(stmt->param_count());
-          statements.emplace(id, std::move(*stmt));
           std::string payload;
           util::PutFixed32(&payload, id);
-          util::PutFixed32(&payload, params);
+          util::PutFixed32(&payload,
+                           static_cast<uint32_t>(stmt->param_count()));
+          for (size_t i = 0; i < stmt->param_count(); ++i) {
+            util::PutLengthPrefixed(&payload, stmt->param_name(i));
+          }
+          statements.emplace(id, std::move(*stmt));
           close_conn = !WriteFrame(fd, MsgKind::kPrepared, payload).ok();
-          break;
-        }
-
-        case MsgKind::kBind: {
-          uint32_t id = 0;
-          if (!util::GetFixed32(&in, &id) || in.empty()) {
-            close_conn =
-                !SendError(fd,
-                           Status::InvalidArgument("malformed bind frame"))
-                     .ok();
-            break;
-          }
-          const uint8_t by_name = static_cast<uint8_t>(in[0]);
-          in.RemovePrefix(1);
-          auto it = statements.find(id);
-          if (it == statements.end()) {
-            close_conn = !SendError(fd, Status::NotFound(
-                                            "no prepared statement with id " +
-                                            std::to_string(id)))
-                              .ok();
-            break;
-          }
-          Status bound;
-          if (by_name) {
-            Slice name;
-            if (!util::GetLengthPrefixed(&in, &name)) {
-              bound = Status::InvalidArgument("malformed bind frame");
-            } else {
-              Result<access::Value> v = access::Value::Decode(&in);
-              bound = v.ok() ? it->second.Bind(
-                                   std::string(name.data(), name.size()),
-                                   std::move(*v))
-                             : v.status();
-            }
-          } else {
-            uint32_t index = 0;
-            if (!util::GetFixed32(&in, &index)) {
-              bound = Status::InvalidArgument("malformed bind frame");
-            } else {
-              Result<access::Value> v = access::Value::Decode(&in);
-              bound = v.ok() ? it->second.Bind(index, std::move(*v))
-                             : v.status();
-            }
-          }
-          close_conn = !(bound.ok() ? WriteFrame(fd, MsgKind::kOk, {})
-                                    : SendError(fd, bound))
-                            .ok();
           break;
         }
 
@@ -383,22 +389,16 @@ void Server::ServeConnection(Conn* conn) {
                               .ok();
             break;
           }
-          stats_.statements_executed++;
-          Result<mql::ExecResult> result = it->second.Execute();
-          if (!result.ok()) {
-            close_conn = !SendError(fd, result.status()).ok();
+          Status bound = ApplyBindings(&in, &it->second);
+          if (bound.ok() && !in.empty()) {
+            bound = Status::InvalidArgument("malformed execute frame");
+          }
+          if (!bound.ok()) {
+            close_conn = !SendError(fd, bound).ok();
             break;
           }
-          if (result->kind == mql::ExecResult::Kind::kMolecules) {
-            stats_.molecules_streamed += result->molecules.size();
-          }
-          const uint64_t enc_t0 = tel != nullptr ? obs::NowNs() : 0;
-          std::string payload;
-          EncodeExecResult(*result, &payload);
-          close_conn = !WriteFrame(fd, MsgKind::kResult, payload).ok();
-          if (tel != nullptr) {
-            tel->net_encode_us()->Record((obs::NowNs() - enc_t0) / 1000);
-          }
+          stats_.statements_executed++;
+          close_conn = !send_result(it->second.Execute());
           break;
         }
 
@@ -408,69 +408,63 @@ void Server::ServeConnection(Conn* conn) {
                 !SendError(fd, Status::NoSpace("too many open cursors")).ok();
             break;
           }
-          if (in.empty()) {
-            close_conn =
-                !SendError(fd,
-                           Status::InvalidArgument("malformed cursor frame"))
-                     .ok();
-            break;
-          }
-          const uint8_t prepared = static_cast<uint8_t>(in[0]);
-          in.RemovePrefix(1);
-          // Optional trailing field list (count-prefixed varints, same
-          // evolution rule as stats): field 0 is the per-cursor isolation
-          // override, encoded +1 so 0 means "no override". Absent on the
-          // legacy forms — the raw-text form 0 has no room for it (the
-          // whole rest of the payload IS the statement text; form 2 is the
-          // length-prefixed replacement that does).
-          auto decode_trailing =
-              [](Slice* rest) -> std::optional<core::Isolation> {
-            uint64_t count = 0;
-            if (!util::GetVarint64(rest, &count)) return std::nullopt;
-            std::optional<core::Isolation> iso;
-            for (uint64_t i = 0; i < count; ++i) {
-              uint64_t v = 0;
-              if (!util::GetVarint64(rest, &v)) break;
-              if (i == 0 && v != 0) {
-                iso = v == 2 ? core::Isolation::kSnapshot
-                             : core::Isolation::kLatestCommitted;
-              }
-            }
-            return iso;
-          };
+          uint32_t batch_size = 0;
           Result<mql::MoleculeCursor> cursor = [&]() ->
               Result<mql::MoleculeCursor> {
-            if (prepared == 1) {
+            const Status malformed =
+                Status::InvalidArgument("malformed cursor frame");
+            if (in.empty()) return malformed;
+            const uint8_t form = static_cast<uint8_t>(in[0]);
+            in.RemovePrefix(1);
+            core::PreparedStatement* stmt = nullptr;
+            Slice mql;
+            if (form == 1) {
               uint32_t id = 0;
-              if (!util::GetFixed32(&in, &id)) {
-                return Status::InvalidArgument("malformed cursor frame");
-              }
+              if (!util::GetFixed32(&in, &id)) return malformed;
               auto it = statements.find(id);
               if (it == statements.end()) {
                 return Status::NotFound("no prepared statement with id " +
                                         std::to_string(id));
               }
-              return it->second.Query(decode_trailing(&in));
+              stmt = &it->second;
+              PRIMA_RETURN_IF_ERROR(ApplyBindings(&in, stmt));
+            } else if (form != 2 || !util::GetLengthPrefixed(&in, &mql)) {
+              return malformed;
             }
-            if (prepared == 2) {
-              Slice mql;
-              if (!util::GetLengthPrefixed(&in, &mql)) {
-                return Status::InvalidArgument("malformed cursor frame");
-              }
-              return session->Query(std::string(mql.data(), mql.size()),
-                                    decode_trailing(&in));
+            // Fixed fields: batch size, then the isolation override plus
+            // one (0 = the statement's or the connection's default).
+            if (!util::GetFixed32(&in, &batch_size) || in.size() != 1 ||
+                static_cast<uint8_t>(in[0]) > 2) {
+              return malformed;
             }
-            return session->Query(std::string(in.data(), in.size()));
+            std::optional<core::Isolation> isolation;
+            if (in[0] != 0) {
+              isolation = in[0] == 2 ? core::Isolation::kSnapshot
+                                     : core::Isolation::kLatestCommitted;
+            }
+            if (stmt != nullptr) return stmt->Query(isolation);
+            return session->Query(std::string(mql.data(), mql.size()),
+                                  isolation);
           }();
           if (!cursor.ok()) {
             close_conn = !SendError(fd, cursor.status()).ok();
             break;
           }
           stats_.cursors_opened++;
+          // The reply carries the first batch; a cursor it drains is done
+          // and is released here instead of waiting for a close.
           const uint32_t id = next_cursor_id++;
-          cursors.emplace(id, std::move(*cursor));
           std::string payload;
           util::PutFixed32(&payload, id);
+          bool done = false;
+          Result<uint64_t> sent =
+              AppendBatch(&*cursor, batch_size, &done, &payload);
+          if (!sent.ok()) {
+            close_conn = !SendError(fd, sent.status()).ok();
+            break;
+          }
+          stats_.molecules_streamed += *sent;
+          if (!done) cursors.emplace(id, std::move(*cursor));
           close_conn = !WriteFrame(fd, MsgKind::kCursorOpened, payload).ok();
           break;
         }
@@ -492,35 +486,17 @@ void Server::ServeConnection(Conn* conn) {
                               .ok();
             break;
           }
-          // Assemble up to max_n molecules, additionally bounded by the
-          // byte target so one greedy fetch cannot blow the reply frame.
-          std::string body;
-          uint64_t count = 0;
+          std::string payload;
           bool done = false;
-          Status fetch;
-          while (count < max_n && body.size() < kFetchByteTarget) {
-            Result<std::optional<mql::Molecule>> next = it->second.Next();
-            if (!next.ok()) {
-              fetch = next.status();  // e.g. Aborted after a rollback
-              break;
-            }
-            if (!next->has_value()) {
-              done = true;
-              break;
-            }
-            EncodeMolecule(**next, &body);
-            ++count;
-          }
-          if (!fetch.ok()) {
-            close_conn = !SendError(fd, fetch).ok();
+          Result<uint64_t> sent =
+              AppendBatch(&it->second, max_n, &done, &payload);
+          if (!sent.ok()) {  // e.g. Aborted after a rollback
+            close_conn = !SendError(fd, sent.status()).ok();
             break;
           }
-          stats_.molecules_streamed += count;
-          std::string payload;
-          payload.push_back(done ? 1 : 0);
-          util::PutVarint64(&payload, count);
-          payload.append(body);
+          stats_.molecules_streamed += *sent;
           close_conn = !WriteFrame(fd, MsgKind::kMolecules, payload).ok();
+          if (done) cursors.erase(it);  // the client closes it locally
           break;
         }
 

@@ -1,6 +1,8 @@
 // Network server tests: framed-protocol codecs, handshake versioning,
 // protocol robustness (malformed / truncated / oversized frames, mid-frame
-// disconnects, double-closed ids), remote transactions and cursors with
+// disconnects, double-closed ids, a retired message kind), one request per
+// statement (local binds, a cursor opening with its first batch, drained
+// cursors released server-side), remote transactions and cursors with
 // results byte-equal to in-process execution, the wedged-ring gauge on the
 // wire, the shared statement cache, and a kill-the-server-mid-commit-storm
 // crash drive proving acknowledged remote commits survive process death.
@@ -74,6 +76,18 @@ Status InsertItem(Client* client, int64_t num) {
       ->Execute("INSERT item (num = " + std::to_string(num) + ", name = 'n" +
                 std::to_string(num) + "')")
       .status();
+}
+
+/// Drain a remote cursor, returning every item's name attribute.
+std::vector<std::string> DrainNames(RemoteCursor* cursor) {
+  std::vector<std::string> names;
+  for (;;) {
+    auto m = cursor->Next();
+    EXPECT_TRUE(m.ok()) << m.status().ToString();
+    if (!m.ok() || !m->has_value()) break;
+    names.push_back((*m)->groups[0].atoms[0].attrs[2].AsString());
+  }
+  return names;
 }
 
 // --- raw-socket helpers (protocol robustness tests speak bytes) -----------
@@ -319,14 +333,18 @@ TEST(NetServerTest, ExecuteAndQueryOverTheWire) {
 TEST(NetServerTest, StaleProtocolVersionRefused) {
   auto db = OpenServerDb();
   ASSERT_NE(db, nullptr);
-  const int fd = RawConnect(db->net_server()->port());
-  SendAll(fd, BuildFrame(MsgKind::kHello, HelloPayload(kHandshakeMagic, 99)));
-  Frame reply;
-  ASSERT_TRUE(RawReadFrame(fd, &reply));
-  ASSERT_EQ(reply.kind, MsgKind::kError);
-  Slice in(reply.payload);
-  EXPECT_TRUE(DecodeStatus(&in).IsNotSupported());
-  ::close(fd);
+  // 2 is the previous version (a bind request per placeholder).
+  for (const uint32_t version : {2u, 99u}) {
+    const int fd = RawConnect(db->net_server()->port());
+    SendAll(fd, BuildFrame(MsgKind::kHello,
+                           HelloPayload(kHandshakeMagic, version)));
+    Frame reply;
+    ASSERT_TRUE(RawReadFrame(fd, &reply));
+    ASSERT_EQ(reply.kind, MsgKind::kError);
+    Slice in(reply.payload);
+    EXPECT_TRUE(DecodeStatus(&in).IsNotSupported()) << version;
+    ::close(fd);
+  }
 }
 
 TEST(NetServerTest, MalformedFramesDoNotKillTheServer) {
@@ -371,14 +389,17 @@ TEST(NetServerTest, MalformedFramesDoNotKillTheServer) {
     SendAll(fd, partial);
     ::close(fd);
   }
-  {  // unknown request kind after a clean handshake
+  // Unknown request kinds after a clean handshake, among them 4, the
+  // retired version-2 bind request: an error, then a close.
+  for (const uint8_t kind : {4, 42}) {
     const int fd = RawConnect(port);
     SendAll(fd, BuildFrame(MsgKind::kHello, HelloPayload()));
     Frame reply;
     ASSERT_TRUE(RawReadFrame(fd, &reply));
-    SendAll(fd, BuildFrame(static_cast<MsgKind>(42), "???"));
+    SendAll(fd, BuildFrame(static_cast<MsgKind>(kind), "???"));
     ASSERT_TRUE(RawReadFrame(fd, &reply));
-    EXPECT_EQ(reply.kind, MsgKind::kError);
+    EXPECT_EQ(reply.kind, MsgKind::kError) << int{kind};
+    EXPECT_FALSE(RawReadFrame(fd, &reply)) << int{kind};
     ::close(fd);
   }
 
@@ -522,8 +543,10 @@ TEST(NetServerTest, AbortInvalidatesRemoteCursors) {
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(first->has_value());
   ASSERT_TRUE(client->Abort().ok());
-  // The rollback pulled state the cursor would stream; the next fetch
-  // that reaches the server reports Aborted, exactly like a local cursor.
+  // The rollback pulled state the cursor would stream. Molecules already
+  // buffered client-side — the rest of the first batch, which arrived with
+  // the open — are still served locally; the next fetch that reaches the
+  // server reports Aborted, exactly like a local cursor.
   Status st = Status::Ok();
   for (int i = 0; i < 8 && st.ok(); ++i) {
     auto m = cursor->Next();
@@ -604,6 +627,143 @@ TEST(NetServerTest, RemotePreparedKeyedSelectRebindsWithoutReplanning) {
     EXPECT_EQ(Stat(*stats, "prima_prepared_plans"), plans)
         << "re-binding the key must not re-plan";
   }
+}
+
+// --- one request per statement ---------------------------------------------
+
+/// Requests the server has handled for `client` since `*mark`, not counting
+/// the stats request that took `*mark`; advances the mark past this read.
+uint64_t RequestsSince(Client* client, uint64_t* mark) {
+  auto stats = client->Stats();
+  EXPECT_TRUE(stats.ok()) << stats.status().ToString();
+  if (!stats.ok()) return 0;
+  const uint64_t now = Stat(*stats, "prima_net_request_us_count");
+  const uint64_t since = now - *mark - 1;  // the stats read behind *mark
+  *mark = now;
+  return since;
+}
+
+TEST(NetServerTest, EveryStatementIsOneRequest) {
+  auto db = OpenServerDb();
+  ASSERT_NE(db, nullptr);
+  auto client = ConnectTo(*db);
+  ASSERT_NE(client, nullptr);
+  CreateItemType(client.get());
+  for (int i = 1; i <= 5; ++i) ASSERT_TRUE(InsertItem(client.get(), i).ok());
+  uint64_t mark = 0;
+  (void)RequestsSince(client.get(), &mark);
+
+  auto insert = client->Prepare("INSERT item (num = ?, name = :label)");
+  ASSERT_TRUE(insert.ok()) << insert.status().ToString();
+  EXPECT_EQ(RequestsSince(client.get(), &mark), 1u) << "prepare";
+  ASSERT_TRUE(insert->Bind(0, Value::Int(6)).ok());
+  ASSERT_TRUE(insert->Bind("label", Value::String("n6")).ok());
+  ASSERT_TRUE(insert->Execute().ok());
+  EXPECT_EQ(RequestsSince(client.get(), &mark), 1u) << "two binds + execute";
+
+  // A result smaller than the batch arrives with the open: the drain and
+  // the close send nothing.
+  auto select = client->Prepare("SELECT ALL FROM item WHERE num >= ?");
+  ASSERT_TRUE(select.ok()) << select.status().ToString();
+  (void)RequestsSince(client.get(), &mark);
+  ASSERT_TRUE(select->Bind(0, Value::Int(3)).ok());
+  auto cursor = select->Query(16);
+  ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
+  EXPECT_EQ(DrainNames(&*cursor).size(), 4u);
+  EXPECT_TRUE(cursor->Close().ok());
+  EXPECT_EQ(RequestsSince(client.get(), &mark), 1u) << "query + drain + close";
+  EXPECT_TRUE(cursor->Close().IsNotFound()) << "a second close still refuses";
+
+  // Bind refusals are local, and word-for-word what a local prepared
+  // statement says.
+  auto local = db->OpenSession()->Prepare(
+      "INSERT item (num = ?, name = :label)");
+  ASSERT_TRUE(local.ok()) << local.status().ToString();
+  const Value v = Value::Int(1);
+  EXPECT_EQ(insert->Bind(2, v).ToString(), local->Bind(2, v).ToString());
+  EXPECT_EQ(insert->Bind("", v).ToString(), local->Bind("", v).ToString());
+  EXPECT_EQ(insert->Bind("nope", v).ToString(),
+            local->Bind("nope", v).ToString());
+  EXPECT_TRUE(insert->Bind(2, v).IsInvalidArgument());
+  EXPECT_TRUE(insert->Bind("", v).IsInvalidArgument());
+  EXPECT_TRUE(insert->Bind("nope", v).IsInvalidArgument());
+  EXPECT_EQ(RequestsSince(client.get(), &mark), 0u) << "failed binds";
+
+  // An unbound slot is still refused by the server, when the statement runs.
+  auto fresh = client->Prepare("INSERT item (num = ?, name = :label)");
+  ASSERT_TRUE(fresh.ok());
+  ASSERT_TRUE(fresh->Bind(0, Value::Int(7)).ok());
+  const Status unbound = fresh->Execute().status();
+  EXPECT_TRUE(unbound.IsInvalidArgument()) << unbound.ToString();
+  EXPECT_NE(unbound.ToString().find("parameter 1 (:label) is unbound"),
+            std::string::npos)
+      << unbound.ToString();
+}
+
+TEST(NetServerTest, OversizedRequestFailsLocallyAndKeepsTheConnection) {
+  auto db = OpenServerDb();
+  ASSERT_NE(db, nullptr);
+  auto client = ConnectTo(*db);
+  ASSERT_NE(client, nullptr);
+  CreateItemType(client.get());
+
+  auto insert = client->Prepare("INSERT item (num = ?, name = ?)");
+  ASSERT_TRUE(insert.ok()) << insert.status().ToString();
+  ASSERT_TRUE(insert->Bind(0, Value::Int(1)).ok());
+  ASSERT_TRUE(
+      insert->Bind(1, Value::String(std::string(kMaxRequestFrame + 1, 'x')))
+          .ok());
+  const Status oversized = insert->Execute().status();
+  EXPECT_TRUE(oversized.IsInvalidArgument()) << oversized.ToString();
+  EXPECT_TRUE(client->connected());
+
+  ASSERT_TRUE(insert->Bind(1, Value::String("small")).ok());
+  auto r = insert->Execute();
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  auto all = client->Execute("SELECT ALL FROM item");
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  EXPECT_EQ(all->molecules.size(), 1u);
+}
+
+TEST(NetServerTest, DrainedUnclosedCursorsDoNotPinServerState) {
+  auto db = OpenServerDb();
+  ASSERT_NE(db, nullptr);
+  ServerOptions options;
+  options.max_cursors = 4;
+  Server server(db.get(), options);
+  ASSERT_TRUE(server.Start().ok());
+  auto connected = Client::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+  Client* client = connected->get();
+  CreateItemType(client);
+  for (int i = 1; i <= 3; ++i) ASSERT_TRUE(InsertItem(client, i).ok());
+
+  // Each result fits in its first batch, so the server released the cursor
+  // with its open reply; never closing them must not run into the cap.
+  auto select = client->Prepare("SELECT ALL FROM item WHERE num >= ?");
+  ASSERT_TRUE(select.ok()) << select.status().ToString();
+  std::vector<RemoteCursor> unclosed;
+  for (uint32_t i = 0; i < options.max_cursors + 4; ++i) {
+    ASSERT_TRUE(select->Bind(0, Value::Int(1 + i % 3)).ok());
+    auto cursor = select->Query();
+    ASSERT_TRUE(cursor.ok()) << "open " << i << ": "
+                             << cursor.status().ToString();
+    EXPECT_EQ(DrainNames(&*cursor).size(), 3 - i % 3);
+    unclosed.push_back(std::move(*cursor));
+  }
+
+  // A drained snapshot cursor releases its pin without a close.
+  auto snap = client->OpenCursor("SELECT ALL FROM item", 1,
+                                 Isolation::kSnapshot);
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  ASSERT_EQ(DrainNames(&*snap).size(), 3u);
+  for (int i = 0; i < 1000; ++i) {
+    auto s = client->Stats();
+    ASSERT_TRUE(s.ok());
+    if (Stat(*s, "prima_snapshots_active") == 0) return;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  FAIL() << "a drained, unclosed snapshot cursor still pins its snapshot";
 }
 
 // --- stats & statement cache -----------------------------------------------
@@ -1012,18 +1172,6 @@ TEST(NetServerTest, ShutdownRollsBackOpenRemoteTransactions) {
 
 // --- isolation on the wire -------------------------------------------------
 
-/// Drain a remote cursor, returning every item's name attribute.
-std::vector<std::string> DrainNames(RemoteCursor* cursor) {
-  std::vector<std::string> names;
-  for (;;) {
-    auto m = cursor->Next();
-    EXPECT_TRUE(m.ok()) << m.status().ToString();
-    if (!m.ok() || !m->has_value()) break;
-    names.push_back((*m)->groups[0].atoms[0].attrs[2].AsString());
-  }
-  return names;
-}
-
 TEST(NetServerTest, SnapshotCursorOverTheWireDrainsPreWriteState) {
   auto db = OpenServerDb();
   auto client = ConnectTo(*db);
@@ -1126,7 +1274,10 @@ TEST(NetServerTest, StatsServeVersionStoreGauges) {
   auto db = OpenServerDb();
   auto client = ConnectTo(*db);
   CreateItemType(client.get());
-  for (int i = 1; i <= 4; ++i) ASSERT_TRUE(InsertItem(client.get(), i).ok());
+  // Enough items that the open's first batch (and the assembly running
+  // ahead of it) leaves molecules unassembled when the writer commits, so
+  // the drain must resolve versions.
+  for (int i = 1; i <= 64; ++i) ASSERT_TRUE(InsertItem(client.get(), i).ok());
 
   auto snap =
       client->OpenCursor("SELECT ALL FROM item", 1, Isolation::kSnapshot);
@@ -1139,7 +1290,7 @@ TEST(NetServerTest, StatsServeVersionStoreGauges) {
   EXPECT_EQ(Stat(*pinned, "prima_snapshots_active"), 1u);
   EXPECT_GT(Stat(*pinned, "prima_versions_retained"), 0u);
 
-  ASSERT_EQ(DrainNames(&*snap).size(), 4u);
+  ASSERT_EQ(DrainNames(&*snap).size(), 64u);
   ASSERT_TRUE(snap->Close().ok());
   // The pin may lag the close by a worker's beat; poll the gauge down.
   for (int i = 0; i < 1000; ++i) {
