@@ -11,7 +11,7 @@
 // The multi-client report runs N concurrent full scans (in-process sessions
 // AND remote net::Client connections) against two configurations of the
 // same kernel: knobs-off (1 buffer shard, no read-ahead, serial assembly —
-// the pre-sharding behavior) and scaled-to-hardware (the defaults). It
+// the pre-sharding behavior) and the defaults, sized from the usable CPUs. It
 // prints aggregate MB/s and p99 scan latency per tier, the 8-scanner
 // speedup, and a larger-than-buffer run where every scan misses.
 
@@ -122,7 +122,7 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
 
 /// Open the kernel either knobs-off (1 buffer shard, no read-ahead, serial
 /// cursor assembly — the pre-sharding behavior, reproducible as a baseline
-/// in the same binary) or with the scaled-to-hardware defaults.
+/// in the same binary) or with the defaults, sized from the usable CPUs.
 std::unique_ptr<core::Prima> OpenScanDb(bool scaled, size_t buffer_bytes,
                                         bool with_server,
                                         const std::string& path = "") {
@@ -238,7 +238,7 @@ void ReportMultiClient() {
     LoadItems(db.get(), kItems);
     const auto snap = db->stats();
     std::printf("config: %s (%zu shard%s)\n",
-                scaled ? "scaled-to-hardware" : "knobs-off baseline",
+                scaled ? "usable-CPU defaults" : "knobs-off baseline",
                 snap.buffer.shards.size(),
                 snap.buffer.shards.size() == 1 ? "" : "s");
     std::printf("  %-11s %8s %12s %10s %10s\n", "path", "clients",
@@ -292,7 +292,7 @@ void ReportLargerThanBuffer() {
     std::printf(
         "  %-22s data %5.1f MB / pool %4.2f MB   %8.1f MB/s   p99 %7.2f ms"
         "   evictions %8llu   prefetched %8llu\n",
-        scaled ? "scaled-to-hardware" : "knobs-off baseline", data_mb,
+        scaled ? "usable-CPU defaults" : "knobs-off baseline", data_mb,
         buffer_bytes / (1024.0 * 1024.0), r.mb_per_s, r.p99_ms,
         static_cast<unsigned long long>(snap.buffer.evictions),
         static_cast<unsigned long long>(snap.buffer.prefetched_pages));

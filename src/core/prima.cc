@@ -1,7 +1,6 @@
 #include "core/prima.h"
 
 #include <algorithm>
-#include <thread>
 
 #include "mql/parser.h"
 #include "net/server.h"
@@ -72,15 +71,16 @@ Result<std::unique_ptr<Prima>> Prima::Open(PrimaOptions options) {
   tel_options.slow_log_capacity = options.slow_log_capacity;
   db->telemetry_ = std::make_unique<obs::Telemetry>(tel_options);
   db->shared_device_ = options.device;
-  // The database-level scaling knobs are authoritative: resolve hardware
-  // defaults and write them into the storage options before the storage
-  // system is built around them. "Scale to the hardware" on a single-core
-  // machine means DON'T: one shard and serial assembly are the fastest
-  // configurations there, and anything else is pure overhead.
-  const size_t hw = std::max<size_t>(1, std::thread::hardware_concurrency());
+  // The database-level scaling knobs are authoritative: resolve defaults
+  // from the CPUs this process may run on (util::UsableCpus) and write them
+  // into the storage options before the storage system is built around
+  // them. On one usable CPU "scale out" means DON'T: one shard, one worker,
+  // serial assembly and serial redo are the fastest configurations there,
+  // and anything else is pure overhead.
+  const size_t cpus = util::UsableCpus();
   options.storage.buffer_shards = options.buffer_shards != 0
                                       ? options.buffer_shards
-                                      : std::min<size_t>(hw, 16);
+                                      : std::min<size_t>(cpus, 16);
   options.storage.readahead_pages = options.readahead_pages;
   db->storage_ = std::make_unique<storage::StorageSystem>(std::move(device),
                                                           options.storage);
@@ -155,9 +155,9 @@ Result<std::unique_ptr<Prima>> Prima::Open(PrimaOptions options) {
   db->pool_ = std::make_unique<util::ThreadPool>(workers);
   size_t assembly = options.cursor_assembly_threads;
   if (assembly == 0) {
-    // Auto: pipeline across the pool, except on a single core where the
+    // Auto: pipeline across the pool, except on a one-worker pool where the
     // look-ahead machinery can only cost (see the knob resolution above).
-    assembly = std::thread::hardware_concurrency() > 1 ? workers : 1;
+    assembly = workers > 1 ? workers : 1;
   }
   db->data_->executor().SetAssemblyPool(db->pool_.get(), assembly);
   db->object_buffer_ = std::make_unique<ObjectBuffer>(db->data_.get());

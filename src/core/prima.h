@@ -124,27 +124,29 @@ struct PrimaOptions {
   bool restore_from_backup = false;
 
   /// Worker threads for the parallel redo phase of restart and media
-  /// recovery (0 = hardware concurrency, the default; 1 = serial replay).
+  /// recovery (0 = one per CPU this process may run on, the default, so a
+  /// process confined to one CPU replays serially; 1 = serial replay).
   /// The log scan stays single-threaded; the per-page redo chains it
   /// partitions fan out over a thread pool, so restart and device-rebuild
-  /// time stop growing with cores idle. The result is bit-identical to
-  /// serial replay at every setting — per-page chains preserve log order,
-  /// and chains for different pages are independent.
+  /// time stop growing with usable CPUs idle. The result is bit-identical
+  /// to serial replay at every setting — per-page chains preserve log
+  /// order, and chains for different pages are independent.
   size_t recovery_threads = 0;
 
   storage::StorageOptions storage;
   access::AccessOptions access;
 
-  /// Worker threads for semantic parallelism (0 = hardware concurrency).
+  /// Worker threads for semantic parallelism (0 = one per CPU this process
+  /// may run on, so one usable CPU gives a one-worker pool).
   size_t parallel_workers = 0;
 
   /// Buffer pool partitions. Open() resolves the value into
   /// storage.buffer_shards (overriding anything set there): page ids are
   /// hashed across this many independently locked pools, each running its
   /// own clock-sweep eviction, so concurrent scanners stop serializing on
-  /// one mutex. 0 = scale to the hardware (one shard per core, capped);
-  /// 1 = the pre-sharding single pool, behaviorally indistinguishable from
-  /// the global-LRU kernel.
+  /// one mutex. 0 = one shard per CPU this process may run on, capped at
+  /// 16 (one usable CPU gives one shard); 1 = the pre-sharding single pool,
+  /// behaviorally indistinguishable from the global-LRU kernel.
   size_t buffer_shards = 0;
 
   /// Async read-ahead window, in pages, for sequential scans and grid
@@ -157,9 +159,10 @@ struct PrimaOptions {
   /// MoleculeCursor::Next() assembles a small bounded look-ahead of
   /// molecules on the shared pool while the consumer drains, with results
   /// delivered in root order — byte-identical to serial execution.
-  /// 0 = match the pool's worker count; 1 = serial assembly. This is the
-  /// width of query cursors; QueryParallel passes its own `max_units`, and
-  /// MODIFY/DELETE qualify their targets serially.
+  /// 0 = match the pool's worker count, or serial on a one-worker pool;
+  /// 1 = serial assembly. This is the width of query cursors; QueryParallel
+  /// passes its own `max_units`, and MODIFY/DELETE qualify their targets
+  /// serially.
   size_t cursor_assembly_threads = 0;
 
   /// NETWORK SERVER: when >= 0, Open() also starts a TCP server speaking
@@ -274,12 +277,15 @@ struct PrimaOptions {
 /// (net::Client::set_default_isolation, BEGIN WORK READ ONLY over the
 /// wire).
 ///
-/// Scaling knobs — by default the kernel scales the read path to the
-/// hardware; three PrimaOptions fields tune it:
+/// Scaling knobs — by default the kernel scales the read path to the CPUs
+/// this process may run on (its sched_getaffinity mask, util::UsableCpus),
+/// not to the machine: confined to one CPU it runs one shard, one worker,
+/// serial assembly and serial redo. Explicit values always win; three
+/// PrimaOptions fields tune the read path:
 ///
 ///   buffer_shards           page-id-hashed buffer pool partitions, each
 ///                           with its own mutex and clock-sweep eviction
-///                           (0 = one per core, capped)
+///                           (0 = one per usable CPU, capped)
 ///   readahead_pages         async read-ahead window for sequential scans
 ///                           and grid reads (0 = off)
 ///   cursor_assembly_threads pipelined molecule assembly in streaming

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
+#include "util/thread_pool.h"
+
 namespace prima::obs {
 
 // ---------------------------------------------------------------------------
@@ -46,19 +48,16 @@ void HistogramSnapshot::Merge(const HistogramSnapshot& other) {
 namespace {
 
 size_t DefaultStripes() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  size_t want = hw == 0 ? 8 : hw;
-  want = std::min<size_t>(want, 16);
-  // Round up to a power of two so stripe selection is a mask.
-  size_t pow2 = 1;
-  while (pow2 < want) pow2 <<= 1;
-  return pow2;
+  // One stripe per CPU this process may run on: recorders confined to one
+  // CPU cannot bounce a stripe's cache line between cores.
+  return std::min<size_t>(util::UsableCpus(), 16);
 }
 
 }  // namespace
 
 Histogram::Histogram(size_t stripes) {
   if (stripes == 0) stripes = DefaultStripes();
+  // Round up to a power of two so stripe selection is a mask.
   size_t pow2 = 1;
   while (pow2 < stripes) pow2 <<= 1;
   stripe_count_ = pow2;

@@ -57,7 +57,7 @@ struct HistogramSnapshot {
 /// including buffer-pool and WAL paths.
 class Histogram {
  public:
-  explicit Histogram(size_t stripes = 0);  // 0 = a default sized for the host
+  explicit Histogram(size_t stripes = 0);  // 0 = one per usable CPU, capped
 
   Histogram(const Histogram&) = delete;
   Histogram& operator=(const Histogram&) = delete;

@@ -60,7 +60,8 @@ class RecoveryManager {
   };
 
   /// `redo_threads` sizes the parallel apply phase: 1 = serial replay on
-  /// the calling thread (no pool), 0 = one worker per hardware thread.
+  /// the calling thread (no pool), 0 = one worker per CPU this process may
+  /// run on (serial when that is one).
   RecoveryManager(storage::StorageSystem* storage, WalWriter* wal,
                   size_t redo_threads = 1)
       : storage_(storage), wal_(wal), redo_threads_(redo_threads) {}

@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
+#include <new>
 
 namespace prima::storage {
 
@@ -70,20 +71,33 @@ std::vector<BlockDevice::FileId> MemoryBlockDevice::ListFiles() const {
   return out;
 }
 
-Status MemoryBlockDevice::ReadLocked(File& f, uint64_t block, char* dst) {
-  if (block < f.blocks.size() && !f.blocks[block].empty()) {
-    std::memcpy(dst, f.blocks[block].data(), f.block_size);
+MemoryBlockDevice::Extent MemoryBlockDevice::NewExtent() {
+  // calloc, not new[](): memory fresh from the OS is not zeroed again, so
+  // an extent's pages become resident only as its blocks are written.
+  Extent extent(static_cast<char*>(std::calloc(1, kExtentBytes)));
+  if (extent == nullptr) throw std::bad_alloc();
+  return extent;
+}
+
+void MemoryBlockDevice::ReadLocked(const File& f, uint64_t block, char* dst) {
+  const uint64_t per_extent = kExtentBytes / f.block_size;
+  const uint64_t e = block / per_extent;
+  if (e < f.extents.size() && f.extents[e] != nullptr) {
+    std::memcpy(dst, f.extents[e].get() + (block % per_extent) * f.block_size,
+                f.block_size);
   } else {
     std::memset(dst, 0, f.block_size);
   }
-  return Status::Ok();
 }
 
-Status MemoryBlockDevice::WriteLocked(File& f, uint64_t block,
-                                      const char* src) {
-  if (block >= f.blocks.size()) f.blocks.resize(block + 1);
-  f.blocks[block].assign(src, f.block_size);
-  return Status::Ok();
+void MemoryBlockDevice::WriteLocked(File& f, uint64_t block,
+                                    const char* src) {
+  const uint64_t per_extent = kExtentBytes / f.block_size;
+  const uint64_t e = block / per_extent;
+  if (e >= f.extents.size()) f.extents.resize(e + 1);
+  if (f.extents[e] == nullptr) f.extents[e] = NewExtent();
+  std::memcpy(f.extents[e].get() + (block % per_extent) * f.block_size, src,
+              f.block_size);
 }
 
 Status MemoryBlockDevice::Read(FileId file, uint64_t block, char* dst) {
@@ -92,7 +106,8 @@ Status MemoryBlockDevice::Read(FileId file, uint64_t block, char* dst) {
   if (it == files_.end()) return Status::NotFound("file " + std::to_string(file));
   stats_.block_reads++;
   stats_.blocks_read++;
-  return ReadLocked(it->second, block, dst);
+  ReadLocked(it->second, block, dst);
+  return Status::Ok();
 }
 
 Status MemoryBlockDevice::Write(FileId file, uint64_t block, const char* src) {
@@ -101,7 +116,8 @@ Status MemoryBlockDevice::Write(FileId file, uint64_t block, const char* src) {
   if (it == files_.end()) return Status::NotFound("file " + std::to_string(file));
   stats_.block_writes++;
   stats_.blocks_written++;
-  return WriteLocked(it->second, block, src);
+  WriteLocked(it->second, block, src);
+  return Status::Ok();
 }
 
 Status MemoryBlockDevice::ReadChained(FileId file,
@@ -113,8 +129,7 @@ Status MemoryBlockDevice::ReadChained(FileId file,
   stats_.chained_reads++;
   stats_.blocks_read += blocks.size();
   for (size_t i = 0; i < blocks.size(); ++i) {
-    PRIMA_RETURN_IF_ERROR(
-        ReadLocked(it->second, blocks[i], dst + i * it->second.block_size));
+    ReadLocked(it->second, blocks[i], dst + i * it->second.block_size);
   }
   return Status::Ok();
 }
@@ -128,8 +143,7 @@ Status MemoryBlockDevice::WriteChained(FileId file,
   stats_.chained_writes++;
   stats_.blocks_written += blocks.size();
   for (size_t i = 0; i < blocks.size(); ++i) {
-    PRIMA_RETURN_IF_ERROR(
-        WriteLocked(it->second, blocks[i], src + i * it->second.block_size));
+    WriteLocked(it->second, blocks[i], src + i * it->second.block_size);
   }
   return Status::Ok();
 }
@@ -137,7 +151,16 @@ Status MemoryBlockDevice::WriteChained(FileId file,
 std::unique_ptr<MemoryBlockDevice> MemoryBlockDevice::Clone() const {
   auto copy = std::make_unique<MemoryBlockDevice>();
   std::lock_guard<std::mutex> lock(mu_);
-  copy->files_ = files_;
+  for (const auto& [id, f] : files_) {
+    File& c = copy->files_[id];
+    c.block_size = f.block_size;
+    c.extents.resize(f.extents.size());
+    for (size_t e = 0; e < f.extents.size(); ++e) {
+      if (f.extents[e] == nullptr) continue;
+      c.extents[e] = NewExtent();
+      std::memcpy(c.extents[e].get(), f.extents[e].get(), kExtentBytes);
+    }
+  }
   return copy;
 }
 

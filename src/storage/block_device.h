@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -82,10 +83,19 @@ class BlockDevice {
   DeviceStats stats_;
 };
 
-/// Heap-backed device: the default for tests and benchmarks (deterministic,
-/// no filesystem dependence).
+/// Memory-backed device: the default for tests and benchmarks
+/// (deterministic, no filesystem dependence). Each file is a table of
+/// fixed-size extents of kExtentBytes — 256 blocks of 512 B, 16 of 8 KiB.
+/// An extent is allocated zeroed on the first write to any block in it and
+/// never moves after that, so a database's blocks live in a few large
+/// allocations instead of one small heap chunk per block; a block in a
+/// missing extent reads as zeros.
 class MemoryBlockDevice : public BlockDevice {
  public:
+  static constexpr size_t kExtentBytes = 128 * 1024;
+  static_assert(kExtentBytes % PageSizeBytes(PageSize::k8K) == 0,
+                "an extent holds whole blocks of every page size");
+
   util::Status Create(FileId file, uint32_t block_size) override;
   util::Status Remove(FileId file) override;
   bool Exists(FileId file) const override;
@@ -98,19 +108,26 @@ class MemoryBlockDevice : public BlockDevice {
   util::Status WriteChained(FileId file, const std::vector<uint64_t>& blocks,
                             const char* src) override;
 
-  /// Deep copy of every file and block. Crash-recovery tests and benchmarks
-  /// use it to recover the SAME crashed image several times (e.g. once per
-  /// recovery_threads setting) and compare the outcomes bit for bit.
+  /// Deep copy of every file and extent. Crash-recovery tests and
+  /// benchmarks use it to recover the SAME crashed image several times
+  /// (e.g. once per recovery_threads setting) and compare the outcomes bit
+  /// for bit.
   std::unique_ptr<MemoryBlockDevice> Clone() const;
 
  private:
+  struct FreeExtent {
+    void operator()(char* p) const { std::free(p); }
+  };
+  using Extent = std::unique_ptr<char, FreeExtent>;
+
   struct File {
     uint32_t block_size = 0;
-    std::vector<std::string> blocks;
+    std::vector<Extent> extents;  // null = never written (reads as zeros)
   };
 
-  util::Status ReadLocked(File& f, uint64_t block, char* dst);
-  util::Status WriteLocked(File& f, uint64_t block, const char* src);
+  static Extent NewExtent();  // zeroed; throws std::bad_alloc like new
+  static void ReadLocked(const File& f, uint64_t block, char* dst);
+  static void WriteLocked(File& f, uint64_t block, const char* src);
 
   mutable std::mutex mu_;
   std::map<FileId, File> files_;

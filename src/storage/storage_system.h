@@ -73,8 +73,8 @@ struct StorageOptions {
   BufferPolicy buffer_policy = BufferPolicy::kUnifiedLru;
   /// Buffer pool partitions (page-id hashed, each with its own mutex and
   /// clock ring). 1 = the single-partition pool, behaviorally identical to
-  /// the pre-sharding manager; Prima resolves its hardware-scaled default
-  /// into this before construction.
+  /// the pre-sharding manager; Prima resolves its default (one per usable
+  /// CPU) into this before construction.
   size_t buffer_shards = 1;
   /// Async read-ahead window: the largest number of pages one ReadAhead
   /// hint may stage. 0 disables the prefetcher entirely (no thread is

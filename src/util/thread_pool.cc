@@ -1,12 +1,22 @@
 #include "util/thread_pool.h"
 
+#include <sched.h>
+
 #include <algorithm>
 
 namespace prima::util {
 
-size_t ThreadPool::DefaultThreads() {
-  return std::max(2u, std::thread::hardware_concurrency());
+size_t UsableCpus() {
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+    const int n = CPU_COUNT(&mask);
+    if (n > 0) return static_cast<size_t>(n);
+  }
+  return std::max(1u, std::thread::hardware_concurrency());
 }
+
+size_t ThreadPool::DefaultThreads() { return UsableCpus(); }
 
 ThreadPool::ThreadPool(size_t num_threads) {
   if (num_threads == 0) num_threads = 1;

@@ -10,13 +10,20 @@
 
 namespace prima::util {
 
+/// The number of CPUs this process may run on: the calling thread's
+/// sched_getaffinity mask, or hardware_concurrency() where that is
+/// unavailable; never less than 1. Every scaling knob left at 0 (pool
+/// workers, redo threads, buffer shards, assembly width, histogram
+/// stripes) is sized from it, so a process pinned to one CPU runs serial.
+size_t UsableCpus();
+
 /// Fixed-size worker pool. Substrate for PRIMA's "semantic parallelism":
 /// decomposed units of work (DUs) from a single user operation — the
 /// per-root assemblies of a cursor's look-ahead — are scheduled here and
 /// executed concurrently (paper §4, multi-processor PRIMA emulated with
 /// shared-memory threads; see DESIGN.md substitutions).
 /// Restart recovery reuses it to fan per-page redo chains out over the
-/// cores (RecoveryManager parallel apply phase).
+/// CPUs (RecoveryManager parallel apply phase).
 class ThreadPool {
  public:
   explicit ThreadPool(size_t num_threads);
@@ -25,8 +32,8 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Sizing default for "use the machine": hardware concurrency, floored
-  /// at 2 so single-core CI still overlaps compute with blocking I/O.
+  /// Sizing default for "use the machine": UsableCpus(). One usable CPU
+  /// means one worker — a second could only time-share it.
   static size_t DefaultThreads();
 
   /// Enqueue a task. Tasks must not throw.

@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <set>
 
@@ -130,6 +131,79 @@ TEST_F(ParallelTest, ParallelWithClusterAssembly) {
   ASSERT_TRUE(serial.ok());
   ASSERT_TRUE(parallel.ok());
   EXPECT_EQ(Fingerprint(*serial), Fingerprint(*parallel));
+}
+
+// Confines the calling thread, and every thread it starts, to the first CPU
+// of its current affinity mask; restores the old mask on destruction.
+class PinToOneCpu {
+ public:
+  PinToOneCpu() {
+    CPU_ZERO(&old_);
+    if (sched_getaffinity(0, sizeof(old_), &old_) != 0) return;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+      if (CPU_ISSET(cpu, &old_)) {
+        CPU_SET(cpu, &one);
+        break;
+      }
+    }
+    pinned_ = sched_setaffinity(0, sizeof(one), &one) == 0;
+  }
+  ~PinToOneCpu() {
+    if (pinned_) sched_setaffinity(0, sizeof(old_), &old_);
+  }
+  bool pinned() const { return pinned_; }
+
+ private:
+  cpu_set_t old_;
+  bool pinned_ = false;
+};
+
+TEST(KnobResolutionTest, OneUsableCpuResolvesSerialDefaults) {
+  PinToOneCpu pin;
+  ASSERT_TRUE(pin.pinned());
+  ASSERT_EQ(util::UsableCpus(), 1u);
+  EXPECT_EQ(util::ThreadPool::DefaultThreads(), 1u);  // serial redo too
+
+  auto db = Prima::Open(PrimaOptions{});
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  EXPECT_EQ((*db)->pool().num_threads(), 1u);
+  EXPECT_EQ((*db)->data().executor().assembly_threads(), 1u);
+  EXPECT_EQ((*db)->storage().buffer().shard_count(), 1u);
+
+  // QueryParallel keeps its contract on the one-worker pool, at the
+  // default width and at an explicit width wider than the pool.
+  workloads::BrepWorkload brep(db->get());
+  ASSERT_TRUE(brep.CreateSchema().ok());
+  ASSERT_TRUE(brep.BuildMany(100, 40).ok());
+  const auto& catalog = (*db)->access().catalog();
+  for (const std::string query :
+       {"SELECT ALL FROM brep-face-edge-point",
+        "SELECT ALL FROM brep-face WHERE brep_no >= 110"}) {
+    auto serial = (*db)->Query(query);
+    ASSERT_TRUE(serial.ok()) << query << ": " << serial.status().ToString();
+    ASSERT_GT(serial->size(), 0u) << query;
+    for (const size_t units : {0, 4}) {
+      auto parallel = (*db)->QueryParallel(query, units);
+      ASSERT_TRUE(parallel.ok()) << query << " x" << units << ": "
+                                 << parallel.status().ToString();
+      EXPECT_EQ(parallel->ToString(catalog), serial->ToString(catalog))
+          << query << " with " << units << " units";
+    }
+  }
+}
+
+TEST(KnobResolutionTest, ExplicitKnobsWinOnOneUsableCpu) {
+  PinToOneCpu pin;
+  ASSERT_TRUE(pin.pinned());
+  PrimaOptions options;
+  options.cursor_assembly_threads = 4;
+  options.parallel_workers = 2;
+  auto db = Prima::Open(options);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  EXPECT_EQ((*db)->pool().num_threads(), 2u);
+  EXPECT_EQ((*db)->data().executor().assembly_threads(), 4u);
 }
 
 }  // namespace
