@@ -1,5 +1,8 @@
 #include "access/address_table.h"
 
+#include <algorithm>
+#include <iterator>
+
 #include "util/coding.h"
 
 namespace prima::access {
@@ -94,34 +97,33 @@ std::vector<AddressEntry> AddressTable::EntriesFor(const Tid& tid) const {
 }
 
 std::vector<Tid> AddressTable::AllOfType(AtomTypeId type) const {
-  std::shared_lock lock(mu_);
   std::vector<Tid> out;
-  const uint64_t lo = Tid(type, 0).Pack();
-  const uint64_t hi = Tid(type + 1, 0).Pack();
-  for (auto it = entries_.lower_bound(lo); it != entries_.end() && it->first < hi;
-       ++it) {
-    out.push_back(Tid::Unpack(it->first));
+  {
+    std::shared_lock lock(mu_);
+    for (const auto& entry : entries_) {
+      const Tid tid = Tid::Unpack(entry.first);
+      if (tid.type == type) out.push_back(tid);
+    }
   }
+  std::sort(out.begin(), out.end());
   return out;
 }
 
 uint64_t AddressTable::CountOfType(AtomTypeId type) const {
   std::shared_lock lock(mu_);
-  const uint64_t lo = Tid(type, 0).Pack();
-  const uint64_t hi = Tid(type + 1, 0).Pack();
   uint64_t n = 0;
-  for (auto it = entries_.lower_bound(lo); it != entries_.end() && it->first < hi;
-       ++it) {
-    ++n;
+  for (const auto& entry : entries_) {
+    if (Tid::Unpack(entry.first).type == type) ++n;
   }
   return n;
 }
 
 void AddressTable::RemoveType(AtomTypeId type) {
   std::unique_lock lock(mu_);
-  const uint64_t lo = Tid(type, 0).Pack();
-  const uint64_t hi = Tid(type + 1, 0).Pack();
-  entries_.erase(entries_.lower_bound(lo), entries_.lower_bound(hi));
+  for (auto it = entries_.begin(); it != entries_.end();) {
+    it = Tid::Unpack(it->first).type == type ? entries_.erase(it)
+                                              : std::next(it);
+  }
   next_seq_.erase(type);
 }
 
@@ -133,11 +135,17 @@ std::string AddressTable::Encode() const {
     util::PutVarint64(&out, type);
     util::PutVarint64(&out, next);
   }
-  util::PutVarint64(&out, entries_.size());
-  for (const auto& [packed, list] : entries_) {
-    util::PutFixed64(&out, packed);
-    util::PutVarint64(&out, list.size());
-    for (const auto& e : list) {
+  // Ascending packed-tid order, so the blob does not depend on hashing.
+  std::vector<const decltype(entries_)::value_type*> atoms;
+  atoms.reserve(entries_.size());
+  for (const auto& entry : entries_) atoms.push_back(&entry);
+  std::sort(atoms.begin(), atoms.end(),
+            [](const auto* a, const auto* b) { return a->first < b->first; });
+  util::PutVarint64(&out, atoms.size());
+  for (const auto* atom : atoms) {
+    util::PutFixed64(&out, atom->first);
+    util::PutVarint64(&out, atom->second.size());
+    for (const auto& e : atom->second) {
       util::PutVarint64(&out, e.structure_id);
       util::PutFixed64(&out, e.rid);
     }
@@ -164,6 +172,9 @@ Status AddressTable::DecodeFrom(Slice in) {
   if (!util::GetVarint64(&in, &n_atoms)) {
     return Status::Corruption("address table size");
   }
+  // Each atom takes at least 9 encoded bytes; a corrupt count cannot
+  // reserve more than the input could hold.
+  entries_.reserve(std::min<uint64_t>(n_atoms, in.size() / 9));
   for (uint64_t i = 0; i < n_atoms; ++i) {
     uint64_t packed, n_entries;
     if (!util::GetFixed64(&in, &packed) ||

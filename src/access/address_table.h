@@ -5,6 +5,7 @@
 #include <mutex>
 #include <shared_mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "access/tid.h"
@@ -32,6 +33,13 @@ struct AddressEntry {
 ///
 /// Memory-resident with wholesale persistence into the address segment at
 /// flush time (rebuildable from the base records if absent).
+///
+/// Atoms are hashed by packed surrogate, so the per-atom calls (Lookup,
+/// Register, ...) on the hot path cost O(1). Order exists only where it is
+/// observable: Encode writes atoms in ascending packed-surrogate order (the
+/// persisted bytes do not depend on the hash), and AllOfType returns
+/// ascending surrogates. Both, like CountOfType and RemoveType, visit the
+/// whole table; they serve flushes, DDL and explicit sorts.
 class AddressTable {
  public:
   /// Generate the next surrogate for an atom type (insert path).
@@ -63,8 +71,8 @@ class AddressTable {
 
  private:
   mutable std::shared_mutex mu_;
-  // Ordered map: AllOfType iterates a contiguous key range.
-  std::map<uint64_t, std::vector<AddressEntry>> entries_;
+  // Keyed by Tid::Pack().
+  std::unordered_map<uint64_t, std::vector<AddressEntry>> entries_;
   std::map<AtomTypeId, uint64_t> next_seq_;
 };
 

@@ -1,5 +1,6 @@
 #include "recovery/log_record.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "util/coding.h"
@@ -227,41 +228,54 @@ LogRecord LogRecord::Compensation(uint64_t txn, std::vector<uint64_t> lsns) {
   return r;
 }
 
+namespace {
+
+// First index in [i, end) where `a` and `b` differ, or `end`. Compares eight
+// bytes at a time and resolves a differing word byte by byte.
+uint32_t NextDifference(const char* a, const char* b, uint32_t i,
+                        uint32_t end) {
+  for (; i + 8 <= end; i += 8) {
+    uint64_t x = 0;
+    uint64_t y = 0;
+    std::memcpy(&x, a + i, 8);
+    std::memcpy(&y, b + i, 8);
+    if (x != y) break;
+  }
+  while (i < end && a[i] == b[i]) ++i;
+  return i;
+}
+
+}  // namespace
+
 std::vector<LogRecord::ByteRange> DiffPageImages(const char* before,
                                                  const char* after,
                                                  uint32_t page_size) {
   // Gaps shorter than this are folded into the surrounding range: each range
   // costs ~3 bytes of framing, so tiny gaps are cheaper logged than split.
   constexpr uint32_t kMergeGap = 8;
-  // Excluded header fields: [0,4) checksum, [24,32) page-LSN.
-  auto excluded = [](uint32_t i) { return i < 4 || (i >= 24 && i < 32); };
+  // The excluded header fields, [0,4) checksum and [24,32) page-LSN, split
+  // the page into two spans that no range crosses: [4,24) and [32,size).
+  const uint32_t spans[2][2] = {{4, std::min<uint32_t>(24, page_size)},
+                                {32, page_size}};
 
   std::vector<LogRecord::ByteRange> out;
-  uint32_t i = 0;
-  while (i < page_size) {
-    if (excluded(i) || before[i] == after[i]) {
-      ++i;
-      continue;
-    }
-    // Start of a changed run; extend while changes keep coming within the
-    // merge window.
-    const uint32_t start = i;
-    uint32_t last_change = i;
-    ++i;
-    while (i < page_size) {
-      if (!excluded(i) && before[i] != after[i]) {
+  for (const auto& [lo, hi] : spans) {
+    uint32_t i = NextDifference(before, after, lo, hi);
+    while (i < hi) {
+      // A changed run extends to the next change while fewer than kMergeGap
+      // equal bytes lie between the two.
+      const uint32_t start = i;
+      uint32_t last_change = i;
+      for (;;) {
+        i = NextDifference(before, after, last_change + 1, hi);
+        if (i >= hi || i - last_change > kMergeGap) break;
         last_change = i;
-        ++i;
-      } else if (i - last_change < kMergeGap && !excluded(i)) {
-        ++i;
-      } else {
-        break;
       }
+      LogRecord::ByteRange r;
+      r.offset = start;
+      r.bytes.assign(after + start, last_change - start + 1);
+      out.push_back(std::move(r));
     }
-    LogRecord::ByteRange r;
-    r.offset = start;
-    r.bytes.assign(after + start, last_change - start + 1);
-    out.push_back(std::move(r));
   }
   return out;
 }

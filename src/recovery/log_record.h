@@ -112,9 +112,13 @@ struct LogRecord {
 
 /// Compute the changed byte ranges between two page images, excluding
 /// [0,4) (checksum, recomputed on write-back) and [24,32) (page-LSN,
-/// stamped with this record's own LSN). Adjacent runs closer than a few
-/// bytes are coalesced so the framing overhead stays small. Returns an
+/// stamped with this record's own LSN). A changed run extends over gaps of
+/// fewer than 8 equal bytes, so the framing overhead stays small. Returns an
 /// empty vector when the images agree outside the excluded fields.
+///
+/// Equal bytes are skipped eight at a time (this runs on every release of a
+/// page guard that changed its page), but the ranges are exactly those of a
+/// byte-by-byte scan, so `kPageRedo` records do not depend on the scan.
 std::vector<LogRecord::ByteRange> DiffPageImages(const char* before,
                                                  const char* after,
                                                  uint32_t page_size);

@@ -42,8 +42,9 @@ char* PageGuard::mutable_data() {
   assert(mode_ == LatchMode::kExclusive);
   if (before_ == nullptr && buffer_->wal() != nullptr) {
     // Physiological logging: remember the pre-image so Release() can append
-    // a redo record for exactly the bytes this guard changed.
-    before_ = std::make_unique<char[]>(frame_->size);
+    // a redo record for exactly the bytes this guard changed. Left
+    // uninitialized: the copy overwrites all of it.
+    before_.reset(new char[frame_->size]);
     std::memcpy(before_.get(), frame_->data.get(), frame_->size);
   }
   buffer_->MarkDirty(frame_);

@@ -32,6 +32,7 @@
 #include "storage/storage_system.h"
 #include "util/coding.h"
 #include "util/crc32.h"
+#include "util/random.h"
 #include "workloads/brep.h"
 
 namespace prima::recovery {
@@ -152,6 +153,109 @@ TEST(LogRecordTest, DiffPageImagesCoalescesNearbyRuns) {
   ASSERT_EQ(ranges.size(), 1u);
   EXPECT_EQ(ranges[0].offset, 100u);
   EXPECT_EQ(ranges[0].bytes.size(), 5u);
+}
+
+// The byte-at-a-time scan DiffPageImages replaced; its ranges are the
+// specification the word-wise scan must reproduce exactly.
+std::vector<LogRecord::ByteRange> BytewiseDiffPageImages(const char* before,
+                                                         const char* after,
+                                                         uint32_t page_size) {
+  constexpr uint32_t kMergeGap = 8;
+  auto excluded = [](uint32_t i) { return i < 4 || (i >= 24 && i < 32); };
+  std::vector<LogRecord::ByteRange> out;
+  uint32_t i = 0;
+  while (i < page_size) {
+    if (excluded(i) || before[i] == after[i]) {
+      ++i;
+      continue;
+    }
+    const uint32_t start = i;
+    uint32_t last_change = i;
+    ++i;
+    while (i < page_size) {
+      if (!excluded(i) && before[i] != after[i]) {
+        last_change = i;
+        ++i;
+      } else if (i - last_change < kMergeGap && !excluded(i)) {
+        ++i;
+      } else {
+        break;
+      }
+    }
+    LogRecord::ByteRange r;
+    r.offset = start;
+    r.bytes.assign(after + start, last_change - start + 1);
+    out.push_back(std::move(r));
+  }
+  return out;
+}
+
+void ExpectSameDiff(const std::string& before, const std::string& after) {
+  ASSERT_EQ(before.size(), after.size());
+  const auto size = static_cast<uint32_t>(before.size());
+  const auto want = BytewiseDiffPageImages(before.data(), after.data(), size);
+  const auto got = DiffPageImages(before.data(), after.data(), size);
+  ASSERT_EQ(got.size(), want.size()) << "page size " << size;
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].offset, want[i].offset) << "range " << i;
+    EXPECT_EQ(got[i].bytes, want[i].bytes) << "range " << i;
+  }
+}
+
+TEST(LogRecordTest, DiffPageImagesMatchesBytewiseScanOnRandomPages) {
+  util::Random rng(22);
+  for (uint32_t size : {512u, 1024u, 2048u, 4096u, 8192u, 1u, 5u, 23u, 31u,
+                        33u, 41u, 517u, 4099u}) {
+    for (int round = 0; round < 200; ++round) {
+      std::string before(size, '\0');
+      for (char& c : before) c = static_cast<char>(rng.Uniform(4));
+      std::string after = before;
+      // Clusters of changes of random length and density, so gaps of every
+      // width around the merge threshold occur.
+      const uint64_t clusters = rng.Uniform(6);
+      for (uint64_t k = 0; k < clusters; ++k) {
+        const uint64_t at = rng.Uniform(size);
+        const uint64_t len = 1 + rng.Uniform(40);
+        const uint64_t every = 1 + rng.Uniform(10);
+        for (uint64_t j = at; j < std::min<uint64_t>(size, at + len); j += every) {
+          after[j] = static_cast<char>(after[j] + 1 + rng.Uniform(3));
+        }
+      }
+      ExpectSameDiff(before, after);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(LogRecordTest, DiffPageImagesMatchesBytewiseScanAtEdges) {
+  const std::string before(512, 'a');
+  auto changed = [&](std::initializer_list<uint32_t> offsets) {
+    std::string after = before;
+    for (uint32_t o : offsets) after[o] = 'b';
+    return after;
+  };
+  // Runs straddling the excluded checksum [0,4) and page-LSN [24,32).
+  ExpectSameDiff(before, changed({2, 3, 4, 5}));
+  ExpectSameDiff(before, changed({22, 23, 24, 25}));
+  ExpectSameDiff(before, changed({20, 30, 31, 32, 33}));
+  ExpectSameDiff(before, changed({23, 32}));
+  // Gaps of exactly 7 (merged) and 8 (split) equal bytes.
+  ExpectSameDiff(before, changed({100, 108}));
+  ExpectSameDiff(before, changed({100, 109}));
+  ExpectSameDiff(before, changed({103, 111, 119, 127}));
+  ExpectSameDiff(before, changed({103, 112, 121}));
+  // The last byte, alone and merged into a run before it.
+  ExpectSameDiff(before, changed({511}));
+  ExpectSameDiff(before, changed({504, 511}));
+  ExpectSameDiff(before, changed({503, 511}));
+  // Every byte changed.
+  ExpectSameDiff(before, std::string(512, 'b'));
+
+  auto ranges = DiffPageImages(before.data(), changed({100, 108}).data(), 512);
+  ASSERT_EQ(ranges.size(), 1u);
+  EXPECT_EQ(ranges[0].bytes.size(), 9u);
+  ranges = DiffPageImages(before.data(), changed({100, 109}).data(), 512);
+  EXPECT_EQ(ranges.size(), 2u);
 }
 
 // ---------------------------------------------------------------------------

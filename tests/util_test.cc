@@ -247,6 +247,36 @@ TEST(Crc32Test, ExtendMatchesWhole) {
   EXPECT_NE(a, whole);
 }
 
+// The one-byte-at-a-time table CRC; the sliced Crc32Extend must agree with
+// it on every input so stored page, log and wire checksums stay valid.
+uint32_t BytewiseCrc32Extend(uint32_t crc, const std::string& data) {
+  uint32_t c = crc ^ 0xFFFFFFFFu;
+  for (unsigned char byte : data) {
+    c ^= byte;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceWhenSplit) {
+  Random rng(0xC3C);
+  for (int round = 0; round < 300; ++round) {
+    std::string data(rng.Uniform(9001), '\0');
+    for (char& c : data) c = static_cast<char>(rng.Next());
+    const uint32_t seed = round % 2 == 0 ? 0 : static_cast<uint32_t>(rng.Next());
+    const uint32_t want = BytewiseCrc32Extend(seed, data);
+    EXPECT_EQ(Crc32Extend(seed, data), want) << "length " << data.size();
+    // Extending over two pieces, split anywhere (including unaligned
+    // offsets and empty pieces), gives the same value.
+    const size_t cut = rng.Uniform(data.size() + 1);
+    const uint32_t head = Crc32Extend(seed, Slice(data.data(), cut));
+    EXPECT_EQ(Crc32Extend(head, Slice(data.data() + cut, data.size() - cut)),
+              want)
+        << "length " << data.size() << " cut " << cut;
+  }
+  EXPECT_EQ(Crc32(Slice("")), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Random
 // ---------------------------------------------------------------------------
