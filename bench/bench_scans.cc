@@ -1,6 +1,5 @@
 // Experiment E11 (paper §3.2): the five scan operations — plus the
-// multi-client tier behind the sharded buffer pool / read-ahead /
-// pipelined-assembly work.
+// multi-client tier behind the sharded buffer pool / read-ahead work.
 //
 // Claim: the scan menu trades generality for cost — atom-type scans read
 // everything; sort scans are cheap exactly when a redundant sort order (or
@@ -10,8 +9,8 @@
 //
 // The multi-client report runs N concurrent full scans (in-process sessions
 // AND remote net::Client connections) against two configurations of the
-// same kernel: knobs-off (1 buffer shard, no read-ahead, serial assembly —
-// the pre-sharding behavior) and the defaults, sized from the usable CPUs. It
+// same kernel: knobs-off (1 buffer shard, no read-ahead — the pre-sharding
+// behavior) and the defaults, sized from the usable CPUs. It
 // prints aggregate MB/s and p99 scan latency per tier, the 8-scanner
 // speedup, and a larger-than-buffer run where every scan misses.
 
@@ -120,9 +119,9 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Open the kernel either knobs-off (1 buffer shard, no read-ahead, serial
-/// cursor assembly — the pre-sharding behavior, reproducible as a baseline
-/// in the same binary) or with the defaults, sized from the usable CPUs.
+/// Open the kernel either knobs-off (1 buffer shard, no read-ahead — the
+/// pre-sharding behavior, reproducible as a baseline in the same binary) or
+/// with the defaults, sized from the usable CPUs.
 std::unique_ptr<core::Prima> OpenScanDb(bool scaled, size_t buffer_bytes,
                                         bool with_server,
                                         const std::string& path = "") {
@@ -135,7 +134,6 @@ std::unique_ptr<core::Prima> OpenScanDb(bool scaled, size_t buffer_bytes,
   if (!scaled) {
     options.buffer_shards = 1;
     options.readahead_pages = 0;
-    options.cursor_assembly_threads = 1;
   }
   if (with_server) options.listen_port = 0;
   return RequireR(core::Prima::Open(std::move(options)), "open");
@@ -222,10 +220,10 @@ TierResult RunScanTier(core::Prima* db, int clients, int scans, bool remote,
 
 void ReportMultiClient() {
   PrintHeader(
-      "multi-client scans — sharded buffer pool + pipelined assembly",
-      "Claim: with the buffer pool sharded, scans prefetched, and molecule "
-      "assembly pipelined, aggregate scan throughput scales with concurrent "
-      "scanners instead of serializing on one pool mutex.");
+      "multi-client scans — sharded buffer pool + read-ahead",
+      "Claim: with the buffer pool sharded and scans prefetched, aggregate "
+      "scan throughput scales with concurrent scanners instead of "
+      "serializing on one pool mutex.");
   const bool smoke = std::getenv("PRIMA_BENCH_SMOKE") != nullptr;
   const int scans = smoke ? 4 : 16;
   const std::vector<int> tiers =

@@ -12,7 +12,7 @@ using util::Slice;
 using util::Status;
 
 Tid AddressTable::NewTid(AtomTypeId type) {
-  std::unique_lock lock(mu_);
+  std::lock_guard lock(mu_);
   uint64_t& next = next_seq_[type];
   ++next;
   return Tid(type, next);
@@ -20,7 +20,7 @@ Tid AddressTable::NewTid(AtomTypeId type) {
 
 Status AddressTable::Register(const Tid& tid, uint32_t structure,
                               uint64_t rid) {
-  std::unique_lock lock(mu_);
+  std::lock_guard lock(mu_);
   auto& list = entries_[tid.Pack()];
   for (const auto& e : list) {
     if (e.structure_id == structure) {
@@ -38,7 +38,7 @@ Status AddressTable::Register(const Tid& tid, uint32_t structure,
 }
 
 Status AddressTable::Unregister(const Tid& tid, uint32_t structure) {
-  std::unique_lock lock(mu_);
+  std::lock_guard lock(mu_);
   auto it = entries_.find(tid.Pack());
   if (it == entries_.end()) return Status::NotFound("atom " + tid.ToString());
   auto& list = it->second;
@@ -53,7 +53,7 @@ Status AddressTable::Unregister(const Tid& tid, uint32_t structure) {
 
 Status AddressTable::UpdateEntry(const Tid& tid, uint32_t structure,
                                  uint64_t rid) {
-  std::unique_lock lock(mu_);
+  std::lock_guard lock(mu_);
   auto it = entries_.find(tid.Pack());
   if (it == entries_.end()) return Status::NotFound("atom " + tid.ToString());
   for (auto& e : it->second) {
@@ -66,7 +66,7 @@ Status AddressTable::UpdateEntry(const Tid& tid, uint32_t structure,
 }
 
 Status AddressTable::Remove(const Tid& tid) {
-  std::unique_lock lock(mu_);
+  std::lock_guard lock(mu_);
   if (entries_.erase(tid.Pack()) == 0) {
     return Status::NotFound("atom " + tid.ToString());
   }
@@ -74,13 +74,13 @@ Status AddressTable::Remove(const Tid& tid) {
 }
 
 bool AddressTable::Exists(const Tid& tid) const {
-  std::shared_lock lock(mu_);
+  std::lock_guard lock(mu_);
   return entries_.count(tid.Pack()) != 0;
 }
 
 Result<uint64_t> AddressTable::Lookup(const Tid& tid,
                                       uint32_t structure) const {
-  std::shared_lock lock(mu_);
+  std::lock_guard lock(mu_);
   auto it = entries_.find(tid.Pack());
   if (it == entries_.end()) return Status::NotFound("atom " + tid.ToString());
   for (const auto& e : it->second) {
@@ -90,7 +90,7 @@ Result<uint64_t> AddressTable::Lookup(const Tid& tid,
 }
 
 std::vector<AddressEntry> AddressTable::EntriesFor(const Tid& tid) const {
-  std::shared_lock lock(mu_);
+  std::lock_guard lock(mu_);
   auto it = entries_.find(tid.Pack());
   if (it == entries_.end()) return {};
   return it->second;
@@ -99,7 +99,7 @@ std::vector<AddressEntry> AddressTable::EntriesFor(const Tid& tid) const {
 std::vector<Tid> AddressTable::AllOfType(AtomTypeId type) const {
   std::vector<Tid> out;
   {
-    std::shared_lock lock(mu_);
+    std::lock_guard lock(mu_);
     for (const auto& entry : entries_) {
       const Tid tid = Tid::Unpack(entry.first);
       if (tid.type == type) out.push_back(tid);
@@ -110,7 +110,7 @@ std::vector<Tid> AddressTable::AllOfType(AtomTypeId type) const {
 }
 
 uint64_t AddressTable::CountOfType(AtomTypeId type) const {
-  std::shared_lock lock(mu_);
+  std::lock_guard lock(mu_);
   uint64_t n = 0;
   for (const auto& entry : entries_) {
     if (Tid::Unpack(entry.first).type == type) ++n;
@@ -119,7 +119,7 @@ uint64_t AddressTable::CountOfType(AtomTypeId type) const {
 }
 
 void AddressTable::RemoveType(AtomTypeId type) {
-  std::unique_lock lock(mu_);
+  std::lock_guard lock(mu_);
   for (auto it = entries_.begin(); it != entries_.end();) {
     it = Tid::Unpack(it->first).type == type ? entries_.erase(it)
                                               : std::next(it);
@@ -128,7 +128,7 @@ void AddressTable::RemoveType(AtomTypeId type) {
 }
 
 std::string AddressTable::Encode() const {
-  std::shared_lock lock(mu_);
+  std::lock_guard lock(mu_);
   std::string out;
   util::PutVarint64(&out, next_seq_.size());
   for (const auto& [type, next] : next_seq_) {
@@ -154,7 +154,7 @@ std::string AddressTable::Encode() const {
 }
 
 Status AddressTable::DecodeFrom(Slice in) {
-  std::unique_lock lock(mu_);
+  std::lock_guard lock(mu_);
   entries_.clear();
   next_seq_.clear();
   uint64_t n_types;

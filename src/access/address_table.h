@@ -3,7 +3,6 @@
 
 #include <map>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -70,7 +69,9 @@ class AddressTable {
   util::Status DecodeFrom(util::Slice in);
 
  private:
-  mutable std::shared_mutex mu_;
+  /// A plain mutex, not a reader-writer lock: glibc's rwlock prefers
+  /// readers, so lookups that never pause would starve Register and Remove.
+  mutable std::mutex mu_;
   // Keyed by Tid::Pack().
   std::unordered_map<uint64_t, std::vector<AddressEntry>> entries_;
   std::map<AtomTypeId, uint64_t> next_seq_;

@@ -209,8 +209,8 @@ class VersionStore {
 /// Scoped thread-local read view: while alive, AccessSystem::GetAtom (and
 /// the snapshot-aware scan wrappers) resolve every atom against the view
 /// instead of serving latest-committed. Mirrors the SetWalTxn /
-/// obs::CurrentTrace thread-local idiom; pipelined assembly workers install
-/// the cursor's view for the span of each task.
+/// obs::CurrentTrace thread-local idiom; a snapshot cursor installs its
+/// view for the span of each molecule it derives.
 class ReadViewScope {
  public:
   explicit ReadViewScope(const ReadView* view);

@@ -74,9 +74,9 @@ Result<std::unique_ptr<Prima>> Prima::Open(PrimaOptions options) {
   // The database-level scaling knobs are authoritative: resolve defaults
   // from the CPUs this process may run on (util::UsableCpus) and write them
   // into the storage options before the storage system is built around
-  // them. On one usable CPU "scale out" means DON'T: one shard, one worker,
-  // serial assembly and serial redo are the fastest configurations there,
-  // and anything else is pure overhead.
+  // them. On one usable CPU "scale out" means DON'T: one shard, one worker
+  // and serial redo are the fastest configurations there, and anything else
+  // is pure overhead.
   const size_t cpus = util::UsableCpus();
   options.storage.buffer_shards = options.buffer_shards != 0
                                       ? options.buffer_shards
@@ -153,13 +153,6 @@ Result<std::unique_ptr<Prima>> Prima::Open(PrimaOptions options) {
     workers = util::ThreadPool::DefaultThreads();
   }
   db->pool_ = std::make_unique<util::ThreadPool>(workers);
-  size_t assembly = options.cursor_assembly_threads;
-  if (assembly == 0) {
-    // Auto: pipeline across the pool, except on a one-worker pool where the
-    // look-ahead machinery can only cost (see the knob resolution above).
-    assembly = workers > 1 ? workers : 1;
-  }
-  db->data_->executor().SetAssemblyPool(db->pool_.get(), assembly);
   db->object_buffer_ = std::make_unique<ObjectBuffer>(db->data_.get());
   db->default_session_ = db->OpenSession();
 
@@ -276,12 +269,10 @@ Result<mql::MoleculeSet> Prima::QueryParallel(const std::string& mql,
     return Status::InvalidArgument(
         "statement has placeholders - prepare it and bind values first");
   }
-  const size_t width = max_units == 0 ? pool_->num_threads() : max_units;
-  PRIMA_ASSIGN_OR_RETURN(
-      mql::MoleculeCursor cursor,
-      data_->executor().OpenCursor(std::move(stmt.query), {}, width));
   data_->stats().queries++;
-  return cursor.Drain();
+  return data_->executor().DeriveInUnits(
+      std::make_shared<const mql::Query>(std::move(stmt.query)), pool_.get(),
+      max_units == 0 ? pool_->num_threads() : max_units);
 }
 
 Result<std::string> Prima::ExecuteLdl(const std::string& ldl) {

@@ -155,16 +155,6 @@ struct PrimaOptions {
   /// advisory and dropped silently under pressure. 0 disables read-ahead.
   size_t readahead_pages = 32;
 
-  /// Worker threads for pipelined molecule assembly in streaming cursors:
-  /// MoleculeCursor::Next() assembles a small bounded look-ahead of
-  /// molecules on the shared pool while the consumer drains, with results
-  /// delivered in root order — byte-identical to serial execution.
-  /// 0 = match the pool's worker count, or serial on a one-worker pool;
-  /// 1 = serial assembly. This is the width of query cursors; QueryParallel
-  /// passes its own `max_units`, and MODIFY/DELETE qualify their targets
-  /// serially.
-  size_t cursor_assembly_threads = 0;
-
   /// NETWORK SERVER: when >= 0, Open() also starts a TCP server speaking
   /// the framed wire protocol of net/protocol.h on this port (0 = let the
   /// kernel pick; read it back via net_server()->port()). Each accepted
@@ -279,17 +269,18 @@ struct PrimaOptions {
 ///
 /// Scaling knobs — by default the kernel scales the read path to the CPUs
 /// this process may run on (its sched_getaffinity mask, util::UsableCpus),
-/// not to the machine: confined to one CPU it runs one shard, one worker,
-/// serial assembly and serial redo. Explicit values always win; three
-/// PrimaOptions fields tune the read path:
+/// not to the machine: confined to one CPU it runs one shard, one worker
+/// and serial redo. Explicit values always win; two PrimaOptions fields
+/// tune the read path:
 ///
-///   buffer_shards           page-id-hashed buffer pool partitions, each
-///                           with its own mutex and clock-sweep eviction
-///                           (0 = one per usable CPU, capped)
-///   readahead_pages         async read-ahead window for sequential scans
-///                           and grid reads (0 = off)
-///   cursor_assembly_threads pipelined molecule assembly in streaming
-///                           cursors (0 = pool width, 1 = serial)
+///   buffer_shards    page-id-hashed buffer pool partitions, each with its
+///                    own mutex and clock-sweep eviction (0 = one per
+///                    usable CPU, capped)
+///   readahead_pages  async read-ahead window for sequential scans and
+///                    grid reads (0 = off)
+///
+/// Cursors assemble serially on the thread that drains them; the worker
+/// pool (parallel_workers) serves QueryParallel's units.
 ///
 /// Compatibility contract: buffer_shards = 1 is behaviorally
 /// indistinguishable from the pre-sharding pool — same eviction victims,
@@ -315,8 +306,8 @@ struct PrimaOptions {
 ///                  is never on one surface and missing from another.
 ///   EXPLAIN ANALYZE <stmt>   per-statement span tree through MQL: parse,
 ///                  plan (statement-cache hit/miss), root enumeration,
-///                  molecule assembly (worker busy time when pipelined),
-///                  buffer fixes split hit/miss, and WAL commit-force wait,
+///                  molecule assembly and projection, buffer fixes split
+///                  hit/miss, and WAL commit-force wait,
 ///                  with microsecond timings. Works identically through a
 ///                  remote session.
 ///
@@ -353,13 +344,15 @@ class Prima {
   /// work decomposed from a single user operation are said to allow for
   /// inherent semantic parallelism when they do not conflict with each
   /// other at the level of decomposition." Molecule-set retrieval
-  /// decomposes by root atom: each unit assembles and qualifies one
-  /// candidate molecule. Units are read-only and target disjoint roots, so
-  /// they are conflict-free by construction; up to `max_units` of them
-  /// (0 = one per pool thread) run at once on the worker pool — the
-  /// shared-memory stand-in for multi-processor PRIMA. This is a cursor
-  /// opened with assembly width `max_units` and drained, so molecule order
-  /// and content match Query() exactly.
+  /// decomposes by root atom: the roots are pulled on the calling thread
+  /// and split into at most `max_units` contiguous units (0 = one per pool
+  /// thread), each assembling, qualifying and projecting its roots. Units
+  /// are read-only and target disjoint roots, so they are conflict-free by
+  /// construction. They run on the worker pool — the shared-memory
+  /// stand-in for multi-processor PRIMA — with the caller running the last
+  /// one, and the call waits only for its own units. Results concatenate
+  /// in root order, so molecule order and content match Query() exactly.
+  /// Reads are latest-committed, outside any session.
   util::Result<mql::MoleculeSet> QueryParallel(const std::string& mql,
                                                size_t max_units = 0);
   /// Execute one LDL statement (access paths, sort orders, partitions,

@@ -288,10 +288,9 @@ std::shared_ptr<access::VersionStore::Pin> Session::PinForQuery(
   return data_->access().versions().OpenSnapshot(own_txn);
 }
 
-Result<MoleculeCursor> Session::OpenCursor(mql::Query query,
-                                           const mql::QueryPlan* plan,
-                                           std::vector<access::Value> params,
-                                           std::optional<Isolation> isolation) {
+Result<MoleculeCursor> Session::OpenCursor(
+    std::shared_ptr<const mql::CachedStatement> compiled,
+    std::vector<access::Value> params, std::optional<Isolation> isolation) {
   std::shared_ptr<access::VersionStore::Pin> snapshot = PinForQuery(isolation);
   std::shared_ptr<const std::atomic<bool>> token;
   if (snapshot == nullptr || snapshot->view().own_txn != 0) {
@@ -303,17 +302,16 @@ Result<MoleculeCursor> Session::OpenCursor(mql::Query query,
     std::lock_guard<std::mutex> lock(epoch_mu_);
     token = cursor_epoch_;
   }
-  mql::Executor& exec = data_->executor();
-  const size_t width = exec.assembly_threads();
+  // The cursor shares the compiled query and plan with the cache entry
+  // (aliasing pointers keep the entry alive); nothing is copied.
+  std::shared_ptr<const mql::Query> query(compiled, &compiled->stmt.query);
+  std::shared_ptr<const mql::QueryPlan> plan;
+  if (compiled->plan.has_value()) plan = {compiled, &*compiled->plan};
   PRIMA_ASSIGN_OR_RETURN(
       MoleculeCursor cursor,
-      plan != nullptr
-          ? exec.OpenCursorWithPlan(std::move(query), *plan, std::move(params),
-                                    width, std::move(token), active_trace_,
-                                    std::move(snapshot))
-          : exec.OpenCursor(std::move(query), std::move(params), width,
-                            std::move(token), active_trace_,
-                            std::move(snapshot)));
+      data_->executor().OpenCursor(std::move(query), std::move(plan),
+                                   std::move(params), std::move(token),
+                                   active_trace_, std::move(snapshot)));
   data_->stats().queries++;
   return cursor;
 }
@@ -386,22 +384,22 @@ Result<ExecResult> Session::RunInstrumented(const std::string& text,
     return r;
   }
 
-  auto trace = std::make_shared<obs::StatementTrace>();
-  active_trace_ = trace;
+  obs::StatementTrace trace;
+  active_trace_ = &trace;
   Result<ExecResult> r = [&] {
-    obs::TraceContext ctx(trace.get());
+    obs::TraceContext ctx(&trace);
     return body();
   }();
-  active_trace_.reset();
-  trace->Finish();
+  active_trace_ = nullptr;
+  trace.Finish();
   if (tel != nullptr) {
     tel->CountTraced();
-    tel->RecordStatement(text, trace.get(), trace->total_ns() / 1000);
+    tel->RecordStatement(text, &trace, trace.total_ns() / 1000);
   }
   if (explain && r.ok()) {
     ExecResult er;
     er.kind = ExecResult::Kind::kText;
-    er.text = trace->Render("EXPLAIN ANALYZE: " + SummarizeResult(*r));
+    er.text = trace.Render("EXPLAIN ANALYZE: " + SummarizeResult(*r));
     return er;
   }
   return r;
@@ -419,25 +417,24 @@ Result<std::shared_ptr<const mql::CachedStatement>> Session::CompileOneShot(
 }
 
 Result<ExecResult> Session::RunCompiled(
-    const mql::CachedStatement& compiled, std::vector<access::Value> params,
-    std::optional<Isolation> isolation) {
-  const mql::QueryPlan* plan =
-      compiled.plan.has_value() ? &*compiled.plan : nullptr;
-  if (compiled.stmt.kind == Statement::Kind::kQuery) {
+    std::shared_ptr<const mql::CachedStatement> compiled,
+    std::vector<access::Value> params, std::optional<Isolation> isolation) {
+  if (compiled->stmt.kind == Statement::Kind::kQuery) {
     // The materializing facade is exactly "open a cursor, drain it" — the
     // cursor path applies the session's isolation (and the statement's
-    // override). The cursor owns a clone; the compiled statement stays
-    // immutable.
+    // override).
     PRIMA_ASSIGN_OR_RETURN(
         MoleculeCursor cursor,
-        OpenCursor(mql::CloneQuery(compiled.stmt.query), plan,
-                   std::move(params), isolation));
+        OpenCursor(std::move(compiled), std::move(params), isolation));
     ExecResult r;
     r.kind = ExecResult::Kind::kMolecules;
     PRIMA_ASSIGN_OR_RETURN(r.molecules, cursor.Drain());
     return r;
   }
-  return ExecuteStatement(compiled.stmt, plan, params);
+  return ExecuteStatement(compiled->stmt,
+                          compiled->plan.has_value() ? &*compiled->plan
+                                                     : nullptr,
+                          params);
 }
 
 Result<ExecResult> Session::Execute(const std::string& mql) {
@@ -446,7 +443,7 @@ Result<ExecResult> Session::Execute(const std::string& mql) {
         PRIMA_ASSIGN_OR_RETURN(
             std::shared_ptr<const mql::CachedStatement> compiled,
             CompileOneShot(mql));
-        return RunCompiled(*compiled, {}, std::nullopt);
+        return RunCompiled(std::move(compiled), {}, std::nullopt);
       });
 }
 
@@ -462,9 +459,7 @@ Result<MoleculeCursor> Session::Query(const std::string& mql,
     return Status::InvalidArgument(
         "EXPLAIN ANALYZE must go through Execute, not Query");
   }
-  return OpenCursor(mql::CloneQuery(compiled->stmt.query),
-                    compiled->plan.has_value() ? &*compiled->plan : nullptr,
-                    {}, isolation);
+  return OpenCursor(std::move(compiled), {}, isolation);
 }
 
 Result<PreparedStatement> Session::Prepare(const std::string& mql,
@@ -562,7 +557,7 @@ Result<ExecResult> PreparedStatement::Execute() {
         PRIMA_ASSIGN_OR_RETURN(std::vector<access::Value> params, Ready());
         executions_++;
         session_->data_->stats().prepared_executions++;
-        return session_->RunCompiled(*compiled_, std::move(params),
+        return session_->RunCompiled(compiled_, std::move(params),
                                      isolation_);
       });
 }
@@ -575,10 +570,8 @@ Result<MoleculeCursor> PreparedStatement::Query(
   PRIMA_ASSIGN_OR_RETURN(std::vector<access::Value> params, Ready());
   executions_++;
   session_->data_->stats().prepared_executions++;
-  return session_->OpenCursor(
-      mql::CloneQuery(compiled_->stmt.query),
-      compiled_->plan.has_value() ? &*compiled_->plan : nullptr,
-      std::move(params), isolation.has_value() ? isolation : isolation_);
+  return session_->OpenCursor(compiled_, std::move(params),
+                             isolation.has_value() ? isolation : isolation_);
 }
 
 }  // namespace prima::core

@@ -222,13 +222,14 @@ class Session {
   /// The compiled statement is only read — shared-cache entries are
   /// executed concurrently by many sessions.
   util::Result<mql::ExecResult> RunCompiled(
-      const mql::CachedStatement& compiled, std::vector<access::Value> params,
-      std::optional<Isolation> isolation);
+      std::shared_ptr<const mql::CachedStatement> compiled,
+      std::vector<access::Value> params, std::optional<Isolation> isolation);
   util::Result<mql::ExecResult> ExecuteStatement(
       const mql::Statement& stmt, const mql::QueryPlan* plan,
       const std::vector<access::Value>& params);
+  /// Open a cursor over a compiled query; the cursor shares `compiled`.
   util::Result<mql::MoleculeCursor> OpenCursor(
-      mql::Query query, const mql::QueryPlan* plan,
+      std::shared_ptr<const mql::CachedStatement> compiled,
       std::vector<access::Value> params,
       std::optional<Isolation> isolation = std::nullopt);
 
@@ -285,10 +286,9 @@ class Session {
   /// The trace of the statement currently executing inline (set only for
   /// the RunInstrumented scope). Cursors opened while it is set drain
   /// within the statement — they get the trace; streaming Query() cursors
-  /// are opened outside the scope and stay untraced, so a trace can never
-  /// outlive its statement from the session's side (workers hold their own
-  /// shared_ptr).
-  std::shared_ptr<obs::StatementTrace> active_trace_;
+  /// are opened outside the scope and stay untraced, so a cursor never
+  /// outlives the trace it writes to.
+  obs::StatementTrace* active_trace_ = nullptr;
 };
 
 }  // namespace prima::core

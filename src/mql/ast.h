@@ -215,9 +215,8 @@ struct Statement {
 // --- deep copies -------------------------------------------------------------
 
 /// Clone an expression tree (Expr owns children via unique_ptr, so the
-/// implicit copy is deleted). Used by streaming cursors, which must own
-/// their WHERE/SELECT while the prepared statement that spawned them is
-/// re-bound or re-executed.
+/// implicit copy is deleted). Used by MODIFY/DELETE, whose target query
+/// takes a copy of the statement's WHERE.
 inline ExprPtr CloneExpr(const Expr* e) {
   if (e == nullptr) return nullptr;
   auto out = std::make_unique<Expr>();
@@ -233,25 +232,6 @@ inline ExprPtr CloneExpr(const Expr* e) {
   out->quant_count = e->quant_count;
   out->quant_component = e->quant_component;
   out->quant_body = CloneExpr(e->quant_body.get());
-  return out;
-}
-
-inline ProjItem CloneProjItem(const ProjItem& item) {
-  ProjItem out;
-  out.kind = item.kind;
-  out.path = item.path;
-  out.component = item.component;
-  out.attrs = item.attrs;
-  out.qualification = CloneExpr(item.qualification.get());
-  return out;
-}
-
-inline Query CloneQuery(const Query& q) {
-  Query out;
-  out.select.reserve(q.select.size());
-  for (const ProjItem& item : q.select) out.select.push_back(CloneProjItem(item));
-  out.from = q.from;
-  out.where = CloneExpr(q.where.get());
   return out;
 }
 

@@ -15,6 +15,16 @@ using access::Value;
 using util::Result;
 using util::Status;
 
+namespace {
+
+/// A non-owning shared_ptr, for a cursor that drains before `p` goes away.
+template <typename T>
+std::shared_ptr<const T> Borrow(const T* p) {
+  return std::shared_ptr<const T>(std::shared_ptr<const T>(), p);
+}
+
+}  // namespace
+
 Result<ExecResult> DataSystem::Execute(const std::string& text,
                                        ExecContext* ctx) {
   PRIMA_ASSIGN_OR_RETURN(Statement stmt, ParseStatement(text));
@@ -96,12 +106,11 @@ std::string DataSystem::Format(const ExecResult& result) const {
 Result<ExecResult> DataSystem::RunQuery(const struct Query& q,
                                         const QueryPlan* plan,
                                         const std::vector<Value>& params) {
-  const size_t width = executor_.assembly_threads();
+  // The cursor drains before this returns, so it borrows the query and
+  // plan instead of copying them.
   PRIMA_ASSIGN_OR_RETURN(
       MoleculeCursor cursor,
-      plan != nullptr
-          ? executor_.OpenCursorWithPlan(CloneQuery(q), *plan, params, width)
-          : executor_.OpenCursor(CloneQuery(q), params, width));
+      executor_.OpenCursor(Borrow(&q), Borrow(plan), params));
   stats().queries++;
   ExecResult r;
   r.kind = ExecResult::Kind::kMolecules;
@@ -112,23 +121,18 @@ Result<ExecResult> DataSystem::RunQuery(const struct Query& q,
 Result<MoleculeSet> DataSystem::QualifyTargets(
     const FromClause& from, const Expr* where, const QueryPlan* plan,
     const std::vector<Value>& params) {
-  Query q;
-  q.select.emplace_back().kind = ProjItem::Kind::kAll;
-  q.from = from;
-  q.where = CloneExpr(where);
-  // Width 1: the targets are qualified serially on this thread, and the
-  // whole set is drained before the caller's first mutation, so no update
-  // can move an atom into the part of the scan still ahead. The cursor
-  // reads the latest state (no snapshot pin) and, being serial, may borrow
-  // the statement's trace without owning it.
-  std::shared_ptr<obs::StatementTrace> trace(
-      std::shared_ptr<obs::StatementTrace>(), obs::CurrentTrace());
+  auto q = std::make_shared<Query>();
+  q->select.emplace_back().kind = ProjItem::Kind::kAll;
+  q->from = from;
+  q->where = CloneExpr(where);
+  // A serial cursor on this thread, drained whole before the caller's first
+  // mutation, so no update can move an atom into the part of the scan still
+  // ahead. It reads the latest state (no snapshot pin) and borrows the
+  // statement's trace, since it drains within the statement.
   PRIMA_ASSIGN_OR_RETURN(
       MoleculeCursor cursor,
-      plan != nullptr
-          ? executor_.OpenCursorWithPlan(std::move(q), *plan, params, 1,
-                                         nullptr, trace)
-          : executor_.OpenCursor(std::move(q), params, 1, nullptr, trace));
+      executor_.OpenCursor(std::move(q), Borrow(plan), params, nullptr,
+                           obs::CurrentTrace()));
   return cursor.Drain();
 }
 

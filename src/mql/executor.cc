@@ -1,6 +1,8 @@
 #include "mql/executor.h"
 
 #include <algorithm>
+#include <condition_variable>
+#include <mutex>
 #include <set>
 
 namespace prima::mql {
@@ -852,205 +854,151 @@ Result<Molecule> Executor::Project(const Query& query, const QueryPlan& plan,
 // ---------------------------------------------------------------------------
 
 Result<MoleculeCursor> Executor::OpenCursor(
-    Query query, std::vector<Value> params, size_t assembly_width,
+    std::shared_ptr<const Query> query, std::shared_ptr<const QueryPlan> plan,
+    std::vector<Value> params,
     std::shared_ptr<const std::atomic<bool>> invalidated,
-    std::shared_ptr<obs::StatementTrace> trace,
+    obs::StatementTrace* trace,
     std::shared_ptr<access::VersionStore::Pin> snapshot) {
-  PRIMA_ASSIGN_OR_RETURN(QueryPlan plan,
-                         Prepare(query.from, query.where.get()));
-  return OpenCursorWithPlan(std::move(query), std::move(plan),
-                            std::move(params), assembly_width,
-                            std::move(invalidated), std::move(trace),
-                            std::move(snapshot));
-}
-
-Result<MoleculeCursor> Executor::OpenCursorWithPlan(
-    Query query, QueryPlan plan, std::vector<Value> params,
-    size_t assembly_width,
-    std::shared_ptr<const std::atomic<bool>> invalidated,
-    std::shared_ptr<obs::StatementTrace> trace,
-    std::shared_ptr<access::VersionStore::Pin> snapshot) {
+  if (plan == nullptr) {
+    PRIMA_ASSIGN_OR_RETURN(QueryPlan planned,
+                           Prepare(query->from, query->where.get()));
+    plan = std::make_shared<const QueryPlan>(std::move(planned));
+  }
   MoleculeCursor cursor;
-  cursor.shared_ = std::make_shared<MoleculeCursor::Shared>();
-  cursor.shared_->exec = this;
-  cursor.shared_->query = std::move(query);
-  cursor.shared_->plan = std::move(plan);
-  cursor.shared_->params = std::move(params);
-  cursor.shared_->trace = std::move(trace);
-  cursor.shared_->snapshot = std::move(snapshot);
+  cursor.exec_ = this;
+  cursor.query_ = std::move(query);
+  cursor.plan_ = std::move(plan);
+  cursor.params_ = std::move(params);
+  cursor.trace_ = trace;
+  cursor.snapshot_ = std::move(snapshot);
   cursor.invalidated_ = std::move(invalidated);
   // Open only the root source here — roots are pulled incrementally from
   // the scan layer as the cursor drains, never materialized.
-  PRIMA_ASSIGN_OR_RETURN(
-      cursor.source_,
-      OpenRootSource(cursor.shared_->plan, cursor.shared_->params));
-  if (cursor.shared_->snapshot != nullptr) {
-    cursor.source_->view_ = &cursor.shared_->snapshot->view();
-  }
-  if (assembly_pool_ != nullptr && assembly_width > 1) {
-    cursor.pool_ = assembly_pool_;
-    // A couple of slots beyond the width keeps the pipeline fed while the
-    // consumer projects, without assembling far past what the consumer
-    // asked for.
-    cursor.lookahead_ = std::min<size_t>(assembly_width * 2, 64);
+  PRIMA_ASSIGN_OR_RETURN(cursor.source_,
+                         OpenRootSource(*cursor.plan_, cursor.params_));
+  if (cursor.snapshot_ != nullptr) {
+    cursor.source_->view_ = &cursor.snapshot_->view();
   }
   return cursor;
 }
 
-util::Status MoleculeCursor::TopUpWindow() {
-  obs::StatementTrace* trace = shared_->trace.get();
-  const uint64_t t0 = trace ? obs::NowNs() : 0;
-  uint64_t roots_pulled = 0;
-  while (!source_drained_ && window_.size() < lookahead_) {
-    PRIMA_ASSIGN_OR_RETURN(std::optional<access::Atom> root, source_->Next());
-    if (!root) {
-      source_drained_ = true;
-      break;
+Result<std::optional<Molecule>> Executor::DeriveMolecule(
+    const Query& query, const QueryPlan& plan, const std::vector<Value>& params,
+    const Atom& root, const access::ReadView* view,
+    obs::StatementTrace* trace) {
+  // The view scope covers only this step: the root scan must run
+  // latest-committed (RootSource resolves its candidates itself), while
+  // assembly reads under the cursor's view.
+  access::ReadViewScope view_scope(view);
+  uint64_t t0 = trace ? obs::NowNs() : 0;
+  PRIMA_ASSIGN_OR_RETURN(Molecule molecule, Assemble(plan, root));
+  bool qualified = true;
+  if (query.where != nullptr) {
+    PRIMA_ASSIGN_OR_RETURN(qualified,
+                           Eval(molecule, *query.where, params, {}));
+  }
+  if (trace != nullptr) {
+    trace->AddPhaseNs("execute", "assembly", obs::NowNs() - t0);
+  }
+  if (!qualified) return std::optional<Molecule>();
+  t0 = trace ? obs::NowNs() : 0;
+  PRIMA_ASSIGN_OR_RETURN(Molecule projected,
+                         Project(query, plan, params, std::move(molecule)));
+  if (trace != nullptr) {
+    trace->AddPhaseNs("execute", "project", obs::NowNs() - t0);
+    trace->GetPhase("execute", "assembly")->AddCounter("molecules", 1);
+  }
+  stats_.cursor_molecules++;
+  return std::optional<Molecule>(std::move(projected));
+}
+
+Result<MoleculeSet> Executor::DeriveInUnits(std::shared_ptr<const Query> query,
+                                            util::ThreadPool* pool,
+                                            size_t max_units) {
+  PRIMA_ASSIGN_OR_RETURN(MoleculeCursor cursor,
+                         OpenCursor(std::move(query), nullptr, {}));
+  // One unit is the cursor itself, drained on this thread: roots are
+  // derived as they are pulled, never collected.
+  if (max_units <= 1) return cursor.Drain();
+  std::vector<Atom> roots;
+  for (;;) {
+    PRIMA_ASSIGN_OR_RETURN(std::optional<Atom> root, cursor.source_->Next());
+    if (!root) break;
+    roots.push_back(std::move(*root));
+  }
+  if (roots.empty()) return MoleculeSet();
+  const size_t units = std::min(max_units, roots.size());
+  const Query& q = *cursor.query_;
+  const QueryPlan& plan = *cursor.plan_;
+
+  // Unit u derives roots [u*n/units, (u+1)*n/units). Units are read-only
+  // and cover disjoint roots, so they cannot conflict (paper §4).
+  struct UnitResult {
+    Status status;
+    std::vector<Molecule> molecules;
+  };
+  std::vector<UnitResult> results(units);
+  const auto run_unit = [&](size_t u) {
+    const size_t end = (u + 1) * roots.size() / units;
+    for (size_t i = u * roots.size() / units; i < end; ++i) {
+      Result<std::optional<Molecule>> m =
+          DeriveMolecule(q, plan, {}, roots[i], nullptr, nullptr);
+      if (!m.ok()) {
+        results[u].status = m.status();
+        return;
+      }
+      if (m->has_value()) results[u].molecules.push_back(std::move(**m));
     }
-    roots_pulled++;
-    auto slot = std::make_shared<Slot>();
-    // The task captures the shared query context and its slot by
-    // shared_ptr: closing, moving, or destroying the cursor mid-flight
-    // leaves the worker on valid ground, its result simply unobserved.
-    pool_->Submit([shared = shared_, slot, root = std::move(*root)]() {
-      // Workers report through the trace's ATOMIC kernel counters only
-      // (busy time here; buffer hit/miss via the thread-local context) —
-      // the phase tree stays single-threaded with the consumer.
-      obs::StatementTrace* wtrace = shared->trace.get();
-      obs::TraceContext tc(wtrace);
-      // Snapshot cursors: the worker assembles under the cursor's read
-      // view, so every GetAtom it issues resolves to the pinned version —
-      // identical, value for value, to what the serial path reads.
-      access::ReadViewScope view_scope(
-          shared->snapshot != nullptr ? &shared->snapshot->view() : nullptr);
-      const uint64_t w0 = wtrace ? obs::NowNs() : 0;
-      util::Result<Molecule> m = shared->exec->Assemble(shared->plan, root);
-      std::lock_guard<std::mutex> lock(slot->mu);
-      if (m.ok()) {
-        slot->molecule = std::move(m).value();
-        slot->qualified = true;
-        if (shared->query.where != nullptr) {
-          util::Result<bool> q =
-              shared->exec->Eval(slot->molecule, *shared->query.where,
-                                 shared->params, {});
-          if (q.ok()) {
-            slot->qualified = *q;
-          } else {
-            slot->status = q.status();
-          }
-        }
-      } else {
-        slot->status = m.status();
-      }
-      if (wtrace != nullptr) {
-        wtrace->worker_assembly_ns.fetch_add(obs::NowNs() - w0,
-                                             std::memory_order_relaxed);
-        wtrace->worker_assemblies.fetch_add(1, std::memory_order_relaxed);
-      }
-      slot->done = true;
-      slot->cv.notify_all();
+  };
+  // Wait on this call's own units only: ThreadPool::Wait() would also wait
+  // for every other caller's work on the shared pool.
+  std::mutex mu;
+  std::condition_variable cv;
+  size_t pending = units - 1;
+  for (size_t u = 0; u + 1 < units; ++u) {
+    pool->Submit([&, u] {
+      run_unit(u);
+      std::lock_guard<std::mutex> lock(mu);
+      if (--pending == 0) cv.notify_one();
     });
-    window_.push_back(std::move(slot));
   }
-  if (trace != nullptr && roots_pulled > 0) {
-    // Root-pull time (consumer side; the pulls interleave task submission,
-    // which is part of what feeding the pipeline costs).
-    trace->AddPhaseNs("execute", "roots", obs::NowNs() - t0);
-    trace->GetPhase("execute", "roots")->AddCounter("roots", roots_pulled);
+  run_unit(units - 1);
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return pending == 0; });
   }
-  return Status::Ok();
+
+  MoleculeSet set;
+  for (UnitResult& r : results) {
+    PRIMA_RETURN_IF_ERROR(r.status);
+    for (Molecule& m : r.molecules) set.molecules.push_back(std::move(m));
+  }
+  return set;
 }
 
 Result<std::optional<Molecule>> MoleculeCursor::Next() {
-  if (aborted_ || (shared_ != nullptr && invalidated_ != nullptr &&
-                   invalidated_->load())) {
+  if (aborted_ ||
+      (source_ != nullptr && invalidated_ != nullptr && invalidated_->load())) {
     aborted_ = true;  // sticky: a truncated stream must keep failing
     Close();
     return Status::Aborted(
         "cursor invalidated: the transaction it was reading under aborted");
   }
-  if (shared_ == nullptr) return std::optional<Molecule>();  // closed/drained
-  if (pool_ == nullptr || lookahead_ <= 1) return NextSerial();
-
+  if (source_ == nullptr) return std::optional<Molecule>();  // closed/drained
+  const access::ReadView* view =
+      snapshot_ != nullptr ? &snapshot_->view() : nullptr;
   for (;;) {
-    PRIMA_RETURN_IF_ERROR(TopUpWindow());
-    if (window_.empty()) {
-      Close();
-      return std::optional<Molecule>();
-    }
-    std::shared_ptr<Slot> slot = std::move(window_.front());
-    window_.pop_front();
-    obs::StatementTrace* trace = shared_->trace.get();
-    uint64_t t0 = trace ? obs::NowNs() : 0;
-    {
-      std::unique_lock<std::mutex> lock(slot->mu);
-      slot->cv.wait(lock, [&] { return slot->done; });
-    }
-    if (trace != nullptr) {
-      // Consumer-visible assembly cost: how long Next() waited for the
-      // pipelined worker. The workers' own busy time lands next to it as
-      // the worker_busy_us counter (folded in at Finish).
-      trace->AddPhaseNs("execute", "assembly", obs::NowNs() - t0);
-    }
-    // Slots drain strictly in submission order — root order — so the
-    // stream below is indistinguishable from the serial cursor's.
-    PRIMA_RETURN_IF_ERROR(slot->status);
-    if (!slot->qualified) continue;
-    t0 = trace ? obs::NowNs() : 0;
-    PRIMA_ASSIGN_OR_RETURN(Molecule projected,
-                           shared_->exec->Project(shared_->query,
-                                                  shared_->plan,
-                                                  shared_->params,
-                                                  std::move(slot->molecule)));
-    if (trace != nullptr) {
-      trace->AddPhaseNs("execute", "project", obs::NowNs() - t0);
-      trace->GetPhase("execute", "assembly")->AddCounter("molecules", 1);
-    }
-    shared_->exec->stats().cursor_molecules++;
-    return std::optional<Molecule>(std::move(projected));
-  }
-}
-
-Result<std::optional<Molecule>> MoleculeCursor::NextSerial() {
-  obs::StatementTrace* trace = shared_->trace.get();
-  for (;;) {
-    uint64_t t0 = trace ? obs::NowNs() : 0;
-    PRIMA_ASSIGN_OR_RETURN(std::optional<access::Atom> root, source_->Next());
-    if (trace != nullptr && root.has_value()) {
-      trace->AddPhaseNs("execute", "roots", obs::NowNs() - t0);
-      trace->GetPhase("execute", "roots")->AddCounter("roots", 1);
-    }
+    const uint64_t t0 = trace_ ? obs::NowNs() : 0;
+    PRIMA_ASSIGN_OR_RETURN(std::optional<Atom> root, source_->Next());
     if (!root) break;
-    // The view scope starts only after the root pull: the underlying scan
-    // must run latest-committed (RootSource resolves its candidates
-    // itself), while assembly below reads under the cursor's view.
-    access::ReadViewScope view_scope(
-        shared_->snapshot != nullptr ? &shared_->snapshot->view() : nullptr);
-    t0 = trace ? obs::NowNs() : 0;
-    PRIMA_ASSIGN_OR_RETURN(Molecule molecule,
-                           shared_->exec->Assemble(shared_->plan, *root));
-    bool qualified = true;
-    if (shared_->query.where != nullptr) {
-      PRIMA_ASSIGN_OR_RETURN(
-          qualified, shared_->exec->Eval(molecule, *shared_->query.where,
-                                         shared_->params, {}));
+    if (trace_ != nullptr) {
+      trace_->AddPhaseNs("execute", "roots", obs::NowNs() - t0);
+      trace_->GetPhase("execute", "roots")->AddCounter("roots", 1);
     }
-    if (trace != nullptr) {
-      trace->AddPhaseNs("execute", "assembly", obs::NowNs() - t0);
-    }
-    if (!qualified) continue;
-    t0 = trace ? obs::NowNs() : 0;
-    PRIMA_ASSIGN_OR_RETURN(Molecule projected,
-                           shared_->exec->Project(shared_->query,
-                                                  shared_->plan,
-                                                  shared_->params,
-                                                  std::move(molecule)));
-    if (trace != nullptr) {
-      trace->AddPhaseNs("execute", "project", obs::NowNs() - t0);
-      trace->GetPhase("execute", "assembly")->AddCounter("molecules", 1);
-    }
-    shared_->exec->stats().cursor_molecules++;
-    return std::optional<Molecule>(std::move(projected));
+    PRIMA_ASSIGN_OR_RETURN(
+        std::optional<Molecule> molecule,
+        exec_->DeriveMolecule(*query_, *plan_, params_, *root, view, trace_));
+    if (molecule.has_value()) return molecule;
   }
   Close();
   return std::optional<Molecule>();
@@ -1067,15 +1015,10 @@ Result<MoleculeSet> MoleculeCursor::Drain() {
 }
 
 void MoleculeCursor::Close() {
-  // In-flight look-ahead tasks keep running detached (they own shared_ptrs
-  // to the query context and their slot); dropping the window just means
-  // nobody will wait for or observe them.
-  window_.clear();
   source_.reset();
-  shared_.reset();
-  source_drained_ = false;
-  pool_ = nullptr;
-  lookahead_ = 0;
+  snapshot_.reset();
+  query_.reset();
+  plan_.reset();
 }
 
 }  // namespace prima::mql

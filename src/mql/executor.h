@@ -2,11 +2,8 @@
 #define PRIMA_MQL_EXECUTOR_H_
 
 #include <atomic>
-#include <condition_variable>
-#include <deque>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <set>
 #include <string>
@@ -39,7 +36,7 @@ struct DataStats {
   obs::Counter statements_prepared;  ///< Session::Prepare calls
   obs::Counter prepared_executions;  ///< PreparedStatement runs
   obs::Counter prepared_plans;       ///< plans they took: 1 each + DDL recompiles
-  obs::Counter cursor_molecules;     ///< Next() results, DML's too
+  obs::Counter cursor_molecules;     ///< query results, DML's too
 
   void Reset() { *this = DataStats(); }
 };
@@ -57,7 +54,7 @@ inline constexpr obs::CounterDef<DataStats> kDataCounters[] = {
     {&DataStats::statements_prepared, "prima_statements_prepared", "Session::Prepare calls"},
     {&DataStats::prepared_executions, "prima_prepared_executions", "prepared-statement executions"},
     {&DataStats::prepared_plans, "prima_prepared_plans", "plans prepared statements compiled or took from the statement cache: one per Prepare, plus one per recompile after DDL"},
-    {&DataStats::cursor_molecules, "prima_cursor_molecules", "molecules returned by cursor Next(), DML target qualification included"},
+    {&DataStats::cursor_molecules, "prima_cursor_molecules", "molecules returned by cursor Next() and QueryParallel units, DML target qualification included"},
 };
 
 /// The value at an operand site of a statement (a WHERE comparison, an
@@ -149,8 +146,8 @@ class RootSource {
   size_t lookup_next_ = 0;
   bool use_lookup_ = false;
 
-  // Snapshot mode. `view_` points into the cursor's pin (owned by the
-  // cursor's Shared state, which outlives the source).
+  // Snapshot mode. `view_` points into the cursor's pin, which the cursor
+  // holds for as long as it holds this source.
   access::AccessSystem* access_ = nullptr;
   const access::ReadView* view_ = nullptr;
   access::AtomTypeId root_type_ = 0;
@@ -165,115 +162,52 @@ class RootSource {
 /// next qualifying molecule — first-row latency is one assembly, not the
 /// whole set, and a consumer that stops early never pays for the molecules
 /// it skipped. It is the data system's one molecule-derivation loop:
-/// session and prepared queries, the wire, Prima::QueryParallel and
-/// sessionless DataSystem queries drain it for their results, and
-/// MODIFY/DELETE drain one for their targets.
+/// session and prepared queries, the wire and sessionless DataSystem
+/// queries drain it for their results, and MODIFY/DELETE drain one for
+/// their targets. The cursor is serial: each root is assembled, qualified
+/// and projected on the thread calling Next() (Executor::DeriveMolecule,
+/// the per-root step Prima::QueryParallel's units run as well), so nothing
+/// is assembled ahead of the Next() that returns it.
 ///
-/// When opened with an assembly width above 1 on an executor with an
-/// assembly pool (Executor::SetAssemblyPool), Next() pipelines: a small
-/// bounded look-ahead of upcoming roots is assembled and qualified on pool
-/// workers while the consumer drains, and projection happens on the
-/// consumer thread in submission order — so drain order and results stay
-/// byte-identical to serial at every width, only the wall-clock changes.
-///
-/// A cursor owns its query (cloned at open) and a copy of its bound values,
-/// so the statement or session that spawned it may be re-bound,
-/// re-executed, or closed while the cursor drains. It must not outlive the database, and it reads whatever the
-/// access system holds at each assembly — with look-ahead, up to
-/// `lookahead` molecules may be assembled ahead of the Next() that returns
-/// them. The session layer invalidates open cursors (via the `invalidated`
-/// token) when a transaction abort rolls the atoms they would read back.
+/// A cursor shares its compiled query and plan (immutable — typically the
+/// statement-cache entry it was compiled into) and owns a copy of its bound
+/// values, so the statement or session that spawned it may be re-bound,
+/// re-executed, or closed while the cursor drains. It must not outlive the
+/// database, and it reads whatever the access system holds at each Next().
+/// The session layer invalidates open cursors (via the `invalidated` token)
+/// when a transaction abort rolls the atoms they would read back.
 class MoleculeCursor {
  public:
   MoleculeCursor() = default;  ///< a closed cursor
-  // Moved-from cursors read as closed (shared_ == nullptr is the closed
-  // state) and non-aborted; in-flight look-ahead slots travel with the
-  // window deque and keep their task state alive via shared_ptrs.
-  MoleculeCursor(MoleculeCursor&& other) noexcept
-      : shared_(std::move(other.shared_)),
-        source_(std::move(other.source_)),
-        window_(std::move(other.window_)),
-        pool_(std::exchange(other.pool_, nullptr)),
-        lookahead_(std::exchange(other.lookahead_, 0)),
-        source_drained_(std::exchange(other.source_drained_, false)),
-        invalidated_(std::move(other.invalidated_)),
-        aborted_(std::exchange(other.aborted_, false)) {}
-  MoleculeCursor& operator=(MoleculeCursor&& other) noexcept {
-    if (this != &other) {
-      shared_ = std::move(other.shared_);
-      source_ = std::move(other.source_);
-      window_ = std::move(other.window_);
-      pool_ = std::exchange(other.pool_, nullptr);
-      lookahead_ = std::exchange(other.lookahead_, 0);
-      source_drained_ = std::exchange(other.source_drained_, false);
-      invalidated_ = std::move(other.invalidated_);
-      aborted_ = std::exchange(other.aborted_, false);
-    }
-    return *this;
-  }
 
   /// The next qualifying molecule, or nullopt when the set is drained.
   util::Result<std::optional<Molecule>> Next();
 
   /// Drain the remaining molecules into a set. Every caller that wants a
-  /// whole set — Prima::Query, QueryParallel, sessionless DataSystem
-  /// queries, DML target qualification — is exactly Open + Drain.
+  /// whole set — Prima::Query, sessionless DataSystem queries, DML target
+  /// qualification — is exactly Open + Drain.
   util::Result<MoleculeSet> Drain();
 
-  /// Drop the remaining molecules; Next() then reports drained. Any
-  /// in-flight look-ahead assemblies finish detached (their slots own the
-  /// shared query state) and are discarded. Idempotent.
+  /// Drop the remaining molecules; Next() then reports drained. Idempotent.
   void Close();
 
-  bool open() const { return shared_ != nullptr; }
-  const QueryPlan& plan() const { return shared_->plan; }
+  bool open() const { return source_ != nullptr; }
 
  private:
   friend class Executor;
 
-  /// The query context look-ahead tasks run against. Heap-shared so moving
-  /// or closing the cursor never invalidates a worker mid-assembly.
-  struct Shared {
-    Executor* exec = nullptr;
-    Query query;
-    QueryPlan plan;
-    /// Bound values, indexed by parameter slot (empty for one-shot
-    /// statements, whose text carries every operand).
-    std::vector<access::Value> params;
-    /// Trace of the statement draining this cursor, or null. shared_ptr:
-    /// detached look-ahead tasks may outlive the statement, and their late
-    /// counter writes must land in owned memory, never a dangling trace.
-    /// Workers touch ONLY the trace's atomic kernel counters; the phase
-    /// tree stays with the consumer thread.
-    std::shared_ptr<obs::StatementTrace> trace;
-    /// Pinned read view for snapshot-isolation cursors, or null
-    /// (latest-committed). Lives here so detached look-ahead tasks keep the
-    /// pin — and with it the version chains they resolve against — alive
-    /// until the last task finishes.
-    std::shared_ptr<access::VersionStore::Pin> snapshot;
-  };
-
-  /// One in-flight (or finished) look-ahead assembly.
-  struct Slot {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;        ///< guarded by mu
-    bool qualified = false;   ///< WHERE verdict
-    util::Status status;      ///< assembly/eval error, if any
-    Molecule molecule;
-  };
-
-  util::Result<std::optional<Molecule>> NextSerial();
-  /// Submit assemble+qualify tasks until the window holds `lookahead_`
-  /// slots or the root source is exhausted.
-  util::Status TopUpWindow();
-
-  std::shared_ptr<Shared> shared_;
-  std::unique_ptr<RootSource> source_;
-  std::deque<std::shared_ptr<Slot>> window_;
-  util::ThreadPool* pool_ = nullptr;  ///< null or lookahead_ <= 1: serial
-  size_t lookahead_ = 0;
-  bool source_drained_ = false;
+  Executor* exec_ = nullptr;
+  std::shared_ptr<const Query> query_;
+  std::shared_ptr<const QueryPlan> plan_;
+  /// Bound values, indexed by parameter slot (empty for one-shot
+  /// statements, whose text carries every operand).
+  std::vector<access::Value> params_;
+  /// Trace of the statement draining this cursor, or null.
+  obs::StatementTrace* trace_ = nullptr;
+  /// Pinned read view for snapshot-isolation cursors, or null
+  /// (latest-committed).
+  std::shared_ptr<access::VersionStore::Pin> snapshot_;
+  std::unique_ptr<RootSource> source_;  ///< null: closed or drained
   /// Set by the owning session when a transaction abort invalidates the
   /// atoms this cursor streams; Next() then fails with Aborted.
   std::shared_ptr<const std::atomic<bool>> invalidated_;
@@ -294,52 +228,58 @@ class Executor {
   /// Placeholders in `where` stay slots in the plan; no value is read.
   util::Result<QueryPlan> Prepare(const FromClause& from, const Expr* where);
 
-  /// Open a streaming cursor over the query (plans it first). The cursor
-  /// takes ownership of `query` and of `params`, the bound values indexed
-  /// by parameter slot (empty when the query has no placeholders).
-  /// `assembly_width` bounds how many molecules it assembles at once on the
-  /// assembly pool: <= 1 keeps the cursor serial on the calling thread
-  /// (DML qualification), callers without an opinion pass
-  /// assembly_threads(). `trace`, when set, receives the cursor's phase
-  /// timings (roots / assembly / project) — pass it only when the cursor
-  /// drains within the traced statement's scope. `snapshot`, when set,
-  /// makes this a snapshot cursor: every read resolves against the pinned
-  /// view, without acquiring a single lock. Opening a cursor counts nothing
-  /// in stats(): callers serving a user query count it there
+  /// Open a streaming cursor over `query`, reading through `plan` (null:
+  /// plan the query now). The cursor shares both and takes `params`, the
+  /// bound values indexed by parameter slot (empty when the query has no
+  /// placeholders). `trace`, when set, receives the cursor's phase timings
+  /// (roots / assembly / project) — pass it only when the cursor drains
+  /// within the traced statement's scope. `snapshot`, when set, makes this
+  /// a snapshot cursor: every read resolves against the pinned view,
+  /// without acquiring a single lock. Opening a cursor counts nothing in
+  /// stats(): callers serving a user query count it there
   /// (DataStats::queries).
   util::Result<MoleculeCursor> OpenCursor(
-      Query query, std::vector<access::Value> params, size_t assembly_width,
+      std::shared_ptr<const Query> query, std::shared_ptr<const QueryPlan> plan,
+      std::vector<access::Value> params,
       std::shared_ptr<const std::atomic<bool>> invalidated = nullptr,
-      std::shared_ptr<obs::StatementTrace> trace = nullptr,
+      obs::StatementTrace* trace = nullptr,
       std::shared_ptr<access::VersionStore::Pin> snapshot = nullptr);
 
-  /// Open a streaming cursor reusing a prepared plan.
-  util::Result<MoleculeCursor> OpenCursorWithPlan(
-      Query query, QueryPlan plan, std::vector<access::Value> params,
-      size_t assembly_width,
-      std::shared_ptr<const std::atomic<bool>> invalidated = nullptr,
-      std::shared_ptr<obs::StatementTrace> trace = nullptr,
-      std::shared_ptr<access::VersionStore::Pin> snapshot = nullptr);
+  /// Derive the molecule set of a placeholder-free query by semantic
+  /// parallelism (paper §4): the roots are pulled on the calling thread and
+  /// split into at most `max_units` contiguous units; all but the last run
+  /// on `pool` while the caller runs the last itself. Each unit runs every
+  /// root of its range through the cursor's per-root step, so the result —
+  /// the units' molecules concatenated in root order — equals a drained
+  /// cursor's. If units fail, the error of the earliest one in root order
+  /// is returned. With `max_units` <= 1 this is the cursor, drained on the
+  /// calling thread.
+  util::Result<MoleculeSet> DeriveInUnits(std::shared_ptr<const Query> query,
+                                          util::ThreadPool* pool,
+                                          size_t max_units);
 
-  /// Attach the worker pool cursors pipeline molecule assembly over, and
-  /// the default assembly width (`threads`) for cursors opened on behalf
-  /// of sessions. A cursor opened with width <= 1 (or with a null pool)
-  /// stays strictly serial. Results are byte-identical to serial either
-  /// way.
-  void SetAssemblyPool(util::ThreadPool* pool, size_t threads) {
-    assembly_pool_ = pool;
-    assembly_threads_ = threads;
-  }
-  util::ThreadPool* assembly_pool() const { return assembly_pool_; }
-  size_t assembly_threads() const { return assembly_threads_; }
+  /// Always 1: cursors assemble serially. Kept only for the benchmark's
+  /// config block (perfbench/src/main.cc), which prints it.
+  size_t assembly_threads() const { return 1; }
 
   DataStats& stats() { return stats_; }
   access::AccessSystem* access() { return access_; }
 
  private:
-  // The cursor's steps, in order: pull roots, assemble, qualify, project.
-  // Private so MoleculeCursor stays the one loop that runs them.
+  // The cursor's steps, in order: pull roots, then derive each one
+  // (assemble, qualify, project). Private so MoleculeCursor and
+  // DeriveInUnits stay the only loops that run them.
   friend class MoleculeCursor;
+
+  /// The per-root step: assemble the molecule rooted at `root`, qualify it
+  /// against the WHERE and project the SELECT; nullopt when it does not
+  /// qualify. `view` (snapshot cursors) scopes every read. `trace`, when
+  /// set, receives the assembly and project phase times — it is the
+  /// statement's phase tree, so only its owning thread may pass it.
+  util::Result<std::optional<Molecule>> DeriveMolecule(
+      const Query& query, const QueryPlan& plan,
+      const std::vector<access::Value>& params, const access::Atom& root,
+      const access::ReadView* view, obs::StatementTrace* trace);
 
   /// Open the incremental root-candidate stream for the plan, filling its
   /// key, range, grid bounds or search argument from `params`.
@@ -394,8 +334,6 @@ class Executor {
   access::AccessSystem* access_;
   SemanticAnalyzer analyzer_;
   DataStats stats_;
-  util::ThreadPool* assembly_pool_ = nullptr;
-  size_t assembly_threads_ = 1;
 };
 
 }  // namespace prima::mql

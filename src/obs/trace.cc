@@ -78,18 +78,7 @@ void StatementTrace::Finish() {
   finished_ = true;
   total_ns_ = NowNs() - start_ns_;
 
-  // Fold the cross-thread kernel counters into the tree. Workers may still
-  // be draining a detached task and racing these relaxed loads; the render
-  // then under-counts the abandoned tail, which is the right answer for a
-  // statement that already returned.
-  const uint64_t w_ns = worker_assembly_ns.load(std::memory_order_relaxed);
-  const uint64_t w_n = worker_assemblies.load(std::memory_order_relaxed);
-  if (w_n > 0) {
-    TracePhase* assembly = GetPhase("execute", "assembly");
-    assembly->AddCounter("worker_busy_us", w_ns / 1000);
-    assembly->AddCounter("worker_tasks", w_n);
-  }
-
+  // Fold the kernel counters into the tree.
   const uint64_t hits = buffer_hits.load(std::memory_order_relaxed);
   const uint64_t misses = buffer_misses.load(std::memory_order_relaxed);
   if (hits > 0 || misses > 0) {

@@ -40,11 +40,9 @@ struct TracePhase {
 ///
 /// Threading contract: the phase tree (GetPhase/AddPhaseNs/counters) belongs
 /// to the statement's owner thread. The `kernel counter` atomics below are
-/// the exception — they are written through CurrentTrace() from any thread
-/// that works on the statement's behalf (pipelined assembly workers, the
-/// buffer pool, the WAL force path) and folded into the tree by Finish().
-/// Traces are shared_ptr-owned so a detached assembly task that outlives an
-/// abandoned cursor can never write through a dangling pointer.
+/// the exception — they are written through CurrentTrace() by the layers
+/// that work on the statement's behalf (the buffer pool, the WAL force
+/// path, version resolution) and folded into the tree by Finish().
 class StatementTrace {
  public:
   StatementTrace() : start_ns_(NowNs()) {}
@@ -68,7 +66,7 @@ class StatementTrace {
   }
 
   /// Close the trace: stamp the total and fold the kernel counters into
-  /// their phases ("buffer", "commit", execute/assembly worker time).
+  /// their phases ("buffer", "commit", execute/version_chain).
   /// Idempotent; call once from the owner thread before Render().
   void Finish();
   bool finished() const { return finished_; }
@@ -80,7 +78,7 @@ class StatementTrace {
   std::string Render(const std::string& header) const;
 
   /// Flat phase names ("parse", "execute", "execute/assembly", ...) — the
-  /// golden-test surface for "serial and pipelined run the same phases".
+  /// golden-test surface for which phases a statement ran.
   std::vector<std::string> PhaseNames() const;
 
   const std::vector<TracePhase>& phases() const { return phases_; }
@@ -92,8 +90,6 @@ class StatementTrace {
   std::atomic<uint64_t> buffer_miss_ns{0};     ///< device-read time on misses
   std::atomic<uint64_t> commit_force_waits{0};
   std::atomic<uint64_t> commit_force_ns{0};
-  std::atomic<uint64_t> worker_assembly_ns{0};  ///< pipelined workers' busy time
-  std::atomic<uint64_t> worker_assemblies{0};
   // Snapshot-read version resolution (MVCC chain walks); folded into an
   // execute/version_chain phase so chain-walk time never silently inflates
   // bare "execute".

@@ -13,13 +13,13 @@ namespace prima::util {
 /// The number of CPUs this process may run on: the calling thread's
 /// sched_getaffinity mask, or hardware_concurrency() where that is
 /// unavailable; never less than 1. Every scaling knob left at 0 (pool
-/// workers, redo threads, buffer shards, assembly width, histogram
-/// stripes) is sized from it, so a process pinned to one CPU runs serial.
+/// workers, redo threads, buffer shards, histogram stripes) is sized from
+/// it, so a process pinned to one CPU runs serial.
 size_t UsableCpus();
 
 /// Fixed-size worker pool. Substrate for PRIMA's "semantic parallelism":
 /// decomposed units of work (DUs) from a single user operation — the
-/// per-root assemblies of a cursor's look-ahead — are scheduled here and
+/// root ranges of a Prima::QueryParallel call — are scheduled here and
 /// executed concurrently (paper §4, multi-processor PRIMA emulated with
 /// shared-memory threads; see DESIGN.md substitutions).
 /// Restart recovery reuses it to fan per-page redo chains out over the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -118,8 +119,7 @@ TEST(AddressTableTest, TypeQueriesSeeOnlyTheirType) {
 
 // Readers resolve atoms while a writer registers enough new ones to make
 // the table grow (and rehash) many times over. Each side does a fixed amount
-// of work, so a writer starved by the readers (the lock may prefer readers)
-// still finishes once they do; the readers yield so that the two overlap.
+// of work; the readers yield so that the two overlap.
 TEST(AddressTableTest, ConcurrentLookupDuringRegister) {
   AddressTable table;
   constexpr uint64_t kPreloaded = 1000;
@@ -153,6 +153,47 @@ TEST(AddressTableTest, ConcurrentLookupDuringRegister) {
   for (auto& t : readers) t.join();
 
   EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_EQ(table.CountOfType(1), kPreloaded + kRegistered);
+}
+
+// Readers that never pause must not hold off a writer: four threads spin on
+// Lookup until the writer has registered 100k atoms, or until a deadline
+// passes (so a starved writer fails the test instead of hanging it).
+TEST(AddressTableTest, WriterFinishesWhileReadersSpin) {
+  AddressTable table;
+  constexpr uint64_t kPreloaded = 1000;
+  constexpr uint64_t kRegistered = 100000;
+  for (uint64_t seq = 1; seq <= kPreloaded; ++seq) {
+    ASSERT_TRUE(table.Register(Tid(1, seq), kBaseStructure, seq * 10).ok());
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+
+  std::atomic<bool> writer_done{false};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 4; ++r) {
+    readers.emplace_back([&, r] {
+      util::Random rng(200 + r);
+      while (!writer_done.load() &&
+             std::chrono::steady_clock::now() < deadline) {
+        for (int i = 0; i < 256; ++i) {
+          (void)table.Lookup(Tid(1, 1 + rng.Uniform(kPreloaded)),
+                             kBaseStructure);
+        }
+      }
+    });
+  }
+  for (uint64_t seq = kPreloaded + 1; seq <= kPreloaded + kRegistered; ++seq) {
+    const bool registered =
+        table.Register(Tid(1, seq), kBaseStructure, seq * 10).ok();
+    EXPECT_TRUE(registered);
+    if (!registered) break;
+  }
+  const bool in_time = std::chrono::steady_clock::now() < deadline;
+  writer_done.store(true);
+  for (auto& t : readers) t.join();
+
+  EXPECT_TRUE(in_time) << "the writer was starved past the deadline";
   EXPECT_EQ(table.CountOfType(1), kPreloaded + kRegistered);
 }
 

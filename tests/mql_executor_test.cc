@@ -378,46 +378,13 @@ TEST_F(MqlExecutorTest, DisambiguatedSelfAssociationWorks) {
 }
 
 // ---------------------------------------------------------------------------
-// Pipelined cursor assembly
+// Concurrent cursors
 // ---------------------------------------------------------------------------
 
-TEST_F(MqlExecutorTest, ParallelAssemblyDrainIsByteIdenticalToSerial) {
-  // The pipelined cursor assembles a bounded look-ahead on the thread pool
-  // but must drain in root order: at every thread count the stream is
-  // required to be byte-identical to the serial cursor's.
-  const std::vector<std::string> queries = {
-      "SELECT ALL FROM brep-face-edge-point WHERE brep_no >= 1700",
-      "SELECT ALL FROM brep-edge WHERE EXISTS_AT_LEAST (2) edge: "
-      "edge.length > 1.0E0",
-      "SELECT ALL FROM solid",                        // no WHERE at all
-      "SELECT ALL FROM solid WHERE solid_no = -1",    // empty result
-  };
-  auto drain = [&](const std::string& query) {
-    auto session = db_->OpenSession();
-    auto cursor = session->Query(query);
-    EXPECT_TRUE(cursor.ok()) << cursor.status().ToString();
-    if (!cursor.ok()) return std::string("<open failed>");
-    auto set = cursor->Drain();
-    EXPECT_TRUE(set.ok()) << set.status().ToString();
-    if (!set.ok()) return std::string("<drain failed>");
-    return set->ToString(db_->access().catalog());
-  };
-  Executor& exec = db_->data().executor();
-  for (const std::string& query : queries) {
-    exec.SetAssemblyPool(nullptr, 1);  // serial reference
-    const std::string reference = drain(query);
-    for (size_t threads : {1u, 2u, 4u, 8u}) {
-      exec.SetAssemblyPool(&db_->pool(), threads);
-      EXPECT_EQ(drain(query), reference)
-          << query << " diverged at " << threads << " assembly threads";
-    }
-  }
-}
-
-TEST_F(MqlExecutorTest, ParallelAssemblyConcurrentCursors) {
-  // Several sessions drain pipelined cursors over the shared pool at once;
-  // each stream must stay complete and ordered.
-  db_->data().executor().SetAssemblyPool(&db_->pool(), 4);
+TEST_F(MqlExecutorTest, ConcurrentSerialCursors) {
+  // Several sessions drain cursors at once, each on its own thread, over
+  // the shared buffer pool and statement cache; each stream must stay
+  // complete and ordered.
   const std::string query = "SELECT ALL FROM brep-face WHERE brep_no >= 1700";
   std::string reference;
   {

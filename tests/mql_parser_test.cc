@@ -438,19 +438,19 @@ TEST(Placeholders, RejectedOutsideQueryAndDml) {
   }
 }
 
-TEST(Placeholders, CloneQueryPreservesParamSites) {
+TEST(Placeholders, CloneExprPreservesParamSites) {
   auto stmt = ParseStatement(
       "SELECT edge FROM brep-edge WHERE brep_no = ? AND "
       "EXISTS edge: edge.length > :min");
   ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
-  Query clone = CloneQuery(stmt->query);
-  ASSERT_EQ(clone.where->kind, Expr::Kind::kAnd);
-  EXPECT_EQ(clone.where->children[0]->param, 0);
-  EXPECT_EQ(clone.where->children[1]->quant_body->param, 1);
+  ExprPtr clone = CloneExpr(stmt->query.where.get());
+  ASSERT_EQ(clone->kind, Expr::Kind::kAnd);
+  EXPECT_EQ(clone->children[0]->param, 0);
+  EXPECT_EQ(clone->children[1]->quant_body->param, 1);
   // The clone is independent: writing into the original leaves it
   // untouched.
   stmt->query.where->children[0]->literal = access::Value::Int(1);
-  EXPECT_TRUE(clone.where->children[0]->literal.is_null());
+  EXPECT_TRUE(clone->children[0]->literal.is_null());
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
 // MVCC snapshot-read tests: version chains, non-blocking snapshot cursors,
 // the isolation-aware session API (BEGIN WORK READ ONLY, per-statement
-// overrides), watermark retirement, serial-vs-pipelined byte identity, and
-// a SIGKILL crash drive proving the version store is volatile state that a
-// restart rebuilds empty.
+// overrides), watermark retirement, and a SIGKILL crash drive proving the
+// version store is volatile state that a restart rebuilds empty.
 
 #include <gtest/gtest.h>
 #include <signal.h>
@@ -273,57 +272,12 @@ TEST_F(MvccTest, WatermarkRetirementUnderPinnedSnapshot) {
     EXPECT_EQ(Fingerprint(DrainAll(&*cursor)).count("1/v0"), 1u);
   }
   // Cursor gone -> pin released -> watermark advances past every chain.
-  // Pipelined assembly may hold the pin a beat longer on a worker.
-  for (int i = 0; i < 1000 && !versions.Empty(); ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
   EXPECT_TRUE(versions.Empty());
   const auto drained = versions.StatsSnapshot();
   EXPECT_EQ(drained.versions_retained, 0u);
   EXPECT_EQ(drained.snapshots_active, 0u);
   EXPECT_EQ(drained.oldest_snapshot_lsn, 0u);
   EXPECT_EQ(drained.versions_installed, drained.versions_retired);
-}
-
-// Serial and pipelined assembly drain a snapshot cursor byte-identically —
-// two cursors pinned at the same sequence, one strictly serial and one on
-// the worker pool, agree molecule-for-molecule even though the writer
-// commits mid-drain.
-TEST_F(MvccTest, SnapshotSerialVsPipelinedByteIdentical) {
-  for (int i = 1; i <= 30; ++i) {
-    ASSERT_TRUE(InsertPart(session_.get(), i, "v0_" + std::to_string(i),
-                           i * 0.5)
-                    .ok());
-  }
-  mql::Executor& exec = db_->data().executor();
-  util::ThreadPool* const saved_pool = exec.assembly_pool();
-  const size_t saved_threads = exec.assembly_threads();
-
-  exec.SetAssemblyPool(nullptr, 1);  // strictly serial
-  auto serial =
-      session_->Query("SELECT ALL FROM part", Isolation::kSnapshot);
-  ASSERT_TRUE(serial.ok());
-  exec.SetAssemblyPool(&db_->pool(), 4);  // pipelined look-ahead
-  auto pipelined =
-      session_->Query("SELECT ALL FROM part", Isolation::kSnapshot);
-  ASSERT_TRUE(pipelined.ok());
-
-  auto writer = db_->OpenSession();
-  ASSERT_TRUE(writer->Execute("BEGIN WORK").ok());
-  ASSERT_TRUE(
-      writer->Execute("MODIFY part SET name = 'churn'").ok());
-  ASSERT_TRUE(
-      writer->Execute("DELETE ALL FROM part WHERE part_no = 11").ok());
-  ASSERT_TRUE(writer->Execute("COMMIT WORK").ok());
-
-  std::vector<mql::Molecule> a = DrainAll(&*serial);
-  std::vector<mql::Molecule> b = DrainAll(&*pipelined);
-  ASSERT_EQ(a.size(), b.size());
-  const access::Catalog& catalog = db_->access().catalog();
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].ToString(catalog), b[i].ToString(catalog)) << "at " << i;
-  }
-  exec.SetAssemblyPool(saved_pool, saved_threads);  // restore
 }
 
 // A snapshot cursor with no transaction of its own survives a same-session

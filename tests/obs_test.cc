@@ -1,6 +1,6 @@
 // Kernel telemetry tests: histogram bucket math and percentile accuracy,
 // the 8-thread merge storm, registry rendering, EXPLAIN ANALYZE span trees
-// (golden phase set: serial == pipelined), slow-query ring capture and
+// (golden phase sets), slow-query ring capture and
 // eviction, statement sampling, the one-counter-source contract (every
 // counter of every layer's table is on the metrics page exactly once, with
 // its stats() value), and the concurrent storms the TSan CI job runs
@@ -276,37 +276,23 @@ TEST(ExplainAnalyzeTest, EqKeySelectReportsDistinctPhases) {
   EXPECT_NE(text.find("molecule(s)"), std::string::npos) << text;
 }
 
-TEST(ExplainAnalyzeTest, SerialAndPipelinedRunTheSamePhases) {
-  // Two kernels over the same data, one with serial cursor assembly, one
-  // pipelined over 4 workers. The span trees must show the SAME phase set —
-  // the pipeline changes where time is spent, never what the phases are.
-  std::set<std::string> phase_sets[2];
-  std::string texts[2];
-  int i = 0;
-  for (const size_t assembly_threads : {size_t{1}, size_t{4}}) {
-    PrimaOptions options;
-    options.cursor_assembly_threads = assembly_threads;
-    auto db = OpenDb(options);
+TEST(ExplainAnalyzeTest, CursorRunsItsPhases) {
+  // A query's span tree shows the cursor's phases: roots pulled, molecules
+  // assembled and projected.
+  auto db = OpenDb();
   ASSERT_NE(db, nullptr);
-    auto session = db->OpenSession();
-    LoadItems(session.get(), 120);
-    auto r = session->Execute("EXPLAIN ANALYZE SELECT ALL FROM item");
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    ASSERT_EQ(r->kind, ExecResult::Kind::kText);
-    const std::vector<std::string> paths = PhasePaths(r->text);
-    phase_sets[i] = std::set<std::string>(paths.begin(), paths.end());
-    texts[i] = r->text;
-    ++i;
-  }
-  EXPECT_EQ(phase_sets[0], phase_sets[1])
-      << "serial:\n" << texts[0] << "\npipelined:\n" << texts[1];
-  EXPECT_TRUE(phase_sets[0].count("execute/assembly"));
-  EXPECT_TRUE(phase_sets[0].count("execute/project"));
-  // The pipelined tree additionally accounts the workers' busy time as a
-  // counter on the same assembly phase.
-  EXPECT_NE(texts[1].find("[worker_busy_us="), std::string::npos) << texts[1];
-  // 120-item scans spend real time assembling on both paths.
-  EXPECT_GT(PhaseUs(texts[0], "assembly"), 0u) << texts[0];
+  auto session = db->OpenSession();
+  LoadItems(session.get(), 120);
+  auto r = session->Execute("EXPLAIN ANALYZE SELECT ALL FROM item");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->kind, ExecResult::Kind::kText);
+  const std::vector<std::string> paths = PhasePaths(r->text);
+  const std::set<std::string> phases(paths.begin(), paths.end());
+  EXPECT_TRUE(phases.count("execute/roots")) << r->text;
+  EXPECT_TRUE(phases.count("execute/assembly")) << r->text;
+  EXPECT_TRUE(phases.count("execute/project")) << r->text;
+  // A 120-item scan spends real time assembling.
+  EXPECT_GT(PhaseUs(r->text, "assembly"), 0u) << r->text;
 }
 
 TEST(ExplainAnalyzeTest, NeverCachedAndRefusedWhereItCannotTrace) {
@@ -557,8 +543,7 @@ TEST(ObsTest, EveryCounterIsOnThePageOnceWithItsStatsValue) {
 
 TEST(ObsTest, ConcurrentCursorsVersusSnapshots) {
   PrimaOptions options;
-  options.cursor_assembly_threads = 4;  // pipelined: workers hit the trace
-  options.trace_sample_n = 1;           // every statement carries a trace
+  options.trace_sample_n = 1;  // every statement carries a trace
   auto db = OpenDb(options);
   ASSERT_NE(db, nullptr);
   {
@@ -612,8 +597,8 @@ TEST(ObsTest, ConcurrentCursorsVersusSnapshots) {
 
 TEST(ObsTest, ConcurrentCounterTablesStayOnThePage) {
   PrimaOptions options;
-  options.cursor_assembly_threads = 4;  // pipelined: workers bump counters
-  options.listen_port = 0;              // the server's table is listed too
+  options.parallel_workers = 2;  // QueryParallel units bump counters on workers
+  options.listen_port = 0;       // the server's table is listed too
   auto db = OpenDb(options);
   ASSERT_NE(db, nullptr);
   {
@@ -637,6 +622,13 @@ TEST(ObsTest, ConcurrentCounterTablesStayOnThePage) {
       }
     });
   }
+  workers.emplace_back([&db, &stop] {
+    while (!stop.load()) {
+      auto set = db->QueryParallel("SELECT ALL FROM item", 2);
+      ASSERT_TRUE(set.ok()) << set.status().ToString();
+      ASSERT_EQ(set->size(), 60u);
+    }
+  });
 
   // Counters only grow: a page rendered between two snapshots reads each
   // counter inside their bounds, exactly once.

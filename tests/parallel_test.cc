@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 #include <sched.h>
 
+#include <atomic>
 #include <set>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "core/prima.h"
 #include "workloads/brep.h"
@@ -81,22 +85,63 @@ TEST_F(ParallelTest, QualificationAppliedInParallel) {
 
 TEST_F(ParallelTest, DecomposesIntoRequestedUnits) {
   // Whatever the number of units, the decomposed run returns the serial
-  // result: the same molecules, projected the same way, in the same order.
+  // result: the same molecules, projected the same way, in the same order —
+  // for an empty result, no WHERE, a quantified WHERE and a projection, with
+  // association chasing and then from an atom cluster.
   const auto& catalog = db_->access().catalog();
-  for (const std::string query :
-       {"SELECT ALL FROM brep-face WHERE brep_no >= 110",
-        "SELECT solid_no FROM solid"}) {
+  const auto check = [&](const std::string& query) {
     auto serial = db_->Query(query);
     ASSERT_TRUE(serial.ok()) << query << ": " << serial.status().ToString();
-    ASSERT_GT(serial->size(), 0u) << query;
-    for (const size_t units : {1, 2, 4, 16}) {
+    for (const size_t units : {1, 2, 3, 7, 16}) {
       auto parallel = db_->QueryParallel(query, units);
       ASSERT_TRUE(parallel.ok()) << query << " x" << units << ": "
                                  << parallel.status().ToString();
       EXPECT_EQ(parallel->ToString(catalog), serial->ToString(catalog))
           << query << " with " << units << " units";
     }
+  };
+  const std::vector<std::string> queries = {
+      "SELECT ALL FROM brep-face WHERE brep_no = -1",  // empty
+      "SELECT ALL FROM brep-face-edge-point",          // no WHERE
+      "SELECT ALL FROM brep-edge WHERE EXISTS_AT_LEAST (3) edge: "
+      "edge.length > 3.0",                             // quantified
+      "SELECT solid_no FROM solid WHERE solid_no < 110",  // projection
+      "SELECT ALL FROM brep-face WHERE brep_no >= 110",
+  };
+  for (const std::string& query : queries) check(query);
+  ASSERT_TRUE(db_->ExecuteLdl(
+                     "CREATE ATOM CLUSTER brep_cl ON brep (faces, edges, points)")
+                  .ok());
+  for (const std::string& query : queries) check(query);
+}
+
+TEST_F(ParallelTest, ConcurrentCallersEachGetTheirOwnResult) {
+  // Two threads call QueryParallel at once over the shared pool; each call
+  // waits for its own units only and returns the serial result.
+  const auto& catalog = db_->access().catalog();
+  const std::string queries[2] = {
+      "SELECT ALL FROM brep-face-edge-point",
+      "SELECT ALL FROM brep-face WHERE brep_no >= 120"};
+  std::string references[2];
+  for (int q = 0; q < 2; ++q) {
+    auto serial = db_->Query(queries[q]);
+    ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+    references[q] = serial->ToString(catalog);
   }
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int q = 0; q < 2; ++q) {
+    threads.emplace_back([&, q] {
+      for (int i = 0; i < 10; ++i) {
+        auto parallel = db_->QueryParallel(queries[q], 3);
+        if (!parallel.ok() || parallel->ToString(catalog) != references[q]) {
+          mismatches++;
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 TEST_F(ParallelTest, MaxUnitsClampedToRoots) {
@@ -169,7 +214,6 @@ TEST(KnobResolutionTest, OneUsableCpuResolvesSerialDefaults) {
   auto db = Prima::Open(PrimaOptions{});
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   EXPECT_EQ((*db)->pool().num_threads(), 1u);
-  EXPECT_EQ((*db)->data().executor().assembly_threads(), 1u);
   EXPECT_EQ((*db)->storage().buffer().shard_count(), 1u);
 
   // QueryParallel keeps its contract on the one-worker pool, at the
@@ -198,12 +242,12 @@ TEST(KnobResolutionTest, ExplicitKnobsWinOnOneUsableCpu) {
   PinToOneCpu pin;
   ASSERT_TRUE(pin.pinned());
   PrimaOptions options;
-  options.cursor_assembly_threads = 4;
   options.parallel_workers = 2;
+  options.buffer_shards = 4;
   auto db = Prima::Open(options);
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   EXPECT_EQ((*db)->pool().num_threads(), 2u);
-  EXPECT_EQ((*db)->data().executor().assembly_threads(), 4u);
+  EXPECT_EQ((*db)->storage().buffer().shard_count(), 4u);
 }
 
 }  // namespace

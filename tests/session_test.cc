@@ -629,49 +629,23 @@ TEST_F(SessionTest, CursorDrainEqualsMaterializedQuery) {
 }
 
 TEST_F(SessionTest, CursorStreamsIncrementally) {
-  // Pin serial assembly: with pipelined look-ahead (the default) Next() may
-  // legitimately assemble a bounded window beyond what the consumer pulled,
-  // so the exact one-at-a-time accounting below holds only at 1 thread.
-  PrimaOptions options;
-  options.cursor_assembly_threads = 1;
-  auto serial_db = Prima::Open(options);
-  ASSERT_TRUE(serial_db.ok());
-  auto session = (*serial_db)->OpenSession();
-  ASSERT_TRUE(session
-                  ->Execute("CREATE ATOM_TYPE part (part_id: IDENTIFIER, "
-                            "part_no: INTEGER, name: CHAR_VAR, weight: REAL) "
-                            "KEYS_ARE (part_no)")
-                  .ok());
-  for (int i = 1; i <= 6; ++i) {
-    ASSERT_TRUE(InsertPart(session.get(), i, "p", 1.0).ok());
-  }
-  (*serial_db)->data().stats().Reset();
-  auto cursor = session->Query("SELECT ALL FROM part");
-  ASSERT_TRUE(cursor.ok());
-  // Opening only positions the root source — nothing is scanned into
-  // memory and nothing is assembled yet.
-  EXPECT_EQ((*serial_db)->data().stats().molecules_built.load(), 0u);
-  auto first = cursor->Next();
-  ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(first->has_value());
-  EXPECT_EQ((*serial_db)->data().stats().molecules_built.load(), 1u)
-      << "Next() must assemble exactly one molecule";
-  EXPECT_EQ((*serial_db)->data().stats().cursor_molecules.load(), 1u);
-
-  // The default (pipelined) cursor also opens without assembling: look-ahead
-  // work is only submitted once the consumer starts pulling.
+  // The cursor assembles nothing ahead of the Next() that returns it, so
+  // the accounting below is exact, one molecule at a time.
   for (int i = 1; i <= 6; ++i) {
     ASSERT_TRUE(InsertPart(session_.get(), i, "p", 1.0).ok());
   }
   db_->data().stats().Reset();
-  auto pipelined = session_->Query("SELECT ALL FROM part");
-  ASSERT_TRUE(pipelined.ok());
+  auto cursor = session_->Query("SELECT ALL FROM part");
+  ASSERT_TRUE(cursor.ok());
+  // Opening only positions the root source — nothing is scanned into
+  // memory and nothing is assembled yet.
   EXPECT_EQ(db_->data().stats().molecules_built.load(), 0u);
-  auto pulled = pipelined->Next();
-  ASSERT_TRUE(pulled.ok());
-  ASSERT_TRUE(pulled->has_value());
-  EXPECT_EQ(db_->data().stats().cursor_molecules.load(), 1u)
-      << "one molecule delivered, whatever the look-ahead assembled";
+  auto first = cursor->Next();
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(first->has_value());
+  EXPECT_EQ(db_->data().stats().molecules_built.load(), 1u)
+      << "Next() must assemble exactly one molecule";
+  EXPECT_EQ(db_->data().stats().cursor_molecules.load(), 1u);
 }
 
 TEST_F(SessionTest, CursorEarlyCloseStopsStreaming) {
