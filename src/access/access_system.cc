@@ -587,16 +587,25 @@ Result<Atom> AccessSystem::DecodeAtom(AtomTypeId type, Slice bytes) const {
   return Atom::Decode(&bytes, def->attrs.size());
 }
 
-Result<Atom> AccessSystem::ReadBaseAtom(const Tid& tid) {
-  PRIMA_ASSIGN_OR_RETURN(const uint64_t rid,
-                         addresses_.Lookup(tid, kBaseStructure));
+Result<Atom> AccessSystem::ReadBaseAtom(const Tid& tid,
+                                        const AtomTypeDef* def) {
+  if (def == nullptr) def = catalog_.GetAtomType(tid.type);
   auto it = base_files_.find(tid.type);
-  if (it == base_files_.end()) {
+  if (def == nullptr || it == base_files_.end()) {
     return Status::NotFound("atom type id " + std::to_string(tid.type));
   }
-  PRIMA_ASSIGN_OR_RETURN(std::string bytes,
+  PRIMA_ASSIGN_OR_RETURN(const uint64_t rid,
+                         addresses_.Lookup(tid, kBaseStructure));
+  PRIMA_ASSIGN_OR_RETURN(const PinnedRecord record,
                          it->second->Read(RecordId::Unpack(rid)));
-  return DecodeAtom(tid.type, bytes);
+  Slice bytes = record.bytes();
+  PRIMA_ASSIGN_OR_RETURN(Atom atom, Atom::Decode(&bytes, def->attrs.size()));
+  if (atom.tid != tid) {
+    // The slot was freed by a relocation and reused (see GetAtom).
+    return Status::NotFound("record " + std::to_string(rid) +
+                            " no longer holds atom " + tid.ToString());
+  }
+  return atom;
 }
 
 Status AccessSystem::WriteBaseAtom(const Tid& tid, const Atom& atom,
@@ -637,7 +646,7 @@ Status AccessSystem::AddBackRef(const Tid& atom_tid, uint16_t attr,
   if (def == nullptr || attr >= def->attrs.size()) {
     return Status::Corruption("back-reference attribute missing");
   }
-  PRIMA_ASSIGN_OR_RETURN(Atom atom, ReadBaseAtom(atom_tid));
+  PRIMA_ASSIGN_OR_RETURN(Atom atom, ReadBaseAtom(atom_tid, def));
   const Atom old_atom = atom;
   const TypeDesc& t = def->attrs[attr].type;
   Value& v = atom.attrs[attr];
@@ -679,7 +688,7 @@ Status AccessSystem::RemoveBackRef(const Tid& atom_tid, uint16_t attr,
   if (def == nullptr || attr >= def->attrs.size()) {
     return Status::Corruption("back-reference attribute missing");
   }
-  auto atom_or = ReadBaseAtom(atom_tid);
+  auto atom_or = ReadBaseAtom(atom_tid, def);
   if (!atom_or.ok()) {
     // Target already gone (e.g. bulk delete); nothing to unhook.
     return atom_or.status().IsNotFound() ? Status::Ok() : atom_or.status();
@@ -860,10 +869,11 @@ Result<Atom> AccessSystem::GetAtom(const Tid& tid,
       PRIMA_RETURN_IF_ERROR(DrainStructure(s->id));
       auto rid_or = addresses_.Lookup(tid, s->id);
       if (!rid_or.ok()) continue;
-      auto bytes_or =
+      auto record_or =
           partition_files_[s->id]->Read(RecordId::Unpack(*rid_or));
-      if (!bytes_or.ok()) continue;
-      PRIMA_ASSIGN_OR_RETURN(Atom atom, DecodeAtom(tid.type, *bytes_or));
+      if (!record_or.ok()) continue;
+      Slice bytes = record_or->bytes();
+      PRIMA_ASSIGN_OR_RETURN(Atom atom, Atom::Decode(&bytes, def->attrs.size()));
       stats_.partition_reads++;
       return atom;
     }
@@ -872,7 +882,15 @@ Result<Atom> AccessSystem::GetAtom(const Tid& tid,
   // base record changes, so a reader that sees a too-new base value is
   // guaranteed to find the entry that rescues the old one. The reverse
   // order would race.
-  Result<Atom> base = ReadBaseAtom(tid);
+  Result<Atom> base = ReadBaseAtom(tid, def);
+  if (base.status().IsNotFound() && addresses_.Exists(tid)) {
+    // A write that relocates a grown record frees the old slot before it
+    // re-points the address table, so a read that looked the address up in
+    // between finds the slot dead or reused. Wait out the write (writes
+    // hold write_mu_; readers never do) and look again.
+    { std::lock_guard<std::mutex> settled(write_mu_); }
+    base = ReadBaseAtom(tid, def);
+  }
   Atom atom;
   if (view != nullptr) {
     VersionStore::Resolution res = versions_.Resolve(tid, *view);
@@ -908,7 +926,7 @@ Status AccessSystem::ModifyAtom(const Tid& tid, std::vector<AttrValue> changes) 
   if (def == nullptr) {
     return Status::NotFound("atom type id " + std::to_string(tid.type));
   }
-  PRIMA_ASSIGN_OR_RETURN(const Atom old_atom, ReadBaseAtom(tid));
+  PRIMA_ASSIGN_OR_RETURN(const Atom old_atom, ReadBaseAtom(tid, def));
   Atom atom = old_atom;
   std::set<uint16_t> changed;
   for (auto& av : changes) {
@@ -1002,7 +1020,7 @@ Status AccessSystem::DeleteAtom(const Tid& tid) {
   if (def == nullptr) {
     return Status::NotFound("atom type id " + std::to_string(tid.type));
   }
-  PRIMA_ASSIGN_OR_RETURN(const Atom atom, ReadBaseAtom(tid));
+  PRIMA_ASSIGN_OR_RETURN(const Atom atom, ReadBaseAtom(tid, def));
   // Install at the TOP — before the index entries go, so a snapshot scan's
   // ghost pass can still find this atom by its chain after the delete.
   InstallVersion(tid, &atom);
@@ -1096,7 +1114,7 @@ Status AccessSystem::Disconnect(const Tid& from, uint16_t attr, const Tid& to) {
 Status AccessSystem::CheckIntegrity(const Tid& tid) {
   const AtomTypeDef* def = catalog_.GetAtomType(tid.type);
   if (def == nullptr) return Status::NotFound("atom type");
-  PRIMA_ASSIGN_OR_RETURN(const Atom atom, ReadBaseAtom(tid));
+  PRIMA_ASSIGN_OR_RETURN(const Atom atom, ReadBaseAtom(tid, def));
   for (size_t i = 0; i < def->attrs.size(); ++i) {
     PRIMA_RETURN_IF_ERROR(CheckCardinality(atom.attrs[i], def->attrs[i].type,
                                            def->name + "." + def->attrs[i].name));
@@ -1452,7 +1470,7 @@ Status AccessSystem::MaterializeCluster(const StructureDef& def,
                                         const Tid& char_tid) {
   const AtomTypeDef* char_def = catalog_.GetAtomType(def.atom_type);
   if (char_def == nullptr) return Status::Corruption("cluster without type");
-  PRIMA_ASSIGN_OR_RETURN(Atom char_atom, ReadBaseAtom(char_tid));
+  PRIMA_ASSIGN_OR_RETURN(Atom char_atom, ReadBaseAtom(char_tid, char_def));
   ClusterImage image;
   image.characteristic = char_atom;
   std::map<AtomTypeId, std::vector<Atom>> groups;
@@ -1519,7 +1537,7 @@ Status AccessSystem::RawDeleteAtom(const Tid& tid) {
   std::lock_guard<std::mutex> lock(write_mu_);
   const AtomTypeDef* def = catalog_.GetAtomType(tid.type);
   if (def == nullptr) return Status::NotFound("atom type");
-  PRIMA_ASSIGN_OR_RETURN(const Atom old_atom, ReadBaseAtom(tid));
+  PRIMA_ASSIGN_OR_RETURN(const Atom old_atom, ReadBaseAtom(tid, def));
   PRIMA_RETURN_IF_ERROR(MaintainAccessPaths(*def, &old_atom, nullptr, tid));
   PRIMA_RETURN_IF_ERROR(EnqueueRedundancy(*def, &old_atom, nullptr, tid));
   PRIMA_RETURN_IF_ERROR(
@@ -1551,7 +1569,7 @@ Status AccessSystem::RawOverwriteAtom(const Atom& before) {
   std::lock_guard<std::mutex> lock(write_mu_);
   const AtomTypeDef* def = catalog_.GetAtomType(before.tid.type);
   if (def == nullptr) return Status::NotFound("atom type");
-  PRIMA_ASSIGN_OR_RETURN(const Atom current, ReadBaseAtom(before.tid));
+  PRIMA_ASSIGN_OR_RETURN(const Atom current, ReadBaseAtom(before.tid, def));
   PRIMA_RETURN_IF_ERROR(WriteBaseAtom(before.tid, before, /*is_new=*/false));
   PRIMA_RETURN_IF_ERROR(MaintainAccessPaths(*def, &current, &before, before.tid));
   PRIMA_RETURN_IF_ERROR(EnqueueRedundancy(*def, &current, &before, before.tid));
@@ -1604,8 +1622,14 @@ Status AccessSystem::ReattachPartitionCopies(const AtomTypeDef& def,
     if (file == nullptr) continue;
     PRIMA_ASSIGN_OR_RETURN(std::optional<RecordId> rid, file->First());
     while (rid.has_value()) {
-      PRIMA_ASSIGN_OR_RETURN(const std::string bytes, file->Read(*rid));
-      if (bytes.size() >= 8 && util::DecodeFixed64(bytes.data()) == tid.Pack()) {
+      bool match = false;
+      {  // unpin before the next page is fixed
+        PRIMA_ASSIGN_OR_RETURN(const PinnedRecord record, file->Read(*rid));
+        const Slice bytes = record.bytes();
+        match = bytes.size() >= 8 &&
+                util::DecodeFixed64(bytes.data()) == tid.Pack();
+      }
+      if (match) {
         PRIMA_RETURN_IF_ERROR(addresses_.Register(tid, s->id, rid->Pack()));
         break;
       }
@@ -1624,7 +1648,7 @@ Status AccessSystem::RecoverRedundancy(const Tid& tid,
   // the mapping turns the coming upsert into an in-place update — and lets
   // a removal find the record at all — instead of leaking an orphan.
   PRIMA_RETURN_IF_ERROR(ReattachPartitionCopies(*def, tid));
-  auto current_or = ReadBaseAtom(tid);
+  auto current_or = ReadBaseAtom(tid, def);
   if (current_or.ok()) {
     // Atom survived (committed work, or a loser change already rolled
     // back): refresh every redundant structure. The checkpoint image keys

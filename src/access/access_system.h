@@ -321,7 +321,10 @@ class AccessSystem {
   util::Status AttachStructures();
   util::Status BackfillStructure(const StructureDef& def);
 
-  util::Result<Atom> ReadBaseAtom(const Tid& tid);
+  /// Read and decode the base record of `tid`. Callers that already hold
+  /// the atom type's definition pass it, sparing a catalog lookup.
+  util::Result<Atom> ReadBaseAtom(const Tid& tid,
+                                  const AtomTypeDef* def = nullptr);
   util::Status WriteBaseAtom(const Tid& tid, const Atom& atom, bool is_new);
 
   /// One side of the implicit inverse maintenance: add/remove `target` in

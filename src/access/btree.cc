@@ -20,6 +20,20 @@ namespace {
 uint64_t PackChain(uint32_t prev, uint32_t next) {
   return (static_cast<uint64_t>(prev) << 32) | next;
 }
+
+// util::GetLengthPrefixed with the one-byte length (< 128, every key and
+// surrogate value) decoded inline: the in-place scans below call it for
+// each entry they pass.
+inline bool NextPrefixed(Slice* in, Slice* out) {
+  if (in->empty() || static_cast<uint8_t>((*in)[0]) >= 0x80) {
+    return util::GetLengthPrefixed(in, out);
+  }
+  const size_t len = static_cast<uint8_t>((*in)[0]);
+  if (in->size() - 1 < len) return false;
+  *out = Slice(in->data() + 1, len);
+  in->RemovePrefix(1 + len);
+  return true;
+}
 }  // namespace
 
 BTree::BTree(storage::StorageSystem* storage, storage::SegmentId segment,
@@ -51,10 +65,12 @@ uint32_t BTree::MaxEntryBytes() const {
 // Node (de)serialization
 // ---------------------------------------------------------------------------
 
-Result<BTree::LeafNode> BTree::LoadLeaf(uint32_t page_no) {
-  PRIMA_ASSIGN_OR_RETURN(PageGuard guard,
-                         storage_->FixPage(segment_, page_no, LatchMode::kShared));
-  const char* page = guard.data();
+Result<PageGuard> BTree::FixShared(uint32_t page_no) {
+  return storage_->FixPage(segment_, page_no, LatchMode::kShared);
+}
+
+Result<BTree::LeafNode> BTree::DecodeLeaf(const char* page,
+                                          uint32_t page_no) const {
   if (PageHeader::type(page) != PageType::kBTreeLeaf) {
     return Status::Corruption("page " + std::to_string(page_no) +
                               " is not a B*-tree leaf");
@@ -77,13 +93,11 @@ Result<BTree::LeafNode> BTree::LoadLeaf(uint32_t page_no) {
   return node;
 }
 
-Result<BTree::InnerNode> BTree::LoadInner(uint32_t page_no) {
-  PRIMA_ASSIGN_OR_RETURN(PageGuard guard,
-                         storage_->FixPage(segment_, page_no, LatchMode::kShared));
-  const char* page = guard.data();
+Result<BTree::InnerNode> BTree::DecodeInner(const char* page,
+                                            uint32_t page_no) const {
   if (PageHeader::type(page) != PageType::kBTreeInner) {
     return Status::Corruption("page " + std::to_string(page_no) +
-                              " is not a B*-tree inner node");
+                              " is not a B*-tree node");
   }
   InnerNode node;
   node.leftmost = static_cast<uint32_t>(PageHeader::u64(page));
@@ -99,6 +113,22 @@ Result<BTree::InnerNode> BTree::LoadInner(uint32_t page_no) {
     node.entries.emplace_back(key.ToString(), child);
   }
   return node;
+}
+
+Result<BTree::LeafNode> BTree::LoadLeaf(uint32_t page_no) {
+  PRIMA_ASSIGN_OR_RETURN(const PageGuard guard, FixShared(page_no));
+  return DecodeLeaf(guard.data(), page_no);
+}
+
+Result<bool> BTree::LoadNode(uint32_t page_no, LeafNode* leaf,
+                             InnerNode* inner) {
+  PRIMA_ASSIGN_OR_RETURN(const PageGuard guard, FixShared(page_no));
+  if (PageHeader::type(guard.data()) == PageType::kBTreeLeaf) {
+    PRIMA_ASSIGN_OR_RETURN(*leaf, DecodeLeaf(guard.data(), page_no));
+    return true;
+  }
+  PRIMA_ASSIGN_OR_RETURN(*inner, DecodeInner(guard.data(), page_no));
+  return false;
 }
 
 Status BTree::StoreLeaf(uint32_t page_no, const LeafNode& node) {
@@ -139,16 +169,6 @@ Status BTree::StoreInner(uint32_t page_no, const InnerNode& node) {
   return Status::Ok();
 }
 
-Result<bool> BTree::IsLeaf(uint32_t page_no) {
-  PRIMA_ASSIGN_OR_RETURN(PageGuard guard,
-                         storage_->FixPage(segment_, page_no, LatchMode::kShared));
-  const PageType t = PageHeader::type(guard.data());
-  if (t == PageType::kBTreeLeaf) return true;
-  if (t == PageType::kBTreeInner) return false;
-  return Status::Corruption("page " + std::to_string(page_no) +
-                            " is not a B*-tree node");
-}
-
 size_t BTree::LeafEncodedSize(const LeafNode& node) {
   size_t s = 0;
   for (const auto& [k, v] : node.entries) {
@@ -163,6 +183,41 @@ size_t BTree::InnerEncodedSize(const InnerNode& node) {
     s += 9 + k.size();
   }
   return s;
+}
+
+// ---------------------------------------------------------------------------
+// Descent
+// ---------------------------------------------------------------------------
+
+Result<PageGuard> BTree::Descend(Descent to, Slice key) {
+  uint32_t page_no = root_page_;
+  for (;;) {
+    PRIMA_ASSIGN_OR_RETURN(PageGuard guard, FixShared(page_no));
+    const char* page = guard.data();
+    const PageType type = PageHeader::type(page);
+    if (type == PageType::kBTreeLeaf) {
+      return Result<PageGuard>(std::move(guard));
+    }
+    if (type != PageType::kBTreeInner) {
+      return Status::Corruption("page " + std::to_string(page_no) +
+                                " is not a B*-tree node");
+    }
+    // entries[i] covers [key_i, key_{i+1}); leftmost covers < key_0. The
+    // entries are read where they lie, each length checked by the decoder
+    // against what is left of the payload.
+    page_no = static_cast<uint32_t>(PageHeader::u64(page));
+    if (to == Descent::kFirst) continue;
+    Slice in(page + PageHeader::kSize, storage::PagePayload(page_size_));
+    for (uint16_t i = 0, n = PageHeader::u16a(page); i < n; ++i) {
+      Slice separator;
+      uint32_t child;
+      if (!NextPrefixed(&in, &separator) || !util::GetFixed32(&in, &child)) {
+        return Status::Corruption("truncated inner entry");
+      }
+      if (to == Descent::kKey && key.Compare(separator) < 0) break;
+      page_no = child;
+    }
+  }
 }
 
 uint32_t BTree::ChildFor(const InnerNode& node, Slice key) {
@@ -185,45 +240,45 @@ uint32_t BTree::ChildFor(const InnerNode& node, Slice key) {
 Result<std::optional<BTree::Split>> BTree::InsertRec(uint32_t page_no,
                                                      Slice key, Slice value,
                                                      bool replace) {
-  PRIMA_ASSIGN_OR_RETURN(const bool leaf, IsLeaf(page_no));
-  if (leaf) {
-    PRIMA_ASSIGN_OR_RETURN(LeafNode node, LoadLeaf(page_no));
+  LeafNode leaf;
+  InnerNode node;
+  PRIMA_ASSIGN_OR_RETURN(const bool is_leaf, LoadNode(page_no, &leaf, &node));
+  if (is_leaf) {
     auto it = std::lower_bound(
-        node.entries.begin(), node.entries.end(), key,
+        leaf.entries.begin(), leaf.entries.end(), key,
         [](const auto& e, const Slice& k) { return Slice(e.first).Compare(k) < 0; });
-    if (it != node.entries.end() && Slice(it->first) == key) {
+    if (it != leaf.entries.end() && Slice(it->first) == key) {
       if (!replace) return Status::AlreadyExists("duplicate B*-tree key");
       it->second = value.ToString();
     } else {
-      node.entries.insert(it, {key.ToString(), value.ToString()});
+      leaf.entries.insert(it, {key.ToString(), value.ToString()});
     }
-    if (LeafEncodedSize(node) <= storage::PagePayload(page_size_)) {
-      PRIMA_RETURN_IF_ERROR(StoreLeaf(page_no, node));
+    if (LeafEncodedSize(leaf) <= storage::PagePayload(page_size_)) {
+      PRIMA_RETURN_IF_ERROR(StoreLeaf(page_no, leaf));
       return std::optional<Split>();
     }
     // Split: move the upper half to a fresh right sibling.
-    const size_t mid = node.entries.size() / 2;
+    const size_t mid = leaf.entries.size() / 2;
     LeafNode right;
-    right.entries.assign(node.entries.begin() + mid, node.entries.end());
-    node.entries.resize(mid);
+    right.entries.assign(leaf.entries.begin() + mid, leaf.entries.end());
+    leaf.entries.resize(mid);
     PRIMA_ASSIGN_OR_RETURN(PageGuard right_guard,
                            storage_->NewPage(segment_, PageType::kBTreeLeaf));
     const uint32_t right_page = right_guard.page_no();
     right_guard.Release();
     right.prev = page_no;
-    right.next = node.next;
-    node.next = right_page;
+    right.next = leaf.next;
+    leaf.next = right_page;
     if (right.next != 0) {
       PRIMA_ASSIGN_OR_RETURN(LeafNode after, LoadLeaf(right.next));
       after.prev = right_page;
       PRIMA_RETURN_IF_ERROR(StoreLeaf(right.next, after));
     }
     PRIMA_RETURN_IF_ERROR(StoreLeaf(right_page, right));
-    PRIMA_RETURN_IF_ERROR(StoreLeaf(page_no, node));
+    PRIMA_RETURN_IF_ERROR(StoreLeaf(page_no, leaf));
     return std::optional<Split>(Split{right.entries.front().first, right_page});
   }
 
-  PRIMA_ASSIGN_OR_RETURN(InnerNode node, LoadInner(page_no));
   const uint32_t child = ChildFor(node, key);
   PRIMA_ASSIGN_OR_RETURN(auto split, InsertRec(child, key, value, replace));
   if (!split) return std::optional<Split>();
@@ -289,35 +344,35 @@ Status BTree::Put(Slice key, Slice value) {
 
 Status BTree::DeleteRec(uint32_t page_no, Slice key, bool* now_empty) {
   *now_empty = false;
-  PRIMA_ASSIGN_OR_RETURN(const bool leaf, IsLeaf(page_no));
-  if (leaf) {
-    PRIMA_ASSIGN_OR_RETURN(LeafNode node, LoadLeaf(page_no));
+  LeafNode leaf;
+  InnerNode node;
+  PRIMA_ASSIGN_OR_RETURN(const bool is_leaf, LoadNode(page_no, &leaf, &node));
+  if (is_leaf) {
     auto it = std::lower_bound(
-        node.entries.begin(), node.entries.end(), key,
+        leaf.entries.begin(), leaf.entries.end(), key,
         [](const auto& e, const Slice& k) { return Slice(e.first).Compare(k) < 0; });
-    if (it == node.entries.end() || Slice(it->first) != key) {
+    if (it == leaf.entries.end() || Slice(it->first) != key) {
       return Status::NotFound("B*-tree key");
     }
-    node.entries.erase(it);
-    if (node.entries.empty() && page_no != root_page_) {
+    leaf.entries.erase(it);
+    if (leaf.entries.empty() && page_no != root_page_) {
       // Unlink from the leaf chain; the parent will drop the page.
-      if (node.prev != 0) {
-        PRIMA_ASSIGN_OR_RETURN(LeafNode prev, LoadLeaf(node.prev));
-        prev.next = node.next;
-        PRIMA_RETURN_IF_ERROR(StoreLeaf(node.prev, prev));
+      if (leaf.prev != 0) {
+        PRIMA_ASSIGN_OR_RETURN(LeafNode prev, LoadLeaf(leaf.prev));
+        prev.next = leaf.next;
+        PRIMA_RETURN_IF_ERROR(StoreLeaf(leaf.prev, prev));
       }
-      if (node.next != 0) {
-        PRIMA_ASSIGN_OR_RETURN(LeafNode next, LoadLeaf(node.next));
-        next.prev = node.prev;
-        PRIMA_RETURN_IF_ERROR(StoreLeaf(node.next, next));
+      if (leaf.next != 0) {
+        PRIMA_ASSIGN_OR_RETURN(LeafNode next, LoadLeaf(leaf.next));
+        next.prev = leaf.prev;
+        PRIMA_RETURN_IF_ERROR(StoreLeaf(leaf.next, next));
       }
       *now_empty = true;
       return Status::Ok();
     }
-    return StoreLeaf(page_no, node);
+    return StoreLeaf(page_no, leaf);
   }
 
-  PRIMA_ASSIGN_OR_RETURN(InnerNode node, LoadInner(page_no));
   const uint32_t child = ChildFor(node, key);
   bool child_empty = false;
   PRIMA_RETURN_IF_ERROR(DeleteRec(child, key, &child_empty));
@@ -347,34 +402,38 @@ Status BTree::Delete(Slice key) {
   bool root_empty = false;
   PRIMA_RETURN_IF_ERROR(DeleteRec(root_page_, key, &root_empty));
   // Height collapse: an inner root with no separators has a single child.
-  PRIMA_ASSIGN_OR_RETURN(const bool leaf, IsLeaf(root_page_));
-  if (!leaf) {
-    PRIMA_ASSIGN_OR_RETURN(InnerNode root, LoadInner(root_page_));
-    if (root.entries.empty()) {
-      const uint32_t old_root = root_page_;
-      root_page_ = root.leftmost;
-      PRIMA_RETURN_IF_ERROR(storage_->FreePage(segment_, old_root));
-      if (on_root_change_) on_root_change_(root_page_);
+  uint32_t only_child = 0;
+  {
+    PRIMA_ASSIGN_OR_RETURN(const PageGuard root, FixShared(root_page_));
+    const char* page = root.data();
+    if (PageHeader::type(page) == PageType::kBTreeInner &&
+        PageHeader::u16a(page) == 0) {
+      only_child = static_cast<uint32_t>(PageHeader::u64(page));
     }
+  }
+  if (only_child != 0) {
+    const uint32_t old_root = root_page_;
+    root_page_ = only_child;
+    PRIMA_RETURN_IF_ERROR(storage_->FreePage(segment_, old_root));
+    if (on_root_change_) on_root_change_(root_page_);
   }
   return Status::Ok();
 }
 
 Result<std::optional<std::string>> BTree::Get(Slice key) {
   std::lock_guard<std::mutex> lock(mu_);
-  uint32_t page = root_page_;
-  for (;;) {
-    PRIMA_ASSIGN_OR_RETURN(const bool leaf, IsLeaf(page));
-    if (leaf) break;
-    PRIMA_ASSIGN_OR_RETURN(InnerNode node, LoadInner(page));
-    page = ChildFor(node, key);
-  }
-  PRIMA_ASSIGN_OR_RETURN(LeafNode node, LoadLeaf(page));
-  auto it = std::lower_bound(
-      node.entries.begin(), node.entries.end(), key,
-      [](const auto& e, const Slice& k) { return Slice(e.first).Compare(k) < 0; });
-  if (it != node.entries.end() && Slice(it->first) == key) {
-    return std::optional<std::string>(it->second);
+  PRIMA_ASSIGN_OR_RETURN(const PageGuard leaf, Descend(Descent::kKey, key));
+  // Scan the sorted entries in place; only the matching value is copied.
+  const char* page = leaf.data();
+  Slice in(page + PageHeader::kSize, storage::PagePayload(page_size_));
+  for (uint16_t i = 0, n = PageHeader::u16a(page); i < n; ++i) {
+    Slice k, v;
+    if (!NextPrefixed(&in, &k) || !NextPrefixed(&in, &v)) {
+      return Status::Corruption("truncated leaf entry");
+    }
+    const int c = k.Compare(key);
+    if (c == 0) return std::optional<std::string>(v.ToString());
+    if (c > 0) break;
   }
   return std::optional<std::string>();
 }
@@ -394,25 +453,29 @@ Result<uint64_t> BTree::CountEntries() {
 // Iterator
 // ---------------------------------------------------------------------------
 
-Status BTree::Iterator::LoadLeaf(uint32_t page) {
-  PRIMA_ASSIGN_OR_RETURN(BTree::LeafNode node, tree_->LoadLeaf(page));
-  leaf_page_ = page;
+Status BTree::Iterator::LoadLeaf(const PageGuard& leaf) {
+  PRIMA_ASSIGN_OR_RETURN(BTree::LeafNode node,
+                         tree_->DecodeLeaf(leaf.data(), leaf.page_no()));
+  leaf_page_ = leaf.page_no();
   prev_leaf_ = node.prev;
   next_leaf_ = node.next;
   entries_ = std::move(node.entries);
   return Status::Ok();
 }
 
+Status BTree::Iterator::LoadLeaf(uint32_t page) {
+  PRIMA_ASSIGN_OR_RETURN(const PageGuard leaf, tree_->FixShared(page));
+  return LoadLeaf(leaf);
+}
+
+Status BTree::Iterator::LoadLeaf(Descent to, Slice key) {
+  PRIMA_ASSIGN_OR_RETURN(const PageGuard leaf, tree_->Descend(to, key));
+  return LoadLeaf(leaf);
+}
+
 Status BTree::Iterator::SeekToFirst() {
   valid_ = false;
-  uint32_t page = tree_->root_page_;
-  for (;;) {
-    PRIMA_ASSIGN_OR_RETURN(const bool leaf, tree_->IsLeaf(page));
-    if (leaf) break;
-    PRIMA_ASSIGN_OR_RETURN(InnerNode node, tree_->LoadInner(page));
-    page = node.leftmost;
-  }
-  PRIMA_RETURN_IF_ERROR(LoadLeaf(page));
+  PRIMA_RETURN_IF_ERROR(LoadLeaf(Descent::kFirst, Slice()));
   // Skip empty leaves (the root can be empty).
   while (entries_.empty() && next_leaf_ != 0) {
     PRIMA_RETURN_IF_ERROR(LoadLeaf(next_leaf_));
@@ -424,14 +487,7 @@ Status BTree::Iterator::SeekToFirst() {
 
 Status BTree::Iterator::SeekToLast() {
   valid_ = false;
-  uint32_t page = tree_->root_page_;
-  for (;;) {
-    PRIMA_ASSIGN_OR_RETURN(const bool leaf, tree_->IsLeaf(page));
-    if (leaf) break;
-    PRIMA_ASSIGN_OR_RETURN(InnerNode node, tree_->LoadInner(page));
-    page = node.entries.empty() ? node.leftmost : node.entries.back().second;
-  }
-  PRIMA_RETURN_IF_ERROR(LoadLeaf(page));
+  PRIMA_RETURN_IF_ERROR(LoadLeaf(Descent::kLast, Slice()));
   while (entries_.empty() && prev_leaf_ != 0) {
     PRIMA_RETURN_IF_ERROR(LoadLeaf(prev_leaf_));
   }
@@ -443,14 +499,7 @@ Status BTree::Iterator::SeekToLast() {
 
 Status BTree::Iterator::Seek(Slice target) {
   valid_ = false;
-  uint32_t page = tree_->root_page_;
-  for (;;) {
-    PRIMA_ASSIGN_OR_RETURN(const bool leaf, tree_->IsLeaf(page));
-    if (leaf) break;
-    PRIMA_ASSIGN_OR_RETURN(InnerNode node, tree_->LoadInner(page));
-    page = ChildFor(node, target);
-  }
-  PRIMA_RETURN_IF_ERROR(LoadLeaf(page));
+  PRIMA_RETURN_IF_ERROR(LoadLeaf(Descent::kKey, target));
   auto it = std::lower_bound(
       entries_.begin(), entries_.end(), target,
       [](const auto& e, const Slice& k) { return Slice(e.first).Compare(k) < 0; });

@@ -26,9 +26,20 @@ namespace prima::access {
 /// Values are byte strings: 8-byte surrogates for access paths, whole
 /// record images for sort orders.
 ///
-/// Concurrency: one mutex per tree (index-level locking; page latches are
-/// unnecessary below it). Deletion is lazy: empty nodes are unlinked, but
-/// non-empty nodes never merge — standard prototype trade-off.
+/// Reads go down one descent (Descend): each node is fixed once under a
+/// shared latch, its page type read from that fix, and the child picked by
+/// scanning the inner node's length-prefixed entries where they lie on the
+/// page, every length checked against the payload. Get scans the leaf the
+/// same way and copies out only the matching value; the iterator's seeks
+/// decode the one leaf they land on. Insert and delete decode a node, modify
+/// it and store it back (one shared fix to load, one exclusive fix to store).
+///
+/// Concurrency: one mutex per tree serializes Get, Insert, Put and Delete
+/// (index-level locking), so a Get never sees a split half done; page
+/// latches only guard each fix. Iterators do not take the mutex: they hold
+/// no latch between calls and read each leaf under its own shared fix.
+/// Deletion is lazy: empty nodes are unlinked, but non-empty nodes never
+/// merge — standard prototype trade-off.
 class BTree {
  public:
   /// Attach to an existing tree rooted at `root_page`.
@@ -52,6 +63,12 @@ class BTree {
   /// persisted root predates splits the log replayed onto the pages).
   void SetRoot(uint32_t root_page) { root_page_ = root_page; }
 
+ private:
+  /// Where a descent goes: the leaf covering a key, or the first or last
+  /// leaf.
+  enum class Descent { kKey, kFirst, kLast };
+
+ public:
   /// Leaf-level cursor. Operations return a Status; after a failed
   /// operation the iterator is invalid.
   class Iterator {
@@ -73,7 +90,11 @@ class BTree {
     friend class BTree;
     explicit Iterator(BTree* tree) : tree_(tree) {}
 
+    /// Decode the leaf `leaf` holds fixed, the leaf at `page`, or the leaf
+    /// a descent reaches.
+    util::Status LoadLeaf(const storage::PageGuard& leaf);
     util::Status LoadLeaf(uint32_t page);
+    util::Status LoadLeaf(Descent to, util::Slice key);
 
     BTree* tree_;
     bool valid_ = false;
@@ -107,11 +128,18 @@ class BTree {
     uint32_t right_page = 0;
   };
 
+  /// Fix each node on the way from the root once (shared) and return the
+  /// leaf, still fixed. `key` is read only for Descent::kKey.
+  util::Result<storage::PageGuard> Descend(Descent to, util::Slice key);
+
+  util::Result<storage::PageGuard> FixShared(uint32_t page);
+  util::Result<LeafNode> DecodeLeaf(const char* page, uint32_t page_no) const;
+  util::Result<InnerNode> DecodeInner(const char* page, uint32_t page_no) const;
   util::Result<LeafNode> LoadLeaf(uint32_t page);
-  util::Result<InnerNode> LoadInner(uint32_t page);
+  /// Fix `page` once and decode it into *leaf or *inner; true for a leaf.
+  util::Result<bool> LoadNode(uint32_t page, LeafNode* leaf, InnerNode* inner);
   util::Status StoreLeaf(uint32_t page, const LeafNode& node);
   util::Status StoreInner(uint32_t page, const InnerNode& node);
-  util::Result<bool> IsLeaf(uint32_t page);
 
   static size_t LeafEncodedSize(const LeafNode& node);
   static size_t InnerEncodedSize(const InnerNode& node);

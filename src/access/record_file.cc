@@ -170,9 +170,11 @@ Result<RecordId> RecordFile::Insert(Slice record) {
   return rid;
 }
 
-Result<std::string> RecordFile::Read(const RecordId& rid) const {
+Result<PinnedRecord> RecordFile::Read(const RecordId& rid) const {
   if (rid.IsLong()) {
-    return storage_->ReadSequence(segment_, rid.page);
+    PRIMA_ASSIGN_OR_RETURN(std::string bytes,
+                           storage_->ReadSequence(segment_, rid.page));
+    return PinnedRecord(std::move(bytes));
   }
   PRIMA_ASSIGN_OR_RETURN(
       PageGuard guard, storage_->FixPage(segment_, rid.page, LatchMode::kShared));
@@ -186,7 +188,8 @@ Result<std::string> RecordFile::Read(const RecordId& rid) const {
     return Status::NotFound("record " + std::to_string(rid.Pack()) +
                             " deleted");
   }
-  return std::string(page + offset, SlotLen(page, page_size_, rid.slot));
+  const Slice bytes(page + offset, SlotLen(page, page_size_, rid.slot));
+  return PinnedRecord(std::move(guard), bytes);
 }
 
 Status RecordFile::Delete(const RecordId& rid) {

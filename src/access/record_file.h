@@ -39,6 +39,27 @@ struct RecordId {
   }
 };
 
+/// A record read in place. A short record stays on its slotted page, which
+/// the PinnedRecord keeps fixed under a shared latch until it is destroyed;
+/// bytes() is then a view into the buffer frame, so nothing is copied. A
+/// long record (a page sequence) owns its assembled bytes instead. Decode
+/// what you need and drop it: while it lives, no writer can latch the page.
+class PinnedRecord {
+ public:
+  PinnedRecord(storage::PageGuard guard, util::Slice bytes)
+      : guard_(std::move(guard)), on_page_(bytes) {}
+  explicit PinnedRecord(std::string owned) : owned_(std::move(owned)) {}
+
+  util::Slice bytes() const {
+    return guard_.valid() ? on_page_ : util::Slice(owned_);
+  }
+
+ private:
+  storage::PageGuard guard_;
+  util::Slice on_page_;
+  std::string owned_;
+};
+
 /// Physical records as "byte strings of variable length ... stored
 /// consecutively in containers offered by the storage system" (paper §3.2).
 /// One RecordFile manages one segment: slotted pages for short records,
@@ -54,7 +75,8 @@ class RecordFile {
   util::Status Open();
 
   util::Result<RecordId> Insert(util::Slice record);
-  util::Result<std::string> Read(const RecordId& rid) const;
+  /// The record's bytes, pinned (see PinnedRecord).
+  util::Result<PinnedRecord> Read(const RecordId& rid) const;
   util::Status Delete(const RecordId& rid);
   /// Update; result is the (possibly moved) record id.
   util::Result<RecordId> Update(const RecordId& rid, util::Slice record);

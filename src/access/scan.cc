@@ -46,8 +46,8 @@ void AtomTypeScan::MaybeReadAhead(uint32_t page) {
 }
 
 Result<std::optional<Atom>> AtomTypeScan::DecodeAt(const RecordId& rid) {
-  PRIMA_ASSIGN_OR_RETURN(std::string bytes, file_->Read(rid));
-  PRIMA_ASSIGN_OR_RETURN(Atom atom, access_->DecodeAtom(type_, bytes));
+  PRIMA_ASSIGN_OR_RETURN(const PinnedRecord record, file_->Read(rid));
+  PRIMA_ASSIGN_OR_RETURN(Atom atom, access_->DecodeAtom(type_, record.bytes()));
   access_->stats().atoms_read++;
   if (!sarg_.Matches(atom)) return std::optional<Atom>();
   return std::optional<Atom>(std::move(atom));

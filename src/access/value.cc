@@ -1,5 +1,6 @@
 #include "access/value.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -10,6 +11,32 @@ namespace prima::access {
 using util::Result;
 using util::Slice;
 using util::Status;
+
+const std::string& Value::EmptyString() {
+  static const std::string* const kEmpty = new std::string();
+  return *kEmpty;
+}
+
+const std::vector<Value>& Value::NoElems() {
+  static const std::vector<Value>* const kNone = new std::vector<Value>();
+  return *kNone;
+}
+
+void Value::CopyFrom(const Value& other) {
+  switch (other.kind_) {
+    case Kind::kString:
+      word_.str = new std::string(*other.word_.str);
+      break;
+    case Kind::kRecord:
+    case Kind::kList:
+      word_.elems = new std::vector<Value>(*other.word_.elems);
+      break;
+    default:
+      word_ = other.word_;
+      break;
+  }
+  kind_ = other.kind_;
+}
 
 bool Value::Equals(const Value& other) const { return Compare(other) == 0; }
 
@@ -31,24 +58,26 @@ int Value::Compare(const Value& other) const {
     case Kind::kReal:
       return 0;  // handled above
     case Kind::kBool:
-      return static_cast<int>(bool_) - static_cast<int>(other.bool_);
-    case Kind::kString:
-      return str_.compare(other.str_) < 0   ? -1
-             : str_.compare(other.str_) > 0 ? 1
-                                            : 0;
+      return static_cast<int>(word_.b) - static_cast<int>(other.word_.b);
+    case Kind::kString: {
+      const int c = word_.str->compare(*other.word_.str);
+      return c < 0 ? -1 : c > 0 ? 1 : 0;
+    }
     case Kind::kTid: {
-      const uint64_t a = tid_.Pack(), b = other.tid_.Pack();
+      const uint64_t a = word_.bits, b = other.word_.bits;
       return a < b ? -1 : a > b ? 1 : 0;
     }
     case Kind::kRecord:
     case Kind::kList: {
-      const size_t n = std::min(elems_.size(), other.elems_.size());
+      const std::vector<Value>& mine = *word_.elems;
+      const std::vector<Value>& theirs = *other.word_.elems;
+      const size_t n = std::min(mine.size(), theirs.size());
       for (size_t i = 0; i < n; ++i) {
-        const int c = elems_[i].Compare(other.elems_[i]);
+        const int c = mine[i].Compare(theirs[i]);
         if (c != 0) return c;
       }
-      if (elems_.size() < other.elems_.size()) return -1;
-      if (elems_.size() > other.elems_.size()) return 1;
+      if (mine.size() < theirs.size()) return -1;
+      if (mine.size() > theirs.size()) return 1;
       return 0;
     }
   }
@@ -57,7 +86,7 @@ int Value::Compare(const Value& other) const {
 
 bool Value::Contains(const Value& v) const {
   if (kind_ != Kind::kList) return false;
-  for (const auto& e : elems_) {
+  for (const auto& e : *word_.elems) {
     if (e.Equals(v)) return true;
   }
   return false;
@@ -66,20 +95,18 @@ bool Value::Contains(const Value& v) const {
 std::string Value::ToString() const {
   switch (kind_) {
     case Kind::kNull: return "NULL";
-    case Kind::kInt: return std::to_string(int_);
-    case Kind::kReal: {
-      std::string s = std::to_string(real_);
-      return s;
-    }
-    case Kind::kBool: return bool_ ? "TRUE" : "FALSE";
-    case Kind::kString: return "'" + str_ + "'";
-    case Kind::kTid: return tid_.ToString();
+    case Kind::kInt: return std::to_string(word_.i);
+    case Kind::kReal: return std::to_string(word_.r);
+    case Kind::kBool: return word_.b ? "TRUE" : "FALSE";
+    case Kind::kString: return "'" + *word_.str + "'";
+    case Kind::kTid: return AsTid().ToString();
     case Kind::kRecord:
     case Kind::kList: {
+      const std::vector<Value>& elems = *word_.elems;
       std::string s = kind_ == Kind::kRecord ? "(" : "{";
-      for (size_t i = 0; i < elems_.size(); ++i) {
+      for (size_t i = 0; i < elems.size(); ++i) {
         if (i > 0) s += ", ";
-        s += elems_[i].ToString();
+        s += elems[i].ToString();
       }
       s += kind_ == Kind::kRecord ? ")" : "}";
       return s;
@@ -94,109 +121,124 @@ void Value::EncodeInto(std::string* out) const {
     case Kind::kNull:
       break;
     case Kind::kInt:
-      util::PutVarsint64(out, int_);
+      util::PutVarsint64(out, word_.i);
       break;
     case Kind::kReal: {
       uint64_t bits;
-      static_assert(sizeof(bits) == sizeof(real_));
-      std::memcpy(&bits, &real_, sizeof(bits));
+      static_assert(sizeof(bits) == sizeof(word_.r));
+      std::memcpy(&bits, &word_.r, sizeof(bits));
       util::PutFixed64(out, bits);
       break;
     }
     case Kind::kBool:
-      out->push_back(bool_ ? '\x01' : '\x00');
+      out->push_back(word_.b ? '\x01' : '\x00');
       break;
     case Kind::kString:
-      util::PutLengthPrefixed(out, str_);
+      util::PutLengthPrefixed(out, *word_.str);
       break;
     case Kind::kTid:
-      util::PutFixed64(out, tid_.Pack());
+      util::PutFixed64(out, word_.bits);
       break;
     case Kind::kRecord:
     case Kind::kList:
-      util::PutVarint64(out, elems_.size());
-      for (const auto& e : elems_) e.EncodeInto(out);
+      util::PutVarint64(out, word_.elems->size());
+      for (const auto& e : *word_.elems) e.EncodeInto(out);
       break;
   }
 }
 
-Result<Value> Value::Decode(Slice* in) {
+Status Value::DecodeInto(Slice* in, Value* out) {
   if (in->empty()) return Status::Corruption("truncated value");
   const Kind kind = static_cast<Kind>((*in)[0]);
   in->RemovePrefix(1);
   switch (kind) {
     case Kind::kNull:
-      return Value::Null();
+      *out = Value();
+      return Status::Ok();
     case Kind::kInt: {
       int64_t v;
       if (!util::GetVarsint64(in, &v)) return Status::Corruption("int value");
-      return Value::Int(v);
+      *out = Value::Int(v);
+      return Status::Ok();
     }
     case Kind::kReal: {
       uint64_t bits;
       if (!util::GetFixed64(in, &bits)) return Status::Corruption("real value");
       double d;
       std::memcpy(&d, &bits, sizeof(d));
-      return Value::Real(d);
+      *out = Value::Real(d);
+      return Status::Ok();
     }
     case Kind::kBool: {
       if (in->empty()) return Status::Corruption("bool value");
       const bool b = (*in)[0] != '\x00';
       in->RemovePrefix(1);
-      return Value::Bool(b);
+      *out = Value::Bool(b);
+      return Status::Ok();
     }
     case Kind::kString: {
       Slice s;
       if (!util::GetLengthPrefixed(in, &s)) {
         return Status::Corruption("string value");
       }
-      return Value::String(s.ToString());
+      *out = Value(Kind::kString);
+      out->word_.str = new std::string(s.data(), s.size());
+      return Status::Ok();
     }
     case Kind::kTid: {
       uint64_t packed;
       if (!util::GetFixed64(in, &packed)) return Status::Corruption("tid value");
-      return Value::Ref(Tid::Unpack(packed));
+      *out = Value(Kind::kTid);
+      out->word_.bits = packed;
+      return Status::Ok();
     }
     case Kind::kRecord:
     case Kind::kList: {
       uint64_t n;
-      if (!util::GetVarint64(in, &n)) return Status::Corruption("composite");
-      std::vector<Value> elems;
-      elems.reserve(n);
-      for (uint64_t i = 0; i < n; ++i) {
-        PRIMA_ASSIGN_OR_RETURN(Value e, Decode(in));
-        elems.push_back(std::move(e));
+      // Every element takes at least its kind byte.
+      if (!util::GetVarint64(in, &n) || n > in->size()) {
+        return Status::Corruption("composite");
       }
-      return kind == Kind::kRecord ? Value::Record(std::move(elems))
-                                   : Value::List(std::move(elems));
+      *out = Value(kind);
+      out->word_.elems = new std::vector<Value>(static_cast<size_t>(n));
+      for (Value& e : *out->word_.elems) {
+        PRIMA_RETURN_IF_ERROR(DecodeInto(in, &e));
+      }
+      return Status::Ok();
     }
   }
   return Status::Corruption("unknown value kind");
+}
+
+Result<Value> Value::Decode(Slice* in) {
+  Value v;
+  PRIMA_RETURN_IF_ERROR(DecodeInto(in, &v));
+  return v;
 }
 
 Status Value::EncodeKeyInto(std::string* out) const {
   switch (kind_) {
     case Kind::kInt:
       out->push_back('\x02');
-      util::PutKeyInt64(out, int_);
+      util::PutKeyInt64(out, word_.i);
       return Status::Ok();
     case Kind::kReal:
       // Same tag as kInt so mixed numeric keys stay ordered.
       out->push_back('\x02');
-      util::PutKeyDouble(out, real_);
+      util::PutKeyDouble(out, word_.r);
       return Status::Ok();
     case Kind::kBool:
       out->push_back('\x01');
-      util::PutKeyBool(out, bool_);
+      util::PutKeyBool(out, word_.b);
       return Status::Ok();
     case Kind::kString:
       out->push_back('\x03');
-      util::PutKeyString(out, str_);
+      util::PutKeyString(out, *word_.str);
       return Status::Ok();
     case Kind::kTid: {
       out->push_back('\x04');
       // big-endian for order preservation
-      const uint64_t p = tid_.Pack();
+      const uint64_t p = word_.bits;
       for (int i = 7; i >= 0; --i) {
         out->push_back(static_cast<char>((p >> (8 * i)) & 0xFF));
       }
@@ -234,18 +276,19 @@ Result<Atom> Atom::Decode(Slice* in, size_t attr_count) {
   uint64_t packed;
   if (!util::GetFixed64(in, &packed)) return Status::Corruption("atom tid");
   atom.tid = Tid::Unpack(packed);
-  atom.attrs.assign(attr_count, Value::Null());
+  atom.attrs.resize(attr_count);
   uint64_t n;
   if (!util::GetVarint64(in, &n)) return Status::Corruption("atom attr count");
   for (uint64_t i = 0; i < n; ++i) {
     uint64_t idx;
     if (!util::GetVarint64(in, &idx)) return Status::Corruption("atom attr idx");
-    PRIMA_ASSIGN_OR_RETURN(Value v, Value::Decode(in));
-    if (idx >= atom.attrs.size()) {
-      // Schema narrowed since the record was written; ignore the extra.
-      continue;
+    if (idx < attr_count) {
+      PRIMA_RETURN_IF_ERROR(Value::DecodeInto(in, &atom.attrs[idx]));
+    } else {
+      // Schema narrowed since the record was written; skip the extra.
+      Value ignored;
+      PRIMA_RETURN_IF_ERROR(Value::DecodeInto(in, &ignored));
     }
-    atom.attrs[idx] = std::move(v);
   }
   return atom;
 }

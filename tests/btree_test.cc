@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
+#include <thread>
 
 #include "access/btree.h"
 #include "util/coding.h"
@@ -190,6 +192,101 @@ TEST_F(BTreeTest, ReattachByRootPage) {
     ASSERT_TRUE(v.ok());
     ASSERT_TRUE(v->has_value());
     EXPECT_EQ(**v, std::to_string(i));
+  }
+}
+
+TEST_F(BTreeTest, GetFixesOnePagePerLevel) {
+  // One root split: an inner root over leaves, a tree of height 2.
+  int n = 0;
+  while (root_changes_.empty()) {
+    ASSERT_TRUE(tree_->Insert(Key(n), "value_" + std::to_string(n)).ok());
+    ++n;
+  }
+  for (int i = 0; i < n; i += 7) {
+    storage::BufferStats& stats = storage_->buffer().stats();
+    const uint64_t before = stats.hits + stats.misses;
+    auto v = tree_->Get(Key(i));
+    ASSERT_TRUE(v.ok());
+    ASSERT_TRUE(v->has_value());
+    EXPECT_EQ(**v, "value_" + std::to_string(i));
+    EXPECT_EQ(stats.hits + stats.misses - before, 2u) << "key " << i;
+  }
+  // A miss descends the same way.
+  storage::BufferStats& stats = storage_->buffer().stats();
+  const uint64_t before = stats.hits + stats.misses;
+  auto missing = tree_->Get(Key(n + 100));
+  ASSERT_TRUE(missing.ok());
+  EXPECT_FALSE(missing->has_value());
+  EXPECT_EQ(stats.hits + stats.misses - before, 2u);
+}
+
+TEST_F(BTreeTest, OverrunningLeafEntryIsCorruption) {
+  ASSERT_TRUE(tree_->Insert(Key(1), "one").ok());
+  {
+    // The root is the only leaf: make its first key length claim 65535
+    // bytes, far past the end of the 512-byte page's payload.
+    auto guard = storage_->FixPage(1, tree_->root_page(),
+                                   storage::LatchMode::kExclusive);
+    ASSERT_TRUE(guard.ok());
+    char* payload = guard->mutable_data() + storage::PageHeader::kSize;
+    payload[0] = '\xFF';
+    payload[1] = '\xFF';
+    payload[2] = '\x03';
+  }
+  EXPECT_TRUE(tree_->Get(Key(1)).status().IsCorruption());
+  EXPECT_TRUE(tree_->Get(Key(0)).status().IsCorruption());
+  auto it = tree_->NewIterator();
+  EXPECT_TRUE(it.Seek(Key(1)).IsCorruption());
+  EXPECT_FALSE(it.Valid());
+}
+
+TEST_F(BTreeTest, ConcurrentGetDuringSplits) {
+  // Readers look keys up while one writer grows the tree through leaf and
+  // root splits; a key is either absent or carries its own value.
+  constexpr int kKeys = 3000;
+  std::atomic<bool> done{false};
+  std::atomic<int> inserted{0};
+  std::atomic<uint64_t> found{0};
+  std::vector<std::thread> readers;
+  std::vector<std::string> failures(4);
+  for (int r = 0; r < 4; ++r) {
+    readers.emplace_back([&, r] {
+      util::Random rng(100 + r);
+      while (!done.load()) {
+        const int upto = inserted.load();
+        const int k = static_cast<int>(rng.Uniform(kKeys));
+        auto v = tree_->Get(Key(k));
+        if (!v.ok()) {
+          failures[r] = v.status().ToString();
+          return;
+        }
+        if (v->has_value()) {
+          ++found;
+          if (**v != "value_" + std::to_string(k)) {
+            failures[r] = "key " + std::to_string(k) + " read " + **v;
+            return;
+          }
+        } else if (k < upto) {
+          failures[r] = "inserted key " + std::to_string(k) + " missing";
+          return;
+        }
+      }
+    });
+  }
+  for (int k = 0; k < kKeys; ++k) {
+    ASSERT_TRUE(tree_->Insert(Key(k), "value_" + std::to_string(k)).ok());
+    inserted.store(k + 1);
+  }
+  done.store(true);
+  for (auto& t : readers) t.join();
+  for (const std::string& f : failures) EXPECT_EQ(f, "");
+  EXPECT_GE(root_changes_.size(), 2u);  // the root split more than once
+  EXPECT_GT(found.load(), 0u);
+  for (int k = 0; k < kKeys; k += 97) {
+    auto v = tree_->Get(Key(k));
+    ASSERT_TRUE(v.ok());
+    ASSERT_TRUE(v->has_value());
+    EXPECT_EQ(**v, "value_" + std::to_string(k));
   }
 }
 

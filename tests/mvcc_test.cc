@@ -400,7 +400,10 @@ TEST_F(MvccTest, ReaderWriterStormNeverTearsAndNeverWaits) {
 // reopens the database, restart recovery rolls losers back, and the new
 // incarnation starts with an EMPTY version store and an intact pair
 // invariant — no residue of the old incarnation's chains or pins.
-TEST_F(MvccTest, CrashDriveWithSnapshotReadersLeavesNoResidue) {
+// No fixture: the fork must happen while no database (and so no pool
+// worker) is alive in this process, or a ThreadSanitizer build kills the
+// child for starting threads after a multi-threaded fork.
+TEST(MvccCrashTest, CrashDriveWithSnapshotReadersLeavesNoResidue) {
   char dir_template[] = "/tmp/prima_mvcc_crash_XXXXXX";
   ASSERT_NE(::mkdtemp(dir_template), nullptr);
   const std::string dir = dir_template;

@@ -31,7 +31,7 @@ TEST_F(RecordFileTest, InsertReadRoundTrip) {
   ASSERT_TRUE(rid.ok());
   auto data = file_->Read(*rid);
   ASSERT_TRUE(data.ok());
-  EXPECT_EQ(*data, "hello record");
+  EXPECT_EQ(data->bytes().ToString(), "hello record");
   EXPECT_EQ(file_->record_count(), 1u);
 }
 
@@ -52,7 +52,7 @@ TEST_F(RecordFileTest, ShrinkingUpdateStaysInPlace) {
   EXPECT_EQ(new_rid->Pack(), rid->Pack());
   auto data = file_->Read(*new_rid);
   ASSERT_TRUE(data.ok());
-  EXPECT_EQ(*data, "tiny");
+  EXPECT_EQ(data->bytes().ToString(), "tiny");
 }
 
 TEST_F(RecordFileTest, GrowingUpdateMayMove) {
@@ -63,7 +63,7 @@ TEST_F(RecordFileTest, GrowingUpdateMayMove) {
   ASSERT_TRUE(new_rid.ok());
   auto data = file_->Read(*new_rid);
   ASSERT_TRUE(data.ok());
-  EXPECT_EQ(*data, big);
+  EXPECT_EQ(data->bytes().ToString(), big);
 }
 
 TEST_F(RecordFileTest, LongRecordsUsePageSequences) {
@@ -73,7 +73,7 @@ TEST_F(RecordFileTest, LongRecordsUsePageSequences) {
   EXPECT_TRUE(rid->IsLong());
   auto data = file_->Read(*rid);
   ASSERT_TRUE(data.ok());
-  EXPECT_EQ(*data, huge);
+  EXPECT_EQ(data->bytes().ToString(), huge);
   // Long -> long update keeps the id.
   const std::string huger(9000, 'M');
   auto new_rid = file_->Update(*rid, huger);
@@ -85,7 +85,7 @@ TEST_F(RecordFileTest, LongRecordsUsePageSequences) {
   EXPECT_FALSE(short_rid->IsLong());
   auto back = file_->Read(*short_rid);
   ASSERT_TRUE(back.ok());
-  EXPECT_EQ(*back, "now short");
+  EXPECT_EQ(back->bytes().ToString(), "now short");
 }
 
 TEST_F(RecordFileTest, ShortToLongTransition) {
@@ -96,7 +96,7 @@ TEST_F(RecordFileTest, ShortToLongTransition) {
   EXPECT_TRUE(new_rid->IsLong());
   auto data = file_->Read(*new_rid);
   ASSERT_TRUE(data.ok());
-  EXPECT_EQ(data->size(), 4000u);
+  EXPECT_EQ(data->bytes().size(), 4000u);
 }
 
 TEST_F(RecordFileTest, NavigationVisitsEverythingInBothDirections) {
@@ -157,7 +157,7 @@ TEST_F(RecordFileTest, CompactionReclaimsGarbage) {
   EXPECT_EQ(rid->page, 1u);
   auto data = file_->Read(*rid);
   ASSERT_TRUE(data.ok());
-  EXPECT_EQ(data->size(), 150u);
+  EXPECT_EQ(data->bytes().size(), 150u);
   // Survivors still readable.
   for (size_t i = 1; i < rids.size(); i += 2) {
     EXPECT_TRUE(file_->Read(rids[i]).ok());
@@ -180,7 +180,7 @@ TEST_F(RecordFileTest, OpenRebuildsStateFromPages) {
   for (const auto& [packed, payload] : expect) {
     auto data = reopened.Read(RecordId::Unpack(packed));
     ASSERT_TRUE(data.ok());
-    EXPECT_EQ(*data, payload);
+    EXPECT_EQ(data->bytes().ToString(), payload);
   }
   // And inserts still work (free-space cache was rebuilt).
   auto rid = reopened.Insert("after reopen");
@@ -227,7 +227,7 @@ TEST_P(RecordFileRandomTest, RandomOpsMatchModel) {
   for (const auto& [packed, payload] : model) {
     auto data = file.Read(RecordId::Unpack(packed));
     ASSERT_TRUE(data.ok());
-    EXPECT_EQ(*data, payload);
+    EXPECT_EQ(data->bytes().ToString(), payload);
   }
 }
 

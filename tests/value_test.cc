@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <type_traits>
+
 #include "access/value.h"
 #include "util/random.h"
 
@@ -37,6 +40,155 @@ TEST(ValueTest, Contains) {
   EXPECT_TRUE(set.Contains(Value::Ref(Tid(1, 2))));
   EXPECT_FALSE(set.Contains(Value::Ref(Tid(1, 3))));
   EXPECT_FALSE(Value::Int(1).Contains(Value::Int(1)));
+}
+
+// Every Value is one kind byte plus one 8-byte word.
+static_assert(sizeof(Value) == 16, "Value is a 16-byte tagged union");
+
+std::string Hex(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (unsigned char c : bytes) {
+    out.push_back(kDigits[c >> 4]);
+    out.push_back(kDigits[c & 0xF]);
+  }
+  return out;
+}
+
+std::string Encoded(const Value& v) {
+  std::string out;
+  v.EncodeInto(&out);
+  return Hex(out);
+}
+
+std::string KeyEncoded(const Value& v) {
+  std::string out;
+  EXPECT_TRUE(v.EncodeKeyInto(&out).ok());
+  return Hex(out);
+}
+
+// Records, WAL undo images and the wire all carry these bytes: each
+// expectation is the encoding the previous (104-byte) Value produced.
+TEST(ValueTest, GoldenEncodingsOfEveryKind) {
+  EXPECT_EQ(Encoded(Value::Null()), "00");
+  EXPECT_EQ(Encoded(Value::Int(0)), "0100");
+  EXPECT_EQ(Encoded(Value::Int(-1)), "0101");
+  EXPECT_EQ(Encoded(Value::Int(300)), "01d804");
+  EXPECT_EQ(Encoded(Value::Int(INT64_MIN)), "01ffffffffffffffffff01");
+  EXPECT_EQ(Encoded(Value::Real(2.5)), "020000000000000440");
+  EXPECT_EQ(Encoded(Value::Real(-0.0)), "020000000000000080");
+  EXPECT_EQ(Encoded(Value::Bool(true)), "0301");
+  EXPECT_EQ(Encoded(Value::Bool(false)), "0300");
+  EXPECT_EQ(Encoded(Value::String("")), "0400");
+  EXPECT_EQ(Encoded(Value::String("engine")), "0406656e67696e65");
+  EXPECT_EQ(Encoded(Value::Ref(Tid(3, 9))), "050900000000000300");
+  EXPECT_EQ(Encoded(Value::Ref(Tid(65535, 0xFFFFFFFFFFFFull))),
+            "05ffffffffffffffff");
+  EXPECT_EQ(Encoded(Value::Record({Value::Int(1), Value::String("a")})),
+            "06020102040161");
+  EXPECT_EQ(Encoded(Value::List({Value::Ref(Tid(1, 2)), Value::Null()})),
+            "070205020000000000010000");
+  EXPECT_EQ(Encoded(Value::EmptyList()), "0700");
+
+  EXPECT_EQ(KeyEncoded(Value::Null()), "00");
+  EXPECT_EQ(KeyEncoded(Value::Int(0)), "028000000000000000");
+  EXPECT_EQ(KeyEncoded(Value::Int(-1)), "027fffffffffffffff");
+  EXPECT_EQ(KeyEncoded(Value::Int(300)), "02800000000000012c");
+  EXPECT_EQ(KeyEncoded(Value::Real(2.5)), "02c004000000000000");
+  EXPECT_EQ(KeyEncoded(Value::Bool(true)), "0101");
+  EXPECT_EQ(KeyEncoded(Value::String("engine")), "03656e67696e650001");
+  EXPECT_EQ(KeyEncoded(Value::Ref(Tid(3, 9))), "040003000000000009");
+
+  Atom atom;
+  atom.tid = Tid(7, 123);
+  atom.attrs = {Value::Null(), Value::Int(5), Value::Null(),
+                Value::String("hi"), Value::List({Value::Real(1.0)})};
+  std::string bytes;
+  atom.EncodeInto(&bytes);
+  EXPECT_EQ(Hex(bytes),
+            "7b000000000007000301010a030402686904070102000000000000f03f");
+  util::Slice in(bytes);
+  auto back = Atom::Decode(&in, atom.attrs.size());
+  ASSERT_TRUE(back.ok());
+  std::string again;
+  back->EncodeInto(&again);
+  EXPECT_EQ(again, bytes);
+}
+
+TEST(ValueTest, CopyMoveAndSelfAssignmentOfOwningKinds) {
+  const std::vector<Value> originals = {
+      Value::String("a string long enough to live outside any SSO buffer"),
+      Value::Record({Value::Int(7), Value::String("field")}),
+      Value::List({Value::Ref(Tid(2, 5)), Value::List({Value::Bool(true)})}),
+  };
+  for (const Value& original : originals) {
+    SCOPED_TRACE(original.ToString());
+    Value copy(original);  // deep: the copy owns its own string / vector
+    EXPECT_TRUE(copy.Equals(original));
+    if (copy.kind() == Value::Kind::kString) {
+      EXPECT_NE(&copy.AsString(), &original.AsString());
+    } else {
+      EXPECT_NE(&copy.elems(), &original.elems());
+      copy.mutable_elems()->push_back(Value::Int(1));
+      EXPECT_EQ(copy.elems().size(), original.elems().size() + 1);
+      copy = original;
+    }
+
+    Value assigned = Value::Int(3);
+    assigned = copy;
+    EXPECT_TRUE(assigned.Equals(original));
+
+    Value moved(std::move(copy));
+    EXPECT_TRUE(moved.Equals(original));
+    EXPECT_TRUE(copy.is_null());  // NOLINT(bugprone-use-after-move)
+
+    Value move_assigned = Value::String("replaced");
+    move_assigned = std::move(moved);
+    EXPECT_TRUE(move_assigned.Equals(original));
+    EXPECT_TRUE(moved.is_null());  // NOLINT(bugprone-use-after-move)
+
+    Value& self = move_assigned;
+    move_assigned = self;
+    EXPECT_TRUE(move_assigned.Equals(original));
+    move_assigned = std::move(self);
+    EXPECT_TRUE(move_assigned.Equals(original));
+  }
+  static_assert(std::is_nothrow_move_constructible_v<Value>);
+  static_assert(std::is_nothrow_move_assignable_v<Value>);
+}
+
+TEST(ValueTest, WrongKindAccessorsReturnDefaults) {
+  const std::vector<Value> all = {
+      Value::Null(),          Value::Int(42),
+      Value::Real(2.5),       Value::Bool(true),
+      Value::String("text"),  Value::Ref(Tid(3, 9)),
+      Value::Record({Value::Int(1)}), Value::List({Value::Int(2)}),
+  };
+  for (const Value& v : all) {
+    SCOPED_TRACE(v.ToString());
+    const Value::Kind k = v.kind();
+    if (k != Value::Kind::kInt) {
+      EXPECT_EQ(v.AsInt(), 0);
+    }
+    if (k != Value::Kind::kReal) {
+      EXPECT_EQ(v.AsReal(), 0.0);
+    }
+    if (k != Value::Kind::kBool) {
+      EXPECT_FALSE(v.AsBool());
+    }
+    if (k != Value::Kind::kString) {
+      EXPECT_EQ(v.AsString(), "");
+    }
+    if (k != Value::Kind::kTid) {
+      EXPECT_TRUE(v.AsTid().IsNull());
+    }
+    if (k != Value::Kind::kRecord && k != Value::Kind::kList) {
+      EXPECT_TRUE(v.elems().empty());
+    }
+    if (!v.IsNumber()) {
+      EXPECT_EQ(v.AsNumber(), 0.0);
+    }
+  }
 }
 
 Value ArbitraryValue(util::Random* rng, int depth) {
