@@ -301,75 +301,66 @@ void ReportLargerThanBuffer() {
 
 void ReportReaderWriterStorm() {
   PrintHeader(
-      "readers vs. writer storm — snapshot isolation under churn",
-      "Claim: snapshot cursors resolve against pinned version chains "
-      "without taking a single lock, so reader throughput and tail latency "
-      "hold steady while a writer commits continuously; latest-committed "
-      "readers share the same lock-free read path and differ only in "
-      "which state they observe.");
+      "readers vs. writer storm — pinned views under churn",
+      "Claim: cursors resolve against pinned version chains without taking "
+      "a single lock, so reader throughput and tail latency hold steady "
+      "while a writer commits continuously.");
   const bool smoke = std::getenv("PRIMA_BENCH_SMOKE") != nullptr;
   const double run_s = smoke ? 0.2 : 1.0;
   auto db = OpenScanDb(/*scaled=*/true, 16u << 20, /*with_server=*/false);
   LoadItems(db.get(), kItems);
 
-  std::printf("  %-17s %8s %10s %10s %12s\n", "isolation", "readers",
-              "scans/s", "p99 (ms)", "writer tx/s");
-  for (const core::Isolation iso :
-       {core::Isolation::kLatestCommitted, core::Isolation::kSnapshot}) {
-    for (const int readers : {1, 8}) {
-      std::atomic<bool> stop{false};
-      std::atomic<uint64_t> scans{0};
-      std::atomic<uint64_t> commits{0};
-      LatencyRecorder latencies;
-      std::vector<std::thread> threads;
-      for (int r = 0; r < readers; ++r) {
-        threads.emplace_back([&] {
-          auto session = db->OpenSession();
-          session->set_default_isolation(iso);
-          while (!stop.load(std::memory_order_relaxed)) {
-            const auto s0 = std::chrono::steady_clock::now();
-            auto cursor =
-                RequireR(session->Query("SELECT ALL FROM item"), "cursor");
-            size_t n = 0;
-            for (;;) {
-              auto m = RequireR(cursor.Next(), "next");
-              if (!m) break;
-              ++n;
-            }
-            if (n != static_cast<size_t>(kItems)) {
-              std::fprintf(stderr, "storm scan saw %zu molecules\n", n);
-              std::abort();
-            }
-            latencies.RecordUs(SecondsSince(s0) * 1e6);
-            scans.fetch_add(1, std::memory_order_relaxed);
-          }
-        });
-      }
+  std::printf("  %8s %10s %10s %12s\n", "readers", "scans/s", "p99 (ms)",
+              "writer tx/s");
+  for (const int readers : {1, 8}) {
+    std::atomic<bool> stop{false};
+    std::atomic<uint64_t> scans{0};
+    std::atomic<uint64_t> commits{0};
+    LatencyRecorder latencies;
+    std::vector<std::thread> threads;
+    for (int r = 0; r < readers; ++r) {
       threads.emplace_back([&] {
         auto session = db->OpenSession();
-        int g = 0;
         while (!stop.load(std::memory_order_relaxed)) {
-          ++g;
-          Require(session
-                      ->Execute("MODIFY item SET label = 'g" +
-                                std::to_string(g) + "' WHERE num = " +
-                                std::to_string(g % kItems))
-                      .status(),
-                  "modify");
-          commits.fetch_add(1, std::memory_order_relaxed);
+          const auto s0 = std::chrono::steady_clock::now();
+          auto cursor =
+              RequireR(session->Query("SELECT ALL FROM item"), "cursor");
+          size_t n = 0;
+          for (;;) {
+            auto m = RequireR(cursor.Next(), "next");
+            if (!m) break;
+            ++n;
+          }
+          if (n != static_cast<size_t>(kItems)) {
+            std::fprintf(stderr, "storm scan saw %zu molecules\n", n);
+            std::abort();
+          }
+          latencies.RecordUs(SecondsSince(s0) * 1e6);
+          scans.fetch_add(1, std::memory_order_relaxed);
         }
       });
-      std::this_thread::sleep_for(
-          std::chrono::duration<double>(run_s));
-      stop.store(true);
-      for (auto& th : threads) th.join();
-      std::printf("  %-17s %8d %10.1f %10.2f %12.1f\n",
-                  iso == core::Isolation::kSnapshot ? "snapshot"
-                                                    : "latest-committed",
-                  readers, static_cast<double>(scans.load()) / run_s,
-                  static_cast<double>(latencies.Snapshot().p99()) / 1e3,
-                  static_cast<double>(commits.load()) / run_s);
     }
+    threads.emplace_back([&] {
+      auto session = db->OpenSession();
+      int g = 0;
+      while (!stop.load(std::memory_order_relaxed)) {
+        ++g;
+        Require(session
+                    ->Execute("MODIFY item SET label = 'g" +
+                              std::to_string(g) + "' WHERE num = " +
+                              std::to_string(g % kItems))
+                    .status(),
+                "modify");
+        commits.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+    std::this_thread::sleep_for(std::chrono::duration<double>(run_s));
+    stop.store(true);
+    for (auto& th : threads) th.join();
+    std::printf("  %8d %10.1f %10.2f %12.1f\n", readers,
+                static_cast<double>(scans.load()) / run_s,
+                static_cast<double>(latencies.Snapshot().p99()) / 1e3,
+                static_cast<double>(commits.load()) / run_s);
   }
   const auto versions = db->stats().versions;
   std::printf(

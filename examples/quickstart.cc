@@ -136,15 +136,14 @@ int main() {
   }
   std::printf("streamed %zu molecule(s), then closed early\n", streamed);
 
-  // 8. Snapshot reads: a cursor opened with Isolation::kSnapshot pins the
-  //    commit point it was opened at and resolves every atom against the
-  //    in-memory version chains — writers committing mid-drain neither
-  //    block it nor appear in it. BEGIN WORK READ ONLY pins one such view
-  //    for a whole transaction (repeatable reads, DML refused).
-  std::printf("\n--- snapshot isolation\n");
-  auto pinned = session->Query("SELECT ALL FROM solid WHERE solid_no = 9000",
-                               prima::core::Isolation::kSnapshot);
-  Check(pinned.status(), "snapshot cursor");
+  // 8. Reads: every cursor pins the committed view of the instant it opens
+  //    and resolves every atom against the in-memory version chains —
+  //    writers committing mid-drain neither block it nor appear in it, and
+  //    uncommitted writes never show. BEGIN WORK READ ONLY pins one such
+  //    view for a whole transaction (repeatable reads, DML refused).
+  std::printf("\n--- pinned read views\n");
+  auto pinned = session->Query("SELECT ALL FROM solid WHERE solid_no = 9000");
+  Check(pinned.status(), "cursor");
   auto writer = db->OpenSession();
   Check(writer
             ->Execute("MODIFY solid SET description = 'overwritten' "
@@ -152,8 +151,8 @@ int main() {
             .status(),
         "overwrite");
   auto frozen = pinned->Next();
-  Check(frozen.status(), "snapshot next");
-  std::printf("snapshot cursor still reads '%s' after the commit\n",
+  Check(frozen.status(), "cursor next");
+  std::printf("the open cursor still reads '%s' after the commit\n",
               (*frozen)->groups[0].atoms[0].attrs[2].AsString().c_str());
   Check(session->Execute("BEGIN WORK READ ONLY").status(), "read only");
   auto refused =

@@ -4,9 +4,9 @@
 // and walks the full remote surface: DDL and DML round trips, an explicit
 // transaction held open across round trips, a prepared statement with
 // bound placeholders, a streaming molecule cursor fetched in batches, the
-// abort-invalidates-remote-cursors contract, snapshot isolation over the
-// wire (per-cursor, per-connection default, and BEGIN WORK READ ONLY), and
-// the server's wedged-ring and version-store gauges on the wire.
+// abort-invalidates-remote-cursors contract, pinned read views over the
+// wire (per cursor, and one for a whole BEGIN WORK READ ONLY), and the
+// server's wedged-ring and version-store gauges on the wire.
 //
 //   $ ./remote_client
 
@@ -108,32 +108,27 @@ int main() {
   std::printf("fetch after abort: %s\n",
               after_abort.status().ToString().c_str());  // Aborted: ...
 
-  // Snapshot isolation crosses the wire at three tiers. A cursor opened
-  // with Isolation::kSnapshot pins the commit point it was opened at; the
-  // writer below commits mid-stream without blocking or appearing in it.
+  // A remote cursor pins, server-side, the committed view of the instant
+  // it opens; the writer below commits mid-stream without blocking or
+  // appearing in it.
   auto pinned_or = client->OpenCursor("SELECT ALL FROM city",
-                                      /*batch_size=*/1,
-                                      net::Isolation::kSnapshot);
-  Check(pinned_or.status(), "open snapshot cursor");
+                                      /*batch_size=*/1);
+  Check(pinned_or.status(), "open cursor");
   auto pinned = std::move(*pinned_or);
   Check(client->Execute("MODIFY city SET pop = 0").status(), "clobber");
   int frozen = 0;
   for (;;) {
     auto m = pinned.Next();
-    Check(m.status(), "snapshot fetch");
+    Check(m.status(), "fetch");
     if (!m->has_value()) break;
     if ((*m)->groups[0].atoms[0].attrs[1].AsInt() > 0) ++frozen;
   }
-  std::printf("snapshot cursor still saw %d pre-clobber populations\n",
+  std::printf("the open cursor still saw %d pre-clobber populations\n",
               frozen);
-  Check(pinned.Close(), "close snapshot cursor");
+  Check(pinned.Close(), "close cursor");
 
-  // Tier two: a connection-wide default, so every later query on this
-  // connection reads a fresh snapshot without per-call annotation. Tier
-  // three: Begin(true) == BEGIN WORK READ ONLY pins ONE snapshot for a
-  // whole transaction — repeatable across round trips, DML refused.
-  Check(client->set_default_isolation(net::Isolation::kSnapshot),
-        "set isolation");
+  // Begin(true) == BEGIN WORK READ ONLY pins ONE view for a whole
+  // transaction — repeatable across round trips, DML refused.
   Check(client->Begin(/*read_only=*/true), "begin read only");
   auto refused = client->Execute("INSERT city (pop = 1, name = 'Nope')");
   std::printf("DML inside READ ONLY: %s\n",

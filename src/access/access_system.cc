@@ -841,47 +841,9 @@ Result<Tid> AccessSystem::InsertAtom(AtomTypeId type,
   return tid;
 }
 
-Result<Atom> AccessSystem::GetAtom(const Tid& tid,
-                                   const std::vector<uint16_t>& projection) {
-  const AtomTypeDef* def = catalog_.GetAtomType(tid.type);
-  if (def == nullptr) {
-    return Status::NotFound("atom type id " + std::to_string(tid.type));
-  }
+Result<Atom> AccessSystem::GetBaseAtom(const Tid& tid,
+                                       const AtomTypeDef* def) {
   stats_.atoms_read++;
-  const ReadView* view = CurrentReadView();
-  if (!projection.empty() && view == nullptr) {
-    // Minimum-access-cost materialization: a partition covering the
-    // projection moves fewer bytes than the base record. Skipped under a
-    // read view — partition copies are maintained by deferred drains and
-    // carry no version chain, so only the base record can be resolved.
-    for (const StructureDef* s : catalog_.StructuresFor(tid.type)) {
-      if (s->kind != StructureKind::kPartition) continue;
-      std::set<uint16_t> have(s->attrs.begin(), s->attrs.end());
-      have.insert(def->identifier_attr);
-      bool covers = true;
-      for (uint16_t p : projection) {
-        if (have.count(p) == 0) {
-          covers = false;
-          break;
-        }
-      }
-      if (!covers) continue;
-      PRIMA_RETURN_IF_ERROR(DrainStructure(s->id));
-      auto rid_or = addresses_.Lookup(tid, s->id);
-      if (!rid_or.ok()) continue;
-      auto record_or =
-          partition_files_[s->id]->Read(RecordId::Unpack(*rid_or));
-      if (!record_or.ok()) continue;
-      Slice bytes = record_or->bytes();
-      PRIMA_ASSIGN_OR_RETURN(Atom atom, Atom::Decode(&bytes, def->attrs.size()));
-      stats_.partition_reads++;
-      return atom;
-    }
-  }
-  // Base first, THEN the chain: writers install the chain entry before the
-  // base record changes, so a reader that sees a too-new base value is
-  // guaranteed to find the entry that rescues the old one. The reverse
-  // order would race.
   Result<Atom> base = ReadBaseAtom(tid, def);
   if (base.status().IsNotFound() && addresses_.Exists(tid)) {
     // A write that relocates a grown record frees the old slot before it
@@ -891,33 +853,93 @@ Result<Atom> AccessSystem::GetAtom(const Tid& tid,
     { std::lock_guard<std::mutex> settled(write_mu_); }
     base = ReadBaseAtom(tid, def);
   }
-  Atom atom;
-  if (view != nullptr) {
-    VersionStore::Resolution res = versions_.Resolve(tid, *view);
-    if (res.outcome == VersionStore::Outcome::kInvisible) {
-      return Status::NotFound("atom " + tid.ToString() +
-                              " is not visible in this snapshot");
+  return base;
+}
+
+namespace {
+/// Null every attribute outside `projection` (and the IDENTIFIER).
+void ProjectAtom(const std::vector<uint16_t>& projection,
+                 uint16_t identifier_attr, Atom* atom) {
+  if (projection.empty()) return;
+  std::set<uint16_t> keep(projection.begin(), projection.end());
+  keep.insert(identifier_attr);
+  for (size_t i = 0; i < atom->attrs.size(); ++i) {
+    if (keep.count(static_cast<uint16_t>(i)) == 0) {
+      atom->attrs[i] = Value::Null();
     }
-    if (res.outcome == VersionStore::Outcome::kBefore) {
-      atom = std::move(*res.before);  // rescues deleted atoms too
-    } else {
-      PRIMA_RETURN_IF_ERROR(base.status());
-      atom = std::move(base).value();
-    }
-  } else {
-    PRIMA_RETURN_IF_ERROR(base.status());
-    atom = std::move(base).value();
   }
-  if (!projection.empty()) {
-    std::set<uint16_t> keep(projection.begin(), projection.end());
-    keep.insert(def->identifier_attr);
-    for (size_t i = 0; i < atom.attrs.size(); ++i) {
-      if (keep.count(static_cast<uint16_t>(i)) == 0) {
-        atom.attrs[i] = Value::Null();
+}
+}  // namespace
+
+Result<std::optional<Atom>> AccessSystem::ReadPartitionCopy(
+    const Tid& tid, const AtomTypeDef& def,
+    const std::vector<uint16_t>& projection) {
+  if (projection.empty()) return std::optional<Atom>();
+  for (const StructureDef* s : catalog_.StructuresFor(tid.type)) {
+    if (s->kind != StructureKind::kPartition) continue;
+    std::set<uint16_t> have(s->attrs.begin(), s->attrs.end());
+    have.insert(def.identifier_attr);
+    bool covers = true;
+    for (uint16_t p : projection) {
+      if (have.count(p) == 0) {
+        covers = false;
+        break;
       }
     }
+    if (!covers) continue;
+    PRIMA_RETURN_IF_ERROR(DrainStructure(s->id));
+    auto rid_or = addresses_.Lookup(tid, s->id);
+    if (!rid_or.ok()) continue;
+    auto record_or = partition_files_[s->id]->Read(RecordId::Unpack(*rid_or));
+    if (!record_or.ok()) continue;
+    Slice bytes = record_or->bytes();
+    PRIMA_ASSIGN_OR_RETURN(Atom atom, Atom::Decode(&bytes, def.attrs.size()));
+    return std::optional<Atom>(std::move(atom));
   }
+  return std::optional<Atom>();
+}
+
+Result<Atom> AccessSystem::GetAtom(const Tid& tid, const ReadView& view,
+                                   const std::vector<uint16_t>& projection) {
+  const AtomTypeDef* def = catalog_.GetAtomType(tid.type);
+  if (def == nullptr) {
+    return Status::NotFound("atom type id " + std::to_string(tid.type));
+  }
+  // The current record first, THEN the chain: writers install the chain
+  // entry before the base record (and, after it, the partition copy)
+  // changes, and an abort publishes its entries only after restoring the
+  // base, so a reader that sees a too-new or aborted value is guaranteed
+  // to find the entry that rescues the old one. The reverse order would
+  // race.
+  PRIMA_ASSIGN_OR_RETURN(std::optional<Atom> copy,
+                         ReadPartitionCopy(tid, *def, projection));
+  const bool from_partition = copy.has_value();
+  if (from_partition) stats_.atoms_read++;
+  Result<Atom> current = from_partition ? Result<Atom>(std::move(*copy))
+                                        : GetBaseAtom(tid, def);
+  VersionStore::Resolution res = versions_.Resolve(tid, view);
+  if (res.outcome == VersionStore::Outcome::kInvisible) {
+    return Status::NotFound("atom " + tid.ToString() +
+                            " is not visible in this snapshot");
+  }
+  if (res.outcome == VersionStore::Outcome::kCurrent) {
+    PRIMA_RETURN_IF_ERROR(current.status());
+    if (from_partition) {
+      stats_.partition_reads++;
+      return current;
+    }
+  }
+  Atom atom = res.outcome == VersionStore::Outcome::kBefore
+                  ? std::move(*res.before)  // rescues deleted atoms too
+                  : std::move(current).value();
+  ProjectAtom(projection, def->identifier_attr, &atom);
   return atom;
+}
+
+Result<Atom> AccessSystem::GetAtom(const Tid& tid,
+                                   const std::vector<uint16_t>& projection) {
+  const std::shared_ptr<VersionStore::Pin> pin = versions_.OpenSnapshot(0);
+  return GetAtom(tid, pin->view(), projection);
 }
 
 Status AccessSystem::ModifyAtom(const Tid& tid, std::vector<AttrValue> changes) {
@@ -1068,7 +1090,7 @@ Status AccessSystem::Connect(const Tid& from, uint16_t attr, const Tid& to) {
   if (!t.IsAssociation()) {
     return Status::InvalidArgument("attribute is not an association");
   }
-  PRIMA_ASSIGN_OR_RETURN(Atom atom, GetAtom(from));
+  PRIMA_ASSIGN_OR_RETURN(Atom atom, GetBaseAtom(from, def));
   Value v = atom.attrs[attr];
   if (t.kind == TypeKind::kReference) {
     v = Value::Ref(to);
@@ -1089,7 +1111,7 @@ Status AccessSystem::Disconnect(const Tid& from, uint16_t attr, const Tid& to) {
   if (!t.IsAssociation()) {
     return Status::InvalidArgument("attribute is not an association");
   }
-  PRIMA_ASSIGN_OR_RETURN(Atom atom, GetAtom(from));
+  PRIMA_ASSIGN_OR_RETURN(Atom atom, GetBaseAtom(from, def));
   Value v = atom.attrs[attr];
   if (t.kind == TypeKind::kReference) {
     if (v.is_null() || v.AsTid() != to) {
@@ -1527,6 +1549,19 @@ Result<ClusterImage> AccessSystem::ReadCluster(uint32_t cluster_id,
                                 const AtomTypeDef* d = catalog_.GetAtomType(t);
                                 return d == nullptr ? 0 : d->attrs.size();
                               });
+}
+
+bool AccessSystem::ImageServesView(const ClusterImage& image,
+                                   const ReadView& view) {
+  const auto current = [&](const Atom& a) {
+    return versions_.Resolve(a.tid, view).outcome ==
+           VersionStore::Outcome::kCurrent;
+  };
+  if (!current(image.characteristic)) return false;
+  for (const auto& [type, atoms] : image.groups) {
+    if (!std::all_of(atoms.begin(), atoms.end(), current)) return false;
+  }
+  return true;
 }
 
 // ---------------------------------------------------------------------------

@@ -130,18 +130,28 @@ class AccessSystem {
   /// every referenced atom and all redundancy transparently.
   util::Result<Tid> InsertAtom(AtomTypeId type, std::vector<AttrValue> values);
 
-  /// Read an atom — whole, or only selected attributes (`projection` of
-  /// attribute ids; empty = all). Serves covered projections from a
-  /// partition when one exists (cheapest materialization wins).
-  ///
-  /// Snapshot reads: when a ReadViewScope is active on the calling thread,
-  /// the atom is resolved against that view — the current record if every
-  /// chained write is visible, the appropriate before-image otherwise, and
-  /// NotFound for atoms the view predates. A deleted atom whose delete the
-  /// view cannot see resolves to its pre-delete image. The partition fast
-  /// path is skipped under a view (partition copies are not versioned).
+  /// Read an atom as `view` sees it — whole, or only selected attributes
+  /// (`projection` of attribute ids; empty = all): the current record if
+  /// every chained write is visible to the view, the before-image the
+  /// view needs otherwise (a delete the view cannot see resolves to the
+  /// pre-delete image), and NotFound for atoms the view predates or does
+  /// not see. A projection covered by a partition is served from the
+  /// partition copy (cheapest materialization wins) under the same rule:
+  /// only when the atom resolves to its current record.
+  util::Result<Atom> GetAtom(const Tid& tid, const ReadView& view,
+                             const std::vector<uint16_t>& projection = {});
+  /// GetAtom under a view pinned for this one read: the atom as of the
+  /// newest commit, for point reads outside any cursor.
   util::Result<Atom> GetAtom(const Tid& tid,
                              const std::vector<uint16_t>& projection = {});
+
+  /// The atom's base record as it stands, uncommitted writes included.
+  /// For code that reads under the atom's write lock (its own writes) and
+  /// for the scan layer, whose candidates the executor resolves against
+  /// the cursor's view; every other read goes through GetAtom.
+  /// Callers that already hold the atom type's definition pass it.
+  util::Result<Atom> GetBaseAtom(const Tid& tid,
+                                 const AtomTypeDef* def = nullptr);
 
   /// Modify selected attributes (never the IDENTIFIER). Reference changes
   /// imply implicit updates of the affected back-references.
@@ -173,6 +183,12 @@ class AccessSystem {
   /// is the structure id; `char_tid` the characteristic atom.
   util::Result<ClusterImage> ReadCluster(uint32_t cluster_id,
                                          const Tid& char_tid);
+  /// True when every atom of `image` resolves to its current record under
+  /// `view`. The image holds the members' current records (refreshed by
+  /// deferred drains) and no versions, so only then is it the view's
+  /// molecule. Probe after reading the image, as any read probes its
+  /// chain after reading the record.
+  bool ImageServesView(const ClusterImage& image, const ReadView& view);
   /// The cluster structure (if any) whose characteristic type is
   /// `char_type` and whose member types cover `needed` types.
   const StructureDef* FindCoveringCluster(
@@ -275,9 +291,9 @@ class AccessSystem {
   Catalog& catalog() { return catalog_; }
   const Catalog& catalog() const { return catalog_; }
   AddressTable& addresses() { return addresses_; }
-  /// In-memory version chains for snapshot reads. Writers install pending
+  /// In-memory version chains for pinned-view reads. Writers install pending
   /// before-images here (at the same sites that fire the undo hook); the
-  /// transaction layer stamps them at commit and drops them at abort.
+  /// transaction layer publishes them at commit and at top-level abort.
   VersionStore& versions() { return versions_; }
   storage::StorageSystem& storage() { return *storage_; }
   AccessStats& stats() { return stats_; }
@@ -326,6 +342,11 @@ class AccessSystem {
   util::Result<Atom> ReadBaseAtom(const Tid& tid,
                                   const AtomTypeDef* def = nullptr);
   util::Status WriteBaseAtom(const Tid& tid, const Atom& atom, bool is_new);
+  /// The partition copy of `tid` covering `projection` (drained first), or
+  /// nullopt when no partition covers it or holds the atom.
+  util::Result<std::optional<Atom>> ReadPartitionCopy(
+      const Tid& tid, const AtomTypeDef& def,
+      const std::vector<uint16_t>& projection);
 
   /// One side of the implicit inverse maintenance: add/remove `target` in
   /// `atom_tid`.attr (scalar ref or set). No recursion back.
@@ -365,7 +386,7 @@ class AccessSystem {
   /// Install a pending version chain entry for the current thread's
   /// transaction (no-op for system/auto-commit writes and for the Raw*
   /// compensations, which never call it). MUST run before the base record
-  /// is overwritten: a snapshot reader reads base-then-chain, so the chain
+  /// is overwritten: a reader reads base-then-chain, so the chain
   /// entry has to exist by the time the base can show the new value.
   void InstallVersion(const Tid& tid, const Atom* before);
 

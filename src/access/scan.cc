@@ -46,8 +46,14 @@ void AtomTypeScan::MaybeReadAhead(uint32_t page) {
 }
 
 Result<std::optional<Atom>> AtomTypeScan::DecodeAt(const RecordId& rid) {
-  PRIMA_ASSIGN_OR_RETURN(const PinnedRecord record, file_->Read(rid));
-  PRIMA_ASSIGN_OR_RETURN(Atom atom, access_->DecodeAtom(type_, record.bytes()));
+  Result<PinnedRecord> record = file_->Read(rid);
+  // Deleted by a concurrent writer after the scan found its slot: skipped,
+  // as if the scan had come later (a cursor's ghost pass rescues the atom
+  // when its view still sees it).
+  if (record.status().IsNotFound()) return std::optional<Atom>();
+  PRIMA_RETURN_IF_ERROR(record.status());
+  PRIMA_ASSIGN_OR_RETURN(Atom atom,
+                         access_->DecodeAtom(type_, record->bytes()));
   access_->stats().atoms_read++;
   if (!sarg_.Matches(atom)) return std::optional<Atom>();
   return std::optional<Atom>(std::move(atom));
@@ -177,7 +183,7 @@ Status SortScan::Open() {
   mode_ = Mode::kExplicitSort;
   sorted_.clear();
   for (const Tid& tid : access_->AllAtoms(type_)) {
-    PRIMA_ASSIGN_OR_RETURN(Atom atom, access_->GetAtom(tid));
+    PRIMA_ASSIGN_OR_RETURN(Atom atom, access_->GetBaseAtom(tid));
     if (sarg_.Matches(atom)) sorted_.push_back(std::move(atom));
   }
   std::sort(sorted_.begin(), sorted_.end(), [this](const Atom& a, const Atom& b) {
@@ -204,7 +210,8 @@ Result<std::optional<Atom>> SortScan::DecodeCurrent() {
   Slice v(iter_->value());
   uint64_t packed = 0;
   util::GetFixed64(&v, &packed);
-  PRIMA_ASSIGN_OR_RETURN(Atom atom, access_->GetAtom(Tid::Unpack(packed)));
+  PRIMA_ASSIGN_OR_RETURN(Atom atom,
+                         access_->GetBaseAtom(Tid::Unpack(packed)));
   return std::optional<Atom>(std::move(atom));
 }
 
@@ -400,9 +407,11 @@ Result<std::optional<Atom>> BTreeAccessPathScan::Next() {
   for (;;) {
     PRIMA_ASSIGN_OR_RETURN(auto tid, Advance());
     if (!tid) return std::optional<Atom>();
-    PRIMA_ASSIGN_OR_RETURN(Atom atom, access_->GetAtom(*tid));
-    if (!sarg_.Matches(atom)) continue;
-    return std::optional<Atom>(std::move(atom));
+    Result<Atom> atom = access_->GetBaseAtom(*tid);
+    if (atom.status().IsNotFound()) continue;  // deleted since the index read
+    PRIMA_RETURN_IF_ERROR(atom.status());
+    if (!sarg_.Matches(*atom)) continue;
+    return std::optional<Atom>(std::move(atom).value());
   }
 }
 
@@ -465,9 +474,11 @@ Result<std::optional<Atom>> GridAccessPathScan::Next() {
       ++index_;
     }
     if (index_ >= matches_.size()) return std::optional<Atom>();
-    PRIMA_ASSIGN_OR_RETURN(Atom atom, access_->GetAtom(matches_[index_]));
-    if (!sarg_.Matches(atom)) continue;
-    return std::optional<Atom>(std::move(atom));
+    Result<Atom> atom = access_->GetBaseAtom(matches_[index_]);
+    if (atom.status().IsNotFound()) continue;  // deleted since the grid read
+    PRIMA_RETURN_IF_ERROR(atom.status());
+    if (!sarg_.Matches(*atom)) continue;
+    return std::optional<Atom>(std::move(atom).value());
   }
 }
 
@@ -479,9 +490,11 @@ Result<std::optional<Atom>> GridAccessPathScan::Prior() {
       return std::optional<Atom>();
     }
     --index_;
-    PRIMA_ASSIGN_OR_RETURN(Atom atom, access_->GetAtom(matches_[index_]));
-    if (!sarg_.Matches(atom)) continue;
-    return std::optional<Atom>(std::move(atom));
+    Result<Atom> atom = access_->GetBaseAtom(matches_[index_]);
+    if (atom.status().IsNotFound()) continue;  // deleted since the grid read
+    PRIMA_RETURN_IF_ERROR(atom.status());
+    if (!sarg_.Matches(*atom)) continue;
+    return std::optional<Atom>(std::move(atom).value());
   }
 }
 

@@ -20,6 +20,10 @@ namespace prima::access {
 ///   3. access-path scan        — B*-tree and grid file, start/stop/direction
 ///   4. atom-cluster-type scan  — all characteristic atoms of a cluster type
 ///   5. atom-cluster scan       — atoms of one type within one cluster
+///
+/// Scans read base records as they stand, uncommitted writes included; a
+/// molecule cursor resolves every atom it pulls from one against its
+/// pinned read view (mql::RootSource).
 
 // ---------------------------------------------------------------------------
 // 1. Atom-type scan

@@ -6,19 +6,6 @@
 
 namespace prima::access {
 
-namespace {
-/// The read view installed on this thread (latest-committed when null).
-thread_local const ReadView* tls_read_view = nullptr;
-}  // namespace
-
-const ReadView* CurrentReadView() { return tls_read_view; }
-
-ReadViewScope::ReadViewScope(const ReadView* view) : prev_(tls_read_view) {
-  tls_read_view = view;
-}
-
-ReadViewScope::~ReadViewScope() { tls_read_view = prev_; }
-
 VersionStore::VersionStore() : shards_(new Shard[kShards]) {}
 
 VersionStore::Pin::~Pin() {
@@ -47,7 +34,7 @@ void VersionStore::Install(uint64_t txn, const Tid& tid, const Atom* before) {
   retained_.fetch_add(1, std::memory_order_release);
 }
 
-uint64_t VersionStore::Commit(uint64_t txn, uint64_t wal_lsn) {
+uint64_t VersionStore::Publish(uint64_t txn, uint64_t wal_lsn) {
   std::vector<uint64_t> tids;
   {
     std::lock_guard<std::mutex> lock(txns_mu_);
@@ -92,38 +79,6 @@ uint64_t VersionStore::Commit(uint64_t txn, uint64_t wal_lsn) {
   last_seq_.store(seq, std::memory_order_release);
   Retire();
   return seq;
-}
-
-void VersionStore::Drop(uint64_t txn) {
-  std::vector<uint64_t> tids;
-  {
-    std::lock_guard<std::mutex> lock(txns_mu_);
-    auto it = pending_by_txn_.find(txn);
-    if (it == pending_by_txn_.end()) return;
-    tids = std::move(it->second);
-    pending_by_txn_.erase(it);
-  }
-  uint64_t dropped = 0;
-  for (const uint64_t packed : tids) {
-    Shard& shard = ShardFor(packed);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.chains.find(packed);
-    if (it == shard.chains.end()) continue;
-    auto& chain = it->second;
-    const size_t before = chain.size();
-    chain.erase(std::remove_if(chain.begin(), chain.end(),
-                               [txn](const Entry& e) {
-                                 return e.txn == txn && e.seq == 0;
-                               }),
-                chain.end());
-    dropped += before - chain.size();
-    if (chain.empty()) shard.chains.erase(it);
-  }
-  if (dropped > 0) {
-    stats_.versions_retired += dropped;
-    retained_.fetch_sub(static_cast<int64_t>(dropped),
-                        std::memory_order_release);
-  }
 }
 
 std::shared_ptr<VersionStore::Pin> VersionStore::OpenSnapshot(

@@ -24,6 +24,8 @@ namespace prima::access {
 /// always sees its own uncommitted writes (degree-3 consistency within the
 /// transaction).
 struct ReadView {
+  ReadView() = default;
+  ReadView(uint64_t seq, uint64_t own_txn) : seq(seq), own_txn(own_txn) {}
   uint64_t seq = 0;
   uint64_t own_txn = 0;
 };
@@ -63,7 +65,7 @@ struct VersionStoreStatsSnapshot : VersionStoreStats {
   uint64_t commit_seq = 0;           ///< logical commit clock
 };
 
-/// In-memory version chains for snapshot reads (ROADMAP open item 2): the
+/// In-memory version chains for pinned-view reads: the
 /// before-images the undo path already produces are kept, per atom, for as
 /// long as any live read view might need them. Writers install a pending
 /// entry at mutation time (before the base record changes); commit stamps
@@ -106,11 +108,15 @@ class VersionStore {
   /// publish it. `wal_lsn` is the transaction's commit LSN (0 unlogged),
   /// kept so a pinned snapshot is diagnosable in WAL terms. Returns the
   /// assigned sequence (0 when the transaction installed nothing).
-  uint64_t Commit(uint64_t txn, uint64_t wal_lsn);
-
-  /// Drop every pending entry of `txn` (top-level abort: the compensations
-  /// restore the base records, so the chains are pure garbage).
-  void Drop(uint64_t txn);
+  ///
+  /// A top-level abort publishes too, once its compensations have
+  /// restored every base record (with wal_lsn 0): each entry then records
+  /// a change from its before-image to that same restored value. Views
+  /// pinned before the abort resolve through the entry to the before-image,
+  /// so a record a reader fetched while it still held the aborted value is
+  /// never trusted; views pinned after it read the restored base. Dropping
+  /// the entries instead would leave such a reader with no chain to find.
+  uint64_t Publish(uint64_t txn, uint64_t wal_lsn);
 
   /// Pin a read view at the current commit clock. Thread-safe.
   std::shared_ptr<Pin> OpenSnapshot(uint64_t own_txn);
@@ -134,9 +140,9 @@ class VersionStore {
   }
 
   /// Packed tids of type `type` that currently carry a chain, sorted.
-  /// The snapshot scan's ghost pass resolves these to recover atoms the
-  /// latest-committed index/scan no longer surfaces (deleted, or moved out
-  /// of the scanned key range, after the snapshot began).
+  /// A cursor's ghost pass resolves these to recover atoms the base-record
+  /// index/scan no longer surfaces (deleted, or moved out of the scanned
+  /// key range, after its view was pinned).
   std::vector<uint64_t> ChainedTids(AtomTypeId type) const;
 
   VersionStoreStats& stats() { return stats_; }
@@ -178,12 +184,12 @@ class VersionStore {
   std::atomic<int64_t> retained_{0};
   std::mutex commit_mu_;
   /// Highest commit LSN seen; atomic so pin-open never nests into
-  /// commit_mu_ (Commit calls Retire, which takes pins_mu_ — the reverse
+  /// commit_mu_ (Publish calls Retire, which takes pins_mu_ — the reverse
   /// nesting would deadlock).
   std::atomic<uint64_t> last_lsn_{0};
 
-  /// Per-transaction index of installed (pending) entries, so commit/abort
-  /// touch only their own chains.
+  /// Per-transaction index of installed (pending) entries, so Publish
+  /// touches only the transaction's own chains.
   std::mutex txns_mu_;
   std::unordered_map<uint64_t, std::vector<uint64_t>> pending_by_txn_;
 
@@ -205,25 +211,6 @@ class VersionStore {
 
   VersionStoreStats stats_;
 };
-
-/// Scoped thread-local read view: while alive, AccessSystem::GetAtom (and
-/// the snapshot-aware scan wrappers) resolve every atom against the view
-/// instead of serving latest-committed. Mirrors the SetWalTxn /
-/// obs::CurrentTrace thread-local idiom; a snapshot cursor installs its
-/// view for the span of each molecule it derives.
-class ReadViewScope {
- public:
-  explicit ReadViewScope(const ReadView* view);
-  ~ReadViewScope();
-  ReadViewScope(const ReadViewScope&) = delete;
-  ReadViewScope& operator=(const ReadViewScope&) = delete;
-
- private:
-  const ReadView* prev_;
-};
-
-/// The view installed on this thread, or nullptr (latest-committed).
-const ReadView* CurrentReadView();
 
 }  // namespace prima::access
 

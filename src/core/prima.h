@@ -234,38 +234,32 @@ struct PrimaOptions {
 /// it, and the next Fetch reports Aborted. Closing a cursor or statement
 /// id twice is rejected cleanly with NotFound; the connection survives.
 ///
-/// Isolation — writers always lock (nested two-phase locking on atoms);
-/// readers choose how they see them per session, per statement, or per
-/// transaction:
+/// Reads — every statement and cursor reads one committed view, pinned
+/// when it opens: the newest commit at that instant, plus the open
+/// transaction's own writes. It resolves each atom against the in-memory
+/// version chains, so it never sees a concurrent transaction's uncommitted
+/// or half-committed writes, never takes a lock, and never makes a writer
+/// wait:
 ///
-///   Isolation::kLatestCommitted  (default) each atom read returns the
-///                  newest state the access system holds — the historical
-///                  behavior. No read locks, no versioning cost.
-///   Isolation::kSnapshot         the cursor pins a read view at open and
-///                  resolves every atom against the in-memory version
-///                  chains to its state as of that instant — a scan never
-///                  sees half of a concurrent transaction, and never waits
-///                  for a writer's lock. Still zero read locks.
+///   auto cursor = *session->Query("SELECT ALL FROM point");  // pins here
 ///
-///   session->set_default_isolation(core::Isolation::kSnapshot);
-///   auto cursor = *session->Query("SELECT ALL FROM point");  // snapshot
-///   // ... or per call:
-///   auto c2 = *session->Query("SELECT ALL FROM point",
-///                             core::Isolation::kLatestCommitted);
-///
-///   session->Execute("BEGIN WORK READ ONLY");   // one view, pinned
-///   // every query here reads the SAME snapshot (repeatable); DML/DDL
+///   session->Execute("BEGIN WORK READ ONLY");   // one view for all...
+///   // every query here reads the SAME view (repeatable); DML/DDL
 ///   // are refused until...
 ///   session->Execute("COMMIT WORK");            // releases the pin
 ///
+/// Writers lock (nested two-phase locking on atoms). A writer's read is a
+/// committed view too, not a locked read, so a read-modify-write must take
+/// the row's lock first — a MODIFY that touches the row, then the read —
+/// until writers validate what they read at commit.
+///
 /// Version chains live in memory only (they are rebuilt empty at restart —
 /// recovery's compensations restore the base state they describe) and are
-/// retired as soon as no pinned snapshot can need them; watch the
+/// retired as soon as no pinned view can need them; watch the
 /// prima_versions_* metrics, stats().versions, and the
 /// prima_versions_oldest_snapshot_lsn gauge for a pin holding retirement
-/// back. The same isolation surface is served remotely
-/// (net::Client::set_default_isolation, BEGIN WORK READ ONLY over the
-/// wire).
+/// back. Remote cursors read the same way (BEGIN WORK READ ONLY works over
+/// the wire too).
 ///
 /// Scaling knobs — by default the kernel scales the read path to the CPUs
 /// this process may run on (its sched_getaffinity mask, util::UsableCpus),
@@ -352,7 +346,7 @@ class Prima {
   /// stand-in for multi-processor PRIMA — with the caller running the last
   /// one, and the call waits only for its own units. Results concatenate
   /// in root order, so molecule order and content match Query() exactly.
-  /// Reads are latest-committed, outside any session.
+  /// Every unit reads the one view pinned for the call, outside any session.
   util::Result<mql::MoleculeSet> QueryParallel(const std::string& mql,
                                                size_t max_units = 0);
   /// Execute one LDL statement (access paths, sort orders, partitions,

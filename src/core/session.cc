@@ -218,7 +218,7 @@ Result<ExecResult> Session::ExecuteStatement(
     }
   }
   if (!IsDml(stmt.kind)) {
-    // Queries read without locks (as ever); DDL is untransacted (catalog
+    // Queries read a pinned view, without locks; DDL is untransacted (catalog
     // changes are not undo-logged — see ROADMAP "log catalog/DDL
     // operations"); transaction control dispatches back into the session.
     Ctx ctx(this, nullptr);
@@ -270,37 +270,25 @@ Result<ExecResult> Session::ExecuteStatement(
   return result;
 }
 
-std::shared_ptr<access::VersionStore::Pin> Session::PinForQuery(
-    std::optional<Isolation> isolation) {
-  if (read_only_pin_ != nullptr) {
-    // All statements of a READ ONLY transaction share the one view pinned
-    // at BEGIN — that sharing IS the repeatability guarantee.
-    return read_only_pin_;
-  }
-  if (isolation.value_or(default_isolation_) != Isolation::kSnapshot) {
-    return nullptr;
-  }
-  // Statement-level snapshot: a fresh view per cursor. Inside an open
-  // read-write transaction the view carries the root transaction id, so
-  // the session still sees its own uncommitted writes.
-  const uint64_t own_txn =
-      txn_stack_.empty() ? 0 : txn_stack_.front()->id();
-  return data_->access().versions().OpenSnapshot(own_txn);
-}
-
 Result<MoleculeCursor> Session::OpenCursor(
     std::shared_ptr<const mql::CachedStatement> compiled,
-    std::vector<access::Value> params, std::optional<Isolation> isolation) {
-  std::shared_ptr<access::VersionStore::Pin> snapshot = PinForQuery(isolation);
+    std::vector<access::Value> params) {
+  std::shared_ptr<access::VersionStore::Pin> pin = read_only_pin_;
   std::shared_ptr<const std::atomic<bool>> token;
-  if (snapshot == nullptr || snapshot->view().own_txn != 0) {
-    // Snapshot cursors with no transaction of their own skip the
-    // invalidation token on purpose: an abort's compensations restore
-    // exactly the before-images the version chains already serve, so the
-    // pinned view stays coherent through it. A view that CAN see its own
-    // transaction's writes keeps the token — those writes vanish on abort.
-    std::lock_guard<std::mutex> lock(epoch_mu_);
-    token = cursor_epoch_;
+  if (pin == nullptr) {
+    // A view per cursor, pinned now. Inside an open transaction it carries
+    // the root transaction id, so the session sees its own uncommitted
+    // writes — and keeps the invalidation token, since those writes vanish
+    // on abort. A view with no transaction of its own skips the token on
+    // purpose: an abort's compensations restore exactly the before-images
+    // the version chains already serve, so the view stays coherent.
+    const uint64_t own_txn =
+        txn_stack_.empty() ? 0 : txn_stack_.front()->id();
+    pin = data_->access().versions().OpenSnapshot(own_txn);
+    if (own_txn != 0) {
+      std::lock_guard<std::mutex> lock(epoch_mu_);
+      token = cursor_epoch_;
+    }
   }
   // The cursor shares the compiled query and plan with the cache entry
   // (aliasing pointers keep the entry alive); nothing is copied.
@@ -310,8 +298,8 @@ Result<MoleculeCursor> Session::OpenCursor(
   PRIMA_ASSIGN_OR_RETURN(
       MoleculeCursor cursor,
       data_->executor().OpenCursor(std::move(query), std::move(plan),
-                                   std::move(params), std::move(token),
-                                   active_trace_, std::move(snapshot)));
+                                   std::move(params), std::move(pin),
+                                   std::move(token), active_trace_));
   data_->stats().queries++;
   return cursor;
 }
@@ -418,14 +406,11 @@ Result<std::shared_ptr<const mql::CachedStatement>> Session::CompileOneShot(
 
 Result<ExecResult> Session::RunCompiled(
     std::shared_ptr<const mql::CachedStatement> compiled,
-    std::vector<access::Value> params, std::optional<Isolation> isolation) {
+    std::vector<access::Value> params) {
   if (compiled->stmt.kind == Statement::Kind::kQuery) {
-    // The materializing facade is exactly "open a cursor, drain it" — the
-    // cursor path applies the session's isolation (and the statement's
-    // override).
-    PRIMA_ASSIGN_OR_RETURN(
-        MoleculeCursor cursor,
-        OpenCursor(std::move(compiled), std::move(params), isolation));
+    // The materializing facade is exactly "open a cursor, drain it".
+    PRIMA_ASSIGN_OR_RETURN(MoleculeCursor cursor,
+                           OpenCursor(std::move(compiled), std::move(params)));
     ExecResult r;
     r.kind = ExecResult::Kind::kMolecules;
     PRIMA_ASSIGN_OR_RETURN(r.molecules, cursor.Drain());
@@ -443,12 +428,11 @@ Result<ExecResult> Session::Execute(const std::string& mql) {
         PRIMA_ASSIGN_OR_RETURN(
             std::shared_ptr<const mql::CachedStatement> compiled,
             CompileOneShot(mql));
-        return RunCompiled(std::move(compiled), {}, std::nullopt);
+        return RunCompiled(std::move(compiled), {});
       });
 }
 
-Result<MoleculeCursor> Session::Query(const std::string& mql,
-                                      std::optional<Isolation> isolation) {
+Result<MoleculeCursor> Session::Query(const std::string& mql) {
   PRIMA_ASSIGN_OR_RETURN(std::shared_ptr<const mql::CachedStatement> compiled,
                          CompileOneShot(mql));
   if (compiled->stmt.kind != Statement::Kind::kQuery) {
@@ -459,11 +443,10 @@ Result<MoleculeCursor> Session::Query(const std::string& mql,
     return Status::InvalidArgument(
         "EXPLAIN ANALYZE must go through Execute, not Query");
   }
-  return OpenCursor(std::move(compiled), {}, isolation);
+  return OpenCursor(std::move(compiled), {});
 }
 
-Result<PreparedStatement> Session::Prepare(const std::string& mql,
-                                           std::optional<Isolation> isolation) {
+Result<PreparedStatement> Session::Prepare(const std::string& mql) {
   PRIMA_ASSIGN_OR_RETURN(std::shared_ptr<const mql::CachedStatement> compiled,
                          Compile(mql));
   if (compiled->stmt.explain_analyze) {
@@ -471,7 +454,7 @@ Result<PreparedStatement> Session::Prepare(const std::string& mql,
         "EXPLAIN ANALYZE cannot be prepared - use Execute");
   }
   data_->stats().statements_prepared++;
-  return PreparedStatement(this, mql, std::move(compiled), isolation);
+  return PreparedStatement(this, mql, std::move(compiled));
 }
 
 // ---------------------------------------------------------------------------
@@ -480,9 +463,8 @@ Result<PreparedStatement> Session::Prepare(const std::string& mql,
 
 PreparedStatement::PreparedStatement(
     Session* session, std::string text,
-    std::shared_ptr<const mql::CachedStatement> compiled,
-    std::optional<Isolation> isolation)
-    : session_(session), text_(std::move(text)), isolation_(isolation) {
+    std::shared_ptr<const mql::CachedStatement> compiled)
+    : session_(session), text_(std::move(text)) {
   Adopt(std::move(compiled));
   bound_.resize(compiled_->stmt.params.size());
 }
@@ -557,21 +539,18 @@ Result<ExecResult> PreparedStatement::Execute() {
         PRIMA_ASSIGN_OR_RETURN(std::vector<access::Value> params, Ready());
         executions_++;
         session_->data_->stats().prepared_executions++;
-        return session_->RunCompiled(compiled_, std::move(params),
-                                     isolation_);
+        return session_->RunCompiled(compiled_, std::move(params));
       });
 }
 
-Result<MoleculeCursor> PreparedStatement::Query(
-    std::optional<Isolation> isolation) {
+Result<MoleculeCursor> PreparedStatement::Query() {
   if (compiled_->stmt.kind != Statement::Kind::kQuery) {
     return Status::InvalidArgument("prepared statement is not a query");
   }
   PRIMA_ASSIGN_OR_RETURN(std::vector<access::Value> params, Ready());
   executions_++;
   session_->data_->stats().prepared_executions++;
-  return session_->OpenCursor(compiled_, std::move(params),
-                             isolation.has_value() ? isolation : isolation_);
+  return session_->OpenCursor(compiled_, std::move(params));
 }
 
 }  // namespace prima::core

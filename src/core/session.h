@@ -15,19 +15,6 @@ namespace prima::core {
 
 class Session;
 
-/// How a session's queries read.
-///
-/// kLatestCommitted is the historical behavior: read whatever the access
-/// system holds at each assembly, no read locks taken. kSnapshot pins a
-/// consistent read view per statement/cursor (or per transaction, inside
-/// BEGIN WORK READ ONLY): every atom resolves against the in-memory version
-/// chains to its state as of the pin, still without a single lock — writers
-/// never wait for these readers and vice versa.
-enum class Isolation : uint8_t {
-  kLatestCommitted = 0,
-  kSnapshot = 1,
-};
-
 /// A compiled MQL statement bound per execution (paper §3.1 separates
 /// *preparation* — query validation & modification, simplification, and
 /// access-path selection — from *execution*). Session::Prepare compiles
@@ -68,10 +55,9 @@ class PreparedStatement {
 
   /// Open a streaming cursor (SELECT statements only). The cursor copies
   /// the bound values, so the statement may be re-bound and re-executed
-  /// while the cursor drains. `isolation` overrides — for this one open —
-  /// the statement's Prepare-time override and the session default.
-  util::Result<mql::MoleculeCursor> Query(
-      std::optional<Isolation> isolation = std::nullopt);
+  /// while the cursor drains. Its view is pinned at this open, not at
+  /// Prepare.
+  util::Result<mql::MoleculeCursor> Query();
 
   /// Executions so far (both Execute and Query).
   uint64_t executions() const { return executions_; }
@@ -86,8 +72,7 @@ class PreparedStatement {
  private:
   friend class Session;
   PreparedStatement(Session* session, std::string text,
-                    std::shared_ptr<const mql::CachedStatement> compiled,
-                    std::optional<Isolation> isolation);
+                    std::shared_ptr<const mql::CachedStatement> compiled);
 
   /// Take a compiled statement, counting its plan (statements without a
   /// FROM clause have none).
@@ -102,9 +87,6 @@ class PreparedStatement {
   std::vector<std::optional<access::Value>> bound_;
   uint64_t executions_ = 0;
   uint64_t plans_computed_ = 0;
-  /// Per-statement isolation override (queries only); nullopt = the
-  /// session default at each execution.
-  std::optional<Isolation> isolation_;
 };
 
 /// A client session (the primary API): every statement executes under the
@@ -118,9 +100,17 @@ class PreparedStatement {
 /// continues.
 ///
 /// Queries stream: Query() returns a MoleculeCursor assembling one
-/// molecule per Next(). ABORT WORK (and session destruction) invalidates
-/// the session's open cursors — the atoms they would stream were rolled
-/// back.
+/// molecule per Next(). Every statement and cursor reads one committed
+/// view, pinned when it opens, without taking a lock: it never sees a
+/// concurrent transaction's uncommitted or half-committed writes, and
+/// writers never wait for it. Inside BEGIN WORK the view also sees the
+/// transaction's own writes; ABORT WORK (and session destruction)
+/// invalidates the cursors that could see them. The statements of a
+/// BEGIN WORK READ ONLY transaction share one view, pinned at BEGIN, so
+/// they read repeatably. Writers lock (nested two-phase locking on atoms),
+/// but a read-modify-write still reads its value from a committed view, not
+/// under its lock: until writers validate what they read, lock the row
+/// first (a MODIFY that touches it) and read after.
 ///
 /// A session is a single-threaded context, like a connection: open one
 /// session per client thread (sessions of one database are isolated
@@ -142,26 +132,11 @@ class Session {
   util::Result<mql::ExecResult> Execute(const std::string& mql);
 
   /// Execute a SELECT and return a streaming cursor over its molecules.
-  /// `isolation` overrides the session default for this one cursor.
-  util::Result<mql::MoleculeCursor> Query(
-      const std::string& mql,
-      std::optional<Isolation> isolation = std::nullopt);
+  util::Result<mql::MoleculeCursor> Query(const std::string& mql);
 
   /// Compile a statement for repeated execution with placeholders, through
   /// the same compile path (and shared cache) as one-shot statements.
-  /// `isolation` overrides the session default for every execution of the
-  /// returned statement (queries only; DML ignores it).
-  util::Result<PreparedStatement> Prepare(
-      const std::string& mql,
-      std::optional<Isolation> isolation = std::nullopt);
-
-  /// Isolation applied to queries that don't override it per call. Takes
-  /// effect for subsequently opened cursors/statements; already-open
-  /// cursors keep the view (or lack of one) they started with.
-  void set_default_isolation(Isolation isolation) {
-    default_isolation_ = isolation;
-  }
-  Isolation default_isolation() const { return default_isolation_; }
+  util::Result<PreparedStatement> Prepare(const std::string& mql);
 
   /// Depth of explicit BEGIN WORK nesting (0 = auto-commit mode).
   size_t transaction_depth() const { return txn_stack_.size(); }
@@ -182,6 +157,9 @@ class Session {
     }
     util::Status CommitWork() override { return session_->CommitWork(); }
     util::Status AbortWork() override { return session_->AbortWork(); }
+    uint64_t own_txn() const override {
+      return txn_ == nullptr ? 0 : txn_->root_id();
+    }
     util::Result<access::Tid> InsertAtom(
         access::AtomTypeId type,
         std::vector<access::AttrValue> values) override {
@@ -223,21 +201,16 @@ class Session {
   /// executed concurrently by many sessions.
   util::Result<mql::ExecResult> RunCompiled(
       std::shared_ptr<const mql::CachedStatement> compiled,
-      std::vector<access::Value> params, std::optional<Isolation> isolation);
+      std::vector<access::Value> params);
   util::Result<mql::ExecResult> ExecuteStatement(
       const mql::Statement& stmt, const mql::QueryPlan* plan,
       const std::vector<access::Value>& params);
   /// Open a cursor over a compiled query; the cursor shares `compiled`.
+  /// It reads under the READ ONLY transaction's pin, or a view pinned now
+  /// that also sees the open transaction's own writes.
   util::Result<mql::MoleculeCursor> OpenCursor(
       std::shared_ptr<const mql::CachedStatement> compiled,
-      std::vector<access::Value> params,
-      std::optional<Isolation> isolation = std::nullopt);
-
-  /// Resolve the view a query reads under: the transaction's pin inside
-  /// BEGIN WORK READ ONLY, a fresh statement pin when the effective
-  /// isolation is kSnapshot, nullptr for latest-committed.
-  std::shared_ptr<access::VersionStore::Pin> PinForQuery(
-      std::optional<Isolation> isolation);
+      std::vector<access::Value> params);
 
   /// Compile for a one-shot Execute/Query: statements with placeholders
   /// compile (and are cached for Prepare) but are refused here — there are
@@ -269,8 +242,6 @@ class Session {
   TransactionManager* txns_;
   /// Explicit BEGIN WORK nesting: front = top-level, back = innermost.
   std::vector<Transaction*> txn_stack_;
-  /// Isolation for queries that don't override it per call.
-  Isolation default_isolation_ = Isolation::kLatestCommitted;
   /// The pinned snapshot of an open BEGIN WORK READ ONLY transaction.
   /// While set, every query shares this one view (degree-3 repeatable
   /// reads) and DML/DDL are refused; COMMIT/ABORT WORK releases it.

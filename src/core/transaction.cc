@@ -198,11 +198,17 @@ Result<Tid> Transaction::InsertAtom(access::AtomTypeId type,
   return tid;
 }
 
+uint64_t Transaction::root_id() const {
+  return TransactionManager::RootId(this);
+}
+
 Result<Atom> Transaction::GetAtom(const Tid& tid,
                                   const std::vector<uint16_t>& projection) {
   PRIMA_RETURN_IF_ERROR(CheckActive());
   PRIMA_RETURN_IF_ERROR(mgr_->Acquire(this, tid, LockMode::kRead));
-  return mgr_->access_->GetAtom(tid, projection);
+  const std::shared_ptr<access::VersionStore::Pin> pin =
+      mgr_->access_->versions().OpenSnapshot(root_id());
+  return mgr_->access_->GetAtom(tid, pin->view(), projection);
 }
 
 Status Transaction::ModifyAtom(const Tid& tid,
@@ -211,7 +217,7 @@ Status Transaction::ModifyAtom(const Tid& tid,
   PRIMA_RETURN_IF_ERROR(mgr_->Acquire(this, tid, LockMode::kWrite));
   // Lock both the old and new association targets (their back-references
   // change).
-  PRIMA_ASSIGN_OR_RETURN(const Atom current, mgr_->access_->GetAtom(tid));
+  PRIMA_ASSIGN_OR_RETURN(const Atom current, mgr_->access_->GetBaseAtom(tid));
   const auto* def = mgr_->access_->catalog().GetAtomType(tid.type);
   for (const AttrValue& av : changes) {
     if (av.attr < def->attrs.size() && def->attrs[av.attr].type.IsAssociation()) {
@@ -227,7 +233,7 @@ Status Transaction::ModifyAtom(const Tid& tid,
 Status Transaction::DeleteAtom(const Tid& tid) {
   PRIMA_RETURN_IF_ERROR(CheckActive());
   PRIMA_RETURN_IF_ERROR(mgr_->Acquire(this, tid, LockMode::kWrite));
-  PRIMA_ASSIGN_OR_RETURN(const Atom current, mgr_->access_->GetAtom(tid));
+  PRIMA_ASSIGN_OR_RETURN(const Atom current, mgr_->access_->GetBaseAtom(tid));
   const auto* def = mgr_->access_->catalog().GetAtomType(tid.type);
   for (size_t i = 0; i < current.attrs.size(); ++i) {
     if (def->attrs[i].type.IsAssociation()) {
@@ -320,7 +326,7 @@ Status Transaction::Commit() {
     // Stamp this transaction's version-chain entries with the next commit
     // sequence BEFORE the write locks drop: once another writer can touch
     // these atoms, its new pending entries must land strictly after ours.
-    mgr_->access_->versions().Commit(id_, commit_lsn);
+    mgr_->access_->versions().Publish(id_, commit_lsn);
     mgr_->ReleaseAll(this);
     undo_.clear();
   }
@@ -371,10 +377,12 @@ Status Transaction::Abort() {
   undo_.clear();
   state_ = State::kAborted;
   if (parent_ == nullptr) {
-    // The compensations above restored every base record, so the pending
-    // chain entries are garbage. Subtree aborts keep theirs: the entries'
-    // before-images still describe the root's earlier writes correctly.
-    mgr_->access_->versions().Drop(id_);
+    // The compensations above restored every base record; publishing the
+    // pending entries now (see VersionStore::Publish) keeps a reader that
+    // fetched a record before its compensation from trusting it. Subtree
+    // aborts keep theirs pending: the entries' before-images still
+    // describe the root's earlier writes correctly.
+    mgr_->access_->versions().Publish(id_, /*wal_lsn=*/0);
   }
   mgr_->ReleaseAll(this);
   if (parent_ != nullptr) {

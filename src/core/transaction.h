@@ -34,6 +34,9 @@ class TransactionManager;
 class Transaction {
  public:
   uint64_t id() const { return id_; }
+  /// Id of the top-level ancestor (this transaction's own id at top level):
+  /// the transaction its reads and version-chain entries belong to.
+  uint64_t root_id() const;
   Transaction* parent() const { return parent_; }
   bool active() const { return state_ == State::kActive; }
   size_t undo_size() const { return undo_.size(); }

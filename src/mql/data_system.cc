@@ -110,7 +110,8 @@ Result<ExecResult> DataSystem::RunQuery(const struct Query& q,
   // plan instead of copying them.
   PRIMA_ASSIGN_OR_RETURN(
       MoleculeCursor cursor,
-      executor_.OpenCursor(Borrow(&q), Borrow(plan), params));
+      executor_.OpenCursor(Borrow(&q), Borrow(plan), params,
+                           access_->versions().OpenSnapshot(/*own_txn=*/0)));
   stats().queries++;
   ExecResult r;
   r.kind = ExecResult::Kind::kMolecules;
@@ -120,18 +121,19 @@ Result<ExecResult> DataSystem::RunQuery(const struct Query& q,
 
 Result<MoleculeSet> DataSystem::QualifyTargets(
     const FromClause& from, const Expr* where, const QueryPlan* plan,
-    const std::vector<Value>& params) {
+    const std::vector<Value>& params, uint64_t own_txn) {
   auto q = std::make_shared<Query>();
   q->select.emplace_back().kind = ProjItem::Kind::kAll;
   q->from = from;
   q->where = CloneExpr(where);
   // A serial cursor on this thread, drained whole before the caller's first
   // mutation, so no update can move an atom into the part of the scan still
-  // ahead. It reads the latest state (no snapshot pin) and borrows the
-  // statement's trace, since it drains within the statement.
+  // ahead. Its view sees the statement's own transaction's writes, and it
+  // borrows the statement's trace, since it drains within the statement.
   PRIMA_ASSIGN_OR_RETURN(
       MoleculeCursor cursor,
-      executor_.OpenCursor(std::move(q), Borrow(plan), params, nullptr,
+      executor_.OpenCursor(std::move(q), Borrow(plan), params,
+                           access_->versions().OpenSnapshot(own_txn), nullptr,
                            obs::CurrentTrace()));
   return cursor.Drain();
 }
@@ -210,7 +212,8 @@ Result<ExecResult> DataSystem::RunDelete(const DeleteStmt& stmt,
                                          const std::vector<Value>& params) {
   PRIMA_ASSIGN_OR_RETURN(
       MoleculeSet set,
-      QualifyTargets(stmt.from, stmt.where.get(), plan, params));
+      QualifyTargets(stmt.from, stmt.where.get(), plan, params,
+                     ctx != nullptr ? ctx->own_txn() : 0));
   // Components to delete: named ones, or every component (whole molecules).
   std::set<std::string> which(stmt.components.begin(), stmt.components.end());
   std::set<uint64_t> victims;
@@ -238,7 +241,8 @@ Result<ExecResult> DataSystem::RunModify(const ModifyStmt& stmt,
                                          const std::vector<Value>& params) {
   PRIMA_ASSIGN_OR_RETURN(
       MoleculeSet set,
-      QualifyTargets(stmt.from, stmt.where.get(), plan, params));
+      QualifyTargets(stmt.from, stmt.where.get(), plan, params,
+                     ctx != nullptr ? ctx->own_txn() : 0));
   const AtomTypeDef* target_def = nullptr;
   ExecResult r;
   r.kind = ExecResult::Kind::kCount;
@@ -267,6 +271,9 @@ Result<ExecResult> DataSystem::RunModify(const ModifyStmt& stmt,
       const Status st = ctx != nullptr
                             ? ctx->ModifyAtom(a.tid, changes)
                             : access_->ModifyAtom(a.tid, changes);
+      // A target a writer deleted after the qualifying view was pinned is
+      // gone, as in RunDelete.
+      if (st.IsNotFound()) continue;
       PRIMA_RETURN_IF_ERROR(st);
       ++r.count;
     }

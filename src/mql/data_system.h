@@ -56,6 +56,10 @@ class ExecContext {
   virtual util::Status BeginWork(bool read_only) = 0;
   virtual util::Status CommitWork() = 0;
   virtual util::Status AbortWork() = 0;
+  /// The top-level transaction the statement runs under (0 = none): DML
+  /// qualifies its targets under a view that also sees that transaction's
+  /// own uncommitted writes.
+  virtual uint64_t own_txn() const = 0;
 
   // DML, routed through the session's open (or implicit) transaction.
   virtual util::Result<access::Tid> InsertAtom(
@@ -125,10 +129,11 @@ class DataSystem {
                                     const QueryPlan* plan,
                                     const std::vector<access::Value>& params);
   /// The whole molecules a DELETE / MODIFY acts on, drained from a serial
-  /// cursor before the statement mutates anything.
+  /// cursor before the statement mutates anything. `own_txn` is the
+  /// statement's top-level transaction (0 = none).
   util::Result<MoleculeSet> QualifyTargets(
       const FromClause& from, const Expr* where, const QueryPlan* plan,
-      const std::vector<access::Value>& params);
+      const std::vector<access::Value>& params, uint64_t own_txn);
   util::Result<ExecResult> RunCreateAtomType(const CreateAtomTypeStmt& stmt);
   util::Result<ExecResult> RunDefineMolecule(const DefineMoleculeTypeStmt& stmt);
   util::Result<ExecResult> RunDrop(const DropStmt& stmt);

@@ -310,7 +310,6 @@ Result<std::unique_ptr<RootSource>> Executor::OpenRootSource(
   switch (plan.root_access) {
     case RootAccess::kKeyLookup: {
       stats_.key_lookups++;
-      source->use_lookup_ = true;
       std::string key;
       for (const RootPred& p : plan.root_preds) {
         PRIMA_ASSIGN_OR_RETURN(const Value v, BoundOperand(p, params));
@@ -329,8 +328,7 @@ Result<std::unique_ptr<RootSource>> Executor::OpenRootSource(
         util::Slice v(*found);
         uint64_t packed = 0;
         util::GetFixed64(&v, &packed);
-        PRIMA_ASSIGN_OR_RETURN(Atom atom, access_->GetAtom(Tid::Unpack(packed)));
-        source->lookup_.push_back(std::move(atom));
+        source->lookup_ = Tid::Unpack(packed);
       }
       return source;
     }
@@ -383,27 +381,31 @@ Result<std::unique_ptr<RootSource>> Executor::OpenRootSource(
   return source;
 }
 
-Result<std::optional<Atom>> RootSource::NextUnderlying() {
-  if (use_lookup_) {
-    if (lookup_next_ >= lookup_.size()) return std::optional<Atom>();
-    return std::optional<Atom>(std::move(lookup_[lookup_next_++]));
-  }
+Result<std::optional<Atom>> RootSource::NextCandidate() {
   if (type_scan_ != nullptr) return type_scan_->Next();
   if (path_scan_ != nullptr) return path_scan_->Next();
   if (grid_scan_ != nullptr) return grid_scan_->Next();
-  return std::optional<Atom>();
+  if (!lookup_) return std::optional<Atom>();
+  Result<Atom> atom = access_->GetBaseAtom(*lookup_);
+  lookup_.reset();
+  // Deleted since the index read: the ghost pass rescues it if the view
+  // still sees it.
+  if (atom.status().IsNotFound()) return std::optional<Atom>();
+  PRIMA_RETURN_IF_ERROR(atom.status());
+  return std::optional<Atom>(std::move(atom).value());
 }
 
-Result<std::optional<Atom>> RootSource::NextSnapshot() {
+Result<std::optional<Atom>> RootSource::Next() {
+  access::VersionStore& versions = access_->versions();
   while (!ghosts_built_) {
-    PRIMA_ASSIGN_OR_RETURN(std::optional<Atom> atom, NextUnderlying());
+    PRIMA_ASSIGN_OR_RETURN(std::optional<Atom> atom, NextCandidate());
     if (!atom) {
       // Scan drained: collect the ghosts — chained atoms the scan never
       // surfaced. Built only now, so every chain entry installed before the
       // scan passed its atom (install happens before the index write that
       // hides it) is already in place.
       ghosts_built_ = true;
-      for (uint64_t packed : access_->versions().ChainedTids(root_type_)) {
+      for (uint64_t packed : versions.ChainedTids(root_type_)) {
         if (yielded_.count(packed) == 0) ghosts_.push_back(packed);
       }
       break;
@@ -411,8 +413,7 @@ Result<std::optional<Atom>> RootSource::NextSnapshot() {
     // Dedup: a concurrent key change can surface one atom at two index
     // positions; a fixed view owes each atom exactly one yield.
     if (!yielded_.insert(atom->tid.Pack()).second) continue;
-    access::VersionStore::Resolution res =
-        access_->versions().Resolve(atom->tid, *view_);
+    access::VersionStore::Resolution res = versions.Resolve(atom->tid, *view_);
     if (res.outcome == access::VersionStore::Outcome::kInvisible) continue;
     if (res.outcome == access::VersionStore::Outcome::kBefore) {
       atom = std::move(*res.before);
@@ -421,21 +422,15 @@ Result<std::optional<Atom>> RootSource::NextSnapshot() {
   }
   while (ghost_next_ < ghosts_.size()) {
     const Tid tid = Tid::Unpack(ghosts_[ghost_next_++]);
-    access::VersionStore::Resolution res =
-        access_->versions().Resolve(tid, *view_);
+    access::VersionStore::Resolution res = versions.Resolve(tid, *view_);
     // kCurrent: the live record was correctly excluded by the scan on its
-    // visible value; kInvisible: born after the snapshot. Only a rescued
+    // visible value; kInvisible: born after the view. Only a rescued
     // before-image is a candidate (the WHERE still qualifies it downstream).
     if (res.outcome == access::VersionStore::Outcome::kBefore) {
       return std::optional<Atom>(std::move(*res.before));
     }
   }
   return std::optional<Atom>();
-}
-
-Result<std::optional<Atom>> RootSource::Next() {
-  if (view_ == nullptr) return NextUnderlying();
-  return NextSnapshot();
 }
 
 // ---------------------------------------------------------------------------
@@ -453,7 +448,8 @@ void InitGroups(const ResolvedNode& node, Molecule* m) {
 }  // namespace
 
 Result<Molecule> Executor::AssembleBfs(const ResolvedStructure& structure,
-                                       const Atom& root) {
+                                       const Atom& root,
+                                       const access::ReadView& view) {
   Molecule m;
   InitGroups(structure.root, &m);
   m.groups[0].atoms.push_back(root);
@@ -491,7 +487,7 @@ Result<Molecule> Executor::AssembleBfs(const ResolvedStructure& structure,
         for (const Tid& t : RefTargets(parent_atom.attrs[child.via_attr])) {
           if (t.type != child.type) continue;
           if (!seen.insert(t.Pack()).second) continue;
-          auto atom_or = access_->GetAtom(t);
+          auto atom_or = access_->GetAtom(t, view);
           if (!atom_or.ok()) {
             if (atom_or.status().IsNotFound()) continue;
             return atom_or.status();
@@ -505,7 +501,8 @@ Result<Molecule> Executor::AssembleBfs(const ResolvedStructure& structure,
 }
 
 Result<Molecule> Executor::AssembleRecursive(const ResolvedStructure& structure,
-                                             const Atom& root) {
+                                             const Atom& root,
+                                             const access::ReadView& view) {
   Molecule m;
   InitGroups(structure.root, &m);
   stats_.bfs_assemblies++;
@@ -534,7 +531,7 @@ Result<Molecule> Executor::AssembleRecursive(const ResolvedStructure& structure,
       }
     }
     for (const Tid& t : next) {
-      PRIMA_ASSIGN_OR_RETURN(Atom atom, access_->GetAtom(t));
+      PRIMA_ASSIGN_OR_RETURN(Atom atom, access_->GetAtom(t, view));
       m.groups[0].atoms.push_back(std::move(atom));
     }
     if (next.empty()) break;
@@ -545,37 +542,38 @@ Result<Molecule> Executor::AssembleRecursive(const ResolvedStructure& structure,
   return m;
 }
 
-Result<Molecule> Executor::AssembleFromCluster(const QueryPlan& plan,
-                                               const Atom& root) {
+Result<std::optional<Molecule>> Executor::AssembleFromCluster(
+    const QueryPlan& plan, const Atom& root, const access::ReadView& view) {
   PRIMA_ASSIGN_OR_RETURN(access::ClusterImage image,
                          access_->ReadCluster(plan.cluster_id, root.tid));
+  if (!access_->ImageServesView(image, view)) return std::optional<Molecule>();
   stats_.cluster_assemblies++;
   Molecule m;
   InitGroups(plan.structure.root, &m);
-  m.groups[0].atoms.push_back(image.characteristic);
+  m.groups[0].atoms.push_back(std::move(image.characteristic));
   for (auto& [type, atoms] : image.groups) {
     for (auto& g : m.groups) {
       if (g.type == type && g.component != plan.structure.root.name) {
-        for (const Atom& a : atoms) g.atoms.push_back(a);
+        for (Atom& a : atoms) g.atoms.push_back(std::move(a));
         break;
       }
     }
   }
-  return m;
+  return std::optional<Molecule>(std::move(m));
 }
 
-Result<Molecule> Executor::Assemble(const QueryPlan& plan, const Atom& root) {
+Result<Molecule> Executor::Assemble(const QueryPlan& plan, const Atom& root,
+                                    const access::ReadView& view) {
   stats_.molecules_built++;
   if (plan.structure.recursive) {
-    return AssembleRecursive(plan.structure, root);
+    return AssembleRecursive(plan.structure, root, view);
   }
-  // Under a read view, always chase associations: cluster images are
-  // refreshed by deferred maintenance drains and carry no version chains,
-  // so only per-atom reads can be resolved against the view.
-  if (plan.use_cluster && access::CurrentReadView() == nullptr) {
-    return AssembleFromCluster(plan, root);
+  if (plan.use_cluster) {
+    PRIMA_ASSIGN_OR_RETURN(std::optional<Molecule> m,
+                           AssembleFromCluster(plan, root, view));
+    if (m.has_value()) return std::move(*m);
   }
-  return AssembleBfs(plan.structure, root);
+  return AssembleBfs(plan.structure, root, view);
 }
 
 // ---------------------------------------------------------------------------
@@ -855,10 +853,9 @@ Result<Molecule> Executor::Project(const Query& query, const QueryPlan& plan,
 
 Result<MoleculeCursor> Executor::OpenCursor(
     std::shared_ptr<const Query> query, std::shared_ptr<const QueryPlan> plan,
-    std::vector<Value> params,
+    std::vector<Value> params, std::shared_ptr<access::VersionStore::Pin> pin,
     std::shared_ptr<const std::atomic<bool>> invalidated,
-    obs::StatementTrace* trace,
-    std::shared_ptr<access::VersionStore::Pin> snapshot) {
+    obs::StatementTrace* trace) {
   if (plan == nullptr) {
     PRIMA_ASSIGN_OR_RETURN(QueryPlan planned,
                            Prepare(query->from, query->where.get()));
@@ -870,28 +867,22 @@ Result<MoleculeCursor> Executor::OpenCursor(
   cursor.plan_ = std::move(plan);
   cursor.params_ = std::move(params);
   cursor.trace_ = trace;
-  cursor.snapshot_ = std::move(snapshot);
+  cursor.pin_ = std::move(pin);
   cursor.invalidated_ = std::move(invalidated);
   // Open only the root source here — roots are pulled incrementally from
   // the scan layer as the cursor drains, never materialized.
   PRIMA_ASSIGN_OR_RETURN(cursor.source_,
                          OpenRootSource(*cursor.plan_, cursor.params_));
-  if (cursor.snapshot_ != nullptr) {
-    cursor.source_->view_ = &cursor.snapshot_->view();
-  }
+  cursor.source_->view_ = &cursor.pin_->view();
   return cursor;
 }
 
 Result<std::optional<Molecule>> Executor::DeriveMolecule(
     const Query& query, const QueryPlan& plan, const std::vector<Value>& params,
-    const Atom& root, const access::ReadView* view,
+    const Atom& root, const access::ReadView& view,
     obs::StatementTrace* trace) {
-  // The view scope covers only this step: the root scan must run
-  // latest-committed (RootSource resolves its candidates itself), while
-  // assembly reads under the cursor's view.
-  access::ReadViewScope view_scope(view);
   uint64_t t0 = trace ? obs::NowNs() : 0;
-  PRIMA_ASSIGN_OR_RETURN(Molecule molecule, Assemble(plan, root));
+  PRIMA_ASSIGN_OR_RETURN(Molecule molecule, Assemble(plan, root, view));
   bool qualified = true;
   if (query.where != nullptr) {
     PRIMA_ASSIGN_OR_RETURN(qualified,
@@ -915,8 +906,10 @@ Result<std::optional<Molecule>> Executor::DeriveMolecule(
 Result<MoleculeSet> Executor::DeriveInUnits(std::shared_ptr<const Query> query,
                                             util::ThreadPool* pool,
                                             size_t max_units) {
-  PRIMA_ASSIGN_OR_RETURN(MoleculeCursor cursor,
-                         OpenCursor(std::move(query), nullptr, {}));
+  PRIMA_ASSIGN_OR_RETURN(
+      MoleculeCursor cursor,
+      OpenCursor(std::move(query), nullptr, {},
+                 access_->versions().OpenSnapshot(/*own_txn=*/0)));
   // One unit is the cursor itself, drained on this thread: roots are
   // derived as they are pulled, never collected.
   if (max_units <= 1) return cursor.Drain();
@@ -942,7 +935,7 @@ Result<MoleculeSet> Executor::DeriveInUnits(std::shared_ptr<const Query> query,
     const size_t end = (u + 1) * roots.size() / units;
     for (size_t i = u * roots.size() / units; i < end; ++i) {
       Result<std::optional<Molecule>> m =
-          DeriveMolecule(q, plan, {}, roots[i], nullptr, nullptr);
+          DeriveMolecule(q, plan, {}, roots[i], cursor.pin_->view(), nullptr);
       if (!m.ok()) {
         results[u].status = m.status();
         return;
@@ -985,8 +978,6 @@ Result<std::optional<Molecule>> MoleculeCursor::Next() {
         "cursor invalidated: the transaction it was reading under aborted");
   }
   if (source_ == nullptr) return std::optional<Molecule>();  // closed/drained
-  const access::ReadView* view =
-      snapshot_ != nullptr ? &snapshot_->view() : nullptr;
   for (;;) {
     const uint64_t t0 = trace_ ? obs::NowNs() : 0;
     PRIMA_ASSIGN_OR_RETURN(std::optional<Atom> root, source_->Next());
@@ -997,7 +988,8 @@ Result<std::optional<Molecule>> MoleculeCursor::Next() {
     }
     PRIMA_ASSIGN_OR_RETURN(
         std::optional<Molecule> molecule,
-        exec_->DeriveMolecule(*query_, *plan_, params_, *root, view, trace_));
+        exec_->DeriveMolecule(*query_, *plan_, params_, *root, pin_->view(),
+                              trace_));
     if (molecule.has_value()) return molecule;
   }
   Close();
@@ -1016,7 +1008,7 @@ Result<MoleculeSet> MoleculeCursor::Drain() {
 
 void MoleculeCursor::Close() {
   source_.reset();
-  snapshot_.reset();
+  pin_.reset();
   query_.reset();
   plan_.reset();
 }

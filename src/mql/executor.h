@@ -107,21 +107,21 @@ class Executor;
 
 /// An incremental root-candidate stream: wraps whichever access method the
 /// plan chose (atom-type scan, B*-tree access path, grid, key lookup) and
-/// yields root atoms one at a time in scan order. It is where every cursor
-/// gets its roots; the root set is never materialized, so open-latency and
-/// memory stay bounded for huge root sets. Not thread-safe — the cursor
-/// pulls roots only on the consumer thread.
+/// yields root atoms one at a time in scan order, as the cursor's view sees
+/// them. It is where every cursor gets its roots; the root set is never
+/// materialized, so open-latency and memory stay bounded for huge root
+/// sets. Not thread-safe — the cursor pulls roots only on the consumer
+/// thread.
 ///
-/// Snapshot mode (`view_` set): the underlying scan still runs
-/// latest-committed — the scan layer's own GetAtom calls error on missing
-/// atoms, so no thread-local view may be active during pulls — and every
-/// candidate is resolved against the view here. Candidates the view
-/// predates are dropped; too-new candidates are replaced by their
-/// before-image (the full WHERE re-evaluates downstream, so a before-image
-/// that no longer satisfies the scan's pushed-down predicate is filtered
-/// there). After the scan drains, a ghost pass resolves every chained atom
-/// of the root type the scan never surfaced — atoms whose delete, or whose
-/// move out of the scanned key range, the view cannot see — in sorted tid
+/// The scan layer reads base records as they stand, and every candidate is
+/// resolved against the view here: candidates the view predates are
+/// dropped, too-new or uncommitted ones are replaced by their before-image
+/// (the full WHERE re-evaluates downstream, so a before-image that no
+/// longer satisfies the scan's pushed-down predicate is filtered there),
+/// and an atom surfaced twice (a concurrent key change) is yielded once.
+/// After the scan drains, a ghost pass resolves every chained atom of the
+/// root type the scan never surfaced — atoms whose delete, or whose move
+/// out of the scanned key range, the view cannot see — in sorted tid
 /// order, so the stream is deterministic for a fixed view.
 class RootSource {
  public:
@@ -133,22 +133,19 @@ class RootSource {
  private:
   friend class Executor;
 
-  /// The raw (latest-committed) scan stream.
-  util::Result<std::optional<access::Atom>> NextUnderlying();
-  util::Result<std::optional<access::Atom>> NextSnapshot();
+  /// The next base record the plan's scan (or key lookup) surfaces.
+  util::Result<std::optional<access::Atom>> NextCandidate();
 
-  // Exactly one of these is engaged (key lookups materialize their 0/1
-  // results at open — the lookup IS the open).
+  // At most one of these is engaged; none for a key lookup, which finds
+  // its 0/1 tid at open (the lookup IS the open).
   std::unique_ptr<access::AtomTypeScan> type_scan_;
   std::unique_ptr<access::BTreeAccessPathScan> path_scan_;
   std::unique_ptr<access::GridAccessPathScan> grid_scan_;
-  std::vector<access::Atom> lookup_;
-  size_t lookup_next_ = 0;
-  bool use_lookup_ = false;
+  std::optional<access::Tid> lookup_;
 
-  // Snapshot mode. `view_` points into the cursor's pin, which the cursor
-  // holds for as long as it holds this source.
   access::AccessSystem* access_ = nullptr;
+  /// Points into the cursor's pin, which the cursor holds for as long as
+  /// it holds this source.
   const access::ReadView* view_ = nullptr;
   access::AtomTypeId root_type_ = 0;
   std::set<uint64_t> yielded_;       ///< packed tids the scan surfaced
@@ -173,9 +170,11 @@ class RootSource {
 /// statement-cache entry it was compiled into) and owns a copy of its bound
 /// values, so the statement or session that spawned it may be re-bound,
 /// re-executed, or closed while the cursor drains. It must not outlive the
-/// database, and it reads whatever the access system holds at each Next().
-/// The session layer invalidates open cursors (via the `invalidated` token)
-/// when a transaction abort rolls the atoms they would read back.
+/// database. It holds the read view pinned when it opened and resolves
+/// every atom it reads against it: the committed state as of the open, plus
+/// the writes of the view's own transaction. The session layer invalidates
+/// a cursor that reads its own transaction's writes (via the `invalidated`
+/// token) when an abort rolls them back.
 class MoleculeCursor {
  public:
   MoleculeCursor() = default;  ///< a closed cursor
@@ -204,9 +203,8 @@ class MoleculeCursor {
   std::vector<access::Value> params_;
   /// Trace of the statement draining this cursor, or null.
   obs::StatementTrace* trace_ = nullptr;
-  /// Pinned read view for snapshot-isolation cursors, or null
-  /// (latest-committed).
-  std::shared_ptr<access::VersionStore::Pin> snapshot_;
+  /// The read view every read of this cursor resolves against.
+  std::shared_ptr<access::VersionStore::Pin> pin_;
   std::unique_ptr<RootSource> source_;  ///< null: closed or drained
   /// Set by the owning session when a transaction abort invalidates the
   /// atoms this cursor streams; Next() then fails with Aborted.
@@ -229,24 +227,23 @@ class Executor {
   util::Result<QueryPlan> Prepare(const FromClause& from, const Expr* where);
 
   /// Open a streaming cursor over `query`, reading through `plan` (null:
-  /// plan the query now). The cursor shares both and takes `params`, the
-  /// bound values indexed by parameter slot (empty when the query has no
-  /// placeholders). `trace`, when set, receives the cursor's phase timings
-  /// (roots / assembly / project) — pass it only when the cursor drains
-  /// within the traced statement's scope. `snapshot`, when set, makes this
-  /// a snapshot cursor: every read resolves against the pinned view,
-  /// without acquiring a single lock. Opening a cursor counts nothing in
-  /// stats(): callers serving a user query count it there
-  /// (DataStats::queries).
+  /// plan the query now) under the read view of `pin`. The cursor shares
+  /// the query, plan and pin, and takes `params`, the bound values indexed
+  /// by parameter slot (empty when the query has no placeholders). `trace`,
+  /// when set, receives the cursor's phase timings (roots / assembly /
+  /// project) — pass it only when the cursor drains within the traced
+  /// statement's scope. Opening a cursor counts nothing in stats():
+  /// callers serving a user query count it there (DataStats::queries).
   util::Result<MoleculeCursor> OpenCursor(
       std::shared_ptr<const Query> query, std::shared_ptr<const QueryPlan> plan,
       std::vector<access::Value> params,
+      std::shared_ptr<access::VersionStore::Pin> pin,
       std::shared_ptr<const std::atomic<bool>> invalidated = nullptr,
-      obs::StatementTrace* trace = nullptr,
-      std::shared_ptr<access::VersionStore::Pin> snapshot = nullptr);
+      obs::StatementTrace* trace = nullptr);
 
   /// Derive the molecule set of a placeholder-free query by semantic
-  /// parallelism (paper §4): the roots are pulled on the calling thread and
+  /// parallelism (paper §4) under one view pinned for the call: the roots
+  /// are pulled on the calling thread and
   /// split into at most `max_units` contiguous units; all but the last run
   /// on `pool` while the caller runs the last itself. Each unit runs every
   /// root of its range through the cursor's per-root step, so the result —
@@ -273,22 +270,23 @@ class Executor {
 
   /// The per-root step: assemble the molecule rooted at `root`, qualify it
   /// against the WHERE and project the SELECT; nullopt when it does not
-  /// qualify. `view` (snapshot cursors) scopes every read. `trace`, when
+  /// qualify. Every read resolves against `view`. `trace`, when
   /// set, receives the assembly and project phase times — it is the
   /// statement's phase tree, so only its owning thread may pass it.
   util::Result<std::optional<Molecule>> DeriveMolecule(
       const Query& query, const QueryPlan& plan,
       const std::vector<access::Value>& params, const access::Atom& root,
-      const access::ReadView* view, obs::StatementTrace* trace);
+      const access::ReadView& view, obs::StatementTrace* trace);
 
   /// Open the incremental root-candidate stream for the plan, filling its
   /// key, range, grid bounds or search argument from `params`.
   util::Result<std::unique_ptr<RootSource>> OpenRootSource(
       const QueryPlan& plan, const std::vector<access::Value>& params);
 
-  /// Assemble the molecule rooted at `root`.
+  /// Assemble the molecule rooted at `root` as `view` sees it.
   util::Result<Molecule> Assemble(const QueryPlan& plan,
-                                  const access::Atom& root);
+                                  const access::Atom& root,
+                                  const access::ReadView& view);
 
   /// Evaluate a WHERE expression on a molecule; placeholder sites read
   /// `params`. `default_component` rebinds bare attribute names (empty =
@@ -325,11 +323,18 @@ class Executor {
                                 std::vector<RootPred>* out) const;
 
   util::Result<Molecule> AssembleBfs(const ResolvedStructure& structure,
-                                     const access::Atom& root);
+                                     const access::Atom& root,
+                                     const access::ReadView& view);
   util::Result<Molecule> AssembleRecursive(const ResolvedStructure& structure,
-                                           const access::Atom& root);
-  util::Result<Molecule> AssembleFromCluster(const QueryPlan& plan,
-                                             const access::Atom& root);
+                                           const access::Atom& root,
+                                           const access::ReadView& view);
+  /// The molecule from the root's cluster image, or nullopt when some atom
+  /// of the image resolves to anything but its current record under
+  /// `view` (the image carries no versions; the caller then chases
+  /// associations atom by atom).
+  util::Result<std::optional<Molecule>> AssembleFromCluster(
+      const QueryPlan& plan, const access::Atom& root,
+      const access::ReadView& view);
 
   access::AccessSystem* access_;
   SemanticAnalyzer analyzer_;

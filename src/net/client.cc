@@ -150,29 +150,18 @@ Result<RemoteStatement> Client::Prepare(const std::string& mql) {
   return RemoteStatement(this, id, std::move(names));
 }
 
-Status Client::set_default_isolation(Isolation isolation) {
-  std::string payload;
-  payload.push_back(static_cast<char>(isolation));
-  return RoundTrip(MsgKind::kSetIsolation, payload, MsgKind::kOk).status();
-}
-
 Result<RemoteCursor> Client::OpenCursor(const std::string& mql,
-                                        uint32_t batch_size,
-                                        std::optional<Isolation> isolation) {
+                                        uint32_t batch_size) {
   std::string payload;
   payload.push_back(2);  // statement text
   util::PutLengthPrefixed(&payload, mql);
-  return OpenCursorWith(std::move(payload), batch_size, isolation);
+  return OpenCursorWith(std::move(payload), batch_size);
 }
 
-Result<RemoteCursor> Client::OpenCursorWith(
-    std::string payload, uint32_t batch_size,
-    std::optional<Isolation> isolation) {
+Result<RemoteCursor> Client::OpenCursorWith(std::string payload,
+                                            uint32_t batch_size) {
   if (batch_size == 0) batch_size = 1;
   util::PutFixed32(&payload, batch_size);
-  // The isolation override, plus one so that 0 means "none".
-  payload.push_back(static_cast<char>(
-      isolation.has_value() ? static_cast<uint8_t>(*isolation) + 1 : 0));
   Result<Frame> reply =
       RoundTrip(MsgKind::kOpenCursor, payload, MsgKind::kCursorOpened);
   if (!reply.ok()) return reply.status();
@@ -249,12 +238,11 @@ Result<mql::ExecResult> RemoteStatement::Execute() {
   return DecodeExecResult(&in);
 }
 
-Result<RemoteCursor> RemoteStatement::Query(
-    uint32_t batch_size, std::optional<Isolation> isolation) {
+Result<RemoteCursor> RemoteStatement::Query(uint32_t batch_size) {
   std::string payload;
   payload.push_back(1);  // prepared
   payload.append(RequestHeader());
-  return client_->OpenCursorWith(std::move(payload), batch_size, isolation);
+  return client_->OpenCursorWith(std::move(payload), batch_size);
 }
 
 Status RemoteStatement::Close() {

@@ -55,19 +55,12 @@ class Client {
   util::Result<mql::ExecResult> Execute(const std::string& mql);
 
   /// Transaction control (sugar over the dedicated message kinds).
-  /// Begin(true) opens BEGIN WORK READ ONLY — a pinned-snapshot transaction
-  /// whose queries all read one consistent view and whose DML/DDL are
-  /// refused. Sent as statement text, so a pre-snapshot server rejects it
-  /// with a parse error instead of silently opening a read-write
-  /// transaction.
+  /// Begin(true) opens BEGIN WORK READ ONLY — a transaction whose queries
+  /// all read the one view pinned at BEGIN and whose DML/DDL are refused.
+  /// Sent as statement text.
   util::Status Begin(bool read_only = false);
   util::Status Commit();
   util::Status Abort();
-
-  /// Default isolation for this connection's queries (same contract as
-  /// core::Session::set_default_isolation): one round trip, applies to
-  /// cursors opened afterwards.
-  util::Status set_default_isolation(Isolation isolation);
 
   /// Compile a statement server-side for repeated execution with `?` /
   /// `:name` placeholders.
@@ -75,11 +68,10 @@ class Client {
 
   /// Open a server-side streaming cursor over a SELECT (one request, whose
   /// reply carries the first batch); molecules arrive in batches of
-  /// `batch_size` (further bounded server-side by bytes). `isolation`
-  /// overrides the connection default for this one cursor.
-  util::Result<RemoteCursor> OpenCursor(
-      const std::string& mql, uint32_t batch_size = 128,
-      std::optional<Isolation> isolation = std::nullopt);
+  /// `batch_size` (further bounded server-side by bytes). Like a session
+  /// cursor, it reads the view pinned server-side at this open.
+  util::Result<RemoteCursor> OpenCursor(const std::string& mql,
+                                        uint32_t batch_size = 128);
 
   /// Every metric of the server database by name (see EncodeStats), e.g.
   /// "prima_net_connections_active", "prima_wal_active_txns" or
@@ -112,11 +104,10 @@ class Client {
   util::Result<Frame> RoundTrip(MsgKind kind, util::Slice payload,
                                 MsgKind expect);
   /// Finish a kOpenCursor payload (`payload` holds the form and statement)
-  /// with the batch size and isolation fields, send it, and decode the
-  /// cursor with its first batch.
-  util::Result<RemoteCursor> OpenCursorWith(
-      std::string payload, uint32_t batch_size,
-      std::optional<Isolation> isolation);
+  /// with the batch size, send it, and decode the cursor with its first
+  /// batch.
+  util::Result<RemoteCursor> OpenCursorWith(std::string payload,
+                                            uint32_t batch_size);
 
   int fd_ = -1;
   uint64_t connection_id_ = 0;
@@ -146,11 +137,8 @@ class RemoteStatement {
   /// execution does.
   util::Result<mql::ExecResult> Execute();
   /// Open a streaming cursor over the bound SELECT (one request, whose
-  /// reply carries the first batch). `isolation` overrides the connection
-  /// default for this one open.
-  util::Result<RemoteCursor> Query(
-      uint32_t batch_size = 128,
-      std::optional<Isolation> isolation = std::nullopt);
+  /// reply carries the first batch).
+  util::Result<RemoteCursor> Query(uint32_t batch_size = 128);
 
   /// Release the server-side statement. Closing twice reports NotFound
   /// (the server rejects the stale id cleanly).

@@ -34,20 +34,15 @@ namespace prima::net {
 /// catalog in hand).
 
 inline constexpr uint32_t kHandshakeMagic = 0x50524D4Eu;  ///< "PRMN"
-/// Version 3: one request per statement. Placeholder values travel inside
-/// kExecutePrepared and the prepared kOpenCursor, and kCursorOpened carries
-/// the cursor's first batch. A peer speaking any other version is refused
-/// at the handshake instead of misread.
-inline constexpr uint32_t kProtocolVersion = 3;
-
-/// Wire form of core::Isolation — how a remote session's queries read.
-/// Sent as one u8 by kSetIsolation; kOpenCursor's per-cursor override is
-/// the same value plus one (0 = no override). Values are pinned: they are
-/// protocol, not an enum detail.
-enum class Isolation : uint8_t {
-  kLatestCommitted = 0,  ///< read the newest committed state (default)
-  kSnapshot = 1,         ///< pin a consistent read view per cursor
-};
+/// Version 4: one request per statement, and one way to read. Placeholder
+/// values travel inside kExecutePrepared and the prepared kOpenCursor, and
+/// kCursorOpened carries the cursor's first batch. Every remote cursor
+/// reads the committed view pinned server-side when it opens, as a session
+/// cursor does, so there is no isolation to choose: version 3's
+/// kSetIsolation message and kOpenCursor isolation byte are gone. A peer
+/// speaking any other version is refused at the handshake instead of
+/// misread.
+inline constexpr uint32_t kProtocolVersion = 4;
 
 /// Requests are statements, their bound values and control messages. A
 /// frame claiming more is malformed (and must be rejected BEFORE allocating
@@ -75,8 +70,7 @@ enum class MsgKind : uint8_t {
   // 4 is retired (version 2's bind request); do not reuse it.
   kExecutePrepared = 5, ///< u32 stmt + bindings -> kResult
   kOpenCursor = 6,      ///< u8 form (1: u32 stmt + bindings | 2: string
-                        ///< mql) + u32 batch size + u8 isolation override
-                        ///< -> kCursorOpened
+                        ///< mql) + u32 batch size -> kCursorOpened
   kFetch = 7,           ///< u32 cursor, u32 max_n -> kMolecules
   kCloseCursor = 8,     ///< u32 cursor -> kOk
   kCloseStatement = 9,  ///< u32 stmt -> kOk
@@ -86,7 +80,7 @@ enum class MsgKind : uint8_t {
   kStats = 13,          ///< -> kStatsReply
   kGoodbye = 14,        ///< -> kOk, then both sides close
   kMetrics = 15,        ///< -> kMetricsReply (Prometheus text exposition)
-  kSetIsolation = 16,   ///< u8 isolation (Isolation enum) -> kOk
+  // 16 is retired (version 3's isolation choice); do not reuse it.
 
   // Replies (server -> client).
   kHelloOk = 64,        ///< u32 version + u64 connection id

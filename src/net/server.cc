@@ -431,20 +431,12 @@ void Server::ServeConnection(Conn* conn) {
             } else if (form != 2 || !util::GetLengthPrefixed(&in, &mql)) {
               return malformed;
             }
-            // Fixed fields: batch size, then the isolation override plus
-            // one (0 = the statement's or the connection's default).
-            if (!util::GetFixed32(&in, &batch_size) || in.size() != 1 ||
-                static_cast<uint8_t>(in[0]) > 2) {
+            // The batch size ends the frame.
+            if (!util::GetFixed32(&in, &batch_size) || !in.empty()) {
               return malformed;
             }
-            std::optional<core::Isolation> isolation;
-            if (in[0] != 0) {
-              isolation = in[0] == 2 ? core::Isolation::kSnapshot
-                                     : core::Isolation::kLatestCommitted;
-            }
-            if (stmt != nullptr) return stmt->Query(isolation);
-            return session->Query(std::string(mql.data(), mql.size()),
-                                  isolation);
+            if (stmt != nullptr) return stmt->Query();
+            return session->Query(std::string(mql.data(), mql.size()));
           }();
           if (!cursor.ok()) {
             close_conn = !SendError(fd, cursor.status()).ok();
@@ -554,23 +546,6 @@ void Server::ServeConnection(Conn* conn) {
           close_conn = !(result.ok() ? WriteFrame(fd, MsgKind::kOk, {})
                                      : SendError(fd, result.status()))
                             .ok();
-          break;
-        }
-
-        case MsgKind::kSetIsolation: {
-          if (in.size() != 1 || static_cast<uint8_t>(in[0]) > 1) {
-            close_conn =
-                !SendError(fd, Status::InvalidArgument(
-                                   "malformed isolation frame"))
-                     .ok();
-            break;
-          }
-          session->set_default_isolation(
-              static_cast<uint8_t>(in[0]) ==
-                      static_cast<uint8_t>(Isolation::kSnapshot)
-                  ? core::Isolation::kSnapshot
-                  : core::Isolation::kLatestCommitted);
-          close_conn = !WriteFrame(fd, MsgKind::kOk, {}).ok();
           break;
         }
 

@@ -331,8 +331,7 @@ int64_t MmoShadow::total_gold() const {
 namespace {
 
 /// The driver speaks to both transports through one surface: plain Execute,
-/// slot-addressed prepared statements, and a streaming scan with a per-open
-/// isolation override.
+/// slot-addressed prepared statements, and a streaming scan.
 class MmoSession {
  public:
   virtual ~MmoSession() = default;
@@ -342,8 +341,7 @@ class MmoSession {
   virtual Result<mql::ExecResult> ExecutePrepared(size_t slot) = 0;
   /// Drain the prepared SELECT in `slot` as a streaming cursor; returns the
   /// number of molecules streamed.
-  virtual Result<uint64_t> ScanPrepared(size_t slot,
-                                        core::Isolation isolation) = 0;
+  virtual Result<uint64_t> ScanPrepared(size_t slot) = 0;
 };
 
 class InProcSession final : public MmoSession {
@@ -365,9 +363,8 @@ class InProcSession final : public MmoSession {
   Result<mql::ExecResult> ExecutePrepared(size_t slot) override {
     return slots_[slot]->Execute();
   }
-  Result<uint64_t> ScanPrepared(size_t slot,
-                                core::Isolation isolation) override {
-    PRIMA_ASSIGN_OR_RETURN(auto cursor, slots_[slot]->Query(isolation));
+  Result<uint64_t> ScanPrepared(size_t slot) override {
+    PRIMA_ASSIGN_OR_RETURN(auto cursor, slots_[slot]->Query());
     uint64_t n = 0;
     while (true) {
       PRIMA_ASSIGN_OR_RETURN(auto molecule, cursor.Next());
@@ -407,12 +404,8 @@ class WireSession final : public MmoSession {
   Result<mql::ExecResult> ExecutePrepared(size_t slot) override {
     return slots_[slot]->Execute();
   }
-  Result<uint64_t> ScanPrepared(size_t slot,
-                                core::Isolation isolation) override {
-    const net::Isolation wire_iso = isolation == core::Isolation::kSnapshot
-                                        ? net::Isolation::kSnapshot
-                                        : net::Isolation::kLatestCommitted;
-    PRIMA_ASSIGN_OR_RETURN(auto cursor, slots_[slot]->Query(64, wire_iso));
+  Result<uint64_t> ScanPrepared(size_t slot) override {
+    PRIMA_ASSIGN_OR_RETURN(auto cursor, slots_[slot]->Query(64));
     uint64_t n = 0;
     while (true) {
       PRIMA_ASSIGN_OR_RETURN(auto molecule, cursor.Next());
@@ -673,9 +666,7 @@ class MmoDriver::SessionRunner {
       }
       case OpKind::kRosterScan: {
         PRIMA_RETURN_IF_ERROR(sess_->Bind(kRoster, 0, Value::Int(op.guild)));
-        PRIMA_ASSIGN_OR_RETURN(
-            const uint64_t n,
-            sess_->ScanPrepared(kRoster, cfg_.roster_isolation));
+        PRIMA_ASSIGN_OR_RETURN(const uint64_t n, sess_->ScanPrepared(kRoster));
         scanned_->fetch_add(n, std::memory_order_relaxed);
         return Status::Ok();
       }

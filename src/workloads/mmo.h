@@ -70,10 +70,6 @@ struct MmoConfig {
   /// stream, so the oracle knows these never count.
   double abort_fraction = 0.0;
 
-  /// Isolation for the roster molecule scan (other ops always read
-  /// latest-committed inside their locking transaction).
-  core::Isolation roster_isolation = core::Isolation::kLatestCommitted;
-
   /// Retry budget per op (0 = forever; crash drives use forever so the
   /// acked-op protocol is never abandoned mid-sequence).
   int max_attempts = 0;

@@ -242,10 +242,43 @@ TEST_F(AccessSystemTest, PartitionServesCoveredProjection) {
   EXPECT_EQ(access_->stats().partition_reads.load(), before + 1);
   EXPECT_EQ(atom->attrs[1].AsInt(), 4);
   // Uncovered projection falls back to the base record.
-  auto full = access_->GetAtom(atoms[3], {1, 2});
+  auto full = access_->GetAtom(atoms[3], std::vector<uint16_t>{1, 2});
   ASSERT_TRUE(full.ok());
   EXPECT_EQ(access_->stats().partition_reads.load(), before + 1);
   EXPECT_EQ(full->attrs[2].AsString(), "p4");
+}
+
+// A partition copy carries no versions: a covered projection comes from it
+// only when the atom resolves to its current record. While the atom is
+// under an uncommitted MODIFY (its chain entry pending) the copy would show
+// the new value, so the read returns the before-image from the chain.
+TEST_F(AccessSystemTest, PartitionServesOnlyAtomsWithNoPendingWrite) {
+  auto p = NewPart(1);
+  ASSERT_TRUE(p.ok());
+  ASSERT_TRUE(access_->CreatePartition("part_nos", "part", {"part_no"}).ok());
+  const uint64_t before = access_->stats().partition_reads.load();
+  auto quiet = access_->GetAtom(*p, {1});
+  ASSERT_TRUE(quiet.ok());
+  EXPECT_EQ(quiet->attrs[1].AsInt(), 1);
+  EXPECT_EQ(access_->stats().partition_reads.load(), before + 1);
+
+  constexpr uint64_t kTxn = 42;  // writes tagged with a transaction chain
+  AccessSystem::SetWalTxn(kTxn);
+  const util::Status modified =
+      access_->ModifyAtom(*p, {AttrValue{1, Value::Int(77)}});
+  AccessSystem::SetWalTxn(0);
+  ASSERT_TRUE(modified.ok());
+  auto busy = access_->GetAtom(*p, {1});
+  ASSERT_TRUE(busy.ok());
+  EXPECT_EQ(busy->attrs[1].AsInt(), 1);
+  EXPECT_TRUE(busy->attrs[2].is_null());  // the before-image is projected
+  EXPECT_EQ(access_->stats().partition_reads.load(), before + 1);
+
+  access_->versions().Publish(kTxn, /*wal_lsn=*/0);  // commit
+  auto committed = access_->GetAtom(*p, {1});
+  ASSERT_TRUE(committed.ok());
+  EXPECT_EQ(committed->attrs[1].AsInt(), 77);
+  EXPECT_EQ(access_->stats().partition_reads.load(), before + 2);
 }
 
 TEST_F(AccessSystemTest, PartitionSeesDeferredModifications) {

@@ -273,7 +273,6 @@ TEST(MmoDriverTest, WireStormPassesOracleAudit) {
   MmoConfig cfg;
   cfg.sessions = 4;
   cfg.ops_per_session = 60;
-  cfg.roster_isolation = core::Isolation::kSnapshot;
   ASSERT_TRUE(InstallAndPopulate(db->get(), cfg).ok());
 
   MmoDriver driver("127.0.0.1", (*db)->net_server()->port(), cfg);

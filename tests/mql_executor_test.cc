@@ -212,6 +212,47 @@ TEST_F(MqlExecutorTest, ClusterAcceleratesVerticalAccess) {
   EXPECT_EQ(db_->data().stats().bfs_assemblies.load(), 0u);
 }
 
+// Every cursor reads a pinned view, and a cluster image carries no
+// versions: it serves a molecule only when every atom in it resolves to
+// its current record. With one member under an uncommitted MODIFY the
+// image would show the dirty value, so the same query chases associations
+// instead and returns the member's before-image.
+TEST_F(MqlExecutorTest, ClusterServesQuiescentReadsAndFallsBackUnderAWriter) {
+  auto ldl = db_->ExecuteLdl(
+      "CREATE ATOM CLUSTER brep_cl ON brep (faces, edges, points)");
+  ASSERT_TRUE(ldl.ok()) << ldl.status().ToString();
+  const std::string query =
+      "SELECT ALL FROM brep-face-edge-point WHERE brep_no = 1708";
+  db_->data().stats().Reset();
+  MoleculeSet quiet = Q(query);
+  ASSERT_EQ(quiet.size(), 1u);
+  EXPECT_EQ(db_->data().stats().cluster_assemblies.load(), 1u);
+  EXPECT_EQ(db_->data().stats().bfs_assemblies.load(), 0u);
+  const access::Atom face = quiet.molecules[0].FindGroup("face")->atoms[0];
+  const double square_dim = face.attrs[1].AsReal();
+
+  auto txn = db_->Begin();
+  ASSERT_TRUE(txn.ok());
+  ASSERT_TRUE((*txn)
+                  ->ModifyAtom(face.tid,
+                               {access::AttrValue{1, access::Value::Real(-1)}})
+                  .ok());
+  db_->data().stats().Reset();
+  MoleculeSet busy = Q(query);
+  ASSERT_EQ(busy.size(), 1u);
+  EXPECT_EQ(db_->data().stats().cluster_assemblies.load(), 0u);
+  EXPECT_EQ(db_->data().stats().bfs_assemblies.load(), 1u);
+  EXPECT_EQ(busy.molecules[0].AtomCount(), 15u);
+  size_t seen = 0;
+  for (const access::Atom& a : busy.molecules[0].FindGroup("face")->atoms) {
+    if (a.tid != face.tid) continue;
+    EXPECT_EQ(a.attrs[1].AsReal(), square_dim);
+    ++seen;
+  }
+  EXPECT_EQ(seen, 1u);
+  ASSERT_TRUE((*txn)->Abort().ok());
+}
+
 TEST_F(MqlExecutorTest, ClusterAndBfsAgree) {
   MoleculeSet before = Q("SELECT ALL FROM brep-face-edge-point WHERE brep_no = 1709");
   auto ldl = db_->ExecuteLdl(

@@ -1,6 +1,6 @@
-// MVCC snapshot-read tests: version chains, non-blocking snapshot cursors,
-// the isolation-aware session API (BEGIN WORK READ ONLY, per-statement
-// overrides), watermark retirement, and a SIGKILL crash drive proving the
+// MVCC read tests: version chains, cursors that pin a committed view at
+// open and never block on writers, BEGIN WORK READ ONLY, readers racing
+// aborts, watermark retirement, and a SIGKILL crash drive proving the
 // version store is volatile state that a restart rebuilds empty.
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstdio>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -25,6 +26,7 @@ namespace {
 using access::Value;
 using mql::ExecResult;
 using mql::MoleculeCursor;
+using util::Result;
 
 class MvccTest : public ::testing::Test {
  protected:
@@ -79,11 +81,11 @@ class MvccTest : public ::testing::Test {
   std::unique_ptr<Session> session_;
 };
 
-// A snapshot cursor opened before a writer commits drains the pre-write
-// state value-for-value: modified atoms come back with their before-images,
+// A cursor opened before a writer commits drains the pre-write state
+// value-for-value: modified atoms come back with their before-images,
 // deleted atoms are rescued by the ghost pass, and atoms inserted after the
-// snapshot stay invisible. A latest-committed cursor opened afterwards sees
-// the new world.
+// cursor's view stay invisible. A cursor opened afterwards sees the new
+// world.
 TEST_F(MvccTest, SnapshotCursorRepeatableStream) {
   for (int i = 1; i <= 20; ++i) {
     ASSERT_TRUE(InsertPart(session_.get(), i, "v0_" + std::to_string(i),
@@ -95,8 +97,7 @@ TEST_F(MvccTest, SnapshotCursorRepeatableStream) {
   const auto before =
       Fingerprint(std::move(expected->molecules.molecules));
 
-  auto cursor =
-      session_->Query("SELECT ALL FROM part", Isolation::kSnapshot);
+  auto cursor = session_->Query("SELECT ALL FROM part");
   ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
   // Pull one molecule so the stream is mid-drain when the writer commits.
   std::vector<mql::Molecule> drained;
@@ -116,7 +117,7 @@ TEST_F(MvccTest, SnapshotCursorRepeatableStream) {
   for (auto& m : DrainAll(&*cursor)) drained.push_back(std::move(m));
   EXPECT_EQ(Fingerprint(std::move(drained)), before);
 
-  // Latest-committed sees the committed writes: every name clobbered,
+  // A later statement sees the committed writes: every name clobbered,
   // part 7 gone, part 99 born.
   auto after = session_->Execute("SELECT ALL FROM part");
   ASSERT_TRUE(after.ok());
@@ -130,9 +131,9 @@ TEST_F(MvccTest, SnapshotCursorRepeatableStream) {
   }
 }
 
-// An uncommitted writer is invisible to a snapshot cursor even though the
-// base records already changed — and the reader never blocks on the
-// writer's exclusive locks.
+// An uncommitted writer is invisible to a cursor even though the base
+// records already changed — and the reader never blocks on the writer's
+// exclusive locks.
 TEST_F(MvccTest, SnapshotReaderDoesNotBlockOnUncommittedWriter) {
   for (int i = 1; i <= 5; ++i) {
     ASSERT_TRUE(InsertPart(session_.get(), i, "stable", 1.0).ok());
@@ -142,9 +143,8 @@ TEST_F(MvccTest, SnapshotReaderDoesNotBlockOnUncommittedWriter) {
   ASSERT_TRUE(
       writer->Execute("MODIFY part SET name = 'dirty'").ok());
 
-  // Writer still holds its locks; a snapshot read sails past them.
-  auto cursor =
-      session_->Query("SELECT ALL FROM part", Isolation::kSnapshot);
+  // Writer still holds its locks; the read sails past them.
+  auto cursor = session_->Query("SELECT ALL FROM part");
   ASSERT_TRUE(cursor.ok());
   for (const std::string& f : Fingerprint(DrainAll(&*cursor))) {
     EXPECT_NE(f.find("/stable"), std::string::npos) << f;
@@ -199,32 +199,12 @@ TEST_F(MvccTest, ReadOnlyRefusedInsideReadWriteTransaction) {
   ASSERT_TRUE(session_->Execute("COMMIT WORK").ok());
 }
 
-// The session default isolation applies to cursors that don't override it,
-// and a per-call override beats the default in both directions.
-TEST_F(MvccTest, DefaultIsolationAndPerCallOverride) {
+// A prepared statement's cursor pins its view at each open, not at
+// Prepare: Query() before a commit drains the old value, and Execute()
+// after it (the materializing path, its own open) sees the new one.
+TEST_F(MvccTest, PreparedStatementPinsAtEachOpen) {
   ASSERT_TRUE(InsertPart(session_.get(), 1, "old", 1.0).ok());
-  session_->set_default_isolation(Isolation::kSnapshot);
-
-  auto snap = session_->Query("SELECT ALL FROM part");  // default: snapshot
-  ASSERT_TRUE(snap.ok());
-  auto latest = session_->Query("SELECT ALL FROM part",
-                                Isolation::kLatestCommitted);  // override
-  ASSERT_TRUE(latest.ok());
-
-  auto writer = db_->OpenSession();
-  ASSERT_TRUE(
-      writer->Execute("MODIFY part SET name = 'new'").ok());
-
-  EXPECT_EQ(Fingerprint(DrainAll(&*snap)).count("1/old"), 1u);
-  EXPECT_EQ(Fingerprint(DrainAll(&*latest)).count("1/new"), 1u);
-}
-
-// A prepared statement carries its Prepare-time isolation override into
-// both Execute() (the materializing path) and Query() (the cursor path).
-TEST_F(MvccTest, PreparedStatementSnapshotIsolation) {
-  ASSERT_TRUE(InsertPart(session_.get(), 1, "old", 1.0).ok());
-  auto stmt = session_->Prepare("SELECT ALL FROM part WHERE part_no = ?",
-                                Isolation::kSnapshot);
+  auto stmt = session_->Prepare("SELECT ALL FROM part WHERE part_no = ?");
   ASSERT_TRUE(stmt.ok());
   ASSERT_TRUE(stmt->Bind(0, Value::Int(1)).ok());
 
@@ -235,13 +215,104 @@ TEST_F(MvccTest, PreparedStatementSnapshotIsolation) {
       writer->Execute("MODIFY part SET name = 'new'").ok());
   EXPECT_EQ(Fingerprint(DrainAll(&*cursor)).count("1/old"), 1u);
 
-  // Execute() opens its snapshot NOW — after the commit — so it sees the
-  // new state: per-statement snapshots pin at open, not at Prepare.
   auto result = stmt->Execute();
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(Fingerprint(std::move(result->molecules.molecules))
                 .count("1/new"),
             1u);
+}
+
+// Readers race a writer that keeps writing and rolling back: MODIFY to
+// 'dirty' + ABORT WORK, and DELETE + ABORT WORK. An abort restores the
+// base records before it publishes its chain entries, so a reader that
+// fetched a record while it still held the aborted value resolves it to
+// the before-image. No cursor may see 'dirty' or miss a row.
+TEST_F(MvccTest, DefaultReaderNeverSeesUncommittedOrAbortedWrite) {
+  static constexpr int kParts = 16;
+  for (int i = 1; i <= kParts; ++i) {
+    ASSERT_TRUE(InsertPart(session_.get(), i, "clean", 1.0).ok());
+  }
+  std::atomic<bool> stop{false};
+  std::atomic<int> dirty{0}, missing{0}, failed{0};
+  std::atomic<uint64_t> reads{0}, aborts{0};
+  std::mutex error_mu;
+  std::string first_error;
+  const auto fail = [&](const util::Status& st) {
+    if (failed.fetch_add(1) == 0) {
+      std::lock_guard<std::mutex> lock(error_mu);
+      first_error = st.ToString();
+    }
+  };
+
+  auto reader = [&](bool keyed) {
+    auto s = db_->OpenSession();
+    auto stmt = s->Prepare("SELECT ALL FROM part WHERE part_no = ?");
+    if (!stmt.ok()) {
+      fail(stmt.status());
+      return;
+    }
+    int key = 0;
+    while (!stop.load(std::memory_order_relaxed)) {
+      Result<MoleculeCursor> cursor = s->Query("SELECT ALL FROM part");
+      size_t expect = kParts;
+      if (keyed) {
+        (void)stmt->Bind(0, Value::Int(key++ % kParts + 1));
+        cursor = stmt->Query();
+        expect = 1;
+      }
+      if (!cursor.ok()) {
+        fail(cursor.status());
+        continue;
+      }
+      size_t rows = 0;
+      for (;;) {
+        auto next = cursor->Next();
+        if (!next.ok()) {
+          fail(next.status());
+          break;
+        }
+        if (!next->has_value()) break;
+        ++rows;
+        for (const access::Atom& a : (*next)->groups[0].atoms) {
+          if (a.attrs[2].AsString() != "clean") dirty.fetch_add(1);
+        }
+      }
+      if (rows != expect) missing.fetch_add(1);
+      reads.fetch_add(1, std::memory_order_relaxed);
+    }
+  };
+  auto writer = [&] {
+    auto s = db_->OpenSession();
+    int i = 0;
+    while (!stop.load(std::memory_order_relaxed)) {
+      const std::string where =
+          " WHERE part_no = " + std::to_string(i++ % kParts + 1);
+      if (!s->Execute("BEGIN WORK").ok()) continue;
+      (void)s->Execute((i % 2 == 0 ? "MODIFY part SET name = 'dirty'"
+                                   : "DELETE ALL FROM part") +
+                       where);
+      if (s->Execute("ABORT WORK").ok()) aborts.fetch_add(1);
+    }
+  };
+
+  std::vector<std::thread> threads;
+  threads.emplace_back(reader, false);
+  threads.emplace_back(reader, true);
+  threads.emplace_back(writer);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while ((aborts.load() < 400 || reads.load() < 100) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  stop.store(true);
+  for (auto& t : threads) t.join();
+
+  EXPECT_EQ(dirty.load(), 0);
+  EXPECT_EQ(missing.load(), 0);
+  EXPECT_EQ(failed.load(), 0) << first_error;
+  EXPECT_GE(aborts.load(), 400u);
+  EXPECT_GE(reads.load(), 100u);
 }
 
 // Version chains retire exactly when the last pin that could need them
@@ -256,8 +327,7 @@ TEST_F(MvccTest, WatermarkRetirementUnderPinnedSnapshot) {
   EXPECT_TRUE(versions.Empty());
 
   {
-    auto cursor =
-        session_->Query("SELECT ALL FROM part", Isolation::kSnapshot);
+    auto cursor = session_->Query("SELECT ALL FROM part");
     ASSERT_TRUE(cursor.ok());
     auto writer = db_->OpenSession();
     ASSERT_TRUE(
@@ -280,41 +350,41 @@ TEST_F(MvccTest, WatermarkRetirementUnderPinnedSnapshot) {
   EXPECT_EQ(drained.versions_installed, drained.versions_retired);
 }
 
-// A snapshot cursor with no transaction of its own survives a same-session
-// ABORT WORK: the rollback's compensations restore exactly the before-
-// images its pinned chains serve, so the stream keeps going — where a
-// latest-committed cursor is invalidated.
-TEST_F(MvccTest, SnapshotCursorSurvivesSameSessionAbort) {
+// A cursor with no transaction of its own survives a same-session ABORT
+// WORK: the rollback's compensations restore exactly the before-images its
+// pinned chains serve, so the stream keeps going. A cursor opened inside
+// the transaction sees its writes, so the abort invalidates it.
+TEST_F(MvccTest, CursorOutsideTheTransactionSurvivesSameSessionAbort) {
   for (int i = 1; i <= 10; ++i) {
     ASSERT_TRUE(InsertPart(session_.get(), i, "keep", 1.0).ok());
   }
-  auto snap = session_->Query("SELECT ALL FROM part", Isolation::kSnapshot);
-  ASSERT_TRUE(snap.ok());
-  auto latest = session_->Query("SELECT ALL FROM part");
-  ASSERT_TRUE(latest.ok());
-  auto first = snap->Next();
+  auto outside = session_->Query("SELECT ALL FROM part");
+  ASSERT_TRUE(outside.ok());
+  auto first = outside->Next();
   ASSERT_TRUE(first.ok() && first->has_value());
 
   ASSERT_TRUE(session_->Execute("BEGIN WORK").ok());
   ASSERT_TRUE(
       session_->Execute("MODIFY part SET name = 'doomed'").ok());
+  auto inside = session_->Query("SELECT ALL FROM part");
+  ASSERT_TRUE(inside.ok());
   ASSERT_TRUE(session_->Execute("ABORT WORK").ok());
 
-  // The latest-committed cursor is dead (its stream may have raced the
-  // rolled-back state)...
-  EXPECT_FALSE(latest->Next().ok());
-  // ...the snapshot cursor is not, and still drains the pinned view.
+  // The cursor that could see 'doomed' is dead...
+  EXPECT_FALSE(inside->Next().ok());
+  // ...the one outside the transaction is not, and drains its view.
   size_t rest = 1;
   for (;;) {
-    auto next = snap->Next();
+    auto next = outside->Next();
     ASSERT_TRUE(next.ok()) << next.status().ToString();
     if (!next->has_value()) break;
+    EXPECT_EQ((*next)->groups[0].atoms[0].attrs[2].AsString(), "keep");
     ++rest;
   }
   EXPECT_EQ(rest, 10u);
 }
 
-// N snapshot readers against M writers: every committed write keeps the
+// N readers against M writers: every committed write keeps the
 // torn-pair invariant (weight always equals part_no's current generation in
 // both attributes via name == weight-stamp), readers never see half a
 // transaction, and the lock table records zero conflicts — readers take no
@@ -334,7 +404,6 @@ TEST_F(MvccTest, ReaderWriterStormNeverTearsAndNeverWaits) {
 
   auto reader = [&] {
     auto s = db_->OpenSession();
-    s->set_default_isolation(Isolation::kSnapshot);
     while (!stop.load(std::memory_order_relaxed)) {
       auto r = s->Execute("SELECT ALL FROM part");
       if (!r.ok()) continue;
@@ -460,7 +529,6 @@ TEST(MvccCrashTest, CrashDriveWithSnapshotReadersLeavesNoResidue) {
     });
     std::thread reader([&db] {
       auto s = db->OpenSession();
-      s->set_default_isolation(Isolation::kSnapshot);
       for (;;) {
         auto r = s->Execute("SELECT ALL FROM pair");
         if (!r.ok()) continue;
@@ -509,25 +577,22 @@ TEST(MvccCrashTest, CrashDriveWithSnapshotReadersLeavesNoResidue) {
   EXPECT_EQ(fresh.snapshots_active, 0u);
 
   // The recovered state is a committed generation: both atoms of the pair
-  // carry the same stamp, readable under either isolation.
+  // carry the same stamp.
   auto s = (*db2)->OpenSession();
-  for (const Isolation iso :
-       {Isolation::kLatestCommitted, Isolation::kSnapshot}) {
-    auto cursor = s->Query("SELECT ALL FROM pair", iso);
-    ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
-    std::string s0, s1;
-    size_t atoms = 0;
-    for (;;) {
-      auto next = cursor->Next();
-      ASSERT_TRUE(next.ok());
-      if (!next->has_value()) break;
-      const access::Atom& a = (*next)->groups[0].atoms[0];
-      (a.attrs[1].AsInt() == 0 ? s0 : s1) = a.attrs[2].AsString();
-      ++atoms;
-    }
-    EXPECT_EQ(atoms, 2u);
-    EXPECT_EQ(s0, s1);
+  auto cursor = s->Query("SELECT ALL FROM pair");
+  ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
+  std::string s0, s1;
+  size_t atoms = 0;
+  for (;;) {
+    auto next = cursor->Next();
+    ASSERT_TRUE(next.ok());
+    if (!next->has_value()) break;
+    const access::Atom& a = (*next)->groups[0].atoms[0];
+    (a.attrs[1].AsInt() == 0 ? s0 : s1) = a.attrs[2].AsString();
+    ++atoms;
   }
+  EXPECT_EQ(atoms, 2u);
+  EXPECT_EQ(s0, s1);
 }
 
 }  // namespace

@@ -347,6 +347,26 @@ TEST(NetServerTest, StaleProtocolVersionRefused) {
   }
 }
 
+// Version 3 chose an isolation per connection and per cursor; version 4
+// has one read path, so a version-3 peer is refused at the handshake
+// rather than have its cursor frames (one byte longer) misread.
+TEST(NetServerTest, Version3HelloRefused) {
+  auto db = OpenServerDb();
+  ASSERT_NE(db, nullptr);
+  const int fd = RawConnect(db->net_server()->port());
+  SendAll(fd, BuildFrame(MsgKind::kHello, HelloPayload(kHandshakeMagic, 3)));
+  Frame reply;
+  ASSERT_TRUE(RawReadFrame(fd, &reply));
+  ASSERT_EQ(reply.kind, MsgKind::kError);
+  Slice in(reply.payload);
+  const Status st = DecodeStatus(&in);
+  EXPECT_TRUE(st.IsNotSupported()) << st.ToString();
+  EXPECT_NE(st.message().find("protocol version 3"), std::string::npos)
+      << st.ToString();
+  EXPECT_FALSE(RawReadFrame(fd, &reply)) << "the server closes after refusing";
+  ::close(fd);
+}
+
 TEST(NetServerTest, MalformedFramesDoNotKillTheServer) {
   auto db = OpenServerDb();
   ASSERT_NE(db, nullptr);
@@ -389,9 +409,10 @@ TEST(NetServerTest, MalformedFramesDoNotKillTheServer) {
     SendAll(fd, partial);
     ::close(fd);
   }
-  // Unknown request kinds after a clean handshake, among them 4, the
-  // retired version-2 bind request: an error, then a close.
-  for (const uint8_t kind : {4, 42}) {
+  // Unknown request kinds after a clean handshake, among them the retired
+  // 4 (version 2's bind request) and 16 (version 3's isolation choice): an
+  // error, then a close.
+  for (const uint8_t kind : {4, 16, 42}) {
     const int fd = RawConnect(port);
     SendAll(fd, BuildFrame(MsgKind::kHello, HelloPayload()));
     Frame reply;
@@ -752,9 +773,8 @@ TEST(NetServerTest, DrainedUnclosedCursorsDoNotPinServerState) {
     unclosed.push_back(std::move(*cursor));
   }
 
-  // A drained snapshot cursor releases its pin without a close.
-  auto snap = client->OpenCursor("SELECT ALL FROM item", 1,
-                                 Isolation::kSnapshot);
+  // A drained cursor releases its pin without a close.
+  auto snap = client->OpenCursor("SELECT ALL FROM item", 1);
   ASSERT_TRUE(snap.ok()) << snap.status().ToString();
   ASSERT_EQ(DrainNames(&*snap).size(), 3u);
   for (int i = 0; i < 1000; ++i) {
@@ -763,7 +783,7 @@ TEST(NetServerTest, DrainedUnclosedCursorsDoNotPinServerState) {
     if (Stat(*s, "prima_snapshots_active") == 0) return;
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  FAIL() << "a drained, unclosed snapshot cursor still pins its snapshot";
+  FAIL() << "a drained, unclosed cursor still pins its view";
 }
 
 // --- stats & statement cache -----------------------------------------------
@@ -1170,53 +1190,32 @@ TEST(NetServerTest, ShutdownRollsBackOpenRemoteTransactions) {
             1);
 }
 
-// --- isolation on the wire -------------------------------------------------
+// --- reads on the wire ----------------------------------------------------
 
-TEST(NetServerTest, SnapshotCursorOverTheWireDrainsPreWriteState) {
+// A remote cursor pins its view server-side at open: pulled in batches
+// after another connection clobbers every name, it still drains the
+// pre-clobber population, while a cursor opened afterwards sees the new
+// world.
+TEST(NetServerTest, CursorOverTheWireDrainsPreClobberPopulation) {
   auto db = OpenServerDb();
   auto client = ConnectTo(*db);
   CreateItemType(client.get());
   for (int i = 1; i <= 6; ++i) ASSERT_TRUE(InsertItem(client.get(), i).ok());
 
-  // Per-open override (kOpenCursor form 2): pinned before the writer lands.
-  auto snap =
-      client->OpenCursor("SELECT ALL FROM item", 2, Isolation::kSnapshot);
-  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  auto pinned = client->OpenCursor("SELECT ALL FROM item", 2);
+  ASSERT_TRUE(pinned.ok()) << pinned.status().ToString();
   auto writer = ConnectTo(*db);
   ASSERT_TRUE(writer->Execute("MODIFY item SET name = 'clobbered'").ok());
 
-  const std::vector<std::string> old_names = DrainNames(&*snap);
+  const std::vector<std::string> old_names = DrainNames(&*pinned);
   ASSERT_EQ(old_names.size(), 6u);
   for (const std::string& n : old_names) EXPECT_EQ(n[0], 'n') << n;
 
-  // No override: latest-committed sees the new world.
-  auto latest = client->OpenCursor("SELECT ALL FROM item");
-  ASSERT_TRUE(latest.ok());
-  for (const std::string& n : DrainNames(&*latest)) {
+  auto later = client->OpenCursor("SELECT ALL FROM item");
+  ASSERT_TRUE(later.ok());
+  for (const std::string& n : DrainNames(&*later)) {
     EXPECT_EQ(n, "clobbered");
   }
-}
-
-TEST(NetServerTest, ConnectionDefaultIsolationAppliesToCursors) {
-  auto db = OpenServerDb();
-  auto client = ConnectTo(*db);
-  CreateItemType(client.get());
-  ASSERT_TRUE(InsertItem(client.get(), 1).ok());
-
-  ASSERT_TRUE(client->set_default_isolation(Isolation::kSnapshot).ok());
-  auto snap = client->OpenCursor("SELECT ALL FROM item");  // default applies
-  ASSERT_TRUE(snap.ok());
-  auto writer = ConnectTo(*db);
-  ASSERT_TRUE(writer->Execute("MODIFY item SET name = 'poked'").ok());
-  const std::vector<std::string> names = DrainNames(&*snap);
-  ASSERT_EQ(names.size(), 1u);
-  EXPECT_EQ(names[0], "n1");
-
-  // The override beats the connection default in the other direction too.
-  auto latest = client->OpenCursor("SELECT ALL FROM item", 128,
-                                   Isolation::kLatestCommitted);
-  ASSERT_TRUE(latest.ok());
-  EXPECT_EQ(DrainNames(&*latest).at(0), "poked");
 }
 
 TEST(NetServerTest, ReadOnlyTransactionOverTheWire) {
@@ -1244,7 +1243,8 @@ TEST(NetServerTest, ReadOnlyTransactionOverTheWire) {
   ASSERT_TRUE(InsertItem(client.get(), 2).ok()) << "writable again";
 }
 
-TEST(NetServerTest, PreparedQueryIsolationOverrideOverTheWire) {
+// A remote prepared query pins at each open, not at Prepare.
+TEST(NetServerTest, PreparedQueryOverTheWirePinsAtEachOpen) {
   auto db = OpenServerDb();
   auto client = ConnectTo(*db);
   CreateItemType(client.get());
@@ -1253,21 +1253,19 @@ TEST(NetServerTest, PreparedQueryIsolationOverrideOverTheWire) {
   auto stmt = client->Prepare("SELECT ALL FROM item WHERE num = ?");
   ASSERT_TRUE(stmt.ok());
   ASSERT_TRUE(stmt->Bind(0, Value::Int(7)).ok());
-  auto snap = stmt->Query(128, Isolation::kSnapshot);
-  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  auto first = stmt->Query();
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
 
   auto writer = ConnectTo(*db);
   ASSERT_TRUE(writer->Execute("MODIFY item SET name = 'rewritten'").ok());
 
-  const std::vector<std::string> names = DrainNames(&*snap);
+  const std::vector<std::string> names = DrainNames(&*first);
   ASSERT_EQ(names.size(), 1u);
   EXPECT_EQ(names[0], "n7");
 
-  // The same prepared statement re-queried without the override reads the
-  // committed present.
-  auto latest = stmt->Query();
-  ASSERT_TRUE(latest.ok());
-  EXPECT_EQ(DrainNames(&*latest).at(0), "rewritten");
+  auto again = stmt->Query();
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(DrainNames(&*again).at(0), "rewritten");
 }
 
 TEST(NetServerTest, StatsServeVersionStoreGauges) {
@@ -1279,8 +1277,7 @@ TEST(NetServerTest, StatsServeVersionStoreGauges) {
   // the drain must resolve versions.
   for (int i = 1; i <= 64; ++i) ASSERT_TRUE(InsertItem(client.get(), i).ok());
 
-  auto snap =
-      client->OpenCursor("SELECT ALL FROM item", 1, Isolation::kSnapshot);
+  auto snap = client->OpenCursor("SELECT ALL FROM item", 1);
   ASSERT_TRUE(snap.ok());
   auto writer = ConnectTo(*db);
   ASSERT_TRUE(writer->Execute("MODIFY item SET name = 'churn'").ok());

@@ -156,7 +156,9 @@ TEST_F(SessionTest, TwoSessionsAreIsolated) {
   // implicit transaction — rolls back cleanly.
   auto st = s2->Execute("MODIFY part SET name = 's2' WHERE part_no = 1");
   EXPECT_TRUE(st.status().IsConflict()) << st.status().ToString();
-  EXPECT_EQ(PartName(s2.get(), 1), "s1");  // uncommitted s1 value (no read locks)
+  // s2 reads without locks, through a committed view: the uncommitted s1
+  // value stays invisible to it.
+  EXPECT_EQ(PartName(s2.get(), 1), "shared");
 
   ASSERT_TRUE(session_->Execute("COMMIT WORK").ok());
   // Locks released: s2 can now update.

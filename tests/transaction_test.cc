@@ -85,7 +85,9 @@ TEST_F(TransactionTest, AbortUndoesDeleteIncludingAssociations) {
 
   auto txn = db_->Begin();
   ASSERT_TRUE((*txn)->DeleteAtom(*parent).ok());
-  EXPECT_EQ(CountSolids(), 2u - 1u);
+  // The base record is gone, but readers see only committed state.
+  EXPECT_FALSE(db_->access().AtomExists(*parent));
+  EXPECT_EQ(CountSolids(), 2u);
   ASSERT_TRUE((*txn)->Abort().ok());
   EXPECT_EQ(CountSolids(), 2u);
   // Symmetry fully restored: parent.sub contains child, child.super parent.
@@ -194,9 +196,12 @@ TEST_F(TransactionTest, NestedAbortRestoresIntermediateState) {
   ASSERT_TRUE(
       (*child)->ModifyAtom(*tid, {AttrValue{2, Value::String("child")}}).ok());
   ASSERT_TRUE((*child)->Abort().ok());
-  // The child's change is gone; the parent's survives.
-  auto atom = db_->access().GetAtom(*tid);
+  // The child's change is gone; the parent's survives — for the parent,
+  // which reads its own writes. Other readers still see the committed s1.
+  auto atom = (*parent)->GetAtom(*tid);
+  ASSERT_TRUE(atom.ok()) << atom.status().ToString();
   EXPECT_EQ(atom->attrs[2].AsString(), "parent");
+  EXPECT_EQ(db_->access().GetAtom(*tid)->attrs[2].AsString(), "s1");
   ASSERT_TRUE((*parent)->Commit().ok());
 }
 
