@@ -164,11 +164,15 @@ class AccessSystem {
   util::Status Connect(const Tid& from, uint16_t attr, const Tid& to);
   util::Status Disconnect(const Tid& from, uint16_t attr, const Tid& to);
 
+  /// True while the atom has a base record (lock-free).
   bool AtomExists(const Tid& tid) const { return addresses_.Exists(tid); }
+  /// Atoms of a type with a base record; a counter the address table keeps
+  /// per type, so this costs no walk.
   uint64_t AtomCount(AtomTypeId type) const {
     return addresses_.CountOfType(type);
   }
-  /// All surrogates of a type in system-defined order.
+  /// All surrogates of a type in system-defined order: ascending sequence,
+  /// read off that type's dense address slots alone.
   std::vector<Tid> AllAtoms(AtomTypeId type) const {
     return addresses_.AllOfType(type);
   }

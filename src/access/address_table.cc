@@ -1,8 +1,5 @@
 #include "access/address_table.h"
 
-#include <algorithm>
-#include <iterator>
-
 #include "util/coding.h"
 
 namespace prima::access {
@@ -10,6 +7,290 @@ namespace prima::access {
 using util::Result;
 using util::Slice;
 using util::Status;
+
+namespace {
+
+constexpr unsigned kChunkBits = 10;   // slots per chunk: 1024 (8 KiB)
+constexpr unsigned kFanoutBits = 10;  // links per directory node: 1024
+constexpr uint64_t kChunkSlots = uint64_t{1} << kChunkBits;
+constexpr uint64_t kFanout = uint64_t{1} << kFanoutBits;
+/// The slot value of an atom without a base entry. RecordId::Pack() uses
+/// 48 bits, so no base record has it.
+constexpr uint64_t kAbsent = ~uint64_t{0};
+
+/// Sequence bits a directory of `height` levels covers (4 cover all 48).
+constexpr unsigned SpanBits(unsigned height) {
+  return kChunkBits + kFanoutBits * height;
+}
+
+/// The link index of `seq` in a node of `height` (1 = links to chunks).
+constexpr size_t LinkIndex(uint64_t seq, unsigned height) {
+  return static_cast<size_t>((seq >> SpanBits(height - 1)) & (kFanout - 1));
+}
+
+constexpr size_t SlotIndex(uint64_t seq) {
+  return static_cast<size_t>(seq & (kChunkSlots - 1));
+}
+
+}  // namespace
+
+/// A leaf of the directory: the base rids of kChunkSlots consecutive
+/// sequence numbers of one type.
+struct AddressTable::Chunk {
+  Chunk() {
+    for (auto& slot : slots) slot.store(kAbsent, std::memory_order_relaxed);
+  }
+  /// Which attachment this is (a value of attachments_). A lock-free reader
+  /// compares it before and after its slot load.
+  std::atomic<uint64_t> attachment{0};
+  uint64_t live = 0;  ///< slots not absent (writers only)
+  std::atomic<uint64_t> slots[kChunkSlots];
+};
+
+/// An inner node of one type's directory. Its links point to Nodes of
+/// height - 1, or to Chunks at height 1. A node is never freed while the
+/// table lives, so a reader's walk down the directory never meets freed
+/// memory.
+struct AddressTable::Node {
+  explicit Node(unsigned h) : height(h) {}
+  const unsigned height;
+  std::atomic<void*> links[kFanout] = {};
+};
+
+struct AddressTable::TypePage {
+  std::atomic<Node*> roots[256] = {};
+  uint64_t live[256] = {};  ///< atoms with a base entry, per type (writers)
+};
+
+template <typename Fn>
+void AddressTable::ForEachChunkLink(Node* node, uint64_t first_seq,
+                                    const Fn& fn) {
+  for (size_t i = 0; i < kFanout; ++i) {
+    void* below = node->links[i].load(std::memory_order_relaxed);
+    if (below == nullptr) continue;
+    const uint64_t seq =
+        first_seq + (uint64_t{i} << SpanBits(node->height - 1));
+    if (node->height == 1) {
+      fn(&node->links[i], static_cast<Chunk*>(below), seq);
+    } else {
+      ForEachChunkLink(static_cast<Node*>(below), seq, fn);
+    }
+  }
+}
+
+void AddressTable::FreeNodes(Node* node) {
+  if (node->height > 1) {
+    for (auto& link : node->links) {
+      void* below = link.load(std::memory_order_relaxed);
+      if (below != nullptr) FreeNodes(static_cast<Node*>(below));
+    }
+  }
+  delete node;
+}
+
+AddressTable::~AddressTable() {
+  for (auto& slot : pages_) {
+    TypePage* page = slot.load(std::memory_order_relaxed);
+    if (page == nullptr) continue;
+    for (auto& root_link : page->roots) {
+      Node* root = root_link.load(std::memory_order_relaxed);
+      if (root == nullptr) continue;
+      ForEachChunkLink(root, 0, [](std::atomic<void*>*, Chunk* chunk,
+                                   uint64_t) { delete chunk; });
+      FreeNodes(root);
+    }
+    delete page;
+  }
+  for (Chunk* chunk : spare_) delete chunk;
+}
+
+// ---------------------------------------------------------------------------
+// Lock-free base reads
+// ---------------------------------------------------------------------------
+
+AddressTable::TypePage* AddressTable::PageOf(AtomTypeId type) const {
+  return pages_[type >> 8].load(std::memory_order_acquire);
+}
+
+const std::atomic<void*>* AddressTable::ChunkLink(const Tid& tid) const {
+  const TypePage* page = PageOf(tid.type);
+  if (page == nullptr) return nullptr;
+  const Node* node =
+      page->roots[tid.type & 0xFF].load(std::memory_order_acquire);
+  if (node == nullptr || (tid.seq >> SpanBits(node->height)) != 0) {
+    return nullptr;
+  }
+  while (node->height > 1) {
+    const auto& link = node->links[LinkIndex(tid.seq, node->height)];
+    node = static_cast<const Node*>(link.load(std::memory_order_acquire));
+    if (node == nullptr) return nullptr;
+  }
+  return &node->links[LinkIndex(tid.seq, 1)];
+}
+
+uint64_t AddressTable::BaseRid(const Tid& tid) const {
+  const std::atomic<void*>* link = ChunkLink(tid);
+  if (link == nullptr) return kAbsent;
+  for (;;) {
+    const auto* chunk =
+        static_cast<const Chunk*>(link->load(std::memory_order_acquire));
+    if (chunk == nullptr) return kAbsent;
+    const uint64_t attachment =
+        chunk->attachment.load(std::memory_order_acquire);
+    const uint64_t rid =
+        chunk->slots[SlotIndex(tid.seq)].load(std::memory_order_acquire);
+    // An absent slot needs no check: if the chunk was detached after we
+    // loaded it, every slot of its range was absent at that moment.
+    if (rid == kAbsent) return kAbsent;
+    // A detached chunk may already serve another range. The rid is ours
+    // only if the chunk still hangs on our link in the attachment whose
+    // number we read before the slot (reattaching renumbers it, and a
+    // chunk is attached with every slot absent).
+    if (link->load(std::memory_order_acquire) == chunk &&
+        chunk->attachment.load(std::memory_order_relaxed) == attachment) {
+      return rid;
+    }
+  }
+}
+
+bool AddressTable::Exists(const Tid& tid) const {
+  return BaseRid(tid) != kAbsent;
+}
+
+Result<uint64_t> AddressTable::Lookup(const Tid& tid,
+                                      uint32_t structure) const {
+  if (structure == kBaseStructure) {
+    const uint64_t rid = BaseRid(tid);
+    if (rid == kAbsent) return Status::NotFound("atom " + tid.ToString());
+    return rid;
+  }
+  std::lock_guard lock(mu_);
+  auto it = side_.find(tid.Pack());
+  if (it != side_.end()) {
+    for (const auto& e : it->second.entries) {
+      if (e.structure_id == structure) return e.rid;
+    }
+  }
+  return Missing(tid, structure);
+}
+
+// ---------------------------------------------------------------------------
+// Writers (mu_ held)
+// ---------------------------------------------------------------------------
+
+Status AddressTable::Missing(const Tid& tid, uint32_t structure) const {
+  if (BaseRid(tid) == kAbsent && side_.count(tid.Pack()) == 0) {
+    return Status::NotFound("atom " + tid.ToString());
+  }
+  return Status::NotFound("no entry for structure " + std::to_string(structure));
+}
+
+AddressTable::Chunk* AddressTable::TakeChunk() {
+  Chunk* chunk;
+  if (spare_.empty()) {
+    chunk = new Chunk();
+  } else {
+    chunk = spare_.back();
+    spare_.pop_back();
+  }
+  // Released before the caller publishes the chunk, so a reader that reads
+  // this number also sees every slot absent.
+  chunk->attachment.store(++attachments_, std::memory_order_release);
+  ++chunks_in_use_;
+  return chunk;
+}
+
+void AddressTable::ReleaseChunk(std::atomic<void*>* link) {
+  auto* chunk = static_cast<Chunk*>(link->load(std::memory_order_relaxed));
+  if (chunk->live != 0) {  // a whole type goes: absent while still linked
+    for (auto& slot : chunk->slots) {
+      slot.store(kAbsent, std::memory_order_release);
+    }
+    chunk->live = 0;
+  }
+  link->store(nullptr, std::memory_order_release);
+  spare_.push_back(chunk);
+  --chunks_in_use_;
+}
+
+std::atomic<void*>& AddressTable::GrowTo(const Tid& tid) {
+  std::atomic<TypePage*>& page_link = pages_[tid.type >> 8];
+  TypePage* page = page_link.load(std::memory_order_relaxed);
+  if (page == nullptr) {
+    page = new TypePage();
+    page_link.store(page, std::memory_order_release);
+  }
+  std::atomic<Node*>& root_link = page->roots[tid.type & 0xFF];
+  Node* node = root_link.load(std::memory_order_relaxed);
+  unsigned height = 1;
+  while ((tid.seq >> SpanBits(height)) != 0) ++height;
+  if (node == nullptr) {
+    node = new Node(height);
+    root_link.store(node, std::memory_order_release);
+  }
+  // A far sequence grows the directory at the top: the old root becomes
+  // the first link of a taller one, so no existing link moves.
+  while (node->height < height) {
+    Node* taller = new Node(node->height + 1);
+    taller->links[0].store(node, std::memory_order_relaxed);
+    root_link.store(taller, std::memory_order_release);
+    node = taller;
+  }
+  while (node->height > 1) {
+    std::atomic<void*>& link = node->links[LinkIndex(tid.seq, node->height)];
+    auto* below = static_cast<Node*>(link.load(std::memory_order_relaxed));
+    if (below == nullptr) {
+      below = new Node(node->height - 1);
+      link.store(below, std::memory_order_release);
+    }
+    node = below;
+  }
+  return node->links[LinkIndex(tid.seq, 1)];
+}
+
+Status AddressTable::SetBase(const Tid& tid, uint64_t rid) {
+  if (rid == kAbsent) {
+    return Status::InvalidArgument("rid " + std::to_string(rid) +
+                                   " is the absent slot value");
+  }
+  std::atomic<void*>& link = GrowTo(tid);
+  auto* chunk = static_cast<Chunk*>(link.load(std::memory_order_relaxed));
+  if (chunk == nullptr) {
+    chunk = TakeChunk();
+    link.store(chunk, std::memory_order_release);
+  }
+  std::atomic<uint64_t>& slot = chunk->slots[SlotIndex(tid.seq)];
+  if (slot.load(std::memory_order_relaxed) != kAbsent) {
+    return Status::AlreadyExists("structure already materializes atom " +
+                                 tid.ToString());
+  }
+  slot.store(rid, std::memory_order_release);
+  ++chunk->live;
+  ++PageOf(tid.type)->live[tid.type & 0xFF];
+  auto side = side_.find(tid.Pack());
+  if (side != side_.end()) side->second.base_pos = side->second.entries.size();
+  return Status::Ok();
+}
+
+void AddressTable::ClearBase(const Tid& tid) {
+  // Only called for an atom that has a base entry, so the path exists.
+  auto* link = const_cast<std::atomic<void*>*>(ChunkLink(tid));
+  auto* chunk = static_cast<Chunk*>(link->load(std::memory_order_relaxed));
+  chunk->slots[SlotIndex(tid.seq)].store(kAbsent, std::memory_order_release);
+  --PageOf(tid.type)->live[tid.type & 0xFF];
+  if (--chunk->live == 0) ReleaseChunk(link);
+}
+
+void AddressTable::ReleaseType(AtomTypeId type) {
+  TypePage* page = PageOf(type);
+  if (page == nullptr) return;
+  Node* root = page->roots[type & 0xFF].load(std::memory_order_relaxed);
+  if (root != nullptr) {
+    ForEachChunkLink(root, 0, [this](std::atomic<void*>* link, Chunk*,
+                                     uint64_t) { ReleaseChunk(link); });
+  }
+  page->live[type & 0xFF] = 0;
+}
 
 Tid AddressTable::NewTid(AtomTypeId type) {
   std::lock_guard lock(mu_);
@@ -21,14 +302,18 @@ Tid AddressTable::NewTid(AtomTypeId type) {
 Status AddressTable::Register(const Tid& tid, uint32_t structure,
                               uint64_t rid) {
   std::lock_guard lock(mu_);
-  auto& list = entries_[tid.Pack()];
-  for (const auto& e : list) {
-    if (e.structure_id == structure) {
-      return Status::AlreadyExists("structure already materializes atom " +
-                                   tid.ToString());
+  if (structure == kBaseStructure) {
+    PRIMA_RETURN_IF_ERROR(SetBase(tid, rid));
+  } else {
+    auto& list = side_[tid.Pack()].entries;
+    for (const auto& e : list) {
+      if (e.structure_id == structure) {
+        return Status::AlreadyExists("structure already materializes atom " +
+                                     tid.ToString());
+      }
     }
+    list.push_back(AddressEntry{structure, rid});
   }
-  list.push_back(AddressEntry{structure, rid});
   // Keep the surrogate generator ahead of every registered surrogate —
   // crash recovery re-registers atoms whose NewTid call was lost with the
   // in-memory counters, and a reissued tid would corrupt the address space.
@@ -39,93 +324,123 @@ Status AddressTable::Register(const Tid& tid, uint32_t structure,
 
 Status AddressTable::Unregister(const Tid& tid, uint32_t structure) {
   std::lock_guard lock(mu_);
-  auto it = entries_.find(tid.Pack());
-  if (it == entries_.end()) return Status::NotFound("atom " + tid.ToString());
-  auto& list = it->second;
-  for (auto e = list.begin(); e != list.end(); ++e) {
-    if (e->structure_id == structure) {
-      list.erase(e);
-      return Status::Ok();
-    }
+  const bool has_base = BaseRid(tid) != kAbsent;
+  if (structure == kBaseStructure) {
+    if (!has_base) return Missing(tid, structure);
+    ClearBase(tid);
+    side_.try_emplace(tid.Pack());  // the atom stays listed, as before
+    return Status::Ok();
   }
-  return Status::NotFound("no entry for structure " + std::to_string(structure));
+  auto it = side_.find(tid.Pack());
+  if (it == side_.end()) return Missing(tid, structure);
+  SideEntries& side = it->second;
+  for (size_t i = 0; i < side.entries.size(); ++i) {
+    if (side.entries[i].structure_id != structure) continue;
+    side.entries.erase(side.entries.begin() + static_cast<ptrdiff_t>(i));
+    if (i < side.base_pos) --side.base_pos;
+    if (side.entries.empty() && has_base) side_.erase(it);
+    return Status::Ok();
+  }
+  return Missing(tid, structure);
 }
 
 Status AddressTable::UpdateEntry(const Tid& tid, uint32_t structure,
                                  uint64_t rid) {
   std::lock_guard lock(mu_);
-  auto it = entries_.find(tid.Pack());
-  if (it == entries_.end()) return Status::NotFound("atom " + tid.ToString());
-  for (auto& e : it->second) {
-    if (e.structure_id == structure) {
-      e.rid = rid;
-      return Status::Ok();
+  if (structure == kBaseStructure) {
+    if (rid == kAbsent) {
+      return Status::InvalidArgument("rid " + std::to_string(rid) +
+                                     " is the absent slot value");
+    }
+    if (BaseRid(tid) == kAbsent) return Missing(tid, structure);
+    auto* chunk =
+        static_cast<Chunk*>(ChunkLink(tid)->load(std::memory_order_relaxed));
+    chunk->slots[SlotIndex(tid.seq)].store(rid, std::memory_order_release);
+    return Status::Ok();
+  }
+  auto it = side_.find(tid.Pack());
+  if (it != side_.end()) {
+    for (auto& e : it->second.entries) {
+      if (e.structure_id == structure) {
+        e.rid = rid;
+        return Status::Ok();
+      }
     }
   }
-  return Status::NotFound("no entry for structure " + std::to_string(structure));
+  return Missing(tid, structure);
 }
 
 Status AddressTable::Remove(const Tid& tid) {
   std::lock_guard lock(mu_);
-  if (entries_.erase(tid.Pack()) == 0) {
+  const bool has_base = BaseRid(tid) != kAbsent;
+  const bool had_side = side_.erase(tid.Pack()) != 0;
+  if (!has_base && !had_side) {
     return Status::NotFound("atom " + tid.ToString());
   }
+  if (has_base) ClearBase(tid);
   return Status::Ok();
-}
-
-bool AddressTable::Exists(const Tid& tid) const {
-  std::lock_guard lock(mu_);
-  return entries_.count(tid.Pack()) != 0;
-}
-
-Result<uint64_t> AddressTable::Lookup(const Tid& tid,
-                                      uint32_t structure) const {
-  std::lock_guard lock(mu_);
-  auto it = entries_.find(tid.Pack());
-  if (it == entries_.end()) return Status::NotFound("atom " + tid.ToString());
-  for (const auto& e : it->second) {
-    if (e.structure_id == structure) return e.rid;
-  }
-  return Status::NotFound("no entry for structure " + std::to_string(structure));
 }
 
 std::vector<AddressEntry> AddressTable::EntriesFor(const Tid& tid) const {
   std::lock_guard lock(mu_);
-  auto it = entries_.find(tid.Pack());
-  if (it == entries_.end()) return {};
-  return it->second;
+  std::vector<AddressEntry> out;
+  auto it = side_.find(tid.Pack());
+  if (it != side_.end()) out = it->second.entries;
+  const uint64_t rid = BaseRid(tid);
+  if (rid != kAbsent) {
+    const size_t pos = it == side_.end() ? 0 : it->second.base_pos;
+    out.insert(out.begin() + static_cast<ptrdiff_t>(pos),
+               AddressEntry{kBaseStructure, rid});
+  }
+  return out;
 }
 
+// ---------------------------------------------------------------------------
+// Per-type queries
+// ---------------------------------------------------------------------------
+
 std::vector<Tid> AddressTable::AllOfType(AtomTypeId type) const {
+  std::lock_guard lock(mu_);
   std::vector<Tid> out;
-  {
-    std::lock_guard lock(mu_);
-    for (const auto& entry : entries_) {
-      const Tid tid = Tid::Unpack(entry.first);
-      if (tid.type == type) out.push_back(tid);
+  TypePage* page = PageOf(type);
+  Node* root = page == nullptr
+                   ? nullptr
+                   : page->roots[type & 0xFF].load(std::memory_order_relaxed);
+  if (root == nullptr) return out;
+  out.reserve(page->live[type & 0xFF]);
+  ForEachChunkLink(root, 0, [&](std::atomic<void*>*, Chunk* chunk,
+                                uint64_t first_seq) {
+    for (size_t i = 0; i < kChunkSlots; ++i) {
+      if (chunk->slots[i].load(std::memory_order_relaxed) != kAbsent) {
+        out.emplace_back(type, first_seq + i);
+      }
     }
-  }
-  std::sort(out.begin(), out.end());
+  });
   return out;
 }
 
 uint64_t AddressTable::CountOfType(AtomTypeId type) const {
   std::lock_guard lock(mu_);
-  uint64_t n = 0;
-  for (const auto& entry : entries_) {
-    if (Tid::Unpack(entry.first).type == type) ++n;
-  }
-  return n;
+  const TypePage* page = PageOf(type);
+  return page == nullptr ? 0 : page->live[type & 0xFF];
 }
 
 void AddressTable::RemoveType(AtomTypeId type) {
   std::lock_guard lock(mu_);
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    it = Tid::Unpack(it->first).type == type ? entries_.erase(it)
-                                              : std::next(it);
-  }
+  ReleaseType(type);
+  side_.erase(side_.lower_bound(Tid(type, 0).Pack()),
+              side_.upper_bound(Tid(type, ~uint64_t{0}).Pack()));
   next_seq_.erase(type);
 }
+
+size_t AddressTable::ChunksInUse() const {
+  std::lock_guard lock(mu_);
+  return chunks_in_use_;
+}
+
+// ---------------------------------------------------------------------------
+// Persistence
+// ---------------------------------------------------------------------------
 
 std::string AddressTable::Encode() const {
   std::lock_guard lock(mu_);
@@ -135,27 +450,79 @@ std::string AddressTable::Encode() const {
     util::PutVarint64(&out, type);
     util::PutVarint64(&out, next);
   }
-  // Ascending packed-tid order, so the blob does not depend on hashing.
-  std::vector<const decltype(entries_)::value_type*> atoms;
-  atoms.reserve(entries_.size());
-  for (const auto& entry : entries_) atoms.push_back(&entry);
-  std::sort(atoms.begin(), atoms.end(),
-            [](const auto* a, const auto* b) { return a->first < b->first; });
-  util::PutVarint64(&out, atoms.size());
-  for (const auto* atom : atoms) {
-    util::PutFixed64(&out, atom->first);
-    util::PutVarint64(&out, atom->second.size());
-    for (const auto& e : atom->second) {
-      util::PutVarint64(&out, e.structure_id);
-      util::PutFixed64(&out, e.rid);
+
+  uint64_t atoms = 0;
+  for (const auto& slot : pages_) {
+    const TypePage* page = slot.load(std::memory_order_relaxed);
+    if (page == nullptr) continue;
+    for (uint64_t live : page->live) atoms += live;
+  }
+  for (const auto& [packed, side] : side_) {
+    if (BaseRid(Tid::Unpack(packed)) == kAbsent) ++atoms;
+  }
+  util::PutVarint64(&out, atoms);
+
+  const auto put_entry = [&out](uint32_t structure, uint64_t rid) {
+    util::PutVarint64(&out, structure);
+    util::PutFixed64(&out, rid);
+  };
+  const std::vector<AddressEntry> no_entries;
+  const auto put_atom = [&](uint64_t packed, uint64_t base_rid,
+                            const SideEntries* side) {
+    const auto& entries = side == nullptr ? no_entries : side->entries;
+    const size_t base_pos = side == nullptr ? 0 : side->base_pos;
+    const bool has_base = base_rid != kAbsent;
+    util::PutFixed64(&out, packed);
+    util::PutVarint64(&out, entries.size() + (has_base ? 1 : 0));
+    for (size_t i = 0; i < entries.size(); ++i) {
+      if (has_base && i == base_pos) put_entry(kBaseStructure, base_rid);
+      put_entry(entries[i].structure_id, entries[i].rid);
     }
+    if (has_base && base_pos == entries.size()) {
+      put_entry(kBaseStructure, base_rid);
+    }
+  };
+  // Types and each type's chunks are walked in ascending order, so the
+  // atoms come out sorted; side-only atoms are merged in by packed tid.
+  auto side = side_.begin();
+  const auto put_side_only_below = [&](uint64_t packed) {
+    for (; side != side_.end() && side->first < packed; ++side) {
+      put_atom(side->first, kAbsent, &side->second);
+    }
+  };
+  for (size_t p = 0; p < 256; ++p) {
+    const TypePage* page = pages_[p].load(std::memory_order_relaxed);
+    if (page == nullptr) continue;
+    for (size_t t = 0; t < 256; ++t) {
+      Node* root = page->roots[t].load(std::memory_order_relaxed);
+      if (root == nullptr) continue;
+      const auto type = static_cast<AtomTypeId>(p << 8 | t);
+      ForEachChunkLink(root, 0, [&](std::atomic<void*>*, Chunk* chunk,
+                                    uint64_t first_seq) {
+        for (size_t i = 0; i < kChunkSlots; ++i) {
+          const uint64_t rid = chunk->slots[i].load(std::memory_order_relaxed);
+          if (rid == kAbsent) continue;
+          const uint64_t packed = Tid(type, first_seq + i).Pack();
+          put_side_only_below(packed);
+          const bool has_side = side != side_.end() && side->first == packed;
+          put_atom(packed, rid, has_side ? &side->second : nullptr);
+          if (has_side) ++side;
+        }
+      });
+    }
+  }
+  for (; side != side_.end(); ++side) {
+    put_atom(side->first, kAbsent, &side->second);
   }
   return out;
 }
 
 Status AddressTable::DecodeFrom(Slice in) {
   std::lock_guard lock(mu_);
-  entries_.clear();
+  for (uint32_t type = 0; type <= 0xFFFF; ++type) {
+    ReleaseType(static_cast<AtomTypeId>(type));
+  }
+  side_.clear();
   next_seq_.clear();
   uint64_t n_types;
   if (!util::GetVarint64(&in, &n_types)) {
@@ -172,23 +539,26 @@ Status AddressTable::DecodeFrom(Slice in) {
   if (!util::GetVarint64(&in, &n_atoms)) {
     return Status::Corruption("address table size");
   }
-  // Each atom takes at least 9 encoded bytes; a corrupt count cannot
-  // reserve more than the input could hold.
-  entries_.reserve(std::min<uint64_t>(n_atoms, in.size() / 9));
   for (uint64_t i = 0; i < n_atoms; ++i) {
     uint64_t packed, n_entries;
     if (!util::GetFixed64(&in, &packed) ||
         !util::GetVarint64(&in, &n_entries)) {
       return Status::Corruption("address table entry");
     }
-    auto& list = entries_[packed];
+    const Tid tid = Tid::Unpack(packed);
+    if (n_entries == 0) side_.try_emplace(packed);  // listed with no entry
     for (uint64_t j = 0; j < n_entries; ++j) {
       uint64_t sid, rid;
       if (!util::GetVarint64(&in, &sid) || !util::GetFixed64(&in, &rid)) {
         return Status::Corruption("address table entry body");
       }
-      list.push_back(
-          AddressEntry{static_cast<uint32_t>(sid), rid});
+      if (sid != kBaseStructure) {
+        side_[packed].entries.push_back(
+            AddressEntry{static_cast<uint32_t>(sid), rid});
+      } else if (!SetBase(tid, rid).ok()) {
+        return Status::Corruption("address table base entry of atom " +
+                                  tid.ToString());
+      }
     }
   }
   return Status::Ok();

@@ -1,10 +1,11 @@
 #ifndef PRIMA_ACCESS_ADDRESS_TABLE_H_
 #define PRIMA_ACCESS_ADDRESS_TABLE_H_
 
+#include <atomic>
+#include <cstddef>
 #include <map>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "access/tid.h"
@@ -33,14 +34,33 @@ struct AddressEntry {
 /// Memory-resident with wholesale persistence into the address segment at
 /// flush time (rebuildable from the base records if absent).
 ///
-/// Atoms are hashed by packed surrogate, so the per-atom calls (Lookup,
-/// Register, ...) on the hot path cost O(1). Order exists only where it is
-/// observable: Encode writes atoms in ascending packed-surrogate order (the
-/// persisted bytes do not depend on the hash), and AllOfType returns
-/// ascending surrogates. Both, like CountOfType and RemoveType, visit the
-/// whole table; they serve flushes, DDL and explicit sorts.
+/// NewTid issues each type's sequence numbers densely and never reissues
+/// one, so the base record id of every atom lives inline in a per-type
+/// array indexed by sequence: a radix directory over the 48-bit sequence
+/// whose leaves are chunks of 64-bit slots. A dense type's directory is one
+/// level deep; a far sequence (a surrogate re-registered by recovery) grows
+/// the directory in height and allocates only its own chunk. The other
+/// materializations, which few atoms have, sit in a side map.
+///
+/// Concurrency: Lookup of the base structure and Exists take no lock; they
+/// index the directory and load the slot. Every other call takes one plain
+/// mutex, which base readers therefore cannot starve. A chunk whose slots all
+/// become absent is detached and kept for reuse by the next chunk any type
+/// needs, never freed while the table lives: a lock-free reader may still
+/// hold it, and re-checks after its load that the chunk still hangs where
+/// it found it, in the same attachment.
+///
+/// An atom exists while it has a base entry; the type queries (AllOfType,
+/// CountOfType) count those. Encode writes every atom with an entry in
+/// ascending packed-surrogate order, each atom's entries in the order they
+/// were registered.
 class AddressTable {
  public:
+  AddressTable() = default;
+  ~AddressTable();
+  AddressTable(const AddressTable&) = delete;
+  AddressTable& operator=(const AddressTable&) = delete;
+
   /// Generate the next surrogate for an atom type (insert path).
   Tid NewTid(AtomTypeId type);
 
@@ -68,13 +88,54 @@ class AddressTable {
   std::string Encode() const;
   util::Status DecodeFrom(util::Slice in);
 
+  /// Chunks of base slots attached to some type's directory.
+  size_t ChunksInUse() const;
+
  private:
+  struct Chunk;
+  struct Node;
+  struct TypePage;
+  /// The non-base materializations of one atom, in registration order.
+  struct SideEntries {
+    std::vector<AddressEntry> entries;
+    /// How many of `entries` precede the base entry in Encode's order
+    /// (they were registered before it).
+    size_t base_pos = 0;
+  };
+
+  TypePage* PageOf(AtomTypeId type) const;
+  /// The base rid of `tid`, or kAbsent. Takes no lock.
+  uint64_t BaseRid(const Tid& tid) const;
+  /// The directory link that holds (or would hold) the chunk of `tid`'s
+  /// sequence, or nullptr when the directory has no path to it.
+  const std::atomic<void*>* ChunkLink(const Tid& tid) const;
+
+  /// Calls fn(link, chunk, first_seq) for every chunk below `node`, in
+  /// ascending sequence order. Callers hold mu_ (or own the table alone).
+  template <typename Fn>
+  static void ForEachChunkLink(Node* node, uint64_t first_seq, const Fn& fn);
+  static void FreeNodes(Node* node);
+
+  // The rest are called with mu_ held.
+  std::atomic<void*>& GrowTo(const Tid& tid);
+  util::Status SetBase(const Tid& tid, uint64_t rid);
+  void ClearBase(const Tid& tid);
+  Chunk* TakeChunk();
+  void ReleaseChunk(std::atomic<void*>* link);
+  void ReleaseType(AtomTypeId type);
+  util::Status Missing(const Tid& tid, uint32_t structure) const;
+
+  /// Directory pages of 256 types each, indexed by the type's high byte.
+  std::atomic<TypePage*> pages_[256] = {};
+
   /// A plain mutex, not a reader-writer lock: glibc's rwlock prefers
   /// readers, so lookups that never pause would starve Register and Remove.
   mutable std::mutex mu_;
-  // Keyed by Tid::Pack().
-  std::unordered_map<uint64_t, std::vector<AddressEntry>> entries_;
+  std::map<uint64_t, SideEntries> side_;  ///< keyed by Tid::Pack()
   std::map<AtomTypeId, uint64_t> next_seq_;
+  std::vector<Chunk*> spare_;  ///< detached chunks, every slot absent
+  uint64_t attachments_ = 0;   ///< chunk attachments made so far
+  size_t chunks_in_use_ = 0;
 };
 
 }  // namespace prima::access

@@ -1,6 +1,7 @@
 #ifndef PRIMA_ACCESS_ATOM_CLUSTER_H_
 #define PRIMA_ACCESS_ATOM_CLUSTER_H_
 
+#include <functional>
 #include <string>
 #include <vector>
 

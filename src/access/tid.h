@@ -2,7 +2,6 @@
 #define PRIMA_ACCESS_TID_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 
 namespace prima::access {
@@ -43,12 +42,6 @@ struct Tid {
   friend bool operator!=(const Tid& a, const Tid& b) { return !(a == b); }
   friend bool operator<(const Tid& a, const Tid& b) {
     return a.Pack() < b.Pack();
-  }
-};
-
-struct TidHash {
-  size_t operator()(const Tid& t) const {
-    return std::hash<uint64_t>()(t.Pack());
   }
 };
 

@@ -72,6 +72,7 @@ uint64_t VersionStore::Publish(uint64_t txn, uint64_t wal_lsn) {
   {
     std::lock_guard<std::mutex> lock(retire_mu_);
     for (Tomb& t : tombs) graveyard_.push_back(t);
+    buried_.store(graveyard_.size(), std::memory_order_release);
   }
   if (wal_lsn > last_lsn_.load(std::memory_order_relaxed)) {
     last_lsn_.store(wal_lsn, std::memory_order_relaxed);
@@ -115,6 +116,10 @@ void VersionStore::ReleasePin(const ReadView& view) {
 void VersionStore::Retire() {
   // An entry stamped with sequence C serves only views with seq < C; once
   // every live pin sits at or above C (or no pin is live), it is garbage.
+  // With no tomb waiting there is nothing to trim: a Publish that buries
+  // one after this check calls Retire itself, and a pin released before
+  // that Publish reads the floor is already gone from pins_.
+  if (buried_.load(std::memory_order_acquire) == 0) return;
   uint64_t floor;
   {
     std::lock_guard<std::mutex> lock(pins_mu_);
@@ -127,6 +132,7 @@ void VersionStore::Retire() {
       ripe.push_back(graveyard_.front());
       graveyard_.pop_front();
     }
+    buried_.store(graveyard_.size(), std::memory_order_release);
   }
   if (ripe.empty()) return;
   uint64_t retired = 0;
@@ -213,6 +219,9 @@ VersionStore::Resolution VersionStore::Resolve(const Tid& tid,
 
 std::vector<uint64_t> VersionStore::ChainedTids(AtomTypeId type) const {
   std::vector<uint64_t> out;
+  // Safe for the reason Resolve's fast path is: a writer installs its chain
+  // entry before it touches the base record.
+  if (Empty()) return out;
   for (size_t i = 0; i < kShards; ++i) {
     Shard& shard = shards_[i];
     std::lock_guard<std::mutex> lock(shard.mu);

@@ -200,6 +200,8 @@ class VersionStore {
   };
   std::mutex retire_mu_;
   std::deque<Tomb> graveyard_;
+  /// graveyard_.size() as of the last change, read without retire_mu_.
+  std::atomic<size_t> buried_{0};
 
   /// Live pins: seq -> {count, wal_lsn at pin time}.
   struct PinInfo {

@@ -117,9 +117,114 @@ TEST(AddressTableTest, TypeQueriesSeeOnlyTheirType) {
   EXPECT_EQ(*table.Lookup(Tid(6, seqs[0] + 1), kBaseStructure), seqs[0]);
 }
 
-// Readers resolve atoms while a writer registers enough new ones to make
-// the table grow (and rehash) many times over. Each side does a fixed amount
-// of work; the readers yield so that the two overlap.
+// Two types, a deleted hole, a base entry plus a sort copy (5) plus a
+// partition (6) on one atom, a partition registered before its atom's base,
+// a cluster entry on an atom with no base, and a counter with no live atoms.
+// The hex is what the hash-map table this one replaced wrote for the same
+// calls, so it pins the persisted format and each atom's entry order.
+TEST(AddressTableTest, GoldenEncoding) {
+  AddressTable t;
+  const Tid a1 = t.NewTid(2), a2 = t.NewTid(2), a3 = t.NewTid(2);
+  ASSERT_TRUE(t.Register(a1, kBaseStructure, (7ull << 16) | 1).ok());
+  ASSERT_TRUE(t.Register(a2, kBaseStructure, (7ull << 16) | 2).ok());
+  ASSERT_TRUE(t.Register(a3, kBaseStructure, (8ull << 16) | 0).ok());
+  ASSERT_TRUE(t.Register(a1, 5, 0x1234).ok());
+  ASSERT_TRUE(t.Register(a1, 6, (30ull << 16) | 4).ok());
+  ASSERT_TRUE(t.Remove(a2).ok());
+  const Tid b1 = t.NewTid(5), b2 = t.NewTid(5), b3 = t.NewTid(5);
+  ASSERT_TRUE(t.Register(b1, kBaseStructure, (9ull << 16) | 3).ok());
+  ASSERT_TRUE(t.Register(b3, 6, (31ull << 16) | 0).ok());
+  ASSERT_TRUE(t.Register(b3, kBaseStructure, (9ull << 16) | 5).ok());
+  ASSERT_TRUE(t.Register(b2, 7, 0xABCD).ok());
+  (void)t.NewTid(9);
+
+  const std::string golden =
+      "03020305030901050100000000000200030001000700000000000534120000000000"
+      "000604001e000000000003000000000002000100000008000000000001000000000005"
+      "000100030009000000000002000000000005000107cdab000000000000030000000000"
+      "0500020600001f0000000000000500090000000000";
+  std::string hex;
+  for (unsigned char c : t.Encode()) {
+    static const char kDigits[] = "0123456789abcdef";
+    hex += kDigits[c >> 4];
+    hex += kDigits[c & 15];
+  }
+  EXPECT_EQ(hex, golden);
+
+  AddressTable decoded;
+  ASSERT_TRUE(decoded.DecodeFrom(t.Encode()).ok());
+  EXPECT_EQ(decoded.Encode(), t.Encode());
+  const std::vector<AddressEntry> b3_entries = decoded.EntriesFor(b3);
+  ASSERT_EQ(b3_entries.size(), 2u);
+  EXPECT_EQ(b3_entries[0].structure_id, 6u);
+  EXPECT_EQ(b3_entries[1].structure_id, kBaseStructure);
+  // An atom exists while it has a base entry; the cluster-only b2 does not.
+  EXPECT_FALSE(decoded.Exists(b2));
+  EXPECT_EQ(*decoded.Lookup(b2, 7), 0xABCDu);
+  EXPECT_EQ(decoded.AllOfType(5), (std::vector<Tid>{b1, b3}));
+  EXPECT_EQ(decoded.CountOfType(2), 2u);
+}
+
+// A surrogate far beyond the dense range (as crash recovery may
+// re-register) allocates its own chunk, not the span before it.
+TEST(AddressTableTest, FarSurrogateAllocatesOneChunk) {
+  AddressTable table;
+  const Tid far(3, 1ull << 40);
+  ASSERT_TRUE(table.Register(far, kBaseStructure, 77).ok());
+  EXPECT_EQ(table.ChunksInUse(), 1u);
+  EXPECT_EQ(*table.Lookup(far, kBaseStructure), 77u);
+  EXPECT_FALSE(table.Exists(Tid(3, (1ull << 40) - 1)));
+  EXPECT_FALSE(table.Exists(Tid(3, 1)));
+  EXPECT_EQ(table.NewTid(3), Tid(3, (1ull << 40) + 1));
+
+  // A low sequence of the same type after the directory grew, and the
+  // highest sequence a surrogate can carry.
+  ASSERT_TRUE(table.Register(Tid(3, 1), kBaseStructure, 5).ok());
+  const Tid top(3, (1ull << 48) - 1);
+  ASSERT_TRUE(table.Register(top, kBaseStructure, 6).ok());
+  EXPECT_EQ(table.ChunksInUse(), 3u);
+  EXPECT_EQ(table.AllOfType(3), (std::vector<Tid>{Tid(3, 1), far, top}));
+  EXPECT_EQ(*table.Lookup(Tid(3, 1), kBaseStructure), 5u);
+  EXPECT_EQ(*table.Lookup(top, kBaseStructure), 6u);
+}
+
+// Deleting every atom of a chunk's range releases the chunk; a lookup into
+// the released range finds nothing, and the next chunk reuses the memory.
+TEST(AddressTableTest, DeleteHeavyTypeReleasesChunks) {
+  AddressTable table;
+  constexpr uint64_t kAtoms = 8 * 1024;
+  for (uint64_t seq = 1; seq <= kAtoms; ++seq) {
+    ASSERT_TRUE(table.Register(Tid(4, seq), kBaseStructure, seq * 10).ok());
+  }
+  const size_t full = table.ChunksInUse();
+  EXPECT_EQ(full, 9u);  // seq 0 shares the first chunk; 8192 opens a ninth
+  for (uint64_t seq = 1; seq < kAtoms - 100; ++seq) {
+    ASSERT_TRUE(table.Remove(Tid(4, seq)).ok());
+  }
+  EXPECT_EQ(table.ChunksInUse(), 2u);
+  EXPECT_EQ(table.CountOfType(4), 101u);
+  for (uint64_t seq : {uint64_t{1}, uint64_t{512}, kAtoms - 1025}) {
+    EXPECT_TRUE(table.Lookup(Tid(4, seq), kBaseStructure).status().IsNotFound())
+        << seq;
+  }
+  EXPECT_EQ(*table.Lookup(Tid(4, kAtoms), kBaseStructure), kAtoms * 10);
+
+  // Another type's new atoms take the released chunks back.
+  for (uint64_t seq = 1; seq <= 3 * 1024; ++seq) {
+    ASSERT_TRUE(table.Register(Tid(8, seq), kBaseStructure, seq).ok());
+  }
+  EXPECT_EQ(table.ChunksInUse(), 6u);
+  EXPECT_TRUE(table.Lookup(Tid(4, 1), kBaseStructure).status().IsNotFound());
+
+  table.RemoveType(8);
+  EXPECT_EQ(table.ChunksInUse(), 2u);
+  EXPECT_FALSE(table.Exists(Tid(8, 1)));
+  EXPECT_TRUE(table.AllOfType(8).empty());
+}
+
+// Readers resolve atoms while a writer registers enough new ones to grow
+// the directory by many chunks. Each side does a fixed amount of work; the
+// readers yield so that the two overlap.
 TEST(AddressTableTest, ConcurrentLookupDuringRegister) {
   AddressTable table;
   constexpr uint64_t kPreloaded = 1000;
@@ -154,6 +259,62 @@ TEST(AddressTableTest, ConcurrentLookupDuringRegister) {
 
   EXPECT_EQ(wrong.load(), 0u);
   EXPECT_EQ(table.CountOfType(1), kPreloaded + kRegistered);
+}
+
+// Readers race a writer that deletes atoms oldest first and registers new
+// ones, so chunks are released and reattached under the readers to other
+// ranges of both types. A lookup may miss an atom deleted meanwhile, but a
+// hit must carry that atom's own rid, never one from the range a reused
+// chunk serves now.
+TEST(AddressTableTest, ConcurrentLookupDuringChunkRelease) {
+  AddressTable table;
+  constexpr uint64_t kWindow = 3000;  // live atoms per type
+  constexpr uint64_t kRounds = 200000;
+  const auto rid_of = [](const Tid& tid) { return tid.seq * 16 + tid.type; };
+  for (uint64_t seq = 1; seq <= kWindow; ++seq) {
+    for (AtomTypeId type : {1, 2}) {
+      ASSERT_TRUE(table.Register(Tid(type, seq), kBaseStructure,
+                                 rid_of(Tid(type, seq))).ok());
+    }
+  }
+
+  std::atomic<uint64_t> newest{kWindow};
+  std::atomic<int> started{0};
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> wrong{0}, hits{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 4; ++r) {
+    readers.emplace_back([&, r] {
+      util::Random rng(300 + r);
+      started.fetch_add(1);
+      while (!done.load()) {
+        const uint64_t top = newest.load();
+        const uint64_t seq = top - kWindow + 1 + rng.Uniform(kWindow + 64);
+        const Tid tid(static_cast<AtomTypeId>(1 + rng.Uniform(2)), seq);
+        auto rid = table.Lookup(tid, kBaseStructure);
+        if (rid.ok()) {
+          hits.fetch_add(1);
+          if (*rid != rid_of(tid)) wrong.fetch_add(1);
+        }
+      }
+    });
+  }
+  while (started.load() < 4) std::this_thread::yield();
+  for (uint64_t seq = kWindow + 1; seq <= kWindow + kRounds; ++seq) {
+    for (AtomTypeId type : {1, 2}) {
+      EXPECT_TRUE(table.Remove(Tid(type, seq - kWindow)).ok());
+      EXPECT_TRUE(table.Register(Tid(type, seq), kBaseStructure,
+                                 rid_of(Tid(type, seq))).ok());
+    }
+    newest.store(seq);
+  }
+  done.store(true);
+  for (auto& t : readers) t.join();
+
+  EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_GT(hits.load(), 0u);
+  EXPECT_EQ(table.CountOfType(1), kWindow);
+  EXPECT_LE(table.ChunksInUse(), 2 * (kWindow / 1024 + 2));
 }
 
 // Readers that never pause must not hold off a writer: four threads spin on
