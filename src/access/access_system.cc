@@ -474,9 +474,7 @@ Status AccessSystem::DropStructure(const std::string& name) {
                    pending_.end());
   }
   // Remove per-atom address entries pointing into the structure.
-  for (const Tid& tid : addresses_.AllOfType(def->atom_type)) {
-    (void)addresses_.Unregister(tid, id);
-  }
+  addresses_.UnregisterStructure(def->atom_type, id);
   btrees_.erase(id);
   grids_.erase(id);
   partition_files_.erase(id);

@@ -1,5 +1,8 @@
 #include "access/address_table.h"
 
+#include <algorithm>
+#include <utility>
+
 #include "util/coding.h"
 
 namespace prima::access {
@@ -60,6 +63,7 @@ struct AddressTable::Node {
 struct AddressTable::TypePage {
   std::atomic<Node*> roots[256] = {};
   uint64_t live[256] = {};  ///< atoms with a base entry, per type (writers)
+  SideMap side[256];        ///< non-base entries, per type (mu_)
 };
 
 template <typename Fn>
@@ -165,9 +169,8 @@ Result<uint64_t> AddressTable::Lookup(const Tid& tid,
     return rid;
   }
   std::lock_guard lock(mu_);
-  auto it = side_.find(tid.Pack());
-  if (it != side_.end()) {
-    for (const auto& e : it->second.entries) {
+  if (const SideEntries* side = FindSide(tid)) {
+    for (const auto& e : side->entries) {
       if (e.structure_id == structure) return e.rid;
     }
   }
@@ -178,8 +181,30 @@ Result<uint64_t> AddressTable::Lookup(const Tid& tid,
 // Writers (mu_ held)
 // ---------------------------------------------------------------------------
 
+AddressTable::SideMap* AddressTable::SideOf(AtomTypeId type) const {
+  TypePage* page = PageOf(type);
+  return page == nullptr ? nullptr : &page->side[type & 0xFF];
+}
+
+AddressTable::SideEntries* AddressTable::FindSide(const Tid& tid) const {
+  SideMap* sides = SideOf(tid.type);
+  if (sides == nullptr || sides->empty()) return nullptr;
+  auto it = sides->find(tid.seq);
+  return it == sides->end() ? nullptr : &it->second;
+}
+
+bool AddressTable::EraseEntry(SideEntries* side, uint32_t structure) {
+  for (size_t i = 0; i < side->entries.size(); ++i) {
+    if (side->entries[i].structure_id != structure) continue;
+    side->entries.erase(side->entries.begin() + static_cast<ptrdiff_t>(i));
+    if (i < side->base_pos) --side->base_pos;
+    return true;
+  }
+  return false;
+}
+
 Status AddressTable::Missing(const Tid& tid, uint32_t structure) const {
-  if (BaseRid(tid) == kAbsent && side_.count(tid.Pack()) == 0) {
+  if (BaseRid(tid) == kAbsent && FindSide(tid) == nullptr) {
     return Status::NotFound("atom " + tid.ToString());
   }
   return Status::NotFound("no entry for structure " + std::to_string(structure));
@@ -213,14 +238,18 @@ void AddressTable::ReleaseChunk(std::atomic<void*>* link) {
   --chunks_in_use_;
 }
 
-std::atomic<void*>& AddressTable::GrowTo(const Tid& tid) {
-  std::atomic<TypePage*>& page_link = pages_[tid.type >> 8];
+AddressTable::TypePage& AddressTable::PageFor(AtomTypeId type) {
+  std::atomic<TypePage*>& page_link = pages_[type >> 8];
   TypePage* page = page_link.load(std::memory_order_relaxed);
   if (page == nullptr) {
     page = new TypePage();
     page_link.store(page, std::memory_order_release);
   }
-  std::atomic<Node*>& root_link = page->roots[tid.type & 0xFF];
+  return *page;
+}
+
+std::atomic<void*>& AddressTable::GrowTo(const Tid& tid) {
+  std::atomic<Node*>& root_link = PageFor(tid.type).roots[tid.type & 0xFF];
   Node* node = root_link.load(std::memory_order_relaxed);
   unsigned height = 1;
   while ((tid.seq >> SpanBits(height)) != 0) ++height;
@@ -267,8 +296,7 @@ Status AddressTable::SetBase(const Tid& tid, uint64_t rid) {
   slot.store(rid, std::memory_order_release);
   ++chunk->live;
   ++PageOf(tid.type)->live[tid.type & 0xFF];
-  auto side = side_.find(tid.Pack());
-  if (side != side_.end()) side->second.base_pos = side->second.entries.size();
+  if (SideEntries* side = FindSide(tid)) side->base_pos = side->entries.size();
   return Status::Ok();
 }
 
@@ -290,6 +318,7 @@ void AddressTable::ReleaseType(AtomTypeId type) {
                                      uint64_t) { ReleaseChunk(link); });
   }
   page->live[type & 0xFF] = 0;
+  page->side[type & 0xFF] = SideMap();
 }
 
 Tid AddressTable::NewTid(AtomTypeId type) {
@@ -305,7 +334,7 @@ Status AddressTable::Register(const Tid& tid, uint32_t structure,
   if (structure == kBaseStructure) {
     PRIMA_RETURN_IF_ERROR(SetBase(tid, rid));
   } else {
-    auto& list = side_[tid.Pack()].entries;
+    auto& list = PageFor(tid.type).side[tid.type & 0xFF][tid.seq].entries;
     for (const auto& e : list) {
       if (e.structure_id == structure) {
         return Status::AlreadyExists("structure already materializes atom " +
@@ -323,25 +352,34 @@ Status AddressTable::Register(const Tid& tid, uint32_t structure,
 }
 
 Status AddressTable::Unregister(const Tid& tid, uint32_t structure) {
-  std::lock_guard lock(mu_);
-  const bool has_base = BaseRid(tid) != kAbsent;
   if (structure == kBaseStructure) {
-    if (!has_base) return Missing(tid, structure);
-    ClearBase(tid);
-    side_.try_emplace(tid.Pack());  // the atom stays listed, as before
-    return Status::Ok();
+    return Status::InvalidArgument("the base entry of atom " +
+                                   tid.ToString() + " goes with the atom");
   }
-  auto it = side_.find(tid.Pack());
-  if (it == side_.end()) return Missing(tid, structure);
-  SideEntries& side = it->second;
-  for (size_t i = 0; i < side.entries.size(); ++i) {
-    if (side.entries[i].structure_id != structure) continue;
-    side.entries.erase(side.entries.begin() + static_cast<ptrdiff_t>(i));
-    if (i < side.base_pos) --side.base_pos;
-    if (side.entries.empty() && has_base) side_.erase(it);
-    return Status::Ok();
+  std::lock_guard lock(mu_);
+  SideMap* sides = SideOf(tid.type);
+  auto it = sides == nullptr ? SideMap::iterator() : sides->find(tid.seq);
+  if (sides == nullptr || it == sides->end() ||
+      !EraseEntry(&it->second, structure)) {
+    return Missing(tid, structure);
   }
-  return Missing(tid, structure);
+  // An atom without a base entry stays listed, as it was registered.
+  if (it->second.entries.empty() && BaseRid(tid) != kAbsent) sides->erase(it);
+  return Status::Ok();
+}
+
+void AddressTable::UnregisterStructure(AtomTypeId type, uint32_t structure) {
+  std::lock_guard lock(mu_);
+  SideMap* sides = SideOf(type);
+  if (sides == nullptr) return;
+  for (auto it = sides->begin(); it != sides->end();) {
+    if (EraseEntry(&it->second, structure) && it->second.entries.empty() &&
+        BaseRid(Tid(type, it->first)) != kAbsent) {
+      it = sides->erase(it);
+    } else {
+      ++it;
+    }
+  }
 }
 
 Status AddressTable::UpdateEntry(const Tid& tid, uint32_t structure,
@@ -358,9 +396,8 @@ Status AddressTable::UpdateEntry(const Tid& tid, uint32_t structure,
     chunk->slots[SlotIndex(tid.seq)].store(rid, std::memory_order_release);
     return Status::Ok();
   }
-  auto it = side_.find(tid.Pack());
-  if (it != side_.end()) {
-    for (auto& e : it->second.entries) {
+  if (SideEntries* side = FindSide(tid)) {
+    for (auto& e : side->entries) {
       if (e.structure_id == structure) {
         e.rid = rid;
         return Status::Ok();
@@ -373,7 +410,8 @@ Status AddressTable::UpdateEntry(const Tid& tid, uint32_t structure,
 Status AddressTable::Remove(const Tid& tid) {
   std::lock_guard lock(mu_);
   const bool has_base = BaseRid(tid) != kAbsent;
-  const bool had_side = side_.erase(tid.Pack()) != 0;
+  SideMap* sides = SideOf(tid.type);
+  const bool had_side = sides != nullptr && sides->erase(tid.seq) != 0;
   if (!has_base && !had_side) {
     return Status::NotFound("atom " + tid.ToString());
   }
@@ -384,11 +422,11 @@ Status AddressTable::Remove(const Tid& tid) {
 std::vector<AddressEntry> AddressTable::EntriesFor(const Tid& tid) const {
   std::lock_guard lock(mu_);
   std::vector<AddressEntry> out;
-  auto it = side_.find(tid.Pack());
-  if (it != side_.end()) out = it->second.entries;
+  const SideEntries* side = FindSide(tid);
+  if (side != nullptr) out = side->entries;
   const uint64_t rid = BaseRid(tid);
   if (rid != kAbsent) {
-    const size_t pos = it == side_.end() ? 0 : it->second.base_pos;
+    const size_t pos = side == nullptr ? 0 : side->base_pos;
     out.insert(out.begin() + static_cast<ptrdiff_t>(pos),
                AddressEntry{kBaseStructure, rid});
   }
@@ -428,8 +466,6 @@ uint64_t AddressTable::CountOfType(AtomTypeId type) const {
 void AddressTable::RemoveType(AtomTypeId type) {
   std::lock_guard lock(mu_);
   ReleaseType(type);
-  side_.erase(side_.lower_bound(Tid(type, 0).Pack()),
-              side_.upper_bound(Tid(type, ~uint64_t{0}).Pack()));
   next_seq_.erase(type);
 }
 
@@ -451,14 +487,27 @@ std::string AddressTable::Encode() const {
     util::PutVarint64(&out, next);
   }
 
+  // Atoms with side entries but no base entry, per type, sorted: the only
+  // atoms the chunk walk below does not visit.
+  std::vector<std::pair<AtomTypeId, std::vector<uint64_t>>> side_only;
   uint64_t atoms = 0;
-  for (const auto& slot : pages_) {
-    const TypePage* page = slot.load(std::memory_order_relaxed);
+  for (size_t p = 0; p < 256; ++p) {
+    const TypePage* page = pages_[p].load(std::memory_order_relaxed);
     if (page == nullptr) continue;
-    for (uint64_t live : page->live) atoms += live;
-  }
-  for (const auto& [packed, side] : side_) {
-    if (BaseRid(Tid::Unpack(packed)) == kAbsent) ++atoms;
+    for (size_t t = 0; t < 256; ++t) {
+      atoms += page->live[t];
+      const auto type = static_cast<AtomTypeId>(p << 8 | t);
+      std::vector<uint64_t> seqs;
+      for (const auto& entry : page->side[t]) {
+        if (BaseRid(Tid(type, entry.first)) == kAbsent) {
+          seqs.push_back(entry.first);
+        }
+      }
+      if (seqs.empty()) continue;
+      std::sort(seqs.begin(), seqs.end());
+      atoms += seqs.size();
+      side_only.emplace_back(type, std::move(seqs));
+    }
   }
   util::PutVarint64(&out, atoms);
 
@@ -466,53 +515,60 @@ std::string AddressTable::Encode() const {
     util::PutVarint64(&out, structure);
     util::PutFixed64(&out, rid);
   };
-  const std::vector<AddressEntry> no_entries;
-  const auto put_atom = [&](uint64_t packed, uint64_t base_rid,
-                            const SideEntries* side) {
-    const auto& entries = side == nullptr ? no_entries : side->entries;
+  const auto put_atom = [&](const Tid& tid, uint64_t base_rid,
+                            const SideMap& sides) {
+    const SideEntries* side = nullptr;
+    if (!sides.empty()) {
+      auto it = sides.find(tid.seq);
+      if (it != sides.end()) side = &it->second;
+    }
+    const size_t n = side == nullptr ? 0 : side->entries.size();
     const size_t base_pos = side == nullptr ? 0 : side->base_pos;
     const bool has_base = base_rid != kAbsent;
-    util::PutFixed64(&out, packed);
-    util::PutVarint64(&out, entries.size() + (has_base ? 1 : 0));
-    for (size_t i = 0; i < entries.size(); ++i) {
+    util::PutFixed64(&out, tid.Pack());
+    util::PutVarint64(&out, n + (has_base ? 1 : 0));
+    for (size_t i = 0; i < n; ++i) {
       if (has_base && i == base_pos) put_entry(kBaseStructure, base_rid);
-      put_entry(entries[i].structure_id, entries[i].rid);
+      put_entry(side->entries[i].structure_id, side->entries[i].rid);
     }
-    if (has_base && base_pos == entries.size()) {
-      put_entry(kBaseStructure, base_rid);
-    }
+    if (has_base && base_pos == n) put_entry(kBaseStructure, base_rid);
   };
   // Types and each type's chunks are walked in ascending order, so the
-  // atoms come out sorted; side-only atoms are merged in by packed tid.
-  auto side = side_.begin();
-  const auto put_side_only_below = [&](uint64_t packed) {
-    for (; side != side_.end() && side->first < packed; ++side) {
-      put_atom(side->first, kAbsent, &side->second);
-    }
-  };
+  // atoms come out sorted; side-only atoms are merged in by sequence.
+  const std::vector<uint64_t> none;
+  auto next_side_only = side_only.begin();
   for (size_t p = 0; p < 256; ++p) {
     const TypePage* page = pages_[p].load(std::memory_order_relaxed);
     if (page == nullptr) continue;
     for (size_t t = 0; t < 256; ++t) {
-      Node* root = page->roots[t].load(std::memory_order_relaxed);
-      if (root == nullptr) continue;
       const auto type = static_cast<AtomTypeId>(p << 8 | t);
-      ForEachChunkLink(root, 0, [&](std::atomic<void*>*, Chunk* chunk,
-                                    uint64_t first_seq) {
-        for (size_t i = 0; i < kChunkSlots; ++i) {
-          const uint64_t rid = chunk->slots[i].load(std::memory_order_relaxed);
-          if (rid == kAbsent) continue;
-          const uint64_t packed = Tid(type, first_seq + i).Pack();
-          put_side_only_below(packed);
-          const bool has_side = side != side_.end() && side->first == packed;
-          put_atom(packed, rid, has_side ? &side->second : nullptr);
-          if (has_side) ++side;
+      const SideMap& sides = page->side[t];
+      const bool has_side_only =
+          next_side_only != side_only.end() && next_side_only->first == type;
+      const std::vector<uint64_t>& orphans =
+          has_side_only ? (next_side_only++)->second : none;
+      size_t next_orphan = 0;
+      const auto put_orphans_below = [&](uint64_t seq) {
+        for (; next_orphan < orphans.size() && orphans[next_orphan] < seq;
+             ++next_orphan) {
+          put_atom(Tid(type, orphans[next_orphan]), kAbsent, sides);
         }
-      });
+      };
+      Node* root = page->roots[t].load(std::memory_order_relaxed);
+      if (root != nullptr) {
+        ForEachChunkLink(root, 0, [&](std::atomic<void*>*, Chunk* chunk,
+                                      uint64_t first_seq) {
+          for (size_t i = 0; i < kChunkSlots; ++i) {
+            const uint64_t rid =
+                chunk->slots[i].load(std::memory_order_relaxed);
+            if (rid == kAbsent) continue;
+            put_orphans_below(first_seq + i);
+            put_atom(Tid(type, first_seq + i), rid, sides);
+          }
+        });
+      }
+      put_orphans_below(~uint64_t{0});
     }
-  }
-  for (; side != side_.end(); ++side) {
-    put_atom(side->first, kAbsent, &side->second);
   }
   return out;
 }
@@ -522,7 +578,6 @@ Status AddressTable::DecodeFrom(Slice in) {
   for (uint32_t type = 0; type <= 0xFFFF; ++type) {
     ReleaseType(static_cast<AtomTypeId>(type));
   }
-  side_.clear();
   next_seq_.clear();
   uint64_t n_types;
   if (!util::GetVarint64(&in, &n_types)) {
@@ -546,14 +601,15 @@ Status AddressTable::DecodeFrom(Slice in) {
       return Status::Corruption("address table entry");
     }
     const Tid tid = Tid::Unpack(packed);
-    if (n_entries == 0) side_.try_emplace(packed);  // listed with no entry
+    SideMap& sides = PageFor(tid.type).side[tid.type & 0xFF];
+    if (n_entries == 0) sides.try_emplace(tid.seq);  // listed with no entry
     for (uint64_t j = 0; j < n_entries; ++j) {
       uint64_t sid, rid;
       if (!util::GetVarint64(&in, &sid) || !util::GetFixed64(&in, &rid)) {
         return Status::Corruption("address table entry body");
       }
       if (sid != kBaseStructure) {
-        side_[packed].entries.push_back(
+        sides[tid.seq].entries.push_back(
             AddressEntry{static_cast<uint32_t>(sid), rid});
       } else if (!SetBase(tid, rid).ok()) {
         return Status::Corruption("address table base entry of atom " +

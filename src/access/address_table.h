@@ -6,6 +6,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "access/tid.h"
@@ -37,10 +38,13 @@ struct AddressEntry {
 /// NewTid issues each type's sequence numbers densely and never reissues
 /// one, so the base record id of every atom lives inline in a per-type
 /// array indexed by sequence: a radix directory over the 48-bit sequence
-/// whose leaves are chunks of 64-bit slots. A dense type's directory is one
-/// level deep; a far sequence (a surrogate re-registered by recovery) grows
-/// the directory in height and allocates only its own chunk. The other
-/// materializations, which few atoms have, sit in a side map.
+/// whose leaves are chunks of 1,024 64-bit slots. A dense type's directory
+/// is one level deep; a far sequence (a surrogate re-registered by recovery)
+/// grows the directory in height and allocates only its own chunk. The
+/// other materializations sit in a per-type hash map keyed by sequence.
+/// Sort copies and cluster headers put entries on some atoms, but a
+/// partition puts one on every atom of its type, and a covered projection
+/// looks it up on each read: that lookup is one hash find under the mutex.
 ///
 /// Concurrency: Lookup of the base structure and Exists take no lock; they
 /// index the directory and load the slot. Every other call takes one plain
@@ -49,6 +53,12 @@ struct AddressEntry {
 /// needs, never freed while the table lives: a lock-free reader may still
 /// hold it, and re-checks after its load that the chunk still hangs where
 /// it found it, in the same attachment.
+///
+/// Memory: a chunk (8 KiB) stays attached while any of its slots is live.
+/// A dense type costs 8 B per sequence issued, but a type whose surviving
+/// atoms are spread one per 1,024 sequences keeps a whole chunk for each
+/// survivor, and the table then holds the peak number of chunks it ever
+/// had attached (detached ones wait on the spare list).
 ///
 /// An atom exists while it has a base entry; the type queries (AllOfType,
 /// CountOfType) count those. Encode writes every atom with an entry in
@@ -66,8 +76,11 @@ class AddressTable {
 
   /// Record that `structure` materializes `tid` at `rid`.
   util::Status Register(const Tid& tid, uint32_t structure, uint64_t rid);
-  /// Remove a single materialization.
+  /// Remove a single non-base materialization. The base entry goes only
+  /// with the atom (Remove); asking for it here is InvalidArgument.
   util::Status Unregister(const Tid& tid, uint32_t structure);
+  /// Remove `structure`'s entry from every atom of `type` (DropStructure).
+  void UnregisterStructure(AtomTypeId type, uint32_t structure);
   /// Move a materialization (physical record relocated).
   util::Status UpdateEntry(const Tid& tid, uint32_t structure, uint64_t rid);
   /// Drop every materialization (atom deletion releases the surrogate).
@@ -102,8 +115,15 @@ class AddressTable {
     /// (they were registered before it).
     size_t base_pos = 0;
   };
+  /// One type's SideEntries, keyed by sequence.
+  using SideMap = std::unordered_map<uint64_t, SideEntries>;
 
   TypePage* PageOf(AtomTypeId type) const;
+  /// The side map of `type`, or nullptr when the type has no page yet.
+  SideMap* SideOf(AtomTypeId type) const;
+  SideEntries* FindSide(const Tid& tid) const;
+  /// Erases `structure`'s entry from `side`; false if it has none.
+  static bool EraseEntry(SideEntries* side, uint32_t structure);
   /// The base rid of `tid`, or kAbsent. Takes no lock.
   uint64_t BaseRid(const Tid& tid) const;
   /// The directory link that holds (or would hold) the chunk of `tid`'s
@@ -117,6 +137,7 @@ class AddressTable {
   static void FreeNodes(Node* node);
 
   // The rest are called with mu_ held.
+  TypePage& PageFor(AtomTypeId type);
   std::atomic<void*>& GrowTo(const Tid& tid);
   util::Status SetBase(const Tid& tid, uint64_t rid);
   void ClearBase(const Tid& tid);
@@ -125,13 +146,13 @@ class AddressTable {
   void ReleaseType(AtomTypeId type);
   util::Status Missing(const Tid& tid, uint32_t structure) const;
 
-  /// Directory pages of 256 types each, indexed by the type's high byte.
+  /// Directory pages of 256 types each, indexed by the type's high byte;
+  /// a page also holds its types' side maps.
   std::atomic<TypePage*> pages_[256] = {};
 
   /// A plain mutex, not a reader-writer lock: glibc's rwlock prefers
   /// readers, so lookups that never pause would starve Register and Remove.
   mutable std::mutex mu_;
-  std::map<uint64_t, SideEntries> side_;  ///< keyed by Tid::Pack()
   std::map<AtomTypeId, uint64_t> next_seq_;
   std::vector<Chunk*> spare_;  ///< detached chunks, every slot absent
   uint64_t attachments_ = 0;   ///< chunk attachments made so far

@@ -222,6 +222,78 @@ TEST(AddressTableTest, DeleteHeavyTypeReleasesChunks) {
   EXPECT_TRUE(table.AllOfType(8).empty());
 }
 
+// A chunk stays while any of its slots is live: survivors spread one per
+// chunk keep every chunk they sit in, and no more.
+TEST(AddressTableTest, ScatteredSurvivorsKeepTheirChunks) {
+  AddressTable table;
+  constexpr uint64_t kAtoms = 16 * 1024;
+  for (uint64_t seq = 1; seq <= kAtoms; ++seq) {
+    ASSERT_TRUE(table.Register(Tid(4, seq), kBaseStructure, seq).ok());
+  }
+  EXPECT_EQ(table.ChunksInUse(), 17u);
+  // Keep every 1,500th atom: 10 survivors, each in a chunk of its own.
+  for (uint64_t seq = 1; seq <= kAtoms; ++seq) {
+    if (seq % 1500 == 0) continue;
+    ASSERT_TRUE(table.Remove(Tid(4, seq)).ok());
+  }
+  EXPECT_EQ(table.CountOfType(4), 10u);
+  EXPECT_EQ(table.ChunksInUse(), 10u);
+  // Deleting a survivor releases its chunk.
+  ASSERT_TRUE(table.Remove(Tid(4, 1500)).ok());
+  EXPECT_EQ(table.ChunksInUse(), 9u);
+}
+
+// Dropping a structure removes its entry from every atom of the type, also
+// from an atom that has no base entry (a partition copy re-attached to a
+// deleted atom); other structures and other types keep theirs.
+TEST(AddressTableTest, UnregisterStructureReachesSideOnlyAtoms) {
+  AddressTable t;
+  const Tid based(2, 1), side_only(2, 2), both(2, 3), other(3, 1);
+  ASSERT_TRUE(t.Register(based, kBaseStructure, 10).ok());
+  ASSERT_TRUE(t.Register(based, 6, 11).ok());
+  ASSERT_TRUE(t.Register(side_only, 6, 21).ok());
+  ASSERT_TRUE(t.Register(both, 6, 31).ok());
+  ASSERT_TRUE(t.Register(both, kBaseStructure, 30).ok());
+  ASSERT_TRUE(t.Register(both, 5, 32).ok());
+  ASSERT_TRUE(t.Register(other, kBaseStructure, 40).ok());
+  ASSERT_TRUE(t.Register(other, 6, 41).ok());
+
+  t.UnregisterStructure(2, 6);
+  for (const Tid& tid : {based, side_only, both}) {
+    EXPECT_TRUE(t.Lookup(tid, 6).status().IsNotFound()) << tid.ToString();
+  }
+  EXPECT_EQ(*t.Lookup(other, 6), 41u);
+  EXPECT_EQ(*t.Lookup(both, 5), 32u);
+  EXPECT_EQ(t.EntriesFor(based).size(), 1u);
+  EXPECT_TRUE(t.EntriesFor(side_only).empty());
+  const std::vector<AddressEntry> both_entries = t.EntriesFor(both);
+  ASSERT_EQ(both_entries.size(), 2u);
+  EXPECT_EQ(both_entries[0].structure_id, kBaseStructure);
+  EXPECT_EQ(both_entries[1].structure_id, 5u);
+
+  // The blob no longer names structure 6 on type 2; the side-only atom is
+  // still written, with no entry, as a per-atom Unregister leaves it.
+  AddressTable want;
+  ASSERT_TRUE(want.Register(side_only, 6, 21).ok());
+  ASSERT_TRUE(want.Unregister(side_only, 6).ok());
+  ASSERT_TRUE(want.Register(based, kBaseStructure, 10).ok());
+  ASSERT_TRUE(want.Register(both, kBaseStructure, 30).ok());
+  ASSERT_TRUE(want.Register(both, 5, 32).ok());
+  ASSERT_TRUE(want.Register(other, kBaseStructure, 40).ok());
+  ASSERT_TRUE(want.Register(other, 6, 41).ok());
+  EXPECT_EQ(t.Encode(), want.Encode());
+}
+
+// The base entry goes only with its atom.
+TEST(AddressTableTest, UnregisterRefusesTheBaseEntry) {
+  AddressTable t;
+  ASSERT_TRUE(t.Register(Tid(2, 1), kBaseStructure, 10).ok());
+  EXPECT_TRUE(t.Unregister(Tid(2, 1), kBaseStructure).IsInvalidArgument());
+  EXPECT_EQ(*t.Lookup(Tid(2, 1), kBaseStructure), 10u);
+  ASSERT_TRUE(t.Remove(Tid(2, 1)).ok());
+  EXPECT_FALSE(t.Exists(Tid(2, 1)));
+}
+
 // Readers resolve atoms while a writer registers enough new ones to grow
 // the directory by many chunks. Each side does a fixed amount of work; the
 // readers yield so that the two overlap.
