@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <set>
+#include <tuple>
 
 #include "recovery/wal_writer.h"
 #include "util/coding.h"
@@ -599,7 +600,7 @@ Result<Atom> AccessSystem::ReadBaseAtom(const Tid& tid,
   Slice bytes = record.bytes();
   PRIMA_ASSIGN_OR_RETURN(Atom atom, Atom::Decode(&bytes, def->attrs.size()));
   if (atom.tid != tid) {
-    // The slot was freed by a relocation and reused (see GetAtom).
+    // The slot was freed by a relocation and reused (see GetBaseAtom).
     return Status::NotFound("record " + std::to_string(rid) +
                             " no longer holds atom " + tid.ToString());
   }
@@ -859,13 +860,51 @@ namespace {
 void ProjectAtom(const std::vector<uint16_t>& projection,
                  uint16_t identifier_attr, Atom* atom) {
   if (projection.empty()) return;
-  std::set<uint16_t> keep(projection.begin(), projection.end());
-  keep.insert(identifier_attr);
   for (size_t i = 0; i < atom->attrs.size(); ++i) {
-    if (keep.count(static_cast<uint16_t>(i)) == 0) {
+    const auto a = static_cast<uint16_t>(i);
+    if (a != identifier_attr &&
+        std::find(projection.begin(), projection.end(), a) ==
+            projection.end()) {
       atom->attrs[i] = Value::Null();
     }
   }
+}
+
+/// One distinct atom of a GetAtoms call and what reading it found.
+struct Fetch {
+  explicit Fetch(const Tid& t) : tid(t) {}
+  Tid tid;
+  const AtomTypeDef* def = nullptr;  ///< null: unknown type
+  RecordFile* file = nullptr;        ///< the type's base file
+  RecordId rid;                      ///< base rid, when read by page
+  bool from_partition = false;
+  util::Status status;  ///< of reading the current record
+  Atom current;
+};
+
+/// `tids` without repeats, each kept where it first occurs.
+std::vector<Fetch> DistinctFetches(const std::vector<Tid>& tids) {
+  std::vector<Fetch> fetches;
+  fetches.reserve(tids.size());
+  if (tids.size() == 1) {
+    fetches.emplace_back(tids[0]);
+    return fetches;
+  }
+  // Sorting (packed tid, position) puts each repeat right after the first
+  // occurrence of its tid.
+  std::vector<std::pair<uint64_t, uint32_t>> order(tids.size());
+  for (size_t i = 0; i < tids.size(); ++i) {
+    order[i] = {tids[i].Pack(), static_cast<uint32_t>(i)};
+  }
+  std::sort(order.begin(), order.end());
+  std::vector<bool> repeat(tids.size(), false);
+  for (size_t i = 1; i < order.size(); ++i) {
+    if (order[i].first == order[i - 1].first) repeat[order[i].second] = true;
+  }
+  for (size_t i = 0; i < tids.size(); ++i) {
+    if (!repeat[i]) fetches.emplace_back(tids[i]);
+  }
+  return fetches;
 }
 }  // namespace
 
@@ -897,41 +936,144 @@ Result<std::optional<Atom>> AccessSystem::ReadPartitionCopy(
   return std::optional<Atom>();
 }
 
-Result<Atom> AccessSystem::GetAtom(const Tid& tid, const ReadView& view,
-                                   const std::vector<uint16_t>& projection) {
-  const AtomTypeDef* def = catalog_.GetAtomType(tid.type);
-  if (def == nullptr) {
-    return Status::NotFound("atom type id " + std::to_string(tid.type));
+Status AccessSystem::GetAtoms(const std::vector<Tid>& tids,
+                              const ReadView& view, std::vector<Atom>* out,
+                              const std::vector<uint16_t>& projection,
+                              Status* missing) {
+  const auto miss = [&](const auto& make_status) {
+    if (missing != nullptr && missing->ok()) *missing = make_status();
+  };
+  std::vector<Fetch> fetches = DistinctFetches(tids);
+
+  // 1. Where each atom lives: a partition copy covering the projection, a
+  //    short base record (read by page below), or neither (read alone).
+  std::vector<size_t> by_page;
+  std::vector<size_t> alone;
+  AtomTypeId type = 0;
+  const AtomTypeDef* def = nullptr;
+  RecordFile* file = nullptr;
+  for (size_t i = 0; i < fetches.size(); ++i) {
+    Fetch& f = fetches[i];
+    if (i == 0 || f.tid.type != type) {
+      type = f.tid.type;
+      def = catalog_.GetAtomType(type);
+      const auto it = base_files_.find(type);
+      file = it == base_files_.end() ? nullptr : it->second.get();
+    }
+    f.def = def;
+    f.file = file;
+    if (def == nullptr) continue;
+    if (!projection.empty()) {
+      PRIMA_ASSIGN_OR_RETURN(std::optional<Atom> copy,
+                             ReadPartitionCopy(f.tid, *def, projection));
+      if (copy.has_value()) {
+        f.current = std::move(*copy);
+        f.from_partition = true;
+        stats_.atoms_read++;
+        continue;
+      }
+    }
+    if (file != nullptr) {
+      const Result<uint64_t> rid = addresses_.Lookup(f.tid, kBaseStructure);
+      if (rid.ok() && !RecordId::Unpack(*rid).IsLong()) {
+        f.rid = RecordId::Unpack(*rid);
+        by_page.push_back(i);
+        continue;
+      }
+    }
+    alone.push_back(i);
   }
-  // The current record first, THEN the chain: writers install the chain
-  // entry before the base record (and, after it, the partition copy)
-  // changes, and an abort publishes its entries only after restoring the
-  // base, so a reader that sees a too-new or aborted value is guaranteed
-  // to find the entry that rescues the old one. The reverse order would
-  // race.
-  PRIMA_ASSIGN_OR_RETURN(std::optional<Atom> copy,
-                         ReadPartitionCopy(tid, *def, projection));
-  const bool from_partition = copy.has_value();
-  if (from_partition) stats_.atoms_read++;
-  Result<Atom> current = from_partition ? Result<Atom>(std::move(*copy))
-                                        : GetBaseAtom(tid, def);
-  VersionStore::Resolution res = versions_.Resolve(tid, view);
-  if (res.outcome == VersionStore::Outcome::kInvisible) {
-    return Status::NotFound("atom " + tid.ToString() +
-                            " is not visible in this snapshot");
-  }
-  if (res.outcome == VersionStore::Outcome::kCurrent) {
-    PRIMA_RETURN_IF_ERROR(current.status());
-    if (from_partition) {
-      stats_.partition_reads++;
-      return current;
+
+  // 2. Fix each page once and decode every wanted slot on it. A slot that
+  //    is dead, or holds another atom, was freed by a relocating write
+  //    between the address lookup and the fix: that atom is read alone.
+  std::sort(by_page.begin(), by_page.end(), [&](size_t a, size_t b) {
+    const Fetch& x = fetches[a];
+    const Fetch& y = fetches[b];
+    return std::tie(x.tid.type, x.rid.page, x.rid.slot) <
+           std::tie(y.tid.type, y.rid.page, y.rid.slot);
+  });
+  for (size_t b = 0; b < by_page.size();) {
+    const Fetch& first = fetches[by_page[b]];
+    const Result<storage::PageGuard> page =
+        first.file->FixForRead(first.rid.page);
+    for (; b < by_page.size(); ++b) {
+      Fetch& f = fetches[by_page[b]];
+      if (f.tid.type != first.tid.type || f.rid.page != first.rid.page) break;
+      Result<Slice> bytes =
+          page.ok() ? f.file->SlotBytes(*page, f.rid.slot) : page.status();
+      Result<Atom> atom = bytes.ok()
+                              ? Atom::Decode(&*bytes, f.def->attrs.size())
+                              : Result<Atom>(bytes.status());
+      if (!bytes.ok() || (atom.ok() && atom->tid != f.tid)) {
+        alone.push_back(by_page[b]);
+        continue;
+      }
+      stats_.atoms_read++;
+      f.status = atom.status();
+      if (atom.ok()) f.current = std::move(atom).value();
     }
   }
-  Atom atom = res.outcome == VersionStore::Outcome::kBefore
-                  ? std::move(*res.before)  // rescues deleted atoms too
-                  : std::move(current).value();
-  ProjectAtom(projection, def->identifier_attr, &atom);
-  return atom;
+
+  // 3. The rest go through the one-record read, which waits out a
+  //    relocating write.
+  stats_.fetch_fallbacks += alone.size();
+  for (size_t i : alone) {
+    Fetch& f = fetches[i];
+    Result<Atom> base = GetBaseAtom(f.tid, f.def);
+    f.status = base.status();
+    if (base.ok()) f.current = std::move(base).value();
+  }
+
+  // 4. Resolve each atom against the view, in reference order. Every record
+  //    was read above, before its chain is consulted here: writers install
+  //    the chain entry before the base record (and, after it, the partition
+  //    copy) changes, and an abort publishes its entries only after
+  //    restoring the base, so a reader that saw a too-new or aborted value
+  //    is guaranteed to find the entry that rescues the old one. The
+  //    reverse order would race.
+  for (Fetch& f : fetches) {
+    if (f.def == nullptr) {
+      miss([&] {
+        return Status::NotFound("atom type id " + std::to_string(f.tid.type));
+      });
+      continue;
+    }
+    VersionStore::Resolution res = versions_.Resolve(f.tid, view);
+    if (res.outcome == VersionStore::Outcome::kInvisible) {
+      miss([&] {
+        return Status::NotFound("atom " + f.tid.ToString() +
+                                " is not visible in this snapshot");
+      });
+      continue;
+    }
+    if (res.outcome == VersionStore::Outcome::kCurrent) {
+      if (!f.status.ok()) {
+        if (!f.status.IsNotFound()) return f.status;
+        miss([&] { return f.status; });
+        continue;
+      }
+      if (f.from_partition) {
+        stats_.partition_reads++;
+        out->push_back(std::move(f.current));
+        continue;
+      }
+    }
+    out->push_back(res.outcome == VersionStore::Outcome::kBefore
+                       ? std::move(*res.before)  // rescues deleted atoms too
+                       : std::move(f.current));
+    ProjectAtom(projection, f.def->identifier_attr, &out->back());
+  }
+  return Status::Ok();
+}
+
+Result<Atom> AccessSystem::GetAtom(const Tid& tid, const ReadView& view,
+                                   const std::vector<uint16_t>& projection) {
+  std::vector<Atom> out;
+  Status missing;
+  PRIMA_RETURN_IF_ERROR(GetAtoms({tid}, view, &out, projection, &missing));
+  if (out.empty()) return missing;
+  return std::move(out[0]);
 }
 
 Result<Atom> AccessSystem::GetAtom(const Tid& tid,

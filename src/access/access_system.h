@@ -41,6 +41,7 @@ struct AccessStats {
   obs::Counter backref_maintenance;  ///< implicit inverse updates
   obs::Counter partition_reads;      ///< projections served by partition
   obs::Counter cluster_reads;        ///< whole-cluster materializations
+  obs::Counter fetch_fallbacks;      ///< GetAtoms reads not served by page
   obs::Counter deferred_enqueued;
   obs::Counter deferred_applied;
 
@@ -55,6 +56,7 @@ inline constexpr obs::CounterDef<AccessStats> kAccessCounters[] = {
     {&AccessStats::backref_maintenance, "prima_access_backref_maintenance", "implicit inverse-reference updates"},
     {&AccessStats::partition_reads, "prima_access_partition_reads", "projections served by a partition"},
     {&AccessStats::cluster_reads, "prima_access_cluster_reads", "whole atom-cluster materializations"},
+    {&AccessStats::fetch_fallbacks, "prima_access_fetch_fallbacks", "atoms a set-oriented read left to the one-record read (no address, long record, slot freed by a relocation)"},
     {&AccessStats::deferred_enqueued, "prima_deferred_enqueued", "deferred redundancy updates queued"},
     {&AccessStats::deferred_applied, "prima_deferred_applied", "deferred redundancy updates drained"},
 };
@@ -130,14 +132,33 @@ class AccessSystem {
   /// every referenced atom and all redundancy transparently.
   util::Result<Tid> InsertAtom(AtomTypeId type, std::vector<AttrValue> values);
 
-  /// Read an atom as `view` sees it — whole, or only selected attributes
-  /// (`projection` of attribute ids; empty = all): the current record if
-  /// every chained write is visible to the view, the before-image the
-  /// view needs otherwise (a delete the view cannot see resolves to the
-  /// pre-delete image), and NotFound for atoms the view predates or does
-  /// not see. A projection covered by a partition is served from the
-  /// partition copy (cheapest materialization wins) under the same rule:
-  /// only when the atom resolves to its current record.
+  /// Read a set of atoms as `view` sees them — one molecule level, say —
+  /// whole, or only selected attributes (`projection` of attribute ids;
+  /// empty = all), and append them to `out` in the order of `tids`. A tid
+  /// that repeats is read once, where it first occurs.
+  ///
+  /// Each atom resolves to its current record if every chained write is
+  /// visible to the view, and to the before-image the view needs otherwise
+  /// (a delete the view cannot see resolves to the pre-delete image). An
+  /// atom the view predates or does not see is left out of `out`, and the
+  /// NotFound of the first such tid goes to `missing` when it is set. A
+  /// projection covered by a partition is served from the partition copy
+  /// (cheapest materialization wins) under the same rule: only when the
+  /// atom resolves to its current record.
+  ///
+  /// Set-oriented: the base records are read by page — each page is fixed
+  /// once and every wanted record on it decoded — and only then resolved
+  /// against the version chains. A tid with no address, a long record,
+  /// and a slot found dead or reused (a relocating write freed it after the
+  /// address lookup) are read one at a time instead, through the read that
+  /// waits out a relocation (`AccessStats::fetch_fallbacks` counts them).
+  /// Errors other than NotFound are returned.
+  util::Status GetAtoms(const std::vector<Tid>& tids, const ReadView& view,
+                        std::vector<Atom>* out,
+                        const std::vector<uint16_t>& projection = {},
+                        util::Status* missing = nullptr);
+  /// GetAtoms for one tid: the atom, or NotFound when the view does not
+  /// see it.
   util::Result<Atom> GetAtom(const Tid& tid, const ReadView& view,
                              const std::vector<uint16_t>& projection = {});
   /// GetAtom under a view pinned for this one read: the atom as of the
@@ -148,7 +169,7 @@ class AccessSystem {
   /// The atom's base record as it stands, uncommitted writes included.
   /// For code that reads under the atom's write lock (its own writes) and
   /// for the scan layer, whose candidates the executor resolves against
-  /// the cursor's view; every other read goes through GetAtom.
+  /// the cursor's view; every other read goes through GetAtoms.
   /// Callers that already hold the atom type's definition pass it.
   util::Result<Atom> GetBaseAtom(const Tid& tid,
                                  const AtomTypeDef* def = nullptr);

@@ -176,20 +176,28 @@ Result<PinnedRecord> RecordFile::Read(const RecordId& rid) const {
                            storage_->ReadSequence(segment_, rid.page));
     return PinnedRecord(std::move(bytes));
   }
-  PRIMA_ASSIGN_OR_RETURN(
-      PageGuard guard, storage_->FixPage(segment_, rid.page, LatchMode::kShared));
-  const char* page = guard.data();
-  if (PageHeader::type(page) != PageType::kSlotted ||
-      rid.slot >= PageHeader::u16a(page)) {
-    return Status::NotFound("record " + std::to_string(rid.Pack()));
-  }
-  const uint16_t offset = SlotOffset(page, page_size_, rid.slot);
-  if (offset == 0) {
-    return Status::NotFound("record " + std::to_string(rid.Pack()) +
-                            " deleted");
-  }
-  const Slice bytes(page + offset, SlotLen(page, page_size_, rid.slot));
+  PRIMA_ASSIGN_OR_RETURN(PageGuard guard, FixForRead(rid.page));
+  PRIMA_ASSIGN_OR_RETURN(const Slice bytes, SlotBytes(guard, rid.slot));
   return PinnedRecord(std::move(guard), bytes);
+}
+
+Result<PageGuard> RecordFile::FixForRead(uint32_t page) const {
+  return storage_->FixPage(segment_, page, LatchMode::kShared);
+}
+
+Result<Slice> RecordFile::SlotBytes(const PageGuard& guard,
+                                    uint16_t slot) const {
+  const char* page = guard.data();
+  const uint64_t packed = RecordId{guard.page_no(), slot}.Pack();
+  if (PageHeader::type(page) != PageType::kSlotted ||
+      slot >= PageHeader::u16a(page)) {
+    return Status::NotFound("record " + std::to_string(packed));
+  }
+  const uint16_t offset = SlotOffset(page, page_size_, slot);
+  if (offset == 0) {
+    return Status::NotFound("record " + std::to_string(packed) + " deleted");
+  }
+  return Slice(page + offset, SlotLen(page, page_size_, slot));
 }
 
 Status RecordFile::Delete(const RecordId& rid) {

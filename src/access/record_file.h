@@ -77,6 +77,15 @@ class RecordFile {
   util::Result<RecordId> Insert(util::Slice record);
   /// The record's bytes, pinned (see PinnedRecord).
   util::Result<PinnedRecord> Read(const RecordId& rid) const;
+  /// Fix slotted page `page` under a shared latch, so that several of its
+  /// short records can be read through one fix (SlotBytes). Read is the
+  /// one-record case.
+  util::Result<storage::PageGuard> FixForRead(uint32_t page) const;
+  /// The bytes of short record `slot` on a page fixed by FixForRead: a view
+  /// into the frame, valid while the guard lives. NotFound when the slot is
+  /// out of range or dead.
+  util::Result<util::Slice> SlotBytes(const storage::PageGuard& page,
+                                      uint16_t slot) const;
   util::Status Delete(const RecordId& rid);
   /// Update; result is the (possibly moved) record id.
   util::Result<RecordId> Update(const RecordId& rid, util::Slice record);

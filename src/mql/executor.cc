@@ -22,18 +22,30 @@ using util::Status;
 
 namespace {
 
-std::vector<Tid> RefTargets(const Value& v) {
-  std::vector<Tid> out;
-  if (v.kind() == Value::Kind::kTid) {
-    if (!v.AsTid().IsNull()) out.push_back(v.AsTid());
-  } else if (v.kind() == Value::Kind::kList) {
-    for (const auto& e : v.elems()) {
-      if (e.kind() == Value::Kind::kTid && !e.AsTid().IsNull()) {
-        out.push_back(e.AsTid());
-      }
+/// Append the tids of type `type` that association value `v` references.
+void AppendRefTargets(const Value& v, AtomTypeId type, std::vector<Tid>* out) {
+  const auto take = [&](const Value& e) {
+    if (e.kind() == Value::Kind::kTid && !e.AsTid().IsNull() &&
+        e.AsTid().type == type) {
+      out->push_back(e.AsTid());
     }
+  };
+  if (v.kind() == Value::Kind::kList) {
+    for (const auto& e : v.elems()) take(e);
+  } else {
+    take(v);
   }
-  return out;
+}
+
+/// Number the nodes below `node` (group `index`) in pre-order from `*next`
+/// on, recording each parent -> child link.
+void CollectLinks(const ResolvedNode& node, size_t index, size_t* next,
+                  std::vector<QueryPlan::Link>* links) {
+  for (const ResolvedNode& c : node.children) {
+    const size_t child = (*next)++;
+    links->push_back({index, child, c.via_attr, c.type});
+    CollectLinks(c, child, next, links);
+  }
 }
 
 bool CompareSatisfied(CompareOp op, const Value& v, const Value& operand) {
@@ -199,6 +211,8 @@ Status Executor::ExtractRootPreds(const Expr* where,
 Result<QueryPlan> Executor::Prepare(const FromClause& from, const Expr* where) {
   QueryPlan plan;
   PRIMA_ASSIGN_OR_RETURN(plan.structure, analyzer_.Resolve(from));
+  size_t next_group = 1;
+  CollectLinks(plan.structure.root, 0, &next_group, &plan.links);
   const AtomTypeDef* root_def =
       access_->catalog().GetAtomType(plan.structure.root.type);
 
@@ -310,6 +324,7 @@ Result<std::unique_ptr<RootSource>> Executor::OpenRootSource(
   switch (plan.root_access) {
     case RootAccess::kKeyLookup: {
       stats_.key_lookups++;
+      source->key_lookup_ = true;
       std::string key;
       for (const RootPred& p : plan.root_preds) {
         PRIMA_ASSIGN_OR_RETURN(const Value v, BoundOperand(p, params));
@@ -406,13 +421,20 @@ Result<std::optional<Atom>> RootSource::Next() {
       // hides it) is already in place.
       ghosts_built_ = true;
       for (uint64_t packed : versions.ChainedTids(root_type_)) {
-        if (yielded_.count(packed) == 0) ghosts_.push_back(packed);
+        if (packed != looked_up_ && yielded_.count(packed) == 0) {
+          ghosts_.push_back(packed);
+        }
       }
       break;
     }
     // Dedup: a concurrent key change can surface one atom at two index
-    // positions; a fixed view owes each atom exactly one yield.
-    if (!yielded_.insert(atom->tid.Pack()).second) continue;
+    // positions; a fixed view owes each atom exactly one yield. A key
+    // lookup surfaces at most one atom, so it only remembers it.
+    if (key_lookup_) {
+      looked_up_ = atom->tid.Pack();
+    } else if (!yielded_.insert(atom->tid.Pack()).second) {
+      continue;
+    }
     access::VersionStore::Resolution res = versions.Resolve(atom->tid, *view_);
     if (res.outcome == access::VersionStore::Outcome::kInvisible) continue;
     if (res.outcome == access::VersionStore::Outcome::kBefore) {
@@ -447,55 +469,21 @@ void InitGroups(const ResolvedNode& node, Molecule* m) {
 }
 }  // namespace
 
-Result<Molecule> Executor::AssembleBfs(const ResolvedStructure& structure,
+Result<Molecule> Executor::AssembleBfs(const QueryPlan& plan,
                                        const Atom& root,
                                        const access::ReadView& view) {
   Molecule m;
-  InitGroups(structure.root, &m);
+  InitGroups(plan.structure.root, &m);
   m.groups[0].atoms.push_back(root);
   stats_.bfs_assemblies++;
-
-  // Pre-order walk filling child groups from parent groups.
-  size_t group_index = 0;
-  struct Frame {
-    const ResolvedNode* node;
-    size_t group;
-  };
-  std::vector<Frame> order;
-  std::function<void(const ResolvedNode&)> collect =
-      [&](const ResolvedNode& node) {
-        order.push_back({&node, group_index++});
-        for (const auto& c : node.children) collect(c);
-      };
-  collect(structure.root);
-
-  // Map node pointer -> its group index for child lookup.
-  for (const Frame& f : order) {
-    size_t child_group = f.group;
-    for (const auto& child : f.node->children) {
-      // The child group is the next pre-order group after the subtrees of
-      // earlier siblings; recompute by searching `order`.
-      ++child_group;
-      for (const Frame& g : order) {
-        if (g.node == &child) {
-          child_group = g.group;
-          break;
-        }
-      }
-      std::set<uint64_t> seen;
-      for (const Atom& parent_atom : m.groups[f.group].atoms) {
-        for (const Tid& t : RefTargets(parent_atom.attrs[child.via_attr])) {
-          if (t.type != child.type) continue;
-          if (!seen.insert(t.Pack()).second) continue;
-          auto atom_or = access_->GetAtom(t, view);
-          if (!atom_or.ok()) {
-            if (atom_or.status().IsNotFound()) continue;
-            return atom_or.status();
-          }
-          m.groups[child_group].atoms.push_back(std::move(*atom_or));
-        }
-      }
+  std::vector<Tid> level;
+  for (const QueryPlan::Link& link : plan.links) {
+    level.clear();
+    for (const Atom& parent : m.groups[link.parent].atoms) {
+      AppendRefTargets(parent.attrs[link.via_attr], link.type, &level);
     }
+    PRIMA_RETURN_IF_ERROR(
+        access_->GetAtoms(level, view, &m.groups[link.child].atoms));
   }
   return m;
 }
@@ -506,38 +494,33 @@ Result<Molecule> Executor::AssembleRecursive(const ResolvedStructure& structure,
   Molecule m;
   InitGroups(structure.root, &m);
   stats_.bfs_assemblies++;
-  std::set<uint64_t> visited;
-  std::vector<Tid> level{root.tid};
-  visited.insert(root.tid.Pack());
-  m.groups[0].atoms.push_back(root);
-  m.levels.push_back(level);
+  std::vector<Atom>& atoms = m.groups[0].atoms;
+  std::set<uint64_t> visited{root.tid.Pack()};
+  atoms.push_back(root);
+  m.levels.push_back({root.tid});
 
   // Stepwise evaluation "going from one level to the next subordinate
-  // level" (paper §2.2) with cycle protection.
-  while (!level.empty()) {
+  // level" (paper §2.2) with cycle protection. The current level is the
+  // tail of `atoms` from `level_begin` on.
+  size_t level_begin = 0;
+  for (;;) {
     std::vector<Tid> next;
-    for (const Tid& t : level) {
-      const Atom* atom = nullptr;
-      for (const Atom& a : m.groups[0].atoms) {
-        if (a.tid == t) {
-          atom = &a;
-          break;
-        }
-      }
-      if (atom == nullptr) continue;
-      for (const Tid& child : RefTargets(atom->attrs[structure.rec_attr])) {
-        if (!visited.insert(child.Pack()).second) continue;
-        next.push_back(child);
-      }
+    for (size_t i = level_begin; i < atoms.size(); ++i) {
+      AppendRefTargets(atoms[i].attrs[structure.rec_attr], structure.root.type,
+                       &next);
     }
-    for (const Tid& t : next) {
-      PRIMA_ASSIGN_OR_RETURN(Atom atom, access_->GetAtom(t, view));
-      m.groups[0].atoms.push_back(std::move(atom));
+    size_t unvisited = 0;
+    for (size_t i = 0; i < next.size(); ++i) {
+      if (visited.insert(next[i].Pack()).second) next[unvisited++] = next[i];
     }
+    next.resize(unvisited);
     if (next.empty()) break;
-    m.levels.push_back(next);
+    level_begin = atoms.size();
+    Status missing;
+    PRIMA_RETURN_IF_ERROR(access_->GetAtoms(next, view, &atoms, {}, &missing));
+    PRIMA_RETURN_IF_ERROR(missing);
+    m.levels.push_back(std::move(next));
     stats_.recursion_levels++;
-    level = std::move(next);
   }
   return m;
 }
@@ -573,7 +556,7 @@ Result<Molecule> Executor::Assemble(const QueryPlan& plan, const Atom& root,
                            AssembleFromCluster(plan, root, view));
     if (m.has_value()) return std::move(*m);
   }
-  return AssembleBfs(plan.structure, root, view);
+  return AssembleBfs(plan, root, view);
 }
 
 // ---------------------------------------------------------------------------

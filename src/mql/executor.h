@@ -91,6 +91,19 @@ struct RootPred {
 /// search argument from the bound values.
 struct QueryPlan {
   ResolvedStructure structure;
+  /// One parent -> child link of `structure`, by molecule group index
+  /// (groups are numbered in pre-order, root 0): the child group holds the
+  /// atoms of `type` that the parent group's atoms reference through
+  /// `via_attr`.
+  struct Link {
+    size_t parent = 0;
+    size_t child = 0;
+    uint16_t via_attr = 0;
+    access::AtomTypeId type = 0;
+  };
+  /// Every link in an order that fills a parent group before its
+  /// children's (association chasing walks them in this order).
+  std::vector<Link> links;
   RootAccess root_access = RootAccess::kAtomTypeScan;
   uint32_t access_structure_id = 0;
   /// What the root access reads: the key predicates in KEYS_ARE order
@@ -142,13 +155,17 @@ class RootSource {
   std::unique_ptr<access::BTreeAccessPathScan> path_scan_;
   std::unique_ptr<access::GridAccessPathScan> grid_scan_;
   std::optional<access::Tid> lookup_;
+  bool key_lookup_ = false;
 
   access::AccessSystem* access_ = nullptr;
   /// Points into the cursor's pin, which the cursor holds for as long as
   /// it holds this source.
   const access::ReadView* view_ = nullptr;
   access::AtomTypeId root_type_ = 0;
-  std::set<uint64_t> yielded_;       ///< packed tids the scan surfaced
+  /// Packed tids the scan surfaced. A key lookup surfaces at most one,
+  /// kept in `looked_up_` instead: it needs no dedup set.
+  std::set<uint64_t> yielded_;
+  std::optional<uint64_t> looked_up_;
   std::vector<uint64_t> ghosts_;
   size_t ghost_next_ = 0;
   bool ghosts_built_ = false;
@@ -322,7 +339,17 @@ class Executor {
                                 const ResolvedStructure& structure,
                                 std::vector<RootPred>* out) const;
 
-  util::Result<Molecule> AssembleBfs(const ResolvedStructure& structure,
+  // Association chasing reads one molecule level per
+  // AccessSystem::GetAtoms call: the references of the atoms assembled so
+  // far name the level, and GetAtoms reads it as a set (each page fixed
+  // once, a target named twice read once).
+  //
+  // AssembleBfs fills the child group of each plan link from its parent
+  // group; a target the view does not see is left out. AssembleRecursive
+  // expands the root type level by level over `rec_attr`, each atom once
+  // (cycle protection); a target the view does not see fails the query
+  // with NotFound.
+  util::Result<Molecule> AssembleBfs(const QueryPlan& plan,
                                      const access::Atom& root,
                                      const access::ReadView& view);
   util::Result<Molecule> AssembleRecursive(const ResolvedStructure& structure,
@@ -331,7 +358,7 @@ class Executor {
   /// The molecule from the root's cluster image, or nullopt when some atom
   /// of the image resolves to anything but its current record under
   /// `view` (the image carries no versions; the caller then chases
-  /// associations atom by atom).
+  /// associations level by level).
   util::Result<std::optional<Molecule>> AssembleFromCluster(
       const QueryPlan& plan, const access::Atom& root,
       const access::ReadView& view);

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <future>
+#include <set>
+#include <thread>
+
 #include "access/access_system.h"
 #include "access/scan.h"
 
@@ -57,6 +63,23 @@ class AccessSystemTest : public ::testing::Test {
     return access_->InsertAtom(
         part_, {AttrValue{1, Value::Int(no)},
                 AttrValue{2, Value::String("p" + std::to_string(no))}});
+  }
+
+  /// GetAtoms under a view pinned for the call.
+  std::vector<Atom> ReadSet(const std::vector<Tid>& tids,
+                            util::Status* missing = nullptr) {
+    const auto pin = access_->versions().OpenSnapshot(0);
+    std::vector<Atom> out;
+    const util::Status st =
+        access_->GetAtoms(tids, pin->view(), &out, {}, missing);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    return out;
+  }
+
+  static std::vector<Tid> TidsOf(const std::vector<Atom>& atoms) {
+    std::vector<Tid> out;
+    for (const Atom& a : atoms) out.push_back(a.tid);
+    return out;
   }
 
   util::Result<Tid> NewComp(double weight, int64_t size, Tid part) {
@@ -225,6 +248,207 @@ TEST_F(AccessSystemTest, ProjectionReadsOnlySelectedAttrs) {
   ASSERT_TRUE(atom.ok());
   EXPECT_EQ(atom->attrs[1].AsInt(), 5);
   EXPECT_TRUE(atom->attrs[2].is_null());  // name projected away
+}
+
+// ---------------------------------------------------------------------------
+// Set-oriented reads (GetAtoms)
+// ---------------------------------------------------------------------------
+
+TEST_F(AccessSystemTest, GetAtomsReadsRepeatsOnceInFirstSeenOrder) {
+  auto a = NewPart(1);
+  auto b = NewPart(2);
+  auto c = NewPart(3);
+  ASSERT_TRUE(a.ok() && b.ok() && c.ok());
+  const uint64_t reads = access_->stats().atoms_read.load();
+  const std::vector<Atom> out = ReadSet({*b, *a, *b, *c, *a, *c});
+  EXPECT_EQ(TidsOf(out), (std::vector<Tid>{*b, *a, *c}));
+  EXPECT_EQ(access_->stats().atoms_read.load() - reads, 3u);
+  EXPECT_EQ(out[0].attrs[2].AsString(), "p2");
+}
+
+TEST_F(AccessSystemTest, GetAtomsSkipsADeletedAtom) {
+  auto a = NewPart(1);
+  auto b = NewPart(2);
+  auto c = NewPart(3);
+  ASSERT_TRUE(a.ok() && b.ok() && c.ok());
+  ASSERT_TRUE(access_->DeleteAtom(*b).ok());
+  util::Status missing;
+  const std::vector<Atom> out = ReadSet({*a, *b, *c}, &missing);
+  EXPECT_EQ(TidsOf(out), (std::vector<Tid>{*a, *c}));
+  EXPECT_TRUE(missing.IsNotFound()) << missing.ToString();
+  // The one-tid case reports what the set read leaves out.
+  EXPECT_TRUE(access_->GetAtom(*b).status().IsNotFound());
+}
+
+// Atoms under an uncommitted writer resolve to their before-images: a
+// modified atom to its old value, a deleted one to its pre-delete image,
+// and an inserted one to nothing, until the writer commits.
+TEST_F(AccessSystemTest, GetAtomsResolvesAnUncommittedWriterToBeforeImages) {
+  auto a = NewPart(1);
+  auto b = NewPart(2);
+  auto c = NewPart(3);
+  ASSERT_TRUE(a.ok() && b.ok() && c.ok());
+  constexpr uint64_t kTxn = 42;
+  AccessSystem::SetWalTxn(kTxn);
+  const util::Status modified =
+      access_->ModifyAtom(*b, {AttrValue{2, Value::String("changed")}});
+  const util::Status deleted = access_->DeleteAtom(*c);
+  auto d = NewPart(4);
+  AccessSystem::SetWalTxn(0);
+  ASSERT_TRUE(modified.ok() && deleted.ok() && d.ok());
+
+  util::Status missing;
+  std::vector<Atom> out = ReadSet({*a, *b, *c, *d}, &missing);
+  ASSERT_EQ(TidsOf(out), (std::vector<Tid>{*a, *b, *c}));
+  EXPECT_EQ(out[1].attrs[2].AsString(), "p2");
+  EXPECT_EQ(out[2].attrs[2].AsString(), "p3");
+  EXPECT_TRUE(missing.IsNotFound()) << missing.ToString();
+
+  access_->versions().Publish(kTxn, /*wal_lsn=*/0);  // commit
+  out = ReadSet({*a, *b, *c, *d});
+  ASSERT_EQ(TidsOf(out), (std::vector<Tid>{*a, *b, *d}));
+  EXPECT_EQ(out[1].attrs[2].AsString(), "changed");
+}
+
+// A long record (a page sequence) is read alone, next to the atoms read by
+// page; every atom counts as one read.
+TEST_F(AccessSystemTest, GetAtomsMixesALongRecordIntoTheSet) {
+  auto a = NewPart(1);
+  auto big = access_->InsertAtom(
+      part_, {AttrValue{1, Value::Int(2)},
+              AttrValue{2, Value::String(std::string(10000, 'x'))}});
+  auto c = NewPart(3);
+  ASSERT_TRUE(a.ok() && big.ok() && c.ok());
+  auto rid = access_->addresses().Lookup(*big, kBaseStructure);
+  ASSERT_TRUE(rid.ok());
+  ASSERT_TRUE(RecordId::Unpack(*rid).IsLong());
+  const uint64_t reads = access_->stats().atoms_read.load();
+  const uint64_t fallbacks = access_->stats().fetch_fallbacks.load();
+  const std::vector<Atom> out = ReadSet({*c, *big, *a, *big});
+  ASSERT_EQ(TidsOf(out), (std::vector<Tid>{*c, *big, *a}));
+  EXPECT_EQ(out[1].attrs[2].AsString(), std::string(10000, 'x'));
+  EXPECT_EQ(access_->stats().atoms_read.load() - reads, 3u);
+  EXPECT_EQ(access_->stats().fetch_fallbacks.load() - fallbacks, 1u);
+}
+
+// A set spread over many pages fixes each page once, whatever the order of
+// the tids, and returns the atoms in that order.
+TEST_F(AccessSystemTest, GetAtomsFixesEachPageOfTheSetOnce) {
+  std::vector<Tid> tids;
+  std::set<uint32_t> pages;
+  for (int i = 0; i < 200; ++i) {
+    auto t = access_->InsertAtom(
+        part_, {AttrValue{1, Value::Int(i + 1)},
+                AttrValue{2, Value::String(std::string(200, 'a' + i % 26))}});
+    ASSERT_TRUE(t.ok());
+    tids.push_back(*t);
+    auto rid = access_->addresses().Lookup(*t, kBaseStructure);
+    ASSERT_TRUE(rid.ok());
+    pages.insert(RecordId::Unpack(*rid).page);
+  }
+  ASSERT_GE(pages.size(), 8u);
+  // Odd positions backwards, then even positions forwards: no page's atoms
+  // are adjacent in the request.
+  std::vector<Tid> level;
+  for (size_t i = tids.size() - 1; i < tids.size(); i -= 2) level.push_back(tids[i]);
+  for (size_t i = 0; i < tids.size(); i += 2) level.push_back(tids[i]);
+  ASSERT_EQ(level.size(), tids.size());
+
+  storage::BufferStats& buffer = storage_->buffer().stats();
+  const uint64_t fixes = buffer.hits + buffer.misses;
+  const uint64_t reads = access_->stats().atoms_read.load();
+  const std::vector<Atom> out = ReadSet(level);
+  EXPECT_EQ(buffer.hits + buffer.misses - fixes, pages.size());
+  EXPECT_EQ(access_->stats().atoms_read.load() - reads, level.size());
+  EXPECT_EQ(TidsOf(out), level);
+}
+
+// A relocating write frees the old slot (or lets another record take it)
+// before it re-points the address table. A set read that looked the rid up
+// in between finds the slot dead or holding another atom, reads that atom
+// alone, waits out the write, and still returns it.
+TEST_F(AccessSystemTest, GetAtomsFallsBackWhenARelocationFreesTheSlot) {
+  auto moved = NewPart(1);   // its old slot is freed
+  auto reused = NewPart(2);  // its old slot is taken by another atom
+  auto other = NewPart(3);
+  auto blocker = NewPart(4);
+  ASSERT_TRUE(moved.ok() && reused.ok() && other.ok() && blocker.ok());
+  RecordFile* file = access_->BaseFile(part_);
+  const auto rid_of = [&](const Tid& tid) {
+    auto rid = access_->addresses().Lookup(tid, kBaseStructure);
+    EXPECT_TRUE(rid.ok());
+    return RecordId::Unpack(rid.ok() ? *rid : 0);
+  };
+  const auto bytes_of = [&](const Tid& tid, const std::string& name) {
+    auto atom = access_->GetBaseAtom(tid);
+    EXPECT_TRUE(atom.ok());
+    if (!name.empty()) atom->attrs[2] = Value::String(name);
+    std::string bytes;
+    atom->EncodeInto(&bytes);
+    return bytes;
+  };
+  const std::string grown(300, 'g');
+  const std::string moved_bytes = bytes_of(*moved, grown);
+  const std::string reused_bytes = bytes_of(*reused, grown);
+  const std::string other_bytes = bytes_of(*other, "");
+
+  // Park a writer inside its undo hook, which runs under the write mutex:
+  // the half-done relocations below then look exactly like a writer's.
+  std::promise<void> parked;
+  std::promise<void> resume;
+  std::shared_future<void> resumed = resume.get_future().share();
+  std::atomic<bool> hooked{false};
+  access_->SetUndoHook([&](const AccessSystem::UndoRecord&) {
+    if (hooked.exchange(true)) return;
+    parked.set_value();
+    resumed.wait();
+  });
+  std::thread writer([&] {
+    EXPECT_TRUE(
+        access_->ModifyAtom(*blocker, {AttrValue{1, Value::Int(40)}}).ok());
+  });
+  parked.get_future().wait();
+
+  // Each grown record is written elsewhere and its old slot freed or
+  // overwritten, while the address table still names the old slot.
+  auto moved_new = file->Insert(moved_bytes);
+  auto reused_new = file->Insert(reused_bytes);
+  EXPECT_TRUE(moved_new.ok() && reused_new.ok());
+  EXPECT_TRUE(file->Delete(rid_of(*moved)).ok());
+  auto overwritten = file->Update(rid_of(*reused), other_bytes);
+  EXPECT_TRUE(overwritten.ok() && *overwritten == rid_of(*reused));
+
+  const uint64_t fallbacks = access_->stats().fetch_fallbacks.load();
+  std::vector<Atom> out;
+  util::Status status;
+  std::thread reader([&] {
+    const auto pin = access_->versions().OpenSnapshot(0);
+    status = access_->GetAtoms({*moved, *other, *reused}, pin->view(), &out);
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (access_->stats().fetch_fallbacks.load() < fallbacks + 2 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(access_->stats().fetch_fallbacks.load(), fallbacks + 2);
+  // Finish the relocations, then let the writer go.
+  EXPECT_TRUE(access_->addresses()
+                  .UpdateEntry(*moved, kBaseStructure, moved_new->Pack())
+                  .ok());
+  EXPECT_TRUE(access_->addresses()
+                  .UpdateEntry(*reused, kBaseStructure, reused_new->Pack())
+                  .ok());
+  resume.set_value();
+  writer.join();
+  reader.join();
+  access_->SetUndoHook(nullptr);
+
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  ASSERT_EQ(TidsOf(out), (std::vector<Tid>{*moved, *other, *reused}));
+  EXPECT_EQ(out[0].attrs[2].AsString(), grown);
+  EXPECT_EQ(out[1].attrs[2].AsString(), "p3");
+  EXPECT_EQ(out[2].attrs[2].AsString(), grown);
 }
 
 // ---------------------------------------------------------------------------

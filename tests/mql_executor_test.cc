@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -418,6 +419,32 @@ TEST_F(MqlExecutorTest, DisambiguatedSelfAssociationWorks) {
   EXPECT_NE(set.molecules[0].FindGroup("solid_2"), nullptr);
 }
 
+// A recursive level that references an atom the view cannot see fails the
+// query with NotFound (here the base record of a sub-solid vanished under
+// its super's reference), where association chasing for a non-recursive
+// structure leaves such an atom out of its group.
+TEST_F(MqlExecutorTest, RecursiveAssemblyFailsOnAMissingLevelAtom) {
+  MoleculeSet leaf = Q("SELECT ALL FROM solid WHERE solid_no = 471111");
+  ASSERT_EQ(leaf.size(), 1u);
+  const access::Tid gone = leaf.molecules[0].groups[0].atoms[0].tid;
+  access::AccessSystem& access = db_->access();
+  auto rid = access.addresses().Lookup(gone, access::kBaseStructure);
+  ASSERT_TRUE(rid.ok());
+  ASSERT_TRUE(access.BaseFile(gone.type)
+                  ->Delete(access::RecordId::Unpack(*rid))
+                  .ok());
+  ASSERT_TRUE(access.addresses().Remove(gone).ok());
+
+  auto recursive = db_->Query(
+      "SELECT ALL FROM piece_list WHERE piece_list (0).solid_no = 4711");
+  ASSERT_FALSE(recursive.ok());
+  EXPECT_TRUE(recursive.status().IsNotFound()) << recursive.status().ToString();
+
+  MoleculeSet chased = Q("SELECT ALL FROM solid.sub-solid WHERE solid_no = 47111");
+  ASSERT_EQ(chased.size(), 1u);
+  EXPECT_EQ(chased.molecules[0].AtomCount(), 2u);  // one of two subs left
+}
+
 // ---------------------------------------------------------------------------
 // Concurrent cursors
 // ---------------------------------------------------------------------------
@@ -456,6 +483,108 @@ TEST_F(MqlExecutorTest, ConcurrentSerialCursors) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(mismatches.load(), 0);
+}
+
+// Readers assemble one BREP molecule while a writer commits changes to its
+// levels: each step adds a point on an edge and a face of the solid (the
+// edge, face and brep records grow, and relocate when their page is full)
+// or deletes a point it added. Every molecule a reader assembles must be
+// one of the states the writer committed, byte for byte.
+TEST_F(MqlExecutorTest, AssemblyRacesRelocationsAndDeletesOfItsLevels) {
+  const std::string query =
+      "SELECT ALL FROM brep-face-edge-point WHERE brep_no = 1703";
+  const access::Catalog& catalog = db_->access().catalog();
+  MoleculeSet start = Q(query);
+  ASSERT_EQ(start.size(), 1u);
+  const Molecule& m = start.molecules[0];
+  const access::Tid brep = m.FindGroup("brep")->atoms[0].tid;
+  const std::vector<access::Atom>& faces = m.FindGroup("face")->atoms;
+  const std::vector<access::Atom>& edges = m.FindGroup("edge")->atoms;
+  const access::AtomTypeDef* point = catalog.FindAtomType("point");
+  ASSERT_NE(point, nullptr);
+  const uint16_t line_attr = point->FindAttr("line")->id;
+  const uint16_t face_attr = point->FindAttr("face")->id;
+  const uint16_t brep_attr = point->FindAttr("brep")->id;
+  const auto rid_of = [&](const access::Tid& tid) {
+    auto rid = db_->access().addresses().Lookup(tid, access::kBaseStructure);
+    return rid.ok() ? *rid : 0;
+  };
+  std::vector<uint64_t> level_rids;
+  for (const MoleculeGroup& g : m.groups) {
+    for (const access::Atom& a : g.atoms) level_rids.push_back(rid_of(a.tid));
+  }
+  std::vector<std::string> committed{start.ToString(catalog)};
+
+  std::atomic<bool> done{false};
+  std::atomic<int> failures{0};
+  constexpr int kReaders = 2;
+  std::vector<std::set<std::string>> seen(kReaders);
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      while (!done.load()) {
+        auto session = db_->OpenSession();
+        auto cursor = session->Query(query);
+        auto set = cursor.ok() ? cursor->Drain()
+                               : util::Result<MoleculeSet>(cursor.status());
+        if (!set.ok() || set->size() != 1) {
+          failures++;
+          return;
+        }
+        seen[r].insert(set->ToString(catalog));
+      }
+    });
+  }
+
+  std::vector<access::Tid> added;
+  const auto step = [&](int i) -> util::Status {
+    PRIMA_ASSIGN_OR_RETURN(core::Transaction* const txn, db_->Begin());
+    if (i % 3 == 2) {
+      PRIMA_RETURN_IF_ERROR(txn->DeleteAtom(added.front()));
+      added.erase(added.begin());
+    } else {
+      PRIMA_ASSIGN_OR_RETURN(
+          const access::Tid tid,
+          txn->InsertAtom(
+              point->id,
+              {access::AttrValue{line_attr,
+                                 access::Value::List({access::Value::Ref(
+                                     edges[i % edges.size()].tid)})},
+               access::AttrValue{face_attr,
+                                 access::Value::List({access::Value::Ref(
+                                     faces[i % faces.size()].tid)})},
+               access::AttrValue{brep_attr, access::Value::Ref(brep)}}));
+      added.push_back(tid);
+    }
+    return txn->Commit();
+  };
+  for (int i = 0; i < 150; ++i) {
+    const util::Status st = step(i);
+    EXPECT_TRUE(st.ok()) << "step " << i << ": " << st.ToString();
+    if (!st.ok()) break;
+    MoleculeSet now = Q(query);
+    if (now.size() == 1) committed.push_back(now.ToString(catalog));
+  }
+  done = true;
+  for (auto& t : readers) t.join();
+
+  EXPECT_EQ(failures.load(), 0);
+  const std::set<std::string> states(committed.begin(), committed.end());
+  size_t distinct = 0;
+  for (const auto& strings : seen) {
+    for (const std::string& s : strings) {
+      EXPECT_EQ(states.count(s), 1u) << "not a committed state:\n" << s;
+      ++distinct;
+    }
+  }
+  EXPECT_GT(distinct, 0u);
+  // The writes did move records of the molecule's levels.
+  size_t moved = 0;
+  size_t i = 0;
+  for (const MoleculeGroup& g : m.groups) {
+    for (const access::Atom& a : g.atoms) moved += rid_of(a.tid) != level_rids[i++];
+  }
+  EXPECT_GT(moved, 0u);
 }
 
 }  // namespace
