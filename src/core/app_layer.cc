@@ -1,5 +1,10 @@
 #include "core/app_layer.h"
 
+#include <utility>
+#include <vector>
+
+#include "core/session.h"
+
 namespace prima::core {
 
 using access::Atom;
@@ -19,8 +24,10 @@ Atom* Checkout::FindAtom(const access::Tid& tid) {
 }
 
 Result<Checkout> ObjectBuffer::CheckoutQuery(const std::string& query_text) {
+  Session session(data_, txns_);
+  PRIMA_ASSIGN_OR_RETURN(mql::MoleculeCursor cursor, session.Query(query_text));
   Checkout out;
-  PRIMA_ASSIGN_OR_RETURN(out.current_, data_->ExecuteQuery(query_text));
+  PRIMA_ASSIGN_OR_RETURN(out.current_, cursor.Drain());
   for (const auto& m : out.current_.molecules) {
     for (const auto& g : m.groups) {
       for (const auto& a : g.atoms) {
@@ -34,7 +41,7 @@ Result<Checkout> ObjectBuffer::CheckoutQuery(const std::string& query_text) {
 }
 
 Status ObjectBuffer::Checkin(Checkout* checkout) {
-  access::AccessSystem& access = data_->access();
+  std::vector<std::pair<access::Tid, std::vector<AttrValue>>> diffs;
   for (const auto& m : checkout->current_.molecules) {
     for (const auto& g : m.groups) {
       for (const Atom& a : g.atoms) {
@@ -48,12 +55,22 @@ Status ObjectBuffer::Checkin(Checkout* checkout) {
                 AttrValue{static_cast<uint16_t>(i), a.attrs[i]});
           }
         }
-        if (!changes.empty()) {
-          PRIMA_RETURN_IF_ERROR(access.ModifyAtom(a.tid, std::move(changes)));
-          stats_.atoms_written_back++;
-        }
+        if (!changes.empty()) diffs.emplace_back(a.tid, std::move(changes));
       }
     }
+  }
+  if (!diffs.empty()) {
+    PRIMA_ASSIGN_OR_RETURN(Transaction* txn, txns_->Begin());
+    Status st;
+    for (auto& [tid, changes] : diffs) {
+      st = txn->ModifyAtom(tid, std::move(changes));
+      if (!st.ok()) break;
+    }
+    if (st.ok()) st = txn->Commit();
+    if (!st.ok()) (void)txn->Abort();
+    (void)txns_->Reap(txn);
+    PRIMA_RETURN_IF_ERROR(st);
+    stats_.atoms_written_back += diffs.size();
   }
   stats_.checkins++;
   // Refresh originals so a Checkout can be checked in repeatedly.

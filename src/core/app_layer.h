@@ -4,6 +4,7 @@
 #include <map>
 #include <string>
 
+#include "core/transaction.h"
 #include "mql/data_system.h"
 
 namespace prima::core {
@@ -37,23 +38,30 @@ struct AppLayerStats {
 /// close to the application ("checkout"); the DBMS work then happens
 /// locally on the buffered objects, and modified molecules move back to
 /// PRIMA at commit time ("checkin"). Here workstation and host share a
-/// process — the code path (set transfer, local mutation, diff-based
-/// write-back) is the same; see DESIGN.md §3.
+/// process; the code path (set transfer, local mutation, diff-based
+/// write-back in one transaction) is the one the paper's coupling takes.
 class ObjectBuffer {
  public:
-  explicit ObjectBuffer(mql::DataSystem* data) : data_(data) {}
+  ObjectBuffer(mql::DataSystem* data, TransactionManager* txns)
+      : data_(data), txns_(txns) {}
 
-  /// Evaluate the query and transfer the molecule set into the buffer.
+  /// Evaluate the query in a session opened for the call and transfer the
+  /// molecule set into the buffer.
   util::Result<Checkout> CheckoutQuery(const std::string& query_text);
 
-  /// Write modified attributes back atom-by-atom (reference attributes are
-  /// written through Connect/Disconnect semantics by the access system).
+  /// Write the changed attributes back in one top-level transaction: every
+  /// changed atom is locked, logged and versioned, and the commit is
+  /// forced. All atoms are written or none; a failed checkin (a lock held
+  /// by another transaction, a value the schema refuses) leaves the
+  /// checkout as it was, so the caller may retry. Reference attributes are
+  /// written through Connect/Disconnect semantics by the access system.
   util::Status Checkin(Checkout* checkout);
 
   AppLayerStats& stats() { return stats_; }
 
  private:
   mql::DataSystem* data_;
+  TransactionManager* txns_;
   AppLayerStats stats_;
 };
 

@@ -153,8 +153,8 @@ Result<std::unique_ptr<Prima>> Prima::Open(PrimaOptions options) {
     workers = util::ThreadPool::DefaultThreads();
   }
   db->pool_ = std::make_unique<util::ThreadPool>(workers);
-  db->object_buffer_ = std::make_unique<ObjectBuffer>(db->data_.get());
-  db->default_session_ = db->OpenSession();
+  db->object_buffer_ =
+      std::make_unique<ObjectBuffer>(db->data_.get(), db->txns_.get());
 
   if (db->recovery_ != nullptr && db->recovery_->recovered()) {
     // Make the recovered state durable and shorten the next restart.
@@ -213,11 +213,6 @@ Prima::~Prima() {
     if (txns_ != nullptr) txns_->SetCheckpointDaemon(nullptr);
     daemon_->Stop();
   }
-  // The default session goes before the exit checkpoint: if a client left
-  // a BEGIN WORK scope open on the facade, its rollback must run while the
-  // WAL is still attached (user-opened sessions must already be gone — a
-  // session never outlives its database).
-  default_session_.reset();
   if (access_ != nullptr && fully_open_) {
     if (recovery_ != nullptr) {
       (void)recovery_->Checkpoint(access_.get());
@@ -248,12 +243,14 @@ Prima::~Prima() {
 }
 
 Result<mql::ExecResult> Prima::Execute(const std::string& mql) {
-  return default_session_->Execute(mql);
+  Session session(data_.get(), txns_.get());
+  session.one_shot_ = true;
+  return session.Execute(mql);
 }
 
 Result<mql::MoleculeSet> Prima::Query(const std::string& mql) {
-  PRIMA_ASSIGN_OR_RETURN(mql::MoleculeCursor cursor,
-                         default_session_->Query(mql));
+  Session session(data_.get(), txns_.get());
+  PRIMA_ASSIGN_OR_RETURN(mql::MoleculeCursor cursor, session.Query(mql));
   return cursor.Drain();
 }
 

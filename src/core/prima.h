@@ -207,10 +207,13 @@ struct PrimaOptions {
 ///   auto cursor = *stmt.Query();                // executed many times
 ///   while (auto m = *cursor.Next()) { /* one molecule at a time */ }
 ///
-/// The one-shot facade below (Execute / Query / QueryParallel) remains as
-/// a thin compatibility wrapper over a default session: each call parses
-/// its statement, runs it under the same auto-commit transaction scoping,
-/// and Query drains a cursor into a materialized MoleculeSet.
+/// The one-shot facade below (Execute / Query) opens a session for each
+/// call and closes it before returning, so concurrent callers share
+/// nothing but the database: DML auto-commits in the call's own implicit
+/// transaction, and Query drains a cursor into a materialized MoleculeSet.
+/// A transaction cannot outlive its call there, so the facade refuses
+/// BEGIN / COMMIT / ABORT WORK — open a session for them. QueryParallel
+/// reads one view pinned for the call, outside any session.
 ///
 /// Remote access — set PrimaOptions::listen_port and the same session API
 /// is served over TCP (net/server.h, framed protocol of net/protocol.h);
@@ -327,12 +330,14 @@ class Prima {
     return std::make_unique<Session>(data_.get(), txns_.get());
   }
 
-  // --- one-shot MQL / LDL (compatibility facade over a default session) --------
+  // --- one-shot MQL / LDL (a session per call) ------------------------------------
 
-  /// Parse and execute one MQL statement (DDL, DML, query, or transaction
-  /// control against the shared default session).
+  /// Execute one MQL statement (DDL, DML, or query) in a session opened for
+  /// the call. Transaction control is refused with InvalidArgument: the
+  /// session, and any transaction in it, ends with the call.
   util::Result<mql::ExecResult> Execute(const std::string& mql);
-  /// Execute a SELECT and return its molecule set (drains a cursor).
+  /// Execute a SELECT and return its molecule set (drains the cursor of a
+  /// session opened for the call).
   util::Result<mql::MoleculeSet> Query(const std::string& mql);
   /// Execute a SELECT with semantic parallelism (paper §4): "units of
   /// work decomposed from a single user operation are said to allow for
@@ -438,12 +443,6 @@ class Prima {
   std::unique_ptr<TransactionManager> txns_;
   std::unique_ptr<util::ThreadPool> pool_;
   std::unique_ptr<ObjectBuffer> object_buffer_;
-  /// Backs the one-shot Execute/Query facade. Never holds an explicit
-  /// transaction open (BEGIN WORK arrives only via Execute, which a
-  /// multi-threaded legacy caller must not mix with concurrent DML), so
-  /// concurrent facade calls each auto-commit their own implicit
-  /// transaction safely.
-  std::unique_ptr<Session> default_session_;
   /// Declared last, and explicitly Stop()ped first in ~Prima: the daemon
   /// thread checkpoints through recovery_/access_/wal_ and must be gone
   /// before any of them shuts down.

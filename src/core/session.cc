@@ -50,6 +50,12 @@ bool IsDml(Statement::Kind kind) {
          kind == Statement::Kind::kConnect;
 }
 
+bool IsTransactionControl(Statement::Kind kind) {
+  return kind == Statement::Kind::kBeginWork ||
+         kind == Statement::Kind::kCommitWork ||
+         kind == Statement::Kind::kAbortWork;
+}
+
 bool IsDdl(Statement::Kind kind) {
   return kind == Statement::Kind::kCreateAtomType ||
          kind == Statement::Kind::kDefineMoleculeType ||
@@ -125,7 +131,6 @@ Session::~Session() {
 }
 
 void Session::InvalidateCursors() {
-  std::lock_guard<std::mutex> lock(epoch_mu_);
   cursor_epoch_->store(true);
   cursor_epoch_ = std::make_shared<std::atomic<bool>>(false);
 }
@@ -205,6 +210,22 @@ Status Session::AbortWork() {
 Result<ExecResult> Session::ExecuteStatement(
     const Statement& stmt, const mql::QueryPlan* plan,
     const std::vector<access::Value>& params) {
+  if (IsTransactionControl(stmt.kind)) {
+    if (one_shot_) {
+      return Status::InvalidArgument(
+          "transaction statements need a session (Prima::OpenSession)");
+    }
+    Status st;
+    if (stmt.kind == Statement::Kind::kBeginWork) {
+      st = BeginWork(stmt.begin_read_only);
+    } else if (stmt.kind == Statement::Kind::kCommitWork) {
+      st = CommitWork();
+    } else {
+      st = AbortWork();
+    }
+    PRIMA_RETURN_IF_ERROR(st);
+    return ExecResult();
+  }
   if (read_only_pin_ != nullptr) {
     if (IsDml(stmt.kind)) {
       return Status::InvalidArgument(
@@ -218,11 +239,10 @@ Result<ExecResult> Session::ExecuteStatement(
     }
   }
   if (!IsDml(stmt.kind)) {
-    // Queries read a pinned view, without locks; DDL is untransacted (catalog
-    // changes are not undo-logged — see ROADMAP "log catalog/DDL
-    // operations"); transaction control dispatches back into the session.
-    Ctx ctx(this, nullptr);
-    return data_->ExecuteStatement(stmt, &ctx, plan, params);
+    // DDL is untransacted: catalog changes are not undo-logged (ROADMAP
+    // "Crash-consistent DDL").
+    Ctx ctx(nullptr);
+    return data_->ExecuteStatement(stmt, ctx, plan, params);
   }
 
   // DML: every mutation runs inside a transaction. Outside an open
@@ -240,9 +260,8 @@ Result<ExecResult> Session::ExecuteStatement(
     PRIMA_ASSIGN_OR_RETURN(stmt_txn, scope->BeginChild());
   }
 
-  Ctx ctx(this, stmt_txn);
-  Result<ExecResult> result =
-      data_->ExecuteStatement(stmt, &ctx, plan, params);
+  Ctx ctx(stmt_txn);
+  Result<ExecResult> result = data_->ExecuteStatement(stmt, ctx, plan, params);
   Status outcome;
   if (result.ok()) {
     outcome = stmt_txn->Commit();
@@ -285,10 +304,7 @@ Result<MoleculeCursor> Session::OpenCursor(
     const uint64_t own_txn =
         txn_stack_.empty() ? 0 : txn_stack_.front()->id();
     pin = data_->access().versions().OpenSnapshot(own_txn);
-    if (own_txn != 0) {
-      std::lock_guard<std::mutex> lock(epoch_mu_);
-      token = cursor_epoch_;
-    }
+    if (own_txn != 0) token = cursor_epoch_;
   }
   // The cursor shares the compiled query and plan with the cache entry
   // (aliasing pointers keep the entry alive); nothing is copied.

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -118,8 +117,10 @@ class PreparedStatement {
 /// session must not outlive its Prima.
 class Session {
  public:
-  /// Use Prima::OpenSession(); public for direct embedding against a bare
-  /// DataSystem + TransactionManager pair (tests).
+  /// Clients open sessions with Prima::OpenSession(). The kernel's own
+  /// statement callers — the one-shot Prima::Execute / Query facade and the
+  /// object buffer's checkout — and bare embedded rigs (tests) construct
+  /// one directly over a DataSystem + TransactionManager pair.
   Session(mql::DataSystem* data, TransactionManager* txns);
   ~Session();
 
@@ -146,17 +147,12 @@ class Session {
 
  private:
   friend class PreparedStatement;
+  friend class Prima;
 
-  /// mql::ExecContext bridge: dispatches transaction-control statements
-  /// back into the session and routes DML through `txn`.
+  /// mql::ExecContext bridge: routes DML through `txn`.
   class Ctx : public mql::ExecContext {
    public:
-    Ctx(Session* session, Transaction* txn) : session_(session), txn_(txn) {}
-    util::Status BeginWork(bool read_only) override {
-      return session_->BeginWork(read_only);
-    }
-    util::Status CommitWork() override { return session_->CommitWork(); }
-    util::Status AbortWork() override { return session_->AbortWork(); }
+    explicit Ctx(Transaction* txn) : txn_(txn) {}
     uint64_t own_txn() const override {
       return txn_ == nullptr ? 0 : txn_->root_id();
     }
@@ -182,8 +178,7 @@ class Session {
     }
 
    private:
-    Session* session_;
-    Transaction* txn_;  ///< null only for statements that never reach DML
+    Transaction* txn_;  ///< null only for DDL, which never reaches DML
   };
 
   /// The one compile path, shared by one-shot statements and Prepare:
@@ -240,6 +235,10 @@ class Session {
 
   mql::DataSystem* data_;
   TransactionManager* txns_;
+  /// Set by the one-shot Prima facade, whose session lives for one
+  /// statement: a transaction begun there would end with the call, so
+  /// transaction control is refused.
+  bool one_shot_ = false;
   /// Explicit BEGIN WORK nesting: front = top-level, back = innermost.
   std::vector<Transaction*> txn_stack_;
   /// The pinned snapshot of an open BEGIN WORK READ ONLY transaction.
@@ -247,13 +246,9 @@ class Session {
   /// reads) and DML/DDL are refused; COMMIT/ABORT WORK releases it.
   std::shared_ptr<access::VersionStore::Pin> read_only_pin_;
   /// Epoch token handed to cursors; swapped (old one flipped true) on
-  /// every abort. Guarded by epoch_mu_: the shared DEFAULT session may see
-  /// concurrent facade calls, and a failed auto-commit statement's
-  /// InvalidateCursors() reassigns the pointer while another thread's
-  /// OpenCursor copies it — the mutex keeps that exchange defined (the
-  /// rest of the session's state is single-threaded by contract).
+  /// every abort. The cursors read it from their own threads, so it is
+  /// atomic; the pointer itself belongs to the session's thread.
   std::shared_ptr<std::atomic<bool>> cursor_epoch_;
-  mutable std::mutex epoch_mu_;
   /// The trace of the statement currently executing inline (set only for
   /// the RunInstrumented scope). Cursors opened while it is set drain
   /// within the statement — they get the trace; streaming Query() cursors

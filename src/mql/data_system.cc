@@ -25,22 +25,10 @@ std::shared_ptr<const T> Borrow(const T* p) {
 
 }  // namespace
 
-Result<ExecResult> DataSystem::Execute(const std::string& text,
-                                       ExecContext* ctx) {
-  PRIMA_ASSIGN_OR_RETURN(Statement stmt, ParseStatement(text));
-  if (!stmt.params.empty()) {
-    return Status::InvalidArgument(
-        "statement has placeholders - prepare it and bind values first");
-  }
-  return ExecuteStatement(stmt, ctx);
-}
-
 Result<ExecResult> DataSystem::ExecuteStatement(
-    const Statement& stmt, ExecContext* ctx, const QueryPlan* plan,
+    const Statement& stmt, ExecContext& ctx, const QueryPlan* plan,
     const std::vector<Value>& params) {
   switch (stmt.kind) {
-    case Statement::Kind::kQuery:
-      return RunQuery(stmt.query, plan, params);
     case Statement::Kind::kCreateAtomType:
       return RunCreateAtomType(stmt.create_atom_type);
     case Statement::Kind::kDefineMoleculeType:
@@ -55,36 +43,14 @@ Result<ExecResult> DataSystem::ExecuteStatement(
       return RunModify(stmt.modify, ctx, plan, params);
     case Statement::Kind::kConnect:
       return RunConnect(stmt.connect, ctx);
+    case Statement::Kind::kQuery:
     case Statement::Kind::kBeginWork:
     case Statement::Kind::kCommitWork:
-    case Statement::Kind::kAbortWork: {
-      if (ctx == nullptr) {
-        return Status::InvalidArgument(
-            "transaction statements need a session (Prima::OpenSession)");
-      }
-      Status st;
-      if (stmt.kind == Statement::Kind::kBeginWork) {
-        st = ctx->BeginWork(stmt.begin_read_only);
-      } else if (stmt.kind == Statement::Kind::kCommitWork) {
-        st = ctx->CommitWork();
-      } else {
-        st = ctx->AbortWork();
-      }
-      PRIMA_RETURN_IF_ERROR(st);
-      ExecResult r;
-      r.kind = ExecResult::Kind::kNone;
-      return r;
-    }
+    case Statement::Kind::kAbortWork:
+      break;
   }
-  return Status::InvalidArgument("unhandled statement");
-}
-
-Result<MoleculeSet> DataSystem::ExecuteQuery(const std::string& text) {
-  PRIMA_ASSIGN_OR_RETURN(ExecResult r, Execute(text));
-  if (r.kind != ExecResult::Kind::kMolecules) {
-    return Status::InvalidArgument("statement is not a query");
-  }
-  return std::move(r.molecules);
+  return Status::InvalidArgument(
+      "queries and transaction statements run through a session");
 }
 
 std::string DataSystem::Format(const ExecResult& result) const {
@@ -101,22 +67,6 @@ std::string DataSystem::Format(const ExecResult& result) const {
       return result.text;
   }
   return "";
-}
-
-Result<ExecResult> DataSystem::RunQuery(const struct Query& q,
-                                        const QueryPlan* plan,
-                                        const std::vector<Value>& params) {
-  // The cursor drains before this returns, so it borrows the query and
-  // plan instead of copying them.
-  PRIMA_ASSIGN_OR_RETURN(
-      MoleculeCursor cursor,
-      executor_.OpenCursor(Borrow(&q), Borrow(plan), params,
-                           access_->versions().OpenSnapshot(/*own_txn=*/0)));
-  stats().queries++;
-  ExecResult r;
-  r.kind = ExecResult::Kind::kMolecules;
-  PRIMA_ASSIGN_OR_RETURN(r.molecules, cursor.Drain());
-  return r;
 }
 
 Result<MoleculeSet> DataSystem::QualifyTargets(
@@ -178,7 +128,7 @@ Result<ExecResult> DataSystem::RunDrop(const DropStmt& stmt) {
 }
 
 Result<ExecResult> DataSystem::RunInsert(const InsertStmt& stmt,
-                                         ExecContext* ctx,
+                                         ExecContext& ctx,
                                          const std::vector<Value>& params) {
   const AtomTypeDef* def = access_->catalog().FindAtomType(stmt.type_name);
   if (def == nullptr) {
@@ -197,23 +147,18 @@ Result<ExecResult> DataSystem::RunInsert(const InsertStmt& stmt,
   }
   ExecResult r;
   r.kind = ExecResult::Kind::kTid;
-  if (ctx != nullptr) {
-    PRIMA_ASSIGN_OR_RETURN(r.tid, ctx->InsertAtom(def->id, std::move(values)));
-  } else {
-    PRIMA_ASSIGN_OR_RETURN(r.tid,
-                           access_->InsertAtom(def->id, std::move(values)));
-  }
+  PRIMA_ASSIGN_OR_RETURN(r.tid, ctx.InsertAtom(def->id, std::move(values)));
   return r;
 }
 
 Result<ExecResult> DataSystem::RunDelete(const DeleteStmt& stmt,
-                                         ExecContext* ctx,
+                                         ExecContext& ctx,
                                          const QueryPlan* plan,
                                          const std::vector<Value>& params) {
   PRIMA_ASSIGN_OR_RETURN(
       MoleculeSet set,
       QualifyTargets(stmt.from, stmt.where.get(), plan, params,
-                     ctx != nullptr ? ctx->own_txn() : 0));
+                     ctx.own_txn()));
   // Components to delete: named ones, or every component (whole molecules).
   std::set<std::string> which(stmt.components.begin(), stmt.components.end());
   std::set<uint64_t> victims;
@@ -227,8 +172,7 @@ Result<ExecResult> DataSystem::RunDelete(const DeleteStmt& stmt,
   r.kind = ExecResult::Kind::kCount;
   for (uint64_t packed : victims) {
     const Tid tid = Tid::Unpack(packed);
-    const Status st =
-        ctx != nullptr ? ctx->DeleteAtom(tid) : access_->DeleteAtom(tid);
+    const Status st = ctx.DeleteAtom(tid);
     if (!st.ok() && !st.IsNotFound()) return st;
     if (st.ok()) ++r.count;
   }
@@ -236,13 +180,13 @@ Result<ExecResult> DataSystem::RunDelete(const DeleteStmt& stmt,
 }
 
 Result<ExecResult> DataSystem::RunModify(const ModifyStmt& stmt,
-                                         ExecContext* ctx,
+                                         ExecContext& ctx,
                                          const QueryPlan* plan,
                                          const std::vector<Value>& params) {
   PRIMA_ASSIGN_OR_RETURN(
       MoleculeSet set,
       QualifyTargets(stmt.from, stmt.where.get(), plan, params,
-                     ctx != nullptr ? ctx->own_txn() : 0));
+                     ctx.own_txn()));
   const AtomTypeDef* target_def = nullptr;
   ExecResult r;
   r.kind = ExecResult::Kind::kCount;
@@ -268,9 +212,7 @@ Result<ExecResult> DataSystem::RunModify(const ModifyStmt& stmt,
     }
     for (const access::Atom& a : g->atoms) {
       if (!modified.insert(a.tid.Pack()).second) continue;
-      const Status st = ctx != nullptr
-                            ? ctx->ModifyAtom(a.tid, changes)
-                            : access_->ModifyAtom(a.tid, changes);
+      const Status st = ctx.ModifyAtom(a.tid, changes);
       // A target a writer deleted after the qualifying view was pinned is
       // gone, as in RunDelete.
       if (st.IsNotFound()) continue;
@@ -282,7 +224,7 @@ Result<ExecResult> DataSystem::RunModify(const ModifyStmt& stmt,
 }
 
 Result<ExecResult> DataSystem::RunConnect(const ConnectStmt& stmt,
-                                          ExecContext* ctx) {
+                                          ExecContext& ctx) {
   const AtomTypeDef* def = access_->catalog().GetAtomType(stmt.from.type);
   if (def == nullptr) {
     return Status::NotFound("atom type of " + stmt.from.ToString());
@@ -292,15 +234,9 @@ Result<ExecResult> DataSystem::RunConnect(const ConnectStmt& stmt,
     return Status::InvalidArgument("unknown attribute " + def->name + "." +
                                    stmt.attr);
   }
-  Status st;
-  if (stmt.connect) {
-    st = ctx != nullptr ? ctx->Connect(stmt.from, attr->id, stmt.to)
-                        : access_->Connect(stmt.from, attr->id, stmt.to);
-  } else {
-    st = ctx != nullptr ? ctx->Disconnect(stmt.from, attr->id, stmt.to)
-                        : access_->Disconnect(stmt.from, attr->id, stmt.to);
-  }
-  PRIMA_RETURN_IF_ERROR(st);
+  PRIMA_RETURN_IF_ERROR(stmt.connect
+                            ? ctx.Connect(stmt.from, attr->id, stmt.to)
+                            : ctx.Disconnect(stmt.from, attr->id, stmt.to));
   ExecResult r;
   r.kind = ExecResult::Kind::kNone;
   return r;

@@ -39,23 +39,15 @@ struct ExecResult {
 };
 
 /// The transaction context a statement executes under. The data system
-/// dispatches BEGIN/COMMIT/ABORT WORK to it and routes every DML mutation
-/// through it, so locking, undo logging, and WAL transaction tagging follow
-/// the session's open transaction instead of hitting the access system
-/// untagged. Implemented by core::Session (the core layer knows the nested
-/// transaction machinery; this interface keeps the mql layer free of that
-/// dependency). Statements executed WITHOUT a context (legacy direct
-/// DataSystem use) fall back to raw access-system calls.
+/// routes every DML mutation through it, so locking, undo logging, and WAL
+/// transaction tagging follow the session's transaction. Implemented by
+/// core::Session (the core layer knows the nested transaction machinery;
+/// this interface keeps the mql layer free of that dependency), which also
+/// handles BEGIN/COMMIT/ABORT WORK itself and drains its own query cursors.
 class ExecContext {
  public:
   virtual ~ExecContext() = default;
 
-  // Transaction-control statements. `read_only` opens a pinned-snapshot
-  // transaction: every query in it reads one consistent view and DML/DDL
-  // are refused until COMMIT/ABORT WORK releases it.
-  virtual util::Status BeginWork(bool read_only) = 0;
-  virtual util::Status CommitWork() = 0;
-  virtual util::Status AbortWork() = 0;
   /// The top-level transaction the statement runs under (0 = none): DML
   /// qualifies its targets under a view that also sees that transaction's
   /// own uncommitted writes.
@@ -81,29 +73,19 @@ class DataSystem {
   explicit DataSystem(access::AccessSystem* access)
       : access_(access), executor_(access) {}
 
-  /// Parse and execute one statement. With a context, DML runs under the
-  /// session's transaction and BEGIN/COMMIT/ABORT WORK are dispatched to
-  /// it; without one, DML hits the access system directly and transaction
-  /// statements fail. Statements with placeholders are refused here — there
-  /// are no bound values to run them with; Session::Prepare binds them.
-  util::Result<ExecResult> Execute(const std::string& text,
-                                   ExecContext* ctx = nullptr);
-
-  /// Execute an already-parsed statement. The statement is never rewritten:
-  /// every placeholder site reads its value from `params` (indexed by
-  /// parameter slot, empty for statements without placeholders) — WHERE
-  /// operands when the cursor opens, INSERT values and MODIFY SETs when the
-  /// statement runs. `plan` optionally supplies a compiled query plan for
-  /// SELECT / DELETE / MODIFY; the statement's cursor opens on it instead
-  /// of planning again (§3.1 separates preparation from execution).
+  /// Execute an already-parsed DDL or DML statement under `ctx`. The
+  /// statement is never rewritten: every placeholder site reads its value
+  /// from `params` (indexed by parameter slot, empty for statements without
+  /// placeholders) — WHERE operands when the qualifying cursor opens,
+  /// INSERT values and MODIFY SETs when the statement runs. `plan`
+  /// optionally supplies a compiled plan for DELETE / MODIFY; the
+  /// qualifying cursor opens on it instead of planning again (§3.1
+  /// separates preparation from execution). Queries and transaction
+  /// control belong to the session and are refused here.
   util::Result<ExecResult> ExecuteStatement(
-      const Statement& stmt, ExecContext* ctx = nullptr,
+      const Statement& stmt, ExecContext& ctx,
       const QueryPlan* plan = nullptr,
       const std::vector<access::Value>& params = {});
-
-  /// Convenience: Execute a SELECT (open a cursor, drain it) and return
-  /// its molecule set.
-  util::Result<MoleculeSet> ExecuteQuery(const std::string& text);
 
   /// Render a result for interactive display.
   std::string Format(const ExecResult& result) const;
@@ -125,9 +107,6 @@ class DataSystem {
   obs::Telemetry* telemetry() const { return telemetry_; }
 
  private:
-  util::Result<ExecResult> RunQuery(const struct Query& q,
-                                    const QueryPlan* plan,
-                                    const std::vector<access::Value>& params);
   /// The whole molecules a DELETE / MODIFY acts on, drained from a serial
   /// cursor before the statement mutates anything. `own_txn` is the
   /// statement's top-level transaction (0 = none).
@@ -137,16 +116,16 @@ class DataSystem {
   util::Result<ExecResult> RunCreateAtomType(const CreateAtomTypeStmt& stmt);
   util::Result<ExecResult> RunDefineMolecule(const DefineMoleculeTypeStmt& stmt);
   util::Result<ExecResult> RunDrop(const DropStmt& stmt);
-  util::Result<ExecResult> RunInsert(const InsertStmt& stmt, ExecContext* ctx,
+  util::Result<ExecResult> RunInsert(const InsertStmt& stmt, ExecContext& ctx,
                                      const std::vector<access::Value>& params);
-  util::Result<ExecResult> RunDelete(const DeleteStmt& stmt, ExecContext* ctx,
+  util::Result<ExecResult> RunDelete(const DeleteStmt& stmt, ExecContext& ctx,
                                      const QueryPlan* plan,
                                      const std::vector<access::Value>& params);
-  util::Result<ExecResult> RunModify(const ModifyStmt& stmt, ExecContext* ctx,
+  util::Result<ExecResult> RunModify(const ModifyStmt& stmt, ExecContext& ctx,
                                      const QueryPlan* plan,
                                      const std::vector<access::Value>& params);
   util::Result<ExecResult> RunConnect(const ConnectStmt& stmt,
-                                      ExecContext* ctx);
+                                      ExecContext& ctx);
 
   access::AccessSystem* access_;
   Executor executor_;

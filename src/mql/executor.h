@@ -42,7 +42,7 @@ struct DataStats {
 };
 
 inline constexpr obs::CounterDef<DataStats> kDataCounters[] = {
-    {&DataStats::queries, "prima_queries", "user queries (session, prepared, wire, QueryParallel, sessionless)"},
+    {&DataStats::queries, "prima_queries", "user queries (session, prepared, wire, QueryParallel)"},
     {&DataStats::molecules_built, "prima_molecules_built", "molecules assembled"},
     {&DataStats::cluster_assemblies, "prima_cluster_assemblies", "molecules served from atom clusters"},
     {&DataStats::bfs_assemblies, "prima_bfs_assemblies", "molecules assembled by association chasing"},
@@ -176,12 +176,12 @@ class RootSource {
 /// next qualifying molecule — first-row latency is one assembly, not the
 /// whole set, and a consumer that stops early never pays for the molecules
 /// it skipped. It is the data system's one molecule-derivation loop:
-/// session and prepared queries, the wire and sessionless DataSystem
-/// queries drain it for their results, and MODIFY/DELETE drain one for
-/// their targets. The cursor is serial: each root is assembled, qualified
-/// and projected on the thread calling Next() (Executor::DeriveMolecule,
-/// the per-root step Prima::QueryParallel's units run as well), so nothing
-/// is assembled ahead of the Next() that returns it.
+/// session and prepared queries, the one-shot facade and the wire drain
+/// it for their results, and MODIFY/DELETE drain one for their targets.
+/// The cursor is serial: each root is assembled, qualified and projected
+/// on the thread calling Next() (Executor::DeriveMolecule, the per-root
+/// step Prima::QueryParallel's units run as well), so nothing is assembled
+/// ahead of the Next() that returns it.
 ///
 /// A cursor shares its compiled query and plan (immutable — typically the
 /// statement-cache entry it was compiled into) and owns a copy of its bound
@@ -200,7 +200,7 @@ class MoleculeCursor {
   util::Result<std::optional<Molecule>> Next();
 
   /// Drain the remaining molecules into a set. Every caller that wants a
-  /// whole set — Prima::Query, sessionless DataSystem queries, DML target
+  /// whole set — Prima::Query, the object buffer's checkout, DML target
   /// qualification — is exactly Open + Drain.
   util::Result<MoleculeSet> Drain();
 

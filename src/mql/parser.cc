@@ -615,8 +615,8 @@ class Parser {
       }
       return TypeDesc::RecordOf(std::move(fields));
     }
-    // Paper Fig. 2.3 uses the application type HULL_DIM(3); we interpret it
-    // as a fixed REAL array (a 3D bounding volume) — see DESIGN.md.
+    // Paper Fig. 2.3 uses the application type HULL_DIM(3) without defining
+    // it; it is read here as a fixed REAL array (a 3D bounding volume).
     if (AcceptKeyword("HULL_DIM")) {
       PRIMA_RETURN_IF_ERROR(ExpectSymbol("("));
       if (Cur().kind != TokenKind::kInt) return Err("expected HULL_DIM arity");

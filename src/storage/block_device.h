@@ -39,9 +39,10 @@ struct DeviceStats {
   }
 };
 
-/// The file-manager substrate (substitution for the INCAS OS file manager
-/// [Ne87], see DESIGN.md §3): files of fixed block size, where the block
-/// size menu is exactly the five page sizes, plus chained transfers.
+/// The file-manager substrate, standing in for the file manager of the
+/// INCAS operating system that the paper's storage system runs on
+/// ([Ne87]): files of fixed block size, where the block size menu is
+/// exactly the five page sizes, plus chained transfers.
 class BlockDevice {
  public:
   using FileId = SegmentId;

@@ -20,8 +20,8 @@ size_t UsableCpus();
 /// Fixed-size worker pool. Substrate for PRIMA's "semantic parallelism":
 /// decomposed units of work (DUs) from a single user operation — the
 /// root ranges of a Prima::QueryParallel call — are scheduled here and
-/// executed concurrently (paper §4, multi-processor PRIMA emulated with
-/// shared-memory threads; see DESIGN.md substitutions).
+/// executed concurrently (paper §4; the multi-processor PRIMA is emulated
+/// with shared-memory threads in one process).
 /// Restart recovery reuses it to fan per-page redo chains out over the
 /// CPUs (RecoveryManager parallel apply phase).
 class ThreadPool {

@@ -9,8 +9,8 @@ using util::Result;
 using util::Status;
 
 namespace {
-/// Fig. 2.3 of the paper, verbatim (modulo OCR fixes; HULL_DIM is
-/// interpreted as a fixed REAL array, see DESIGN.md).
+/// Fig. 2.3 of the paper, verbatim (modulo OCR fixes; the parser reads
+/// HULL_DIM as a fixed REAL array).
 const char* kSchema[] = {
     "CREATE ATOM_TYPE solid"
     " ( solid_id : IDENTIFIER,"

@@ -135,6 +135,63 @@ TEST_F(SessionTest, CommitAbortOutsideTransactionFail) {
   EXPECT_TRUE(session_->Execute("ABORT WORK").status().IsInvalidArgument());
 }
 
+// The one-shot facade's session ends with the call, and a transaction
+// with it: transaction control needs a session the caller holds.
+TEST_F(SessionTest, FacadeRefusesTransactionControl) {
+  for (const char* text :
+       {"BEGIN WORK", "BEGIN WORK READ ONLY", "COMMIT WORK", "ABORT WORK"}) {
+    const util::Status st = db_->Execute(text).status();
+    EXPECT_TRUE(st.IsInvalidArgument()) << text << ": " << st.ToString();
+    EXPECT_NE(st.message().find("Prima::OpenSession"), std::string::npos)
+        << text << ": " << st.ToString();
+  }
+  EXPECT_EQ(db_->transactions().LockedAtomCount(), 0u);
+}
+
+// Each facade call runs in a session of its own, so threads share nothing
+// but the database: four threads mix auto-commit DML, queries, and one DML
+// statement each that fails after it wrote, whose rollback invalidates the
+// cursors of the call's session.
+TEST_F(SessionTest, FacadeCallsFromManyThreads) {
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 8;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([this, t] {
+      const int64_t base = (t + 1) * 1000;
+      const std::string range =
+          " WHERE part_no >= " + std::to_string(base) +
+          " AND part_no < " + std::to_string(base + kRounds);
+      for (int i = 0; i < kRounds; ++i) {
+        const std::string no = std::to_string(base + i);
+        auto inserted = db_->Execute("INSERT part (part_no = " + no +
+                                     ", name = 'new', weight = 1.0)");
+        ASSERT_TRUE(inserted.ok()) << inserted.status().ToString();
+        auto renamed = db_->Execute(
+            "MODIFY part SET name = 'renamed' WHERE part_no = " + no);
+        ASSERT_TRUE(renamed.ok()) << renamed.status().ToString();
+        EXPECT_EQ(renamed->count, 1u);
+        auto got = db_->Query("SELECT ALL FROM part WHERE part_no = " + no);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        ASSERT_EQ(got->size(), 1u);
+        EXPECT_EQ(got->molecules[0].groups[0].atoms[0].attrs[2].AsString(),
+                  "renamed");
+      }
+      // Renumbers the first part, then meets the key it just took on the
+      // second: the statement fails and compensates its first write.
+      auto clash = db_->Execute("MODIFY part SET part_no = " +
+                                std::to_string(base + 999) + range);
+      EXPECT_TRUE(clash.status().IsConstraint()) << clash.status().ToString();
+      auto all = db_->Query("SELECT ALL FROM part" + range);
+      ASSERT_TRUE(all.ok()) << all.status().ToString();
+      EXPECT_EQ(all->size(), static_cast<size_t>(kRounds));
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(CountParts(session_.get()), static_cast<size_t>(kThreads * kRounds));
+  EXPECT_EQ(db_->transactions().LockedAtomCount(), 0u);
+}
+
 TEST_F(SessionTest, SessionDestructionRollsBackOpenTransaction) {
   auto other = db_->OpenSession();
   ASSERT_TRUE(other->Execute("BEGIN WORK").ok());
@@ -591,9 +648,9 @@ TEST_F(SessionTest, CursorDrainEqualsMaterializedQuery) {
   const std::string query =
       "SELECT ALL FROM brep-face-edge-point WHERE brep_no >= 500";
 
-  // Reference: the sessionless data-system entry point, which drains its
-  // own cursor outside any session.
-  auto materialized = db_->data().ExecuteQuery(query);
+  // Reference: the one-shot facade, which drains the cursor of a session
+  // of its own.
+  auto materialized = db_->Query(query);
   ASSERT_TRUE(materialized.ok()) << materialized.status().ToString();
   ASSERT_GT(materialized->size(), 0u);
 
