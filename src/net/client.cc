@@ -9,6 +9,7 @@
 #include <cerrno>
 #include <cstring>
 
+#include "mql/lexer.h"
 #include "util/coding.h"
 
 namespace prima::net {
@@ -16,6 +17,26 @@ namespace prima::net {
 using util::Result;
 using util::Slice;
 using util::Status;
+
+namespace {
+
+/// True when `mql` lexes as exactly BEGIN WORK. Only text that starts with
+/// a B or a comment can, so every other statement skips the lexer.
+bool IsBeginWork(const std::string& mql) {
+  const size_t first = mql.find_first_not_of(" \t\n\v\f\r");
+  if (first == std::string::npos ||
+      (mql[first] != 'B' && mql[first] != 'b' && mql[first] != '(')) {
+    return false;
+  }
+  Result<std::vector<mql::Token>> tokens = mql::Lex(mql);
+  return tokens.ok() && tokens->size() == 3 &&
+         (*tokens)[0].kind == mql::TokenKind::kIdent &&
+         (*tokens)[0].upper == "BEGIN" &&
+         (*tokens)[1].kind == mql::TokenKind::kIdent &&
+         (*tokens)[1].upper == "WORK";
+}
+
+}  // namespace
 
 // --- Client ----------------------------------------------------------------
 
@@ -77,15 +98,25 @@ Client::~Client() {
 
 Result<Frame> Client::RoundTrip(MsgKind kind, Slice payload, MsgKind expect) {
   if (fd_ < 0) return Status::IoError("client is not connected");
-  if (payload.size() > kMaxRequestFrame) {
+  const size_t size = payload.size() + (begin_pending_ ? 1 : 0);
+  if (size > kMaxRequestFrame) {
     // The server would refuse the frame and close the connection; refuse it
     // here instead, before a byte is written, so the connection survives.
     return Status::InvalidArgument(
-        "request of " + std::to_string(payload.size()) +
-        " bytes exceeds the " + std::to_string(kMaxRequestFrame) +
-        "-byte limit");
+        "request of " + std::to_string(size) + " bytes exceeds the " +
+        std::to_string(kMaxRequestFrame) + "-byte limit");
   }
-  Status st = WriteFrame(fd_, kind, payload);
+  Status st;
+  if (begin_pending_) {
+    begin_pending_ = false;
+    std::string begun;
+    begun.reserve(size);
+    begun.push_back(static_cast<char>(kind));
+    begun.append(payload.data(), payload.size());
+    st = WriteFrame(fd_, MsgKind::kBegun, begun);
+  } else {
+    st = WriteFrame(fd_, kind, payload);
+  }
   if (st.ok()) {
     Frame reply;
     st = ReadFrame(fd_, kMaxReplyFrame, &reply);
@@ -111,6 +142,10 @@ Result<Frame> Client::RoundTrip(MsgKind kind, Slice payload, MsgKind expect) {
 }
 
 Result<mql::ExecResult> Client::Execute(const std::string& mql) {
+  if (IsBeginWork(mql)) {
+    PRIMA_RETURN_IF_ERROR(Begin());
+    return mql::ExecResult();
+  }
   Result<Frame> reply = RoundTrip(MsgKind::kExecute, mql, MsgKind::kResult);
   if (!reply.ok()) return reply.status();
   Slice in(reply->payload);
@@ -121,7 +156,14 @@ Status Client::Begin(bool read_only) {
   if (read_only) {
     return Execute("BEGIN WORK READ ONLY").status();
   }
-  return RoundTrip(MsgKind::kBeginWork, {}, MsgKind::kOk).status();
+  if (fd_ < 0) return Status::IoError("client is not connected");
+  if (begin_pending_) {
+    // A kBegun frame carries one BEGIN; the second is its wrapped request.
+    return RoundTrip(MsgKind::kExecute, "BEGIN WORK", MsgKind::kResult)
+        .status();
+  }
+  begin_pending_ = true;
+  return Status::Ok();
 }
 Status Client::Commit() {
   return RoundTrip(MsgKind::kCommitWork, {}, MsgKind::kOk).status();
@@ -184,6 +226,7 @@ Result<std::string> Client::MetricsText() {
 
 Status Client::Close() {
   if (fd_ < 0) return Status::Ok();
+  begin_pending_ = false;
   const Status st = RoundTrip(MsgKind::kGoodbye, {}, MsgKind::kOk).status();
   if (fd_ >= 0) {
     ::close(fd_);

@@ -31,12 +31,18 @@ class RemoteCursor;
 /// cursor's open reply carries its first batch, so a result that fits in
 /// one batch needs no fetch and no close request.
 ///
+/// BEGIN WORK costs no request at all. Begin() and Execute("BEGIN WORK")
+/// send nothing and return OK; the BEGIN rides with the next request of any
+/// kind, and the server runs it first. A BEGIN that fails there reports its
+/// error as the result of that next call, which then did not run. BEGIN
+/// WORK READ ONLY is sent at once, because its view is pinned at BEGIN.
+///
 ///   auto client = *Client::Connect("127.0.0.1", port);
-///   client->Execute("BEGIN WORK");                    // 1 request
-///   auto stmt = *client->Prepare("INSERT point (x = ?)");
+///   client->Execute("BEGIN WORK");                    // local
+///   auto stmt = *client->Prepare("INSERT point (x = ?)");  // 1 request
 ///   stmt.Bind(0, access::Value::Real(1.5));           // local
 ///   stmt.Execute();                                   // 1 request
-///   client->Execute("COMMIT WORK");
+///   client->Execute("COMMIT WORK");                   // 1 request
 ///   auto cursor = *client->OpenCursor("SELECT ALL FROM point");
 ///   while (auto m = *cursor.Next()) { /* fetches once the batch is used */ }
 class Client {
@@ -51,13 +57,15 @@ class Client {
 
   /// One round trip: parse and execute one MQL statement server-side
   /// (DDL, DML, query, or BEGIN/COMMIT/ABORT WORK). SELECT results come
-  /// back materialized; use OpenCursor to stream instead.
+  /// back materialized; use OpenCursor to stream instead. Text that lexes
+  /// as exactly BEGIN WORK (any case, whitespace or comments) is Begin().
   util::Result<mql::ExecResult> Execute(const std::string& mql);
 
-  /// Transaction control (sugar over the dedicated message kinds).
-  /// Begin(true) opens BEGIN WORK READ ONLY — a transaction whose queries
-  /// all read the one view pinned at BEGIN and whose DML/DDL are refused.
-  /// Sent as statement text.
+  /// Transaction control. Begin() sends nothing: the BEGIN rides with the
+  /// next request (see the class comment); while one is held back, a
+  /// second Begin() is sent as that next request. Begin(true) opens BEGIN
+  /// WORK READ ONLY at once — a transaction whose queries all read the one
+  /// view pinned at BEGIN and whose DML/DDL are refused.
   util::Status Begin(bool read_only = false);
   util::Status Commit();
   util::Status Abort();
@@ -82,9 +90,9 @@ class Client {
   /// text exposition), for remote scraping.
   util::Result<std::string> MetricsText();
 
-  /// Polite goodbye; the server rolls back an open transaction. The
-  /// destructor just drops the socket, which has the same server-side
-  /// effect without the round trip.
+  /// Polite goodbye; the server rolls back an open transaction, and a BEGIN
+  /// still held back is dropped unsent. The destructor just drops the
+  /// socket, which has the same server-side effect without the round trip.
   util::Status Close();
 
   bool connected() const { return fd_ >= 0; }
@@ -96,7 +104,8 @@ class Client {
   friend class RemoteCursor;
   Client() = default;
 
-  /// Send one request, read one reply. A kError reply decodes into the
+  /// Send one request, read one reply. A held-back BEGIN goes with it, the
+  /// request wrapped in a kBegun frame. A kError reply decodes into the
   /// returned status; a reply of any kind other than `expect` is a
   /// protocol violation and poisons the connection. A payload over
   /// kMaxRequestFrame is refused with InvalidArgument before anything is
@@ -111,6 +120,7 @@ class Client {
 
   int fd_ = -1;
   uint64_t connection_id_ = 0;
+  bool begin_pending_ = false;  ///< a BEGIN WORK rides with the next request
 };
 
 /// Client handle to a server-side prepared statement. The bindings live on

@@ -42,7 +42,12 @@ inline constexpr uint32_t kHandshakeMagic = 0x50524D4Eu;  ///< "PRMN"
 /// kSetIsolation message and kOpenCursor isolation byte are gone. A peer
 /// speaking any other version is refused at the handshake instead of
 /// misread.
-inline constexpr uint32_t kProtocolVersion = 4;
+///
+/// Version 5: BEGIN WORK costs no request of its own. The client holds a
+/// BEGIN back and sends it inside the next request as one kBegun frame; the
+/// server runs the BEGIN, and runs the wrapped request only if the BEGIN
+/// succeeded, with one reply either way. Version 4's kBeginWork is gone.
+inline constexpr uint32_t kProtocolVersion = 5;
 
 /// Requests are statements, their bound values and control messages. A
 /// frame claiming more is malformed (and must be rejected BEFORE allocating
@@ -61,7 +66,10 @@ inline constexpr uint32_t kFetchByteTarget = 1u << 20;
 /// varint length + bytes; `bindings` is varint n + n x (u8 present, Value
 /// if present), one entry per placeholder in slot order; `batch` is u8 done
 /// + varint n + n molecules. A cursor whose batch reports done is released
-/// server-side by that reply, so closing it needs no request.
+/// server-side by that reply, so closing it needs no request. kBegun wraps
+/// exactly one request: u8 inner kind + the inner request's payload, never
+/// a kHello or another kBegun; its reply is the inner request's reply, or
+/// kError if the BEGIN failed.
 enum class MsgKind : uint8_t {
   // Requests (client -> server).
   kHello = 1,           ///< u32 magic + u32 version
@@ -74,13 +82,14 @@ enum class MsgKind : uint8_t {
   kFetch = 7,           ///< u32 cursor, u32 max_n -> kMolecules
   kCloseCursor = 8,     ///< u32 cursor -> kOk
   kCloseStatement = 9,  ///< u32 stmt -> kOk
-  kBeginWork = 10,      ///< -> kOk
+  // 10 is retired (version 4's BEGIN WORK request); do not reuse it.
   kCommitWork = 11,     ///< -> kOk
   kAbortWork = 12,      ///< -> kOk
   kStats = 13,          ///< -> kStatsReply
   kGoodbye = 14,        ///< -> kOk, then both sides close
   kMetrics = 15,        ///< -> kMetricsReply (Prometheus text exposition)
   // 16 is retired (version 3's isolation choice); do not reuse it.
+  kBegun = 17,          ///< u8 inner kind + inner payload -> the inner reply
 
   // Replies (server -> client).
   kHelloOk = 64,        ///< u32 version + u64 connection id
@@ -102,8 +111,8 @@ struct Frame {
 };
 
 // ---------------------------------------------------------------------------
-// Socket framing. fd is a connected stream socket; all calls block (the
-// server bounds them with poll-based idle timeouts). Errors:
+// Socket framing. fd is a connected stream socket; all calls block (a
+// server with an idle timeout bounds them with poll). Errors:
 //   IoError     - peer vanished / syscall failed (connection is dead)
 //   Corruption  - CRC mismatch (stream integrity lost, close the connection)
 //   InvalidArgument - frame length over `max_frame` (reject before reading)

@@ -29,15 +29,14 @@ void SetNoDelay(int fd) {
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
-/// Wait for a readable byte (or peer close) with an optional timeout.
+/// Wait up to `timeout_ms` (> 0) for a readable byte or peer close.
 /// Returns Ok when readable, NotFound on timeout, IoError on poll failure.
 Status WaitReadable(int fd, uint32_t timeout_ms) {
   struct pollfd pfd;
   pfd.fd = fd;
   pfd.events = POLLIN;
   for (;;) {
-    const int r = ::poll(&pfd, 1, timeout_ms == 0 ? -1
-                                                  : static_cast<int>(timeout_ms));
+    const int r = ::poll(&pfd, 1, static_cast<int>(timeout_ms));
     if (r < 0) {
       if (errno == EINTR) continue;
       return Status::IoError(std::string("poll: ") + std::strerror(errno));
@@ -250,9 +249,12 @@ void Server::ServeConnection(Conn* conn) {
   connections_active_.fetch_add(1, std::memory_order_relaxed);
 
   // --- versioned handshake -------------------------------------------------
+  // Without an idle timeout there is nothing to poll for: the blocking recv
+  // in ReadFrame waits, and Stop()'s shutdown wakes it.
+  const uint32_t idle_ms = options_.idle_timeout_ms;
   bool ok = false;
   do {
-    if (!WaitReadable(fd, options_.idle_timeout_ms).ok()) break;
+    if (idle_ms != 0 && !WaitReadable(fd, idle_ms).ok()) break;
     Frame hello;
     if (!ReadFrame(fd, kMaxRequestFrame, &hello).ok()) break;
     if (hello.kind != MsgKind::kHello) {
@@ -298,7 +300,8 @@ void Server::ServeConnection(Conn* conn) {
     obs::Telemetry* tel = db_->telemetry();
 
     for (;;) {
-      const Status waited = WaitReadable(fd, options_.idle_timeout_ms);
+      const Status waited =
+          idle_ms == 0 ? Status::Ok() : WaitReadable(fd, idle_ms);
       if (!waited.ok()) {
         if (waited.IsNotFound()) {
           stats_.idle_closes++;
@@ -336,246 +339,265 @@ void Server::ServeConnection(Conn* conn) {
         return sent;
       };
 
-      switch (req.kind) {
-        case MsgKind::kExecute: {
-          stats_.statements_executed++;
-          close_conn = !send_result(
-              session->Execute(std::string(in.data(), in.size())));
-          break;
-        }
-
-        case MsgKind::kPrepare: {
-          if (statements.size() >= options_.max_statements) {
-            close_conn =
-                !SendError(fd, Status::NoSpace(
-                                   "too many open prepared statements"))
-                     .ok();
-            break;
-          }
-          Result<core::PreparedStatement> stmt =
-              session->Prepare(std::string(in.data(), in.size()));
-          if (!stmt.ok()) {
-            close_conn = !SendError(fd, stmt.status()).ok();
-            break;
-          }
-          stats_.statements_prepared++;
-          const uint32_t id = next_stmt_id++;
-          std::string payload;
-          util::PutFixed32(&payload, id);
-          util::PutFixed32(&payload,
-                           static_cast<uint32_t>(stmt->param_count()));
-          for (size_t i = 0; i < stmt->param_count(); ++i) {
-            util::PutLengthPrefixed(&payload, stmt->param_name(i));
-          }
-          statements.emplace(id, std::move(*stmt));
-          close_conn = !WriteFrame(fd, MsgKind::kPrepared, payload).ok();
-          break;
-        }
-
-        case MsgKind::kExecutePrepared: {
-          uint32_t id = 0;
-          if (!util::GetFixed32(&in, &id)) {
-            close_conn =
-                !SendError(fd,
-                           Status::InvalidArgument("malformed execute frame"))
-                     .ok();
-            break;
-          }
-          auto it = statements.find(id);
-          if (it == statements.end()) {
-            close_conn = !SendError(fd, Status::NotFound(
-                                            "no prepared statement with id " +
-                                            std::to_string(id)))
-                              .ok();
-            break;
-          }
-          Status bound = ApplyBindings(&in, &it->second);
-          if (bound.ok() && !in.empty()) {
-            bound = Status::InvalidArgument("malformed execute frame");
-          }
-          if (!bound.ok()) {
-            close_conn = !SendError(fd, bound).ok();
-            break;
-          }
-          stats_.statements_executed++;
-          close_conn = !send_result(it->second.Execute());
-          break;
-        }
-
-        case MsgKind::kOpenCursor: {
-          if (cursors.size() >= options_.max_cursors) {
-            close_conn =
-                !SendError(fd, Status::NoSpace("too many open cursors")).ok();
-            break;
-          }
-          uint32_t batch_size = 0;
-          Result<mql::MoleculeCursor> cursor = [&]() ->
-              Result<mql::MoleculeCursor> {
-            const Status malformed =
-                Status::InvalidArgument("malformed cursor frame");
-            if (in.empty()) return malformed;
-            const uint8_t form = static_cast<uint8_t>(in[0]);
-            in.RemovePrefix(1);
-            core::PreparedStatement* stmt = nullptr;
-            Slice mql;
-            if (form == 1) {
-              uint32_t id = 0;
-              if (!util::GetFixed32(&in, &id)) return malformed;
-              auto it = statements.find(id);
-              if (it == statements.end()) {
-                return Status::NotFound("no prepared statement with id " +
-                                        std::to_string(id));
-              }
-              stmt = &it->second;
-              PRIMA_RETURN_IF_ERROR(ApplyBindings(&in, stmt));
-            } else if (form != 2 || !util::GetLengthPrefixed(&in, &mql)) {
-              return malformed;
-            }
-            // The batch size ends the frame.
-            if (!util::GetFixed32(&in, &batch_size) || !in.empty()) {
-              return malformed;
-            }
-            if (stmt != nullptr) return stmt->Query();
-            return session->Query(std::string(mql.data(), mql.size()));
-          }();
-          if (!cursor.ok()) {
-            close_conn = !SendError(fd, cursor.status()).ok();
-            break;
-          }
-          stats_.cursors_opened++;
-          // The reply carries the first batch; a cursor it drains is done
-          // and is released here instead of waiting for a close.
-          const uint32_t id = next_cursor_id++;
-          std::string payload;
-          util::PutFixed32(&payload, id);
-          bool done = false;
-          Result<uint64_t> sent =
-              AppendBatch(&*cursor, batch_size, &done, &payload);
-          if (!sent.ok()) {
-            close_conn = !SendError(fd, sent.status()).ok();
-            break;
-          }
-          stats_.molecules_streamed += *sent;
-          if (!done) cursors.emplace(id, std::move(*cursor));
-          close_conn = !WriteFrame(fd, MsgKind::kCursorOpened, payload).ok();
-          break;
-        }
-
-        case MsgKind::kFetch: {
-          uint32_t id = 0, max_n = 0;
-          if (!util::GetFixed32(&in, &id) || !util::GetFixed32(&in, &max_n)) {
-            close_conn =
-                !SendError(fd,
-                           Status::InvalidArgument("malformed fetch frame"))
-                     .ok();
-            break;
-          }
-          auto it = cursors.find(id);
-          if (it == cursors.end()) {
-            close_conn = !SendError(fd, Status::NotFound(
-                                            "no open cursor with id " +
-                                            std::to_string(id)))
-                              .ok();
-            break;
-          }
-          std::string payload;
-          bool done = false;
-          Result<uint64_t> sent =
-              AppendBatch(&it->second, max_n, &done, &payload);
-          if (!sent.ok()) {  // e.g. Aborted after a rollback
-            close_conn = !SendError(fd, sent.status()).ok();
-            break;
-          }
-          stats_.molecules_streamed += *sent;
-          close_conn = !WriteFrame(fd, MsgKind::kMolecules, payload).ok();
-          if (done) cursors.erase(it);  // the client closes it locally
-          break;
-        }
-
-        case MsgKind::kCloseCursor: {
-          uint32_t id = 0;
-          if (!util::GetFixed32(&in, &id)) {
-            close_conn =
-                !SendError(fd,
-                           Status::InvalidArgument("malformed close frame"))
-                     .ok();
-            break;
-          }
-          auto it = cursors.find(id);
-          if (it == cursors.end()) {
-            // Double close: reject cleanly, keep the connection.
-            close_conn = !SendError(fd, Status::NotFound(
-                                            "no open cursor with id " +
-                                            std::to_string(id)))
-                              .ok();
-            break;
-          }
-          cursors.erase(it);
-          close_conn = !WriteFrame(fd, MsgKind::kOk, {}).ok();
-          break;
-        }
-
-        case MsgKind::kCloseStatement: {
-          uint32_t id = 0;
-          if (!util::GetFixed32(&in, &id)) {
-            close_conn =
-                !SendError(fd,
-                           Status::InvalidArgument("malformed close frame"))
-                     .ok();
-            break;
-          }
-          if (statements.erase(id) == 0) {
-            close_conn = !SendError(fd, Status::NotFound(
-                                            "no prepared statement with id " +
-                                            std::to_string(id)))
-                              .ok();
-            break;
-          }
-          close_conn = !WriteFrame(fd, MsgKind::kOk, {}).ok();
-          break;
-        }
-
-        case MsgKind::kBeginWork:
-        case MsgKind::kCommitWork:
-        case MsgKind::kAbortWork: {
-          const char* text = req.kind == MsgKind::kBeginWork ? "BEGIN WORK"
-                             : req.kind == MsgKind::kCommitWork
-                                 ? "COMMIT WORK"
-                                 : "ABORT WORK";
-          Result<mql::ExecResult> result = session->Execute(text);
-          close_conn = !(result.ok() ? WriteFrame(fd, MsgKind::kOk, {})
-                                     : SendError(fd, result.status()))
-                            .ok();
-          break;
-        }
-
-        case MsgKind::kStats: {
-          std::string payload;
-          EncodeStats(db_->telemetry()->registry().Snapshot(), &payload);
-          close_conn = !WriteFrame(fd, MsgKind::kStatsReply, payload).ok();
-          break;
-        }
-
-        case MsgKind::kMetrics: {
-          close_conn =
-              !WriteFrame(fd, MsgKind::kMetricsReply, db_->MetricsText()).ok();
-          break;
-        }
-
-        case MsgKind::kGoodbye:
-          (void)WriteFrame(fd, MsgKind::kOk, {});
-          close_conn = true;
-          break;
-
-        default:
-          // An unknown request kind means the peer speaks something this
-          // server does not; after answering, close — the stream cannot be
-          // trusted to stay framed.
+      // A kBegun frame carries one BEGIN WORK and one request. The BEGIN
+      // runs first; if it fails, its error is the reply and the request
+      // does not run. The frame is unwrapped once, so a kBegun inside it
+      // cannot recurse.
+      Status begun;
+      if (req.kind == MsgKind::kBegun) {
+        if (in.empty() || static_cast<MsgKind>(in[0]) == MsgKind::kBegun ||
+            static_cast<MsgKind>(in[0]) == MsgKind::kHello) {
           (void)SendError(fd, Status::InvalidArgument(
-                                  "unknown request kind " +
-                                  std::to_string(static_cast<int>(req.kind))));
-          close_conn = true;
+                                  "a begun frame must wrap one request"));
           break;
+        }
+        req.kind = static_cast<MsgKind>(in[0]);
+        in.RemovePrefix(1);
+        begun = session->Execute("BEGIN WORK").status();
+      }
+      if (!begun.ok()) {
+        close_conn = !SendError(fd, begun).ok();
+      } else {
+        switch (req.kind) {
+          case MsgKind::kExecute: {
+            stats_.statements_executed++;
+            close_conn = !send_result(
+                session->Execute(std::string(in.data(), in.size())));
+            break;
+          }
+
+          case MsgKind::kPrepare: {
+            if (statements.size() >= options_.max_statements) {
+              close_conn =
+                  !SendError(fd, Status::NoSpace(
+                                     "too many open prepared statements"))
+                       .ok();
+              break;
+            }
+            Result<core::PreparedStatement> stmt =
+                session->Prepare(std::string(in.data(), in.size()));
+            if (!stmt.ok()) {
+              close_conn = !SendError(fd, stmt.status()).ok();
+              break;
+            }
+            stats_.statements_prepared++;
+            const uint32_t id = next_stmt_id++;
+            std::string payload;
+            util::PutFixed32(&payload, id);
+            util::PutFixed32(&payload,
+                             static_cast<uint32_t>(stmt->param_count()));
+            for (size_t i = 0; i < stmt->param_count(); ++i) {
+              util::PutLengthPrefixed(&payload, stmt->param_name(i));
+            }
+            statements.emplace(id, std::move(*stmt));
+            close_conn = !WriteFrame(fd, MsgKind::kPrepared, payload).ok();
+            break;
+          }
+
+          case MsgKind::kExecutePrepared: {
+            uint32_t id = 0;
+            if (!util::GetFixed32(&in, &id)) {
+              close_conn =
+                  !SendError(fd,
+                             Status::InvalidArgument("malformed execute frame"))
+                       .ok();
+              break;
+            }
+            auto it = statements.find(id);
+            if (it == statements.end()) {
+              close_conn = !SendError(fd, Status::NotFound(
+                                              "no prepared statement with id " +
+                                              std::to_string(id)))
+                                .ok();
+              break;
+            }
+            Status bound = ApplyBindings(&in, &it->second);
+            if (bound.ok() && !in.empty()) {
+              bound = Status::InvalidArgument("malformed execute frame");
+            }
+            if (!bound.ok()) {
+              close_conn = !SendError(fd, bound).ok();
+              break;
+            }
+            stats_.statements_executed++;
+            close_conn = !send_result(it->second.Execute());
+            break;
+          }
+
+          case MsgKind::kOpenCursor: {
+            if (cursors.size() >= options_.max_cursors) {
+              close_conn =
+                  !SendError(fd, Status::NoSpace("too many open cursors")).ok();
+              break;
+            }
+            uint32_t batch_size = 0;
+            Result<mql::MoleculeCursor> cursor = [&]() ->
+                Result<mql::MoleculeCursor> {
+              const Status malformed =
+                  Status::InvalidArgument("malformed cursor frame");
+              if (in.empty()) return malformed;
+              const uint8_t form = static_cast<uint8_t>(in[0]);
+              in.RemovePrefix(1);
+              core::PreparedStatement* stmt = nullptr;
+              Slice mql;
+              if (form == 1) {
+                uint32_t id = 0;
+                if (!util::GetFixed32(&in, &id)) return malformed;
+                auto it = statements.find(id);
+                if (it == statements.end()) {
+                  return Status::NotFound("no prepared statement with id " +
+                                          std::to_string(id));
+                }
+                stmt = &it->second;
+                PRIMA_RETURN_IF_ERROR(ApplyBindings(&in, stmt));
+              } else if (form != 2 || !util::GetLengthPrefixed(&in, &mql)) {
+                return malformed;
+              }
+              // The batch size ends the frame.
+              if (!util::GetFixed32(&in, &batch_size) || !in.empty()) {
+                return malformed;
+              }
+              if (stmt != nullptr) return stmt->Query();
+              return session->Query(std::string(mql.data(), mql.size()));
+            }();
+            if (!cursor.ok()) {
+              close_conn = !SendError(fd, cursor.status()).ok();
+              break;
+            }
+            stats_.cursors_opened++;
+            // The reply carries the first batch; a cursor it drains is done
+            // and is released here instead of waiting for a close.
+            const uint32_t id = next_cursor_id++;
+            std::string payload;
+            util::PutFixed32(&payload, id);
+            bool done = false;
+            Result<uint64_t> sent =
+                AppendBatch(&*cursor, batch_size, &done, &payload);
+            if (!sent.ok()) {
+              close_conn = !SendError(fd, sent.status()).ok();
+              break;
+            }
+            stats_.molecules_streamed += *sent;
+            if (!done) cursors.emplace(id, std::move(*cursor));
+            close_conn = !WriteFrame(fd, MsgKind::kCursorOpened, payload).ok();
+            break;
+          }
+
+          case MsgKind::kFetch: {
+            uint32_t id = 0, max_n = 0;
+            if (!util::GetFixed32(&in, &id) || !util::GetFixed32(&in, &max_n)) {
+              close_conn =
+                  !SendError(fd,
+                             Status::InvalidArgument("malformed fetch frame"))
+                       .ok();
+              break;
+            }
+            auto it = cursors.find(id);
+            if (it == cursors.end()) {
+              close_conn = !SendError(fd, Status::NotFound(
+                                              "no open cursor with id " +
+                                              std::to_string(id)))
+                                .ok();
+              break;
+            }
+            std::string payload;
+            bool done = false;
+            Result<uint64_t> sent =
+                AppendBatch(&it->second, max_n, &done, &payload);
+            if (!sent.ok()) {  // e.g. Aborted after a rollback
+              close_conn = !SendError(fd, sent.status()).ok();
+              break;
+            }
+            stats_.molecules_streamed += *sent;
+            close_conn = !WriteFrame(fd, MsgKind::kMolecules, payload).ok();
+            if (done) cursors.erase(it);  // the client closes it locally
+            break;
+          }
+
+          case MsgKind::kCloseCursor: {
+            uint32_t id = 0;
+            if (!util::GetFixed32(&in, &id)) {
+              close_conn =
+                  !SendError(fd,
+                             Status::InvalidArgument("malformed close frame"))
+                       .ok();
+              break;
+            }
+            auto it = cursors.find(id);
+            if (it == cursors.end()) {
+              // Double close: reject cleanly, keep the connection.
+              close_conn = !SendError(fd, Status::NotFound(
+                                              "no open cursor with id " +
+                                              std::to_string(id)))
+                                .ok();
+              break;
+            }
+            cursors.erase(it);
+            close_conn = !WriteFrame(fd, MsgKind::kOk, {}).ok();
+            break;
+          }
+
+          case MsgKind::kCloseStatement: {
+            uint32_t id = 0;
+            if (!util::GetFixed32(&in, &id)) {
+              close_conn =
+                  !SendError(fd,
+                             Status::InvalidArgument("malformed close frame"))
+                       .ok();
+              break;
+            }
+            if (statements.erase(id) == 0) {
+              close_conn = !SendError(fd, Status::NotFound(
+                                              "no prepared statement with id " +
+                                              std::to_string(id)))
+                                .ok();
+              break;
+            }
+            close_conn = !WriteFrame(fd, MsgKind::kOk, {}).ok();
+            break;
+          }
+
+          case MsgKind::kCommitWork:
+          case MsgKind::kAbortWork: {
+            const char* text = req.kind == MsgKind::kCommitWork ? "COMMIT WORK"
+                                                                : "ABORT WORK";
+            Result<mql::ExecResult> result = session->Execute(text);
+            close_conn = !(result.ok() ? WriteFrame(fd, MsgKind::kOk, {})
+                                       : SendError(fd, result.status()))
+                              .ok();
+            break;
+          }
+
+          case MsgKind::kStats: {
+            std::string payload;
+            EncodeStats(db_->telemetry()->registry().Snapshot(), &payload);
+            close_conn = !WriteFrame(fd, MsgKind::kStatsReply, payload).ok();
+            break;
+          }
+
+          case MsgKind::kMetrics: {
+            close_conn = !WriteFrame(fd, MsgKind::kMetricsReply,
+                                     db_->MetricsText())
+                              .ok();
+            break;
+          }
+
+          case MsgKind::kGoodbye:
+            (void)WriteFrame(fd, MsgKind::kOk, {});
+            close_conn = true;
+            break;
+
+          default:
+            // An unknown request kind means the peer speaks something this
+            // server does not; after answering, close — the stream cannot
+            // be trusted to stay framed.
+            (void)SendError(
+                fd, Status::InvalidArgument(
+                        "unknown request kind " +
+                        std::to_string(static_cast<int>(req.kind))));
+            close_conn = true;
+            break;
+        }
       }
       if (tel != nullptr) {
         tel->net_request_us()->Record((obs::NowNs() - req_t0) / 1000);

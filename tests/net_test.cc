@@ -1,11 +1,13 @@
 // Network server tests: framed-protocol codecs, handshake versioning,
 // protocol robustness (malformed / truncated / oversized frames, mid-frame
-// disconnects, double-closed ids, a retired message kind), one request per
-// statement (local binds, a cursor opening with its first batch, drained
-// cursors released server-side), remote transactions and cursors with
-// results byte-equal to in-process execution, the wedged-ring gauge on the
-// wire, the shared statement cache, and a kill-the-server-mid-commit-storm
-// crash drive proving acknowledged remote commits survive process death.
+// disconnects, double-closed ids, retired message kinds, malformed kBegun
+// wrappers), one request per statement (local binds, BEGIN WORK riding
+// with the transaction's first request, a cursor opening with its first
+// batch, drained cursors released server-side), remote transactions and
+// cursors with results byte-equal to in-process execution, the wedged-ring
+// gauge on the wire, the shared statement cache, and a
+// kill-the-server-mid-commit-storm crash drive proving acknowledged remote
+// commits survive process death.
 
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
@@ -347,25 +349,34 @@ TEST(NetServerTest, StaleProtocolVersionRefused) {
   }
 }
 
-// Version 3 chose an isolation per connection and per cursor; version 4
-// has one read path, so a version-3 peer is refused at the handshake
-// rather than have its cursor frames (one byte longer) misread.
-TEST(NetServerTest, Version3HelloRefused) {
+/// A hello of `version` gets NotSupported naming that version, then a close.
+void ExpectHelloRefused(uint32_t version) {
   auto db = OpenServerDb();
   ASSERT_NE(db, nullptr);
   const int fd = RawConnect(db->net_server()->port());
-  SendAll(fd, BuildFrame(MsgKind::kHello, HelloPayload(kHandshakeMagic, 3)));
+  SendAll(fd,
+          BuildFrame(MsgKind::kHello, HelloPayload(kHandshakeMagic, version)));
   Frame reply;
   ASSERT_TRUE(RawReadFrame(fd, &reply));
   ASSERT_EQ(reply.kind, MsgKind::kError);
   Slice in(reply.payload);
   const Status st = DecodeStatus(&in);
   EXPECT_TRUE(st.IsNotSupported()) << st.ToString();
-  EXPECT_NE(st.message().find("protocol version 3"), std::string::npos)
+  EXPECT_NE(st.message().find("protocol version " + std::to_string(version)),
+            std::string::npos)
       << st.ToString();
   EXPECT_FALSE(RawReadFrame(fd, &reply)) << "the server closes after refusing";
   ::close(fd);
 }
+
+// Version 3 chose an isolation per connection and per cursor; version 4
+// has one read path, so a version-3 peer is refused at the handshake
+// rather than have its cursor frames (one byte longer) misread.
+TEST(NetServerTest, Version3HelloRefused) { ExpectHelloRefused(3); }
+
+// Version 4 sent BEGIN WORK as a request of its own; version 5 holds it
+// back and wraps it into the next request, so a version-4 peer is refused.
+TEST(NetServerTest, Version4HelloRefused) { ExpectHelloRefused(4); }
 
 TEST(NetServerTest, MalformedFramesDoNotKillTheServer) {
   auto db = OpenServerDb();
@@ -409,18 +420,34 @@ TEST(NetServerTest, MalformedFramesDoNotKillTheServer) {
     SendAll(fd, partial);
     ::close(fd);
   }
-  // Unknown request kinds after a clean handshake, among them the retired
-  // 4 (version 2's bind request) and 16 (version 3's isolation choice): an
-  // error, then a close.
-  for (const uint8_t kind : {4, 16, 42}) {
+  // After a clean handshake, each of these frames gets an error, then a
+  // close: unknown request kinds, among them the retired 4 (version 2's
+  // bind request), 10 (version 4's BEGIN WORK request) and 16 (version 3's
+  // isolation choice), and kBegun frames that do not wrap exactly one
+  // request (empty, wrapping another kBegun or a hello, wrapping an
+  // unknown kind).
+  auto kind = [](uint8_t k) { return std::string(1, static_cast<char>(k)); };
+  const uint8_t begun = static_cast<uint8_t>(MsgKind::kBegun);
+  const std::vector<std::pair<uint8_t, std::string>> refused = {
+      {4, "???"},
+      {10, ""},
+      {16, "???"},
+      {42, "???"},
+      {begun, ""},
+      {begun, kind(begun) + kind(static_cast<uint8_t>(MsgKind::kExecute)) +
+                   "BEGIN WORK"},
+      {begun, kind(static_cast<uint8_t>(MsgKind::kHello)) + HelloPayload()},
+      {begun, kind(42) + "???"},
+  };
+  for (const auto& [k, payload] : refused) {
     const int fd = RawConnect(port);
     SendAll(fd, BuildFrame(MsgKind::kHello, HelloPayload()));
     Frame reply;
     ASSERT_TRUE(RawReadFrame(fd, &reply));
-    SendAll(fd, BuildFrame(static_cast<MsgKind>(kind), "???"));
-    ASSERT_TRUE(RawReadFrame(fd, &reply));
-    EXPECT_EQ(reply.kind, MsgKind::kError) << int{kind};
-    EXPECT_FALSE(RawReadFrame(fd, &reply)) << int{kind};
+    SendAll(fd, BuildFrame(static_cast<MsgKind>(k), payload));
+    ASSERT_TRUE(RawReadFrame(fd, &reply)) << int{k} << " " << payload.size();
+    EXPECT_EQ(reply.kind, MsgKind::kError) << int{k} << " " << payload.size();
+    EXPECT_FALSE(RawReadFrame(fd, &reply)) << int{k} << " " << payload.size();
     ::close(fd);
   }
 
@@ -719,6 +746,115 @@ TEST(NetServerTest, EveryStatementIsOneRequest) {
   EXPECT_NE(unbound.ToString().find("parameter 1 (:label) is unbound"),
             std::string::npos)
       << unbound.ToString();
+
+  // BEGIN WORK sends nothing: it rides with the transaction's first
+  // request, so BEGIN + INSERT + COMMIT is two requests, whether it is
+  // spelled Begin() or statement text in any case, spacing or comments.
+  (void)RequestsSince(client.get(), &mark);
+  const std::string begins[] = {"", "begin  work", "(* tx *) Begin\tWork"};
+  int64_t num = 100;
+  for (const std::string& begin : begins) {
+    if (begin.empty()) {
+      ASSERT_TRUE(client->Begin().ok());
+    } else {
+      auto r = client->Execute(begin);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_EQ(r->kind, mql::ExecResult::Kind::kNone);
+    }
+    ASSERT_TRUE(InsertItem(client.get(), ++num).ok());
+    ASSERT_TRUE(client->Commit().ok());
+    EXPECT_EQ(RequestsSince(client.get(), &mark), 2u)
+        << "BEGIN + INSERT + COMMIT, '" << begin << "'";
+  }
+  auto committed = db->OpenSession()->Execute(
+      "SELECT ALL FROM item WHERE num > 100");
+  ASSERT_TRUE(committed.ok()) << committed.status().ToString();
+  EXPECT_EQ(committed->molecules.size(), 3u);
+}
+
+// A deferred BEGIN's error arrives with the next call, which did not run.
+TEST(NetServerTest, DeferredBeginInsideReadOnlyFailsTheNextCall) {
+  auto db = OpenServerDb();
+  ASSERT_NE(db, nullptr);
+  auto client = ConnectTo(*db);
+  ASSERT_NE(client, nullptr);
+  CreateItemType(client.get());
+  ASSERT_TRUE(InsertItem(client.get(), 1).ok());
+
+  ASSERT_TRUE(client->Begin(/*read_only=*/true).ok());
+  EXPECT_TRUE(client->Begin().ok()) << "a deferred BEGIN answers locally";
+  const Status refused = InsertItem(client.get(), 2);
+  EXPECT_TRUE(refused.IsInvalidArgument()) << refused.ToString();
+  EXPECT_NE(refused.message().find("BEGIN WORK inside a READ ONLY transaction"),
+            std::string::npos)
+      << refused.ToString();
+  ASSERT_TRUE(client->Commit().ok());
+
+  auto all = client->Execute("SELECT ALL FROM item");
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  EXPECT_EQ(all->molecules.size(), 1u) << "the refused INSERT never ran";
+}
+
+// Nested transactions over the wire — including a BEGIN issued while
+// another is still held back — leave what the same statements leave in
+// process.
+TEST(NetServerTest, NestedTransactionsMatchInProcess) {
+  const std::vector<std::string> script = {
+      "BEGIN WORK",  "INSERT item (num = 1, name = 'n1')",
+      "BEGIN WORK",  "INSERT item (num = 2, name = 'n2')",
+      "ABORT WORK",  "COMMIT WORK",
+      "BEGIN WORK",  "BEGIN WORK",
+      "INSERT item (num = 3, name = 'n3')",
+      "ABORT WORK",  "INSERT item (num = 4, name = 'n4')",
+      "COMMIT WORK",
+  };
+  auto remote_db = OpenServerDb();
+  auto local_db = OpenServerDb();
+  ASSERT_NE(remote_db, nullptr);
+  ASSERT_NE(local_db, nullptr);
+  auto client = ConnectTo(*remote_db);
+  ASSERT_NE(client, nullptr);
+  auto session = local_db->OpenSession();
+  CreateItemType(client.get());
+  ASSERT_TRUE(session
+                  ->Execute("CREATE ATOM_TYPE item (item_id: IDENTIFIER, "
+                            "num: INTEGER, name: CHAR_VAR) KEYS_ARE (num)")
+                  .ok());
+  for (const std::string& statement : script) {
+    const Status remote = client->Execute(statement).status();
+    const Status local = session->Execute(statement).status();
+    EXPECT_EQ(remote.ToString(), local.ToString()) << statement;
+  }
+  const std::string all = "SELECT ALL FROM item";
+  auto remote = client->Execute(all);
+  auto local = session->Execute(all);
+  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+  ASSERT_TRUE(local.ok()) << local.status().ToString();
+  EXPECT_EQ(remote->molecules.size(), 2u);
+  std::string remote_wire, local_wire;
+  EncodeMoleculeSet(remote->molecules, &remote_wire);
+  EncodeMoleculeSet(local->molecules, &local_wire);
+  EXPECT_EQ(remote_wire, local_wire);
+}
+
+// Close() drops a BEGIN still held back: the server never begins it, and
+// no transaction is left open.
+TEST(NetServerTest, CloseDropsAPendingBegin) {
+  auto db = OpenServerDb();
+  ASSERT_NE(db, nullptr);
+  auto observer = ConnectTo(*db);
+  ASSERT_NE(observer, nullptr);
+  auto before = observer->Stats();
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  auto client = ConnectTo(*db);
+  ASSERT_NE(client, nullptr);
+  ASSERT_TRUE(client->Begin().ok());
+  ASSERT_TRUE(client->Close().ok());
+  auto after = observer->Stats();
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(Stat(*after, "prima_txns_begun"),
+            Stat(*before, "prima_txns_begun"));
+  EXPECT_EQ(Stat(*after, "prima_wal_active_txns"), 0u);
 }
 
 TEST(NetServerTest, OversizedRequestFailsLocallyAndKeepsTheConnection) {
