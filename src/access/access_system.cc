@@ -54,39 +54,38 @@ AccessSystem::AccessSystem(storage::StorageSystem* storage,
 // ---------------------------------------------------------------------------
 
 namespace {
-/// Top-level transaction id the current thread's writes belong to.
-/// Thread-local so concurrent transactions never mislabel each other's
-/// records; 0 means system / auto-commit work (never undone at restart).
-thread_local uint64_t tls_wal_txn = 0;
-
-recovery::AtomOp ToAtomOp(AccessSystem::UndoRecord::Kind kind) {
+recovery::AtomOp ToAtomOp(UndoRecord::Kind kind) {
   switch (kind) {
-    case AccessSystem::UndoRecord::Kind::kInsert:
+    case UndoRecord::Kind::kInsert:
       return recovery::AtomOp::kInsert;
-    case AccessSystem::UndoRecord::Kind::kModify:
+    case UndoRecord::Kind::kModify:
       return recovery::AtomOp::kModify;
-    case AccessSystem::UndoRecord::Kind::kDelete:
+    case UndoRecord::Kind::kDelete:
       return recovery::AtomOp::kDelete;
   }
   return recovery::AtomOp::kModify;
 }
 }  // namespace
 
-void AccessSystem::SetWalTxn(uint64_t txn_id) { tls_wal_txn = txn_id; }
-
-uint64_t AccessSystem::LogAtomOp(UndoRecord::Kind kind, const Tid& tid,
-                                 const Atom* before, bool clr) {
-  if (wal_ == nullptr) return 0;
-  recovery::LogRecord rec;
-  rec.type = recovery::LogRecordType::kAtomUndo;
-  rec.txn_id = tls_wal_txn;
-  rec.op = ToAtomOp(kind);
-  rec.clr = clr;
-  rec.tid = tid.Pack();
-  auto rid_or = addresses_.Lookup(tid, kBaseStructure);
-  rec.rid = rid_or.ok() ? *rid_or : 0;
-  if (before != nullptr) before->EncodeInto(&rec.before);
-  return wal_->Append(rec);
+void AccessSystem::LogAtomOp(const WriteTxn& txn, UndoRecord::Kind kind,
+                             const Tid& tid, const Atom* before, bool clr) {
+  uint64_t lsn = 0;
+  if (wal_ != nullptr) {
+    recovery::LogRecord rec;
+    rec.type = recovery::LogRecordType::kAtomUndo;
+    rec.txn_id = txn.id;
+    rec.op = ToAtomOp(kind);
+    rec.clr = clr;
+    rec.tid = tid.Pack();
+    auto rid_or = addresses_.Lookup(tid, kBaseStructure);
+    rec.rid = rid_or.ok() ? *rid_or : 0;
+    if (before != nullptr) before->EncodeInto(&rec.before);
+    lsn = wal_->Append(rec);
+  }
+  if (txn.undo != nullptr) {
+    txn.undo->push_back(
+        UndoRecord{kind, tid, before != nullptr ? *before : Atom{}, lsn});
+  }
 }
 
 void AccessSystem::NoteStructureRoot(uint32_t structure_id,
@@ -627,12 +626,13 @@ Status AccessSystem::WriteBaseAtom(const Tid& tid, const Atom& atom,
   return Status::Ok();
 }
 
-void AccessSystem::InstallVersion(const Tid& tid, const Atom* before) {
-  // tls_wal_txn == 0 means a system/auto-commit write with no transaction to
-  // stamp — those publish immediately and never need a chain. The Raw*
-  // compensation ops bypass this function entirely, on purpose: rollback
-  // restores exactly the before-images the chain already carries.
-  if (tls_wal_txn != 0) versions_.Install(tls_wal_txn, tid, before);
+void AccessSystem::InstallVersion(const WriteTxn& txn, const Tid& tid,
+                                  const Atom* before) {
+  // Id 0 is a system write with no transaction to stamp — those publish
+  // immediately and never need a chain. The Raw* compensation ops bypass
+  // this function entirely, on purpose: rollback restores exactly the
+  // before-images the chain already carries.
+  if (txn.id != 0) versions_.Install(txn.id, tid, before);
 }
 
 // ---------------------------------------------------------------------------
@@ -640,7 +640,7 @@ void AccessSystem::InstallVersion(const Tid& tid, const Atom* before) {
 // ---------------------------------------------------------------------------
 
 Status AccessSystem::AddBackRef(const Tid& atom_tid, uint16_t attr,
-                                const Tid& target) {
+                                const Tid& target, const WriteTxn& txn) {
   const AtomTypeDef* def = catalog_.GetAtomType(atom_tid.type);
   if (def == nullptr || attr >= def->attrs.size()) {
     return Status::Corruption("back-reference attribute missing");
@@ -667,22 +667,17 @@ Status AccessSystem::AddBackRef(const Tid& atom_tid, uint16_t attr,
                                 " exceeds max cardinality");
     }
   }
-  InstallVersion(atom_tid, &old_atom);
+  InstallVersion(txn, atom_tid, &old_atom);
   PRIMA_RETURN_IF_ERROR(WriteBaseAtom(atom_tid, atom, /*is_new=*/false));
   stats_.backref_maintenance++;
-  {
-    const uint64_t lsn =
-        LogAtomOp(UndoRecord::Kind::kModify, atom_tid, &old_atom, /*clr=*/false);
-    if (undo_hook_) {
-      undo_hook_(UndoRecord{UndoRecord::Kind::kModify, atom_tid, old_atom, lsn});
-    }
-  }
+  LogAtomOp(txn, UndoRecord::Kind::kModify, atom_tid, &old_atom,
+            /*clr=*/false);
   PRIMA_RETURN_IF_ERROR(EnqueueRedundancy(*def, &old_atom, &atom, atom_tid));
   return EnqueueClusterMaintenance(*def, &old_atom, &atom, atom_tid);
 }
 
 Status AccessSystem::RemoveBackRef(const Tid& atom_tid, uint16_t attr,
-                                   const Tid& target) {
+                                   const Tid& target, const WriteTxn& txn) {
   const AtomTypeDef* def = catalog_.GetAtomType(atom_tid.type);
   if (def == nullptr || attr >= def->attrs.size()) {
     return Status::Corruption("back-reference attribute missing");
@@ -707,16 +702,11 @@ Status AccessSystem::RemoveBackRef(const Tid& atom_tid, uint16_t attr,
                                 }),
                  elems->end());
   }
-  InstallVersion(atom_tid, &old_atom);
+  InstallVersion(txn, atom_tid, &old_atom);
   PRIMA_RETURN_IF_ERROR(WriteBaseAtom(atom_tid, atom, /*is_new=*/false));
   stats_.backref_maintenance++;
-  {
-    const uint64_t lsn =
-        LogAtomOp(UndoRecord::Kind::kModify, atom_tid, &old_atom, /*clr=*/false);
-    if (undo_hook_) {
-      undo_hook_(UndoRecord{UndoRecord::Kind::kModify, atom_tid, old_atom, lsn});
-    }
-  }
+  LogAtomOp(txn, UndoRecord::Kind::kModify, atom_tid, &old_atom,
+            /*clr=*/false);
   PRIMA_RETURN_IF_ERROR(EnqueueRedundancy(*def, &old_atom, &atom, atom_tid));
   return EnqueueClusterMaintenance(*def, &old_atom, &atom, atom_tid);
 }
@@ -743,7 +733,8 @@ std::vector<Tid> RefTargets(const Value& v) {
 // ---------------------------------------------------------------------------
 
 Result<Tid> AccessSystem::InsertAtom(AtomTypeId type,
-                                     std::vector<AttrValue> values) {
+                                     std::vector<AttrValue> values,
+                                     WriteTxn txn) {
   std::lock_guard<std::mutex> lock(write_mu_);
   const AtomTypeDef* def = catalog_.GetAtomType(type);
   if (def == nullptr) {
@@ -811,32 +802,30 @@ Result<Tid> AccessSystem::InsertAtom(AtomTypeId type,
     const TypeDesc* ref = attr.type.ReferenceDesc();
     for (const Tid& target : RefTargets(atom.attrs[i])) {
       if (!addresses_.Exists(target)) {
-        for (const auto& [t, a] : installed) (void)RemoveBackRef(t, a, tid);
+        for (const auto& [t, a] : installed) {
+          (void)RemoveBackRef(t, a, tid, txn);
+        }
         return Status::Constraint("referenced atom " + target.ToString() +
                                   " does not exist");
       }
-      const Status st = AddBackRef(target, ref->ref_attr_id, tid);
+      const Status st = AddBackRef(target, ref->ref_attr_id, tid, txn);
       if (!st.ok()) {
-        for (const auto& [t, a] : installed) (void)RemoveBackRef(t, a, tid);
+        for (const auto& [t, a] : installed) {
+          (void)RemoveBackRef(t, a, tid, txn);
+        }
         return st;
       }
       installed.push_back({target, ref->ref_attr_id});
     }
   }
 
-  InstallVersion(tid, /*before=*/nullptr);
+  InstallVersion(txn, tid, /*before=*/nullptr);
   PRIMA_RETURN_IF_ERROR(WriteBaseAtom(tid, atom, /*is_new=*/true));
   PRIMA_RETURN_IF_ERROR(MaintainAccessPaths(*def, nullptr, &atom, tid));
   PRIMA_RETURN_IF_ERROR(EnqueueRedundancy(*def, nullptr, &atom, tid));
   PRIMA_RETURN_IF_ERROR(EnqueueClusterMaintenance(*def, nullptr, &atom, tid));
   stats_.atoms_inserted++;
-  {
-    const uint64_t lsn =
-        LogAtomOp(UndoRecord::Kind::kInsert, tid, nullptr, /*clr=*/false);
-    if (undo_hook_) {
-      undo_hook_(UndoRecord{UndoRecord::Kind::kInsert, tid, Atom{}, lsn});
-    }
-  }
+  LogAtomOp(txn, UndoRecord::Kind::kInsert, tid, nullptr, /*clr=*/false);
   return tid;
 }
 
@@ -1082,7 +1071,8 @@ Result<Atom> AccessSystem::GetAtom(const Tid& tid,
   return GetAtom(tid, pin->view(), projection);
 }
 
-Status AccessSystem::ModifyAtom(const Tid& tid, std::vector<AttrValue> changes) {
+Status AccessSystem::ModifyAtom(const Tid& tid, std::vector<AttrValue> changes,
+                                WriteTxn txn) {
   std::lock_guard<std::mutex> lock(write_mu_);
   const AtomTypeDef* def = catalog_.GetAtomType(tid.type);
   if (def == nullptr) {
@@ -1144,7 +1134,7 @@ Status AccessSystem::ModifyAtom(const Tid& tid, std::vector<AttrValue> changes) 
     for (const Tid& t : old_targets) {
       if (std::find(new_targets.begin(), new_targets.end(), t) ==
           new_targets.end()) {
-        PRIMA_RETURN_IF_ERROR(RemoveBackRef(t, ref->ref_attr_id, tid));
+        PRIMA_RETURN_IF_ERROR(RemoveBackRef(t, ref->ref_attr_id, tid, txn));
       }
     }
     for (const Tid& t : new_targets) {
@@ -1154,29 +1144,23 @@ Status AccessSystem::ModifyAtom(const Tid& tid, std::vector<AttrValue> changes) 
           return Status::Constraint("referenced atom " + t.ToString() +
                                     " does not exist");
         }
-        PRIMA_RETURN_IF_ERROR(AddBackRef(t, ref->ref_attr_id, tid));
+        PRIMA_RETURN_IF_ERROR(AddBackRef(t, ref->ref_attr_id, tid, txn));
       }
     }
   }
 
-  InstallVersion(tid, &old_atom);
+  InstallVersion(txn, tid, &old_atom);
   PRIMA_RETURN_IF_ERROR(WriteBaseAtom(tid, atom, /*is_new=*/false));
   PRIMA_RETURN_IF_ERROR(MaintainAccessPaths(*def, &old_atom, &atom, tid));
   PRIMA_RETURN_IF_ERROR(EnqueueRedundancy(*def, &old_atom, &atom, tid));
   PRIMA_RETURN_IF_ERROR(
       EnqueueClusterMaintenance(*def, &old_atom, &atom, tid));
   stats_.atoms_modified++;
-  {
-    const uint64_t lsn =
-        LogAtomOp(UndoRecord::Kind::kModify, tid, &old_atom, /*clr=*/false);
-    if (undo_hook_) {
-      undo_hook_(UndoRecord{UndoRecord::Kind::kModify, tid, old_atom, lsn});
-    }
-  }
+  LogAtomOp(txn, UndoRecord::Kind::kModify, tid, &old_atom, /*clr=*/false);
   return Status::Ok();
 }
 
-Status AccessSystem::DeleteAtom(const Tid& tid) {
+Status AccessSystem::DeleteAtom(const Tid& tid, WriteTxn txn) {
   std::lock_guard<std::mutex> lock(write_mu_);
   const AtomTypeDef* def = catalog_.GetAtomType(tid.type);
   if (def == nullptr) {
@@ -1185,7 +1169,7 @@ Status AccessSystem::DeleteAtom(const Tid& tid) {
   PRIMA_ASSIGN_OR_RETURN(const Atom atom, ReadBaseAtom(tid, def));
   // Install at the TOP — before the index entries go, so a snapshot scan's
   // ghost pass can still find this atom by its chain after the delete.
-  InstallVersion(tid, &atom);
+  InstallVersion(txn, tid, &atom);
 
   // Disconnect every association (symmetry: all relationships touching this
   // atom appear in its own attributes, forward or back).
@@ -1194,7 +1178,7 @@ Status AccessSystem::DeleteAtom(const Tid& tid) {
     if (!attr.type.IsAssociation()) continue;
     const TypeDesc* ref = attr.type.ReferenceDesc();
     for (const Tid& target : RefTargets(atom.attrs[i])) {
-      PRIMA_RETURN_IF_ERROR(RemoveBackRef(target, ref->ref_attr_id, tid));
+      PRIMA_RETURN_IF_ERROR(RemoveBackRef(target, ref->ref_attr_id, tid, txn));
     }
   }
 
@@ -1208,20 +1192,15 @@ Status AccessSystem::DeleteAtom(const Tid& tid) {
       base_files_.at(tid.type)->Delete(RecordId::Unpack(rid)));
   PRIMA_RETURN_IF_ERROR(addresses_.Remove(tid));
   stats_.atoms_deleted++;
-  {
-    const uint64_t lsn =
-        LogAtomOp(UndoRecord::Kind::kDelete, tid, &atom, /*clr=*/false);
-    if (undo_hook_) {
-      // At this point every association has been disconnected (and logged);
-      // the before image recorded here restores the record + redundancy, and
-      // the logged back-reference writes restore symmetry.
-      undo_hook_(UndoRecord{UndoRecord::Kind::kDelete, tid, atom, lsn});
-    }
-  }
+  // At this point every association has been disconnected (and logged);
+  // the before image recorded here restores the record + redundancy, and
+  // the logged back-reference writes restore symmetry.
+  LogAtomOp(txn, UndoRecord::Kind::kDelete, tid, &atom, /*clr=*/false);
   return Status::Ok();
 }
 
-Status AccessSystem::Connect(const Tid& from, uint16_t attr, const Tid& to) {
+Status AccessSystem::Connect(const Tid& from, uint16_t attr, const Tid& to,
+                             WriteTxn txn) {
   const AtomTypeDef* def = catalog_.GetAtomType(from.type);
   if (def == nullptr || attr >= def->attrs.size()) {
     return Status::InvalidArgument("unknown attribute");
@@ -1239,10 +1218,11 @@ Status AccessSystem::Connect(const Tid& from, uint16_t attr, const Tid& to) {
     if (v.Contains(Value::Ref(to))) return Status::Ok();
     v.mutable_elems()->push_back(Value::Ref(to));
   }
-  return ModifyAtom(from, {AttrValue{attr, std::move(v)}});
+  return ModifyAtom(from, {AttrValue{attr, std::move(v)}}, txn);
 }
 
-Status AccessSystem::Disconnect(const Tid& from, uint16_t attr, const Tid& to) {
+Status AccessSystem::Disconnect(const Tid& from, uint16_t attr, const Tid& to,
+                                WriteTxn txn) {
   const AtomTypeDef* def = catalog_.GetAtomType(from.type);
   if (def == nullptr || attr >= def->attrs.size()) {
     return Status::InvalidArgument("unknown attribute");
@@ -1270,7 +1250,7 @@ Status AccessSystem::Disconnect(const Tid& from, uint16_t attr, const Tid& to) {
                                 }),
                  elems->end());
   }
-  return ModifyAtom(from, {AttrValue{attr, std::move(v)}});
+  return ModifyAtom(from, {AttrValue{attr, std::move(v)}}, txn);
 }
 
 Status AccessSystem::CheckIntegrity(const Tid& tid) {
@@ -1708,7 +1688,7 @@ bool AccessSystem::ImageServesView(const ClusterImage& image,
 // Recovery interface
 // ---------------------------------------------------------------------------
 
-Status AccessSystem::RawDeleteAtom(const Tid& tid) {
+Status AccessSystem::RawDeleteAtom(const Tid& tid, uint64_t txn_id) {
   std::lock_guard<std::mutex> lock(write_mu_);
   const AtomTypeDef* def = catalog_.GetAtomType(tid.type);
   if (def == nullptr) return Status::NotFound("atom type");
@@ -1721,11 +1701,12 @@ Status AccessSystem::RawDeleteAtom(const Tid& tid) {
                          addresses_.Lookup(tid, kBaseStructure));
   PRIMA_RETURN_IF_ERROR(base_files_.at(tid.type)->Delete(RecordId::Unpack(rid)));
   PRIMA_RETURN_IF_ERROR(addresses_.Remove(tid));
-  LogAtomOp(UndoRecord::Kind::kDelete, tid, &old_atom, /*clr=*/true);
+  LogAtomOp({txn_id}, UndoRecord::Kind::kDelete, tid, &old_atom,
+            /*clr=*/true);
   return Status::Ok();
 }
 
-Status AccessSystem::RawRestoreAtom(const Atom& atom) {
+Status AccessSystem::RawRestoreAtom(const Atom& atom, uint64_t txn_id) {
   std::lock_guard<std::mutex> lock(write_mu_);
   const AtomTypeDef* def = catalog_.GetAtomType(atom.tid.type);
   if (def == nullptr) return Status::NotFound("atom type");
@@ -1736,11 +1717,12 @@ Status AccessSystem::RawRestoreAtom(const Atom& atom) {
   PRIMA_RETURN_IF_ERROR(MaintainAccessPaths(*def, nullptr, &atom, atom.tid));
   PRIMA_RETURN_IF_ERROR(EnqueueRedundancy(*def, nullptr, &atom, atom.tid));
   PRIMA_RETURN_IF_ERROR(EnqueueClusterMaintenance(*def, nullptr, &atom, atom.tid));
-  LogAtomOp(UndoRecord::Kind::kInsert, atom.tid, nullptr, /*clr=*/true);
+  LogAtomOp({txn_id}, UndoRecord::Kind::kInsert, atom.tid, nullptr,
+            /*clr=*/true);
   return Status::Ok();
 }
 
-Status AccessSystem::RawOverwriteAtom(const Atom& before) {
+Status AccessSystem::RawOverwriteAtom(const Atom& before, uint64_t txn_id) {
   std::lock_guard<std::mutex> lock(write_mu_);
   const AtomTypeDef* def = catalog_.GetAtomType(before.tid.type);
   if (def == nullptr) return Status::NotFound("atom type");
@@ -1749,7 +1731,8 @@ Status AccessSystem::RawOverwriteAtom(const Atom& before) {
   PRIMA_RETURN_IF_ERROR(MaintainAccessPaths(*def, &current, &before, before.tid));
   PRIMA_RETURN_IF_ERROR(EnqueueRedundancy(*def, &current, &before, before.tid));
   PRIMA_RETURN_IF_ERROR(EnqueueClusterMaintenance(*def, &current, &before, before.tid));
-  LogAtomOp(UndoRecord::Kind::kModify, before.tid, &current, /*clr=*/true);
+  LogAtomOp({txn_id}, UndoRecord::Kind::kModify, before.tid, &current,
+            /*clr=*/true);
   return Status::Ok();
 }
 

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -77,6 +76,31 @@ struct AttrValue {
   Value value;
 };
 
+/// One base-atom mutation, as its transaction records it for undo. The
+/// implicit back-reference maintenance writes are recorded individually,
+/// so replaying `before` images in reverse order restores full symmetry.
+struct UndoRecord {
+  enum class Kind : uint8_t { kInsert, kModify, kDelete };
+  Kind kind = Kind::kModify;
+  Tid tid;
+  Atom before;  ///< valid for kModify / kDelete
+  /// WAL LSN of the matching kAtomUndo log record (0 when unlogged).
+  /// Identifies exactly which log entries a subtree abort compensated —
+  /// a plain count would miss parent operations interleaved with an
+  /// active child's.
+  uint64_t lsn = 0;
+};
+
+/// The transaction a write belongs to, passed to every mutator. `id` is
+/// the top-level transaction id: it tags the write's log records and its
+/// version-chain entries. The write appends one UndoRecord per base-atom
+/// mutation to `*undo` when it is set. The default, id 0, is a system
+/// write: no version chain, WAL txn 0, never undone.
+struct WriteTxn {
+  uint64_t id = 0;
+  std::vector<UndoRecord>* undo = nullptr;
+};
+
 /// The access system (paper §3.2): an atom-oriented interface in the spirit
 /// of System R's RSS, with direct access by surrogate, atom sets via scans
 /// (scan.h), system-enforced referential integrity for the symmetric
@@ -130,7 +154,8 @@ class AccessSystem {
   /// Insert an atom; IDENTIFIER attribute is system-assigned. Values may
   /// cover all or only selected attributes. Maintains back-references of
   /// every referenced atom and all redundancy transparently.
-  util::Result<Tid> InsertAtom(AtomTypeId type, std::vector<AttrValue> values);
+  util::Result<Tid> InsertAtom(AtomTypeId type, std::vector<AttrValue> values,
+                               WriteTxn txn = {});
 
   /// Read a set of atoms as `view` sees them — one molecule level, say —
   /// whole, or only selected attributes (`projection` of attribute ids;
@@ -176,14 +201,17 @@ class AccessSystem {
 
   /// Modify selected attributes (never the IDENTIFIER). Reference changes
   /// imply implicit updates of the affected back-references.
-  util::Status ModifyAtom(const Tid& tid, std::vector<AttrValue> changes);
+  util::Status ModifyAtom(const Tid& tid, std::vector<AttrValue> changes,
+                          WriteTxn txn = {});
 
   /// Delete an atom: disconnects every association, releases the surrogate.
-  util::Status DeleteAtom(const Tid& tid);
+  util::Status DeleteAtom(const Tid& tid, WriteTxn txn = {});
 
   /// Connect / disconnect one association pair (component management).
-  util::Status Connect(const Tid& from, uint16_t attr, const Tid& to);
-  util::Status Disconnect(const Tid& from, uint16_t attr, const Tid& to);
+  util::Status Connect(const Tid& from, uint16_t attr, const Tid& to,
+                       WriteTxn txn = {});
+  util::Status Disconnect(const Tid& from, uint16_t attr, const Tid& to,
+                          WriteTxn txn = {});
 
   /// True while the atom has a base record (lock-free).
   bool AtomExists(const Tid& tid) const { return addresses_.Exists(tid); }
@@ -223,46 +251,24 @@ class AccessSystem {
 
   // --- recovery interface (nested transactions, core/transaction.h) ----------
 
-  /// One base-atom mutation, reported to the installed undo hook. The
-  /// implicit back-reference maintenance writes are reported individually,
-  /// so replaying `before` images in reverse order restores full symmetry.
-  struct UndoRecord {
-    enum class Kind : uint8_t { kInsert, kModify, kDelete };
-    Kind kind = Kind::kModify;
-    Tid tid;
-    Atom before;  ///< valid for kModify / kDelete
-    /// WAL LSN of the matching kAtomUndo log record (0 when unlogged).
-    /// Identifies exactly which log entries a subtree abort compensated —
-    /// a plain count would miss parent operations interleaved with an
-    /// active child's.
-    uint64_t lsn = 0;
-  };
-  using UndoHook = std::function<void(const UndoRecord&)>;
-
-  /// Install (or clear, with nullptr) the mutation hook. The transaction
-  /// manager owns this; hooks fire while the write lock is held.
-  void SetUndoHook(UndoHook hook) { undo_hook_ = std::move(hook); }
-
-  /// Compensation operations: adjust the base record, access paths, and
-  /// redundancy WITHOUT back-reference maintenance (each maintenance write
-  /// was logged separately and compensates itself).
-  util::Status RawDeleteAtom(const Tid& tid);
-  util::Status RawRestoreAtom(const Atom& atom);
-  util::Status RawOverwriteAtom(const Atom& before);
+  /// Compensation operations, which undo one UndoRecord of transaction
+  /// `txn_id`: adjust the base record, access paths, and redundancy
+  /// WITHOUT back-reference maintenance (each maintenance write was
+  /// recorded separately and compensates itself). Each logs a CLR under
+  /// `txn_id`; none installs a version or records undo.
+  util::Status RawDeleteAtom(const Tid& tid, uint64_t txn_id);
+  util::Status RawRestoreAtom(const Atom& atom, uint64_t txn_id);
+  util::Status RawOverwriteAtom(const Atom& before, uint64_t txn_id);
 
   // --- write-ahead logging / restart recovery --------------------------------
 
   /// Attach (or detach) the WAL. Every base-atom mutation then also appends
-  /// an atom-level undo record (op, tid, rid, before image) next to the
-  /// in-memory undo the hook collects; Raw* compensations append
-  /// redo-only (CLR) records.
+  /// an atom-level undo record (op, tid, rid, before image), tagged with
+  /// its WriteTxn's id, next to the in-memory UndoRecord the write appends
+  /// to the transaction's undo list; Raw* compensations append redo-only
+  /// (CLR) records.
   void SetWal(recovery::WalWriter* wal) { wal_ = wal; }
   recovery::WalWriter* wal() const { return wal_; }
-
-  /// Tag this thread's subsequent atom log records with the given top-level
-  /// transaction id (0 = system/auto-commit). Thread-local: concurrent
-  /// transactions on other threads are unaffected.
-  static void SetWalTxn(uint64_t txn_id);
 
   /// Restart fixup, applied in log order after the redo pass: reinstall the
   /// address-table side of one logged atom operation (the page bytes were
@@ -317,7 +323,7 @@ class AccessSystem {
   const Catalog& catalog() const { return catalog_; }
   AddressTable& addresses() { return addresses_; }
   /// In-memory version chains for pinned-view reads. Writers install pending
-  /// before-images here (at the same sites that fire the undo hook); the
+  /// before-images here (at the same sites that record undo); the
   /// transaction layer publishes them at commit and at top-level abort.
   VersionStore& versions() { return versions_; }
   storage::StorageSystem& storage() { return *storage_; }
@@ -374,10 +380,12 @@ class AccessSystem {
       const std::vector<uint16_t>& projection);
 
   /// One side of the implicit inverse maintenance: add/remove `target` in
-  /// `atom_tid`.attr (scalar ref or set). No recursion back.
-  util::Status AddBackRef(const Tid& atom_tid, uint16_t attr, const Tid& target);
+  /// `atom_tid`.attr (scalar ref or set), a write of `txn`. No recursion
+  /// back.
+  util::Status AddBackRef(const Tid& atom_tid, uint16_t attr, const Tid& target,
+                          const WriteTxn& txn);
   util::Status RemoveBackRef(const Tid& atom_tid, uint16_t attr,
-                             const Tid& target);
+                             const Tid& target, const WriteTxn& txn);
 
   util::Status MaintainKeyIndex(const AtomTypeDef& def, const Atom& old_atom,
                                 const Atom* new_atom);
@@ -401,19 +409,20 @@ class AccessSystem {
 
   util::Status PersistMetadata();
 
-  /// Append an atom-level log record mirroring one base-atom mutation (the
-  /// same sites that fire the undo hook). `clr` marks compensation writes,
-  /// which redo but are never undone. Returns the record's LSN (0 when no
-  /// WAL is attached).
-  uint64_t LogAtomOp(UndoRecord::Kind kind, const Tid& tid, const Atom* before,
-                     bool clr);
+  /// Record one base-atom mutation of `txn`: append an atom-level log
+  /// record tagged with `txn.id` (when a WAL is attached), then the
+  /// matching UndoRecord, carrying the record's LSN, to `*txn.undo` (when
+  /// set). `clr` marks compensation writes, which redo but are never
+  /// undone.
+  void LogAtomOp(const WriteTxn& txn, UndoRecord::Kind kind, const Tid& tid,
+                 const Atom* before, bool clr);
 
-  /// Install a pending version chain entry for the current thread's
-  /// transaction (no-op for system/auto-commit writes and for the Raw*
-  /// compensations, which never call it). MUST run before the base record
-  /// is overwritten: a reader reads base-then-chain, so the chain
-  /// entry has to exist by the time the base can show the new value.
-  void InstallVersion(const Tid& tid, const Atom* before);
+  /// Install a pending version chain entry for `txn` (no-op for system
+  /// writes, id 0, and for the Raw* compensations, which never call it).
+  /// MUST run before the base record is overwritten: a reader reads
+  /// base-then-chain, so the chain entry has to exist by the time the base
+  /// can show the new value.
+  void InstallVersion(const WriteTxn& txn, const Tid& tid, const Atom* before);
 
   /// Record a structure's root/meta page move: in the catalog (in memory;
   /// persisted wholesale at the next checkpoint) AND as a kStructRoot log
@@ -436,13 +445,15 @@ class AccessSystem {
   mutable std::mutex pending_mu_;
   std::deque<Pending> pending_;
 
-  UndoHook undo_hook_;
   recovery::WalWriter* wal_ = nullptr;
   bool flush_on_close_ = true;
 
   // Serializes multi-structure mutations (atom writes). Reads are lock-free
   // at this level (page latches + structure mutexes below).
   std::mutex write_mu_;
+
+  // Tests hold write_mu_ through it to stage a write in progress.
+  friend class AccessSystemTestPeer;
 };
 
 }  // namespace prima::access

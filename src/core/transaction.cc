@@ -1,13 +1,13 @@
 #include "core/transaction.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "recovery/checkpoint_daemon.h"
 #include "recovery/wal_writer.h"
 
 namespace prima::core {
 
-using access::AccessSystem;
 using access::Atom;
 using access::AttrValue;
 using access::Tid;
@@ -191,9 +191,8 @@ Result<Tid> Transaction::InsertAtom(access::AtomTypeId type,
     PRIMA_RETURN_IF_ERROR(LockRefTargets(av.value));
   }
   PRIMA_ASSIGN_OR_RETURN(
-      const Tid tid, mgr_->WithUndoHook(this, [&] {
-        return mgr_->access_->InsertAtom(type, std::move(values));
-      }));
+      const Tid tid,
+      mgr_->access_->InsertAtom(type, std::move(values), write_txn()));
   PRIMA_RETURN_IF_ERROR(mgr_->Acquire(this, tid, LockMode::kWrite));
   return tid;
 }
@@ -216,18 +215,21 @@ Status Transaction::ModifyAtom(const Tid& tid,
   PRIMA_RETURN_IF_ERROR(CheckActive());
   PRIMA_RETURN_IF_ERROR(mgr_->Acquire(this, tid, LockMode::kWrite));
   // Lock both the old and new association targets (their back-references
-  // change).
-  PRIMA_ASSIGN_OR_RETURN(const Atom current, mgr_->access_->GetBaseAtom(tid));
+  // change). The base atom is read only when an association changes.
   const auto* def = mgr_->access_->catalog().GetAtomType(tid.type);
+  std::optional<Atom> current;
   for (const AttrValue& av : changes) {
-    if (av.attr < def->attrs.size() && def->attrs[av.attr].type.IsAssociation()) {
-      PRIMA_RETURN_IF_ERROR(LockRefTargets(current.attrs[av.attr]));
-      PRIMA_RETURN_IF_ERROR(LockRefTargets(av.value));
+    if (def == nullptr || av.attr >= def->attrs.size() ||
+        !def->attrs[av.attr].type.IsAssociation()) {
+      continue;
     }
+    if (!current.has_value()) {
+      PRIMA_ASSIGN_OR_RETURN(current, mgr_->access_->GetBaseAtom(tid, def));
+    }
+    PRIMA_RETURN_IF_ERROR(LockRefTargets(current->attrs[av.attr]));
+    PRIMA_RETURN_IF_ERROR(LockRefTargets(av.value));
   }
-  return mgr_->WithUndoHook(this, [&] {
-    return mgr_->access_->ModifyAtom(tid, std::move(changes));
-  });
+  return mgr_->access_->ModifyAtom(tid, std::move(changes), write_txn());
 }
 
 Status Transaction::DeleteAtom(const Tid& tid) {
@@ -240,24 +242,21 @@ Status Transaction::DeleteAtom(const Tid& tid) {
       PRIMA_RETURN_IF_ERROR(LockRefTargets(current.attrs[i]));
     }
   }
-  return mgr_->WithUndoHook(this,
-                            [&] { return mgr_->access_->DeleteAtom(tid); });
+  return mgr_->access_->DeleteAtom(tid, write_txn());
 }
 
 Status Transaction::Connect(const Tid& from, uint16_t attr, const Tid& to) {
   PRIMA_RETURN_IF_ERROR(CheckActive());
   PRIMA_RETURN_IF_ERROR(mgr_->Acquire(this, from, LockMode::kWrite));
   PRIMA_RETURN_IF_ERROR(mgr_->Acquire(this, to, LockMode::kWrite));
-  return mgr_->WithUndoHook(
-      this, [&] { return mgr_->access_->Connect(from, attr, to); });
+  return mgr_->access_->Connect(from, attr, to, write_txn());
 }
 
 Status Transaction::Disconnect(const Tid& from, uint16_t attr, const Tid& to) {
   PRIMA_RETURN_IF_ERROR(CheckActive());
   PRIMA_RETURN_IF_ERROR(mgr_->Acquire(this, from, LockMode::kWrite));
   PRIMA_RETURN_IF_ERROR(mgr_->Acquire(this, to, LockMode::kWrite));
-  return mgr_->WithUndoHook(
-      this, [&] { return mgr_->access_->Disconnect(from, attr, to); });
+  return mgr_->access_->Disconnect(from, attr, to, write_txn());
 }
 
 Status Transaction::Commit() {
@@ -343,27 +342,23 @@ Status Transaction::Abort() {
   // reverse chronological order. The compensating writes are CLR-logged
   // under the root transaction; the kCompensation record afterwards tells
   // restart undo that these entries are already rolled back.
+  const uint64_t root = root_id();
   Status first_error;
-  {
-    std::lock_guard<std::mutex> hook_lock(mgr_->hook_mu_);
-    AccessSystem::SetWalTxn(TransactionManager::RootId(this));
-    for (auto it = undo_.rbegin(); it != undo_.rend(); ++it) {
-      Status st;
-      switch (it->kind) {
-        case AccessSystem::UndoRecord::Kind::kInsert:
-          st = mgr_->access_->RawDeleteAtom(it->tid);
-          break;
-        case AccessSystem::UndoRecord::Kind::kModify:
-          st = mgr_->access_->RawOverwriteAtom(it->before);
-          break;
-        case AccessSystem::UndoRecord::Kind::kDelete:
-          st = mgr_->access_->RawRestoreAtom(it->before);
-          break;
-      }
-      mgr_->stats_.undo_applied++;
-      if (!st.ok() && first_error.ok()) first_error = st;
+  for (auto it = undo_.rbegin(); it != undo_.rend(); ++it) {
+    Status st;
+    switch (it->kind) {
+      case access::UndoRecord::Kind::kInsert:
+        st = mgr_->access_->RawDeleteAtom(it->tid, root);
+        break;
+      case access::UndoRecord::Kind::kModify:
+        st = mgr_->access_->RawOverwriteAtom(it->before, root);
+        break;
+      case access::UndoRecord::Kind::kDelete:
+        st = mgr_->access_->RawRestoreAtom(it->before, root);
+        break;
     }
-    AccessSystem::SetWalTxn(0);
+    mgr_->stats_.undo_applied++;
+    if (!st.ok() && first_error.ok()) first_error = st;
   }
   if (mgr_->wal_ != nullptr && !undo_.empty()) {
     std::vector<uint64_t> compensated;
@@ -371,8 +366,8 @@ Status Transaction::Abort() {
     for (const auto& rec : undo_) {
       if (rec.lsn != 0) compensated.push_back(rec.lsn);
     }
-    mgr_->wal_->Append(recovery::LogRecord::Compensation(
-        TransactionManager::RootId(this), std::move(compensated)));
+    mgr_->wal_->Append(
+        recovery::LogRecord::Compensation(root, std::move(compensated)));
   }
   undo_.clear();
   state_ = State::kAborted;

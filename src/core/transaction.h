@@ -29,13 +29,17 @@ class TransactionManager;
 /// compensated.
 ///
 /// All data operations go through the transaction so locking and undo
-/// logging are automatic. Lock requests are non-blocking: a conflicting
-/// request returns kConflict and the caller decides (retry or abort).
+/// logging are automatic: each write names this transaction to the access
+/// system (access::WriteTxn), which tags its log records and version-chain
+/// entries with the root id and appends its undo records here. Lock
+/// requests are non-blocking: a conflicting request returns kConflict and
+/// the caller decides (retry or abort).
 class Transaction {
  public:
   uint64_t id() const { return id_; }
   /// Id of the top-level ancestor (this transaction's own id at top level):
-  /// the transaction its reads and version-chain entries belong to.
+  /// the transaction its reads, version-chain entries and log records
+  /// belong to.
   uint64_t root_id() const;
   Transaction* parent() const { return parent_; }
   bool active() const { return state_ == State::kActive; }
@@ -79,6 +83,10 @@ class Transaction {
   /// Write-lock the atom and every atom its association change will touch.
   util::Status LockRefTargets(const access::Value& value);
 
+  /// This transaction as a writer names itself to the access system: the
+  /// root id, and this node's undo list.
+  access::WriteTxn write_txn() { return {root_id(), &undo_}; }
+
   util::Status CheckActive() const;
 
   TransactionManager* mgr_;
@@ -87,7 +95,7 @@ class Transaction {
   State state_ = State::kActive;
   std::vector<std::unique_ptr<Transaction>> children_;
   size_t active_children_ = 0;
-  std::vector<access::AccessSystem::UndoRecord> undo_;
+  std::vector<access::UndoRecord> undo_;
   std::map<uint64_t, LockMode> locks_;  // packed tid -> mode
 };
 
@@ -167,24 +175,9 @@ class TransactionManager {
   void InheritToParent(Transaction* child);
 
   /// Top-level ancestor of `txn` — the transaction the WAL knows about
-  /// (subtransaction structure is volatile; their records share the root id).
+  /// (subtransaction structure is volatile; their records share the root
+  /// id, which every write and compensation passes to the access system).
   static uint64_t RootId(const Transaction* txn);
-
-  /// Run `op` with the undo hook routed into `txn`'s log and the thread's
-  /// WAL records tagged with the root transaction. Serializes transactional
-  /// writes.
-  template <typename Fn>
-  auto WithUndoHook(Transaction* txn, Fn&& op) {
-    std::lock_guard<std::mutex> lock(hook_mu_);
-    access_->SetUndoHook([txn](const access::AccessSystem::UndoRecord& rec) {
-      txn->undo_.push_back(rec);
-    });
-    access::AccessSystem::SetWalTxn(RootId(txn));
-    auto result = op();
-    access::AccessSystem::SetWalTxn(0);
-    access_->SetUndoHook(nullptr);
-    return result;
-  }
 
   static bool IsAncestorOf(const Transaction* maybe_ancestor,
                            const Transaction* txn);
@@ -201,8 +194,6 @@ class TransactionManager {
   std::unordered_map<uint64_t, LockEntry> lock_table_;
   std::vector<std::unique_ptr<Transaction>> top_level_;
   uint64_t next_id_ = 1;
-
-  std::mutex hook_mu_;  // serializes hooked write operations
 };
 
 }  // namespace prima::core

@@ -35,7 +35,7 @@ enum class LogRecordType : uint8_t {
   kPageImage = 11,
 };
 
-/// Atom operation kinds mirrored from access::AccessSystem::UndoRecord.
+/// Atom operation kinds mirrored from access::UndoRecord.
 /// Recovery cannot include access headers (access already depends on
 /// recovery), so the op travels as a plain byte.
 enum class AtomOp : uint8_t { kInsert = 0, kModify = 1, kDelete = 2 };

@@ -316,7 +316,6 @@ Status RecoveryManager::UndoAndFixup(access::AccessSystem* access) {
       continue;
     }
     stats_.loser_txns++;
-    access::AccessSystem::SetWalTxn(txn_id);
     std::vector<uint64_t> undone;
     undone.reserve(st.undo_stack.size());
     for (auto it = st.undo_stack.rbegin(); it != st.undo_stack.rend(); ++it) {
@@ -325,7 +324,7 @@ Status RecoveryManager::UndoAndFixup(access::AccessSystem* access) {
       Status s;
       switch (rec.op) {
         case AtomOp::kInsert:
-          s = access->RawDeleteAtom(tid);
+          s = access->RawDeleteAtom(tid, txn_id);
           break;
         case AtomOp::kModify: {
           auto before_or = access->DecodeAtom(tid.type, Slice(rec.before));
@@ -333,7 +332,7 @@ Status RecoveryManager::UndoAndFixup(access::AccessSystem* access) {
             s = before_or.status();
             break;
           }
-          s = access->RawOverwriteAtom(*before_or);
+          s = access->RawOverwriteAtom(*before_or, txn_id);
           break;
         }
         case AtomOp::kDelete: {
@@ -342,22 +341,18 @@ Status RecoveryManager::UndoAndFixup(access::AccessSystem* access) {
             s = before_or.status();
             break;
           }
-          s = access->RawRestoreAtom(*before_or);
+          s = access->RawRestoreAtom(*before_or, txn_id);
           break;
         }
       }
       // Idempotence across repeated restarts: the state may already be
       // rolled back (abort raced the crash, or recovery itself reran).
-      if (!s.ok() && !s.IsNotFound() && !s.IsAlreadyExists()) {
-        access::AccessSystem::SetWalTxn(0);
-        return s;
-      }
+      if (!s.ok() && !s.IsNotFound() && !s.IsAlreadyExists()) return s;
       undone.push_back(rec.lsn);
       stats_.undo_applied++;
     }
     wal_->Append(LogRecord::Compensation(txn_id, std::move(undone)));
     wal_->Append(LogRecord::Abort(txn_id));
-    access::AccessSystem::SetWalTxn(0);
   }
 
   // --- re-enqueue lost deferred redundancy --------------------------------

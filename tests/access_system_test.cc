@@ -1,8 +1,7 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
-#include <future>
+#include <mutex>
 #include <set>
 #include <thread>
 
@@ -10,6 +9,16 @@
 #include "access/scan.h"
 
 namespace prima::access {
+
+/// Holds the write mutex of an access system, as a writer does for the
+/// whole of an atom operation.
+class AccessSystemTestPeer {
+ public:
+  static std::mutex& WriteMutex(AccessSystem& access) {
+    return access.write_mu_;
+  }
+};
+
 namespace {
 
 using storage::MemoryBlockDevice;
@@ -59,10 +68,12 @@ class AccessSystemTest : public ::testing::Test {
     comp_ = *comp_id;
   }
 
-  util::Result<Tid> NewPart(int64_t no) {
+  util::Result<Tid> NewPart(int64_t no, WriteTxn txn = {}) {
     return access_->InsertAtom(
-        part_, {AttrValue{1, Value::Int(no)},
-                AttrValue{2, Value::String("p" + std::to_string(no))}});
+        part_,
+        {AttrValue{1, Value::Int(no)},
+         AttrValue{2, Value::String("p" + std::to_string(no))}},
+        txn);
   }
 
   /// GetAtoms under a view pinned for the call.
@@ -289,12 +300,10 @@ TEST_F(AccessSystemTest, GetAtomsResolvesAnUncommittedWriterToBeforeImages) {
   auto c = NewPart(3);
   ASSERT_TRUE(a.ok() && b.ok() && c.ok());
   constexpr uint64_t kTxn = 42;
-  AccessSystem::SetWalTxn(kTxn);
-  const util::Status modified =
-      access_->ModifyAtom(*b, {AttrValue{2, Value::String("changed")}});
-  const util::Status deleted = access_->DeleteAtom(*c);
-  auto d = NewPart(4);
-  AccessSystem::SetWalTxn(0);
+  const util::Status modified = access_->ModifyAtom(
+      *b, {AttrValue{2, Value::String("changed")}}, {kTxn});
+  const util::Status deleted = access_->DeleteAtom(*c, {kTxn});
+  auto d = NewPart(4, {kTxn});
   ASSERT_TRUE(modified.ok() && deleted.ok() && d.ok());
 
   util::Status missing;
@@ -371,8 +380,7 @@ TEST_F(AccessSystemTest, GetAtomsFallsBackWhenARelocationFreesTheSlot) {
   auto moved = NewPart(1);   // its old slot is freed
   auto reused = NewPart(2);  // its old slot is taken by another atom
   auto other = NewPart(3);
-  auto blocker = NewPart(4);
-  ASSERT_TRUE(moved.ok() && reused.ok() && other.ok() && blocker.ok());
+  ASSERT_TRUE(moved.ok() && reused.ok() && other.ok());
   RecordFile* file = access_->BaseFile(part_);
   const auto rid_of = [&](const Tid& tid) {
     auto rid = access_->addresses().Lookup(tid, kBaseStructure);
@@ -392,22 +400,10 @@ TEST_F(AccessSystemTest, GetAtomsFallsBackWhenARelocationFreesTheSlot) {
   const std::string reused_bytes = bytes_of(*reused, grown);
   const std::string other_bytes = bytes_of(*other, "");
 
-  // Park a writer inside its undo hook, which runs under the write mutex:
-  // the half-done relocations below then look exactly like a writer's.
-  std::promise<void> parked;
-  std::promise<void> resume;
-  std::shared_future<void> resumed = resume.get_future().share();
-  std::atomic<bool> hooked{false};
-  access_->SetUndoHook([&](const AccessSystem::UndoRecord&) {
-    if (hooked.exchange(true)) return;
-    parked.set_value();
-    resumed.wait();
-  });
-  std::thread writer([&] {
-    EXPECT_TRUE(
-        access_->ModifyAtom(*blocker, {AttrValue{1, Value::Int(40)}}).ok());
-  });
-  parked.get_future().wait();
+  // Hold the write mutex, as a writer does for its whole operation: the
+  // half-done relocations below then look exactly like a writer's.
+  std::unique_lock<std::mutex> writing(
+      AccessSystemTestPeer::WriteMutex(*access_));
 
   // Each grown record is written elsewhere and its old slot freed or
   // overwritten, while the address table still names the old slot.
@@ -432,17 +428,15 @@ TEST_F(AccessSystemTest, GetAtomsFallsBackWhenARelocationFreesTheSlot) {
     std::this_thread::yield();
   }
   EXPECT_EQ(access_->stats().fetch_fallbacks.load(), fallbacks + 2);
-  // Finish the relocations, then let the writer go.
+  // Finish the relocations, then end the write.
   EXPECT_TRUE(access_->addresses()
                   .UpdateEntry(*moved, kBaseStructure, moved_new->Pack())
                   .ok());
   EXPECT_TRUE(access_->addresses()
                   .UpdateEntry(*reused, kBaseStructure, reused_new->Pack())
                   .ok());
-  resume.set_value();
-  writer.join();
+  writing.unlock();
   reader.join();
-  access_->SetUndoHook(nullptr);
 
   ASSERT_TRUE(status.ok()) << status.ToString();
   ASSERT_EQ(TidsOf(out), (std::vector<Tid>{*moved, *other, *reused}));
@@ -487,10 +481,8 @@ TEST_F(AccessSystemTest, PartitionServesOnlyAtomsWithNoPendingWrite) {
   EXPECT_EQ(access_->stats().partition_reads.load(), before + 1);
 
   constexpr uint64_t kTxn = 42;  // writes tagged with a transaction chain
-  AccessSystem::SetWalTxn(kTxn);
   const util::Status modified =
-      access_->ModifyAtom(*p, {AttrValue{1, Value::Int(77)}});
-  AccessSystem::SetWalTxn(0);
+      access_->ModifyAtom(*p, {AttrValue{1, Value::Int(77)}}, {kTxn});
   ASSERT_TRUE(modified.ok());
   auto busy = access_->GetAtom(*p, {1});
   ASSERT_TRUE(busy.ok());

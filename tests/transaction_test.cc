@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "core/prima.h"
 #include "workloads/brep.h"
 
@@ -233,6 +238,50 @@ TEST_F(TransactionTest, UndoRestoresSortOrderConsistency) {
   auto count = tree->CountEntries();
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(*count, 5u);
+}
+
+// A write made straight through the access system, as the workload
+// loaders make them, belongs to no transaction. A session that aborts its
+// own inserts meanwhile must compensate only what it wrote: every direct
+// insert survives, and no aborted one does.
+TEST_F(TransactionTest, AbortLeavesConcurrentDirectWritesAlone) {
+  std::atomic<bool> done{false};
+  std::thread aborter([&] {
+    auto session = db_->OpenSession();
+    for (int i = 0; i < 300; ++i) {
+      const util::Status begin = session->Execute("BEGIN WORK").status();
+      const util::Status insert =
+          session
+              ->Execute("INSERT solid (solid_no = " +
+                        std::to_string(1000000 + i) + ")")
+              .status();
+      const util::Status abort = session->Execute("ABORT WORK").status();
+      EXPECT_TRUE(begin.ok() && insert.ok() && abort.ok())
+          << begin.ToString() << " " << insert.ToString() << " "
+          << abort.ToString();
+      if (!begin.ok() || !insert.ok() || !abort.ok()) break;
+    }
+    done = true;
+  });
+  std::vector<Tid> inserted;
+  while (!done.load() && inserted.size() < 100000) {
+    auto tid = db_->access().InsertAtom(
+        solid_def_->id,
+        {AttrValue{1, Value::Int(static_cast<int64_t>(inserted.size()))}});
+    if (!tid.ok()) {
+      ADD_FAILURE() << tid.status().ToString();
+      break;
+    }
+    inserted.push_back(*tid);
+  }
+  aborter.join();
+  size_t lost = 0;
+  for (const Tid& tid : inserted) {
+    if (!db_->access().AtomExists(tid)) ++lost;
+  }
+  EXPECT_EQ(lost, 0u) << "of " << inserted.size() << " direct inserts";
+  EXPECT_EQ(CountSolids(), inserted.size());
+  EXPECT_EQ(db_->transactions().LockedAtomCount(), 0u);
 }
 
 }  // namespace
