@@ -1,5 +1,5 @@
 // Experiment E11 (paper §3.2): the five scan operations — plus the
-// multi-client tier behind the sharded buffer pool / read-ahead work.
+// multi-client tier behind the sharded buffer pool.
 //
 // Claim: the scan menu trades generality for cost — atom-type scans read
 // everything; sort scans are cheap exactly when a redundant sort order (or
@@ -9,18 +9,15 @@
 //
 // The multi-client report runs N concurrent full scans (in-process sessions
 // AND remote net::Client connections) against two configurations of the
-// same kernel: knobs-off (1 buffer shard, no read-ahead — the pre-sharding
-// behavior) and the defaults, sized from the usable CPUs. It
-// prints aggregate MB/s and p99 scan latency per tier, the 8-scanner
-// speedup, and a larger-than-buffer run where every scan misses.
-
-#include <unistd.h>
+// same kernel: knobs-off (1 buffer shard, the pre-sharding behavior) and
+// the defaults, sized from the usable CPUs. It prints aggregate MB/s and
+// p99 scan latency per tier and the 8-scanner speedup. The larger-than-pool
+// case is perfbench's cad_spill workload.
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <filesystem>
 #include <mutex>
 #include <thread>
 
@@ -119,22 +116,14 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Open the kernel either knobs-off (1 buffer shard, no read-ahead — the
-/// pre-sharding behavior, reproducible as a baseline in the same binary) or
-/// with the defaults, sized from the usable CPUs.
+/// Open the kernel either knobs-off (1 buffer shard — the pre-sharding
+/// behavior, reproducible as a baseline in the same binary) or with the
+/// defaults, sized from the usable CPUs.
 std::unique_ptr<core::Prima> OpenScanDb(bool scaled, size_t buffer_bytes,
-                                        bool with_server,
-                                        const std::string& path = "") {
+                                        bool with_server) {
   core::PrimaOptions options;
   options.storage.buffer_bytes = buffer_bytes;
-  if (!path.empty()) {
-    options.in_memory = false;
-    options.path = path;
-  }
-  if (!scaled) {
-    options.buffer_shards = 1;
-    options.readahead_pages = 0;
-  }
+  if (!scaled) options.buffer_shards = 1;
   if (with_server) options.listen_port = 0;
   return RequireR(core::Prima::Open(std::move(options)), "open");
 }
@@ -220,10 +209,10 @@ TierResult RunScanTier(core::Prima* db, int clients, int scans, bool remote,
 
 void ReportMultiClient() {
   PrintHeader(
-      "multi-client scans — sharded buffer pool + read-ahead",
-      "Claim: with the buffer pool sharded and scans prefetched, aggregate "
-      "scan throughput scales with concurrent scanners instead of "
-      "serializing on one pool mutex.");
+      "multi-client scans — sharded buffer pool",
+      "Claim: with the buffer pool sharded, aggregate scan throughput "
+      "scales with concurrent scanners instead of serializing on one pool "
+      "mutex.");
   const bool smoke = std::getenv("PRIMA_BENCH_SMOKE") != nullptr;
   const int scans = smoke ? 4 : 16;
   const std::vector<int> tiers =
@@ -261,42 +250,6 @@ void ReportMultiClient() {
     std::printf("aggregate speedup at 8 in-process scanners: %.2fx\n\n",
                 scaled_8 / knobs_off_8);
   }
-}
-
-void ReportLargerThanBuffer() {
-  PrintHeader(
-      "larger-than-buffer scans — eviction storm + read-ahead",
-      "Claim: when the working set exceeds the pool, every scan runs an "
-      "eviction storm against the real (file-backed) device; sharding keeps "
-      "the storms parallel and read-ahead batches the refill into chained "
-      "reads instead of page-at-a-time misses.");
-  const bool smoke = std::getenv("PRIMA_BENCH_SMOKE") != nullptr;
-  const int items = smoke ? 8000 : 16000;
-  const int scans = smoke ? 2 : 4;
-  // A pool deliberately smaller than the item base file: each sweep evicts
-  // its own tail, so steady-state scans miss on every base page.
-  const size_t buffer_bytes = 128u << 10;
-  const std::string dir = "/tmp/prima_bench_scans_" +
-                          std::to_string(static_cast<long>(::getpid()));
-  for (const bool scaled : {false, true}) {
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    auto db = OpenScanDb(scaled, buffer_bytes, /*with_server=*/false, dir);
-    LoadItems(db.get(), items);
-    const double data_mb = DataMb(db.get());
-    const TierResult r = RunScanTier(db.get(), 8, scans, /*remote=*/false,
-                                     static_cast<size_t>(items));
-    const auto snap = db->stats();
-    std::printf(
-        "  %-22s data %5.1f MB / pool %4.2f MB   %8.1f MB/s   p99 %7.2f ms"
-        "   evictions %8llu   prefetched %8llu\n",
-        scaled ? "usable-CPU defaults" : "knobs-off baseline", data_mb,
-        buffer_bytes / (1024.0 * 1024.0), r.mb_per_s, r.p99_ms,
-        static_cast<unsigned long long>(snap.buffer.evictions),
-        static_cast<unsigned long long>(snap.buffer.prefetched_pages));
-  }
-  std::filesystem::remove_all(dir);
-  std::printf("\n");
 }
 
 void ReportReaderWriterStorm() {
@@ -520,7 +473,6 @@ BENCHMARK(BM_AtomClusterScan_SingleCluster);
 int main(int argc, char** argv) {
   prima::bench::Report();
   prima::bench::ReportMultiClient();
-  prima::bench::ReportLargerThanBuffer();
   prima::bench::ReportReaderWriterStorm();
   ::benchmark::Initialize(&argc, argv);
   ::benchmark::RunSpecifiedBenchmarks();

@@ -459,30 +459,6 @@ Result<std::vector<GridFile::Match>> GridFile::Query(
   std::vector<Match> out;
   std::vector<size_t> coord(dims_);
   for (size_t d = 0; d < dims_; ++d) coord[d] = window[d].first;
-  if (storage_->readahead_window() > 0) {
-    // Volunteer the brick's distinct bucket pages to the prefetcher before
-    // walking them: grid buckets are scattered across the segment, so a
-    // cold query otherwise pays one random read per bucket.
-    std::set<uint32_t> buckets;
-    std::vector<size_t> c = coord;
-    for (;;) {
-      buckets.insert(directory_[CellIndex(c)]);
-      size_t d = dims_;
-      bool done = true;
-      while (d-- > 0) {
-        if (c[d] < window[d].second) {
-          ++c[d];
-          done = false;
-          break;
-        }
-        c[d] = window[d].first;
-        if (d == 0) break;
-      }
-      if (done) break;
-    }
-    storage_->ReadAhead(segment_,
-                        std::vector<uint32_t>(buckets.begin(), buckets.end()));
-  }
   for (;;) {
     const uint32_t bucket = directory_[CellIndex(coord)];
     if (visited.insert(bucket).second) {

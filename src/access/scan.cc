@@ -26,23 +26,7 @@ Status AtomTypeScan::Open() {
   position_.reset();
   before_first_ = true;
   after_last_ = false;
-  hint_end_ = 0;
   return Status::Ok();
-}
-
-void AtomTypeScan::MaybeReadAhead(uint32_t page) {
-  storage::StorageSystem& storage = access_->storage();
-  const size_t window = storage.readahead_window();
-  if (window == 0) return;
-  if (page + 1 < hint_end_) return;  // still covered by the last hint
-  auto count = storage.PageCount(file_->segment());
-  if (!count.ok()) return;
-  std::vector<uint32_t> pages;
-  for (uint32_t p = page + 1; p < *count && pages.size() < window; ++p) {
-    pages.push_back(p);
-  }
-  hint_end_ = page + 1 + static_cast<uint32_t>(pages.size());
-  if (!pages.empty()) storage.ReadAhead(file_->segment(), std::move(pages));
 }
 
 Result<std::optional<Atom>> AtomTypeScan::DecodeAt(const RecordId& rid) {
@@ -78,7 +62,6 @@ Result<std::optional<Atom>> AtomTypeScan::Next() {
       return std::optional<Atom>();
     }
     position_ = next;
-    MaybeReadAhead(next->page);
     PRIMA_ASSIGN_OR_RETURN(auto atom, DecodeAt(*next));
     if (atom) return atom;
   }

@@ -44,10 +44,6 @@ class AtomTypeScan {
 
  private:
   util::Result<std::optional<Atom>> DecodeAt(const RecordId& rid);
-  // Forward read-ahead: when the scan position crosses into the last page
-  // of the previously hinted window, volunteer the next window of base-
-  // file pages to the storage prefetcher (no-op when read-ahead is off).
-  void MaybeReadAhead(uint32_t page);
 
   AccessSystem* access_;
   AtomTypeId type_;
@@ -56,7 +52,6 @@ class AtomTypeScan {
   std::optional<RecordId> position_;
   bool before_first_ = true;
   bool after_last_ = false;
-  uint32_t hint_end_ = 0;  ///< first base-file page not yet hinted
 };
 
 // ---------------------------------------------------------------------------

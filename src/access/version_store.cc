@@ -55,6 +55,18 @@ uint64_t VersionStore::Publish(uint64_t txn, uint64_t wal_lsn) {
   // half-stamped transaction at or below S.
   std::lock_guard<std::mutex> clk(commit_mu_);
   const uint64_t seq = last_seq_.load(std::memory_order_relaxed) + 1;
+  StampAndBury(txn, tids, seq, wal_lsn);
+  if (wal_lsn > last_lsn_.load(std::memory_order_relaxed)) {
+    last_lsn_.store(wal_lsn, std::memory_order_relaxed);
+  }
+  last_seq_.store(seq, std::memory_order_release);
+  Retire();
+  return seq;
+}
+
+void VersionStore::StampAndBury(uint64_t txn,
+                                const std::vector<uint64_t>& tids,
+                                uint64_t seq, uint64_t wal_lsn) {
   std::vector<Tomb> tombs;
   tombs.reserve(tids.size());
   for (const uint64_t packed : tids) {
@@ -69,17 +81,9 @@ uint64_t VersionStore::Publish(uint64_t txn, uint64_t wal_lsn) {
       tombs.push_back(Tomb{packed, seq});
     }
   }
-  {
-    std::lock_guard<std::mutex> lock(retire_mu_);
-    for (Tomb& t : tombs) graveyard_.push_back(t);
-    buried_.store(graveyard_.size(), std::memory_order_release);
-  }
-  if (wal_lsn > last_lsn_.load(std::memory_order_relaxed)) {
-    last_lsn_.store(wal_lsn, std::memory_order_relaxed);
-  }
-  last_seq_.store(seq, std::memory_order_release);
-  Retire();
-  return seq;
+  std::lock_guard<std::mutex> lock(retire_mu_);
+  for (Tomb& t : tombs) graveyard_.push_back(t);
+  buried_.store(graveyard_.size(), std::memory_order_release);
 }
 
 std::shared_ptr<VersionStore::Pin> VersionStore::OpenSnapshot(
@@ -114,17 +118,27 @@ void VersionStore::ReleasePin(const ReadView& view) {
 }
 
 void VersionStore::Retire() {
-  // An entry stamped with sequence C serves only views with seq < C; once
-  // every live pin sits at or above C (or no pin is live), it is garbage.
   // With no tomb waiting there is nothing to trim: a Publish that buries
   // one after this check calls Retire itself, and a pin released before
   // that Publish reads the floor is already gone from pins_.
   if (buried_.load(std::memory_order_acquire) == 0) return;
-  uint64_t floor;
-  {
-    std::lock_guard<std::mutex> lock(pins_mu_);
-    floor = pins_.empty() ? UINT64_MAX : pins_.begin()->first;
-  }
+  RetireThrough(RetireFloor());
+}
+
+uint64_t VersionStore::RetireFloor() const {
+  // An entry stamped with sequence C serves only views with seq < C; once
+  // every live pin sits at or above C, it is garbage. With no pin live the
+  // floor is the published clock, not "everything": a Publish may already
+  // have buried the tombs of seq S+1 while last_seq_ still reads S, and a
+  // pin that opens before the store sits at S and needs those entries.
+  // Read under pins_mu_, as OpenSnapshot reads it, so every later pin
+  // sits at or above the floor.
+  std::lock_guard<std::mutex> lock(pins_mu_);
+  return pins_.empty() ? last_seq_.load(std::memory_order_acquire)
+                       : pins_.begin()->first;
+}
+
+void VersionStore::RetireThrough(uint64_t floor) {
   std::vector<Tomb> ripe;
   {
     std::lock_guard<std::mutex> lock(retire_mu_);

@@ -170,10 +170,20 @@ class VersionStore {
     return shards_[(packed * 0x9E3779B97F4A7C15ull) >> 60 & (kShards - 1)];
   }
 
+  friend class VersionStoreTestPeer;
+
+  /// Stamp `txn`'s pending entries among `tids` with `seq` and bury their
+  /// tombs; last_seq_ is not advanced (Publish does that next).
+  void StampAndBury(uint64_t txn, const std::vector<uint64_t>& tids,
+                    uint64_t seq, uint64_t wal_lsn);
   void ReleasePin(const ReadView& view);
   /// Trim every stamped entry all live pins can already see. Caller must
   /// NOT hold any shard mutex.
   void Retire();
+  /// The highest sequence every live and future pin can see.
+  uint64_t RetireFloor() const;
+  /// Trim the entries of every tomb stamped at or below `floor`.
+  void RetireThrough(uint64_t floor);
 
   mutable std::unique_ptr<Shard[]> shards_;
 

@@ -81,7 +81,6 @@ Result<std::unique_ptr<Prima>> Prima::Open(PrimaOptions options) {
   options.storage.buffer_shards = options.buffer_shards != 0
                                       ? options.buffer_shards
                                       : std::min<size_t>(cpus, 16);
-  options.storage.readahead_pages = options.readahead_pages;
   db->storage_ = std::make_unique<storage::StorageSystem>(std::move(device),
                                                           options.storage);
 
@@ -169,7 +168,6 @@ Result<std::unique_ptr<Prima>> Prima::Open(PrimaOptions options) {
       options.checkpoint_ring_fraction > 0.0) {
     recovery::CheckpointDaemon::Options daemon_options;
     daemon_options.ring_fraction = options.checkpoint_ring_fraction;
-    daemon_options.poll_ms = options.checkpoint_poll_ms;
     db->daemon_ = std::make_unique<recovery::CheckpointDaemon>(
         db->recovery_.get(), db->wal_.get(), db->access_.get(),
         daemon_options);

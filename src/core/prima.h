@@ -103,9 +103,6 @@ struct PrimaOptions {
   /// the daemon (PR-2 behavior: checkpoint scheduling is the caller's
   /// problem).
   double checkpoint_ring_fraction = 0.5;
-  /// Daemon poll interval between threshold checks (explicit pokes bypass
-  /// it).
-  uint64_t checkpoint_poll_ms = 5;
 
   /// Archive WAL blocks into an append-only archive file before circular
   /// truncation recycles them. Keeps the complete log history readable —
@@ -148,12 +145,6 @@ struct PrimaOptions {
   /// 16 (one usable CPU gives one shard); 1 = the pre-sharding single pool,
   /// behaviorally indistinguishable from the global-LRU kernel.
   size_t buffer_shards = 0;
-
-  /// Async read-ahead window, in pages, for sequential scans and grid
-  /// reads (resolved into storage.readahead_pages). Scans volunteer the
-  /// next window of base-file pages to a background prefetcher; hints are
-  /// advisory and dropped silently under pressure. 0 disables read-ahead.
-  size_t readahead_pages = 32;
 
   /// NETWORK SERVER: when >= 0, Open() also starts a TCP server speaking
   /// the framed wire protocol of net/protocol.h on this port (0 = let the
@@ -267,14 +258,14 @@ struct PrimaOptions {
 /// Scaling knobs — by default the kernel scales the read path to the CPUs
 /// this process may run on (its sched_getaffinity mask, util::UsableCpus),
 /// not to the machine: confined to one CPU it runs one shard, one worker
-/// and serial redo. Explicit values always win; two PrimaOptions fields
-/// tune the read path:
+/// and serial redo. Explicit values always win; one PrimaOptions field
+/// tunes the read path:
 ///
 ///   buffer_shards    page-id-hashed buffer pool partitions, each with its
 ///                    own mutex and clock-sweep eviction (0 = one per
 ///                    usable CPU, capped)
-///   readahead_pages  async read-ahead window for sequential scans and
-///                    grid reads (0 = off)
+///
+/// Pages are read by the thread that fixes them.
 ///
 /// Cursors assemble serially on the thread that drains them; the worker
 /// pool (parallel_workers) serves QueryParallel's units.
@@ -284,8 +275,8 @@ struct PrimaOptions {
 /// same NoSpace conditions, same WAL write-back rule — and every setting
 /// of every knob returns byte-identical query results; the knobs trade
 /// memory and threads for throughput, never semantics. Observe the effect
-/// through stats(): per-shard hit/miss/eviction counters, prefetch
-/// activity, resident bytes.
+/// through stats(): per-shard hit/miss/eviction counters and resident
+/// bytes.
 ///
 /// Observability — the kernel telemeters itself at three granularities:
 ///

@@ -58,11 +58,9 @@ struct BufferShardStats {
   obs::Counter prefetched_pages;
 };
 
-/// Pool-wide counters: the shard traffic totals plus the async read-ahead
-/// accounting (StorageSystem::ReadAhead): batches that reached the
-/// prefetcher vs. hints dropped because the in-flight window was full.
+/// Pool-wide counters: the shard traffic summed over the shards.
 struct BufferStats : BufferShardStats {
-  obs::Counter readahead_batches;
+  /// Never incremented; kept until perfbench drops its metric.
   obs::Counter readahead_dropped;
 
   double HitRatio() const {
@@ -77,9 +75,7 @@ inline constexpr obs::CounterDef<BufferStats> kBufferCounters[] = {
     {&BufferStats::misses, "prima_buffer_misses", "page fixes that read the device"},
     {&BufferStats::evictions, "prima_buffer_evictions", "clock-sweep evictions"},
     {&BufferStats::writebacks, "prima_buffer_writebacks", "dirty pages written back"},
-    {&BufferStats::prefetched_pages, "prima_buffer_prefetched_pages", "pages loaded by read-ahead"},
-    {&BufferStats::readahead_batches, "prima_buffer_readahead_batches", "read-ahead batches handed to the prefetcher"},
-    {&BufferStats::readahead_dropped, "prima_buffer_readahead_dropped", "read-ahead hints dropped, window full"},
+    {&BufferStats::prefetched_pages, "prima_buffer_prefetched_pages", "pages loaded by chained sequence reads"},
 };
 
 /// Point-in-time copy of the pool's counters plus each shard's share and

@@ -105,14 +105,7 @@ StorageSystem::StorageSystem(std::unique_ptr<BlockDevice> device,
     : device_(std::move(device)),
       buffer_(std::make_unique<BufferManager>(
           device_.get(), options.buffer_bytes, options.buffer_policy,
-          options.buffer_shards)),
-      readahead_pages_(options.readahead_pages) {
-  if (readahead_pages_ > 0) {
-    // One worker is enough: a hint resolves into a single chained device
-    // read, and the depth cap bounds the queue it can fall behind by.
-    prefetcher_ = std::make_unique<util::ThreadPool>(1);
-  }
-}
+          options.buffer_shards)) {}
 
 StorageSystem::~StorageSystem() {
   if (flush_on_close_) (void)Flush();
@@ -136,42 +129,8 @@ Status StorageSystem::Open() {
 }
 
 void StorageSystem::SetWal(WriteAheadLog* wal) {
-  // Quiesce the prefetcher first: an in-flight staging batch may evict a
-  // dirty victim, and its WAL-rule force must not race this pointer swap.
-  if (prefetcher_ != nullptr) prefetcher_->Wait();
   wal_ = wal;
   buffer_->SetWal(wal);
-}
-
-void StorageSystem::ReadAhead(SegmentId seg, std::vector<uint32_t> pages) {
-  if (prefetcher_ == nullptr || pages.empty()) return;
-  uint32_t page_size = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = segments_.find(seg);
-    if (it == segments_.end()) return;  // dropped since the hint was formed
-    page_size = PageSizeBytes(it->second.page_size);
-  }
-  if (pages.size() > readahead_pages_) pages.resize(readahead_pages_);
-  // Depth cap: under pressure the right move is to drop the hint, not to
-  // queue it — a backlog of stale hints would prefetch pages the scan has
-  // already read past.
-  static constexpr int kMaxInflightBatches = 4;
-  int inflight = readahead_inflight_.load(std::memory_order_relaxed);
-  do {
-    if (inflight >= kMaxInflightBatches) {
-      buffer_->stats().readahead_dropped++;
-      return;
-    }
-  } while (!readahead_inflight_.compare_exchange_weak(inflight, inflight + 1));
-  buffer_->stats().readahead_batches++;
-  prefetcher_->Submit([this, seg, pages = std::move(pages), page_size] {
-    // Best effort by design: a page that vanished (segment drop), a full
-    // shard, or a checksum problem is the foreground reader's business —
-    // the hint just stops staging.
-    (void)buffer_->Prefetch(seg, pages, page_size);
-    readahead_inflight_.fetch_sub(1, std::memory_order_relaxed);
-  });
 }
 
 void StorageSystem::LogSegMeta(SegmentId seg, const SegmentMeta& meta) {
@@ -263,11 +222,6 @@ Status StorageSystem::DropSegment(SegmentId id) {
       return Status::NotFound("segment " + std::to_string(id));
     }
   }
-  // Drain the prefetcher between unmapping and discarding: a hint for this
-  // segment submitted before the unmap could otherwise re-stage frames
-  // after the Discard (hints submitted after it find the segment gone and
-  // no-op).
-  if (prefetcher_ != nullptr) prefetcher_->Wait();
   PRIMA_RETURN_IF_ERROR(buffer_->Discard(id));
   return device_->Remove(id);
 }

@@ -1,7 +1,6 @@
 #ifndef PRIMA_STORAGE_STORAGE_SYSTEM_H_
 #define PRIMA_STORAGE_STORAGE_SYSTEM_H_
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -15,7 +14,6 @@
 #include "util/result.h"
 #include "util/slice.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace prima::storage {
 
@@ -76,10 +74,6 @@ struct StorageOptions {
   /// the pre-sharding manager; Prima resolves its default (one per usable
   /// CPU) into this before construction.
   size_t buffer_shards = 1;
-  /// Async read-ahead window: the largest number of pages one ReadAhead
-  /// hint may stage. 0 disables the prefetcher entirely (no thread is
-  /// started and ReadAhead becomes a no-op).
-  size_t readahead_pages = 0;
 };
 
 /// The storage system (paper §3.3, bottom layer of Fig. 3.1): maps segments
@@ -130,20 +124,8 @@ class StorageSystem {
                                util::Slice payload);
   util::Status DropSequence(SegmentId seg, uint32_t header_page);
 
-  // --- async read-ahead ------------------------------------------------------
-
-  /// Submit a prefetch HINT: stage the listed pages into the buffer from a
-  /// background prefetcher thread so an upcoming sequential (or grid-
-  /// bucket) read finds them resident. Purely advisory — the hint is
-  /// clamped to the configured window, dropped silently when the in-flight
-  /// depth cap is reached or the prefetcher is disabled, and any staging
-  /// error is swallowed (the foreground Fix will read and validate the
-  /// page itself). Never blocks on device I/O.
-  void ReadAhead(SegmentId seg, std::vector<uint32_t> pages);
-
-  /// The configured per-hint window (0 = read-ahead disabled). Scans use
-  /// this to size the hints they emit.
-  size_t readahead_window() const { return readahead_pages_; }
+  /// Always 0 (no read-ahead); kept until perfbench drops its config field.
+  size_t readahead_window() const { return 0; }
 
   // --- maintenance ----------------------------------------------------------
 
@@ -255,16 +237,6 @@ class StorageSystem {
   // Zero-headered files Open() skipped, pending replay (see
   // CrashTornSegments).
   std::set<SegmentId> crash_torn_;
-
-  // Read-ahead: a dedicated prefetcher pool resolves hints into resident
-  // frames; the atomic depth gauge caps how many batches may be queued or
-  // running at once (hints beyond it are dropped, not queued — back-
-  // pressure must never reach the scan that volunteered the hint).
-  size_t readahead_pages_ = 0;
-  std::atomic<int> readahead_inflight_{0};
-  // Declared last so it is destroyed FIRST: in-flight prefetch tasks touch
-  // buffer_ and device_, which must still be alive when the pool joins.
-  std::unique_ptr<util::ThreadPool> prefetcher_;
 };
 
 }  // namespace prima::storage

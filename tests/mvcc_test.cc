@@ -1,7 +1,8 @@
 // MVCC read tests: version chains, cursors that pin a committed view at
 // open and never block on writers, BEGIN WORK READ ONLY, readers racing
-// aborts, watermark retirement, and a SIGKILL crash drive proving the
-// version store is volatile state that a restart rebuilds empty.
+// aborts, watermark retirement (including a pin that opens while a commit
+// is publishing), and a SIGKILL crash drive proving the version store is
+// volatile state that a restart rebuilds empty.
 
 #include <gtest/gtest.h>
 #include <signal.h>
@@ -19,6 +20,73 @@
 #include <vector>
 
 #include "core/prima.h"
+
+namespace prima::access {
+
+/// Runs Publish and Retire one step at a time, so a test can open a pin
+/// between two steps that race on different threads in the real thing.
+class VersionStoreTestPeer {
+ public:
+  /// Publish up to its clock store: stamp `txn`'s entries with the next
+  /// sequence and bury their tombs. Returns that sequence.
+  static uint64_t StampAndBury(VersionStore& store, uint64_t txn) {
+    std::vector<uint64_t> tids;
+    {
+      std::lock_guard<std::mutex> lock(store.txns_mu_);
+      tids = std::move(store.pending_by_txn_[txn]);
+      store.pending_by_txn_.erase(txn);
+    }
+    const uint64_t seq = store.last_seq_.load() + 1;
+    store.StampAndBury(txn, tids, seq, /*wal_lsn=*/0);
+    return seq;
+  }
+  /// The rest of Publish: advance the clock, then retire.
+  static void StoreClockAndRetire(VersionStore& store, uint64_t seq) {
+    store.last_seq_.store(seq);
+    store.Retire();
+  }
+  static uint64_t RetireFloor(const VersionStore& store) {
+    return store.RetireFloor();
+  }
+  static void RetireThrough(VersionStore& store, uint64_t floor) {
+    store.RetireThrough(floor);
+  }
+};
+
+namespace {
+
+// A Retire that reads its floor while no pin is live, then pops tombs a
+// commit buried after that read, must leave the entries a pin opened in
+// between still needs. The steps, in the order that used to tear a
+// reader's pair: the floor is read; a commit buries seq S+1's tombs but
+// has not stored the clock yet; a reader pins S; the Retire pops.
+TEST(VersionStoreRaceTest, PinOpenedWhileACommitPublishesKeepsItsEntries) {
+  VersionStore store;
+  const Tid tid(1, 42);
+  Atom before;
+  before.tid = tid;
+  before.attrs.push_back(Value::String("before"));
+  store.Install(/*txn=*/7, tid, &before);
+
+  const uint64_t floor = VersionStoreTestPeer::RetireFloor(store);
+  const uint64_t seq = VersionStoreTestPeer::StampAndBury(store, 7);
+  std::shared_ptr<VersionStore::Pin> pin = store.OpenSnapshot(0);
+  EXPECT_EQ(pin->view().seq, seq - 1);
+  VersionStoreTestPeer::RetireThrough(store, floor);
+  VersionStoreTestPeer::StoreClockAndRetire(store, seq);
+
+  const VersionStore::Resolution r = store.Resolve(tid, pin->view());
+  EXPECT_EQ(r.outcome, VersionStore::Outcome::kBefore);
+  ASSERT_TRUE(r.before.has_value());
+  EXPECT_EQ(r.before->attrs[0].AsString(), "before");
+
+  // Once the pin goes, the entry is garbage and retires.
+  pin.reset();
+  EXPECT_TRUE(store.Empty());
+}
+
+}  // namespace
+}  // namespace prima::access
 
 namespace prima::core {
 namespace {

@@ -472,8 +472,9 @@ TEST(ObsTest, EveryCounterIsOnThePageOnceWithItsStatsValue) {
   ASSERT_NE(db, nullptr);
   RunFixedWorkload(db.get());
 
-  // Background read-ahead may still land a page; compare against a page
-  // rendered between two identical stats() snapshots.
+  // A background thread (the server, a checkpoint) may still bump a
+  // counter; compare against a page rendered between two identical stats()
+  // snapshots.
   std::vector<std::pair<std::string, uint64_t>> counters;
   std::string page;
   for (int attempt = 0; attempt < 100; ++attempt) {

@@ -2,6 +2,8 @@
 #include <sched.h>
 
 #include <atomic>
+#include <chrono>
+#include <filesystem>
 #include <set>
 #include <string>
 #include <thread>
@@ -248,6 +250,44 @@ TEST(KnobResolutionTest, ExplicitKnobsWinOnOneUsableCpu) {
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   EXPECT_EQ((*db)->pool().num_threads(), 2u);
   EXPECT_EQ((*db)->storage().buffer().shard_count(), 4u);
+}
+
+/// Threads of this process, counted from /proc/self/task.
+size_t ThreadCount() {
+  size_t n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+/// The thread count once it has held still for a few polls: a joined
+/// thread may leave its task entry behind for a moment.
+size_t SettledThreadCount() {
+  size_t last = ThreadCount();
+  for (int stable = 0, polls = 0; stable < 3 && polls < 200; ++polls) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    const size_t now = ThreadCount();
+    stable = now == last ? stable + 1 : 0;
+    last = now;
+  }
+  return last;
+}
+
+// A database with one pool worker, no bounded WAL (so no checkpoint daemon)
+// and no server starts exactly one thread, and closing it joins that thread.
+TEST(ThreadCountTest, OneWorkerDatabaseStartsOneThread) {
+  const size_t baseline = SettledThreadCount();
+  {
+    PrimaOptions options;
+    options.parallel_workers = 1;
+    auto db = Prima::Open(options);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    EXPECT_EQ(SettledThreadCount(), baseline + 1);
+  }
+  EXPECT_EQ(SettledThreadCount(), baseline);
 }
 
 }  // namespace
