@@ -221,12 +221,8 @@ VersionStore::Resolution VersionStore::Resolve(const Tid& tid,
     stats_.versions_resolved++;
   }
   if (trace != nullptr) {
-    trace->version_chain_walks.fetch_add(1, std::memory_order_relaxed);
-    trace->version_chain_ns.fetch_add(obs::NowNs() - t0,
-                                      std::memory_order_relaxed);
-    if (resolved) {
-      trace->versions_resolved.fetch_add(1, std::memory_order_relaxed);
-    }
+    trace->Add(obs::Phase::kVersionChain, obs::NowNs() - t0);
+    if (resolved) trace->Tally(obs::Phase::kVersionChain, 0);  // resolved
   }
   return r;
 }

@@ -65,11 +65,7 @@ Result<std::unique_ptr<Prima>> Prima::Open(PrimaOptions options) {
   auto db = std::unique_ptr<Prima>(new Prima());
   // Telemetry first: every subsystem built below may take pointers into it
   // (histograms, the hub itself), and teardown destroys it last.
-  obs::TelemetryOptions tel_options;
-  tel_options.slow_statement_us = options.slow_statement_us;
-  tel_options.trace_sample_n = options.trace_sample_n;
-  tel_options.slow_log_capacity = options.slow_log_capacity;
-  db->telemetry_ = std::make_unique<obs::Telemetry>(tel_options);
+  db->telemetry_ = std::make_unique<obs::Telemetry>(options.slow_statement_us);
   db->shared_device_ = options.device;
   // The database-level scaling knobs are authoritative: resolve defaults
   // from the CPUs this process may run on (util::UsableCpus) and write them

@@ -49,8 +49,8 @@ struct PrimaStatsSnapshot {
   net::NetStats net;
   /// Statement latency distribution (microseconds) across every session.
   obs::HistogramSnapshot statement_us;
-  /// Statements that carried a span tree (EXPLAIN ANALYZE, sampling, or
-  /// slow-query arming).
+  /// Statements that carried a phase table (EXPLAIN ANALYZE or slow-query
+  /// arming).
   uint64_t traced_statements = 0;
   /// Captures in the slow-query ring, ever (>= the ring's current size).
   uint64_t slow_statements = 0;
@@ -162,16 +162,10 @@ struct PrimaOptions {
 
   /// TELEMETRY — see the "Observability" section of the class comment.
   /// Statements slower than this many microseconds are captured — statement
-  /// text plus full span tree — into the slow-query ring
-  /// (Prima::slow_statements()). 0 disables capture; non-zero arms
-  /// always-on tracing (offenders are only identifiable after the fact).
+  /// text plus phase table — into the slow-query ring of the last 64
+  /// (Prima::slow_statements()). 0 disables capture; non-zero traces every
+  /// statement (offenders are only identifiable after the fact).
   uint64_t slow_statement_us = 0;
-  /// Trace every Nth statement even without EXPLAIN ANALYZE or slow-query
-  /// arming (0 = never). Sampled span trees feed the traced-statement
-  /// counter and keep the phase machinery honest in production.
-  uint64_t trace_sample_n = 0;
-  /// Ring capacity of the slow-query log.
-  size_t slow_log_capacity = 64;
 };
 
 /// PRIMA — the kernel facade. Wires the three layers of Fig. 3.1 together
@@ -292,17 +286,19 @@ struct PrimaOptions {
 ///                  Both read one declaration: each layer's stats struct
 ///                  and its counter table (obs::CounterDef), so a counter
 ///                  is never on one surface and missing from another.
-///   EXPLAIN ANALYZE <stmt>   per-statement span tree through MQL: parse,
-///                  plan (statement-cache hit/miss), root enumeration,
-///                  molecule assembly and projection, buffer fixes split
-///                  hit/miss, and WAL commit-force wait,
-///                  with microsecond timings. Works identically through a
-///                  remote session.
+///   EXPLAIN ANALYZE <stmt>   the statement's phase table through MQL:
+///                  parse, plan (statement-cache hit/miss), execute (root
+///                  enumeration, molecule assembly, projection, version
+///                  chain walks), buffer fixes split hit/miss, and WAL
+///                  commit-force wait, with microsecond timings. The phases
+///                  are declared once (obs::kPhases); every layer records
+///                  into the statement's table through obs::CurrentTrace().
+///                  Works identically through a remote session.
 ///
-/// Production tracing is opt-in via PrimaOptions: slow_statement_us
-/// captures offenders (text + span tree) into a fixed ring read back with
-/// slow_statements(); trace_sample_n samples every Nth statement. With
-/// both knobs 0 a statement pays one thread-local null check and one
+/// Production tracing is opt-in via PrimaOptions::slow_statement_us: it
+/// traces every statement and captures the offenders (text + phase table)
+/// into a ring of the last 64, read back with slow_statements(). With it 0
+/// a statement pays one thread-local null check per traced site and one
 /// histogram record — the overhead contract benchmarks hold the kernel to.
 class Prima {
  public:
@@ -383,7 +379,7 @@ class Prima {
   std::string MetricsText() const { return telemetry_->registry().RenderText(); }
 
   /// Oldest-first copy of the slow-query ring (statements that crossed
-  /// PrimaOptions::slow_statement_us, with their rendered span trees).
+  /// PrimaOptions::slow_statement_us, with their rendered phase tables).
   std::vector<obs::SlowStatement> slow_statements() const {
     return telemetry_->slow_log().Snapshot();
   }

@@ -64,7 +64,7 @@ bool IsDdl(Statement::Kind kind) {
 
 /// Text peek for the EXPLAIN ANALYZE prefix, tolerant of leading
 /// whitespace and `(* ... *)` comments. Tracing must be armed BEFORE the
-/// statement is parsed (the parse span is part of the report), and the
+/// statement is parsed (the parse phase is part of the report), and the
 /// cache-text lookup happens before parsing too — so the decision has to
 /// come from the raw text.
 bool IsExplainAnalyze(const std::string& text) {
@@ -315,7 +315,7 @@ Result<MoleculeCursor> Session::OpenCursor(
       MoleculeCursor cursor,
       data_->executor().OpenCursor(std::move(query), std::move(plan),
                                    std::move(params), std::move(pin),
-                                   std::move(token), active_trace_));
+                                   std::move(token)));
   data_->stats().queries++;
   return cursor;
 }
@@ -330,7 +330,7 @@ Result<std::shared_ptr<const mql::CachedStatement>> Session::Compile(
       data_->statement_cache().Lookup(mql, schema_version);
   obs::StatementTrace* trace = obs::CurrentTrace();
   if (cached != nullptr) {
-    if (trace != nullptr) trace->GetPhase("plan")->AddCounter("cache_hit", 1);
+    if (trace != nullptr) trace->Tally(obs::Phase::kPlan, 0);  // cache_hit
     return cached;
   }
 
@@ -341,7 +341,7 @@ Result<std::shared_ptr<const mql::CachedStatement>> Session::Compile(
     const uint64_t t0 = (trace || tel) ? obs::NowNs() : 0;
     PRIMA_ASSIGN_OR_RETURN(entry->stmt, mql::ParseStatement(mql));
     const uint64_t ns = (trace || tel) ? obs::NowNs() - t0 : 0;
-    if (trace != nullptr) trace->AddPhaseNs("parse", ns);
+    if (trace != nullptr) trace->Add(obs::Phase::kParse, ns);
     if (tel != nullptr) tel->parse_us()->Record(ns / 1000);
   }
   // Plan FROM-bearing statements now. The plan holds literals and
@@ -354,14 +354,10 @@ Result<std::shared_ptr<const mql::CachedStatement>> Session::Compile(
         data_->executor().Prepare(*from, PlannedWhere(entry->stmt)));
     entry->plan = std::move(plan);
     const uint64_t ns = (trace || tel) ? obs::NowNs() - t0 : 0;
-    if (trace != nullptr) {
-      trace->AddPhaseNs("plan", ns);
-      trace->GetPhase("plan")->AddCounter("cache_miss", 1);
-    }
+    if (trace != nullptr) trace->Add(obs::Phase::kPlan, ns);
     if (tel != nullptr) tel->plan_us()->Record(ns / 1000);
-  } else if (trace != nullptr) {
-    trace->GetPhase("plan")->AddCounter("cache_miss", 1);
   }
+  if (trace != nullptr) trace->Tally(obs::Phase::kPlan, 1);  // cache_miss
   // EXPLAIN ANALYZE statements are never published to the cache: the whole
   // point of the report is watching parse and plan happen, and a cache hit
   // would blank those phases.
@@ -389,12 +385,10 @@ Result<ExecResult> Session::RunInstrumented(const std::string& text,
   }
 
   obs::StatementTrace trace;
-  active_trace_ = &trace;
   Result<ExecResult> r = [&] {
     obs::TraceContext ctx(&trace);
     return body();
   }();
-  active_trace_ = nullptr;
   trace.Finish();
   if (tel != nullptr) {
     tel->CountTraced();
@@ -455,7 +449,8 @@ Result<MoleculeCursor> Session::Query(const std::string& mql) {
     return Status::InvalidArgument("statement is not a query");
   }
   if (compiled->stmt.explain_analyze) {
-    // A streaming cursor outlives the statement scope a trace is tied to.
+    // A streaming cursor drains after the statement scope its trace is
+    // tied to, so it would report nothing.
     return Status::InvalidArgument(
         "EXPLAIN ANALYZE must go through Execute, not Query");
   }
@@ -548,8 +543,7 @@ Result<std::vector<access::Value>> PreparedStatement::Ready() {
 
 Result<ExecResult> PreparedStatement::Execute() {
   // Runs inside the telemetry wrapper, so a recompile forced by DDL shows
-  // up in the statement's latency (and its trace, when sampled or
-  // slow-logged).
+  // up in the statement's latency (and its trace, when slow-logged).
   return session_->RunInstrumented(
       text_, /*explain=*/false, [&]() -> Result<ExecResult> {
         PRIMA_ASSIGN_OR_RETURN(std::vector<access::Value> params, Ready());

@@ -185,7 +185,7 @@ class Session {
   /// consult the shared statement cache, else parse `mql`, plan
   /// FROM-bearing statements (placeholders stay slots in the plan), stamp
   /// the schema version, and publish cacheable kinds back to the cache.
-  /// DDL and transaction control compile but are never cached.
+  /// DDL compiles but is never cached.
   util::Result<std::shared_ptr<const mql::CachedStatement>> Compile(
       const std::string& mql);
 
@@ -215,9 +215,12 @@ class Session {
 
   /// Telemetry wrapper shared by Execute and PreparedStatement::Execute:
   /// decides tracing (EXPLAIN ANALYZE forces it, the slow-query knob arms
-  /// it, trace_sample_n samples it), times the statement into the latency
-  /// histogram, feeds the slow-query log, and — for EXPLAIN ANALYZE —
-  /// replaces the result with the rendered span tree.
+  /// it), times the statement into the latency histogram, feeds the
+  /// slow-query log, and — for EXPLAIN ANALYZE — replaces the result with
+  /// the rendered phase table. A traced statement's TraceContext makes its
+  /// trace obs::CurrentTrace() for exactly the body's run, so every layer
+  /// and every cursor drained inside the statement records into it, and
+  /// nothing can write to it after.
   template <typename Fn>
   util::Result<mql::ExecResult> RunInstrumented(const std::string& text,
                                                 bool explain, Fn&& body);
@@ -249,12 +252,6 @@ class Session {
   /// every abort. The cursors read it from their own threads, so it is
   /// atomic; the pointer itself belongs to the session's thread.
   std::shared_ptr<std::atomic<bool>> cursor_epoch_;
-  /// The trace of the statement currently executing inline (set only for
-  /// the RunInstrumented scope). Cursors opened while it is set drain
-  /// within the statement — they get the trace; streaming Query() cursors
-  /// are opened outside the scope and stay untraced, so a cursor never
-  /// outlives the trace it writes to.
-  obs::StatementTrace* active_trace_ = nullptr;
 };
 
 }  // namespace prima::core

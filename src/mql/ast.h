@@ -193,8 +193,8 @@ struct Statement {
   /// `BEGIN WORK READ ONLY`: the transaction is a pinned snapshot — every
   /// query in it reads the same consistent view, DML/DDL are refused.
   bool begin_read_only = false;
-  /// `EXPLAIN ANALYZE <stmt>`: execute the statement and return its span
-  /// tree (per-phase timings and counters) as a text result instead of the
+  /// `EXPLAIN ANALYZE <stmt>`: execute the statement and return its phase
+  /// table (per-phase timings and tallies) as a text result instead of the
   /// statement's own result. The flag wraps the inner statement in place —
   /// `kind` and the per-kind members describe the statement being explained.
   bool explain_analyze = false;

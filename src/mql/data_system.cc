@@ -4,7 +4,6 @@
 #include <set>
 
 #include "mql/parser.h"
-#include "obs/trace.h"
 
 namespace prima::mql {
 
@@ -78,13 +77,11 @@ Result<MoleculeSet> DataSystem::QualifyTargets(
   q->where = CloneExpr(where);
   // A serial cursor on this thread, drained whole before the caller's first
   // mutation, so no update can move an atom into the part of the scan still
-  // ahead. Its view sees the statement's own transaction's writes, and it
-  // borrows the statement's trace, since it drains within the statement.
+  // ahead. Its view sees the statement's own transaction's writes.
   PRIMA_ASSIGN_OR_RETURN(
       MoleculeCursor cursor,
       executor_.OpenCursor(std::move(q), Borrow(plan), params,
-                           access_->versions().OpenSnapshot(own_txn), nullptr,
-                           obs::CurrentTrace()));
+                           access_->versions().OpenSnapshot(own_txn)));
   return cursor.Drain();
 }
 

@@ -23,7 +23,7 @@ struct ExecResult {
     kTid,        ///< INSERT
     kCount,      ///< DELETE / MODIFY (# atoms affected)
     kNone,       ///< DDL / CONNECT / transaction control
-    kText,       ///< EXPLAIN ANALYZE (rendered span tree)
+    kText,       ///< EXPLAIN ANALYZE (rendered phase table)
   };
   ExecResult() = default;
   ExecResult(ExecResult&&) = default;
@@ -99,10 +99,9 @@ class DataSystem {
   /// the parse-once-plan-once fast path without calling Prepare.
   StatementCache& statement_cache() { return statement_cache_; }
 
-  /// Kernel telemetry hub (histograms, slow-query log, tracing knobs).
-  /// Attached by Prima::Open; null for bare embedded rigs — sessions fall
-  /// back to untraced execution (EXPLAIN ANALYZE still works: it carries
-  /// its own trace).
+  /// Kernel telemetry hub (histograms, slow-query log and its threshold).
+  /// Attached by Prima::Open; null for bare embedded rigs — sessions then
+  /// trace only EXPLAIN ANALYZE, whose phase table is the statement's own.
   void set_telemetry(obs::Telemetry* telemetry) { telemetry_ = telemetry; }
   obs::Telemetry* telemetry() const { return telemetry_; }
 

@@ -5,6 +5,8 @@
 #include <mutex>
 #include <set>
 
+#include "obs/trace.h"
+
 namespace prima::mql {
 
 using access::Atom;
@@ -837,8 +839,7 @@ Result<Molecule> Executor::Project(const Query& query, const QueryPlan& plan,
 Result<MoleculeCursor> Executor::OpenCursor(
     std::shared_ptr<const Query> query, std::shared_ptr<const QueryPlan> plan,
     std::vector<Value> params, std::shared_ptr<access::VersionStore::Pin> pin,
-    std::shared_ptr<const std::atomic<bool>> invalidated,
-    obs::StatementTrace* trace) {
+    std::shared_ptr<const std::atomic<bool>> invalidated) {
   if (plan == nullptr) {
     PRIMA_ASSIGN_OR_RETURN(QueryPlan planned,
                            Prepare(query->from, query->where.get()));
@@ -849,7 +850,6 @@ Result<MoleculeCursor> Executor::OpenCursor(
   cursor.query_ = std::move(query);
   cursor.plan_ = std::move(plan);
   cursor.params_ = std::move(params);
-  cursor.trace_ = trace;
   cursor.pin_ = std::move(pin);
   cursor.invalidated_ = std::move(invalidated);
   // Open only the root source here — roots are pulled incrementally from
@@ -862,8 +862,8 @@ Result<MoleculeCursor> Executor::OpenCursor(
 
 Result<std::optional<Molecule>> Executor::DeriveMolecule(
     const Query& query, const QueryPlan& plan, const std::vector<Value>& params,
-    const Atom& root, const access::ReadView& view,
-    obs::StatementTrace* trace) {
+    const Atom& root, const access::ReadView& view) {
+  obs::StatementTrace* trace = obs::CurrentTrace();
   uint64_t t0 = trace ? obs::NowNs() : 0;
   PRIMA_ASSIGN_OR_RETURN(Molecule molecule, Assemble(plan, root, view));
   bool qualified = true;
@@ -871,16 +871,14 @@ Result<std::optional<Molecule>> Executor::DeriveMolecule(
     PRIMA_ASSIGN_OR_RETURN(qualified,
                            Eval(molecule, *query.where, params, {}));
   }
-  if (trace != nullptr) {
-    trace->AddPhaseNs("execute", "assembly", obs::NowNs() - t0);
-  }
+  if (trace != nullptr) trace->Add(obs::Phase::kAssembly, obs::NowNs() - t0);
   if (!qualified) return std::optional<Molecule>();
   t0 = trace ? obs::NowNs() : 0;
   PRIMA_ASSIGN_OR_RETURN(Molecule projected,
                          Project(query, plan, params, std::move(molecule)));
   if (trace != nullptr) {
-    trace->AddPhaseNs("execute", "project", obs::NowNs() - t0);
-    trace->GetPhase("execute", "assembly")->AddCounter("molecules", 1);
+    trace->Add(obs::Phase::kProject, obs::NowNs() - t0);
+    trace->Tally(obs::Phase::kAssembly, 0);  // molecules
   }
   stats_.cursor_molecules++;
   return std::optional<Molecule>(std::move(projected));
@@ -918,7 +916,7 @@ Result<MoleculeSet> Executor::DeriveInUnits(std::shared_ptr<const Query> query,
     const size_t end = (u + 1) * roots.size() / units;
     for (size_t i = u * roots.size() / units; i < end; ++i) {
       Result<std::optional<Molecule>> m =
-          DeriveMolecule(q, plan, {}, roots[i], cursor.pin_->view(), nullptr);
+          DeriveMolecule(q, plan, {}, roots[i], cursor.pin_->view());
       if (!m.ok()) {
         results[u].status = m.status();
         return;
@@ -961,18 +959,18 @@ Result<std::optional<Molecule>> MoleculeCursor::Next() {
         "cursor invalidated: the transaction it was reading under aborted");
   }
   if (source_ == nullptr) return std::optional<Molecule>();  // closed/drained
+  obs::StatementTrace* trace = obs::CurrentTrace();
   for (;;) {
-    const uint64_t t0 = trace_ ? obs::NowNs() : 0;
+    const uint64_t t0 = trace ? obs::NowNs() : 0;
     PRIMA_ASSIGN_OR_RETURN(std::optional<Atom> root, source_->Next());
     if (!root) break;
-    if (trace_ != nullptr) {
-      trace_->AddPhaseNs("execute", "roots", obs::NowNs() - t0);
-      trace_->GetPhase("execute", "roots")->AddCounter("roots", 1);
+    if (trace != nullptr) {
+      trace->Add(obs::Phase::kRoots, obs::NowNs() - t0);
+      trace->Tally(obs::Phase::kRoots, 0);  // roots
     }
     PRIMA_ASSIGN_OR_RETURN(
         std::optional<Molecule> molecule,
-        exec_->DeriveMolecule(*query_, *plan_, params_, *root, pin_->view(),
-                              trace_));
+        exec_->DeriveMolecule(*query_, *plan_, params_, *root, pin_->view()));
     if (molecule.has_value()) return molecule;
   }
   Close();

@@ -16,7 +16,6 @@
 #include "mql/molecule.h"
 #include "mql/semantics.h"
 #include "obs/counter.h"
-#include "obs/trace.h"
 #include "util/thread_pool.h"
 
 namespace prima::mql {
@@ -181,7 +180,10 @@ class RootSource {
 /// The cursor is serial: each root is assembled, qualified and projected
 /// on the thread calling Next() (Executor::DeriveMolecule, the per-root
 /// step Prima::QueryParallel's units run as well), so nothing is assembled
-/// ahead of the Next() that returns it.
+/// ahead of the Next() that returns it. Each step records its phase into
+/// the trace of the statement running on that thread (obs::CurrentTrace()),
+/// so a cursor drained inside a traced statement shows in its report and
+/// one drained after it records nothing.
 ///
 /// A cursor shares its compiled query and plan (immutable — typically the
 /// statement-cache entry it was compiled into) and owns a copy of its bound
@@ -218,8 +220,6 @@ class MoleculeCursor {
   /// Bound values, indexed by parameter slot (empty for one-shot
   /// statements, whose text carries every operand).
   std::vector<access::Value> params_;
-  /// Trace of the statement draining this cursor, or null.
-  obs::StatementTrace* trace_ = nullptr;
   /// The read view every read of this cursor resolves against.
   std::shared_ptr<access::VersionStore::Pin> pin_;
   std::unique_ptr<RootSource> source_;  ///< null: closed or drained
@@ -246,17 +246,14 @@ class Executor {
   /// Open a streaming cursor over `query`, reading through `plan` (null:
   /// plan the query now) under the read view of `pin`. The cursor shares
   /// the query, plan and pin, and takes `params`, the bound values indexed
-  /// by parameter slot (empty when the query has no placeholders). `trace`,
-  /// when set, receives the cursor's phase timings (roots / assembly /
-  /// project) — pass it only when the cursor drains within the traced
-  /// statement's scope. Opening a cursor counts nothing in stats():
-  /// callers serving a user query count it there (DataStats::queries).
+  /// by parameter slot (empty when the query has no placeholders). Opening
+  /// a cursor counts nothing in stats(): callers serving a user query count
+  /// it there (DataStats::queries).
   util::Result<MoleculeCursor> OpenCursor(
       std::shared_ptr<const Query> query, std::shared_ptr<const QueryPlan> plan,
       std::vector<access::Value> params,
       std::shared_ptr<access::VersionStore::Pin> pin,
-      std::shared_ptr<const std::atomic<bool>> invalidated = nullptr,
-      obs::StatementTrace* trace = nullptr);
+      std::shared_ptr<const std::atomic<bool>> invalidated = nullptr);
 
   /// Derive the molecule set of a placeholder-free query by semantic
   /// parallelism (paper §4) under one view pinned for the call: the roots
@@ -287,13 +284,11 @@ class Executor {
 
   /// The per-root step: assemble the molecule rooted at `root`, qualify it
   /// against the WHERE and project the SELECT; nullopt when it does not
-  /// qualify. Every read resolves against `view`. `trace`, when
-  /// set, receives the assembly and project phase times — it is the
-  /// statement's phase tree, so only its owning thread may pass it.
+  /// qualify. Every read resolves against `view`.
   util::Result<std::optional<Molecule>> DeriveMolecule(
       const Query& query, const QueryPlan& plan,
       const std::vector<access::Value>& params, const access::Atom& root,
-      const access::ReadView& view, obs::StatementTrace* trace);
+      const access::ReadView& view);
 
   /// Open the incremental root-candidate stream for the plan, filling its
   /// key, range, grid bounds or search argument from `params`.

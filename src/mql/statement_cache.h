@@ -38,9 +38,8 @@ struct CachedStatement {
 /// arrives, from ANY session, and sessions preparing the same text share
 /// one compile. Bounded LRU. Statements with placeholders are cached like
 /// any other; the one-shot Execute/Query callers refuse to run them (there
-/// are no bound values), only a PreparedStatement does. DDL / transaction
-/// control are never cached (they parse trivially or invalidate the cache
-/// themselves).
+/// are no bound values), only a PreparedStatement does. DDL is never
+/// cached: it invalidates the cache itself.
 class StatementCache {
  public:
   explicit StatementCache(size_t capacity = 256) : capacity_(capacity) {}
@@ -49,7 +48,8 @@ class StatementCache {
   StatementCache& operator=(const StatementCache&) = delete;
 
   /// Statement kinds worth caching: query and DML shapes whose parse +
-  /// semantic analysis + planning dominate a repeated round trip.
+  /// semantic analysis + planning dominate a repeated round trip, and
+  /// transaction control, which every transaction repeats.
   static bool Cacheable(Statement::Kind kind) {
     switch (kind) {
       case Statement::Kind::kQuery:
@@ -57,6 +57,9 @@ class StatementCache {
       case Statement::Kind::kDelete:
       case Statement::Kind::kModify:
       case Statement::Kind::kConnect:
+      case Statement::Kind::kBeginWork:
+      case Statement::Kind::kCommitWork:
+      case Statement::Kind::kAbortWork:
         return true;
       default:
         return false;

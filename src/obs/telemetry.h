@@ -1,7 +1,6 @@
 #ifndef PRIMA_OBS_TELEMETRY_H_
 #define PRIMA_OBS_TELEMETRY_H_
 
-#include <atomic>
 #include <cstdint>
 
 #include "obs/metrics.h"
@@ -9,33 +8,18 @@
 
 namespace prima::obs {
 
-/// Tracing/telemetry knobs (mirrored from PrimaOptions by Prima::Open;
-/// defaults keep every knob off).
-struct TelemetryOptions {
-  /// Statements slower than this (microseconds) are captured — full span
-  /// tree — into the slow-query ring. 0 disables capture. Non-zero arms
-  /// always-on tracing: offenders are only identifiable after the fact, so
-  /// every statement carries a trace while the knob is set.
-  uint64_t slow_statement_us = 0;
-  /// Trace every Nth statement (0 = never). Sampled traces feed the same
-  /// span machinery EXPLAIN ANALYZE uses; with both knobs 0, statements pay
-  /// one thread-local null check and a latency-histogram record only.
-  uint64_t trace_sample_n = 0;
-  /// Ring capacity of the slow-query log.
-  size_t slow_log_capacity = 64;
-};
-
 /// The kernel's telemetry hub: one registry of every subsystem's counters,
-/// the kernel latency histograms, the slow-query ring, and the sampling
+/// the kernel latency histograms, the slow-query ring, and the tracing
 /// decision. Owned by Prima (constructed first, destroyed last, so every
 /// subsystem may hold pointers into it); reachable from sessions through
 /// DataSystem::telemetry(), which is null for bare embedded test rigs —
 /// every consumer must tolerate that.
 class Telemetry {
  public:
-  explicit Telemetry(TelemetryOptions options = {})
-      : options_(options),
-        slow_log_(options.slow_log_capacity),
+  /// Statements slower than `slow_statement_us` (0 = never) are captured,
+  /// with their phase tables, into the slow-query ring.
+  explicit Telemetry(uint64_t slow_statement_us = 0)
+      : slow_statement_us_(slow_statement_us),
         statement_us_(registry_.RegisterHistogram(
             "prima_statement_us", "statement latency, microseconds")),
         parse_us_(registry_.RegisterHistogram(
@@ -56,10 +40,9 @@ class Telemetry {
         [this] { return slow_log_.captured(); },
         "statements captured by the slow-query log");
     registry_.RegisterCounter("prima_statements_traced", &traced_,
-                              "statements that carried a span tree");
+                              "statements that carried a phase table");
   }
 
-  const TelemetryOptions& options() const { return options_; }
   MetricsRegistry& registry() { return registry_; }
   SlowQueryLog& slow_log() { return slow_log_; }
 
@@ -70,15 +53,9 @@ class Telemetry {
   Histogram* net_request_us() { return net_request_us_; }
   Histogram* net_encode_us() { return net_encode_us_; }
 
-  /// Should the next statement carry a span tree? Slow-query capture forces
-  /// yes (see TelemetryOptions); otherwise every trace_sample_n-th
-  /// statement samples in. Thread-safe.
-  bool ShouldTraceStatement() {
-    if (options_.slow_statement_us > 0) return true;
-    const uint64_t n = options_.trace_sample_n;
-    if (n == 0) return false;
-    return sample_clock_.fetch_add(1, std::memory_order_relaxed) % n == 0;
-  }
+  /// Should a statement carry a phase table? Slow-query capture needs one
+  /// on every statement: offenders are only known after the fact.
+  bool ShouldTraceStatement() const { return slow_statement_us_ > 0; }
 
   void CountTraced() { traced_++; }
   uint64_t traced() const { return traced_; }
@@ -88,18 +65,17 @@ class Telemetry {
   void RecordStatement(const std::string& text, StatementTrace* trace,
                        uint64_t total_us) {
     statement_us_->Record(total_us);
-    if (trace != nullptr && options_.slow_statement_us > 0 &&
-        total_us >= options_.slow_statement_us) {
+    if (trace != nullptr && slow_statement_us_ > 0 &&
+        total_us >= slow_statement_us_) {
       slow_log_.Record(text, total_us,
                        trace->Render("slow statement: " + text));
     }
   }
 
  private:
-  TelemetryOptions options_;
+  const uint64_t slow_statement_us_;
   MetricsRegistry registry_;
   SlowQueryLog slow_log_;
-  std::atomic<uint64_t> sample_clock_{0};
   Counter traced_;
 
   Histogram* statement_us_;

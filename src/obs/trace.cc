@@ -6,105 +6,21 @@
 namespace prima::obs {
 
 // ---------------------------------------------------------------------------
-// TracePhase
-// ---------------------------------------------------------------------------
-
-void TracePhase::AddCounter(const std::string& key, uint64_t delta) {
-  for (auto& kv : counters) {
-    if (kv.first == key) {
-      kv.second += delta;
-      return;
-    }
-  }
-  counters.emplace_back(key, delta);
-}
-
-const TracePhase* TracePhase::Child(const std::string& child_name) const {
-  for (const TracePhase& c : children) {
-    if (c.name == child_name) return &c;
-  }
-  return nullptr;
-}
-
-// ---------------------------------------------------------------------------
 // StatementTrace
 // ---------------------------------------------------------------------------
 
-namespace {
-
-TracePhase* FindOrAdd(std::vector<TracePhase>* phases,
-                      const std::string& name) {
-  for (TracePhase& p : *phases) {
-    if (p.name == name) return &p;
+std::array<bool, kPhaseCount> StatementTrace::Shown() const {
+  std::array<bool, kPhaseCount> shown{};
+  // Children follow their parent in the table, so a backward walk settles
+  // every child before its parent.
+  for (size_t i = kPhaseCount; i-- > 0;) {
+    const Slot& s = slots_[i];
+    shown[i] = shown[i] || s.count > 0 || s.tallies[0] > 0 || s.tallies[1] > 0;
+    if (shown[i] && kPhases[i].parent.has_value()) {
+      shown[static_cast<size_t>(*kPhases[i].parent)] = true;
+    }
   }
-  phases->emplace_back();
-  phases->back().name = name;
-  return &phases->back();
-}
-
-void RenderPhase(const TracePhase& phase, int depth, std::ostringstream* out) {
-  *out << std::string(static_cast<size_t>(depth) * 2, ' ') << std::left
-       << std::setw(22 - depth * 2) << phase.name << std::right
-       << std::setw(12) << (phase.ns / 1000) << " us";
-  if (phase.count > 1) *out << "  x" << phase.count;
-  for (const auto& kv : phase.counters) {
-    *out << "  [" << kv.first << "=" << kv.second << "]";
-  }
-  *out << "\n";
-  for (const TracePhase& c : phase.children) RenderPhase(c, depth + 1, out);
-}
-
-void CollectNames(const TracePhase& phase, const std::string& prefix,
-                  std::vector<std::string>* out) {
-  const std::string path = prefix.empty() ? phase.name
-                                          : prefix + "/" + phase.name;
-  out->push_back(path);
-  for (const TracePhase& c : phase.children) CollectNames(c, path, out);
-}
-
-}  // namespace
-
-TracePhase* StatementTrace::GetPhase(const std::string& name) {
-  return FindOrAdd(&phases_, name);
-}
-
-TracePhase* StatementTrace::GetPhase(const std::string& name,
-                                     const std::string& child) {
-  return FindOrAdd(&GetPhase(name)->children, child);
-}
-
-void StatementTrace::Finish() {
-  if (finished_) return;
-  finished_ = true;
-  total_ns_ = NowNs() - start_ns_;
-
-  // Fold the kernel counters into the tree.
-  const uint64_t hits = buffer_hits.load(std::memory_order_relaxed);
-  const uint64_t misses = buffer_misses.load(std::memory_order_relaxed);
-  if (hits > 0 || misses > 0) {
-    TracePhase* buffer = GetPhase("buffer");
-    buffer->ns += buffer_miss_ns.load(std::memory_order_relaxed);
-    buffer->count += hits + misses;
-    buffer->AddCounter("hits", hits);
-    buffer->AddCounter("misses", misses);
-  }
-
-  const uint64_t forces = commit_force_waits.load(std::memory_order_relaxed);
-  if (forces > 0) {
-    TracePhase* commit = GetPhase("commit");
-    commit->ns += commit_force_ns.load(std::memory_order_relaxed);
-    commit->count += forces;
-    commit->AddCounter("force_waits", forces);
-  }
-
-  const uint64_t walks = version_chain_walks.load(std::memory_order_relaxed);
-  if (walks > 0) {
-    TracePhase* chain = GetPhase("execute", "version_chain");
-    chain->ns += version_chain_ns.load(std::memory_order_relaxed);
-    chain->count += walks;
-    chain->AddCounter("resolved",
-                      versions_resolved.load(std::memory_order_relaxed));
-  }
+  return shown;
 }
 
 std::string StatementTrace::Render(const std::string& header) const {
@@ -112,13 +28,40 @@ std::string StatementTrace::Render(const std::string& header) const {
   out << header << "\n";
   out << "total " << (total_ns_ / 1000) << " us ("
       << (total_ns_ / 1000000) << " ms)\n";
-  for (const TracePhase& p : phases_) RenderPhase(p, 0, &out);
+  const std::array<bool, kPhaseCount> shown = Shown();
+  for (size_t i = 0; i < kPhaseCount; ++i) {
+    if (!shown[i]) continue;
+    const PhaseDef& def = kPhases[i];
+    const Slot& s = slots_[i];
+    const int depth = def.parent.has_value() ? 1 : 0;
+    out << std::string(static_cast<size_t>(depth) * 2, ' ') << std::left
+        << std::setw(22 - depth * 2) << def.name << std::right
+        << std::setw(12) << (s.ns / 1000) << " us";
+    if (s.count > 1) out << "  x" << s.count;
+    for (size_t t = 0; t < def.tallies.size(); ++t) {
+      const uint64_t v = s.tallies[t];
+      if (def.tallies[t] == nullptr || (v == 0 && !def.show_zero_tallies)) {
+        continue;
+      }
+      out << "  [" << def.tallies[t] << "=" << v << "]";
+    }
+    out << "\n";
+  }
   return out.str();
 }
 
 std::vector<std::string> StatementTrace::PhaseNames() const {
   std::vector<std::string> names;
-  for (const TracePhase& p : phases_) CollectNames(p, "", &names);
+  const std::array<bool, kPhaseCount> shown = Shown();
+  for (size_t i = 0; i < kPhaseCount; ++i) {
+    if (!shown[i]) continue;
+    const PhaseDef& def = kPhases[i];
+    names.push_back(def.parent.has_value()
+                        ? std::string(kPhases[static_cast<size_t>(
+                                          *def.parent)].name) +
+                              "/" + def.name
+                        : std::string(def.name));
+  }
   return names;
 }
 

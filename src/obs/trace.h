@@ -1,15 +1,18 @@
 #ifndef PRIMA_OBS_TRACE_H_
 #define PRIMA_OBS_TRACE_H_
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <deque>
-#include <memory>
+#include <iterator>
 #include <mutex>
+#include <optional>
 #include <string>
-#include <utility>
 #include <vector>
+
+#include "obs/counter.h"
 
 namespace prima::obs {
 
@@ -21,94 +24,109 @@ inline uint64_t NowNs() {
           .count());
 }
 
-/// One phase of a traced statement. Phases accumulate: a streaming cursor
-/// enters "assembly" once per molecule, and the phase carries the total
-/// time plus the episode count rather than one span per entry (a span tree
-/// per molecule would cost more than the work it measures).
-struct TracePhase {
-  std::string name;
-  uint64_t ns = 0;
-  uint64_t count = 0;  ///< episodes folded into `ns`
-  std::vector<std::pair<std::string, uint64_t>> counters;
-  std::vector<TracePhase> children;
-
-  void AddCounter(const std::string& key, uint64_t delta);
-  const TracePhase* Child(const std::string& child_name) const;
+/// The phases of one statement, top to bottom through the layers of
+/// Fig. 3.1: the data system's parse, plan and execute (and execute's
+/// cursor steps), then the buffer pool and the WAL's commit force. The
+/// order is the render order.
+enum class Phase : uint8_t {
+  kParse,
+  kPlan,
+  kExecute,
+  kRoots,
+  kAssembly,
+  kProject,
+  kVersionChain,
+  kBuffer,
+  kCommit,
 };
 
-/// The span tree of one statement execution.
+/// One row of the phase table: the phase's name, the phase it nests
+/// under, and the labels of its tallies (nullptr = unused slot).
+struct PhaseDef {
+  const char* name;
+  std::optional<Phase> parent;
+  std::array<const char*, 2> tallies;
+  /// The tallies split or bound the phase's episodes (buffer fixes into
+  /// hits and misses), so they print even at zero; otherwise only the
+  /// non-zero ones print.
+  bool show_zero_tallies;
+};
+
+/// Indexed by Phase. A child row follows its parent's.
+inline constexpr PhaseDef kPhases[] = {
+    {"parse", {}, {}, false},
+    {"plan", {}, {"cache_hit", "cache_miss"}, false},
+    {"execute", {}, {}, false},
+    {"roots", Phase::kExecute, {"roots"}, false},
+    {"assembly", Phase::kExecute, {"molecules"}, false},
+    {"project", Phase::kExecute, {}, false},
+    {"version_chain", Phase::kExecute, {"resolved"}, true},
+    {"buffer", {}, {"hits", "misses"}, true},
+    {"commit", {}, {"force_waits"}, true},
+};
+inline constexpr size_t kPhaseCount = std::size(kPhases);
+static_assert(kPhaseCount == static_cast<size_t>(Phase::kCommit) + 1,
+              "one kPhases row per Phase");
+
+/// The phase table of one statement execution. Phases accumulate: a
+/// streaming cursor enters "assembly" once per molecule, and the phase
+/// carries the total time plus the episode count rather than one span per
+/// entry.
 ///
-/// Threading contract: the phase tree (GetPhase/AddPhaseNs/counters) belongs
-/// to the statement's owner thread. The `kernel counter` atomics below are
-/// the exception — they are written through CurrentTrace() by the layers
-/// that work on the statement's behalf (the buffer pool, the WAL force
-/// path, version resolution) and folded into the tree by Finish().
+/// Every layer writes through CurrentTrace() — the owner thread's parse
+/// and cursor steps as well as the buffer pool, the WAL force path and
+/// version resolution — and every slot is a relaxed atomic, so any thread
+/// may write while the statement runs. Render after Finish(), on the owner
+/// thread.
 class StatementTrace {
  public:
   StatementTrace() : start_ns_(NowNs()) {}
 
-  /// Top-level phase by name, created on first use (stable order of first
-  /// use — the render order).
-  TracePhase* GetPhase(const std::string& name);
-  /// Nested phase, e.g. ("execute", "assembly").
-  TracePhase* GetPhase(const std::string& name, const std::string& child);
-
-  void AddPhaseNs(const std::string& name, uint64_t ns) {
-    TracePhase* p = GetPhase(name);
-    p->ns += ns;
-    p->count++;
+  /// One episode of `phase` that took `ns`.
+  void Add(Phase phase, uint64_t ns) {
+    Slot& s = slots_[static_cast<size_t>(phase)];
+    s.ns += ns;
+    s.count++;
   }
-  void AddPhaseNs(const std::string& name, const std::string& child,
-                  uint64_t ns) {
-    TracePhase* p = GetPhase(name, child);
-    p->ns += ns;
-    p->count++;
+  /// Bump tally `which` (0 or 1, as labelled in kPhases) of `phase`.
+  void Tally(Phase phase, size_t which) {
+    slots_[static_cast<size_t>(phase)].tallies[which]++;
   }
 
-  /// Close the trace: stamp the total and fold the kernel counters into
-  /// their phases ("buffer", "commit", execute/version_chain).
-  /// Idempotent; call once from the owner thread before Render().
-  void Finish();
-  bool finished() const { return finished_; }
-
+  /// Stamp the total. Call once from the owner thread before Render().
+  void Finish() { total_ns_ = NowNs() - start_ns_; }
   uint64_t total_ns() const { return total_ns_; }
-  uint64_t ElapsedNs() const { return NowNs() - start_ns_; }
 
-  /// Render the span tree as an indented text report.
+  /// Render the phases as an indented text report, in table order. A phase
+  /// prints when it ran, tallied something, or has a child that prints.
   std::string Render(const std::string& header) const;
 
-  /// Flat phase names ("parse", "execute", "execute/assembly", ...) — the
-  /// golden-test surface for which phases a statement ran.
+  /// Paths of the phases Render() prints ("parse", "execute",
+  /// "execute/assembly", ...), in the same order — the golden-test
+  /// surface for which phases a statement ran.
   std::vector<std::string> PhaseNames() const;
 
-  const std::vector<TracePhase>& phases() const { return phases_; }
-
-  // Kernel counters: relaxed atomics, written from any thread via
-  // CurrentTrace() (see class comment).
-  std::atomic<uint64_t> buffer_hits{0};
-  std::atomic<uint64_t> buffer_misses{0};
-  std::atomic<uint64_t> buffer_miss_ns{0};     ///< device-read time on misses
-  std::atomic<uint64_t> commit_force_waits{0};
-  std::atomic<uint64_t> commit_force_ns{0};
-  // Snapshot-read version resolution (MVCC chain walks); folded into an
-  // execute/version_chain phase so chain-walk time never silently inflates
-  // bare "execute".
-  std::atomic<uint64_t> version_chain_walks{0};
-  std::atomic<uint64_t> version_chain_ns{0};
-  std::atomic<uint64_t> versions_resolved{0};  ///< reads served off-chain
-
  private:
+  struct Slot {
+    Counter ns;
+    Counter count;  ///< episodes folded into `ns`
+    Counter tallies[2];
+  };
+
+  /// Which phases Render() prints, indexed by Phase.
+  std::array<bool, kPhaseCount> Shown() const;
+
   uint64_t start_ns_;
   uint64_t total_ns_ = 0;
-  bool finished_ = false;
-  std::vector<TracePhase> phases_;
+  std::array<Slot, kPhaseCount> slots_;
 };
 
-/// The statement trace active on this thread, or nullptr. Deep layers
-/// (buffer pool, WAL) attribute their kernel counters through this instead
-/// of threading a parameter down every call chain; the lookup is one
-/// thread-local load, so untraced statements pay a null check and nothing
-/// else.
+/// The statement trace active on this thread, or nullptr. Every layer
+/// reaches the trace through this one lookup instead of a parameter
+/// threaded down its call chain; Session::RunInstrumented's TraceContext
+/// scopes it to the statement, so nothing writes to a trace after its
+/// statement ends. Untraced statements pay one thread-local load and a
+/// null check.
 StatementTrace* CurrentTrace();
 
 /// RAII scope that installs a trace as the thread's current one (restoring
@@ -124,49 +142,23 @@ class TraceContext {
   StatementTrace* prev_;
 };
 
-/// RAII phase timer: adds the scope's elapsed time to a (nested) phase of
-/// the owner thread's trace. No-op when `trace` is null.
-class PhaseTimer {
- public:
-  PhaseTimer(StatementTrace* trace, const char* phase,
-             const char* child = nullptr)
-      : trace_(trace), phase_(phase), child_(child),
-        start_ns_(trace ? NowNs() : 0) {}
-  ~PhaseTimer() {
-    if (trace_ == nullptr) return;
-    const uint64_t ns = NowNs() - start_ns_;
-    if (child_ != nullptr) {
-      trace_->AddPhaseNs(phase_, child_, ns);
-    } else {
-      trace_->AddPhaseNs(phase_, ns);
-    }
-  }
-  PhaseTimer(const PhaseTimer&) = delete;
-  PhaseTimer& operator=(const PhaseTimer&) = delete;
-
- private:
-  StatementTrace* trace_;
-  const char* phase_;
-  const char* child_;
-  uint64_t start_ns_;
-};
-
 // ---------------------------------------------------------------------------
 // Slow-query log
 // ---------------------------------------------------------------------------
 
-/// One captured offender: the statement, its total latency, and the full
-/// rendered span tree at capture time.
+/// One captured offender: the statement, its total latency, and its
+/// rendered phase table.
 struct SlowStatement {
   uint64_t sequence = 0;  ///< monotonically increasing capture id
   std::string text;
   uint64_t total_us = 0;
-  std::string trace;  ///< rendered span tree
+  std::string trace;  ///< rendered phase table
 };
 
 /// Fixed-capacity ring of the slowest-path evidence: statements whose total
 /// latency crossed `PrimaOptions::slow_statement_us` are recorded with
-/// their span trees; when full, the oldest capture is evicted. Thread-safe
+/// their phase tables; when full, the oldest capture is evicted. The
+/// kernel's ring holds 64; a test may size its own. Thread-safe
 /// (captures come from any session thread); capturing is off the statement
 /// hot path — only offenders pay the mutex.
 class SlowQueryLog {

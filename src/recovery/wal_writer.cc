@@ -414,8 +414,8 @@ Status WalWriter::CommitForce(uint64_t lsn) {
     const uint64_t dt = obs::NowNs() - t0;
     if (force_wait_hist_ != nullptr) force_wait_hist_->Record(dt / 1000);
     if (trace != nullptr) {
-      trace->commit_force_ns.fetch_add(dt, std::memory_order_relaxed);
-      trace->commit_force_waits.fetch_add(1, std::memory_order_relaxed);
+      trace->Add(obs::Phase::kCommit, dt);
+      trace->Tally(obs::Phase::kCommit, 0);  // force_waits
     }
   }
   return st;

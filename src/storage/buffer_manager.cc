@@ -133,18 +133,17 @@ Result<Frame*> BufferManager::Fix(PageId id, uint32_t page_size,
     shard.stats.hits++;
     stats_.hits++;
     if (obs::StatementTrace* trace = obs::CurrentTrace()) {
-      trace->buffer_hits.fetch_add(1, std::memory_order_relaxed);
+      trace->Add(obs::Phase::kBuffer, 0);
+      trace->Tally(obs::Phase::kBuffer, 0);  // hits
     }
     return f;
   }
   shard.stats.misses++;
   stats_.misses++;
-  // Traced statements attribute the miss — and the device-read time below —
-  // to their span tree. One thread-local load when untraced.
+  // Traced statements attribute the miss — and its device-read time — to
+  // their buffer phase. One thread-local load when untraced.
   obs::StatementTrace* trace = obs::CurrentTrace();
-  if (trace != nullptr) {
-    trace->buffer_misses.fetch_add(1, std::memory_order_relaxed);
-  }
+  uint64_t read_ns = 0;
   PRIMA_RETURN_IF_ERROR(MakeRoom(shard, SizeClass(page_size), page_size));
 
   auto frame = std::make_unique<Frame>();
@@ -156,10 +155,7 @@ Result<Frame*> BufferManager::Fix(PageId id, uint32_t page_size,
   } else {
     const uint64_t t0 = trace ? obs::NowNs() : 0;
     PRIMA_RETURN_IF_ERROR(device_->Read(id.segment, id.page, frame->data.get()));
-    if (trace != nullptr) {
-      trace->buffer_miss_ns.fetch_add(obs::NowNs() - t0,
-                                      std::memory_order_relaxed);
-    }
+    if (trace != nullptr) read_ns = obs::NowNs() - t0;
     // Fault tolerance: verify the page checksum. Never-written pages read
     // back as all-zero and are accepted as fresh.
     if (!PageHeader::Verify(frame->data.get(), page_size) &&
@@ -168,6 +164,10 @@ Result<Frame*> BufferManager::Fix(PageId id, uint32_t page_size,
                                 std::to_string(id.segment) + " page " +
                                 std::to_string(id.page));
     }
+  }
+  if (trace != nullptr) {
+    trace->Add(obs::Phase::kBuffer, read_ns);
+    trace->Tally(obs::Phase::kBuffer, 1);  // misses
   }
   frame->pins = 1;
   frame->dirty = format_new;

@@ -9,7 +9,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -24,6 +23,7 @@
 #include "recovery/wal_writer.h"
 #include "storage/block_device.h"
 #include "util/retry.h"
+#include "temp_dir.h"
 
 namespace prima::workloads {
 namespace {
@@ -426,9 +426,9 @@ TEST_F(MmoCrashTest, PinnedUndoFloorSurfacesNoSpaceNamingCulprit) {
 // ---------------------------------------------------------------------------
 
 TEST(MmoCrashDriveTest, KillNineMidStormRecoversEveryAcknowledgedMutation) {
-  char dir_template[] = "/tmp/prima_mmo_crash_XXXXXX";
-  ASSERT_NE(::mkdtemp(dir_template), nullptr);
-  const std::string dir = dir_template;
+  const TempDir temp("prima_mmo_crash_");
+  ASSERT_FALSE(temp.path().empty());
+  const std::string& dir = temp.path();
 
   MmoConfig cfg;
   cfg.sessions = 4;
@@ -515,7 +515,6 @@ TEST(MmoCrashDriveTest, KillNineMidStormRecoversEveryAcknowledgedMutation) {
   EXPECT_TRUE(audit.ok()) << audit.ToString();
 
   ::munmap(board, sizeof(AckBoard));
-  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "core/prima.h"
+#include "temp_dir.h"
 
 namespace prima::access {
 
@@ -541,9 +542,9 @@ TEST_F(MvccTest, ReaderWriterStormNeverTearsAndNeverWaits) {
 // worker) is alive in this process, or a ThreadSanitizer build kills the
 // child for starting threads after a multi-threaded fork.
 TEST(MvccCrashTest, CrashDriveWithSnapshotReadersLeavesNoResidue) {
-  char dir_template[] = "/tmp/prima_mvcc_crash_XXXXXX";
-  ASSERT_NE(::mkdtemp(dir_template), nullptr);
-  const std::string dir = dir_template;
+  const TempDir temp("prima_mvcc_crash_");
+  ASSERT_FALSE(temp.path().empty());
+  const std::string& dir = temp.path();
   int ready_pipe[2];
   ASSERT_EQ(::pipe(ready_pipe), 0);
 

@@ -32,6 +32,7 @@
 #include "net/server.h"
 #include "util/coding.h"
 #include "util/crc32.h"
+#include "temp_dir.h"
 
 namespace prima::net {
 namespace {
@@ -1187,9 +1188,9 @@ TEST(NetServerTest, KilledServerLosesNoAcknowledgedCommits) {
   // connections, records every acknowledged statement, and SIGKILLs the
   // child mid-storm. After restart recovery, every acknowledged insert
   // must be present: an ack means the commit record was forced to the log.
-  char dir_template[] = "/tmp/prima_net_crash_XXXXXX";
-  ASSERT_NE(::mkdtemp(dir_template), nullptr);
-  const std::string dir = dir_template;
+  const TempDir temp("prima_net_crash_");
+  ASSERT_FALSE(temp.path().empty());
+  const std::string& dir = temp.path();
   const std::string port_file = dir + "/port";
 
   const pid_t pid = ::fork();
@@ -1296,9 +1297,9 @@ TEST(NetServerTest, ShutdownRollsBackOpenRemoteTransactions) {
   // A clean Stop() (not a crash) drains connections: an open remote
   // transaction rolls back through its session destructor, logged, so the
   // reopened database has the committed rows and nothing else.
-  char dir_template[] = "/tmp/prima_net_drain_XXXXXX";
-  ASSERT_NE(::mkdtemp(dir_template), nullptr);
-  const std::string dir = dir_template;
+  const TempDir temp("prima_net_drain_");
+  ASSERT_FALSE(temp.path().empty());
+  const std::string& dir = temp.path();
   {
     PrimaOptions options;
     options.in_memory = false;

@@ -1,13 +1,14 @@
 // Kernel telemetry tests: histogram bucket math and percentile accuracy,
-// the 8-thread merge storm, registry rendering, EXPLAIN ANALYZE span trees
-// (golden phase sets), slow-query ring capture and
-// eviction, statement sampling, the one-counter-source contract (every
+// the 8-thread merge storm, registry rendering, the phase table and
+// EXPLAIN ANALYZE reports (golden phase sets), slow-query ring capture and
+// eviction, the one-counter-source contract (every
 // counter of every layer's table is on the metrics page exactly once, with
 // its stats() value), and the concurrent storms the TSan CI job runs
 // against the lock-free stats paths.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <map>
@@ -153,45 +154,8 @@ TEST(MetricsRegistryTest, HistogramRegistrationDedupsByName) {
 // Trace plumbing
 // ---------------------------------------------------------------------------
 
-TEST(TraceTest, PhaseTreeAndKernelCounterFolding) {
-  StatementTrace trace;
-  trace.AddPhaseNs("parse", 1500);
-  trace.AddPhaseNs("execute", "assembly", 2500);
-  trace.buffer_hits.fetch_add(3);
-  trace.buffer_misses.fetch_add(1);
-  trace.buffer_miss_ns.fetch_add(5000);
-  trace.Finish();
-
-  const std::vector<std::string> names = trace.PhaseNames();
-  const std::set<std::string> set(names.begin(), names.end());
-  EXPECT_TRUE(set.count("parse"));
-  EXPECT_TRUE(set.count("execute/assembly"));
-  EXPECT_TRUE(set.count("buffer"));
-
-  const std::string text = trace.Render("test");
-  EXPECT_NE(text.find("[hits=3]"), std::string::npos);
-  EXPECT_NE(text.find("[misses=1]"), std::string::npos);
-}
-
-TEST(SlowQueryLogTest, CapturesAndEvictsOldestFirst) {
-  SlowQueryLog log(/*capacity=*/2);
-  log.Record("s1", 100, "t1");
-  log.Record("s2", 200, "t2");
-  log.Record("s3", 300, "t3");
-  EXPECT_EQ(log.captured(), 3u);
-  const std::vector<SlowStatement> snap = log.Snapshot();
-  ASSERT_EQ(snap.size(), 2u);
-  EXPECT_EQ(snap[0].text, "s2");
-  EXPECT_EQ(snap[1].text, "s3");
-  EXPECT_LT(snap[0].sequence, snap[1].sequence);
-}
-
-// ---------------------------------------------------------------------------
-// EXPLAIN ANALYZE through the kernel
-// ---------------------------------------------------------------------------
-
-/// Phase paths ("execute/assembly") parsed back out of a rendered span
-/// tree: line 1 is the header, line 2 the total, then one phase per line,
+/// Phase paths ("execute/assembly") parsed back out of a rendered phase
+/// table: line 1 is the header, line 2 the total, then one phase per line,
 /// indented two spaces per depth.
 std::vector<std::string> PhasePaths(const std::string& rendered) {
   std::vector<std::string> paths;
@@ -217,6 +181,95 @@ std::vector<std::string> PhasePaths(const std::string& rendered) {
   }
   return paths;
 }
+
+TEST(TraceTest, EveryPhaseRendersUnderItsPathInTableOrder) {
+  // Record into every phase, in the reverse of the table's order: the
+  // report follows the table, not the order of first use.
+  StatementTrace trace;
+  trace.Add(Phase::kCommit, 9000);
+  trace.Tally(Phase::kCommit, 0);
+  trace.Add(Phase::kBuffer, 5000);
+  trace.Tally(Phase::kBuffer, 1);
+  for (int i = 0; i < 3; ++i) {
+    trace.Add(Phase::kBuffer, 0);
+    trace.Tally(Phase::kBuffer, 0);
+  }
+  trace.Add(Phase::kVersionChain, 700);
+  trace.Add(Phase::kProject, 600);
+  trace.Add(Phase::kAssembly, 2500);
+  trace.Tally(Phase::kAssembly, 0);
+  trace.Add(Phase::kRoots, 400);
+  trace.Tally(Phase::kRoots, 0);
+  trace.Add(Phase::kPlan, 300);
+  trace.Tally(Phase::kPlan, 1);
+  trace.Add(Phase::kParse, 1500);
+  trace.Finish();
+
+  EXPECT_EQ(trace.PhaseNames(),
+            (std::vector<std::string>{
+                "parse", "plan", "execute", "execute/roots",
+                "execute/assembly", "execute/project",
+                "execute/version_chain", "buffer", "commit"}));
+  const std::string text = trace.Render("test");
+  EXPECT_EQ(PhasePaths(text), trace.PhaseNames()) << text;
+  // Each phase's tallies sit on its own line.
+  const auto line_of = [&text](const std::string& name) {
+    std::istringstream in(text);
+    std::string line;
+    while (std::getline(in, line)) {
+      std::istringstream fields(line);
+      std::string first;
+      if ((fields >> first) && first == name) return line;
+    }
+    return std::string();
+  };
+  EXPECT_NE(line_of("plan").find("[cache_miss=1]"), std::string::npos);
+  // Plan's tallies are alternatives: the one that did not happen is left out.
+  EXPECT_EQ(line_of("plan").find("cache_hit"), std::string::npos);
+  EXPECT_NE(line_of("roots").find("[roots=1]"), std::string::npos);
+  EXPECT_NE(line_of("assembly").find("[molecules=1]"), std::string::npos);
+  // Kernel tallies split or bound their phase's episodes, so zeros print.
+  EXPECT_NE(line_of("version_chain").find("[resolved=0]"), std::string::npos);
+  const std::string buffer = line_of("buffer");
+  EXPECT_NE(buffer.find("x4  [hits=3]  [misses=1]"), std::string::npos)
+      << buffer;
+  EXPECT_NE(buffer.find(" 5 us"), std::string::npos) << buffer;
+  EXPECT_NE(line_of("commit").find("[force_waits=1]"), std::string::npos);
+  // The execute parent ran nothing itself: it prints for its children.
+  EXPECT_EQ(line_of("execute").find("["), std::string::npos);
+
+  // Untouched phases are absent; a child pulls in its parent.
+  StatementTrace chain_only;
+  chain_only.Add(Phase::kVersionChain, 100);
+  chain_only.Finish();
+  EXPECT_EQ(chain_only.PhaseNames(),
+            (std::vector<std::string>{"execute", "execute/version_chain"}));
+  StatementTrace hit_only;
+  hit_only.Tally(Phase::kPlan, 0);
+  hit_only.Finish();
+  EXPECT_EQ(hit_only.PhaseNames(), (std::vector<std::string>{"plan"}));
+  EXPECT_NE(hit_only.Render("t").find("[cache_hit=1]"), std::string::npos);
+  StatementTrace empty;
+  empty.Finish();
+  EXPECT_TRUE(empty.PhaseNames().empty());
+}
+
+TEST(SlowQueryLogTest, CapturesAndEvictsOldestFirst) {
+  SlowQueryLog log(/*capacity=*/2);
+  log.Record("s1", 100, "t1");
+  log.Record("s2", 200, "t2");
+  log.Record("s3", 300, "t3");
+  EXPECT_EQ(log.captured(), 3u);
+  const std::vector<SlowStatement> snap = log.Snapshot();
+  ASSERT_EQ(snap.size(), 2u);
+  EXPECT_EQ(snap[0].text, "s2");
+  EXPECT_EQ(snap[1].text, "s3");
+  EXPECT_LT(snap[0].sequence, snap[1].sequence);
+}
+
+// ---------------------------------------------------------------------------
+// EXPLAIN ANALYZE through the kernel
+// ---------------------------------------------------------------------------
 
 /// Microsecond reading of one top-level or nested phase line.
 uint64_t PhaseUs(const std::string& rendered, const std::string& phase) {
@@ -343,43 +396,43 @@ TEST(ExplainAnalyzeTest, NeverCachedAndRefusedWhereItCannotTrace) {
 // Production tracing knobs
 // ---------------------------------------------------------------------------
 
-TEST(TelemetryTest, SlowQueryRingCapturesAndEvicts) {
+TEST(TelemetryTest, SlowQueryRingCapturesTracedStatements) {
   PrimaOptions options;
   options.slow_statement_us = 1;  // everything is "slow"
-  options.slow_log_capacity = 2;
   auto db = OpenDb(options);
   ASSERT_NE(db, nullptr);
+  EXPECT_EQ(db->telemetry()->slow_log().capacity(), 64u);
   auto session = db->OpenSession();
   LoadItems(session.get(), 10);
 
-  auto s1 = session->Execute("SELECT ALL FROM item WHERE num = 1");
-  auto s2 = session->Execute("SELECT ALL FROM item WHERE num = 2");
-  auto s3 = session->Execute("SELECT ALL FROM item WHERE num = 3");
-  ASSERT_TRUE(s1.ok() && s2.ok() && s3.ok());
-
-  const auto slow = db->slow_statements();
-  ASSERT_EQ(slow.size(), 2u);  // capacity bound held, oldest evicted
-  EXPECT_EQ(slow[1].text, "SELECT ALL FROM item WHERE num = 3");
-  EXPECT_NE(slow[1].trace.find("parse"), std::string::npos);
-  EXPECT_GE(db->stats().slow_statements, 3u);
-  // Arming the slow-query knob traces every statement.
-  EXPECT_GT(db->stats().traced_statements, 0u);
-}
-
-TEST(TelemetryTest, SamplingTracesEveryNthStatement) {
-  PrimaOptions options;
-  options.trace_sample_n = 2;
-  auto db = OpenDb(options);
-  ASSERT_NE(db, nullptr);
-  auto session = db->OpenSession();
-  LoadItems(session.get(), 4);
-  const uint64_t traced = db->stats().traced_statements;
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(session->Execute("SELECT ALL FROM item WHERE num = 1").ok());
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(session->Execute("SELECT ALL FROM item WHERE num = 3").ok());
   }
-  const uint64_t delta = db->stats().traced_statements - traced;
-  EXPECT_GE(delta, 4u);
-  EXPECT_LE(delta, 6u);
+
+  std::vector<SlowStatement> selects;
+  for (SlowStatement& s : db->slow_statements()) {
+    if (s.text == "SELECT ALL FROM item WHERE num = 3") {
+      selects.push_back(std::move(s));
+    }
+  }
+  ASSERT_EQ(selects.size(), 2u);
+  const SlowStatement& first = selects[0];
+  const SlowStatement& cached = selects[1];
+  EXPECT_NE(first.trace.find("parse"), std::string::npos) << first.trace;
+  EXPECT_NE(first.trace.find("[cache_miss=1]"), std::string::npos);
+  // The second run is a statement-cache hit: no parse, and the plan line
+  // shows the hit.
+  const std::vector<std::string> paths = PhasePaths(cached.trace);
+  EXPECT_EQ(std::count(paths.begin(), paths.end(), "parse"), 0)
+      << cached.trace;
+  ASSERT_FALSE(paths.empty());
+  EXPECT_EQ(paths.front(), "plan") << cached.trace;
+  EXPECT_NE(cached.trace.find("[cache_hit=1]"), std::string::npos)
+      << cached.trace;
+  EXPECT_GE(db->stats().slow_statements, 2u);
+  // Arming the slow-query knob traces every statement: the DDL, ten
+  // INSERTs and the two SELECTs.
+  EXPECT_GE(db->stats().traced_statements, 13u);
 }
 
 TEST(TelemetryTest, StatsSnapshotIsCoherentAcrossLayers) {
@@ -544,7 +597,7 @@ TEST(ObsTest, EveryCounterIsOnThePageOnceWithItsStatsValue) {
 
 TEST(ObsTest, ConcurrentCursorsVersusSnapshots) {
   PrimaOptions options;
-  options.trace_sample_n = 1;  // every statement carries a trace
+  options.slow_statement_us = 1;  // every statement carries a trace
   auto db = OpenDb(options);
   ASSERT_NE(db, nullptr);
   {

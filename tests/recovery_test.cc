@@ -8,7 +8,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <map>
@@ -34,6 +33,7 @@
 #include "util/crc32.h"
 #include "util/random.h"
 #include "workloads/brep.h"
+#include "temp_dir.h"
 
 namespace prima::recovery {
 namespace {
@@ -1855,9 +1855,9 @@ TEST_F(CrashRecoveryTest, MediaRecoveryCrossProcessDrive) {
   // keeps committing until the ring wraps past it, and _exit()s without
   // any shutdown. The parent then destroys the data device and rebuilds
   // from backup + archive + live WAL.
-  char dir_template[] = "/tmp/prima_media_recovery_XXXXXX";
-  ASSERT_NE(::mkdtemp(dir_template), nullptr);
-  const std::string dir = dir_template;
+  const TempDir temp("prima_media_recovery_");
+  ASSERT_FALSE(temp.path().empty());
+  const std::string& dir = temp.path();
   static constexpr uint64_t kWalCap = 256u << 10;
 
   const pid_t pid = ::fork();
@@ -1958,9 +1958,6 @@ TEST_F(CrashRecoveryTest, MediaRecoveryCrossProcessDrive) {
   auto set = db->Query("SELECT ALL FROM item");
   ASSERT_TRUE(set.ok());
   EXPECT_EQ(set->size(), static_cast<size_t>(committed));
-
-  db.reset();
-  std::filesystem::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------------

@@ -148,6 +148,39 @@ TEST_F(SessionTest, FacadeRefusesTransactionControl) {
   EXPECT_EQ(db_->transactions().LockedAtomCount(), 0u);
 }
 
+// Every transaction repeats its BEGIN and COMMIT, so transaction control is
+// compiled once per text and then served from the statement cache.
+TEST_F(SessionTest, TransactionControlIsCompiledOncePerText) {
+  mql::StatementCache& cache = db_->data().statement_cache();
+  const uint64_t misses = cache.misses();
+  const uint64_t hits = cache.hits();
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(session_->Execute("BEGIN WORK").ok());
+    ASSERT_TRUE(session_->Execute("COMMIT WORK").ok());
+  }
+  EXPECT_EQ(cache.misses(), misses + 2) << "one miss per text";
+  EXPECT_EQ(cache.hits(), hits + 18);
+
+  // READ ONLY is its own text, so its own entry: the cached plain BEGIN
+  // does not make it writable, nor does it make plain BEGIN read-only.
+  const size_t entries = cache.size();
+  ASSERT_TRUE(session_->Execute("BEGIN WORK READ ONLY").ok());
+  EXPECT_EQ(cache.size(), entries + 1);
+  EXPECT_TRUE(InsertPart(session_.get(), 1, "ro", 1.0).IsInvalidArgument());
+  ASSERT_TRUE(session_->Execute("COMMIT WORK").ok());
+  ASSERT_TRUE(session_->Execute("BEGIN WORK").ok());
+  ASSERT_TRUE(InsertPart(session_.get(), 2, "rw", 1.0).ok());
+  ASSERT_TRUE(session_->Execute("ABORT WORK").ok());
+  ASSERT_TRUE(session_->Execute("BEGIN WORK").ok());
+  ASSERT_TRUE(session_->Execute("ABORT WORK").ok());
+  EXPECT_EQ(CountParts(session_.get()), 0u);
+
+  // A cached compile changes no refusal.
+  EXPECT_FALSE(session_->Execute("EXPLAIN ANALYZE BEGIN WORK").ok());
+  EXPECT_TRUE(db_->Execute("BEGIN WORK").status().IsInvalidArgument());
+  EXPECT_TRUE(db_->Execute("COMMIT WORK").status().IsInvalidArgument());
+}
+
 // Each facade call runs in a session of its own, so threads share nothing
 // but the database: four threads mix auto-commit DML, queries, and one DML
 // statement each that fails after it wrote, whose rollback invalidates the
