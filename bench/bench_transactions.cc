@@ -5,9 +5,9 @@
 // (locking + undo logging); (2) aborting a subtransaction compensates only
 // its own subtree ("selective in-transaction recovery"); (3) lock
 // inheritance lets children reuse ancestor locks without conflicts;
-// (4) group commit lets concurrent committers share one log force — with
-// the delay window, commits-per-force grows with the committer count and
-// commit throughput beats the synchronous one-fsync-per-commit baseline;
+// (4) group commit lets concurrent committers share one log force —
+// commits-per-force grows with the committer count and commit throughput
+// beats the synchronous one-fsync-per-commit baseline;
 // (5) with wal_max_bytes set, a checkpointed workload keeps the WAL file
 // size bounded (circular log truncation).
 
@@ -77,12 +77,10 @@ struct GroupCommitRun {
   double commits_per_force = 0;
 };
 
-GroupCommitRun RunCommitters(int threads, uint64_t delay_us,
-                             int commits_per_thread) {
+GroupCommitRun RunCommitters(int threads, int commits_per_thread) {
   auto device = std::make_shared<LatentSyncDevice>(kSimulatedFsyncUs);
   core::PrimaOptions options;
   options.device = device;
-  options.commit_delay_us = delay_us;
   auto db = RequireR(core::Prima::Open(std::move(options)), "open");
   Require(db->Execute("CREATE ATOM_TYPE part"
                       " ( part_id : IDENTIFIER,"
@@ -108,8 +106,8 @@ GroupCommitRun RunCommitters(int threads, uint64_t delay_us,
   std::atomic<int> failed{0};
   for (int t = 0; t < threads; ++t) {
     // Each committer updates its own atom: no lock conflicts, the only
-    // shared resource is the log — exactly the commit-bound workload the
-    // delay window targets.
+    // shared resource is the log — exactly the commit-bound workload group
+    // commit targets.
     committers.emplace_back([&, t] {
       for (int i = 0; i < commits_per_thread; ++i) {
         auto txn = RequireR(db->Begin(), "begin");
@@ -142,7 +140,7 @@ GroupCommitRun RunCommitters(int threads, uint64_t delay_us,
 
 void ReportGroupCommit() {
   PrintHeader(
-      "WAL group commit — delay window + shared forces",
+      "WAL group commit — shared forces",
       "Claims: with concurrent committers one device write + fsync covers "
       "many commits (records-per-force > 1); commit throughput beats the "
       "synchronous one-fsync-per-commit baseline; a bounded WAL stays "
@@ -150,21 +148,16 @@ void ReportGroupCommit() {
   std::printf("simulated fsync latency: %d us\n\n", kSimulatedFsyncUs);
 
   constexpr int kCommits = 40;
-  const GroupCommitRun solo = RunCommitters(1, 0, kCommits);
-  const GroupCommitRun crowd = RunCommitters(8, 0, kCommits);
-  const GroupCommitRun window = RunCommitters(8, 2 * kSimulatedFsyncUs, kCommits);
+  const GroupCommitRun solo = RunCommitters(1, kCommits);
+  const GroupCommitRun crowd = RunCommitters(8, kCommits);
   std::printf("  %-34s %10.0f commits/s  %6.1f records/force  %5.2f commits/force\n",
               "1 committer (sync baseline):", solo.commits_per_sec,
               solo.records_per_force, solo.commits_per_force);
   std::printf("  %-34s %10.0f commits/s  %6.1f records/force  %5.2f commits/force\n",
-              "8 committers, no delay window:", crowd.commits_per_sec,
+              "8 committers:", crowd.commits_per_sec,
               crowd.records_per_force, crowd.commits_per_force);
-  std::printf("  %-34s %10.0f commits/s  %6.1f records/force  %5.2f commits/force\n",
-              "8 committers, 400us delay window:", window.commits_per_sec,
-              window.records_per_force, window.commits_per_force);
-  std::printf("  speedup over sync baseline: %.2fx (no window), %.2fx (window)\n",
-              crowd.commits_per_sec / solo.commits_per_sec,
-              window.commits_per_sec / solo.commits_per_sec);
+  std::printf("  speedup over sync baseline: %.2fx\n",
+              crowd.commits_per_sec / solo.commits_per_sec);
 
   // Bounded WAL: sustained checkpointed workload on a circular log.
   constexpr uint64_t kCap = 256u << 10;

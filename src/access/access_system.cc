@@ -128,9 +128,7 @@ Status AccessSystem::RecoverStructureRoot(uint32_t structure_id,
   return Status::Ok();
 }
 
-AccessSystem::~AccessSystem() {
-  if (flush_on_close_) (void)Flush();
-}
+AccessSystem::~AccessSystem() = default;
 
 // ---------------------------------------------------------------------------
 // Open / Flush / persistence

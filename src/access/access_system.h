@@ -109,6 +109,8 @@ struct WriteTxn {
 class AccessSystem {
  public:
   AccessSystem(storage::StorageSystem* storage, AccessOptions options = {});
+  /// Writes nothing: metadata and pages not written by Flush() (or a
+  /// checkpoint) are dropped.
   ~AccessSystem();
 
   /// Attach to existing on-device state (catalog + address table), or
@@ -298,16 +300,6 @@ class AccessSystem {
   /// place instead of inserting an orphan duplicate.
   util::Status ReattachPartitionCopies(const AtomTypeDef& def, const Tid& tid);
 
-  /// Disable the destructor's best-effort Flush(). With a WAL attached the
-  /// owner (Prima) checkpoints explicitly before teardown; a destructor
-  /// flush would then rewrite the metadata blobs UNLOGGED after the
-  /// checkpoint's master record committed — page-LSNs get wiped and the
-  /// component pages reshuffle, so the next restart's redo (which replays
-  /// the checkpoint window over the device state) reassembles a corrupt
-  /// blob. Standalone (no-WAL) use keeps the destructor flush: it is the
-  /// only durability point there.
-  void set_flush_on_close(bool v) { flush_on_close_ = v; }
-
   // --- deferred update (paper §3.2) ------------------------------------------
 
   /// Apply every pending propagation for one structure (scans call this on
@@ -446,7 +438,6 @@ class AccessSystem {
   std::deque<Pending> pending_;
 
   recovery::WalWriter* wal_ = nullptr;
-  bool flush_on_close_ = true;
 
   // Serializes multi-structure mutations (atom writes). Reads are lock-free
   // at this level (page latches + structure mutexes below).

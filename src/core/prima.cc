@@ -86,63 +86,43 @@ Result<std::unique_ptr<Prima>> Prima::Open(PrimaOptions options) {
   // start point) takes AnalyzeAndRedo's slot below.
   uint64_t media_start_lsn = 0;
   if (options.restore_from_backup) {
-    if (!options.wal) {
-      return Status::InvalidArgument(
-          "media recovery replays the log - it requires options.wal");
-    }
     PRIMA_ASSIGN_OR_RETURN(
         const recovery::BackupInfo restored,
         recovery::BackupManager::Restore(&db->storage_->device()));
     media_start_lsn = restored.start_lsn;
   }
   PRIMA_RETURN_IF_ERROR(db->storage_->Open());
-  if (!options.wal) {
-    // Open() tolerates zero-headered segment files only because WAL replay
-    // can reinstate (or disprove) them; with no log there is no verdict.
-    const auto torn = db->storage_->CrashTornSegments();
-    if (!torn.empty()) {
-      return Status::Corruption("segment " + std::to_string(torn.front()) +
-                                ": zeroed header and no log to replay it");
-    }
-  }
 
-  if (options.wal) {
-    // Restart protocol: repeat history on pages before the access layer
-    // reads its metadata blobs from them, then roll losers back through it.
-    recovery::WalOptions wal_options;
-    wal_options.commit_delay_us = options.commit_delay_us;
-    wal_options.max_bytes = options.wal_max_bytes;
-    wal_options.archive = options.wal_archive;
-    db->wal_ = std::make_unique<recovery::WalWriter>(&db->storage_->device(),
-                                                     wal_options);
-    PRIMA_RETURN_IF_ERROR(db->wal_->Open());
-    db->recovery_ = std::make_unique<recovery::RecoveryManager>(
-        db->storage_.get(), db->wal_.get(), options.recovery_threads);
-    if (options.restore_from_backup) {
-      PRIMA_RETURN_IF_ERROR(db->recovery_->MediaRecover(media_start_lsn));
-    } else {
-      PRIMA_RETURN_IF_ERROR(db->recovery_->AnalyzeAndRedo());
-    }
-    db->storage_->SetWal(db->wal_.get());
-    db->wal_->SetForceWaitHistogram(db->telemetry_->commit_force_us());
+  // Restart protocol: repeat history on pages before the access layer
+  // reads its metadata blobs from them, then roll losers back through it.
+  recovery::WalOptions wal_options;
+  wal_options.max_bytes = options.wal_max_bytes;
+  wal_options.archive = options.wal_archive;
+  db->wal_ = std::make_unique<recovery::WalWriter>(&db->storage_->device(),
+                                                   wal_options);
+  PRIMA_RETURN_IF_ERROR(db->wal_->Open());
+  db->recovery_ = std::make_unique<recovery::RecoveryManager>(
+      db->storage_.get(), db->wal_.get(), options.recovery_threads);
+  if (options.restore_from_backup) {
+    PRIMA_RETURN_IF_ERROR(db->recovery_->MediaRecover(media_start_lsn));
+  } else {
+    PRIMA_RETURN_IF_ERROR(db->recovery_->AnalyzeAndRedo());
   }
+  db->storage_->SetWal(db->wal_.get());
+  db->wal_->SetForceWaitHistogram(db->telemetry_->commit_force_us());
 
   db->access_ =
       std::make_unique<access::AccessSystem>(db->storage_.get(), options.access);
-  if (db->wal_ != nullptr) db->access_->SetWal(db->wal_.get());
+  db->access_->SetWal(db->wal_.get());
   PRIMA_RETURN_IF_ERROR(db->access_->Open());
-  if (db->recovery_ != nullptr) {
-    PRIMA_RETURN_IF_ERROR(db->recovery_->UndoAndFixup(db->access_.get()));
-  }
+  PRIMA_RETURN_IF_ERROR(db->recovery_->UndoAndFixup(db->access_.get()));
 
   db->data_ = std::make_unique<mql::DataSystem>(db->access_.get());
   db->data_->set_telemetry(db->telemetry_.get());
   db->ldl_ = std::make_unique<ldl::LoadDefinition>(db->access_.get());
-  db->txns_ = std::make_unique<TransactionManager>(db->access_.get());
-  if (db->wal_ != nullptr) {
-    db->txns_->SetWal(db->wal_.get());
-    db->txns_->SeedNextId(db->recovery_->next_txn_id());
-  }
+  db->txns_ = std::make_unique<TransactionManager>(db->access_.get(),
+                                                   db->wal_.get());
+  db->txns_->SeedNextId(db->recovery_->next_txn_id());
   size_t workers = options.parallel_workers;
   if (workers == 0) {
     workers = util::ThreadPool::DefaultThreads();
@@ -151,7 +131,7 @@ Result<std::unique_ptr<Prima>> Prima::Open(PrimaOptions options) {
   db->object_buffer_ =
       std::make_unique<ObjectBuffer>(db->data_.get(), db->txns_.get());
 
-  if (db->recovery_ != nullptr && db->recovery_->recovered()) {
+  if (db->recovery_->recovered()) {
     // Make the recovered state durable and shorten the next restart.
     PRIMA_RETURN_IF_ERROR(db->recovery_->Checkpoint(db->access_.get()));
   }
@@ -160,7 +140,7 @@ Result<std::unique_ptr<Prima>> Prima::Open(PrimaOptions options) {
   // The checkpoint daemon starts LAST: it checkpoints through the fully
   // assembled stack, and a half-open database must never checkpoint (see
   // fully_open_).
-  if (db->wal_ != nullptr && db->wal_->capacity_bytes() > 0 &&
+  if (db->wal_->capacity_bytes() > 0 &&
       options.checkpoint_ring_fraction > 0.0) {
     recovery::CheckpointDaemon::Options daemon_options;
     daemon_options.ring_fraction = options.checkpoint_ring_fraction;
@@ -198,42 +178,21 @@ Prima::~Prima() {
   // Shutdown ordering with a live daemon thread: stop it BEFORE the exit
   // checkpoint and before any member starts destructing — a daemon
   // checkpoint racing the teardown would walk freed subsystems. As
-  // everywhere in ~Prima (WAL detach, member teardown), application
-  // threads must have finished their transactions before destruction; a
-  // committer already waiting inside RequestCheckpoint is woken by Stop()
-  // and fails with Aborted, but destruction concurrent with NEW commits
-  // is outside the contract.
+  // everywhere in ~Prima, application threads must have finished their
+  // transactions before destruction; a committer already waiting inside
+  // RequestCheckpoint is woken by Stop() and fails with Aborted, but
+  // destruction concurrent with NEW commits is outside the contract.
   if (daemon_ != nullptr) {
     if (txns_ != nullptr) txns_->SetCheckpointDaemon(nullptr);
     daemon_->Stop();
   }
-  if (access_ != nullptr && fully_open_) {
-    if (recovery_ != nullptr) {
-      (void)recovery_->Checkpoint(access_.get());
-    } else {
-      (void)access_->Flush();
-    }
-  }
-  if (wal_ != nullptr) {
-    // With a WAL the checkpoint above is the ONLY legitimate shutdown
-    // flush. The members' destructor flushes must be suppressed, not just
-    // detached from the log: an unlogged PersistMetadata would rewrite the
-    // metadata blobs (reshuffling their component pages and wiping
-    // page-LSNs) AFTER the checkpoint's master record committed, so the
-    // next restart's redo — replaying the checkpoint window over those
-    // pages — would reassemble a corrupt blob and silently lose the
-    // database. (Found by a crash-recover-reopen drive; needs a multi-page
-    // blob, i.e. a few hundred atoms.) If the checkpoint failed, skipping
-    // the flushes is equally right: commits are durable in the log, and
-    // restart recovery replays them onto the last consistent state.
-    if (access_ != nullptr) access_->set_flush_on_close(false);
-    if (storage_ != nullptr) storage_->set_flush_on_close(false);
-  }
-  // Detach the WAL before members destruct (a stray flush must not reach a
-  // dead log).
-  if (storage_ != nullptr) storage_->SetWal(nullptr);
-  if (access_ != nullptr) access_->SetWal(nullptr);
-  if (txns_ != nullptr) txns_->SetWal(nullptr);
+  // The exit checkpoint is the only shutdown write: the members'
+  // destructors write nothing, so none of them touches the log (or the
+  // device) while tearing down. An unlogged write after the checkpoint's
+  // master record committed would break the next restart's redo basis. If
+  // the checkpoint fails, commits are durable in the log and restart
+  // recovery replays them onto the last consistent state.
+  if (fully_open_) (void)recovery_->Checkpoint(access_.get());
 }
 
 Result<mql::ExecResult> Prima::Execute(const std::string& mql) {
@@ -270,16 +229,9 @@ Result<std::string> Prima::ExecuteLdl(const std::string& ldl) {
   return ldl_->Execute(ldl);
 }
 
-Status Prima::Flush() {
-  if (recovery_ != nullptr) return recovery_->Checkpoint(access_.get());
-  return access_->Flush();
-}
+Status Prima::Flush() { return recovery_->Checkpoint(access_.get()); }
 
 Result<recovery::BackupInfo> Prima::Backup() {
-  if (wal_ == nullptr) {
-    return Status::InvalidArgument(
-        "a restorable backup needs the log - open with options.wal");
-  }
   if (wal_->capacity_bytes() > 0 && wal_->archiver() == nullptr) {
     // Refuse now rather than at disaster time: the very next truncation of
     // a circular log would recycle blocks the dump's replay depends on,
@@ -304,9 +256,7 @@ void Prima::RegisterKernelMetrics() {
                        access::kVersionStoreCounters);
   reg.RegisterCounters(data_->stats(), mql::kDataCounters);
   reg.RegisterCounters(txns_->stats(), kTransactionCounters);
-  if (wal_ != nullptr) {
-    reg.RegisterCounters(wal_->stats(), recovery::kWalCounters);
-  }
+  reg.RegisterCounters(wal_->stats(), recovery::kWalCounters);
   if (net_ != nullptr) reg.RegisterCounters(net_->stats(), net::kNetCounters);
 
   // Gauges: values the code computes rather than counts.
@@ -328,23 +278,21 @@ void Prima::RegisterKernelMetrics() {
   reg.RegisterGauge("prima_stmt_cache_misses",
                     [this] { return data_->statement_cache().misses(); },
                     "shared statement-cache misses");
-  if (wal_ != nullptr) {
-    // The wedged-ring view: active_txns > 0 with a far-behind
-    // oldest_active_lsn while live_bytes approaches capacity_bytes is a
-    // long-running transaction pinning the undo floor.
-    reg.RegisterGauge("prima_wal_live_bytes",
-                      [this] { return wal_->StatsSnapshot().live_bytes; },
-                      "log bytes between the truncation floor and the append point");
-    reg.RegisterGauge("prima_wal_capacity_bytes",
-                      [this] { return wal_->StatsSnapshot().capacity_bytes; },
-                      "log ring capacity (0 = unbounded)");
-    reg.RegisterGauge("prima_wal_active_txns",
-                      [this] { return wal_->StatsSnapshot().active_txns; },
-                      "transactions with a begin but no end in the log");
-    reg.RegisterGauge("prima_wal_oldest_active_lsn",
-                      [this] { return wal_->StatsSnapshot().oldest_active_lsn; },
-                      "begin LSN of the oldest active transaction");
-  }
+  // The wedged-ring view: active_txns > 0 with a far-behind
+  // oldest_active_lsn while live_bytes approaches capacity_bytes is a
+  // long-running transaction pinning the undo floor.
+  reg.RegisterGauge("prima_wal_live_bytes",
+                    [this] { return wal_->StatsSnapshot().live_bytes; },
+                    "log bytes between the truncation floor and the append point");
+  reg.RegisterGauge("prima_wal_capacity_bytes",
+                    [this] { return wal_->StatsSnapshot().capacity_bytes; },
+                    "log ring capacity (0 = unbounded)");
+  reg.RegisterGauge("prima_wal_active_txns",
+                    [this] { return wal_->StatsSnapshot().active_txns; },
+                    "transactions with a begin but no end in the log");
+  reg.RegisterGauge("prima_wal_oldest_active_lsn",
+                    [this] { return wal_->StatsSnapshot().oldest_active_lsn; },
+                    "begin LSN of the oldest active transaction");
   if (net_ != nullptr) {
     reg.RegisterGauge("prima_net_connections_active",
                       [this] { return net_->connections_active(); },
@@ -368,14 +316,11 @@ PrimaStatsSnapshot Prima::stats() const {
 }
 
 recovery::WalStatsSnapshot Prima::wal_stats() const {
-  if (wal_ == nullptr) return recovery::WalStatsSnapshot{};
   recovery::WalStatsSnapshot s = wal_->StatsSnapshot();
-  if (recovery_ != nullptr) {
-    // The redo shape of this database's last restart/media recovery — the
-    // log only stores history, the recovery manager replays it.
-    s.redo_records_applied = recovery_->stats().redo_applied;
-    s.redo_apply_threads = recovery_->stats().redo_threads;
-  }
+  // The redo shape of this database's last restart/media recovery — the
+  // log only stores history, the recovery manager replays it.
+  s.redo_records_applied = recovery_->stats().redo_applied;
+  s.redo_apply_threads = recovery_->stats().redo_threads;
   return s;
 }
 

@@ -26,8 +26,8 @@ namespace prima::core {
 /// stats struct copied (a relaxed load per counter), plus the gauges that
 /// layer computes. Every counter here is also on MetricsText() and the
 /// wire's stats reply, under the name its layer's counter table gives it;
-/// a layer that is not running (no WAL, no server) reads as zeros here and
-/// is absent there.
+/// a layer that is not running (no server) reads as zeros here and is
+/// absent there.
 struct PrimaStatsSnapshot {
   /// Buffer pool totals plus per-shard hit/miss/eviction breakdowns.
   storage::BufferStatsSnapshot buffer;
@@ -36,7 +36,7 @@ struct PrimaStatsSnapshot {
   mql::DataStats data;
   /// Atom-level operation counters of the access system.
   access::AccessStats access;
-  /// Log counters + footprint; all zero when the database runs without WAL.
+  /// Log counters + footprint, plus the last restart's redo shape.
   recovery::WalStatsSnapshot wal;
   /// Version-store health (MVCC snapshot reads): chains installed/retired,
   /// chain-walk resolution counters and depth histogram, live snapshot
@@ -67,17 +67,6 @@ struct PrimaOptions {
   /// lifetime.
   std::shared_ptr<storage::BlockDevice> device;
 
-  /// Write-ahead logging with restart recovery (on by default). When off
-  /// the system behaves like the pre-WAL kernel: durability only at Flush.
-  bool wal = true;
-
-  /// Group-commit delay window: a top-level Commit() waits up to this long
-  /// for concurrent committers to append their commit records, so one log
-  /// force (device write + fsync) covers the whole group. 0 = force
-  /// immediately (solo commits pay no extra latency; concurrent committers
-  /// still share forces naturally while one is in flight).
-  uint64_t commit_delay_us = 0;
-
   /// Cap on the WAL file size (0 = unbounded, the log only grows). With a
   /// cap the log becomes circular: each checkpoint (Flush()) retires the
   /// blocks below its undo floor and appends wrap onto them. The ring
@@ -89,8 +78,8 @@ struct PrimaOptions {
   /// fail with NoSpace until the next Flush() truncates.
   uint64_t wal_max_bytes = 0;
 
-  /// Background checkpoint daemon (active when wal && wal_max_bytes > 0
-  /// && checkpoint_ring_fraction > 0): a daemon thread owned by the
+  /// Background checkpoint daemon (active when wal_max_bytes > 0 &&
+  /// checkpoint_ring_fraction > 0): a daemon thread owned by the
   /// database watches the live log window and takes a fuzzy checkpoint
   /// whenever live_bytes exceeds this fraction of the ring, so truncation
   /// recycles log space before commits need it — no manual Flush() calls
@@ -116,7 +105,7 @@ struct PrimaOptions {
   /// the database from the last fuzzy backup (Prima::Backup) by replaying
   /// the archived log + live WAL from the dump's start point. Use when the
   /// data device is lost or corrupt beyond what restart recovery repairs;
-  /// requires wal and a committed backup dump on the device. The WAL,
+  /// requires a committed backup dump on the device. The WAL,
   /// archive, and backup files are the surviving "separate media".
   bool restore_from_backup = false;
 
@@ -191,6 +180,14 @@ struct PrimaOptions {
 ///   stmt.Bind(0, access::Value::Real(1.0));     // parsed+planned once,
 ///   auto cursor = *stmt.Query();                // executed many times
 ///   while (auto m = *cursor.Next()) { /* one molecule at a time */ }
+///
+/// Durability — every database keeps a write-ahead log (restart repeats
+/// history from the last checkpoint, then rolls losers back). A top-level
+/// commit forces the log before its locks drop; a checkpoint — Flush(),
+/// and the exit checkpoint ~Prima takes — writes the data pages and
+/// shortens the next restart. No layer's destructor writes. DDL is durable
+/// only after a checkpoint, so a crash test must Flush() after creating
+/// its schema.
 ///
 /// The one-shot facade below (Execute / Query) opens a session for each
 /// call and closes it before returning, so concurrent callers share
@@ -351,23 +348,23 @@ class Prima {
 
   // --- maintenance ----------------------------------------------------------------
 
-  /// Drain deferred updates and write everything to the device. With WAL
-  /// enabled this is a fuzzy checkpoint: the flush is bracketed by
-  /// checkpoint log records and committed via the log's master record, so
-  /// the next restart scans only from here.
+  /// Drain deferred updates and write everything to the device as a fuzzy
+  /// checkpoint: the flush is bracketed by checkpoint log records and
+  /// committed via the log's master record, so the next restart scans only
+  /// from here.
   util::Status Flush();
 
   /// Take a fuzzy online backup: checkpoint, then dump every data segment
   /// into the backup file WITHOUT quiescing writers. Restoring the dump
   /// and replaying the archived log + live WAL from its start point
   /// (PrimaOptions::restore_from_backup) rebuilds the database after total
-  /// data-device loss. Requires WAL.
+  /// data-device loss.
   util::Result<recovery::BackupInfo> Backup();
 
   // --- subsystem access -------------------------------------------------------------
 
   /// Log counters + footprint (records-per-force, commits-per-force, live
-  /// and on-device bytes). All zero when options.wal is false.
+  /// and on-device bytes).
   recovery::WalStatsSnapshot wal_stats() const;
 
   /// Kernel-wide counters: one coherent snapshot of every layer (see
@@ -393,10 +390,11 @@ class Prima {
   TransactionManager& transactions() { return *txns_; }
   ObjectBuffer& object_buffer() { return *object_buffer_; }
   util::ThreadPool& pool() { return *pool_; }
-  /// Null when options.wal is false.
+  /// The log and its restart/checkpoint manager (never null on an open
+  /// database).
   recovery::WalWriter* wal() { return wal_.get(); }
   recovery::RecoveryManager* recovery() { return recovery_.get(); }
-  /// Null unless the daemon is active (wal + wal_max_bytes + fraction).
+  /// Null unless the daemon is active (wal_max_bytes + fraction).
   recovery::CheckpointDaemon* checkpoint_daemon() { return daemon_.get(); }
   /// Null unless options.listen_port >= 0.
   net::Server* net_server() { return net_.get(); }

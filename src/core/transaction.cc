@@ -41,9 +41,7 @@ Result<Transaction*> TransactionManager::Begin() {
   Transaction* raw = txn.get();
   top_level_.push_back(std::move(txn));
   stats_.begun++;
-  if (wal_ != nullptr) {
-    wal_->Append(recovery::LogRecord::Begin(raw->id()));
-  }
+  wal_->Append(recovery::LogRecord::Begin(raw->id()));
   return raw;
 }
 
@@ -266,19 +264,18 @@ Status Transaction::Commit() {
         "cannot commit with active subtransactions");
   }
   uint64_t commit_lsn = 0;
-  if (parent_ == nullptr && mgr_->wal_ != nullptr) {
+  if (parent_ == nullptr) {
     // Durability at commit: the commit record — and with it every earlier
-    // record of this transaction — must be on the device before locks
-    // drop. CommitForce publishes the commit LSN and holds the force open
-    // for up to PrimaOptions::commit_delay_us so concurrent committers
-    // share one device write + fsync (group commit); the write itself runs
-    // with the log buffer unlocked, so other transactions keep appending
-    // during it. On a force failure (device error, or a bounded WAL that
-    // needs a checkpoint to recycle space) the transaction stays active
+    // record of this transaction — must be on the device before locks drop.
+    // Concurrent committers share one device write + fsync (group commit):
+    // whoever forces covers every record appended before it, and the write
+    // itself runs with the log buffer unlocked, so other transactions keep
+    // appending during it. On a force failure (device error, or a bounded WAL
+    // that needs a checkpoint to recycle space) the transaction stays active
     // (locks held, undo intact) so the caller can retry or abort; note the
-    // abort record then follows the buffered commit record, and restart
-    // treats the transaction as finished either way — consistent with the
-    // CLRs the abort writes.
+    // abort record then follows the buffered commit record, and restart treats
+    // the transaction as finished either way — consistent with the CLRs the
+    // abort writes.
     commit_lsn = mgr_->wal_->Append(recovery::LogRecord::Commit(id_));
     Status force_st = mgr_->wal_->CommitForce(commit_lsn);
     if (force_st.IsNoSpace() && mgr_->ckpt_daemon_ != nullptr) {
@@ -360,7 +357,7 @@ Status Transaction::Abort() {
     mgr_->stats_.undo_applied++;
     if (!st.ok() && first_error.ok()) first_error = st;
   }
-  if (mgr_->wal_ != nullptr && !undo_.empty()) {
+  if (!undo_.empty()) {
     std::vector<uint64_t> compensated;
     compensated.reserve(undo_.size());
     for (const auto& rec : undo_) {
@@ -383,7 +380,7 @@ Status Transaction::Abort() {
   if (parent_ != nullptr) {
     std::lock_guard<std::mutex> lock(mgr_->mu_);
     --parent_->active_children_;
-  } else if (mgr_->wal_ != nullptr) {
+  } else {
     // No force needed: losing this record merely repeats the (idempotent)
     // rollback at restart.
     mgr_->wal_->Append(recovery::LogRecord::Abort(id_));

@@ -124,8 +124,12 @@ inline constexpr obs::CounterDef<TransactionStats> kTransactionCounters[] = {
 /// Owns the transaction trees and the atom lock table.
 class TransactionManager {
  public:
-  explicit TransactionManager(access::AccessSystem* access)
-      : access_(access) {}
+  /// Top-level transactions write begin/commit/abort records to `wal`, a
+  /// top-level Commit() forces it (group commit — durability at commit,
+  /// not at the next flush), and Abort() brackets its compensations with a
+  /// kCompensation record.
+  TransactionManager(access::AccessSystem* access, recovery::WalWriter* wal)
+      : access_(access), wal_(wal) {}
 
   /// Start a top-level transaction (owned by the manager until finished).
   util::Result<Transaction*> Begin();
@@ -138,12 +142,6 @@ class TransactionManager {
   /// the transaction alone) if it is still active, is a subtransaction, or
   /// is not registered here.
   util::Status Reap(Transaction* txn);
-
-  /// Attach (or detach) the write-ahead log. Top-level transactions then
-  /// write begin/commit/abort records, a top-level Commit() forces the log
-  /// (group commit — durability at commit, not at the next flush), and
-  /// Abort() brackets its compensations with a kCompensation record.
-  void SetWal(recovery::WalWriter* wal) { wal_ = wal; }
 
   /// Attach (or detach) the background checkpoint daemon. A top-level
   /// Commit() whose log force is refused with NoSpace (circular WAL full)
@@ -183,7 +181,7 @@ class TransactionManager {
                            const Transaction* txn);
 
   access::AccessSystem* access_;
-  recovery::WalWriter* wal_ = nullptr;
+  recovery::WalWriter* const wal_;
   recovery::CheckpointDaemon* ckpt_daemon_ = nullptr;
   TransactionStats stats_;
 

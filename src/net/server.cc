@@ -606,8 +606,10 @@ void Server::ServeConnection(Conn* conn) {
     }
   }
 
-  ::shutdown(fd, SHUT_RDWR);  // close() happens after join, by the server
+  // Release the slot before the peer can see EOF: a client that reconnects
+  // the moment its socket closes must find this connection uncounted.
   connections_active_.fetch_sub(1, std::memory_order_relaxed);
+  ::shutdown(fd, SHUT_RDWR);  // close() happens after join, by the server
   conn->done.store(true, std::memory_order_release);
 }
 

@@ -19,7 +19,7 @@ namespace prima::recovery {
 /// is exactly the failure recovery must survive.
 ///
 /// The wrapped device is shared so a test can "reboot": destroy the stack
-/// holding one CrashingBlockDevice (its destructor flushes are dropped) and
+/// holding one CrashingBlockDevice (its exit checkpoint is dropped) and
 /// reopen a fresh wrapper over the same underlying bytes.
 class CrashingBlockDevice : public storage::BlockDevice {
  public:

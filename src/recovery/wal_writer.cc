@@ -1,7 +1,6 @@
 #include "recovery/wal_writer.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 
 #include "obs/metrics.h"
@@ -399,16 +398,6 @@ Status WalWriter::CommitForce(uint64_t lsn) {
   const uint64_t t0 =
       (trace != nullptr || force_wait_hist_ != nullptr) ? obs::NowNs() : 0;
   std::unique_lock<std::mutex> lk(mu_);
-  if (options_.commit_delay_us > 0 && !flushing_ &&
-      durable_lsn_.load() <= lsn) {
-    // Bounded delay window: hold the force open so concurrent committers
-    // can append their records and share it. A force completed by anyone
-    // else meanwhile ends the wait early. (With a force already in flight
-    // the wait in ForceLocked plays that role — no extra delay.)
-    stats_.commit_delay_waits++;
-    cv_.wait_for(lk, std::chrono::microseconds(options_.commit_delay_us),
-                 [&] { return durable_lsn_.load() > lsn; });
-  }
   Status st = ForceLocked(lk, lsn);
   if (t0 != 0) {
     const uint64_t dt = obs::NowNs() - t0;

@@ -35,7 +35,6 @@ struct WalStats {
   obs::Counter blocks_forced;
   obs::Counter records_forced;      ///< records made durable by forces
   obs::Counter commits_forced;      ///< kCommit records among them
-  obs::Counter commit_delay_waits;  ///< committers that opened a delay window
   obs::Counter auto_checkpoints;    ///< checkpoints the daemon took on its
                                     ///< ring-fraction trigger
   obs::Counter archived_bytes;      ///< WAL bytes copied to the archive
@@ -70,7 +69,6 @@ inline constexpr obs::CounterDef<WalStats> kWalCounters[] = {
     {&WalStats::blocks_forced, "prima_wal_blocks_forced", "log blocks written by forces"},
     {&WalStats::records_forced, "prima_wal_records_forced", "records made durable by forces"},
     {&WalStats::commits_forced, "prima_wal_commits_forced", "commit records made durable by forces"},
-    {&WalStats::commit_delay_waits, "prima_wal_commit_delay_waits", "committers that opened a group-commit delay window"},
     {&WalStats::auto_checkpoints, "prima_wal_auto_checkpoints", "checkpoints the daemon took"},
     {&WalStats::archived_bytes, "prima_wal_archived_bytes", "log bytes copied to the archive"},
     {&WalStats::full_page_image_bytes, "prima_wal_full_page_image_bytes", "payload bytes of full-page-image records"},
@@ -105,13 +103,6 @@ struct WalStatsSnapshot : WalStats {
 
 /// WalWriter tuning knobs (plumbed from PrimaOptions).
 struct WalOptions {
-  /// Group-commit delay window: a top-level committer (CommitForce) waits up
-  /// to this long for other committers to append their records, so one
-  /// device write + fsync covers the whole group. 0 = force immediately.
-  /// The window applies ONLY to commit forces — WAL-rule forces on the
-  /// write-back path (ForceUpTo) never wait.
-  uint64_t commit_delay_us = 0;
-
   /// Cap on the WAL file size. 0 = unbounded append-only log (the log file
   /// only grows). Non-zero turns the segment into a circular log of
   /// max_bytes/kBlockSize - 2 data blocks (at least 64 KiB): after a
@@ -236,11 +227,12 @@ class WalWriter : public storage::WriteAheadLog {
   uint64_t append_lsn() const override { return append_lsn_.load(); }
   uint64_t epoch() const override { return epoch_.load(); }
 
-  /// Commit-path force: make the log durable up to `lsn`, first waiting up
-  /// to WalOptions::commit_delay_us for concurrent committers to join the
-  /// group (bounded delay window on a condvar; any force that covers `lsn`
-  /// meanwhile ends the wait early). The device write itself happens with
-  /// the buffer mutex released, so appenders keep running during the fsync.
+  /// Commit-path force: make the log durable up to `lsn`, timed into the
+  /// commit-wait histogram and the statement's trace. Concurrent committers
+  /// share forces: one in flight makes the others wait, and the next one
+  /// covers every record appended meanwhile. The device write itself
+  /// happens with the buffer mutex released, so appenders keep running
+  /// during the fsync.
   util::Status CommitForce(uint64_t lsn);
 
   /// Force everything appended so far.
@@ -376,7 +368,7 @@ class WalWriter : public storage::WriteAheadLog {
   std::unique_ptr<LogArchiver> archiver_;  ///< null = archiving off
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;  ///< force completion + delay window
+  std::condition_variable cv_;  ///< force completion
   bool flushing_ = false;       ///< a leader is writing outside the lock
   // Thread currently allowed to consume the checkpoint reserve (forces it
   // leads skip the headroom check); default-constructed id = none.

@@ -28,14 +28,7 @@ BufferManager::BufferManager(BlockDevice* device, size_t budget_bytes,
   }
 }
 
-BufferManager::~BufferManager() {
-  // Best effort: callers are expected to FlushAll before destruction;
-  // remaining dirty pages are written back here so tests that forget an
-  // explicit flush still observe durable data with the file device.
-  // Disabled via set_flush_on_close when a WAL owns durability — see
-  // StorageSystem::set_flush_on_close.
-  if (flush_on_close_) (void)FlushAll();
-}
+BufferManager::~BufferManager() = default;
 
 int BufferManager::SizeClass(uint32_t page_size) {
   switch (page_size) {

@@ -135,6 +135,7 @@ class BufferManager {
   /// the `shards` partitions manages budget_bytes / shards of it.
   BufferManager(BlockDevice* device, size_t budget_bytes, BufferPolicy policy,
                 size_t shards = 1);
+  /// Writes nothing: dirty pages not written by FlushAll() are dropped.
   ~BufferManager();
 
   BufferManager(const BufferManager&) = delete;
@@ -178,11 +179,6 @@ class BufferManager {
   /// logs physiological redo for every page it mutates.
   void SetWal(WriteAheadLog* wal) { wal_ = wal; }
   WriteAheadLog* wal() const { return wal_; }
-
-  /// Disable the destructor's best-effort FlushAll (WAL-owned durability:
-  /// unlogged destructor write-backs would diverge the device from the
-  /// last checkpoint's redo basis).
-  void set_flush_on_close(bool v) { flush_on_close_ = v; }
 
   BufferStats& stats() { return stats_; }
   size_t resident_bytes() const;
@@ -234,7 +230,6 @@ class BufferManager {
   BlockDevice* device_;
   const BufferPolicy policy_;
   WriteAheadLog* wal_ = nullptr;
-  bool flush_on_close_ = true;
 
   std::vector<std::unique_ptr<Shard>> shards_;
 

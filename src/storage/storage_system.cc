@@ -107,14 +107,7 @@ StorageSystem::StorageSystem(std::unique_ptr<BlockDevice> device,
           device_.get(), options.buffer_bytes, options.buffer_policy,
           options.buffer_shards)) {}
 
-StorageSystem::~StorageSystem() {
-  if (flush_on_close_) (void)Flush();
-}
-
-void StorageSystem::set_flush_on_close(bool v) {
-  flush_on_close_ = v;
-  buffer_->set_flush_on_close(v);
-}
+StorageSystem::~StorageSystem() = default;
 
 Status StorageSystem::Open() {
   for (SegmentId id : device_->ListFiles()) {
@@ -677,11 +670,6 @@ Status StorageSystem::RecoverSegmentMeta(SegmentId seg, PageSize size,
   meta.free_head = free_head;
   meta.dirty = true;
   return Status::Ok();
-}
-
-std::vector<SegmentId> StorageSystem::CrashTornSegments() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return std::vector<SegmentId>(crash_torn_.begin(), crash_torn_.end());
 }
 
 Result<size_t> StorageSystem::DropUnrecoveredSegments() {

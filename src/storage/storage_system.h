@@ -82,6 +82,8 @@ struct StorageOptions {
 class StorageSystem {
  public:
   StorageSystem(std::unique_ptr<BlockDevice> device, StorageOptions options);
+  /// Writes nothing: pages and segment metadata not written by Flush()
+  /// (or a checkpoint) are dropped.
   ~StorageSystem();
 
   /// Load segment metadata for every file already present on the device
@@ -140,12 +142,6 @@ class StorageSystem {
   void SetWal(WriteAheadLog* wal);
   WriteAheadLog* wal() const { return wal_; }
 
-  /// Disable the destructor's best-effort Flush (and the buffer's): when a
-  /// WAL owns durability the owner checkpoints explicitly, and any later
-  /// unlogged destructor writes would invalidate that checkpoint's redo
-  /// basis on the device.
-  void set_flush_on_close(bool v);
-
   // --- restart recovery (RecoveryManager only) -------------------------------
 
   /// One physiological redo record of a page's chain: the record LSN and
@@ -194,13 +190,6 @@ class StorageSystem {
   util::Status RecoverSegmentMeta(SegmentId seg, PageSize size,
                                   uint32_t page_count, uint32_t free_head);
 
-  /// Segment files whose header page read back all-zero at Open(): files
-  /// born just before a crash whose formatting never reached the device.
-  /// Open() skips them instead of failing — they are unaddressable until
-  /// WAL replay repeats their creation (RecoverSegmentMeta / page redo,
-  /// which removes them from this list as it reinstates them).
-  std::vector<SegmentId> CrashTornSegments() const;
-
   /// Delete the crash-torn segment files replay never reinstated. A
   /// segment absent from the durable log was never referenced by any
   /// committed work (the WAL rule forces the creation record out before
@@ -230,12 +219,14 @@ class StorageSystem {
   std::unique_ptr<BlockDevice> device_;
   std::unique_ptr<BufferManager> buffer_;
   WriteAheadLog* wal_ = nullptr;
-  bool flush_on_close_ = true;
 
   mutable std::mutex mu_;  // guards segments_ and crash_torn_
   std::map<SegmentId, SegmentMeta> segments_;
-  // Zero-headered files Open() skipped, pending replay (see
-  // CrashTornSegments).
+  // Segment files whose header page read back all-zero at Open(): files
+  // born just before a crash whose formatting never reached the device.
+  // Open() skips them instead of failing — they are unaddressable until
+  // WAL replay repeats their creation (RecoverSegmentMeta / page redo,
+  // which removes them from this set as it reinstates them).
   std::set<SegmentId> crash_torn_;
 };
 

@@ -67,8 +67,7 @@ class WriteAheadLog {
 
   /// Make the log durable up to and including `lsn` (group commit: one
   /// device write covers every record buffered so far). This is the
-  /// WAL-rule force used on the write-back path — it never waits out a
-  /// commit-delay window (that is the commit path's own entry point).
+  /// WAL-rule force used on the write-back path.
   virtual util::Status ForceUpTo(uint64_t lsn) = 0;
 
   /// End of the durable log: every record starting below it is on the

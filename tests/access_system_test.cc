@@ -7,6 +7,7 @@
 
 #include "access/access_system.h"
 #include "access/scan.h"
+#include "recovery/crash_device.h"
 
 namespace prima::access {
 
@@ -105,6 +106,31 @@ class AccessSystemTest : public ::testing::Test {
   AtomTypeId part_ = 0;
   AtomTypeId comp_ = 0;
 };
+
+TEST(AccessSystemDestructorTest, DestructorWritesNothing) {
+  // Durability is Flush()'s (or a checkpoint's) job: the access and
+  // storage layers torn down after an insert drop its pages and metadata.
+  // The shared device outlives the wrapper the layers own, so its counters
+  // can be read after.
+  auto device = std::make_shared<MemoryBlockDevice>();
+  auto storage = std::make_unique<StorageSystem>(
+      std::make_unique<recovery::CrashingBlockDevice>(device),
+      storage::StorageOptions{});
+  ASSERT_TRUE(storage->Open().ok());
+  auto access = std::make_unique<AccessSystem>(storage.get());
+  ASSERT_TRUE(access->Open().ok());
+  auto type = access->CreateAtomType(
+      "part",
+      {{"part_id", TypeDesc::Identifier(), 0},
+       {"part_no", TypeDesc::Integer(), 0}},
+      {"part_no"});
+  ASSERT_TRUE(type.ok()) << type.status().ToString();
+  ASSERT_TRUE(access->InsertAtom(*type, {AttrValue{1, Value::Int(7)}}).ok());
+  const uint64_t before = device->stats().blocks_written;
+  access.reset();
+  storage.reset();
+  EXPECT_EQ(device->stats().blocks_written.load(), before);
+}
 
 TEST_F(AccessSystemTest, InsertAssignsIdentifier) {
   auto tid = NewPart(1);

@@ -454,7 +454,15 @@ TEST(NetServerTest, MalformedFramesDoNotKillTheServer) {
 
   // After all that abuse the server still serves clean clients, and no
   // session leaked a connection slot (active connections drained to just
-  // ours).
+  // ours). A mid-frame disconnect is noticed asynchronously, so wait for
+  // the slots to drain first.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (db->net_server()->connections_active() != 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(db->net_server()->connections_active(), 0u);
   auto client = ConnectTo(*db);
   ASSERT_NE(client, nullptr);
   CreateItemType(client.get());

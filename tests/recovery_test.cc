@@ -363,9 +363,7 @@ TEST(WalWriterTest, TornForceTruncatesAtLastCompleteRecord) {
 
 TEST(WalWriterTest, CommitForceSharesOneForceAcrossCommitters) {
   auto device = std::make_shared<MemoryBlockDevice>();
-  WalOptions opts;
-  opts.commit_delay_us = 200000;  // generous window: scheduling-proof
-  WalWriter wal(device.get(), opts);
+  WalWriter wal(device.get());
   ASSERT_TRUE(wal.Open().ok());
 
   // Both commit records are appended before either committer forces: any
@@ -382,7 +380,6 @@ TEST(WalWriterTest, CommitForceSharesOneForceAcrossCommitters) {
   EXPECT_EQ(wal.stats().forces.load(), 1u);
   EXPECT_EQ(wal.stats().commits_forced.load(), 2u);
   EXPECT_DOUBLE_EQ(wal.stats().CommitsPerForce(), 2.0);
-  EXPECT_GE(wal.stats().commit_delay_waits.load(), 1u);
   EXPECT_GE(wal.durable_lsn(), lsn2);
 }
 
@@ -1019,7 +1016,6 @@ TEST(CheckpointDaemonTest, TriggersOnRingFractionThreshold) {
   daemon.Stop();
   EXPECT_FALSE(daemon.running());
   EXPECT_TRUE(daemon.RequestCheckpoint().IsAborted());
-  storage->SetWal(nullptr);
 }
 
 TEST(WalWriterTest, MasterRecordSurvivesReopen) {
@@ -1069,7 +1065,6 @@ TEST(WalRuleTest, PageWritesAreLoggedAndForcedBeforeWriteback) {
   ASSERT_TRUE(storage->Flush().ok());
   EXPECT_GE(wal.durable_lsn(), page_lsn);
 
-  storage->SetWal(nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -1081,11 +1076,9 @@ class CrashRecoveryTest : public ::testing::Test {
   void SetUp() override { base_ = std::make_shared<MemoryBlockDevice>(); }
 
   /// Open a database incarnation over the shared device bytes.
-  std::unique_ptr<core::Prima> OpenDb(uint64_t wal_max_bytes = 0,
-                                      uint64_t commit_delay_us = 0) {
+  std::unique_ptr<core::Prima> OpenDb(uint64_t wal_max_bytes = 0) {
     core::PrimaOptions options;
     options.wal_max_bytes = wal_max_bytes;
-    options.commit_delay_us = commit_delay_us;
     return OpenDbWith(std::move(options));
   }
 
@@ -1120,8 +1113,8 @@ class CrashRecoveryTest : public ::testing::Test {
     return tid;
   }
 
-  /// Pull the plug: every write from now on (including destructor flushes)
-  /// is silently dropped.
+  /// Pull the plug: every write from now on (including the exit
+  /// checkpoint) is silently dropped.
   void Crash(std::unique_ptr<core::Prima>* db) {
     crash_->CrashNow();
     db->reset();
@@ -1533,10 +1526,21 @@ TEST_F(CrashRecoveryTest, CleanReopenAfterRecoveryKeepsMultiPageBlob) {
   EXPECT_EQ(db4->access().AtomCount(item4->id), size_t{kAtoms});
 }
 
+/// In-memory device whose fsync takes a while, as a disk barrier does:
+/// committers that arrive during one force wait and share the next one.
+class LatentSyncDevice : public MemoryBlockDevice {
+ public:
+  util::Status Sync() override {
+    std::this_thread::sleep_for(std::chrono::microseconds(500));
+    return util::Status::Ok();
+  }
+};
+
 TEST_F(CrashRecoveryTest, ConcurrentCommittersShareForcesAndSurviveCrash) {
   static constexpr int kThreads = 8;
   static constexpr int kCommitsPerThread = 8;
-  auto db = OpenDb(/*wal_max_bytes=*/0, /*commit_delay_us=*/2000);
+  base_ = std::make_shared<LatentSyncDevice>();
+  auto db = OpenDb();
   CreateItemType(db.get());
   ASSERT_TRUE(db->Flush().ok());
 
@@ -1558,7 +1562,7 @@ TEST_F(CrashRecoveryTest, ConcurrentCommittersShareForcesAndSurviveCrash) {
   EXPECT_EQ(stats.commits_forced, uint64_t{kThreads * kCommitsPerThread});
   EXPECT_GT(stats.records_per_force, 1.0);
   EXPECT_GT(stats.commits_per_force, 1.0)
-      << "the delay window must batch concurrent committers";
+      << "committers arriving during a force must share the next one";
 
   Crash(&db);
   auto db2 = OpenDb();
@@ -2091,7 +2095,6 @@ TEST(ParallelRedoTest, WorkerErrorSurfacesFirstAndMatchesSerialReplay) {
     poison2.page_size = 777;  // a DIFFERENT invalid size: messages differ
     wal.Append(poison2);
     ASSERT_TRUE(wal.ForceAll().ok());
-    storage->SetWal(nullptr);
   }
 
   std::vector<std::string> failures;
@@ -2146,7 +2149,6 @@ TEST(ParallelRedoTest, TornPageWithoutFullImageFailsRestartLoudly) {
     delta.ranges.push_back({PageHeader::kSize, "yy"});
     wal.Append(delta);
     ASSERT_TRUE(wal.ForceAll().ok());
-    storage->SetWal(nullptr);
   }
 
   for (size_t threads : {size_t{1}, size_t{4}}) {

@@ -2,6 +2,7 @@
 
 #include <filesystem>
 
+#include "recovery/crash_device.h"
 #include "storage/storage_system.h"
 #include "util/random.h"
 
@@ -13,6 +14,25 @@ std::unique_ptr<StorageSystem> MakeMemory(size_t buffer = 4 << 20) {
   opts.buffer_bytes = buffer;
   return std::make_unique<StorageSystem>(
       std::make_unique<MemoryBlockDevice>(), opts);
+}
+
+TEST(StorageSystemTest, DestructorWritesNothing) {
+  // Durability is Flush()'s (or a checkpoint's) job: a layer torn down
+  // with dirty pages and segment metadata drops them. The shared device
+  // outlives the wrapper the layer owns, so its counters can be read after.
+  auto device = std::make_shared<MemoryBlockDevice>();
+  auto storage = std::make_unique<StorageSystem>(
+      std::make_unique<recovery::CrashingBlockDevice>(device),
+      StorageOptions{});
+  ASSERT_TRUE(storage->Open().ok());
+  ASSERT_TRUE(storage->CreateSegment(1, PageSize::k1K).ok());
+  {
+    auto page = storage->NewPage(1, PageType::kSlotted);
+    ASSERT_TRUE(page.ok());
+  }
+  const uint64_t before = device->stats().blocks_written;
+  storage.reset();
+  EXPECT_EQ(device->stats().blocks_written.load(), before);
 }
 
 TEST(StorageSystemTest, CreateAndDropSegments) {
