@@ -9,7 +9,9 @@
 // commits-per-force grows with the committer count and commit throughput
 // beats the synchronous one-fsync-per-commit baseline;
 // (5) with wal_max_bytes set, a checkpointed workload keeps the WAL file
-// size bounded (circular log truncation).
+// size bounded (circular log truncation); (6) restart and media rebuild
+// replay the redo window in one forward pass, timed as medians over fresh
+// clones of one crashed image.
 
 #include <algorithm>
 #include <atomic>
@@ -283,13 +285,14 @@ void ReportMaintenance() {
       atoms == static_cast<size_t>(commits) ? "complete" : "INCOMPLETE");
 }
 
-void ReportParallelRecovery() {
+void ReportRestartAndRebuild() {
   PrintHeader(
-      "Parallel redo — timed restart + media rebuild, serial vs parallel",
-      "Claims: the redo pass partitions page chains over the thread pool, "
-      "so restart and device-rebuild time drop with cores while staying "
-      "bit-identical to serial replay; this is the recovery-latency "
-      "baseline for future PRs.");
+      "Restart + media rebuild — timed serial redo",
+      "Claims: restart replays the redo window in one forward pass on the "
+      "opening thread, and a media rebuild replays the same window over a "
+      "restored dump; this is the recovery-latency baseline for later "
+      "changes. Each row is the median of 5 timed runs on fresh clones of the "
+      "crashed image, after one untimed warm-up run.");
 
   // Grow a crashed image whose redo window spans a multi-megabyte log:
   // unbounded WAL, one early checkpoint + fuzzy backup, then waves of
@@ -337,44 +340,46 @@ void ReportParallelRecovery() {
       static_cast<double>(wal_stats.bytes_appended) / (1 << 20),
       static_cast<double>(wal_stats.full_page_image_bytes) / (1 << 20));
 
-  // Restart recovery over CLONES of the same crashed bytes, serial first.
-  const size_t hw = util::ThreadPool::DefaultThreads();
-  std::vector<size_t> fanouts{1, 2, 4, hw};
-  std::sort(fanouts.begin(), fanouts.end());
-  fanouts.erase(std::unique(fanouts.begin(), fanouts.end()), fanouts.end());
-  double serial_restart_ms = 0;
-  for (size_t threads : fanouts) {
+  // Every run recovers a FRESH clone of the same crashed bytes; the first
+  // run of each kind only warms caches and the allocator.
+  constexpr int kTimedRuns = 5;
+  const auto median_ms = [&](auto&& one_run) {
+    one_run();
+    std::vector<double> ms;
+    for (int run = 0; run < kTimedRuns; ++run) ms.push_back(one_run());
+    std::sort(ms.begin(), ms.end());
+    return ms[ms.size() / 2];
+  };
+  const auto require_all_atoms = [&](core::Prima* db, const char* what) {
+    const auto* part2 = db->access().catalog().FindAtomType("part");
+    Require(part2 != nullptr &&
+                    db->access().AtomCount(part2->id) ==
+                        static_cast<size_t>(kAtoms)
+                ? util::Status::Ok()
+                : util::Status::Corruption("atom count mismatch"),
+            what);
+  };
+
+  uint64_t redo_records = 0;
+  const double restart_ms = median_ms([&] {
     core::PrimaOptions o;
     o.device = std::shared_ptr<storage::BlockDevice>(base->Clone());
-    o.recovery_threads = threads;
     const auto start = std::chrono::steady_clock::now();
     auto recovered = RequireR(core::Prima::Open(std::move(o)), "restart");
     const double ms = std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - start)
                           .count() *
                       1e3;
-    const auto stats = recovered->wal_stats();
-    const auto* part2 = recovered->access().catalog().FindAtomType("part");
-    Require(part2 != nullptr &&
-                    recovered->access().AtomCount(part2->id) ==
-                        static_cast<size_t>(kAtoms)
-                ? util::Status::Ok()
-                : util::Status::Corruption("atom count mismatch"),
-            "recovered state");
-    if (threads == 1) serial_restart_ms = ms;
-    std::printf(
-        "  restart, %2zu thread(s): %7.1f ms  (%llu redo records, %.2fx vs "
-        "serial)\n",
-        threads, ms,
-        static_cast<unsigned long long>(stats.redo_records_applied),
-        serial_restart_ms / ms);
-  }
+    redo_records = recovered->wal_stats().redo_records_applied;
+    require_all_atoms(recovered.get(), "recovered state");
+    return ms;
+  });
+  std::printf("  restart:       %7.1f ms  (%llu redo records)\n", restart_ms,
+              static_cast<unsigned long long>(redo_records));
 
   // Media rebuild: data segments destroyed, restore from the fuzzy backup
-  // and replay the same window — the same parallel apply phase.
-  std::printf("\n");
-  double serial_rebuild_ms = 0;
-  for (size_t threads : {size_t{1}, hw}) {
+  // and replay the same window through the same apply phase.
+  const double rebuild_ms = median_ms([&] {
     auto clone = std::shared_ptr<storage::MemoryBlockDevice>(base->Clone());
     for (storage::SegmentId id : clone->ListFiles()) {
       if (!storage::IsReservedFileId(id)) {
@@ -384,27 +389,17 @@ void ReportParallelRecovery() {
     core::PrimaOptions o;
     o.device = clone;
     o.restore_from_backup = true;
-    o.recovery_threads = threads;
     const auto start = std::chrono::steady_clock::now();
     auto rebuilt = RequireR(core::Prima::Open(std::move(o)), "media rebuild");
     const double ms = std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - start)
                           .count() *
                       1e3;
-    const auto* part2 = rebuilt->access().catalog().FindAtomType("part");
-    Require(part2 != nullptr &&
-                    rebuilt->access().AtomCount(part2->id) ==
-                        static_cast<size_t>(kAtoms)
-                ? util::Status::Ok()
-                : util::Status::Corruption("atom count mismatch"),
-            "rebuilt state");
-    if (threads == 1) serial_rebuild_ms = ms;
-    std::printf(
-        "  media rebuild from backup (start LSN %llu), %2zu thread(s): "
-        "%7.1f ms  (%.2fx vs serial)\n",
-        static_cast<unsigned long long>(backup.start_lsn), threads, ms,
-        serial_rebuild_ms / ms);
-  }
+    require_all_atoms(rebuilt.get(), "rebuilt state");
+    return ms;
+  });
+  std::printf("  media rebuild: %7.1f ms  (from the backup at start LSN %llu)\n",
+              rebuild_ms, static_cast<unsigned long long>(backup.start_lsn));
 }
 
 void Report() {
@@ -537,7 +532,7 @@ int main(int argc, char** argv) {
   prima::bench::Report();
   prima::bench::ReportGroupCommit();
   prima::bench::ReportMaintenance();
-  prima::bench::ReportParallelRecovery();
+  prima::bench::ReportRestartAndRebuild();
   ::benchmark::Initialize(&argc, argv);
   ::benchmark::RunSpecifiedBenchmarks();
   return 0;

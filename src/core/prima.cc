@@ -70,9 +70,9 @@ Result<std::unique_ptr<Prima>> Prima::Open(PrimaOptions options) {
   // The database-level scaling knobs are authoritative: resolve defaults
   // from the CPUs this process may run on (util::UsableCpus) and write them
   // into the storage options before the storage system is built around
-  // them. On one usable CPU "scale out" means DON'T: one shard, one worker
-  // and serial redo are the fastest configurations there, and anything else
-  // is pure overhead.
+  // them. On one usable CPU "scale out" means DON'T: one shard and one
+  // worker are the fastest configurations there, and anything else is pure
+  // overhead.
   const size_t cpus = util::UsableCpus();
   options.storage.buffer_shards = options.buffer_shards != 0
                                       ? options.buffer_shards
@@ -102,7 +102,7 @@ Result<std::unique_ptr<Prima>> Prima::Open(PrimaOptions options) {
                                                    wal_options);
   PRIMA_RETURN_IF_ERROR(db->wal_->Open());
   db->recovery_ = std::make_unique<recovery::RecoveryManager>(
-      db->storage_.get(), db->wal_.get(), options.recovery_threads);
+      db->storage_.get(), db->wal_.get());
   if (options.restore_from_backup) {
     PRIMA_RETURN_IF_ERROR(db->recovery_->MediaRecover(media_start_lsn));
   } else {
@@ -320,7 +320,6 @@ recovery::WalStatsSnapshot Prima::wal_stats() const {
   // The redo shape of this database's last restart/media recovery — the
   // log only stores history, the recovery manager replays it.
   s.redo_records_applied = recovery_->stats().redo_applied;
-  s.redo_apply_threads = recovery_->stats().redo_threads;
   return s;
 }
 

@@ -109,16 +109,6 @@ struct PrimaOptions {
   /// archive, and backup files are the surviving "separate media".
   bool restore_from_backup = false;
 
-  /// Worker threads for the parallel redo phase of restart and media
-  /// recovery (0 = one per CPU this process may run on, the default, so a
-  /// process confined to one CPU replays serially; 1 = serial replay).
-  /// The log scan stays single-threaded; the per-page redo chains it
-  /// partitions fan out over a thread pool, so restart and device-rebuild
-  /// time stop growing with usable CPUs idle. The result is bit-identical
-  /// to serial replay at every setting — per-page chains preserve log
-  /// order, and chains for different pages are independent.
-  size_t recovery_threads = 0;
-
   storage::StorageOptions storage;
   access::AccessOptions access;
 
@@ -248,8 +238,8 @@ struct PrimaOptions {
 ///
 /// Scaling knobs — by default the kernel scales the read path to the CPUs
 /// this process may run on (its sched_getaffinity mask, util::UsableCpus),
-/// not to the machine: confined to one CPU it runs one shard, one worker
-/// and serial redo. Explicit values always win; one PrimaOptions field
+/// not to the machine: confined to one CPU it runs one shard and one
+/// worker. Explicit values always win; one PrimaOptions field
 /// tunes the read path:
 ///
 ///   buffer_shards    page-id-hashed buffer pool partitions, each with its

@@ -924,8 +924,7 @@ Result<MoleculeSet> Executor::DeriveInUnits(std::shared_ptr<const Query> query,
       if (m->has_value()) results[u].molecules.push_back(std::move(**m));
     }
   };
-  // Wait on this call's own units only: ThreadPool::Wait() would also wait
-  // for every other caller's work on the shared pool.
+  // Wait on this call's own units only: other callers share the pool.
   std::mutex mu;
   std::condition_variable cv;
   size_t pending = units - 1;

@@ -1,14 +1,10 @@
 #include "recovery/recovery_manager.h"
 
 #include <algorithm>
-#include <atomic>
-#include <functional>
 #include <set>
-#include <unordered_map>
 
 #include "access/tid.h"
 #include "util/slice.h"
-#include "util/thread_pool.h"
 
 namespace prima::recovery {
 
@@ -73,12 +69,13 @@ Status RecoveryManager::AnalyzeAndRedoFrom(uint64_t ckpt_lsn) {
   // Pass B, scan half: one single-threaded pass over the stream. Records
   // with global-order semantics (segment metadata, the transaction table,
   // atom undo collection) are handled inline; page redo records are only
-  // PARTITIONED here — each page's records append to its chain in log
-  // order, and the chains replay concurrently afterwards. Page redo is
+  // GROUPED here — each page's records append to its chain in log order,
+  // and the chains sit in the order of their first record. Page redo is
   // LSN-gated per page, so records older than the on-device state
   // (including everything before the checkpoint when the undo floor
   // reaches back further) skip harmlessly during the apply phase.
-  std::map<std::pair<uint32_t, uint32_t>, PageChain> chains;
+  std::vector<PageChain> chains;
+  std::map<std::pair<uint32_t, uint32_t>, size_t> chain_of_page;
   uint64_t scan_end = scan_start;
   const Status scan_st = wal_->Scan(scan_start, [&](const LogRecord& rec) {
     stats_.records_scanned++;
@@ -96,7 +93,14 @@ Status RecoveryManager::AnalyzeAndRedoFrom(uint64_t ckpt_lsn) {
         break;
       case LogRecordType::kPageRedo:
       case LogRecordType::kPageImage: {
-        PageChain& chain = chains[{rec.segment, rec.page}];
+        const auto [it, fresh] =
+            chain_of_page.try_emplace({rec.segment, rec.page}, chains.size());
+        if (fresh) {
+          chains.emplace_back();
+          chains.back().segment = rec.segment;
+          chains.back().page = rec.page;
+        }
+        PageChain& chain = chains[it->second];
         chain.page_size = rec.page_size;
         chain.recs.push_back(rec);
         break;
@@ -167,9 +171,8 @@ Status RecoveryManager::AnalyzeAndRedoFrom(uint64_t ckpt_lsn) {
         " - the archived history is damaged");
   }
 
-  // Pass B, apply half: the chains are a clean independence partition —
-  // fan them out.
-  PRIMA_RETURN_IF_ERROR(ApplyRedoChains(&chains));
+  // Pass B, apply half.
+  PRIMA_RETURN_IF_ERROR(ApplyRedoChains(chains));
 
   if (!torn_pages_.empty()) {
     const auto& [seg, page] = *torn_pages_.begin();
@@ -191,38 +194,13 @@ Status RecoveryManager::AnalyzeAndRedoFrom(uint64_t ckpt_lsn) {
   return Status::Ok();
 }
 
-Status RecoveryManager::ApplyRedoChains(
-    std::map<std::pair<uint32_t, uint32_t>, PageChain>* chains) {
-  struct ChainTask {
-    const std::pair<uint32_t, uint32_t>* key = nullptr;
-    const PageChain* chain = nullptr;
-    storage::StorageSystem::RedoChainResult result;
-    Status status;
-  };
-  std::vector<ChainTask> tasks;
-  tasks.reserve(chains->size());
-  for (const auto& [key, chain] : *chains) {
-    ChainTask t;
-    t.key = &key;
-    t.chain = &chain;
-    tasks.push_back(std::move(t));
-  }
-
-  stats_.redo_chains = tasks.size();
-  if (tasks.empty()) {
-    stats_.redo_threads = 0;  // clean open: no apply phase at all
-    return Status::Ok();
-  }
-  size_t threads = redo_threads_ == 0 ? util::ThreadPool::DefaultThreads()
-                                      : redo_threads_;
-  threads = std::max<size_t>(1, std::min(threads, tasks.size()));
-  stats_.redo_threads = threads;
-
-  const auto apply_one = [this](ChainTask* task) {
-    const auto& [seg, page] = *task->key;
+Status RecoveryManager::ApplyRedoChains(const std::vector<PageChain>& chains) {
+  stats_.redo_chains = chains.size();
+  stats_.redo_threads = chains.empty() ? 0 : 1;
+  for (const PageChain& chain : chains) {
     std::vector<storage::StorageSystem::RedoEntry> entries;
-    entries.reserve(task->chain->recs.size());
-    for (const LogRecord& rec : task->chain->recs) {
+    entries.reserve(chain.recs.size());
+    for (const LogRecord& rec : chain.recs) {
       storage::StorageSystem::RedoEntry e;
       e.lsn = rec.lsn;
       e.full_image = rec.type == LogRecordType::kPageImage;
@@ -232,54 +210,17 @@ Status RecoveryManager::ApplyRedoChains(
       }
       entries.push_back(std::move(e));
     }
-    auto result_or = storage_->RecoverApplyPageRedoChain(
-        seg, page, task->chain->page_size, entries);
-    if (result_or.ok()) {
-      task->result = *result_or;
-    } else {
-      task->status = result_or.status();
-    }
-  };
-
-  // Whatever the fan-out, EVERY chain runs to completion even after
-  // another chain failed: the failure path does bounded extra work, and in
-  // exchange the reported error is identical at every thread count (lowest
-  // first-LSN wins below) instead of depending on worker scheduling — or,
-  // serially, on map iteration order.
-  if (threads <= 1) {
-    // Serial replay (recovery_threads = 1): same chain order, same
-    // results, no pool — the degenerate case of the partition.
-    for (ChainTask& task : tasks) {
-      apply_one(&task);
-    }
-  } else {
-    util::ThreadPool pool(threads);
-    std::vector<std::function<void()>> jobs;
-    jobs.reserve(tasks.size());
-    for (ChainTask& task : tasks) {
-      jobs.emplace_back([&apply_one, &task] { apply_one(&task); });
-    }
-    pool.SubmitAll(std::move(jobs));
-    pool.Wait();
+    // Chains run in first-record order, so the first failure is the one
+    // a record-by-record replay of the log would have met first.
+    PRIMA_ASSIGN_OR_RETURN(
+        const storage::StorageSystem::RedoChainResult result,
+        storage_->RecoverApplyPageRedoChain(chain.segment, chain.page,
+                                            chain.page_size, entries));
+    stats_.redo_applied += result.applied;
+    stats_.redo_skipped += result.skipped;
+    if (result.torn) torn_pages_.insert({chain.segment, chain.page});
   }
-
-  // Deterministic aggregation: counters sum in chain (page) order; the
-  // winning error is the failed chain whose FIRST record is oldest —
-  // exactly the record serial replay would have tripped on first.
-  const ChainTask* first_error = nullptr;
-  for (const ChainTask& task : tasks) {
-    if (!task.status.ok()) {
-      if (first_error == nullptr ||
-          task.chain->recs.front().lsn < first_error->chain->recs.front().lsn) {
-        first_error = &task;
-      }
-      continue;
-    }
-    stats_.redo_applied += task.result.applied;
-    stats_.redo_skipped += task.result.skipped;
-    if (task.result.torn) torn_pages_.insert(*task.key);
-  }
-  return first_error == nullptr ? Status::Ok() : first_error->status;
+  return Status::Ok();
 }
 
 Status RecoveryManager::UndoAndFixup(access::AccessSystem* access) {

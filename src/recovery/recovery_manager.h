@@ -25,21 +25,20 @@ namespace prima::recovery {
 ///   1. StorageSystem::Open()   — load last-flushed segment metadata
 ///   2. WalWriter::Open()       — master record, find end of log
 ///   3. AnalyzeAndRedo()        — scan: txn table + segment metadata, then
-///                                repeat page history (parallel apply)
+///                                repeat page history chain by chain
 ///   4. AccessSystem::Open()    — load catalog/address blobs (now redone)
 ///   5. UndoAndFixup(access)    — address-table fixups in log order, then
 ///                                roll back losers (CLR-logged), then
 ///                                re-enqueue lost deferred redundancy
 ///   6. Checkpoint(access)      — make the recovered state durable
 ///
-/// Parallel redo: the scan (single-threaded — the log is one stream) keeps
-/// every record with global-order semantics inline (segment-metadata redo,
-/// the transaction table, atom undo/fixup collection) and partitions the
-/// page-redo records into per-page chains. Records for one page replay in
-/// log order inside their chain; chains for different pages are independent
-/// (physiological redo never spans pages), so the apply phase fans them out
-/// over a util::ThreadPool of `redo_threads` workers. The partition makes
-/// the result bit-identical to serial replay for every thread count.
+/// Redo is one forward pass on the opening thread. The scan keeps every
+/// record with global-order semantics inline (segment-metadata redo, the
+/// transaction table, atom undo/fixup collection) and groups the page-redo
+/// records into per-page chains, so each page is read and written once.
+/// Records for one page replay in log order inside their chain, and the
+/// chains replay in the order of their first record (physiological redo
+/// never spans pages, so this repeats history exactly).
 class RecoveryManager {
  public:
   struct Stats {
@@ -47,7 +46,9 @@ class RecoveryManager {
     uint64_t redo_applied = 0;
     uint64_t redo_skipped = 0;   ///< page-LSN already current
     uint64_t redo_chains = 0;    ///< distinct pages with redo work
-    uint64_t redo_threads = 0;   ///< workers the apply phase fanned out to
+    /// 1 when the apply phase ran, 0 on a clean open. Kept only for
+    /// perfbench's `restart_redo_threads` field.
+    uint64_t redo_threads = 0;
     uint64_t segmeta_applied = 0;
     /// Crash-torn newborn segment files replay never reinstated — deleted
     /// as residue (see StorageSystem::DropUnrecoveredSegments).
@@ -59,12 +60,8 @@ class RecoveryManager {
     uint64_t checkpoints = 0;
   };
 
-  /// `redo_threads` sizes the parallel apply phase: 1 = serial replay on
-  /// the calling thread (no pool), 0 = one worker per CPU this process may
-  /// run on (serial when that is one).
-  RecoveryManager(storage::StorageSystem* storage, WalWriter* wal,
-                  size_t redo_threads = 1)
-      : storage_(storage), wal_(wal), redo_threads_(redo_threads) {}
+  RecoveryManager(storage::StorageSystem* storage, WalWriter* wal)
+      : storage_(storage), wal_(wal) {}
 
   /// Phases 1+2: scan from the undo floor of the last checkpoint, building
   /// the transaction table and applying every page/segment-metadata redo
@@ -118,25 +115,25 @@ class RecoveryManager {
   };
 
   /// Shared body of AnalyzeAndRedo (ckpt = the log's last checkpoint) and
-  /// MediaRecover (ckpt = the dump's recorded start point): the serial
-  /// partitioning scan followed by the parallel chain apply.
+  /// MediaRecover (ckpt = the dump's recorded start point): the scan that
+  /// groups page redo into chains, followed by the chain apply.
   util::Status AnalyzeAndRedoFrom(uint64_t ckpt_lsn);
 
   /// One page's redo chain, in log order (the scan appends as it goes).
   struct PageChain {
+    uint32_t segment = 0;
+    uint32_t page = 0;
     uint32_t page_size = 0;
     std::vector<LogRecord> recs;
   };
 
-  /// Apply phase: fan `chains` out over `redo_threads_` pool workers (or
-  /// replay inline when effectively serial), aggregate counters and torn
-  /// pages, and return the lowest-LSN failure when any chain errored.
-  util::Status ApplyRedoChains(
-      std::map<std::pair<uint32_t, uint32_t>, PageChain>* chains);
+  /// Apply phase: replay `chains` in order (the order of their first
+  /// record), count applied/skipped records and torn pages, and stop at the
+  /// first chain that fails — the failure serial log replay meets first.
+  util::Status ApplyRedoChains(const std::vector<PageChain>& chains);
 
   storage::StorageSystem* storage_;
   WalWriter* wal_;
-  const size_t redo_threads_;
 
   /// Serializes Checkpoint(): the daemon, foreground Flush() callers, and
   /// the NoSpace-retry path may all ask for one concurrently, and the

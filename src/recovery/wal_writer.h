@@ -78,13 +78,10 @@ inline constexpr obs::CounterDef<WalStats> kWalCounters[] = {
 /// The log's counters plus the derived footprint numbers — what
 /// Prima::wal_stats() hands to benchmarks and monitoring.
 struct WalStatsSnapshot : WalStats {
-  /// Restart-recovery shape of the LAST recovery this database ran (zero
-  /// on a clean open): page redo records installed, and the worker count
-  /// the parallel apply phase used (1 = serial replay). Filled by
-  /// Prima::wal_stats() from RecoveryManager — the log itself never
-  /// replays anything.
+  /// Page redo records the LAST recovery of this database installed (zero
+  /// on a clean open). Filled by Prima::wal_stats() from RecoveryManager —
+  /// the log itself never replays anything.
   uint64_t redo_records_applied = 0;
-  uint64_t redo_apply_threads = 0;
   double records_per_force = 0.0;
   double commits_per_force = 0.0;
   uint64_t live_bytes = 0;       ///< append_lsn - truncate_lsn

@@ -111,8 +111,7 @@ class MemoryBlockDevice : public BlockDevice {
 
   /// Deep copy of every file and extent. Crash-recovery tests and
   /// benchmarks use it to recover the SAME crashed image several times
-  /// (e.g. once per recovery_threads setting) and compare the outcomes bit
-  /// for bit.
+  /// and compare the outcomes.
   std::unique_ptr<MemoryBlockDevice> Clone() const;
 
  private:

@@ -148,7 +148,7 @@ class BufferManager {
   util::Result<Frame*> Fix(PageId id, uint32_t page_size, bool format_new);
 
   /// Pin the page only if it is already resident; returns nullptr without
-  /// touching the device otherwise. Used by parallel recovery apply: a
+  /// touching the device otherwise. Used by recovery's redo apply: a
   /// resident frame (e.g. a segment header loaded at Open) must be updated
   /// in place or it would shadow a direct device write, while non-resident
   /// pages are replayed device-side without polluting the buffer. Does not

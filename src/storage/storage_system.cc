@@ -616,11 +616,11 @@ Result<StorageSystem::RedoChainResult> StorageSystem::RecoverApplyPageRedoChain(
     return result;
   }
 
-  // Non-resident: replay the whole chain on a worker-local copy of the
-  // device image and write it back once, sealed. The redo records came out
-  // of the durable log, so writing the page before any further log force
-  // cannot violate the WAL rule; bypassing the buffer keeps parallel
-  // workers off the pool mutex and recovery's working set out of the LRU.
+  // Non-resident: replay the whole chain on a local copy of the device
+  // image and write it back once, sealed. The redo records came out of the
+  // durable log, so writing the page before any further log force cannot
+  // violate the WAL rule; bypassing the buffer keeps recovery's working
+  // set out of the LRU.
   auto image = std::make_unique<char[]>(page_size);
   char* data = image.get();
   PRIMA_RETURN_IF_ERROR(device_->Read(seg, page, data));

@@ -168,14 +168,11 @@ class StorageSystem {
   /// the segment exists and is large enough, then apply every entry whose
   /// LSN is newer than the page (repeating history, ARIES-idempotent).
   ///
-  /// Thread-safe against concurrent chains for OTHER pages — this is the
-  /// unit of work of the parallel redo phase; the partition by page id
-  /// guarantees no two chains share a page. A page already resident in the
-  /// buffer (segment headers loaded at Open) is updated in place under its
-  /// frame latch and left dirty for the post-recovery checkpoint;
-  /// non-resident pages are replayed in worker-local memory and written
-  /// back (sealed) directly — their redo records are already durable in
-  /// the log, so the WAL rule is vacuously satisfied.
+  /// A page already resident in the buffer (segment headers loaded at
+  /// Open) is updated in place under its frame latch and left dirty for
+  /// the post-recovery checkpoint; a non-resident page is replayed in a
+  /// local copy and written back (sealed) directly — its redo records are
+  /// already durable in the log, so the WAL rule is vacuously satisfied.
   ///
   /// A page torn on the device is rebuilt only from a full-image record
   /// (the epoch rule logs one as the page's first post-checkpoint change);

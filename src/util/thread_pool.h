@@ -13,17 +13,17 @@ namespace prima::util {
 /// The number of CPUs this process may run on: the calling thread's
 /// sched_getaffinity mask, or hardware_concurrency() where that is
 /// unavailable; never less than 1. Every scaling knob left at 0 (pool
-/// workers, redo threads, buffer shards, histogram stripes) is sized from
-/// it, so a process pinned to one CPU runs serial.
+/// workers, buffer shards, histogram stripes) is sized from it, so a
+/// process pinned to one CPU runs serial.
 size_t UsableCpus();
 
 /// Fixed-size worker pool. Substrate for PRIMA's "semantic parallelism":
 /// decomposed units of work (DUs) from a single user operation — the
 /// root ranges of a Prima::QueryParallel call — are scheduled here and
 /// executed concurrently (paper §4; the multi-processor PRIMA is emulated
-/// with shared-memory threads in one process).
-/// Restart recovery reuses it to fan per-page redo chains out over the
-/// CPUs (RecoveryManager parallel apply phase).
+/// with shared-memory threads in one process). A caller that needs its
+/// tasks finished waits on its own completion count; the destructor runs
+/// every queued task before it joins the workers.
 class ThreadPool {
  public:
   explicit ThreadPool(size_t num_threads);
@@ -39,13 +39,6 @@ class ThreadPool {
   /// Enqueue a task. Tasks must not throw.
   void Submit(std::function<void()> task);
 
-  /// Enqueue a batch under one lock acquisition and wake every worker —
-  /// cheaper than N Submit calls when fanning out many tasks at once.
-  void SubmitAll(std::vector<std::function<void()>> tasks);
-
-  /// Block until every submitted task has finished.
-  void Wait();
-
   size_t num_threads() const { return workers_.size(); }
 
  private:
@@ -53,10 +46,8 @@ class ThreadPool {
 
   std::mutex mu_;
   std::condition_variable work_cv_;
-  std::condition_variable idle_cv_;
   std::deque<std::function<void()>> queue_;
   std::vector<std::thread> workers_;
-  size_t in_flight_ = 0;
   bool shutting_down_ = false;
 };
 

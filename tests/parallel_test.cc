@@ -211,7 +211,7 @@ TEST(KnobResolutionTest, OneUsableCpuResolvesSerialDefaults) {
   PinToOneCpu pin;
   ASSERT_TRUE(pin.pinned());
   ASSERT_EQ(util::UsableCpus(), 1u);
-  EXPECT_EQ(util::ThreadPool::DefaultThreads(), 1u);  // serial redo too
+  EXPECT_EQ(util::ThreadPool::DefaultThreads(), 1u);  // one pool worker
 
   auto db = Prima::Open(PrimaOptions{});
   ASSERT_TRUE(db.ok()) << db.status().ToString();

@@ -1965,7 +1965,7 @@ TEST_F(CrashRecoveryTest, MediaRecoveryCrossProcessDrive) {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel redo: per-page chains over the thread pool
+// Redo chains: per-page record chains, replayed in first-record order
 // ---------------------------------------------------------------------------
 
 // Build a full-image redo entry over `image` (the whole page but the
@@ -1984,7 +1984,7 @@ storage::StorageSystem::RedoEntry FullImageEntry(const char* image,
   return e;
 }
 
-TEST(ParallelRedoTest, ChainApplyGatesOnPageLsnAndHealsTornPages) {
+TEST(RedoChainTest, ChainApplyGatesOnPageLsnAndHealsTornPages) {
   auto base = std::make_shared<MemoryBlockDevice>();
   constexpr uint32_t kPs = 4096;
   char image[kPs];
@@ -2060,11 +2060,11 @@ TEST(ParallelRedoTest, ChainApplyGatesOnPageLsnAndHealsTornPages) {
   }
 }
 
-TEST(ParallelRedoTest, WorkerErrorSurfacesFirstAndMatchesSerialReplay) {
-  // A poison redo record (unsupported page size -> segment create fails on
-  // the worker) must fail the restart loudly, with the SAME status at
-  // every thread count: first-error-wins picks the oldest failed chain,
-  // not whichever worker lost the race.
+TEST(RedoChainTest, LogOrderFirstErrorSurfaces) {
+  // A poison redo record (unsupported page size -> segment create fails
+  // during the apply) must fail the restart loudly, and with two of them
+  // the reported error is the one a record-by-record log replay meets
+  // first: chains apply in first-record order, not page order.
   auto base = std::make_shared<MemoryBlockDevice>();
   {
     auto storage = std::make_unique<storage::StorageSystem>(
@@ -2079,10 +2079,9 @@ TEST(ParallelRedoTest, WorkerErrorSurfacesFirstAndMatchesSerialReplay) {
       ASSERT_TRUE(guard.ok());
       guard->mutable_data()[PageHeader::kSize + 1] = static_cast<char>('A' + i);
     }
-    // TWO poison records, arranged so chain-map order (segment 98 first)
+    // TWO poison records, arranged so page order (segment 98 first)
     // disagrees with log order (segment 99 appended first): the reported
-    // error must be the OLDER one at every thread count, so serial replay
-    // may not stop at its first map-order failure either.
+    // error must be the OLDER one.
     LogRecord poison;
     poison.type = LogRecordType::kPageRedo;
     poison.segment = 99;
@@ -2097,27 +2096,22 @@ TEST(ParallelRedoTest, WorkerErrorSurfacesFirstAndMatchesSerialReplay) {
     ASSERT_TRUE(wal.ForceAll().ok());
   }
 
-  std::vector<std::string> failures;
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    auto storage = std::make_unique<storage::StorageSystem>(
-        std::make_unique<CrashingBlockDevice>(base), storage::StorageOptions{});
-    ASSERT_TRUE(storage->Open().ok());
-    WalWriter wal(&storage->device());
-    ASSERT_TRUE(wal.Open().ok());
-    RecoveryManager recovery(storage.get(), &wal, threads);
-    const Status st = recovery.AnalyzeAndRedo();
-    ASSERT_FALSE(st.ok()) << "threads=" << threads;
-    EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
-    EXPECT_NE(st.ToString().find("1234"), std::string::npos)
-        << "must report the log-order-first failure: " << st.ToString();
-    failures.push_back(st.ToString());
-  }
-  EXPECT_EQ(failures[0], failures[1]) << "error must not depend on scheduling";
+  auto storage = std::make_unique<storage::StorageSystem>(
+      std::make_unique<CrashingBlockDevice>(base), storage::StorageOptions{});
+  ASSERT_TRUE(storage->Open().ok());
+  WalWriter wal(&storage->device());
+  ASSERT_TRUE(wal.Open().ok());
+  RecoveryManager recovery(storage.get(), &wal);
+  const Status st = recovery.AnalyzeAndRedo();
+  ASSERT_FALSE(st.ok());
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  EXPECT_NE(st.ToString().find("1234"), std::string::npos)
+      << "must report the log-order-first failure: " << st.ToString();
 }
 
-TEST(ParallelRedoTest, TornPageWithoutFullImageFailsRestartLoudly) {
+TEST(RedoChainTest, TornPageWithoutFullImageFailsRestartLoudly) {
   // The scan window holds only a DELTA for a page whose device image is
-  // torn: no full image can rebuild it, so the parallel apply must surface
+  // torn: no full image can rebuild it, so the apply phase must surface
   // the torn page as a loud Corruption instead of replaying onto garbage.
   auto base = std::make_shared<MemoryBlockDevice>();
   {
@@ -2151,50 +2145,22 @@ TEST(ParallelRedoTest, TornPageWithoutFullImageFailsRestartLoudly) {
     ASSERT_TRUE(wal.ForceAll().ok());
   }
 
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    auto storage = std::make_unique<storage::StorageSystem>(
-        std::make_unique<CrashingBlockDevice>(base), storage::StorageOptions{});
-    ASSERT_TRUE(storage->Open().ok());
-    WalWriter wal(&storage->device());
-    ASSERT_TRUE(wal.Open().ok());
-    RecoveryManager recovery(storage.get(), &wal, threads);
-    const Status st = recovery.AnalyzeAndRedo();
-    ASSERT_FALSE(st.ok()) << "threads=" << threads;
-    EXPECT_TRUE(st.IsCorruption()) << st.ToString();
-    EXPECT_NE(st.ToString().find("torn page"), std::string::npos)
-        << st.ToString();
-  }
+  auto storage = std::make_unique<storage::StorageSystem>(
+      std::make_unique<CrashingBlockDevice>(base), storage::StorageOptions{});
+  ASSERT_TRUE(storage->Open().ok());
+  WalWriter wal(&storage->device());
+  ASSERT_TRUE(wal.Open().ok());
+  RecoveryManager recovery(storage.get(), &wal);
+  const Status st = recovery.AnalyzeAndRedo();
+  ASSERT_FALSE(st.ok());
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  EXPECT_NE(st.ToString().find("torn page"), std::string::npos)
+      << st.ToString();
 }
 
-/// Every data page of `a` and `b`, byte for byte. Both databases must hold
-/// the same segments with the same page counts for the comparison to even
-/// start — that too is part of "bit-identical".
-void ExpectIdenticalPageImages(core::Prima* a, core::Prima* b) {
-  const auto segs_a = a->storage().ListSegments();
-  const auto segs_b = b->storage().ListSegments();
-  ASSERT_EQ(segs_a, segs_b);
-  for (storage::SegmentId seg : segs_a) {
-    auto count_a = a->storage().PageCount(seg);
-    auto count_b = b->storage().PageCount(seg);
-    ASSERT_TRUE(count_a.ok() && count_b.ok());
-    ASSERT_EQ(*count_a, *count_b) << "segment " << seg;
-    for (uint32_t page = 0; page < *count_a; ++page) {
-      auto ga = a->storage().FixPage(seg, page, storage::LatchMode::kShared);
-      auto gb = b->storage().FixPage(seg, page, storage::LatchMode::kShared);
-      ASSERT_TRUE(ga.ok()) << ga.status().ToString();
-      ASSERT_TRUE(gb.ok()) << gb.status().ToString();
-      ASSERT_EQ(ga->page_size(), gb->page_size());
-      EXPECT_EQ(std::memcmp(ga->data(), gb->data(), ga->page_size()), 0)
-          << "segment " << seg << " page " << page
-          << " diverges between thread counts";
-    }
-  }
-}
-
-TEST_F(CrashRecoveryTest, ParallelRedoBitIdenticalToSerialReplay) {
-  // Grow a crashed image whose redo window spans many pages, then recover
-  // CLONES of the same bytes with 1 and 4 redo threads: every page image,
-  // every atom value, and the redo counters must agree exactly.
+TEST_F(CrashRecoveryTest, RestartReplaysManyPageChains) {
+  // Grow a crashed image whose redo window spans many pages, then restart:
+  // every atom and every modified value must come back through redo.
   auto db = OpenDb();
   CreateItemType(db.get());
   ASSERT_TRUE(db->Flush().ok());
@@ -2217,49 +2183,30 @@ TEST_F(CrashRecoveryTest, ParallelRedoBitIdenticalToSerialReplay) {
   }
   Crash(&db);
 
-  core::PrimaOptions serial;
-  serial.device = std::shared_ptr<storage::BlockDevice>(base_->Clone());
-  serial.recovery_threads = 1;
-  auto db1 = core::Prima::Open(std::move(serial));
-  ASSERT_TRUE(db1.ok()) << db1.status().ToString();
+  core::PrimaOptions options;
+  options.device = std::shared_ptr<storage::BlockDevice>(base_->Clone());
+  auto recovered = core::Prima::Open(std::move(options));
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_GT((*recovered)->wal_stats().redo_records_applied, 0u);
+  EXPECT_EQ((*recovered)->recovery()->stats().redo_threads, 1u);
 
-  core::PrimaOptions parallel;
-  parallel.device = std::shared_ptr<storage::BlockDevice>(base_->Clone());
-  parallel.recovery_threads = 4;
-  auto dbN = core::Prima::Open(std::move(parallel));
-  ASSERT_TRUE(dbN.ok()) << dbN.status().ToString();
-
-  // Same replay, different fan-out.
-  const auto stats1 = (*db1)->wal_stats();
-  const auto statsN = (*dbN)->wal_stats();
-  EXPECT_GT(stats1.redo_records_applied, 0u);
-  EXPECT_EQ(stats1.redo_records_applied, statsN.redo_records_applied);
-  EXPECT_EQ(stats1.redo_apply_threads, 1u);
-  EXPECT_EQ(statsN.redo_apply_threads, 4u);
-  EXPECT_GE((*dbN)->recovery()->stats().redo_chains, 4u)
-      << "workload too small to exercise the fan-out";
-
-  ExpectIdenticalPageImages(db1->get(), dbN->get());
-
-  const auto* item1 = (*db1)->access().catalog().FindAtomType("item");
-  const auto* itemN = (*dbN)->access().catalog().FindAtomType("item");
-  ASSERT_NE(item1, nullptr);
-  ASSERT_NE(itemN, nullptr);
-  EXPECT_EQ((*db1)->access().AtomCount(item1->id), 300u);
-  EXPECT_EQ((*dbN)->access().AtomCount(itemN->id), 300u);
-  for (const Tid& tid : tids) {
-    auto a1 = (*db1)->access().GetAtom(tid);
-    auto aN = (*dbN)->access().GetAtom(tid);
-    ASSERT_TRUE(a1.ok()) << a1.status().ToString();
-    ASSERT_TRUE(aN.ok()) << aN.status().ToString();
-    EXPECT_EQ(a1->attrs[2].AsString(), aN->attrs[2].AsString());
+  const auto* item = (*recovered)->access().catalog().FindAtomType("item");
+  ASSERT_NE(item, nullptr);
+  EXPECT_EQ((*recovered)->access().AtomCount(item->id), 300u);
+  for (size_t i = 0; i < tids.size(); ++i) {
+    auto atom = (*recovered)->access().GetAtom(tids[i]);
+    ASSERT_TRUE(atom.ok()) << atom.status().ToString();
+    EXPECT_EQ(atom->attrs[1].AsInt(), static_cast<int64_t>(i + 1));
+    EXPECT_EQ(atom->attrs[2].AsString(), i % 3 == 0
+                                             ? "mod" + std::to_string(i)
+                                             : "n" + std::to_string(i + 1));
   }
 }
 
-TEST_F(CrashRecoveryTest, WrappedArchivedRecoveryStableAcrossThreadCounts) {
+TEST_F(CrashRecoveryTest, WrappedArchivedRecoveryStableAcrossClones) {
   // A wrapped, archived circular log: repeated recovery of clones of the
-  // same crashed image must converge to the same atom values at every
-  // thread count — including a second crash-recover cycle per clone.
+  // same crashed image must converge to the same atom values — including
+  // a second crash-recover cycle per clone.
   static constexpr uint64_t kWalCap = 256u << 10;
   core::PrimaOptions options;
   options.wal_max_bytes = kWalCap;
@@ -2275,13 +2222,12 @@ TEST_F(CrashRecoveryTest, WrappedArchivedRecoveryStableAcrossThreadCounts) {
   Crash(&db);
 
   std::vector<std::set<int64_t>> recovered_nums;
-  for (size_t threads : {size_t{1}, size_t{8}}) {
+  for (int round = 0; round < 2; ++round) {
     auto clone = std::shared_ptr<MemoryBlockDevice>(base_->Clone());
     auto crash = std::make_shared<CrashingBlockDevice>(clone);
     core::PrimaOptions o;
     o.device = crash;
     o.wal_max_bytes = kWalCap;
-    o.recovery_threads = threads;
     auto db2 = core::Prima::Open(o);
     ASSERT_TRUE(db2.ok()) << db2.status().ToString();
     const auto* item = (*db2)->access().catalog().FindAtomType("item");
