@@ -271,16 +271,15 @@ void WalWriter::SealTailLocked() {
   const uint32_t room = kBlockSize - tail;
   stats_.pad_bytes += room;
   if (room >= kFragHeader) {
+    static const char kZeroPad[kBlockSize] = {};
     const uint32_t len = room - kFragHeader;
-    std::string zeros(len, '\0');
     char head[kFragHeader];
     util::EncodeFixed16(head + 4, static_cast<uint16_t>(len));
     head[6] = static_cast<char>(kPad);
     util::EncodeFixed32(
-        head, FragCrc(pending_base_ + pending_.size(), kPad, zeros.data(),
-                      zeros.size()));
+        head, FragCrc(pending_base_ + pending_.size(), kPad, kZeroPad, len));
     pending_.append(head, kFragHeader);
-    pending_.append(zeros);
+    pending_.append(kZeroPad, len);
   } else {
     pending_.append(room, '\0');
   }

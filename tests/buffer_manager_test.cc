@@ -325,7 +325,7 @@ TEST_F(BufferManagerTest, ClockEvictionRespectsPinsUnderStorm) {
     pinned.push_back(*f);
   }
   std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
+  for (uint32_t t = 0; t < 4; ++t) {
     threads.emplace_back([&, t] {
       for (uint32_t p = 10 + t * 50; p < 10 + t * 50 + 50; ++p) {
         auto f = buffer.Fix(PageId{1, p}, 512, true);

@@ -834,7 +834,7 @@ TEST(LogArchiverTest, FramingRoundTripAndReopen) {
   EXPECT_EQ(arch.archived_lsn(), 0u);
 
   std::vector<std::string> blocks;
-  for (int i = 0; i < 5; ++i) {
+  for (uint64_t i = 0; i < 5; ++i) {
     blocks.emplace_back(kBs, static_cast<char>('a' + i));
     ASSERT_TRUE(arch.AppendBlock(uint64_t{i} * kBs, blocks[i].data()).ok());
   }
@@ -854,7 +854,7 @@ TEST(LogArchiverTest, FramingRoundTripAndReopen) {
   EXPECT_EQ(reader.base_lsn(), 0u);
   EXPECT_EQ(reader.archived_lsn(), 3u * kBs);
   char buf[kBs];
-  for (int i = 0; i < 3; ++i) {
+  for (uint64_t i = 0; i < 3; ++i) {
     ASSERT_TRUE(reader.ReadBlock(uint64_t{i} * kBs, buf).ok());
     EXPECT_EQ(0, std::memcmp(buf, blocks[i].data(), kBs)) << "block " << i;
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <string>
 #include <vector>
 
 #include "util/coding.h"
@@ -240,29 +241,33 @@ TEST(Crc32Test, DetectsCorruption) {
 
 TEST(Crc32Test, ExtendMatchesWhole) {
   const std::string data = "the quick brown fox jumps over the lazy dog";
-  const uint32_t whole = Crc32(data);
-  // Incremental over the same bytes must not equal a naive re-init — the
-  // Extend form is defined as continuing the running checksum.
   const uint32_t a = Crc32(Slice(data.data(), 10));
-  EXPECT_NE(a, whole);
+  EXPECT_EQ(Crc32Extend(a, Slice(data.data() + 10, data.size() - 10)),
+            Crc32(data));
 }
 
-// The one-byte-at-a-time table CRC; the sliced Crc32Extend must agree with
-// it on every input so stored page, log and wire checksums stay valid.
-uint32_t BytewiseCrc32Extend(uint32_t crc, const std::string& data) {
+// The one-byte-at-a-time table CRC; the folded and the sliced Crc32Extend
+// must agree with it on every input so stored page, log and wire checksums
+// stay valid.
+uint32_t BytewiseCrc32Extend(uint32_t crc, Slice data) {
   uint32_t c = crc ^ 0xFFFFFFFFu;
-  for (unsigned char byte : data) {
-    c ^= byte;
+  for (size_t i = 0; i < data.size(); ++i) {
+    c ^= static_cast<unsigned char>(data.data()[i]);
     for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
   }
   return c ^ 0xFFFFFFFFu;
 }
 
+std::string RandomBytes(Random* rng, size_t n) {
+  std::string data(n, '\0');
+  for (char& c : data) c = static_cast<char>(rng->Next());
+  return data;
+}
+
 TEST(Crc32Test, MatchesBytewiseReferenceWhenSplit) {
   Random rng(0xC3C);
   for (int round = 0; round < 300; ++round) {
-    std::string data(rng.Uniform(9001), '\0');
-    for (char& c : data) c = static_cast<char>(rng.Next());
+    const std::string data = RandomBytes(&rng, rng.Uniform(9001));
     const uint32_t seed = round % 2 == 0 ? 0 : static_cast<uint32_t>(rng.Next());
     const uint32_t want = BytewiseCrc32Extend(seed, data);
     EXPECT_EQ(Crc32Extend(seed, data), want) << "length " << data.size();
@@ -275,6 +280,58 @@ TEST(Crc32Test, MatchesBytewiseReferenceWhenSplit) {
         << "length " << data.size() << " cut " << cut;
   }
   EXPECT_EQ(Crc32(Slice("")), 0u);
+}
+
+// The dispatched routine folds 16-byte lanes from 64 bytes on and slices
+// the rest; the portable one slices everything. Both must equal the
+// bytewise CRC at every length 0..9000 (which covers the fold's edges:
+// 15, 16, 63, 64, 65, 79, 80, 127, 128, and the page bodies 508, 4092 and
+// 8188) starting at every offset 0..63.
+TEST(Crc32Test, BothImplementationsMatchBytewiseAtEveryLengthAndOffset) {
+  constexpr size_t kMaxLen = 9000, kOffsets = 64;
+  Random rng(0xF01D);
+  const std::string buf = RandomBytes(&rng, kMaxLen + kOffsets);
+  for (size_t off = 0; off < kOffsets; ++off) {
+    const uint32_t seed = off % 2 == 0 ? 0 : static_cast<uint32_t>(rng.Next());
+    // The reference grows one byte at a time along the sweep.
+    uint32_t want = seed;
+    for (size_t len = 0; len <= kMaxLen; ++len) {
+      if (len > 0) want = BytewiseCrc32Extend(want, Slice(&buf[off + len - 1], 1));
+      const Slice piece(buf.data() + off, len);
+      ASSERT_EQ(Crc32Extend(seed, piece), want) << "offset " << off << " length " << len;
+      ASSERT_EQ(Crc32ExtendPortable(seed, piece), want)
+          << "offset " << off << " length " << len;
+    }
+  }
+}
+
+// A running checksum chained across a cut equals the whole, whether the cut
+// falls inside the folded part of the whole or in its sliced tail, and
+// whether either piece is long enough to be folded on its own.
+TEST(Crc32Test, ExtendChainsAcrossCutsInAndOutsideTheFold) {
+  Random rng(0xC4A1);
+  for (size_t len : {64, 65, 79, 80, 127, 128, 200, 4092, 8188}) {
+    const std::string data = RandomBytes(&rng, len);
+    const uint32_t want = BytewiseCrc32Extend(0, data);
+    for (size_t cut = 0; cut <= len; ++cut) {
+      const Slice head(data.data(), cut), tail(data.data() + cut, len - cut);
+      ASSERT_EQ(Crc32Extend(Crc32Extend(0, head), tail), want)
+          << "length " << len << " cut " << cut;
+      ASSERT_EQ(Crc32ExtendPortable(Crc32ExtendPortable(0, head), tail), want)
+          << "length " << len << " cut " << cut;
+    }
+  }
+}
+
+// The fold is chosen exactly where the CPU can run it, so on a host with
+// PCLMULQDQ the tests above exercise both implementations.
+TEST(Crc32Test, FoldIsChosenWhereTheCpuHasIt) {
+#if defined(__x86_64__) || defined(__i386__)
+  EXPECT_EQ(Crc32UsesFold(), __builtin_cpu_supports("pclmul") &&
+                                 __builtin_cpu_supports("sse4.1"));
+#else
+  EXPECT_FALSE(Crc32UsesFold());
+#endif
 }
 
 // ---------------------------------------------------------------------------
