@@ -53,39 +53,31 @@ AccessSystem::AccessSystem(storage::StorageSystem* storage,
 // Write-ahead logging of atom operations
 // ---------------------------------------------------------------------------
 
-namespace {
-recovery::AtomOp ToAtomOp(UndoRecord::Kind kind) {
-  switch (kind) {
-    case UndoRecord::Kind::kInsert:
-      return recovery::AtomOp::kInsert;
-    case UndoRecord::Kind::kModify:
-      return recovery::AtomOp::kModify;
-    case UndoRecord::Kind::kDelete:
-      return recovery::AtomOp::kDelete;
-  }
-  return recovery::AtomOp::kModify;
+uint64_t AccessSystem::LogAtomOp(uint64_t txn_id, UndoRecord::Kind kind,
+                                 const Tid& tid, const Atom* before,
+                                 bool clr) {
+  if (wal_ == nullptr) return 0;
+  recovery::LogRecord rec;
+  rec.type = recovery::LogRecordType::kAtomUndo;
+  rec.txn_id = txn_id;
+  rec.op = kind;
+  rec.clr = clr;
+  rec.tid = tid.Pack();
+  auto rid_or = addresses_.Lookup(tid, kBaseStructure);
+  rec.rid = rid_or.ok() ? *rid_or : 0;
+  if (before != nullptr) before->EncodeInto(&rec.before);
+  return wal_->Append(rec);
 }
-}  // namespace
 
-void AccessSystem::LogAtomOp(const WriteTxn& txn, UndoRecord::Kind kind,
-                             const Tid& tid, const Atom* before, bool clr) {
-  uint64_t lsn = 0;
-  if (wal_ != nullptr) {
-    recovery::LogRecord rec;
-    rec.type = recovery::LogRecordType::kAtomUndo;
-    rec.txn_id = txn.id;
-    rec.op = ToAtomOp(kind);
-    rec.clr = clr;
-    rec.tid = tid.Pack();
-    auto rid_or = addresses_.Lookup(tid, kBaseStructure);
-    rec.rid = rid_or.ok() ? *rid_or : 0;
-    if (before != nullptr) before->EncodeInto(&rec.before);
-    lsn = wal_->Append(rec);
-  }
-  if (txn.undo != nullptr) {
-    txn.undo->push_back(
-        UndoRecord{kind, tid, before != nullptr ? *before : Atom{}, lsn});
-  }
+void AccessSystem::LogWrite(const WriteTxn& txn, size_t undo,
+                            UndoRecord::Kind kind, const Tid& tid,
+                            const Atom* before) {
+  const uint64_t lsn = LogAtomOp(txn.id, kind, tid, before, /*clr=*/false);
+  if (txn.undo == nullptr) return;
+  auto record = txn.undo->begin() + undo;
+  record->kind = kind;
+  record->lsn = lsn;
+  std::rotate(record, record + 1, txn.undo->end());
 }
 
 void AccessSystem::NoteStructureRoot(uint32_t structure_id,
@@ -97,7 +89,7 @@ void AccessSystem::NoteStructureRoot(uint32_t structure_id,
     // exactly between the split pages and this record, followed by a
     // crash before any commit, could still lose the re-point — closing
     // that sliver needs the root inside a logged tree meta page; see
-    // ROADMAP "log catalog/DDL operations".)
+    // ROADMAP direction "Metadata recovers like data".)
     wal_->Append(recovery::LogRecord::StructRoot(structure_id, root_page));
   }
 }
@@ -624,13 +616,16 @@ Status AccessSystem::WriteBaseAtom(const Tid& tid, const Atom& atom,
   return Status::Ok();
 }
 
-void AccessSystem::InstallVersion(const WriteTxn& txn, const Tid& tid,
-                                  const Atom* before) {
-  // Id 0 is a system write with no transaction to stamp — those publish
-  // immediately and never need a chain. The Raw* compensation ops bypass
-  // this function entirely, on purpose: rollback restores exactly the
-  // before-images the chain already carries.
-  if (txn.id != 0) versions_.Install(txn.id, tid, before);
+size_t AccessSystem::InstallVersion(const WriteTxn& txn, const Tid& tid,
+                                    const Atom* before) {
+  assert((txn.id == 0) == (txn.undo == nullptr) &&
+         "a WriteTxn carries an id and an undo list together, or neither");
+  // The Raw* compensation ops bypass this function on purpose: rollback
+  // restores exactly the before-images the chain already carries.
+  if (txn.undo == nullptr) return 0;
+  txn.undo->push_back(
+      UndoRecord{{}, tid, versions_.Install(txn.id, tid, before), /*lsn=*/0});
+  return txn.undo->size() - 1;
 }
 
 // ---------------------------------------------------------------------------
@@ -665,11 +660,10 @@ Status AccessSystem::AddBackRef(const Tid& atom_tid, uint16_t attr,
                                 " exceeds max cardinality");
     }
   }
-  InstallVersion(txn, atom_tid, &old_atom);
+  const size_t undo = InstallVersion(txn, atom_tid, &old_atom);
   PRIMA_RETURN_IF_ERROR(WriteBaseAtom(atom_tid, atom, /*is_new=*/false));
   stats_.backref_maintenance++;
-  LogAtomOp(txn, UndoRecord::Kind::kModify, atom_tid, &old_atom,
-            /*clr=*/false);
+  LogWrite(txn, undo, UndoRecord::Kind::kModify, atom_tid, &old_atom);
   PRIMA_RETURN_IF_ERROR(EnqueueRedundancy(*def, &old_atom, &atom, atom_tid));
   return EnqueueClusterMaintenance(*def, &old_atom, &atom, atom_tid);
 }
@@ -700,11 +694,10 @@ Status AccessSystem::RemoveBackRef(const Tid& atom_tid, uint16_t attr,
                                 }),
                  elems->end());
   }
-  InstallVersion(txn, atom_tid, &old_atom);
+  const size_t undo = InstallVersion(txn, atom_tid, &old_atom);
   PRIMA_RETURN_IF_ERROR(WriteBaseAtom(atom_tid, atom, /*is_new=*/false));
   stats_.backref_maintenance++;
-  LogAtomOp(txn, UndoRecord::Kind::kModify, atom_tid, &old_atom,
-            /*clr=*/false);
+  LogWrite(txn, undo, UndoRecord::Kind::kModify, atom_tid, &old_atom);
   PRIMA_RETURN_IF_ERROR(EnqueueRedundancy(*def, &old_atom, &atom, atom_tid));
   return EnqueueClusterMaintenance(*def, &old_atom, &atom, atom_tid);
 }
@@ -817,13 +810,13 @@ Result<Tid> AccessSystem::InsertAtom(AtomTypeId type,
     }
   }
 
-  InstallVersion(txn, tid, /*before=*/nullptr);
+  const size_t undo = InstallVersion(txn, tid, /*before=*/nullptr);
   PRIMA_RETURN_IF_ERROR(WriteBaseAtom(tid, atom, /*is_new=*/true));
   PRIMA_RETURN_IF_ERROR(MaintainAccessPaths(*def, nullptr, &atom, tid));
   PRIMA_RETURN_IF_ERROR(EnqueueRedundancy(*def, nullptr, &atom, tid));
   PRIMA_RETURN_IF_ERROR(EnqueueClusterMaintenance(*def, nullptr, &atom, tid));
   stats_.atoms_inserted++;
-  LogAtomOp(txn, UndoRecord::Kind::kInsert, tid, nullptr, /*clr=*/false);
+  LogWrite(txn, undo, UndoRecord::Kind::kInsert, tid, /*before=*/nullptr);
   return tid;
 }
 
@@ -1147,14 +1140,14 @@ Status AccessSystem::ModifyAtom(const Tid& tid, std::vector<AttrValue> changes,
     }
   }
 
-  InstallVersion(txn, tid, &old_atom);
+  const size_t undo = InstallVersion(txn, tid, &old_atom);
   PRIMA_RETURN_IF_ERROR(WriteBaseAtom(tid, atom, /*is_new=*/false));
   PRIMA_RETURN_IF_ERROR(MaintainAccessPaths(*def, &old_atom, &atom, tid));
   PRIMA_RETURN_IF_ERROR(EnqueueRedundancy(*def, &old_atom, &atom, tid));
   PRIMA_RETURN_IF_ERROR(
       EnqueueClusterMaintenance(*def, &old_atom, &atom, tid));
   stats_.atoms_modified++;
-  LogAtomOp(txn, UndoRecord::Kind::kModify, tid, &old_atom, /*clr=*/false);
+  LogWrite(txn, undo, UndoRecord::Kind::kModify, tid, &old_atom);
   return Status::Ok();
 }
 
@@ -1167,7 +1160,7 @@ Status AccessSystem::DeleteAtom(const Tid& tid, WriteTxn txn) {
   PRIMA_ASSIGN_OR_RETURN(const Atom atom, ReadBaseAtom(tid, def));
   // Install at the TOP — before the index entries go, so a snapshot scan's
   // ghost pass can still find this atom by its chain after the delete.
-  InstallVersion(txn, tid, &atom);
+  const size_t undo = InstallVersion(txn, tid, &atom);
 
   // Disconnect every association (symmetry: all relationships touching this
   // atom appear in its own attributes, forward or back).
@@ -1193,7 +1186,7 @@ Status AccessSystem::DeleteAtom(const Tid& tid, WriteTxn txn) {
   // At this point every association has been disconnected (and logged);
   // the before image recorded here restores the record + redundancy, and
   // the logged back-reference writes restore symmetry.
-  LogAtomOp(txn, UndoRecord::Kind::kDelete, tid, &atom, /*clr=*/false);
+  LogWrite(txn, undo, UndoRecord::Kind::kDelete, tid, &atom);
   return Status::Ok();
 }
 
@@ -1699,8 +1692,7 @@ Status AccessSystem::RawDeleteAtom(const Tid& tid, uint64_t txn_id) {
                          addresses_.Lookup(tid, kBaseStructure));
   PRIMA_RETURN_IF_ERROR(base_files_.at(tid.type)->Delete(RecordId::Unpack(rid)));
   PRIMA_RETURN_IF_ERROR(addresses_.Remove(tid));
-  LogAtomOp({txn_id}, UndoRecord::Kind::kDelete, tid, &old_atom,
-            /*clr=*/true);
+  LogAtomOp(txn_id, UndoRecord::Kind::kDelete, tid, &old_atom, /*clr=*/true);
   return Status::Ok();
 }
 
@@ -1715,7 +1707,7 @@ Status AccessSystem::RawRestoreAtom(const Atom& atom, uint64_t txn_id) {
   PRIMA_RETURN_IF_ERROR(MaintainAccessPaths(*def, nullptr, &atom, atom.tid));
   PRIMA_RETURN_IF_ERROR(EnqueueRedundancy(*def, nullptr, &atom, atom.tid));
   PRIMA_RETURN_IF_ERROR(EnqueueClusterMaintenance(*def, nullptr, &atom, atom.tid));
-  LogAtomOp({txn_id}, UndoRecord::Kind::kInsert, atom.tid, nullptr,
+  LogAtomOp(txn_id, UndoRecord::Kind::kInsert, atom.tid, nullptr,
             /*clr=*/true);
   return Status::Ok();
 }
@@ -1729,7 +1721,7 @@ Status AccessSystem::RawOverwriteAtom(const Atom& before, uint64_t txn_id) {
   PRIMA_RETURN_IF_ERROR(MaintainAccessPaths(*def, &current, &before, before.tid));
   PRIMA_RETURN_IF_ERROR(EnqueueRedundancy(*def, &current, &before, before.tid));
   PRIMA_RETURN_IF_ERROR(EnqueueClusterMaintenance(*def, &current, &before, before.tid));
-  LogAtomOp({txn_id}, UndoRecord::Kind::kModify, before.tid, &current,
+  LogAtomOp(txn_id, UndoRecord::Kind::kModify, before.tid, &current,
             /*clr=*/true);
   return Status::Ok();
 }

@@ -76,26 +76,12 @@ struct AttrValue {
   Value value;
 };
 
-/// One base-atom mutation, as its transaction records it for undo. The
-/// implicit back-reference maintenance writes are recorded individually,
-/// so replaying `before` images in reverse order restores full symmetry.
-struct UndoRecord {
-  enum class Kind : uint8_t { kInsert, kModify, kDelete };
-  Kind kind = Kind::kModify;
-  Tid tid;
-  Atom before;  ///< valid for kModify / kDelete
-  /// WAL LSN of the matching kAtomUndo log record (0 when unlogged).
-  /// Identifies exactly which log entries a subtree abort compensated —
-  /// a plain count would miss parent operations interleaved with an
-  /// active child's.
-  uint64_t lsn = 0;
-};
-
-/// The transaction a write belongs to, passed to every mutator. `id` is
-/// the top-level transaction id: it tags the write's log records and its
-/// version-chain entries. The write appends one UndoRecord per base-atom
-/// mutation to `*undo` when it is set. The default, id 0, is a system
-/// write: no version chain, WAL txn 0, never undone.
+/// The transaction a write belongs to, passed to every mutator: the
+/// top-level transaction id, which tags the write's log records and chain
+/// entries, and the writer's undo list, to which each base-atom mutation
+/// (each implicit back-reference write too) appends one UndoRecord. Both
+/// or neither: the default is a system write — no version chain, WAL txn
+/// 0, never undone.
 struct WriteTxn {
   uint64_t id = 0;
   std::vector<UndoRecord>* undo = nullptr;
@@ -266,9 +252,8 @@ class AccessSystem {
 
   /// Attach (or detach) the WAL. Every base-atom mutation then also appends
   /// an atom-level undo record (op, tid, rid, before image), tagged with
-  /// its WriteTxn's id, next to the in-memory UndoRecord the write appends
-  /// to the transaction's undo list; Raw* compensations append redo-only
-  /// (CLR) records.
+  /// its WriteTxn's id, whose LSN the write's UndoRecord keeps; Raw*
+  /// compensations append redo-only (CLR) records.
   void SetWal(recovery::WalWriter* wal) { wal_ = wal; }
   recovery::WalWriter* wal() const { return wal_; }
 
@@ -315,8 +300,8 @@ class AccessSystem {
   const Catalog& catalog() const { return catalog_; }
   AddressTable& addresses() { return addresses_; }
   /// In-memory version chains for pinned-view reads. Writers install pending
-  /// before-images here (at the same sites that record undo); the
-  /// transaction layer publishes them at commit and at top-level abort.
+  /// before-images here; the transaction layer publishes them at top-level
+  /// commit and at every abort.
   VersionStore& versions() { return versions_; }
   storage::StorageSystem& storage() { return *storage_; }
   AccessStats& stats() { return stats_; }
@@ -401,20 +386,21 @@ class AccessSystem {
 
   util::Status PersistMetadata();
 
-  /// Record one base-atom mutation of `txn`: append an atom-level log
-  /// record tagged with `txn.id` (when a WAL is attached), then the
-  /// matching UndoRecord, carrying the record's LSN, to `*txn.undo` (when
-  /// set). `clr` marks compensation writes, which redo but are never
-  /// undone.
-  void LogAtomOp(const WriteTxn& txn, UndoRecord::Kind kind, const Tid& tid,
-                 const Atom* before, bool clr);
-
-  /// Install a pending version chain entry for `txn` (no-op for system
-  /// writes, id 0, and for the Raw* compensations, which never call it).
-  /// MUST run before the base record is overwritten: a reader reads
-  /// base-then-chain, so the chain entry has to exist by the time the base
-  /// can show the new value.
-  void InstallVersion(const WriteTxn& txn, const Tid& tid, const Atom* before);
+  /// Install a pending chain entry for a write of `txn` (a system write
+  /// installs nothing) and append its UndoRecord, lsn 0; returns the
+  /// record's index, for LogWrite. MUST run before the base record is
+  /// overwritten: a reader reads base-then-chain.
+  size_t InstallVersion(const WriteTxn& txn, const Tid& tid,
+                        const Atom* before);
+  /// Log the write InstallVersion recorded at `undo`, hand the record its
+  /// kind and LSN and move it to the list's tail: a DELETE logs after its
+  /// back-reference writes, and the list stays in log order.
+  void LogWrite(const WriteTxn& txn, size_t undo, UndoRecord::Kind kind,
+                const Tid& tid, const Atom* before);
+  /// Append one atom-level log record tagged `txn_id` (none without a WAL)
+  /// and return its LSN; `clr` marks a compensation: redone, never undone.
+  uint64_t LogAtomOp(uint64_t txn_id, UndoRecord::Kind kind, const Tid& tid,
+                     const Atom* before, bool clr);
 
   /// Record a structure's root/meta page move: in the catalog (in memory;
   /// persisted wholesale at the next checkpoint) AND as a kStructRoot log

@@ -1,6 +1,7 @@
 #include "access/version_store.h"
 
 #include <algorithm>
+#include <cassert>
 
 #include "obs/trace.h"
 
@@ -12,42 +13,42 @@ VersionStore::Pin::~Pin() {
   if (store_ != nullptr) store_->ReleasePin(view_);
 }
 
-void VersionStore::Install(uint64_t txn, const Tid& tid, const Atom* before) {
-  if (txn == 0) return;  // system/auto-commit writes are never versioned
+uint64_t VersionStore::Install(uint64_t txn, const Tid& tid,
+                               const Atom* before) {
   const uint64_t packed = tid.Pack();
   Entry e;
   e.txn = txn;
-  if (before != nullptr) {
-    e.has_before = true;
-    e.before = *before;
-  }
-  {
-    Shard& shard = ShardFor(packed);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.chains[packed].push_back(std::move(e));
-  }
-  {
-    std::lock_guard<std::mutex> lock(txns_mu_);
-    pending_by_txn_[txn].push_back(packed);
-  }
+  if (before != nullptr) e.before = *before;
   stats_.versions_installed++;
   retained_.fetch_add(1, std::memory_order_release);
+  Shard& shard = ShardFor(packed);
+  std::lock_guard<std::mutex> lock(shard.mu);
+  e.id = ++shard.last_entry;
+  shard.chains[packed].push_back(std::move(e));
+  return shard.last_entry;
 }
 
-uint64_t VersionStore::Publish(uint64_t txn, uint64_t wal_lsn) {
-  std::vector<uint64_t> tids;
-  {
-    std::lock_guard<std::mutex> lock(txns_mu_);
-    auto it = pending_by_txn_.find(txn);
-    if (it == pending_by_txn_.end()) {
-      // Nothing versioned, but advance the LSN watermark new pins report.
-      if (wal_lsn > last_lsn_.load(std::memory_order_relaxed)) {
-        last_lsn_.store(wal_lsn, std::memory_order_relaxed);
-      }
-      return 0;
+std::optional<Atom> VersionStore::BeforeImage(const Tid& tid,
+                                              uint64_t entry) const {
+  const uint64_t packed = tid.Pack();
+  Shard& shard = ShardFor(packed);
+  std::lock_guard<std::mutex> lock(shard.mu);
+  auto it = shard.chains.find(packed);
+  if (it == shard.chains.end()) return std::nullopt;
+  for (const Entry& e : it->second) {
+    if (e.id == entry) return e.before;
+  }
+  return std::nullopt;
+}
+
+uint64_t VersionStore::Publish(const std::vector<UndoRecord>& writes,
+                               uint64_t wal_lsn) {
+  if (writes.empty()) {
+    // Nothing versioned, but advance the LSN watermark new pins report.
+    if (wal_lsn > last_lsn_.load(std::memory_order_relaxed)) {
+      last_lsn_.store(wal_lsn, std::memory_order_relaxed);
     }
-    tids = std::move(it->second);
-    pending_by_txn_.erase(it);
+    return 0;
   }
 
   // Stamp THEN publish: every entry carries the new sequence before
@@ -55,7 +56,7 @@ uint64_t VersionStore::Publish(uint64_t txn, uint64_t wal_lsn) {
   // half-stamped transaction at or below S.
   std::lock_guard<std::mutex> clk(commit_mu_);
   const uint64_t seq = last_seq_.load(std::memory_order_relaxed) + 1;
-  StampAndBury(txn, tids, seq, wal_lsn);
+  StampAndBury(writes, seq);
   if (wal_lsn > last_lsn_.load(std::memory_order_relaxed)) {
     last_lsn_.store(wal_lsn, std::memory_order_relaxed);
   }
@@ -64,21 +65,22 @@ uint64_t VersionStore::Publish(uint64_t txn, uint64_t wal_lsn) {
   return seq;
 }
 
-void VersionStore::StampAndBury(uint64_t txn,
-                                const std::vector<uint64_t>& tids,
-                                uint64_t seq, uint64_t wal_lsn) {
+void VersionStore::StampAndBury(const std::vector<UndoRecord>& writes,
+                                uint64_t seq) {
   std::vector<Tomb> tombs;
-  tombs.reserve(tids.size());
-  for (const uint64_t packed : tids) {
+  tombs.reserve(writes.size());
+  for (const UndoRecord& w : writes) {
+    const uint64_t packed = w.tid.Pack();
     Shard& shard = ShardFor(packed);
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.chains.find(packed);
     if (it == shard.chains.end()) continue;
     for (Entry& e : it->second) {
-      if (e.txn != txn || e.seq != 0) continue;
+      if (e.id != w.entry) continue;
+      assert(e.seq == 0 && "a chain entry is published once");
       e.seq = seq;
-      e.wal_lsn = wal_lsn;
       tombs.push_back(Tomb{packed, seq});
+      break;
     }
   }
   std::lock_guard<std::mutex> lock(retire_mu_);
@@ -191,12 +193,9 @@ VersionStore::Resolution VersionStore::Resolve(const Tid& tid,
       const bool committed_visible = e.seq != 0 && e.seq <= view.seq;
       if (own || committed_visible) continue;
       // First invisible entry: its before-image is the view's version.
-      if (e.has_before) {
-        r.outcome = Outcome::kBefore;
-        r.before = e.before;
-      } else {
-        r.outcome = Outcome::kInvisible;  // insert the view predates
-      }
+      r.outcome = e.before ? Outcome::kBefore
+                           : Outcome::kInvisible;  // insert the view predates
+      r.before = e.before;
       break;
     }
   }

@@ -15,6 +15,10 @@
 #include "access/value.h"
 #include "obs/counter.h"
 
+namespace prima::recovery {
+enum class AtomOp : uint8_t;
+}  // namespace prima::recovery
+
 namespace prima::access {
 
 /// A reader's consistent view of the database: every transaction whose
@@ -65,6 +69,19 @@ struct VersionStoreStatsSnapshot : VersionStoreStats {
   uint64_t commit_seq = 0;           ///< logical commit clock
 };
 
+/// One write of a transaction, the only record of it the transaction
+/// keeps: its undo image is the before-image of chain entry `entry`.
+struct UndoRecord {
+  using Kind = recovery::AtomOp;  ///< as the write's log record names it
+  Kind kind{};
+  Tid tid;
+  uint64_t entry = 0;  ///< VersionStore::Install's id for the write's entry
+  /// LSN of the write's kAtomUndo log record, naming exactly what an abort
+  /// compensated; 0 (and `kind` unset) until the write logs. One that
+  /// failed first is published but never compensated.
+  uint64_t lsn = 0;
+};
+
 /// In-memory version chains for pinned-view reads: the
 /// before-images the undo path already produces are kept, per atom, for as
 /// long as any live read view might need them. Writers install a pending
@@ -75,12 +92,15 @@ struct VersionStoreStatsSnapshot : VersionStoreStats {
 /// because recovery rolls every loser back and readers of the old
 /// incarnation are gone.
 ///
-/// Visibility walk (chains are oldest -> newest; write locks serialize the
-/// writers of one atom, so pending entries only ever sit at the tail):
-/// the first entry that is NOT visible to the view (pending by another
-/// transaction, or committed after the view's seq) carries the value the
-/// view must see — its before-image, or "no atom" for an insert. If every
-/// entry is visible, the current base record is the answer.
+/// Visibility walk (chains are oldest -> newest): the first entry that is
+/// NOT visible to the view (pending by another transaction, or committed
+/// after the view's seq) carries the value the view must see — its
+/// before-image, or "no atom" for an insert. If every entry is visible,
+/// the current base record is the answer. Write locks serialize the
+/// writers of one atom, and every abort publishes its entries before its
+/// locks drop, so a chain's pending entries all belong to the lock
+/// holder's tree; behind the first of them sit only more of that tree's
+/// entries, pending or stamped by an aborted subtransaction.
 class VersionStore {
  public:
   VersionStore();
@@ -99,24 +119,29 @@ class VersionStore {
   };
 
   /// Install a pending version for `tid`, written by top-level transaction
-  /// `txn`. `before` is the atom's image prior to this mutation; nullptr
-  /// for an insert (the atom did not exist before). Must be called BEFORE
-  /// the base record is overwritten.
-  void Install(uint64_t txn, const Tid& tid, const Atom* before);
+  /// `txn` (never 0). `before` is the atom's image prior to this mutation;
+  /// nullptr for an insert. Must be called BEFORE the base record is
+  /// overwritten. Returns the entry's id, unique within its shard: the
+  /// handle an UndoRecord keeps, stable however the chain grows or retires.
+  uint64_t Install(uint64_t txn, const Tid& tid, const Atom* before);
 
-  /// Stamp every pending entry of `txn` with the next commit sequence and
-  /// publish it. `wal_lsn` is the transaction's commit LSN (0 unlogged),
-  /// kept so a pinned snapshot is diagnosable in WAL terms. Returns the
-  /// assigned sequence (0 when the transaction installed nothing).
+  /// A copy of entry `entry`'s before-image (an abort's undo image);
+  /// nullopt for an insert's entry or an id `tid`'s chain does not hold.
+  std::optional<Atom> BeforeImage(const Tid& tid, uint64_t entry) const;
+
+  /// Stamp exactly the pending entries `writes` name with the next commit
+  /// sequence and publish them. `wal_lsn` is the commit LSN (0 for an
+  /// abort), which pins opened later report (oldest_snapshot_lsn).
+  /// Returns the assigned sequence (0 when `writes` is empty).
   ///
-  /// A top-level abort publishes too, once its compensations have
-  /// restored every base record (with wal_lsn 0): each entry then records
-  /// a change from its before-image to that same restored value. Views
-  /// pinned before the abort resolve through the entry to the before-image,
-  /// so a record a reader fetched while it still held the aborted value is
-  /// never trusted; views pinned after it read the restored base. Dropping
-  /// the entries instead would leave such a reader with no chain to find.
-  uint64_t Publish(uint64_t txn, uint64_t wal_lsn);
+  /// Every abort, nested or not, publishes its own list once its
+  /// compensations have restored every base record: each entry then
+  /// records a change from its before-image to that same restored value.
+  /// Views pinned before the abort resolve through the entry to the
+  /// before-image, so a record a reader fetched while it still held the
+  /// aborted value is never trusted; views pinned after it read the
+  /// restored base. Dropping the entries would leave such a reader no chain.
+  uint64_t Publish(const std::vector<UndoRecord>& writes, uint64_t wal_lsn);
 
   /// Pin a read view at the current commit clock. Thread-safe.
   std::shared_ptr<Pin> OpenSnapshot(uint64_t own_txn);
@@ -154,15 +179,15 @@ class VersionStore {
 
  private:
   struct Entry {
+    uint64_t id = 0;       ///< Install's handle
     uint64_t txn = 0;
     uint64_t seq = 0;      ///< 0 = pending (uncommitted)
-    uint64_t wal_lsn = 0;  ///< commit LSN once stamped
-    bool has_before = false;
-    Atom before;
+    std::optional<Atom> before;  ///< none for an insert
   };
   struct Shard {
     mutable std::mutex mu;
     std::unordered_map<uint64_t, std::vector<Entry>> chains;  ///< packed tid
+    uint64_t last_entry = 0;  ///< last id Install assigned here
   };
   static constexpr size_t kShards = 16;
 
@@ -172,10 +197,9 @@ class VersionStore {
 
   friend class VersionStoreTestPeer;
 
-  /// Stamp `txn`'s pending entries among `tids` with `seq` and bury their
+  /// Stamp the pending entries `writes` name with `seq` and bury their
   /// tombs; last_seq_ is not advanced (Publish does that next).
-  void StampAndBury(uint64_t txn, const std::vector<uint64_t>& tids,
-                    uint64_t seq, uint64_t wal_lsn);
+  void StampAndBury(const std::vector<UndoRecord>& writes, uint64_t seq);
   void ReleasePin(const ReadView& view);
   /// Trim every stamped entry all live pins can already see. Caller must
   /// NOT hold any shard mutex.
@@ -197,11 +221,6 @@ class VersionStore {
   /// commit_mu_ (Publish calls Retire, which takes pins_mu_ — the reverse
   /// nesting would deadlock).
   std::atomic<uint64_t> last_lsn_{0};
-
-  /// Per-transaction index of installed (pending) entries, so Publish
-  /// touches only the transaction's own chains.
-  std::mutex txns_mu_;
-  std::unordered_map<uint64_t, std::vector<uint64_t>> pending_by_txn_;
 
   /// Stamped entries in commit order, awaiting retirement.
   struct Tomb {

@@ -240,7 +240,7 @@ Result<ExecResult> Session::ExecuteStatement(
   }
   if (!IsDml(stmt.kind)) {
     // DDL is untransacted: catalog changes are not undo-logged (ROADMAP
-    // "Crash-consistent DDL").
+    // direction "Metadata recovers like data").
     Ctx ctx(nullptr);
     return data_->ExecuteStatement(stmt, ctx, plan, params);
   }

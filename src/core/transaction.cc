@@ -322,7 +322,7 @@ Status Transaction::Commit() {
     // Stamp this transaction's version-chain entries with the next commit
     // sequence BEFORE the write locks drop: once another writer can touch
     // these atoms, its new pending entries must land strictly after ours.
-    mgr_->access_->versions().Publish(id_, commit_lsn);
+    mgr_->access_->versions().Publish(undo_, commit_lsn);
     mgr_->ReleaseAll(this);
     undo_.clear();
   }
@@ -336,46 +336,43 @@ Status Transaction::Abort() {
     return Status::InvalidArgument("cannot abort with active subtransactions");
   }
   // Selective in-transaction recovery: compensate this subtree only, in
-  // reverse chronological order. The compensating writes are CLR-logged
-  // under the root transaction; the kCompensation record afterwards tells
-  // restart undo that these entries are already rolled back.
+  // reverse log order. The compensating writes are CLR-logged under the
+  // root transaction; the kCompensation record afterwards tells restart
+  // undo that these entries are already rolled back. A record without an
+  // LSN is a write that failed before it logged: nothing to compensate.
   const uint64_t root = root_id();
+  access::AccessSystem& access = *mgr_->access_;
   Status first_error;
+  std::vector<uint64_t> compensated;
   for (auto it = undo_.rbegin(); it != undo_.rend(); ++it) {
+    if (it->lsn == 0) continue;
+    compensated.push_back(it->lsn);
     Status st;
-    switch (it->kind) {
-      case access::UndoRecord::Kind::kInsert:
-        st = mgr_->access_->RawDeleteAtom(it->tid, root);
-        break;
-      case access::UndoRecord::Kind::kModify:
-        st = mgr_->access_->RawOverwriteAtom(it->before, root);
-        break;
-      case access::UndoRecord::Kind::kDelete:
-        st = mgr_->access_->RawRestoreAtom(it->before, root);
-        break;
+    if (it->kind == access::UndoRecord::Kind::kInsert) {
+      st = access.RawDeleteAtom(it->tid, root);
+    } else if (std::optional<Atom> before =
+                   access.versions().BeforeImage(it->tid, it->entry)) {
+      st = it->kind == access::UndoRecord::Kind::kModify
+               ? access.RawOverwriteAtom(*before, root)
+               : access.RawRestoreAtom(*before, root);
+    } else {
+      st = Status::Corruption("no version-chain entry to undo atom " +
+                              it->tid.ToString());
     }
     mgr_->stats_.undo_applied++;
     if (!st.ok() && first_error.ok()) first_error = st;
   }
-  if (!undo_.empty()) {
-    std::vector<uint64_t> compensated;
-    compensated.reserve(undo_.size());
-    for (const auto& rec : undo_) {
-      if (rec.lsn != 0) compensated.push_back(rec.lsn);
-    }
+  if (!compensated.empty()) {
+    std::reverse(compensated.begin(), compensated.end());  // log order
     mgr_->wal_->Append(
         recovery::LogRecord::Compensation(root, std::move(compensated)));
   }
+  // Publish this subtree's entries (see VersionStore::Publish) before its
+  // locks drop: left pending, a child's would hide the commits of every
+  // writer that locks the atom next until the root ends.
+  access.versions().Publish(undo_, /*wal_lsn=*/0);
   undo_.clear();
   state_ = State::kAborted;
-  if (parent_ == nullptr) {
-    // The compensations above restored every base record; publishing the
-    // pending entries now (see VersionStore::Publish) keeps a reader that
-    // fetched a record before its compensation from trusting it. Subtree
-    // aborts keep theirs pending: the entries' before-images still
-    // describe the root's earlier writes correctly.
-    mgr_->access_->versions().Publish(id_, /*wal_lsn=*/0);
-  }
   mgr_->ReleaseAll(this);
   if (parent_ != nullptr) {
     std::lock_guard<std::mutex> lock(mgr_->mu_);

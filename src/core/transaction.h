@@ -65,12 +65,13 @@ class Transaction {
   // --- outcome -----------------------------------------------------------------
 
   /// Commit: a subtransaction passes locks + undo to its parent; a
-  /// top-level transaction releases everything (effects are durable at the
-  /// next flush). Fails if any child is still active.
+  /// top-level transaction forces the log (durable on return) and releases
+  /// everything. Fails if any child is still active.
   util::Status Commit();
 
-  /// Abort: compensate this subtree's effects (reverse undo application)
-  /// and release its locks. The surrounding transaction continues.
+  /// Abort: compensate this subtree's effects (reverse undo application),
+  /// publish its chain entries and release its locks. The surrounding
+  /// transaction continues.
   util::Status Abort();
 
  private:
@@ -84,7 +85,7 @@ class Transaction {
   util::Status LockRefTargets(const access::Value& value);
 
   /// This transaction as a writer names itself to the access system: the
-  /// root id, and this node's undo list.
+  /// root id, and this node's undo list, the only list of its writes.
   access::WriteTxn write_txn() { return {root_id(), &undo_}; }
 
   util::Status CheckActive() const;

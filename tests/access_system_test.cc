@@ -325,11 +325,12 @@ TEST_F(AccessSystemTest, GetAtomsResolvesAnUncommittedWriterToBeforeImages) {
   auto b = NewPart(2);
   auto c = NewPart(3);
   ASSERT_TRUE(a.ok() && b.ok() && c.ok());
-  constexpr uint64_t kTxn = 42;
+  std::vector<UndoRecord> writes;  // the uncommitted writer's record list
+  const WriteTxn txn{/*id=*/42, &writes};
   const util::Status modified = access_->ModifyAtom(
-      *b, {AttrValue{2, Value::String("changed")}}, {kTxn});
-  const util::Status deleted = access_->DeleteAtom(*c, {kTxn});
-  auto d = NewPart(4, {kTxn});
+      *b, {AttrValue{2, Value::String("changed")}}, txn);
+  const util::Status deleted = access_->DeleteAtom(*c, txn);
+  auto d = NewPart(4, txn);
   ASSERT_TRUE(modified.ok() && deleted.ok() && d.ok());
 
   util::Status missing;
@@ -339,7 +340,8 @@ TEST_F(AccessSystemTest, GetAtomsResolvesAnUncommittedWriterToBeforeImages) {
   EXPECT_EQ(out[2].attrs[2].AsString(), "p3");
   EXPECT_TRUE(missing.IsNotFound()) << missing.ToString();
 
-  access_->versions().Publish(kTxn, /*wal_lsn=*/0);  // commit
+  EXPECT_EQ(writes.size(), 3u);  // one record per write, each naming its entry
+  access_->versions().Publish(writes, /*wal_lsn=*/0);  // commit
   out = ReadSet({*a, *b, *c, *d});
   ASSERT_EQ(TidsOf(out), (std::vector<Tid>{*a, *b, *d}));
   EXPECT_EQ(out[1].attrs[2].AsString(), "changed");
@@ -506,9 +508,9 @@ TEST_F(AccessSystemTest, PartitionServesOnlyAtomsWithNoPendingWrite) {
   EXPECT_EQ(quiet->attrs[1].AsInt(), 1);
   EXPECT_EQ(access_->stats().partition_reads.load(), before + 1);
 
-  constexpr uint64_t kTxn = 42;  // writes tagged with a transaction chain
-  const util::Status modified =
-      access_->ModifyAtom(*p, {AttrValue{1, Value::Int(77)}}, {kTxn});
+  std::vector<UndoRecord> writes;  // writes tagged with a transaction chain
+  const util::Status modified = access_->ModifyAtom(
+      *p, {AttrValue{1, Value::Int(77)}}, {/*id=*/42, &writes});
   ASSERT_TRUE(modified.ok());
   auto busy = access_->GetAtom(*p, {1});
   ASSERT_TRUE(busy.ok());
@@ -516,7 +518,7 @@ TEST_F(AccessSystemTest, PartitionServesOnlyAtomsWithNoPendingWrite) {
   EXPECT_TRUE(busy->attrs[2].is_null());  // the before-image is projected
   EXPECT_EQ(access_->stats().partition_reads.load(), before + 1);
 
-  access_->versions().Publish(kTxn, /*wal_lsn=*/0);  // commit
+  access_->versions().Publish(writes, /*wal_lsn=*/0);  // commit
   auto committed = access_->GetAtom(*p, {1});
   ASSERT_TRUE(committed.ok());
   EXPECT_EQ(committed->attrs[1].AsInt(), 77);

@@ -28,17 +28,12 @@ namespace prima::access {
 /// between two steps that race on different threads in the real thing.
 class VersionStoreTestPeer {
  public:
-  /// Publish up to its clock store: stamp `txn`'s entries with the next
-  /// sequence and bury their tombs. Returns that sequence.
-  static uint64_t StampAndBury(VersionStore& store, uint64_t txn) {
-    std::vector<uint64_t> tids;
-    {
-      std::lock_guard<std::mutex> lock(store.txns_mu_);
-      tids = std::move(store.pending_by_txn_[txn]);
-      store.pending_by_txn_.erase(txn);
-    }
+  /// Publish up to its clock store: stamp the entries `writes` name with
+  /// the next sequence and bury their tombs. Returns that sequence.
+  static uint64_t StampAndBury(VersionStore& store,
+                               const std::vector<UndoRecord>& writes) {
     const uint64_t seq = store.last_seq_.load() + 1;
-    store.StampAndBury(txn, tids, seq, /*wal_lsn=*/0);
+    store.StampAndBury(writes, seq);
     return seq;
   }
   /// The rest of Publish: advance the clock, then retire.
@@ -67,10 +62,12 @@ TEST(VersionStoreRaceTest, PinOpenedWhileACommitPublishesKeepsItsEntries) {
   Atom before;
   before.tid = tid;
   before.attrs.push_back(Value::String("before"));
-  store.Install(/*txn=*/7, tid, &before);
+  const std::vector<UndoRecord> writes = {
+      {UndoRecord::Kind::kModify, tid, store.Install(/*txn=*/7, tid, &before),
+       /*lsn=*/0}};
 
   const uint64_t floor = VersionStoreTestPeer::RetireFloor(store);
-  const uint64_t seq = VersionStoreTestPeer::StampAndBury(store, 7);
+  const uint64_t seq = VersionStoreTestPeer::StampAndBury(store, writes);
   std::shared_ptr<VersionStore::Pin> pin = store.OpenSnapshot(0);
   EXPECT_EQ(pin->view().seq, seq - 1);
   VersionStoreTestPeer::RetireThrough(store, floor);
@@ -382,6 +379,170 @@ TEST_F(MvccTest, DefaultReaderNeverSeesUncommittedOrAbortedWrite) {
   EXPECT_EQ(failed.load(), 0) << first_error;
   EXPECT_GE(aborts.load(), 400u);
   EXPECT_GE(reads.load(), 100u);
+}
+
+// A subtransaction's ABORT WORK publishes its chain entries before its
+// locks drop. Left pending until the outer COMMIT WORK, the aborted entry
+// sat in front of the next writer's, and every fresh read resolved the
+// part to the aborted write's before-image: a committed value was hidden.
+TEST_F(MvccTest, NestedAbortDoesNotHideALaterCommit) {
+  ASSERT_TRUE(InsertPart(session_.get(), 1, "p1", 1.0).ok());
+  const auto name_of_part_1 = [&] {
+    auto r = session_->Execute("SELECT ALL FROM part WHERE part_no = 1");
+    EXPECT_TRUE(r.ok() && r->molecules.size() == 1u);
+    if (!r.ok() || r->molecules.size() != 1u) return std::string();
+    return r->molecules.molecules[0].groups[0].atoms[0].attrs[2].AsString();
+  };
+
+  auto a = db_->OpenSession();
+  ASSERT_TRUE(a->Execute("BEGIN WORK").ok());
+  ASSERT_TRUE(a->Execute("BEGIN WORK").ok());
+  ASSERT_TRUE(
+      a->Execute("MODIFY part SET name = 'dirty' WHERE part_no = 1").ok());
+  ASSERT_TRUE(a->Execute("ABORT WORK").ok());
+
+  auto c = db_->OpenSession();
+  ASSERT_TRUE(
+      c->Execute("MODIFY part SET name = 'other' WHERE part_no = 1").ok());
+  EXPECT_EQ(name_of_part_1(), "other");
+
+  ASSERT_TRUE(a->Execute("COMMIT WORK").ok());
+  EXPECT_EQ(name_of_part_1(), "other");
+  EXPECT_TRUE(db_->access().versions().Empty());
+}
+
+// The same sequence, read by a cursor that pins its view after the other
+// session's commit and drains only after the outer COMMIT WORK: its view
+// includes the commit, so it must stream the committed value.
+TEST_F(MvccTest, CursorAfterANestedAbortSeesTheLaterCommit) {
+  for (int i = 1; i <= 4; ++i) {
+    ASSERT_TRUE(InsertPart(session_.get(), i, "p" + std::to_string(i), 1.0)
+                    .ok());
+  }
+  auto a = db_->OpenSession();
+  ASSERT_TRUE(a->Execute("BEGIN WORK").ok());
+  ASSERT_TRUE(a->Execute("BEGIN WORK").ok());
+  ASSERT_TRUE(
+      a->Execute("MODIFY part SET name = 'dirty' WHERE part_no = 1").ok());
+  ASSERT_TRUE(a->Execute("ABORT WORK").ok());
+
+  auto c = db_->OpenSession();
+  ASSERT_TRUE(
+      c->Execute("MODIFY part SET name = 'other' WHERE part_no = 1").ok());
+
+  {
+    auto cursor = session_->Query("SELECT ALL FROM part");
+    ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
+    ASSERT_TRUE(a->Execute("COMMIT WORK").ok());
+    EXPECT_EQ(Fingerprint(DrainAll(&*cursor)),
+              (std::multiset<std::string>{"1/other", "2/p2", "3/p3", "4/p4"}));
+  }
+  EXPECT_TRUE(db_->access().versions().Empty());
+}
+
+// Storm form of the two tests above. One session loops a nested abort on a
+// part; another auto-commits ever larger weights on the same parts. No
+// reader may see the aborted name, nor a weight below the last one
+// acknowledged before its cursor opened.
+TEST_F(MvccTest, NestedAbortsNeverHideCommits) {
+  static constexpr int kParts = 4;
+  for (int i = 1; i <= kParts; ++i) {
+    ASSERT_TRUE(InsertPart(session_.get(), i, "clean", 0.0).ok());
+  }
+  std::atomic<bool> stop{false};
+  std::atomic<int> dirty{0}, stale{0}, failed{0};
+  std::atomic<uint64_t> reads{0}, aborts{0}, commits{0};
+  std::atomic<int64_t> acked[kParts + 1] = {};
+  std::mutex error_mu;
+  std::string first_error;
+  const auto fail = [&](const util::Status& st) {
+    if (failed.fetch_add(1) == 0) {
+      std::lock_guard<std::mutex> lock(error_mu);
+      first_error = st.ToString();
+    }
+  };
+
+  auto aborter = [&] {
+    auto s = db_->OpenSession();
+    for (int i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+      const std::string where =
+          " WHERE part_no = " + std::to_string(i % kParts + 1);
+      if (!s->Execute("BEGIN WORK").ok()) continue;
+      if (s->Execute("BEGIN WORK").ok()) {
+        // The MODIFY may lose the part's lock to the committer.
+        const bool modified =
+            s->Execute("MODIFY part SET name = 'dirty'" + where).ok();
+        if (s->Execute("ABORT WORK").ok() && modified) aborts.fetch_add(1);
+      }
+      (void)s->Execute("COMMIT WORK");
+    }
+  };
+  auto committer = [&] {
+    auto s = db_->OpenSession();
+    for (int64_t w = 1; !stop.load(std::memory_order_relaxed); ++w) {
+      const int no = static_cast<int>(w % kParts + 1);
+      const util::Status st =
+          s->Execute("MODIFY part SET weight = " + std::to_string(w) +
+                     " WHERE part_no = " + std::to_string(no))
+              .status();
+      if (st.ok()) {
+        acked[no].store(w);
+        commits.fetch_add(1);
+      } else if (!st.IsConflict()) {
+        fail(st);
+      }
+    }
+  };
+  auto reader = [&] {
+    auto s = db_->OpenSession();
+    while (!stop.load(std::memory_order_relaxed)) {
+      int64_t floor[kParts + 1];
+      for (int no = 1; no <= kParts; ++no) floor[no] = acked[no].load();
+      auto cursor = s->Query("SELECT ALL FROM part");
+      if (!cursor.ok()) {
+        fail(cursor.status());
+        continue;
+      }
+      for (;;) {
+        auto next = cursor->Next();
+        if (!next.ok()) {
+          fail(next.status());
+          break;
+        }
+        if (!next->has_value()) break;
+        const access::Atom& a = (*next)->groups[0].atoms[0];
+        if (a.attrs[2].AsString() != "clean") dirty.fetch_add(1);
+        const int64_t no = a.attrs[1].AsInt();
+        if (a.attrs[3].AsReal() < static_cast<double>(floor[no])) {
+          stale.fetch_add(1);
+        }
+      }
+      reads.fetch_add(1, std::memory_order_relaxed);
+    }
+  };
+
+  std::vector<std::thread> threads;
+  threads.emplace_back(aborter);
+  threads.emplace_back(committer);
+  threads.emplace_back(reader);
+  threads.emplace_back(reader);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while ((aborts.load() < 400 || commits.load() < 400 ||
+          reads.load() < 100) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  stop.store(true);
+  for (auto& t : threads) t.join();
+
+  EXPECT_EQ(dirty.load(), 0);
+  EXPECT_EQ(stale.load(), 0);
+  EXPECT_EQ(failed.load(), 0) << first_error;
+  EXPECT_GE(aborts.load(), 400u);
+  EXPECT_GE(commits.load(), 400u);
+  EXPECT_GE(reads.load(), 100u);
+  EXPECT_TRUE(db_->access().versions().Empty());
 }
 
 // Version chains retire exactly when the last pin that could need them

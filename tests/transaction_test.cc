@@ -34,6 +34,15 @@ class TransactionTest : public ::testing::Test {
          AttrValue{2, Value::String("s" + std::to_string(no))}});
   }
 
+  /// A solid's description as a fresh one-shot query reads it.
+  std::string Description(int64_t no) {
+    auto r = db_->Query("SELECT description FROM solid WHERE solid_no = " +
+                        std::to_string(no));
+    EXPECT_TRUE(r.ok() && r->size() == 1u);
+    if (!r.ok() || r->size() != 1u) return "";
+    return r->molecules[0].groups[0].atoms[0].attrs[2].AsString();
+  }
+
   size_t CountSolids() {
     auto r = db_->Query("SELECT ALL FROM solid");
     EXPECT_TRUE(r.ok());
@@ -208,6 +217,68 @@ TEST_F(TransactionTest, NestedAbortRestoresIntermediateState) {
   EXPECT_EQ(atom->attrs[2].AsString(), "parent");
   EXPECT_EQ(db_->access().GetAtom(*tid)->attrs[2].AsString(), "s1");
   ASSERT_TRUE((*parent)->Commit().ok());
+}
+
+// A subtransaction abort publishes its own chain entries before its locks
+// drop. Left pending until the root ends, the aborted entry sat in front
+// of the next writer's: every reader resolved the atom to the aborted
+// write's before-image, hiding a committed value.
+TEST_F(TransactionTest, ChildAbortDoesNotHideALaterCommit) {
+  auto setup = db_->Begin();
+  auto tid = InsertSolid(*setup, 1);
+  ASSERT_TRUE(tid.ok());
+  ASSERT_TRUE((*setup)->Commit().ok());
+
+  auto root = db_->Begin();
+  ASSERT_TRUE(InsertSolid(*root, 2).ok());
+  auto child = (*root)->BeginChild();
+  ASSERT_TRUE(child.ok());
+  ASSERT_TRUE(
+      (*child)->ModifyAtom(*tid, {AttrValue{2, Value::String("child")}}).ok());
+  ASSERT_TRUE((*child)->Abort().ok());
+
+  auto other = db_->Begin();
+  ASSERT_TRUE(
+      (*other)->ModifyAtom(*tid, {AttrValue{2, Value::String("other")}}).ok());
+  ASSERT_TRUE((*other)->Commit().ok());
+  EXPECT_EQ(Description(1), "other");  // while the root is still open
+
+  ASSERT_TRUE((*root)->Commit().ok());
+  EXPECT_EQ(Description(1), "other");
+  EXPECT_EQ(CountSolids(), 2u);
+  EXPECT_TRUE(db_->access().versions().Empty());
+}
+
+// A child abort publishes exactly its own entries, not every pending entry
+// of the root on the same atom: the root's x -> y stays pending, so an
+// outside reader still sees x while the root reads its own y.
+TEST_F(TransactionTest, ChildAbortPublishesOnlyItsOwnEntries) {
+  auto setup = db_->Begin();
+  auto tid = InsertSolid(*setup, 1);  // description "s1": x
+  ASSERT_TRUE(tid.ok());
+  ASSERT_TRUE((*setup)->Commit().ok());
+
+  auto root = db_->Begin();
+  ASSERT_TRUE(
+      (*root)->ModifyAtom(*tid, {AttrValue{2, Value::String("y")}}).ok());
+  auto child = (*root)->BeginChild();
+  ASSERT_TRUE(child.ok());
+  ASSERT_TRUE(
+      (*child)->ModifyAtom(*tid, {AttrValue{2, Value::String("z")}}).ok());
+  ASSERT_TRUE((*child)->Abort().ok());
+
+  EXPECT_EQ(Description(1), "s1");
+  EXPECT_EQ(db_->access().GetAtom(*tid)->attrs[2].AsString(), "s1");
+  auto own = (*root)->GetAtom(*tid);
+  ASSERT_TRUE(own.ok()) << own.status().ToString();
+  EXPECT_EQ(own->attrs[2].AsString(), "y");
+
+  ASSERT_TRUE((*root)->Abort().ok());
+  auto base = db_->access().GetBaseAtom(*tid);
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+  EXPECT_EQ(base->attrs[2].AsString(), "s1");
+  EXPECT_EQ(Description(1), "s1");
+  EXPECT_TRUE(db_->access().versions().Empty());
 }
 
 TEST_F(TransactionTest, OperationsOnFinishedTransactionFail) {
